@@ -3,25 +3,23 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/colstore"
-	"repro/internal/query"
 )
 
 // GroupByShapePoint is the measured throughput of one grouped-aggregate
 // shape across the three kernel tiers, plus its cost relative to the
-// flat count_1f scan — the number the grouped fast path is engineered
-// against (a low-cardinality GROUP BY should cost little more than the
-// flat aggregate it decorates).
+// flat scan it decorates — the same filters and aggregate over the same
+// ranges without the GROUP BY (1.0 = grouping is free).
 type GroupByShapePoint struct {
 	Shape string `json:"shape"`
-	// Groups is the answer's distinct-key count; Path says which
-	// accumulator regime it lands in ("fast" for the per-key
-	// equality-mask sweep, "generic" for dense-window + overflow-map).
+	// Groups is the answer's distinct-key count, Ranges how many physical
+	// ranges the shape scans (1 = the whole table), and Path the
+	// accumulator regime it ran on ("bytecode", "dense" or "hash").
 	Groups int    `json:"groups"`
+	Ranges int    `json:"ranges"`
 	Path   string `json:"path"`
 	// KernelMRows/KernelGBps are the dispatched ScanRangeGrouped tier.
 	KernelMRows float64 `json:"kernel_mrows_per_s"`
@@ -30,38 +28,35 @@ type GroupByShapePoint struct {
 	PortableMRows float64 `json:"portable_mrows_per_s"`
 	// ScalarMRows is the row-at-a-time grouped oracle.
 	ScalarMRows float64 `json:"scalar_mrows_per_s"`
-	// Speedup is kernel vs scalar; VsFlat is kernel grouped throughput
-	// over the flat count_1f kernel throughput (1.0 = grouping is free).
+	// Speedup is kernel vs scalar; VsFlat is grouped throughput over the
+	// flat twin's, measured differentially (see groupedVsFlatRatio).
 	Speedup float64 `json:"kernel_speedup"`
-	VsFlat  float64 `json:"vs_flat_count_1f"`
+	VsFlat  float64 `json:"vs_flat"`
 }
 
 // GroupByResult is the groupby experiment's machine-readable output.
 type GroupByResult struct {
 	Rows int `json:"rows"`
-	// LowCardKeys/HighCardKeys are the two group columns' cardinalities:
-	// below and above the accumulator's fast-path bound.
-	LowCardKeys  int    `json:"low_card_keys"`
-	HighCardKeys int    `json:"high_card_keys"`
-	Kernel       string `json:"kernel"` // dispatched tier: "avx2" or "portable"
-	// FlatMRows is the flat count_1f kernel baseline the grouped shapes
-	// are held against.
-	FlatMRows float64 `json:"flat_count_1f_mrows_per_s"`
-	// FastPathRatio is gcount_1f_low / flat count_1f — the acceptance
-	// figure for the low-cardinality fast path (target >= 0.5), measured
-	// differentially over alternating passes (see groupedVsFlatRatio).
+	// Keys are the group columns' distinct-key counts (low, mid, high).
+	Keys   [3]int `json:"keys"`
+	Kernel string `json:"kernel"` // dispatched tier: "avx2" or "portable"
+	// FastPathRatio is gcount_1f_low over flat count_1f — the acceptance
+	// figure for the byte-code path (target >= 0.5); PlanRatio is
+	// gcount_2f_plan over its flat twin, the grouped/flat ratio on a
+	// learned-grid plan's short ranges.
 	FastPathRatio float64             `json:"fastpath_ratio"`
+	PlanRatio     float64             `json:"plan_ratio"`
 	Shapes        []GroupByShapePoint `json:"shapes"`
 }
 
 // RunGroupBy measures grouped-aggregate scan throughput against the flat
-// kernels: grouped COUNT and grouped SUM through one range filter, once
-// on a low-cardinality group column (the equality-mask fast path) and
-// once on a high-cardinality one (the generic dense-window path), per
-// kernel tier. Before timing anything it cross-checks every shape's
-// ScanRangeGrouped answer against the row-at-a-time scalar oracle and
-// returns an error on any mismatch, so a wrong-answer kernel can never
-// report a throughput number.
+// kernels over colstore.GroupedBench's shapes: grouped COUNT and SUM
+// through one range filter on a low-, a mid- and a high-cardinality
+// group column over the whole table, and through two filters over a
+// plan-shaped list of short ranges, per kernel tier. Before timing
+// anything it cross-checks every shape's ScanRangeGrouped answer against
+// the row-at-a-time scalar oracle and returns an error on any mismatch,
+// so a wrong-answer kernel can never report a throughput number.
 func RunGroupBy(o Options) (*GroupByResult, error) {
 	o = o.fill()
 	rows := o.Rows * 4 // raw scans are fast; more rows = steadier numbers
@@ -73,127 +68,72 @@ func RunGroupBy(o Options) (*GroupByResult, error) {
 	if rows < 3<<18 {
 		rows = 3 << 18
 	}
-	const (
-		filterDims   = 4
-		lowCardKeys  = 8    // well under the fast-path key bound
-		highCardKeys = 4096 // forces the generic dense-window path
-	)
-	rng := rand.New(rand.NewSource(o.Seed))
-	cols := make([][]int64, filterDims+2)
-	for j := 0; j < filterDims; j++ {
-		c := make([]int64, rows)
-		for i := range c {
-			c[i] = rng.Int63n(1_000_000)
-		}
-		cols[j] = c
-	}
-	for j, card := range []int64{lowCardKeys, highCardKeys} {
-		c := make([]int64, rows)
-		for i := range c {
-			c[i] = rng.Int63n(card)
-		}
-		cols[filterDims+j] = c
-	}
-	st, err := colstore.FromColumns(cols, nil)
-	if err != nil {
-		return nil, fmt.Errorf("groupby: %v", err)
-	}
-
-	// The filter is the canonical count_1f shape (KernelBenchShapes), so
-	// the flat baseline here and the scan experiment measure the same
-	// kernel by construction.
-	f := query.Filter{Dim: 0, Lo: 250_000, Hi: 750_000}
-	shapes := []struct {
-		name string
-		q    query.Query
-	}{
-		{"gcount_1f_low", query.NewCount(f).By(filterDims)},
-		{"gsum_1f_low", query.NewSum(1, f).By(filterDims)},
-		{"gcount_1f_high", query.NewCount(f).By(filterDims + 1)},
-		{"gsum_1f_high", query.NewSum(1, f).By(filterDims + 1)},
-	}
-
-	res := &GroupByResult{
-		Rows:         rows,
-		LowCardKeys:  lowCardKeys,
-		HighCardKeys: highCardKeys,
-		Kernel:       colstore.KernelName(),
-	}
+	st, shapes := colstore.GroupedBench(rows, o.Seed)
+	res := &GroupByResult{Rows: rows, Keys: colstore.GroupedBenchKeys, Kernel: colstore.KernelName()}
 	window := 120 * time.Millisecond
 	if o.Quick {
 		window = 60 * time.Millisecond
 	}
-	flatM, _ := scanMRows(st, query.NewCount(f), window, false)
-	res.FlatMRows = flatM
 	for _, sh := range shapes {
-		if err := checkGroupedAgainstScalar(st, sh.q); err != nil {
-			return nil, fmt.Errorf("groupby %s: %w", sh.name, err)
+		groups, err := checkGroupedAgainstScalar(st, sh)
+		if err != nil {
+			return nil, fmt.Errorf("groupby %s: %w", sh.Name, err)
 		}
-		groups := groupedPass(st, sh.q)
-		kernelM, kernelG := groupedMRows(st, sh.q, window, false)
-		scalarM, _ := groupedMRows(st, sh.q, window, true)
+		kernelM, kernelG := groupedMRows(st, sh, groups.BytesTouched, window, false)
+		scalarM, _ := groupedMRows(st, sh, groups.BytesTouched, window, true)
 		portableM := kernelM
 		if colstore.SIMDAvailable() {
 			// Restore the prior dispatch state, not `true` (see RunScanKernels).
 			prev := colstore.SetSIMD(false)
-			portableM, _ = groupedMRows(st, sh.q, window, false)
+			portableM, _ = groupedMRows(st, sh, groups.BytesTouched, window, false)
 			colstore.SetSIMD(prev)
 		}
-		path := "fast"
-		if len(groups.Groups) > colstore.MaxFastGroups() {
-			path = "generic"
-		}
 		p := GroupByShapePoint{
-			Shape:         sh.name,
+			Shape:         sh.Name,
 			Groups:        len(groups.Groups),
-			Path:          path,
+			Ranges:        len(sh.Ranges),
+			Path:          groups.Regime.String(),
 			KernelMRows:   kernelM,
 			KernelGBps:    kernelG,
 			PortableMRows: portableM,
 			ScalarMRows:   scalarM,
+			VsFlat:        groupedVsFlatRatio(st, sh, window),
 		}
 		if scalarM > 0 {
 			p.Speedup = kernelM / scalarM
 		}
-		if flatM > 0 {
-			p.VsFlat = kernelM / flatM
-		}
-		if sh.name == "gcount_1f_low" {
-			// The acceptance figure is a ratio, so measure it
-			// differentially — alternating flat/grouped passes, median of
-			// per-pair ratios — instead of dividing two windows timed
-			// minutes apart, where machine drift (not the kernels) can
-			// move either side by 20%.
-			p.VsFlat = groupedVsFlatRatio(st, query.NewCount(f), sh.q, window)
+		switch sh.Name {
+		case "gcount_1f_low":
 			res.FastPathRatio = p.VsFlat
+		case "gcount_2f_plan":
+			res.PlanRatio = p.VsFlat
 		}
 		res.Shapes = append(res.Shapes, p)
 	}
 	return res, nil
 }
 
-// groupedVsFlatRatio measures grouped-vs-flat scan throughput as the
-// median of per-pair ratios over alternating timed passes, which cancels
-// drift that would skew two independently timed windows.
-func groupedVsFlatRatio(st *colstore.Store, flatQ, groupedQ query.Query, window time.Duration) float64 {
-	n := st.NumRows()
+// groupedVsFlatRatio measures a shape's grouped-vs-flat scan throughput
+// as the median of per-pair ratios over alternating timed passes — not
+// two windows timed minutes apart, where machine drift (not the kernels)
+// can move either side by 20%.
+func groupedVsFlatRatio(st *colstore.Store, sh colstore.GroupedBenchShape, window time.Duration) float64 {
 	flatPass := func() {
 		var res colstore.ScanResult
-		st.ScanRange(flatQ, 0, n, false, &res)
+		for _, r := range sh.Ranges {
+			st.ScanRange(sh.Flat, r[0], r[1], false, &res)
+		}
 	}
-	groupedPass := func() {
-		acc := colstore.NewGroupAccumulator(groupedQ)
-		st.ScanRangeGrouped(groupedQ, 0, n, false, acc)
-	}
+	var acc colstore.GroupAccumulator
 	flatPass()
-	groupedPass() // warm-up (also builds the byte-code image)
+	groupedPass(st, sh, &acc) // warm-up (also builds the byte-code image)
 	var ratios []float64
 	start := time.Now()
 	for time.Since(start) < window || len(ratios) < 3 {
 		t0 := time.Now()
 		flatPass()
 		t1 := time.Now()
-		groupedPass()
+		groupedPass(st, sh, &acc)
 		t2 := time.Now()
 		if g := t2.Sub(t1); g > 0 {
 			ratios = append(ratios, float64(t1.Sub(t0))/float64(g))
@@ -203,46 +143,50 @@ func groupedVsFlatRatio(st *colstore.Store, flatQ, groupedQ query.Query, window 
 	return ratios[len(ratios)/2]
 }
 
-// groupedPass runs one full-table grouped pass with the dispatched
-// kernels and returns the answer.
-func groupedPass(st *colstore.Store, q query.Query) colstore.GroupedResult {
-	acc := colstore.NewGroupAccumulator(q)
-	st.ScanRangeGrouped(q, 0, st.NumRows(), false, acc)
+// groupedPass runs one grouped pass over the shape's ranges with the
+// dispatched kernels, through acc — Reset per pass, the way a pooled
+// query context reuses it — and returns the answer.
+func groupedPass(st *colstore.Store, sh colstore.GroupedBenchShape, acc *colstore.GroupAccumulator) colstore.GroupedResult {
+	acc.Reset(sh.Query, st)
+	for _, r := range sh.Ranges {
+		st.ScanRangeGrouped(sh.Query, r[0], r[1], false, acc)
+	}
 	return acc.Result()
 }
 
-// checkGroupedAgainstScalar compares a full-table ScanRangeGrouped pass
-// against the row-at-a-time scalar oracle, group by group.
-func checkGroupedAgainstScalar(st *colstore.Store, q query.Query) error {
-	got := groupedPass(st, q)
+// checkGroupedAgainstScalar compares one ScanRangeGrouped pass over the
+// shape against the row-at-a-time scalar oracle, group by group, and
+// returns the answer.
+func checkGroupedAgainstScalar(st *colstore.Store, sh colstore.GroupedBenchShape) (colstore.GroupedResult, error) {
+	got := groupedPass(st, sh, new(colstore.GroupAccumulator))
 	var want colstore.GroupedResult
-	st.ScanRangeGroupedScalar(q, 0, st.NumRows(), false, &want)
+	for _, r := range sh.Ranges {
+		st.ScanRangeGroupedScalar(sh.Query, r[0], r[1], false, &want)
+	}
 	if len(got.Groups) != len(want.Groups) {
-		return fmt.Errorf("kernel found %d groups, scalar oracle %d", len(got.Groups), len(want.Groups))
+		return got, fmt.Errorf("kernel found %d groups, scalar oracle %d", len(got.Groups), len(want.Groups))
 	}
 	for i, g := range got.Groups {
-		w := want.Groups[i]
-		if g.Key != w.Key || g.Count != w.Count || g.Sum != w.Sum {
-			return fmt.Errorf("group %d: kernel {key=%d count=%d sum=%d}, scalar oracle {key=%d count=%d sum=%d}",
-				i, g.Key, g.Count, g.Sum, w.Key, w.Count, w.Sum)
+		if w := want.Groups[i]; g != w {
+			return got, fmt.Errorf("group %d: kernel %+v, scalar oracle %+v", i, g, w)
 		}
 	}
-	return nil
+	return got, nil
 }
 
-// groupedMRows measures single-thread full-table grouped-scan throughput,
-// returning Mrows/s and effective GB/s (planned column bytes per second,
-// the group column charged as one extra stream).
-func groupedMRows(st *colstore.Store, q query.Query, window time.Duration, scalar bool) (float64, float64) {
-	n := st.NumRows()
-	bytesPerPass := groupedPass(st, q).BytesTouched
+// groupedMRows measures single-thread grouped-scan throughput over the
+// shape's ranges, returning Mrows/s and effective GB/s (planned column
+// bytes per second, the group column charged as one extra stream).
+func groupedMRows(st *colstore.Store, sh colstore.GroupedBenchShape, bytesPerPass uint64, window time.Duration, scalar bool) (float64, float64) {
+	var acc colstore.GroupAccumulator
 	scan := func() {
-		if scalar {
-			var res colstore.GroupedResult
-			st.ScanRangeGroupedScalar(q, 0, n, false, &res)
-		} else {
-			acc := colstore.NewGroupAccumulator(q)
-			st.ScanRangeGrouped(q, 0, n, false, acc)
+		if !scalar {
+			groupedPass(st, sh, &acc)
+			return
+		}
+		var res colstore.GroupedResult
+		for _, r := range sh.Ranges {
+			st.ScanRangeGroupedScalar(sh.Query, r[0], r[1], false, &res)
 		}
 	}
 	scan() // warm-up
@@ -253,7 +197,7 @@ func groupedMRows(st *colstore.Store, q query.Query, window time.Duration, scala
 		passes++
 	}
 	secs := time.Since(start).Seconds()
-	return float64(passes) * float64(n) / secs / 1e6,
+	return float64(passes) * float64(sh.Rows()) / secs / 1e6,
 		float64(passes) * float64(bytesPerPass) / secs / 1e9
 }
 
@@ -265,12 +209,13 @@ func GroupBy(w io.Writer, o Options) {
 		fmt.Fprintf(w, "GroupBy: FAILED: %v\n", err)
 		return
 	}
-	section(w, "GroupBy", fmt.Sprintf("Grouped aggregates (%s) vs scalar oracle and flat count_1f (%d rows; group cardinality %d and %d)",
-		r.Kernel, r.Rows, r.LowCardKeys, r.HighCardKeys))
-	t := newTable("shape", "groups", "path", "kernel (Mrows/s)", "kernel (GB/s)", "portable (Mrows/s)", "scalar (Mrows/s)", "vs scalar", "vs flat count_1f")
+	section(w, "GroupBy", fmt.Sprintf("Grouped aggregates (%s) vs scalar oracle and the flat scan of the same ranges (%d rows; group cardinality %d, %d and %d)",
+		r.Kernel, r.Rows, r.Keys[0], r.Keys[1], r.Keys[2]))
+	t := newTable("shape", "groups", "ranges", "path", "kernel (Mrows/s)", "kernel (GB/s)", "portable (Mrows/s)", "scalar (Mrows/s)", "vs scalar", "vs flat")
 	for _, p := range r.Shapes {
 		t.add(p.Shape,
 			fmt.Sprintf("%d", p.Groups),
+			fmt.Sprintf("%d", p.Ranges),
 			p.Path,
 			fmt.Sprintf("%.0f", p.KernelMRows),
 			fmt.Sprintf("%.1f", p.KernelGBps),
@@ -280,6 +225,6 @@ func GroupBy(w io.Writer, o Options) {
 			fmt.Sprintf("%.2fx", p.VsFlat))
 	}
 	t.print(w)
-	fmt.Fprintf(w, "flat count_1f baseline: %.0f Mrows/s; low-cardinality fast-path ratio %.2f (acceptance >= 0.5)\n",
-		r.FlatMRows, r.FastPathRatio)
+	fmt.Fprintf(w, "byte-code COUNT vs flat count_1f: %.2f (acceptance >= 0.5); plan-shaped GROUP BY vs flat over the same ranges: %.2f\n",
+		r.FastPathRatio, r.PlanRatio)
 }

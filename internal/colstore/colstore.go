@@ -20,17 +20,17 @@ import (
 type Store struct {
 	cols  [][]int64
 	names []string
-	// codeCache lazily holds one byte-coded image per column for the
-	// grouped low-cardinality fast path (grouped_codes.go); slots are
-	// invalidated by Reorder.
-	codeCache []atomic.Pointer[groupCodes]
+	// groupMeta lazily holds each column's value span — and, for
+	// low-cardinality columns, its byte-coded image — for grouped scans
+	// (grouped_codes.go); slots are invalidated by Reorder.
+	groupMeta []atomic.Pointer[groupMeta]
 }
 
 // New creates a store with the given column names, all empty.
 func New(names ...string) *Store {
 	s := &Store{names: append([]string(nil), names...)}
 	s.cols = make([][]int64, len(names))
-	s.codeCache = make([]atomic.Pointer[groupCodes], len(names))
+	s.groupMeta = make([]atomic.Pointer[groupMeta], len(names))
 	return s
 }
 
@@ -58,7 +58,7 @@ func FromColumns(cols [][]int64, names []string) (*Store, error) {
 	return &Store{
 		cols:      cols,
 		names:     names,
-		codeCache: make([]atomic.Pointer[groupCodes], len(cols)),
+		groupMeta: make([]atomic.Pointer[groupMeta], len(cols)),
 	}, nil
 }
 
@@ -151,8 +151,8 @@ func (s *Store) Reorder(perm []int) error {
 	}
 	// The byte-coded group images alias the old row order; drop them so
 	// the next grouped scan rebuilds against the new layout.
-	for i := range s.codeCache {
-		s.codeCache[i].Store(nil)
+	for i := range s.groupMeta {
+		s.groupMeta[i].Store(nil)
 	}
 	return nil
 }
@@ -164,7 +164,7 @@ func (s *Store) Clone() *Store {
 	for j, c := range s.cols {
 		out.cols[j] = append([]int64(nil), c...)
 	}
-	out.codeCache = make([]atomic.Pointer[groupCodes], len(s.cols))
+	out.groupMeta = make([]atomic.Pointer[groupMeta], len(s.cols))
 	return out
 }
 

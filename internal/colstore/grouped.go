@@ -1,7 +1,9 @@
 package colstore
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/query"
@@ -18,37 +20,35 @@ import (
 // value into a per-group (count, sum) pair. SelVector exposes the mask
 // as a first-class value; GroupAccumulator is the operator.
 //
-// The accumulator has three regimes:
+// The accumulator rests on one fact: the group column's value span is
+// known (the store caches each column's min and max on first grouped
+// use), so a group's cell is found by subtraction, not by search. Cells
+// are a dense array sized to that span — 263 cells for a taxi zone, not
+// a fixed 65 536-cell window — indexed by value-base, and COUNT and SUM
+// fold in one pass over the set bits of the selection words. A bitmap
+// of touched cells makes Result emit groups in key order with no sort
+// and makes Reset cost O(touched cells), so one accumulator is pooled
+// per query context and a query allocates nothing but its result.
 //
-//   - Byte-code fast path (COUNT only): when the group column's whole
-//     value range spans at most maxFastGroups values, the store lazily
-//     byte-codes it (grouped_codes.go) and blocks are consumed by the
-//     byte-lane count kernels — 32 rows per compare instead of the mask
-//     kernels' 4, one pass over a 1-byte stream instead of one 8-byte
-//     pass per key. Single-filter COUNT blocks skip mask-word
-//     materialization entirely via the fused kernel. This is the regime
-//     the groupby bench experiment's acceptance ratio is measured in.
+// Two specialisations sit either side of the dense path, chosen once
+// per query from the column's span (GroupRegime):
 //
-//   - Low-cardinality fast path: while the number of distinct keys seen
-//     stays at or below maxFastGroups, each block is aggregated with
-//     per-key equality masks — for every known key k, AND the selection
-//     words with the mask of (group column == k) using the same range
-//     kernels the filters use (width 0 makes the range compare an
-//     equality), then popcount/masked-sum the result. The group column
-//     is L1-resident after the first key's pass, so each additional key
-//     costs a cache-hot vector sweep instead of a per-row hash probe.
-//     Rows whose key is not yet known fall out as leftover bits and are
-//     folded individually (discovering new keys as they appear). This is
-//     the regime SUM stays in on a clustered or naturally
-//     low-cardinality group key (vendor id, passenger count, zone), and
-//     COUNT when the column's range is too wide to byte-code.
+//   - Byte-code (COUNT, span <= maxFastGroups): the store lazily
+//     byte-codes the column (grouped_codes.go) and full words are
+//     consumed by the byte-lane count kernels — 32 rows per compare, one
+//     pass over a 1-byte stream. Single-filter blocks skip mask-word
+//     materialization entirely via the fused kernel. Code c is dense
+//     cell c (both are anchored at the column's min), so the kernels'
+//     counts fold into the cells at Result.
 //
-//   - Generic hash path: past maxFastGroups distinct keys the
-//     accumulator switches permanently to per-row accumulation into a
-//     dense array window (keys within denseGroupWindow of the first keys
-//     seen) backed by an overflow map, walking the set bits of each
-//     selection word. Exact for any key distribution, just not
-//     bandwidth-bound.
+//   - Hash (span > maxDenseSpan): cells live by value in a slice indexed
+//     through a map. Also where a dense accumulator puts the rare key
+//     outside its window — a buffered insert beyond the column's range,
+//     or a scan of another store.
+//
+// Full 64-row words of a range go through the mask kernels a block at a
+// time; its sub-word tail runs row-at-a-time (see ScanRangeGrouped for
+// why a learned-grid plan's many short ranges are better served so).
 //
 // Partials merge exactly: GroupedResult carries per-group (count, sum)
 // pairs sorted by key, and Merge is a sorted-list union that adds pairs
@@ -192,16 +192,6 @@ func maskWordsAndPortable(col []int64, out []uint64, nw int, lo int64, width uin
 	return any
 }
 
-func maskedSumPortable(agg []int64, mask []uint64, nw int) int64 {
-	var sum int64
-	for w := 0; w < nw; w++ {
-		if m := mask[w]; m != 0 {
-			sum += maskedSum(agg[w*64:], m)
-		}
-	}
-	return sum
-}
-
 // GroupAgg is one group's exact aggregate: the group-key value and the
 // (count, sum) pair over matching rows with that key.
 type GroupAgg struct {
@@ -220,11 +210,28 @@ func (g GroupAgg) Avg() float64 {
 	return float64(g.Sum) / float64(g.Count)
 }
 
+// GroupRegime names the accumulation path a grouped scan ran on, chosen
+// per query from the group column's value span.
+type GroupRegime uint8
+
+const (
+	RegimeNone     GroupRegime = iota // no accumulator ran (scalar oracle, empty result)
+	RegimeByteCode                    // byte-lane COUNT kernels over the coded column
+	RegimeDense                       // one-pass fold into span-sized dense cells
+	RegimeHash                        // by-value cells behind a map (span > maxDenseSpan)
+)
+
+func (g GroupRegime) String() string {
+	return [...]string{"none", "bytecode", "dense", "hash"}[g]
+}
+
 // GroupedResult is the grouped counterpart of ScanResult: one GroupAgg
 // per distinct group-key value among matching rows, sorted ascending by
-// key, plus the same scan-volume accounting.
+// key, plus the same scan-volume accounting and the regime that produced
+// it (the widest one, for a merged result).
 type GroupedResult struct {
 	GroupDim      int
+	Regime        GroupRegime
 	Groups        []GroupAgg
 	PointsScanned uint64
 	BytesTouched  uint64
@@ -235,40 +242,61 @@ type GroupedResult struct {
 // partials from disjoint scans (region splits, executor chunks, shard
 // scatter-gather) merge exactly — including per-group AVG, which is
 // derived from the merged pair via GroupAgg.Avg, never averaged across
-// partials.
-func (r *GroupedResult) Merge(o GroupedResult) {
+// partials. The union is built in r.Groups' own capacity, growing it
+// only when o brings keys r lacks.
+//
+// Groups keyed by different dimensions have no union: when both sides
+// hold groups and their GroupDim differ, Merge changes nothing and
+// returns false.
+func (r *GroupedResult) Merge(o GroupedResult) bool {
+	if len(r.Groups) > 0 && len(o.Groups) > 0 && r.GroupDim != o.GroupDim {
+		return false
+	}
 	r.PointsScanned += o.PointsScanned
 	r.BytesTouched += o.BytesTouched
+	r.Regime = max(r.Regime, o.Regime)
 	if len(o.Groups) == 0 {
-		return
+		return true
 	}
 	if len(r.Groups) == 0 {
 		r.GroupDim = o.GroupDim
 		r.Groups = append(r.Groups[:0], o.Groups...)
-		return
+		return true
 	}
-	merged := make([]GroupAgg, 0, len(r.Groups)+len(o.Groups))
-	i, j := 0, 0
-	for i < len(r.Groups) && j < len(o.Groups) {
-		a, b := r.Groups[i], o.Groups[j]
+	a, b := r.Groups, o.Groups
+	extra := 0 // keys of b that a lacks
+	for i, j := 0, 0; j < len(b); {
 		switch {
-		case a.Key < b.Key:
-			merged = append(merged, a)
+		case i == len(a) || b[j].Key < a[i].Key:
+			extra++
+			j++
+		case b[j].Key == a[i].Key:
 			i++
-		case a.Key > b.Key:
-			merged = append(merged, b)
 			j++
 		default:
-			a.Count += b.Count
-			a.Sum += b.Sum
-			merged = append(merged, a)
 			i++
-			j++
 		}
 	}
-	merged = append(merged, r.Groups[i:]...)
-	merged = append(merged, o.Groups[j:]...)
-	r.Groups = merged
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, extra)[:len(a)+extra]
+	// Merge from the back so every slot is read before it is written;
+	// once b is exhausted the rest of a is already in place.
+	for k := len(a) - 1; j >= 0; k-- {
+		switch {
+		case i >= 0 && a[i].Key > b[j].Key:
+			a[k] = a[i]
+			i--
+		case i >= 0 && a[i].Key == b[j].Key:
+			a[k] = GroupAgg{Key: a[i].Key, Count: a[i].Count + b[j].Count, Sum: a[i].Sum + b[j].Sum}
+			i--
+			j--
+		default:
+			a[k] = b[j]
+			j--
+		}
+	}
+	r.Groups = a
+	return true
 }
 
 // Find returns the group for key and whether it exists (binary search
@@ -299,22 +327,14 @@ func (r GroupedResult) Clone() GroupedResult {
 }
 
 const (
-	// maxFastGroups bounds the per-key equality-mask fast path: beyond
-	// this many distinct keys the per-block sweep cost (one cache-hot
-	// vector pass per key) overtakes per-row hashing and the
-	// accumulator switches to the generic path.
+	// maxFastGroups bounds the byte-code path: a column whose values span
+	// at most this many codes is counted by the byte-lane kernels, which
+	// compare against 8 splatted codes per pass.
 	maxFastGroups = 32
-	// denseGroupWindow is the generic path's array-window size: keys
-	// within this range of the window base index a dense cell array
-	// (one add, no hashing); keys outside it hit the overflow map.
-	denseGroupWindow = 1 << 16
+	// maxDenseSpan bounds the dense path: a column spanning more values
+	// than this (1 MiB of cells) is accumulated by value behind a map.
+	maxDenseSpan = 1 << 16
 )
-
-// MaxFastGroups reports the fast-path key bound: grouped scans whose
-// group column has at most this many distinct keys stay on the per-key
-// equality-mask sweep. Exported for benchmarks and experiments that
-// classify which regime a shape landed in.
-func MaxFastGroups() int { return maxFastGroups }
 
 type groupCell struct {
 	count uint64
@@ -323,54 +343,113 @@ type groupCell struct {
 
 // GroupAccumulator accumulates grouped (count, sum) pairs across any
 // number of ScanRangeGrouped calls (regions, chunks) plus individually
-// added rows (delta buffers), then emits one sorted GroupedResult. It is
+// added rows (delta buffers), then emits one sorted GroupedResult. Reset
+// arms it for a query and a store; it is built to be pooled and reset,
+// never reallocated, and holds no reference to the store's data. It is
 // not safe for concurrent use; parallel executors give each worker its
 // own accumulator and Merge the results.
 type GroupAccumulator struct {
-	dim int
+	dim    int
+	regime GroupRegime
 
-	// Fast path: discovery-ordered distinct keys with parallel cells.
-	keys  []int64
-	cells []groupCell
+	// Dense cells: cells[v-base] for group values in the store column's
+	// [min, max]; bit i of touched is set iff cells[i].count > 0. Every
+	// cell beyond the touched ones is zero, up to cap(cells).
+	base    int64
+	cells   []groupCell
+	touched []uint64
 
-	// Generic path, engaged permanently once len(keys) would exceed
-	// maxFastGroups.
-	generic  bool
-	base     int64
-	dense    []groupCell
-	overflow map[int64]*groupCell
+	// By-value cells for keys outside the dense window (all of them in
+	// RegimeHash), in first-seen order; hidx maps key to position.
+	hidx   map[int64]int32
+	hcells []GroupAgg
 
-	// Byte-code fast path (COUNT only): one count per code over the
-	// store's byte-coded group column, merged with the other regimes'
-	// cells in Result. codeSplat is the kernels' key operand — each code
-	// as a 32-byte broadcast block, padded to a multiple of 8 keys with
-	// the 0xFF sentinel no code reaches.
-	codeBase   int64
-	codeN      int
-	codeCounts []uint64
-	codeSplat  []byte
+	// Byte-code kernel counts, one per code; code c is cells[c].
+	codeCounts [maxFastGroups]uint64
 
 	points uint64
 	bytes  uint64
 
-	sel     SelVector          // per-block selection vector
-	scratch [blockWords]uint64 // per-key eq-mask AND buffer
-	left    [blockWords]uint64 // leftover (unknown-key) bits
+	sel [blockWords]uint64 // per-block selection words
 }
 
-// NewGroupAccumulator returns an accumulator for q's group dimension.
-func NewGroupAccumulator(q query.Query) *GroupAccumulator {
-	return &GroupAccumulator{
-		dim: q.GroupDim(),
-		sel: SelVector{Words: make([]uint64, blockWords)},
-	}
+// NewGroupAccumulator returns an accumulator armed for q over s.
+func NewGroupAccumulator(q query.Query, s *Store) *GroupAccumulator {
+	a := new(GroupAccumulator)
+	a.Reset(q, s)
+	return a
 }
+
+// Reset empties the accumulator in O(touched cells) and arms it for q's
+// group dimension over s: the dense cells are sized to the group
+// column's value span and anchored at its minimum. Rows from elsewhere
+// (AddRow, another store's scan) still accumulate exactly; keys outside
+// the window take the by-value path.
+func (a *GroupAccumulator) Reset(q query.Query, s *Store) {
+	for wi, w := range a.touched {
+		for ; w != 0; w &= w - 1 {
+			a.cells[wi<<6+bits.TrailingZeros64(w)] = groupCell{}
+		}
+		a.touched[wi] = 0
+	}
+	if len(a.hcells) > maxDenseSpan {
+		// clear costs a map's capacity, not its contents: a pooled
+		// accumulator must not pay for one wide query ever after.
+		a.hidx, a.hcells = nil, nil
+	}
+	clear(a.hidx)
+	a.hcells = a.hcells[:0]
+	a.codeCounts = [maxFastGroups]uint64{}
+	a.points, a.bytes = 0, 0
+
+	a.dim = q.GroupDim()
+	gm := s.groupMetaFor(a.dim, q.Agg == query.Count)
+	a.base = gm.base
+	n := int(gm.width) + 1
+	switch {
+	case q.Agg == query.Count && gm.codes != nil:
+		a.regime = RegimeByteCode
+	case gm.width < maxDenseSpan:
+		a.regime = RegimeDense
+	default:
+		a.regime, n = RegimeHash, 0
+	}
+	if cap(a.cells) < n {
+		a.cells = make([]groupCell, n)
+		a.touched = make([]uint64, (n+63)/64)
+	}
+	a.cells, a.touched = a.cells[:n], a.touched[:(n+63)/64]
+}
+
+// Regime reports the accumulation path Reset chose for the query.
+func (a *GroupAccumulator) Regime() GroupRegime { return a.regime }
 
 // AddRow folds one matching row (its group-key value and, for SUM, its
 // aggregate value — pass 0 for COUNT) into the accumulator. Used by the
-// delta-buffer scan and scalar fallbacks; scan-volume accounting is the
-// caller's via AddScanned.
-func (a *GroupAccumulator) AddRow(key, aggVal int64) { a.add1(key, aggVal) }
+// delta-buffer scan and the scalar fallback; scan-volume accounting is
+// the caller's via AddScanned.
+func (a *GroupAccumulator) AddRow(key, aggVal int64) {
+	if idx := uint64(key - a.base); idx < uint64(len(a.cells)) {
+		c := &a.cells[idx]
+		if c.count == 0 {
+			a.touched[idx>>6] |= 1 << (idx & 63)
+		}
+		c.count++
+		c.sum += aggVal
+		return
+	}
+	i, ok := a.hidx[key]
+	if !ok {
+		if a.hidx == nil {
+			a.hidx = make(map[int64]int32)
+		}
+		i = int32(len(a.hcells))
+		a.hidx[key] = i
+		a.hcells = append(a.hcells, GroupAgg{Key: key})
+	}
+	a.hcells[i].Count++
+	a.hcells[i].Sum += aggVal
+}
 
 // AddScanned charges scan volume to the accumulator's accounting.
 func (a *GroupAccumulator) AddScanned(points, bytes uint64) {
@@ -378,197 +457,90 @@ func (a *GroupAccumulator) AddScanned(points, bytes uint64) {
 	a.bytes += bytes
 }
 
-func (a *GroupAccumulator) add1(k, v int64) {
-	if !a.generic {
-		for i, kk := range a.keys {
-			if kk == k {
-				a.cells[i].count++
-				a.cells[i].sum += v
-				return
-			}
-		}
-		if len(a.keys) < maxFastGroups {
-			a.keys = append(a.keys, k)
-			a.cells = append(a.cells, groupCell{count: 1, sum: v})
-			return
-		}
-		a.switchToGeneric()
-	}
-	if idx := uint64(k - a.base); idx < uint64(len(a.dense)) {
-		a.dense[idx].count++
-		a.dense[idx].sum += v
+// consume folds the rows selected by sel — whole 64-row words starting
+// at row0 — into the accumulator. With codes set the byte-code count
+// kernels take them; otherwise this is the one-pass fold: for every set
+// bit, the row's group value picks its cell by subtraction and COUNT
+// and SUM (agg nil for COUNT) add in place.
+func (a *GroupAccumulator) consume(gcol, agg []int64, codes []byte, row0 int, sel []uint64) {
+	if codes != nil {
+		groupCountCodes(codes[row0:row0+len(sel)*64], sel, a.codeCounts[:], len(a.cells))
 		return
 	}
-	c := a.overflow[k]
-	if c == nil {
-		c = &groupCell{}
-		a.overflow[k] = c
+	// COUNT reads its zero "aggregate" from the group column under an
+	// all-clear mask, so one loop serves both and neither branches on it.
+	gcol = gcol[row0 : row0+len(sel)*64]
+	vals, keep := gcol, int64(0)
+	if agg != nil {
+		vals, keep = agg[row0:row0+len(sel)*64], -1
 	}
-	c.count++
-	c.sum += v
-}
-
-// switchToGeneric migrates the fast-path cells into the dense window
-// (anchored at the smallest key seen so far) plus the overflow map.
-func (a *GroupAccumulator) switchToGeneric() {
-	a.base = a.keys[0]
-	for _, k := range a.keys[1:] {
-		if k < a.base {
-			a.base = k
-		}
-	}
-	a.dense = make([]groupCell, denseGroupWindow)
-	a.overflow = make(map[int64]*groupCell)
-	for i, k := range a.keys {
-		if idx := uint64(k - a.base); idx < uint64(len(a.dense)) {
-			a.dense[idx] = a.cells[i]
-		} else {
-			c := a.cells[i]
-			a.overflow[k] = &c
-		}
-	}
-	a.keys, a.cells = nil, nil
-	a.generic = true
-}
-
-// consumeWords folds the selected rows of one block into the
-// accumulator. gcol and agg are the group-key and aggregate column
-// slices aligned with a.sel's words (agg nil for COUNT); nw is the
-// number of full mask words.
-func (a *GroupAccumulator) consumeWords(gcol, agg []int64, nw int) {
-	if a.generic {
-		a.consumeWordsGeneric(gcol, agg, nw)
-		return
-	}
-	// Per known key: eq-mask the group column against the selection and
-	// popcount/masked-sum the intersection. left tracks rows no known
-	// key claimed — keys not seen before this block.
-	left := a.left[:nw]
-	copy(left, a.sel.Words[:nw])
-	for ki, k := range a.keys {
-		copy(a.scratch[:nw], a.sel.Words[:nw])
-		if maskWordsAndInto(gcol, a.scratch[:nw], nw, k, 0) == 0 {
-			continue
-		}
-		cnt := 0
-		for w := 0; w < nw; w++ {
-			m := a.scratch[w]
-			cnt += bits.OnesCount64(m)
-			left[w] &^= m
-		}
-		a.cells[ki].count += uint64(cnt)
-		if agg != nil {
-			a.cells[ki].sum += maskedSumWords(agg, a.scratch[:nw], nw)
-		}
-	}
-	for w := 0; w < nw; w++ {
-		m := left[w]
-		for m != 0 {
-			i := w*64 + bits.TrailingZeros64(m)
-			m &= m - 1
-			var v int64
-			if agg != nil {
-				v = agg[i]
+	cells, touched, base := a.cells, a.touched, a.base
+	for w, m := range sel {
+		g, av := gcol[w<<6:w<<6+64], vals[w<<6:w<<6+64]
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m) & 63
+			k, v := g[i], av[i]&keep
+			idx := uint64(k - base)
+			if idx >= uint64(len(cells)) {
+				a.AddRow(k, v)
+				continue
 			}
-			a.add1(gcol[i], v)
-		}
-	}
-}
-
-// codesCompatible reports whether the accumulator can take byte-coded
-// counts for a column coded as (base, n) — either it has no code state
-// yet, or the coding matches what it already holds. Scans of a store
-// whose coding differs (another shard's clone, a differently-based
-// column) fall back to the mask-word path; Result still merges exactly.
-func (a *GroupAccumulator) codesCompatible(base int64, n int) bool {
-	return a.codeCounts == nil || (a.codeBase == base && a.codeN == n)
-}
-
-// ensureCodes arms the byte-code path for a column coded as (base, n):
-// counts and the kernels' splatted-key operand, both padded to a
-// multiple of 8 keys with the 0xFF sentinel (codes are < maxFastGroups,
-// so the padding never matches and its counts stay zero).
-func (a *GroupAccumulator) ensureCodes(base int64, n int) {
-	if a.codeCounts != nil {
-		return
-	}
-	a.codeBase, a.codeN = base, n
-	nb := (n + 7) / 8
-	a.codeCounts = make([]uint64, nb*8)
-	a.codeSplat = make([]byte, nb*8*32)
-	for i := range a.codeSplat {
-		a.codeSplat[i] = 0xFF
-	}
-	for c := 0; c < n; c++ {
-		for j := 0; j < 32; j++ {
-			a.codeSplat[c*32+j] = byte(c)
-		}
-	}
-}
-
-// consumeCodes folds the selected rows of one block into the per-code
-// counts. codes is the byte-coded group column aligned with a.sel's
-// words; nw is the number of full mask words.
-func (a *GroupAccumulator) consumeCodes(codes []byte, nw int) {
-	groupCountCodes(codes, a.sel.Words[:nw], nw, a.codeSplat, a.codeCounts, a.codeN)
-}
-
-func (a *GroupAccumulator) consumeWordsGeneric(gcol, agg []int64, nw int) {
-	for w := 0; w < nw; w++ {
-		m := a.sel.Words[w]
-		for m != 0 {
-			i := w*64 + bits.TrailingZeros64(m)
-			m &= m - 1
-			var v int64
-			if agg != nil {
-				v = agg[i]
+			c := &cells[idx]
+			if c.count == 0 {
+				touched[idx>>6] |= 1 << (idx & 63)
 			}
-			a.add1(gcol[i], v)
+			c.count++
+			c.sum += v
 		}
 	}
 }
 
-// Result assembles the accumulated groups into a sorted GroupedResult.
-// The accumulator remains usable (further scans keep accumulating).
+// Result assembles the accumulated groups into a GroupedResult sorted by
+// key: the dense cells are emitted in index order off the touched
+// bitmap, and only by-value cells (which all lie outside the dense
+// window, below or above it) are sorted. The accumulator remains usable
+// (further scans keep accumulating).
 func (a *GroupAccumulator) Result() GroupedResult {
 	res := GroupedResult{
 		GroupDim:      a.dim,
+		Regime:        a.regime,
 		PointsScanned: a.points,
 		BytesTouched:  a.bytes,
 	}
-	if !a.generic {
-		for i, k := range a.keys {
-			if c := a.cells[i]; c.count > 0 {
-				res.Groups = append(res.Groups, GroupAgg{Key: k, Count: c.count, Sum: c.sum})
-			}
-		}
-	} else {
-		for i := range a.dense {
-			if c := a.dense[i]; c.count > 0 {
-				res.Groups = append(res.Groups, GroupAgg{Key: a.base + int64(i), Count: c.count, Sum: c.sum})
-			}
-		}
-		for k, c := range a.overflow {
-			if c.count > 0 {
-				res.Groups = append(res.Groups, GroupAgg{Key: k, Count: c.count, Sum: c.sum})
+	if a.regime == RegimeByteCode {
+		// Code c is cell c: move the kernels' counts over (and zero them,
+		// so a later Result does not count them twice).
+		for c, n := range a.codeCounts[:len(a.cells)] {
+			if n != 0 {
+				a.cells[c].count += n
+				a.touched[0] |= 1 << c
+				a.codeCounts[c] = 0
 			}
 		}
 	}
-	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].Key < res.Groups[j].Key })
-	if a.codeCounts != nil {
-		// Fold the byte-code counts in as one more exact partial (already
-		// sorted: code c maps to key codeBase+c, ascending). Rows that
-		// reached the accumulator outside coded scans (AddRow, scalar
-		// tails, differently-coded stores) live in the other regimes'
-		// cells; Merge unions them precisely.
-		cr := GroupedResult{GroupDim: a.dim}
-		for c, cnt := range a.codeCounts {
-			if cnt > 0 {
-				cr.Groups = append(cr.Groups, GroupAgg{Key: a.codeBase + int64(c), Count: cnt})
-			}
-		}
-		res.Merge(cr)
+	n := len(a.hcells)
+	for _, w := range a.touched {
+		n += bits.OnesCount64(w)
 	}
+	if n == 0 {
+		return res
+	}
+	res.Groups = make([]GroupAgg, 0, n)
+	var above []GroupAgg // by-value cells keyed above the dense window
+	if len(a.hcells) > 0 {
+		byKey := slices.Clone(a.hcells)
+		slices.SortFunc(byKey, func(x, y GroupAgg) int { return cmp.Compare(x.Key, y.Key) })
+		below, _ := slices.BinarySearchFunc(byKey, a.base, func(g GroupAgg, k int64) int { return cmp.Compare(g.Key, k) })
+		res.Groups = append(res.Groups, byKey[:below]...)
+		above = byKey[below:]
+	}
+	for wi, w := range a.touched {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			res.Groups = append(res.Groups, GroupAgg{Key: a.base + int64(i), Count: a.cells[i].count, Sum: a.cells[i].sum})
+		}
+	}
+	res.Groups = append(res.Groups, above...)
 	return res
 }
 
@@ -594,14 +566,14 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 	}
 	n := uint64(end - start)
 	acc.points += n
+	filters := q.Filters
 	if exact {
-		acc.bytes += n * 8 * uint64(1+sumCols(q))
-	} else {
-		acc.bytes += n * 8 * uint64(len(q.Filters)+1+sumCols(q))
-		for _, f := range q.Filters {
-			if f.Lo > f.Hi {
-				return
-			}
+		filters = nil
+	}
+	acc.bytes += n * 8 * uint64(len(filters)+1+sumCols(q))
+	for _, f := range filters {
+		if f.Lo > f.Hi {
+			return
 		}
 	}
 	gcol := s.cols[q.GroupDim()]
@@ -609,68 +581,51 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 	if q.Agg == query.Sum {
 		aggCol = s.cols[q.AggDim]
 	}
-	// Byte-code fast path (COUNT only): consume blocks through the
-	// byte-lane count kernels when the group column codes into the
-	// fast-group window and the accumulator's code state (if any)
-	// matches this store's coding.
+	// The byte-code kernels count code c into cell c, so they serve any
+	// store whose coding lands inside the accumulator's window — the one
+	// it was Reset for, or another coded from the same base; otherwise
+	// this store's rows fold through the cells by value.
+	full := start + (end-start)&^63
 	var codes []byte
-	if q.Agg == query.Count {
-		if gc := s.groupCodesFor(q.GroupDim()); gc != nil && acc.codesCompatible(gc.base, gc.n) {
-			acc.ensureCodes(gc.base, gc.n)
-			codes = gc.codes
+	if acc.regime == RegimeByteCode && full > start {
+		if gm := s.groupMetaFor(q.GroupDim(), true); gm.codes != nil && gm.base == acc.base && gm.width < uint64(len(acc.cells)) {
+			codes = gm.codes
 		}
 	}
-	noFilter := exact || len(q.Filters) == 0
-	for b0 := start; b0 < end; b0 += blockRows {
-		bn := end - b0
-		if bn > blockRows {
-			bn = blockRows
+	for b0 := start; b0 < full; b0 += blockRows {
+		nw := min(blockWords, (full-b0)>>6)
+		sel := acc.sel[:nw]
+		switch {
+		case len(filters) == 0:
+			for w := range sel {
+				sel[w] = ^uint64(0)
+			}
+		case codes != nil && len(filters) == 1 && groupScanBlockOneFilterCodes(
+			s.cols[filters[0].Dim][b0:b0+nw*64], codes[b0:b0+nw*64],
+			filters[0].Lo, uint64(filters[0].Hi-filters[0].Lo), acc.codeCounts[:], len(acc.cells)):
+			// Single-filter COUNT: the fused kernel evaluated the range
+			// predicate and consumed the codes in one pass, never
+			// materializing mask words.
+			continue
+		case s.maskBlockInto(filters, b0, nw, sel) == 0:
+			continue
 		}
-		nw := bn >> 6
-		if nw > 0 {
-			fused := false
-			if codes != nil && !noFilter && len(q.Filters) == 1 {
-				// Single-filter COUNT: the fused kernel evaluates the
-				// range predicate and consumes the codes in one pass,
-				// never materializing mask words.
-				f := q.Filters[0]
-				fused = groupScanBlockOneFilterCodes(
-					s.cols[f.Dim][b0:b0+nw*64], codes[b0:b0+nw*64],
-					f.Lo, uint64(f.Hi-f.Lo),
-					acc.codeSplat, acc.codeCounts, acc.codeN)
+		acc.consume(gcol, aggCol, codes, b0, sel)
+	}
+
+	// The sub-word tail runs row-at-a-time, like the flat kernels'. Mask
+	// kernels over the tail (an overlapped 64-row word, or an exact-length
+	// vector compare) measured ~20% slower on a learned-grid plan, which
+	// is mostly ranges shorter than a word: those are bound by the cache
+	// lines they touch, and a row that fails one filter never touches
+	// the next filter's column.
+	for i := full; i < end; i++ {
+		if s.rowMatches(filters, i) {
+			var v int64
+			if aggCol != nil {
+				v = aggCol[i]
 			}
-			if !fused {
-				acc.sel.Start, acc.sel.Rows = b0, nw*64
-				var any uint64
-				if noFilter {
-					for w := 0; w < nw; w++ {
-						acc.sel.Words[w] = ^uint64(0)
-					}
-					any = ^uint64(0)
-				} else {
-					any = s.maskBlockInto(q.Filters, b0, nw, acc.sel.Words[:nw])
-				}
-				if any != 0 {
-					if codes != nil {
-						acc.consumeCodes(codes[b0:b0+nw*64], nw)
-					} else {
-						var agg []int64
-						if aggCol != nil {
-							agg = aggCol[b0 : b0+nw*64]
-						}
-						acc.consumeWords(gcol[b0:b0+nw*64], agg, nw)
-					}
-				}
-			}
-		}
-		for i := b0 + nw*64; i < b0+bn; i++ {
-			if noFilter || s.rowMatches(q.Filters, i) {
-				var v int64
-				if aggCol != nil {
-					v = aggCol[i]
-				}
-				acc.add1(gcol[i], v)
-			}
+			acc.AddRow(gcol[i], v)
 		}
 	}
 }

@@ -1,76 +1,26 @@
 package colstore
 
-import (
-	"math/rand"
-	"testing"
-
-	"repro/internal/query"
-)
-
-// groupedBenchStore builds the grouped-benchmark fixture: four uniform
-// filter columns plus two group-key columns, one under the fast-path
-// bound (8 keys) and one far over it (4096 keys, the generic
-// dense-window regime).
-func groupedBenchStore(b *testing.B) *Store {
-	const rows = 1 << 18
-	rng := rand.New(rand.NewSource(7))
-	cols := make([][]int64, 6)
-	for j := 0; j < 4; j++ {
-		c := make([]int64, rows)
-		for i := range c {
-			c[i] = rng.Int63n(1_000_000)
-		}
-		cols[j] = c
-	}
-	for j, card := range []int64{8, 4096} {
-		c := make([]int64, rows)
-		for i := range c {
-			c[i] = rng.Int63n(card)
-		}
-		cols[4+j] = c
-	}
-	s, err := FromColumns(cols, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// groupedBenchShapes are the gated grouped shapes: the canonical count_1f
-// filter with a GROUP BY on the low-cardinality column (equality-mask
-// fast path) and the high-cardinality one (generic path), COUNT and SUM.
-func groupedBenchShapes() []struct {
-	Name  string
-	Query query.Query
-} {
-	f := query.Filter{Dim: 0, Lo: 250_000, Hi: 750_000}
-	return []struct {
-		Name  string
-		Query query.Query
-	}{
-		{"gcount_1f_low", query.NewCount(f).By(4)},
-		{"gsum_1f_low", query.NewSum(1, f).By(4)},
-		{"gcount_1f_high", query.NewCount(f).By(5)},
-		{"gsum_1f_high", query.NewSum(1, f).By(5)},
-	}
-}
+import "testing"
 
 // BenchmarkScanGrouped measures single-thread throughput of the grouped
-// scan on the dispatched kernels. CI gates the kernel-vs-scalar speedup
-// within one run (cmd/benchgate -min-speedup with
-// -kernel-prefix BenchmarkScanGrouped -scalar-prefix
+// scan on the dispatched kernels over the GroupedBench shapes, with one
+// accumulator Reset per pass the way a pooled query context runs it. CI
+// gates the kernel-vs-scalar speedup within one run (cmd/benchgate
+// -min-speedup with -kernel-prefix BenchmarkScanGrouped -scalar-prefix
 // BenchmarkScanGroupedScalar), which is immune to runner-hardware
 // variance.
 func BenchmarkScanGrouped(b *testing.B) {
-	s := groupedBenchStore(b)
-	n := s.NumRows()
-	for _, sh := range groupedBenchShapes() {
+	s, shapes := GroupedBench(1<<18, 7)
+	for _, sh := range shapes {
 		b.Run(sh.Name, func(b *testing.B) {
-			b.SetBytes(int64(n) * 8)
+			b.SetBytes(int64(sh.Rows()) * 8)
+			var acc GroupAccumulator
 			var res GroupedResult
 			for i := 0; i < b.N; i++ {
-				acc := NewGroupAccumulator(sh.Query)
-				s.ScanRangeGrouped(sh.Query, 0, n, false, acc)
+				acc.Reset(sh.Query, s)
+				for _, r := range sh.Ranges {
+					s.ScanRangeGrouped(sh.Query, r[0], r[1], false, &acc)
+				}
 				res = acc.Result()
 			}
 			if len(res.Groups) == 0 {
@@ -83,15 +33,16 @@ func BenchmarkScanGrouped(b *testing.B) {
 // BenchmarkScanGroupedScalar is the row-at-a-time grouped oracle on the
 // same shapes — the scalar side of the CI speedup gate.
 func BenchmarkScanGroupedScalar(b *testing.B) {
-	s := groupedBenchStore(b)
-	n := s.NumRows()
-	for _, sh := range groupedBenchShapes() {
+	s, shapes := GroupedBench(1<<18, 7)
+	for _, sh := range shapes {
 		b.Run(sh.Name, func(b *testing.B) {
-			b.SetBytes(int64(n) * 8)
+			b.SetBytes(int64(sh.Rows()) * 8)
 			var res GroupedResult
 			for i := 0; i < b.N; i++ {
 				res = GroupedResult{}
-				s.ScanRangeGroupedScalar(sh.Query, 0, n, false, &res)
+				for _, r := range sh.Ranges {
+					s.ScanRangeGroupedScalar(sh.Query, r[0], r[1], false, &res)
+				}
 			}
 			if len(res.Groups) == 0 {
 				b.Fatal("benchmark query produced no groups")

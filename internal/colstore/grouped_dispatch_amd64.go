@@ -22,16 +22,9 @@ func maskWordsAndInto(col []int64, out []uint64, nw int, lo int64, width uint64)
 	return maskWordsAndPortable(col, out, nw, lo, width)
 }
 
-func maskedSumWords(agg []int64, mask []uint64, nw int) int64 {
-	if simdEnabled() {
-		return maskedSumAVX2(&agg[0], &mask[0], nw)
-	}
-	return maskedSumPortable(agg, mask, nw)
-}
-
 // Byte-code grouped-count kernels (grouped_avx2_amd64.s). Both consume
 // 8 splatted key codes per call; the wrappers batch wider code windows
-// (splat and counts are padded to a multiple of 8 by ensureCodes).
+// (n codes, counts padded to a multiple of 8).
 
 //go:noescape
 func groupCountCodesAVX2(codes *byte, sel *uint64, nWords int, splat *byte, counts *uint64)
@@ -39,25 +32,25 @@ func groupCountCodesAVX2(codes *byte, sel *uint64, nWords int, splat *byte, coun
 //go:noescape
 func groupScanOneFilterCodesAVX2(col *int64, codes *byte, n int, lo int64, width uint64, splat *byte, counts *uint64)
 
-func groupCountCodes(codes []byte, sel []uint64, nw int, splat []byte, counts []uint64, n int) {
+func groupCountCodes(codes []byte, sel []uint64, counts []uint64, n int) {
 	if simdEnabled() {
 		for b := 0; b < n; b += 8 {
-			groupCountCodesAVX2(&codes[0], &sel[0], nw, &splat[b*32], &counts[b])
+			groupCountCodesAVX2(&codes[0], &sel[0], len(sel), &codeSplat[b*32], &counts[b])
 		}
 		return
 	}
-	groupCountCodesPortable(codes, sel, nw, counts)
+	groupCountCodesPortable(codes, sel, counts)
 }
 
 // groupScanBlockOneFilterCodes runs the fused single-filter grouped
 // COUNT over one block when the AVX2 tier is enabled, reporting whether
 // it consumed the block; on false the caller falls back to mask words.
-func groupScanBlockOneFilterCodes(col []int64, codes []byte, lo int64, width uint64, splat []byte, counts []uint64, n int) bool {
+func groupScanBlockOneFilterCodes(col []int64, codes []byte, lo int64, width uint64, counts []uint64, n int) bool {
 	if !simdEnabled() {
 		return false
 	}
 	for b := 0; b < n; b += 8 {
-		groupScanOneFilterCodesAVX2(&col[0], &codes[0], len(col), lo, width, &splat[b*32], &counts[b])
+		groupScanOneFilterCodesAVX2(&col[0], &codes[0], len(col), lo, width, &codeSplat[b*32], &counts[b])
 	}
 	return true
 }

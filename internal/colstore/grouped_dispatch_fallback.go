@@ -13,16 +13,12 @@ func maskWordsAndInto(col []int64, out []uint64, nw int, lo int64, width uint64)
 	return maskWordsAndPortable(col, out, nw, lo, width)
 }
 
-func maskedSumWords(agg []int64, mask []uint64, nw int) int64 {
-	return maskedSumPortable(agg, mask, nw)
-}
-
-func groupCountCodes(codes []byte, sel []uint64, nw int, splat []byte, counts []uint64, n int) {
-	groupCountCodesPortable(codes, sel, nw, counts)
+func groupCountCodes(codes []byte, sel []uint64, counts []uint64, n int) {
+	groupCountCodesPortable(codes, sel, counts)
 }
 
 // groupScanBlockOneFilterCodes has no fused portable form; callers fall
 // back to mask words plus groupCountCodes.
-func groupScanBlockOneFilterCodes(col []int64, codes []byte, lo int64, width uint64, splat []byte, counts []uint64, n int) bool {
+func groupScanBlockOneFilterCodes(col []int64, codes []byte, lo int64, width uint64, counts []uint64, n int) bool {
 	return false
 }

@@ -59,17 +59,17 @@ func groupedOracle(s *Store, q query.Query, start, end int, exact bool) []GroupA
 	return out
 }
 
-// randGroupedStore builds a store whose group columns span cardinality
-// regimes: g_low stays on the equality-mask fast path, g_mid straddles
-// the maxFastGroups switch, g_high forces the dense window + overflow
-// map, g_wild scatters keys across the whole int64 domain.
+// randGroupedStore builds a store whose group columns land in every
+// accumulator regime: g_low byte-codes (COUNT) or fills 6 dense cells,
+// g_mid is a sparse 330-value dense span, g_high a 100k-value span past
+// maxDenseSpan, g_wild scatters keys across the whole int64 domain.
 func randGroupedStore(t *testing.T, rng *rand.Rand, rows int) *Store {
 	cols := [][]int64{
 		make([]int64, rows), // d0: filter column, uniform [0, 1000)
 		make([]int64, rows), // d1: filter column, uniform [0, 1000)
 		make([]int64, rows), // d2: aggregate column, may be negative
 		make([]int64, rows), // g_low: 6 distinct keys
-		make([]int64, rows), // g_mid: ~48 distinct keys
+		make([]int64, rows), // g_mid: 48 distinct keys, 7 apart
 		make([]int64, rows), // g_high: ~100k-spread keys
 		make([]int64, rows), // g_wild: full-domain keys from a small pool
 	}
@@ -128,7 +128,7 @@ func TestScanRangeGroupedMatchesOracle(t *testing.T) {
 		}
 		want := groupedOracle(s, q, start, end, exact)
 
-		acc := NewGroupAccumulator(q)
+		acc := NewGroupAccumulator(q, s)
 		s.ScanRangeGrouped(q, start, end, exact, acc)
 		got := acc.Result()
 		if !reflect.DeepEqual(got.Groups, want) && !(len(got.Groups) == 0 && len(want) == 0) {
@@ -188,13 +188,13 @@ func TestGroupedResultMerge(t *testing.T) {
 		cut1 := rng.Intn(s.NumRows())
 		cut2 := cut1 + rng.Intn(s.NumRows()-cut1)
 
-		whole := NewGroupAccumulator(q)
+		whole := NewGroupAccumulator(q, s)
 		s.ScanRangeGrouped(q, 0, s.NumRows(), false, whole)
 		want := whole.Result()
 
 		var merged GroupedResult
 		for _, span := range [][2]int{{0, cut1}, {cut1, cut2}, {cut2, s.NumRows()}} {
-			part := NewGroupAccumulator(q)
+			part := NewGroupAccumulator(q, s)
 			s.ScanRangeGrouped(q, span[0], span[1], false, part)
 			merged.Merge(part.Result())
 		}
@@ -253,7 +253,7 @@ func TestGroupCodesReorderInvalidation(t *testing.T) {
 	s := randGroupedStore(t, rng, 5_000)
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 100, Hi: 800}).By(3)
 
-	acc := NewGroupAccumulator(q)
+	acc := NewGroupAccumulator(q, s)
 	s.ScanRangeGrouped(q, 0, s.NumRows(), false, acc)
 	if got, want := acc.Result().Groups, groupedOracle(s, q, 0, s.NumRows(), false); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pre-reorder mismatch:\n got %v\nwant %v", got, want)
@@ -263,7 +263,7 @@ func TestGroupCodesReorderInvalidation(t *testing.T) {
 	if err := s.Reorder(perm); err != nil {
 		t.Fatal(err)
 	}
-	acc = NewGroupAccumulator(q)
+	acc = NewGroupAccumulator(q, s)
 	s.ScanRangeGrouped(q, 0, s.NumRows(), false, acc)
 	if got, want := acc.Result().Groups, groupedOracle(s, q, 0, s.NumRows(), false); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-reorder mismatch:\n got %v\nwant %v", got, want)
@@ -273,8 +273,8 @@ func TestGroupCodesReorderInvalidation(t *testing.T) {
 // TestGroupCodesCrossStoreMerge drives one accumulator across two stores
 // whose group columns code with different bases (as a scatter-gather
 // worker might see across differently-valued shards): the second store's
-// scan must fall back to the mask-word path and Result must still union
-// both exactly.
+// codes do not land in the accumulator's cells, so its scan must fold by
+// value and Result must still union both exactly.
 func TestGroupCodesCrossStoreMerge(t *testing.T) {
 	rows := 2_000
 	mk := func(base int64, seed int64) *Store {
@@ -293,7 +293,7 @@ func TestGroupCodesCrossStoreMerge(t *testing.T) {
 	a, b := mk(10, 19), mk(-3, 23)
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 200, Hi: 900}).By(1)
 
-	acc := NewGroupAccumulator(q)
+	acc := NewGroupAccumulator(q, a)
 	a.ScanRangeGrouped(q, 0, rows, false, acc)
 	b.ScanRangeGrouped(q, 0, rows, false, acc)
 	got := acc.Result()
@@ -303,5 +303,205 @@ func TestGroupCodesCrossStoreMerge(t *testing.T) {
 	b.ScanRangeGroupedScalar(q, 0, rows, false, &want)
 	if !reflect.DeepEqual(got.Groups, want.Groups) {
 		t.Fatalf("cross-store mismatch:\n got %v\nwant %v", got.Groups, want.Groups)
+	}
+}
+
+// spanStore builds a store of two filter columns, an aggregate column
+// and one group column whose values are drawn from pool — with the
+// pool's first and last value planted in rows 0 and 1, so the column's
+// min, max and therefore span are exactly the pool's.
+func spanStore(t *testing.T, rng *rand.Rand, rows int, pool func() int64, lo, hi int64) *Store {
+	cols := [][]int64{make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows)}
+	for i := 0; i < rows; i++ {
+		cols[0][i] = rng.Int63n(1000)
+		cols[1][i] = rng.Int63n(1000)
+		cols[2][i] = rng.Int63n(2001) - 1000
+		cols[3][i] = pool()
+	}
+	cols[3][0], cols[3][1] = lo, hi
+	s, err := FromColumns(cols, []string{"f0", "f1", "val", "g"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// planRanges returns a learned-grid-shaped range list over n rows:
+// hundreds of ascending ranges of 1-130 rows (most shorter than one
+// 64-row mask word), the first starting at row 0 and the last ending at
+// n, each flagged exact or not.
+func planRanges(rng *rand.Rand, n int) (ranges [][2]int, exact []bool) {
+	for start := 0; start < n; {
+		length := 1 + rng.Intn(63)
+		if rng.Intn(3) == 0 {
+			length = 64 + rng.Intn(67)
+		}
+		end := min(start+length, n)
+		if n-end < 8 {
+			end = n
+		}
+		ranges = append(ranges, [2]int{start, end})
+		exact = append(exact, rng.Intn(4) == 0)
+		start = end + rng.Intn(40)
+	}
+	return ranges, exact
+}
+
+// TestScanRangeGroupedPlanShapes is the differential test of the grouped
+// scan against the row-at-a-time oracle on the input it is built for: a
+// plan's list of short ranges, over group columns on either side of
+// every regime boundary (spans 1, 32 | 33, 256, 257, 65 536 | 65 537),
+// with negative bases and a span that overflows int64. One accumulator
+// is Reset through every case, the way a pooled query context reuses it,
+// so state leaking from one query into the next shows as a mismatch.
+func TestScanRangeGroupedPlanShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const rows = 9_000
+	type spanCase struct {
+		name          string
+		base          int64
+		span          uint64 // number of representable values, max-min+1
+		count, sumReg GroupRegime
+	}
+	cases := []spanCase{
+		{"span1", 7, 1, RegimeByteCode, RegimeDense},
+		{"span32", -16, 32, RegimeByteCode, RegimeDense},
+		{"span33", -40, 33, RegimeDense, RegimeDense},
+		{"span256", 1000, 256, RegimeDense, RegimeDense},
+		{"span257", -257, 257, RegimeDense, RegimeDense},
+		{"span65536", -70_000, 65_536, RegimeDense, RegimeDense},
+		{"span65537", 12, 65_537, RegimeHash, RegimeHash},
+	}
+	type fixture struct {
+		spanCase
+		s *Store
+	}
+	var fixtures []fixture
+	for _, c := range cases {
+		c := c
+		pool := func() int64 { return c.base + rng.Int63n(int64(c.span)) }
+		fixtures = append(fixtures, fixture{c, spanStore(t, rng, rows, pool, c.base, c.base+int64(c.span)-1)})
+	}
+	// max-min wraps int64: the unsigned width is still exact.
+	wrap := []int64{-1<<63 + 5, -1<<63 + 6, -3, 0, 11, 1<<63 - 9}
+	fixtures = append(fixtures, fixture{
+		spanCase{"wrap", wrap[0], 0, RegimeHash, RegimeHash},
+		spanStore(t, rng, rows, func() int64 { return wrap[rng.Intn(len(wrap))] }, wrap[0], wrap[len(wrap)-1]),
+	})
+
+	filters := [][]query.Filter{
+		nil,
+		{{Dim: 0, Lo: 200, Hi: 900}},
+		{{Dim: 0, Lo: 100, Hi: 800}, {Dim: 1, Lo: 300, Hi: 999}},
+		{{Dim: 1, Lo: 500, Hi: 500}},
+	}
+	var acc GroupAccumulator
+	run := func(t *testing.T) {
+		for _, fx := range fixtures {
+			ranges, exact := planRanges(rng, rows)
+			if len(ranges) < 100 {
+				t.Fatalf("plan of %d ranges is not plan-shaped", len(ranges))
+			}
+			for _, fs := range filters {
+				for _, q := range []query.Query{query.NewCount(fs...).By(3), query.NewSum(2, fs...).By(3)} {
+					acc.Reset(q, fx.s)
+					var want GroupedResult
+					for i, r := range ranges {
+						fx.s.ScanRangeGrouped(q, r[0], r[1], exact[i], &acc)
+						fx.s.ScanRangeGroupedScalar(q, r[0], r[1], exact[i], &want)
+					}
+					got := acc.Result()
+					if !reflect.DeepEqual(got.Groups, want.Groups) {
+						t.Fatalf("%s %v: kernel and scalar oracle disagree\n got %v\nwant %v", fx.name, q, got.Groups, want.Groups)
+					}
+					if got.PointsScanned != want.PointsScanned || got.BytesTouched != want.BytesTouched {
+						t.Fatalf("%s %v: accounting (%d,%d), oracle (%d,%d)", fx.name, q,
+							got.PointsScanned, got.BytesTouched, want.PointsScanned, want.BytesTouched)
+					}
+					wantRegime := fx.count
+					if q.Agg == query.Sum {
+						wantRegime = fx.sumReg
+					}
+					if got.Regime != wantRegime {
+						t.Fatalf("%s %v: regime %v, want %v", fx.name, q, got.Regime, wantRegime)
+					}
+				}
+			}
+		}
+	}
+	if SIMDAvailable() {
+		t.Run("simd", func(t *testing.T) {
+			prev := SetSIMD(true)
+			defer SetSIMD(prev)
+			run(t)
+		})
+	}
+	t.Run("portable", func(t *testing.T) {
+		prev := SetSIMD(false)
+		defer SetSIMD(prev)
+		run(t)
+	})
+}
+
+// TestGroupAccumulatorRowsOutsideWindow pins the by-value path a dense
+// accumulator takes for keys its window cannot hold — buffered inserts
+// below and above the column's range — including their place in the
+// sorted result.
+func TestGroupAccumulatorRowsOutsideWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	s := spanStore(t, rng, 500, func() int64 { return 100 + rng.Int63n(50) }, 100, 149)
+	q := query.NewSum(2).By(3)
+	acc := NewGroupAccumulator(q, s)
+	s.ScanRangeGrouped(q, 0, s.NumRows(), true, acc)
+	var want GroupedResult
+	s.ScanRangeGroupedScalar(q, 0, s.NumRows(), true, &want)
+	for _, k := range []int64{5000, -9, 150, 99, -9, 1 << 62} {
+		acc.AddRow(k, 3)
+		want.Merge(GroupedResult{GroupDim: 3, Groups: []GroupAgg{{Key: k, Count: 1, Sum: 3}}})
+	}
+	if got := acc.Result(); !reflect.DeepEqual(got.Groups, want.Groups) {
+		t.Fatalf("got %v\nwant %v", got.Groups, want.Groups)
+	}
+}
+
+// TestGroupedResultMergeReusesCapacity pins Merge's allocation contract:
+// folding partials whose keys the receiver already holds allocates
+// nothing, however many partials arrive.
+func TestGroupedResultMergeReusesCapacity(t *testing.T) {
+	part := GroupedResult{GroupDim: 2, Groups: []GroupAgg{{Key: 1, Count: 1, Sum: 1}, {Key: 4, Count: 2, Sum: -2}, {Key: 9, Count: 3}}}
+	sub := GroupedResult{GroupDim: 2, Groups: []GroupAgg{{Key: 4, Count: 1, Sum: 5}}}
+	var res GroupedResult
+	res.Merge(part)
+	if allocs := testing.AllocsPerRun(100, func() {
+		res.Merge(part)
+		res.Merge(sub)
+	}); allocs != 0 {
+		t.Fatalf("Merge of known keys allocated %v times per run", allocs)
+	}
+	if g, _ := res.Find(4); g.Count != 2+101*3 {
+		t.Fatalf("key 4 count = %d after 101 merges of each partial", g.Count)
+	}
+}
+
+// TestGroupedResultMergeDimMismatch pins that partials grouped by
+// different dimensions never union: Merge reports false and leaves the
+// receiver — groups and accounting — exactly as it was.
+func TestGroupedResultMergeDimMismatch(t *testing.T) {
+	res := GroupedResult{GroupDim: 1, Groups: []GroupAgg{{Key: 1, Count: 1}}, PointsScanned: 10}
+	before := res.Clone()
+	other := GroupedResult{GroupDim: 2, Groups: []GroupAgg{{Key: 1, Count: 5}}, PointsScanned: 7, BytesTouched: 56}
+	if res.Merge(other) {
+		t.Fatal("Merge of a partial grouped by another dimension reported success")
+	}
+	if !reflect.DeepEqual(res, before) {
+		t.Fatalf("mismatched Merge changed the receiver: %+v, was %+v", res, before)
+	}
+	// An empty side has no keys to mis-union: accounting still adds.
+	if !res.Merge(GroupedResult{GroupDim: 2, PointsScanned: 5}) || res.PointsScanned != 15 {
+		t.Fatalf("Merge of a group-less partial: PointsScanned = %d, want 15", res.PointsScanned)
+	}
+	var empty GroupedResult
+	if !empty.Merge(other) || empty.GroupDim != 2 || len(empty.Groups) != 1 {
+		t.Fatalf("Merge into an empty result should adopt the partial: %+v", empty)
 	}
 }

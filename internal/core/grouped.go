@@ -22,22 +22,23 @@ import (
 
 // ExecuteGrouped answers a grouped aggregate query sequentially:
 // traverse the Grid Tree, fold each routed region (grid or plain range)
-// into one accumulator, fold the buffered delta rows, and assemble the
-// sorted per-group result. The concurrency contract matches Execute.
+// into the context's pooled accumulator, fold the buffered delta rows,
+// and assemble the sorted per-group result — the query's one
+// allocation. The concurrency contract matches Execute.
 func (t *Tsunami) ExecuteGrouped(q query.Query) colstore.GroupedResult {
 	ctx := execCtxPool.Get().(*execContext)
 	defer execCtxPool.Put(ctx)
 	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
-	return t.executeRegionsGrouped(q, ctx.regions, ctx.grid)
+	return t.executeRegionsGrouped(q, ctx.regions, ctx)
 }
 
-func (t *Tsunami) executeRegionsGrouped(q query.Query, regions []*gridtree.Region, gctx *auggrid.ExecContext) colstore.GroupedResult {
-	acc := colstore.NewGroupAccumulator(q)
+func (t *Tsunami) executeRegionsGrouped(q query.Query, regions []*gridtree.Region, ctx *execContext) colstore.GroupedResult {
+	ctx.acc.Reset(q, t.store)
 	for _, r := range regions {
-		t.executeRegionGrouped(q, r, gctx, acc)
+		t.executeRegionGrouped(q, r, ctx.grid, &ctx.acc)
 	}
-	t.scanDeltasGrouped(q, regions, acc)
-	return acc.Result()
+	t.scanDeltasGrouped(q, regions, &ctx.acc)
+	return ctx.acc.Result()
 }
 
 // executeRegionGrouped answers q within one region: grid regions plan
@@ -96,7 +97,7 @@ func (t *Tsunami) ExecuteGroupedParallelOn(q query.Query, workers int, submit fu
 	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
 	regions := ctx.regions
 	if workers <= 1 || len(regions) == 0 {
-		return t.executeRegionsGrouped(q, regions, ctx.grid)
+		return t.executeRegionsGrouped(q, regions, ctx)
 	}
 	if submit == nil {
 		submit = func(task func()) { go task() }
@@ -104,38 +105,9 @@ func (t *Tsunami) ExecuteGroupedParallelOn(q query.Query, workers int, submit fu
 	if len(regions) < 4*workers {
 		return t.executeGroupedChunked(q, regions, ctx, workers, submit)
 	}
-	if workers > len(regions) {
-		workers = len(regions)
-	}
-
-	var cursor atomic.Int64
-	partial := make([]colstore.GroupedResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		w := w
-		submit(func() {
-			defer wg.Done()
-			gctx := auggrid.GetExecContext()
-			defer auggrid.PutExecContext(gctx)
-			acc := colstore.NewGroupAccumulator(q)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(regions) {
-					break
-				}
-				t.executeRegionGrouped(q, regions[i], gctx, acc)
-			}
-			partial[w] = acc.Result()
-		})
-	}
-	wg.Wait()
-	var res colstore.GroupedResult
-	for _, p := range partial {
-		res.Merge(p)
-	}
-	t.mergeDeltasGrouped(q, regions, &res)
-	return res
+	return t.drainGrouped(q, ctx, len(regions), workers, submit, func(i int, w *execContext) {
+		t.executeRegionGrouped(q, regions[i], w.grid, &w.acc)
+	})
 }
 
 // executeGroupedChunked is the sub-region grouped parallel path: the
@@ -164,17 +136,27 @@ func (t *Tsunami) executeGroupedChunked(q query.Query, regions []*gridtree.Regio
 		}
 	}
 	chunks := ctx.chunks
-	if len(chunks) < 2 || workers <= 1 {
-		acc := colstore.NewGroupAccumulator(q)
+	if len(chunks) < 2 {
+		ctx.acc.Reset(q, t.store)
 		for _, c := range chunks {
-			t.store.ScanRangeGrouped(q, c.Start, c.End, c.Exact, acc)
+			t.store.ScanRangeGrouped(q, c.Start, c.End, c.Exact, &ctx.acc)
 		}
-		t.scanDeltasGrouped(q, regions, acc)
-		return acc.Result()
+		t.scanDeltasGrouped(q, regions, &ctx.acc)
+		return ctx.acc.Result()
 	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
+	return t.drainGrouped(q, ctx, len(chunks), workers, submit, func(i int, w *execContext) {
+		c := chunks[i]
+		t.store.ScanRangeGrouped(q, c.Start, c.End, c.Exact, &w.acc)
+	})
+}
+
+// drainGrouped runs scan(i, w) for every i in [0, n) across up to
+// workers submitted tasks — each pulls the next i from a shared cursor
+// and folds into its own pooled context's accumulator — then merges the
+// workers' partials and, through the caller's ctx, the delta buffers of
+// ctx.regions.
+func (t *Tsunami) drainGrouped(q query.Query, ctx *execContext, n, workers int, submit func(task func()), scan func(i int, w *execContext)) colstore.GroupedResult {
+	workers = min(workers, n)
 	var cursor atomic.Int64
 	partial := make([]colstore.GroupedResult, workers)
 	var wg sync.WaitGroup
@@ -183,16 +165,17 @@ func (t *Tsunami) executeGroupedChunked(q query.Query, regions []*gridtree.Regio
 		w := w
 		submit(func() {
 			defer wg.Done()
-			acc := colstore.NewGroupAccumulator(q)
+			wctx := execCtxPool.Get().(*execContext)
+			defer execCtxPool.Put(wctx)
+			wctx.acc.Reset(q, t.store)
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(chunks) {
+				if i >= n {
 					break
 				}
-				c := chunks[i]
-				t.store.ScanRangeGrouped(q, c.Start, c.End, c.Exact, acc)
+				scan(i, wctx)
 			}
-			partial[w] = acc.Result()
+			partial[w] = wctx.acc.Result()
 		})
 	}
 	wg.Wait()
@@ -200,20 +183,12 @@ func (t *Tsunami) executeGroupedChunked(q query.Query, regions []*gridtree.Regio
 	for _, p := range partial {
 		res.Merge(p)
 	}
-	t.mergeDeltasGrouped(q, regions, &res)
-	return res
-}
-
-// mergeDeltasGrouped folds the delta buffers into an already-merged
-// result (the parallel paths, where workers' partials are combined
-// first).
-func (t *Tsunami) mergeDeltasGrouped(q query.Query, regions []*gridtree.Region, res *colstore.GroupedResult) {
-	if t.numBuffered == 0 {
-		return
+	if t.numBuffered > 0 {
+		ctx.acc.Reset(q, t.store)
+		t.scanDeltasGrouped(q, ctx.regions, &ctx.acc)
+		res.Merge(ctx.acc.Result())
 	}
-	acc := colstore.NewGroupAccumulator(q)
-	t.scanDeltasGrouped(q, regions, acc)
-	res.Merge(acc.Result())
+	return res
 }
 
 // ExecuteGroupedTrace answers a grouped query exactly like
@@ -231,12 +206,13 @@ func (t *Tsunami) ExecuteGroupedTrace(q query.Query) (colstore.GroupedResult, *o
 	tr.AddStage("plan", time.Since(start),
 		fmt.Sprintf("%d of %d regions routed", len(ctx.regions), len(t.tree.Regions)))
 
-	acc := colstore.NewGroupAccumulator(q)
+	acc := &ctx.acc
+	acc.Reset(q, t.store)
 	start = time.Now()
 	for _, r := range ctx.regions {
 		t.executeRegionGrouped(q, r, ctx.grid, acc)
 	}
-	tr.AddStage("scan+group", time.Since(start), "")
+	tr.AddStage("scan+group", time.Since(start), "regime "+acc.Regime().String())
 
 	start = time.Now()
 	t.scanDeltasGrouped(q, ctx.regions, acc)

@@ -94,8 +94,9 @@ type Tsunami struct {
 type execContext struct {
 	regions []*gridtree.Region
 	grid    *auggrid.ExecContext
-	phys    []auggrid.PhysRange // planned ranges (sub-region parallel path)
-	chunks  []auggrid.PhysRange // block-split ranges workers drain
+	phys    []auggrid.PhysRange       // planned ranges (sub-region parallel path)
+	chunks  []auggrid.PhysRange       // block-split ranges workers drain
+	acc     colstore.GroupAccumulator // grouped queries' cells, Reset per query
 }
 
 var execCtxPool = sync.Pool{

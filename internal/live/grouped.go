@@ -16,28 +16,7 @@ import (
 // core layer's delta scan, so grouped results see exactly the rows a
 // flat aggregate at the same epoch would.
 func (s *Store) ExecuteGrouped(q query.Query) colstore.GroupedResult {
-	v := s.cur.Load()
-	s.queries.Add(1)
-	if res, ok := s.cacheGetGrouped(v, q); ok {
-		return res
-	}
-	m, w := s.metrics, s.cfg.Workload
-	if m == nil && w == nil {
-		res := v.idx.ExecuteGrouped(q)
-		s.cachePutGrouped(v, q, res)
-		s.observeAsync(q, res.TotalCount(), v)
-		return res
-	}
-	start := time.Now()
-	res := v.idx.ExecuteGrouped(q)
-	d := time.Since(start)
-	if m != nil {
-		m.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-	}
-	w.Record(q, d, res.TotalCount(), res.PointsScanned, res.BytesTouched)
-	s.cachePutGrouped(v, q, res)
-	s.observeAsync(q, res.TotalCount(), v)
-	return res
+	return s.ExecuteGroupedParallelOn(q, 1, nil)
 }
 
 // ExecuteGroupedParallelOn is ExecuteGrouped with the index's intra-query
@@ -61,6 +40,7 @@ func (s *Store) ExecuteGroupedParallelOn(q query.Query, workers int, submit func
 	d := time.Since(start)
 	if m != nil {
 		m.qm.Observe(d, res.PointsScanned, res.BytesTouched)
+		m.regimes[res.Regime].Inc()
 	}
 	w.Record(q, d, res.TotalCount(), res.PointsScanned, res.BytesTouched)
 	s.cachePutGrouped(v, q, res)
@@ -120,6 +100,7 @@ func (s *Store) ExecuteGroupedTrace(q query.Query) (colstore.GroupedResult, *obs
 	d := time.Since(start)
 	if m := s.metrics; m != nil {
 		m.qm.Observe(d, res.PointsScanned, res.BytesTouched)
+		m.regimes[res.Regime].Inc()
 	}
 	s.cfg.Workload.Record(q, d, res.TotalCount(), res.PointsScanned, res.BytesTouched)
 	s.observeAsync(q, res.TotalCount(), v)

@@ -190,6 +190,10 @@ type liveMetrics struct {
 	snaps         *obs.Counter
 	snapSeconds   *obs.Histogram
 	detectorFires *obs.Counter
+	// regimes counts executed grouped queries by the accumulation path
+	// they ran on, indexed by colstore.GroupRegime (RegimeNone stays nil,
+	// a no-op).
+	regimes [4]*obs.Counter
 }
 
 func newLiveMetrics(s *Store, r *obs.Registry, label string) *liveMetrics {
@@ -207,6 +211,9 @@ func newLiveMetrics(s *Store, r *obs.Registry, label string) *liveMetrics {
 		snaps:         r.Counter(obs.MLiveSnapshots),
 		snapSeconds:   r.DurationHistogram(obs.MLiveSnapSeconds),
 		detectorFires: r.Counter(obs.MLiveDetectorFires),
+	}
+	for _, g := range []colstore.GroupRegime{colstore.RegimeByteCode, colstore.RegimeDense, colstore.RegimeHash} {
+		m.regimes[g] = r.Counter(obs.MGroupedRegime + `{regime="` + g.String() + `"}`)
 	}
 	// Level gauges read the current epoch at scrape time instead of being
 	// pushed on every swap; labeled per shard when stores share a registry.

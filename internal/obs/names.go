@@ -6,14 +6,19 @@ package obs
 // construction rather than by a merge step at scrape time. Layer-specific
 // signals get a layer prefix: tsunami_exec_* (Executor), tsunami_live_*
 // (LiveStore ingest/maintenance), tsunami_sharded_* (router/rebalance).
-// Only per-shard gauges carry a {shard="i"} label — labeled counters or
-// histograms would defeat the shared-instance aggregation above.
+// Only per-shard gauges carry a {shard="i"} label — shard-labeled
+// counters or histograms would defeat the shared-instance aggregation
+// above. A label that is the same in every shard (the grouped regime) is
+// one more shared name, and aggregates like the rest.
 const (
 	// Shared query path (recorded by whichever layer answers the query).
 	MQueries      = "tsunami_queries_total"
 	MQueryLatency = "tsunami_query_latency_seconds"
 	MScanRows     = "tsunami_scan_rows_total"
 	MScanBytes    = "tsunami_scan_bytes_total"
+	// MGroupedRegime counts executed grouped queries, labeled
+	// {regime="bytecode"|"dense"|"hash"} by the accumulation path chosen.
+	MGroupedRegime = "tsunami_grouped_regime_total"
 
 	// Executor.
 	MExecQueueWait  = "tsunami_exec_queue_wait_seconds"

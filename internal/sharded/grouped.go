@@ -210,10 +210,12 @@ func (s *Store) executeGroupedTrace(q query.Query) (colstore.GroupedResult, *obs
 
 		start = time.Now()
 		partials := make([]colstore.GroupedResult, 0, len(ids))
+		var regime colstore.GroupRegime
 		for _, id := range ids {
 			shStart := time.Now()
 			sub, shTr := s.shards[id].ExecuteGroupedTrace(q)
 			partials = append(partials, sub)
+			regime = max(regime, sub.Regime)
 			tr.Shards = append(tr.Shards, obs.ShardSpan{
 				Shard:    id,
 				Duration: time.Since(shStart),
@@ -223,7 +225,7 @@ func (s *Store) executeGroupedTrace(q query.Query) (colstore.GroupedResult, *obs
 			})
 			tr.Regions += shTr.Regions
 		}
-		tr.AddStage("scan+group", time.Since(start), "")
+		tr.AddStage("scan+group", time.Since(start), "regime "+regime.String())
 
 		start = time.Now()
 		var res colstore.GroupedResult

@@ -80,8 +80,9 @@ func RandomQueries(st *colstore.Store, n int, seed int64) []query.Query {
 // RandomGroupedQueries draws n random grouped aggregates (GROUP BY) over
 // the store: random filters like RandomQueries, a random grouping
 // dimension (the low-cardinality last dimension of SmallTaxi exercises
-// the equality-mask fast path, the others the generic path), and a mix
-// of grouped COUNT and grouped SUM.
+// the byte-code path, the narrow ones the dense cells, the million-value
+// time columns the by-value map), and a mix of grouped COUNT and grouped
+// SUM.
 func RandomGroupedQueries(st *colstore.Store, n int, seed int64) []query.Query {
 	rng := rand.New(rand.NewSource(seed))
 	base := RandomQueries(st, n, seed+1)
