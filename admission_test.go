@@ -67,7 +67,7 @@ func TestServeShedsAtInFlightCap(t *testing.T) {
 	if !errors.Is(err, tsunami.ErrShed) {
 		t.Fatalf("at capacity, want ErrShed, got res=%+v err=%v", res, err)
 	}
-	if res != (tsunami.Result{}) {
+	if !res.Equal(tsunami.Result{}) {
 		t.Fatalf("shed query must return a zero Result, got %+v", res)
 	}
 

@@ -92,7 +92,7 @@ func TestLiveCacheCoherenceUnderIngest(t *testing.T) {
 		first := ls.Execute(q)
 		second := ls.Execute(q)
 		want := ls.Index().Execute(q)
-		if first != second || first.Count != want.Count || first.Sum != want.Sum {
+		if !first.Equal(second) || first.Count != want.Count || first.Sum != want.Sum {
 			t.Fatalf("stable-epoch mismatch for %v: first=%+v second=%+v want={Count:%d Sum:%d}",
 				q, first, second, want.Count, want.Sum)
 		}

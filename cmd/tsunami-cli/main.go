@@ -79,6 +79,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/gridtree"
+	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/qparse"
@@ -131,73 +132,40 @@ func (s *session) index() *core.Tsunami {
 	return s.idx
 }
 
+// execute answers q — flat, or grouped when it was parsed with a
+// trailing "by <col>" clause — through the Executor's admission. The
+// serving layers record their own metrics and workload stats; plain mode
+// records here.
 func (s *session) execute(q query.Query) (colstore.ScanResult, error) {
-	if s.live != nil || s.shard != nil {
-		// The serving layer records its own metrics and workload stats;
-		// the Executor adds admission on top.
-		return s.ex.Serve(q, tsunami.PriorityInteractive)
-	}
 	start := time.Now()
 	res, err := s.ex.Serve(q, tsunami.PriorityInteractive)
-	if err != nil {
-		return res, err
+	if err == nil && s.idx != nil {
+		s.record(q, time.Since(start), res)
 	}
-	d := time.Since(start)
-	s.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-	s.wl.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
-	return res, nil
+	return res, err
 }
 
-// executeGrouped answers a GROUP BY query (parsed from a trailing
-// "by <col>" clause), with the same admission and accounting split as
-// execute: the serving layers record their own telemetry, plain mode
-// records here.
-func (s *session) executeGrouped(q query.Query) (colstore.GroupedResult, error) {
-	if s.live != nil || s.shard != nil {
-		return s.ex.ServeGrouped(q, tsunami.PriorityInteractive)
-	}
-	start := time.Now()
-	res, err := s.ex.ServeGrouped(q, tsunami.PriorityInteractive)
-	if err != nil {
-		return res, err
-	}
-	d := time.Since(start)
-	s.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-	s.wl.Record(q, d, res.TotalCount(), res.PointsScanned, res.BytesTouched)
-	return res, nil
-}
-
-// executeTrace answers q with an explain-analyze trace, feeding the same
-// metrics as execute so traced queries do not skew the aggregates.
+// executeTrace answers q with an explain-analyze trace through the
+// active mode's own pipeline, feeding the same metrics as execute so
+// traced queries do not skew the aggregates.
 func (s *session) executeTrace(q query.Query) (colstore.ScanResult, *obs.QueryTrace) {
-	if s.live != nil {
-		return s.live.ExecuteTrace(q)
-	}
-	if s.shard != nil {
-		return s.shard.ExecuteTrace(q)
+	x := index.Exec{Trace: new(obs.QueryTrace)}
+	switch {
+	case s.live != nil:
+		return s.live.ExecuteWith(q, x), x.Trace
+	case s.shard != nil:
+		return s.shard.ExecuteWith(q, x), x.Trace
 	}
 	start := time.Now()
-	res, tr := s.idx.ExecuteTrace(q)
-	d := time.Since(start)
-	s.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-	s.wl.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
-	return res, tr
+	res := s.idx.ExecuteWith(q, x)
+	s.record(q, time.Since(start), res)
+	return res, x.Trace
 }
 
-// executeGroupedTrace is executeTrace for GROUP BY queries.
-func (s *session) executeGroupedTrace(q query.Query) (colstore.GroupedResult, *obs.QueryTrace) {
-	if s.live != nil {
-		return s.live.ExecuteGroupedTrace(q)
-	}
-	if s.shard != nil {
-		return s.shard.ExecuteGroupedTrace(q)
-	}
-	start := time.Now()
-	res, tr := s.idx.ExecuteGroupedTrace(q)
-	d := time.Since(start)
+// record is plain mode's telemetry for one answered query.
+func (s *session) record(q query.Query, d time.Duration, res colstore.ScanResult) {
 	s.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-	s.wl.Record(q, d, res.TotalCount(), res.PointsScanned, res.BytesTouched)
-	return res, tr
+	s.wl.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
 }
 
 func (s *session) insert(row []int64) error {
@@ -370,8 +338,9 @@ func main() {
 
 	// Plain offline mode: the serving layers bind the collector inside
 	// their Open paths; here the session records manually, so bind the
-	// table directly (slow-query exemplars trace through the core index,
-	// which records nothing, so a capture cannot re-enter the collector).
+	// table directly (slow-query exemplars re-run through the core index's
+	// pipeline, which records nothing, so a capture cannot re-enter the
+	// collector).
 	if s.idx != nil {
 		idx := s.idx
 		st := idx.Store()
@@ -386,7 +355,8 @@ func main() {
 			DomainHi: hi,
 			Rows:     func() uint64 { return uint64(idx.Store().NumRows() + idx.NumBuffered()) },
 			Trace: func(q query.Query) *obs.QueryTrace {
-				_, tr := idx.ExecuteTrace(q)
+				tr := new(obs.QueryTrace)
+				idx.ExecuteWith(q, index.Exec{Trace: tr})
 				return tr
 			},
 		})
@@ -625,19 +595,9 @@ func eval(s *session, names []string, line string) bool {
 			fmt.Println(err)
 			return false
 		}
-		if q.Grouped() {
-			res, tr := s.executeGroupedTrace(q)
-			fmt.Print(tr.String())
-			printGrouped(q, names, res, 0)
-			return false
-		}
 		res, tr := s.executeTrace(q)
 		fmt.Print(tr.String())
-		if strings.HasPrefix(strings.ToLower(rest), "sum") {
-			fmt.Printf("sum=%d count=%d avg=%.2f\n", res.Sum, res.Count, res.Avg())
-		} else {
-			fmt.Printf("count=%d\n", res.Count)
-		}
+		printResult(q, names, res, 0)
 	case "insert":
 		rest := strings.TrimSpace(line[len("insert"):])
 		parts := strings.Split(rest, ",")
@@ -730,56 +690,46 @@ func eval(s *session, names []string, line string) bool {
 			fmt.Print(s.index().Explain(q))
 			return false
 		}
-		if q.Grouped() {
-			start := time.Now()
-			res, err := s.executeGrouped(q)
-			if err != nil {
-				fmt.Println(err)
-				return false
-			}
-			printGrouped(q, names, res, time.Since(start))
-			return false
-		}
 		start := time.Now()
 		res, err := s.execute(q)
 		if err != nil {
 			fmt.Println(err)
 			return false
 		}
-		elapsed := time.Since(start)
-		if verb == "sum" {
-			fmt.Printf("sum=%d count=%d avg=%.2f (scanned %d rows in %v)\n", res.Sum, res.Count, res.Avg(), res.PointsScanned, elapsed)
-		} else {
-			fmt.Printf("count=%d (scanned %d rows in %v)\n", res.Count, res.PointsScanned, elapsed)
-		}
+		printResult(q, names, res, time.Since(start))
 	default:
 		fmt.Printf("unknown command %q (try help)\n", verb)
 	}
 	return false
 }
 
-// printGrouped renders a grouped aggregate: one line per group key,
-// sorted by key (the merge order), with sum/avg columns only for SUM
-// queries. elapsed == 0 suppresses the timing suffix (trace already
-// printed stage timings).
-func printGrouped(q query.Query, names []string, res colstore.GroupedResult, elapsed time.Duration) {
-	gname := fmt.Sprintf("d%d", q.GroupDim())
-	if d := q.GroupDim(); d >= 0 && d < len(names) {
-		gname = names[d]
+// printResult renders an answer: a flat aggregate on one line, a grouped
+// one as a line per group key, sorted by key (the merge order), then the
+// totals; sum/avg columns only for SUM queries. elapsed == 0 suppresses
+// the scan suffix (trace already printed stage timings).
+func printResult(q query.Query, names []string, res colstore.ScanResult, elapsed time.Duration) {
+	total := fmt.Sprintf("count=%d", res.Count)
+	if q.Agg == query.Sum {
+		total = fmt.Sprintf("sum=%d count=%d avg=%.2f", res.Sum, res.Count, res.Avg())
 	}
-	for _, g := range res.Groups {
-		if q.Agg == query.Sum {
-			fmt.Printf("%s=%d: count=%d sum=%d avg=%.2f\n", gname, g.Key, g.Count, g.Sum, g.Avg())
-		} else {
-			fmt.Printf("%s=%d: count=%d\n", gname, g.Key, g.Count)
+	if q.Grouped() {
+		gname := fmt.Sprintf("d%d", q.GroupDim())
+		if d := q.GroupDim(); d < len(names) {
+			gname = names[d]
 		}
+		for _, g := range res.Groups {
+			if q.Agg == query.Sum {
+				fmt.Printf("%s=%d: count=%d sum=%d avg=%.2f\n", gname, g.Key, g.Count, g.Sum, g.Avg())
+			} else {
+				fmt.Printf("%s=%d: count=%d\n", gname, g.Key, g.Count)
+			}
+		}
+		total = fmt.Sprintf("%d groups, %d rows matched", len(res.Groups), res.Count)
 	}
 	if elapsed > 0 {
-		fmt.Printf("%d groups, %d rows matched (scanned %d rows in %v)\n",
-			len(res.Groups), res.TotalCount(), res.PointsScanned, elapsed)
-	} else {
-		fmt.Printf("%d groups, %d rows matched\n", len(res.Groups), res.TotalCount())
+		total += fmt.Sprintf(" (scanned %d rows in %v)", res.PointsScanned, elapsed)
 	}
+	fmt.Println(total)
 }
 
 // printStats prints the index-structure block (Tab 4 of the paper)

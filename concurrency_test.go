@@ -96,7 +96,7 @@ func TestExecuteBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: got %d results for %d queries", workers, len(got), len(probe))
 		}
 		for i, q := range probe {
-			if seq := idx.Execute(q); got[i] != seq {
+			if seq := idx.Execute(q); !got[i].Equal(seq) {
 				t.Errorf("workers=%d query %s: batch %+v != sequential %+v", workers, q, got[i], seq)
 			}
 			if got[i].Count != want[i] {
@@ -149,7 +149,7 @@ func TestExecutorAfterCloseIsSafe(t *testing.T) {
 	for _, intra := range []bool{false, true} {
 		ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 2, IntraQuery: intra})
 		ex.Close()
-		if got := ex.Execute(probe[0]); got != (tsunami.Result{}) {
+		if got := ex.Execute(probe[0]); !got.Equal(tsunami.Result{}) {
 			t.Errorf("intra=%v: Execute after Close = %+v, want zero", intra, got)
 		}
 		res := ex.ExecuteBatch(probe)
@@ -157,7 +157,7 @@ func TestExecutorAfterCloseIsSafe(t *testing.T) {
 			t.Fatalf("intra=%v: %d results for %d queries", intra, len(res), len(probe))
 		}
 		for i, r := range res {
-			if r != (tsunami.Result{}) {
+			if !r.Equal(tsunami.Result{}) {
 				t.Errorf("intra=%v: batch result %d after Close = %+v, want zero", intra, i, r)
 			}
 		}
@@ -184,7 +184,7 @@ func TestExecuteBatchWaves(t *testing.T) {
 		t.Fatalf("got %d results for %d queries", len(got), len(big))
 	}
 	for i, q := range big {
-		if seq := idx.Execute(q); got[i] != seq {
+		if seq := idx.Execute(q); !got[i].Equal(seq) {
 			t.Errorf("query %d (%s): wave batch %+v != sequential %+v", i, q, got[i], seq)
 		}
 	}

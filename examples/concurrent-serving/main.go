@@ -28,7 +28,7 @@ func main() {
 	defer ex.Close()
 	batch := ex.ExecuteBatch(work[:20])
 	for i, q := range work[:20] {
-		if batch[i] != idx.Execute(q) {
+		if !batch[i].Equal(idx.Execute(q)) {
 			log.Fatalf("batch result diverged on %s", q)
 		}
 	}
@@ -60,7 +60,7 @@ func main() {
 	})
 	defer intra.Close()
 	broad := work[0]
-	if intra.Execute(broad) != idx.Execute(broad) {
+	if !intra.Execute(broad).Equal(idx.Execute(broad)) {
 		log.Fatalf("intra-query result diverged on %s", broad)
 	}
 	fmt.Printf("\nintra-query execution over %d regions matches sequential\n",

@@ -9,23 +9,26 @@ import (
 	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/wstats"
 )
 
-// intraQueryIndex is implemented by indexes that can split one query's work
-// across multiple scheduled tasks and merge the partial results.
-// TsunamiIndex implements it by spreading the query's Grid Tree regions
-// over the submitted tasks, which the Executor runs on its worker pool;
-// ShardedStore implements it by scattering the query's unpruned shards the
-// same way and gathering their partial aggregates — so one Executor serves
-// both granularities of scatter-gather without a second scheduler. Tasks
-// must never block on other submitted tasks (both implementations drain a
-// shared cursor instead), which is what makes sharing one pool
-// deadlock-free.
-type intraQueryIndex interface {
-	ExecuteParallelOn(q query.Query, workers int, submit func(task func())) colstore.ScanResult
+// pipelined is the one capability the Executor looks for in an index:
+// the execution pipeline TsunamiIndex, LiveStore and ShardedStore
+// implement. ExecuteWith answers flat and grouped queries alike and can
+// split one query's work across submitted tasks (a TsunamiIndex spreads
+// its planned ranges over them, a ShardedStore its unpruned shards — so
+// one Executor serves both granularities of scatter-gather without a
+// second scheduler; tasks never block on other submitted tasks, which
+// is what makes sharing one pool deadlock-free). EstimateCost bounds a
+// query's scan cost at plan time, for the admission budgets. Baseline
+// indexes implement neither: they answer flat queries through
+// Index.Execute only, unbudgeted.
+type pipelined interface {
+	ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult
+	EstimateCost(q query.Query) (rows, bytes uint64)
 }
 
 // IndexSource yields the index an Executor executes against, resolved per
@@ -138,14 +141,6 @@ var ErrShed = errors.New("tsunami: query shed (serving at capacity)")
 // errors carry the estimate; match with errors.Is.
 var ErrOverBudget = errors.New("tsunami: query over plan-time budget")
 
-// costEstimator is implemented by indexes that can bound a query's scan
-// cost at plan time without executing it (core.Tsunami via its range
-// plans; LiveStore and ShardedStore by delegation). Budgets are enforced
-// only against indexes that implement it.
-type costEstimator interface {
-	EstimateCost(q query.Query) (rows, bytes uint64)
-}
-
 // admission is the Executor's load-shedding state: one atomic in-flight
 // counter checked against per-priority watermarks, plus the plan-time
 // budgets.
@@ -228,7 +223,7 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 // publishing immutable values.
 type Executor struct {
 	source   func() Index
-	intra    bool // split single Execute calls when the index supports it
+	intra    index.Exec // how a single Execute call runs: split across the pool with IntraQuery, else the zero value
 	workers  int
 	maxWave  int
 	metrics  *execMetrics      // nil when instrumentation is off
@@ -276,12 +271,20 @@ func newExecutor(source func() Index, o ExecutorOptions) *Executor {
 	}
 	e := &Executor{
 		source:   source,
-		intra:    o.IntraQuery,
 		workers:  workers,
 		maxWave:  maxWave,
 		metrics:  newExecMetrics(o.Metrics),
 		workload: o.Workload,
 		jobs:     make(chan execJob, 2*workers),
+	}
+	if o.IntraQuery {
+		// If the pool is closed mid-query the remaining tasks run on the
+		// calling goroutine; the answer is still complete.
+		e.intra = index.Exec{Workers: workers, Submit: func(task func()) {
+			if !e.trySubmit(task) {
+				task()
+			}
+		}}
 	}
 	if o.Admission.enabled() {
 		e.adm = &admission{
@@ -341,9 +344,10 @@ func (e *Executor) trySubmit(task func()) bool {
 // Workers returns the pool size.
 func (e *Executor) Workers() int { return e.workers }
 
-// Execute answers one query. With IntraQuery enabled on a supporting index
-// the query's work is split into tasks run on the worker pool; otherwise
-// it runs on the calling goroutine (the pool is for batches). After Close
+// Execute answers one query, flat or grouped (built with CountBy, SumBy
+// or Query.By). With IntraQuery enabled on a supporting index the
+// query's work is split into tasks run on the worker pool; otherwise it
+// runs on the calling goroutine (the pool is for batches). After Close
 // it returns a zero Result.
 func (e *Executor) Execute(q Query) Result {
 	e.mu.RLock()
@@ -352,6 +356,12 @@ func (e *Executor) Execute(q Query) Result {
 	if closed {
 		return Result{}
 	}
+	return e.run(q, e.intra)
+}
+
+// run answers q against the current index — through its pipeline when it
+// has one, as x says — and records the query.
+func (e *Executor) run(q Query, x index.Exec) Result {
 	idx := e.source()
 	m, w := e.metrics, e.workload
 	var start time.Time
@@ -359,14 +369,8 @@ func (e *Executor) Execute(q Query) Result {
 		start = time.Now()
 	}
 	var res Result
-	if p, ok := idx.(intraQueryIndex); ok && e.intra {
-		// If the pool is closed mid-query the remaining tasks run on
-		// the calling goroutine; the answer is still complete.
-		res = p.ExecuteParallelOn(q, e.workers, func(task func()) {
-			if !e.trySubmit(task) {
-				task()
-			}
-		})
+	if p, ok := idx.(pipelined); ok {
+		res = p.ExecuteWith(q, x)
 	} else {
 		res = idx.Execute(q)
 	}
@@ -381,13 +385,15 @@ func (e *Executor) Execute(q Query) Result {
 }
 
 // Serve answers one query under admission control: plan-time row/byte
-// budgets are checked first (nothing is scanned for a rejected query),
-// then the in-flight watermark for the query's priority class — at
-// capacity the query is shed immediately rather than queued, so admitted
-// queries keep bounded latency while overload turns into fast ErrShed
-// returns the client can retry with backoff. Without an Admission
-// configuration Serve is exactly Execute. Shed and budget-rejected
-// queries are counted in the registry (tsunami_admission_*).
+// budgets are checked first (nothing is scanned for a rejected query; a
+// grouped query's group-key column is charged as one extra stream by the
+// cost estimate), then the in-flight watermark for the query's priority
+// class — at capacity the query is shed immediately rather than queued,
+// so admitted queries keep bounded latency while overload turns into
+// fast ErrShed returns the client can retry with backoff. Without an
+// Admission configuration Serve is exactly Execute. Shed and
+// budget-rejected queries are counted in the registry
+// (tsunami_admission_*).
 func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 	a := e.adm
 	if a == nil {
@@ -395,8 +401,8 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 	}
 	m := e.metrics
 	if a.maxRows > 0 || a.maxBytes > 0 {
-		if ce, ok := e.source().(costEstimator); ok {
-			rows, bytes := ce.EstimateCost(q)
+		if p, ok := e.source().(pipelined); ok {
+			rows, bytes := p.EstimateCost(q)
 			if a.maxRows > 0 && rows > a.maxRows {
 				if m != nil {
 					m.admBudget.Inc()
@@ -441,8 +447,9 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 	return e.Execute(q), nil
 }
 
-// ExecuteBatch answers every query, fanning them across the worker pool,
-// and returns results positionally aligned with qs. Results are identical
+// ExecuteBatch answers every query — flat and grouped may mix — fanning
+// them across the worker pool, and returns results positionally aligned
+// with qs. Results are identical
 // to calling Execute sequentially on each query. Batches larger than
 // MaxWave are processed in waves so the amount of in-flight work stays
 // proportional to the pool, not the batch. After Close it returns zero
@@ -465,27 +472,17 @@ func (e *Executor) ExecuteBatch(qs []Query) []Result {
 // false if the Executor was closed before the whole wave was scheduled
 // (results for unscheduled queries stay zero).
 func (e *Executor) runWave(qs []Query, out []Result) bool {
-	m, w := e.metrics, e.workload
-	if m != nil {
+	if m := e.metrics; m != nil {
 		m.waveSize.Record(int64(len(qs)))
 	}
 	var done sync.WaitGroup
 	ok := true
 	for i, q := range qs {
-		i, q := i, q
 		done.Add(1)
 		if !e.trySubmit(func() {
-			if m != nil || w != nil {
-				start := time.Now()
-				out[i] = e.source().Execute(q)
-				d := time.Since(start)
-				if m != nil {
-					m.latency.RecordDuration(d)
-				}
-				w.Record(q, d, out[i].Count, out[i].PointsScanned, out[i].BytesTouched)
-			} else {
-				out[i] = e.source().Execute(q)
-			}
+			// Inline, whatever IntraQuery says: a pool task that waited
+			// on sub-tasks of its own could deadlock the pool.
+			out[i] = e.run(q, index.Exec{})
 			done.Done()
 		}) {
 			done.Done() // never scheduled

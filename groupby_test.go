@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	tsunami "repro"
 	"repro/internal/testutil"
@@ -28,7 +30,7 @@ func TestGroupedMatchesOracleOnIndex(t *testing.T) {
 	// The parallel grouped path merges per-worker partials; it must be
 	// bit-identical to the sequential path's answer.
 	testutil.CheckGroupedMatchesFullScan(t, "TsunamiIndex(parallel)",
-		func(q tsunami.Query) tsunami.GroupedResult { return idx.ExecuteGroupedParallel(q, 4) },
+		func(q tsunami.Query) tsunami.GroupedResult { return idx.ExecuteWith(q, tsunami.Exec{Workers: 4}) },
 		table, qs)
 }
 
@@ -202,7 +204,7 @@ func TestGroupedShardedUnderRebalance(t *testing.T) {
 				default:
 				}
 				ss.ExecuteGrouped(gqs[k%len(gqs)])
-				ss.ExecuteGroupedParallelOn(gqs[(k+1)%len(gqs)], 2, nil)
+				ss.ExecuteWith(gqs[(k+1)%len(gqs)], tsunami.Exec{Workers: 2})
 			}
 		}()
 	}
@@ -258,9 +260,150 @@ func TestGroupedShardedUnderRebalance(t *testing.T) {
 	final := testutil.RandomGroupedQueries(oracle.Snapshot(), 20, seed+200)
 	oracle.CheckGrouped(t, "ShardedStore(final)", ss.ExecuteGrouped, final)
 	oracle.CheckGrouped(t, "ShardedStore(final,parallel)",
-		func(q tsunami.Query) tsunami.GroupedResult { return ss.ExecuteGroupedParallelOn(q, 3, nil) },
+		func(q tsunami.Query) tsunami.GroupedResult { return ss.ExecuteWith(q, tsunami.Exec{Workers: 3}) },
 		final)
 	if ss.Stats().RowsMigrated == 0 {
 		t.Error("rebalancing never migrated rows; the mid-migration grouped path was untested")
 	}
+}
+
+// TestGroupedSlowQueryExemplar pins that the slow-query log's exemplar
+// of a grouped query is a trace of that grouped query — re-run through
+// the pipeline it was served on, so the scan+group stage names the
+// accumulator regime — and that capturing it records nothing: the
+// capture must not feed back into the collector.
+func TestGroupedSlowQueryExemplar(t *testing.T) {
+	table := testutil.SmallTaxi(3000, 41)
+	work := testutil.RandomQueries(table, 20, 42)
+	opts := tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16}
+	wopts := tsunami.WorkloadOptions{SampleEvery: 1, MinSamples: 32, SlowFactor: 1.5}
+	slow := tsunami.CountBy(4)
+
+	check := func(name string, wl *tsunami.WorkloadStats, serve func(tsunami.Query) tsunami.Result) {
+		t.Helper()
+		for i := 0; i < 64; i++ { // arm the adaptive threshold off real served queries
+			serve(work[i%len(work)])
+		}
+		wl.Sync()
+		wl.Record(slow, 5*time.Second, 3000, 3000, 24000)
+		wl.Sync()
+		snap := wl.Snapshot()
+		if snap.Queries != 65 {
+			t.Errorf("%s: collector recorded %d queries, want the 65 served — an exemplar capture fed back into it", name, snap.Queries)
+		}
+		for _, e := range snap.Slow {
+			if e.Query != slow.String() {
+				continue
+			}
+			if !strings.Contains(e.Trace, "scan+group") || !strings.Contains(e.Trace, "regime bytecode") {
+				t.Errorf("%s: a grouped slow query's exemplar is not a grouped trace:\n%s", name, e.Trace)
+			}
+			return
+		}
+		t.Errorf("%s: the slow grouped query is not in the slow log: %+v", name, snap.Slow)
+	}
+
+	lwl := tsunami.NewWorkloadStats(wopts)
+	defer lwl.Close()
+	ls := tsunami.NewLiveStore(tsunami.New(table, work, opts), work, tsunami.LiveOptions{Workload: lwl})
+	defer ls.Close()
+	check("LiveStore", lwl, ls.Execute)
+
+	swl := tsunami.NewWorkloadStats(wopts)
+	defer swl.Close()
+	ss, err := tsunami.NewShardedStore(table, work, opts, tsunami.ShardedOptions{Shards: 2, Workload: swl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	check("ShardedStore", swl, ss.Execute)
+}
+
+// TestExecutorAnswersGroupedQueries pins that the Executor's plain entry
+// points answer a grouped query with its groups — a mixed flat+grouped
+// ExecuteBatch equals sequential Execute and the oracle through a
+// caching LiveStore, and the flat answers do not evict or overwrite the
+// grouped ones cached under the same filters — while an index that
+// cannot group never passes a flat answer off as grouped.
+func TestExecutorAnswersGroupedQueries(t *testing.T) {
+	table := testutil.SmallTaxi(3000, 51)
+	work := testutil.RandomQueries(table, 20, 52)
+	idx := tsunami.New(table, work, tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16})
+	// No optimized workload, so no shift detection: a re-optimization
+	// between two asks would fold the buffered rows and move the scan
+	// accounting the bit-for-bit comparisons below include.
+	ls := tsunami.NewLiveStore(idx, nil, tsunami.LiveOptions{MergeThreshold: 1 << 30, CacheEntries: 256})
+	defer ls.Close()
+	oracle := testutil.NewOracle(table)
+	extra := [][]int64{{5, 9, 12, 300, 9}, {7, 30, 40, 350, 2}}
+	if err := ls.InsertBatch(extra); err != nil {
+		t.Fatal(err)
+	}
+	oracle.Add(extra...)
+
+	var mixed []tsunami.Query
+	for _, q := range testutil.RandomQueries(table, 20, 53) {
+		mixed = append(mixed, q, q.By(4)) // the same filters flat and grouped: the same cache key but for GroupBy
+	}
+	for _, intra := range []bool{false, true} {
+		ex := tsunami.NewExecutorSource(ls, tsunami.ExecutorOptions{
+			Workers: 4, IntraQuery: intra,
+			Admission: tsunami.AdmissionConfig{MaxRows: 1 << 40},
+		})
+		for round := 0; round < 2; round++ { // the second round is served from the cache
+			batch := ex.ExecuteBatch(mixed)
+			for i, q := range mixed {
+				if seq := ex.Execute(q); !batch[i].Equal(seq) {
+					t.Fatalf("intra=%v: batch answer to %s = %+v, sequential %+v", intra, q, batch[i], seq)
+				}
+				if served, err := ex.Serve(q, tsunami.PriorityNormal); err != nil || !served.Equal(batch[i]) {
+					t.Fatalf("intra=%v: Serve(%s) = %+v, %v; batch %+v", intra, q, served, err, batch[i])
+				}
+				if !q.Grouped() && batch[i].Groups != nil {
+					t.Fatalf("intra=%v: flat %s answered with groups %v", intra, q, batch[i].Groups)
+				}
+			}
+			// The oracle asks for each query's answer; hand it the batch's
+			// (and, for the probes it adds itself, a fresh one).
+			answers := make(map[string]tsunami.Result, len(mixed))
+			for i, q := range mixed {
+				answers[q.String()] = batch[i]
+			}
+			lookup := func(q tsunami.Query) tsunami.Result {
+				if res, ok := answers[q.String()]; ok {
+					return res
+				}
+				return ex.Execute(q)
+			}
+			oracle.Check(t, answerIndex(lookup), everyOther(mixed, 0))
+			oracle.CheckGrouped(t, "ExecuteBatch", lookup, everyOther(mixed, 1))
+		}
+		ex.Close()
+	}
+
+	flood := tsunami.NewExecutor(tsunami.NewFlood(table, work, tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16}),
+		tsunami.ExecutorOptions{})
+	defer flood.Close()
+	if res, err := flood.ExecuteGrouped(tsunami.CountBy(4)); !errors.Is(err, tsunami.ErrNotGrouped) || !res.Equal(tsunami.Result{}) {
+		t.Errorf("ExecuteGrouped on a baseline index = %+v, %v; want a zero result and ErrNotGrouped", res, err)
+	}
+	if res, err := flood.ServeGrouped(tsunami.CountBy(4), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrNotGrouped) || !res.Equal(tsunami.Result{}) {
+		t.Errorf("ServeGrouped on a baseline index = %+v, %v; want a zero result and ErrNotGrouped", res, err)
+	}
+}
+
+// answerIndex presents a function from queries to answers as an Index.
+type answerIndex func(tsunami.Query) tsunami.Result
+
+func (f answerIndex) Name() string                           { return "ExecuteBatch" }
+func (f answerIndex) Execute(q tsunami.Query) tsunami.Result { return f(q) }
+func (f answerIndex) SizeBytes() uint64                      { return 0 }
+
+// everyOther returns qs[from], qs[from+2], ...
+func everyOther(qs []tsunami.Query, from int) []tsunami.Query {
+	var out []tsunami.Query
+	for i := from; i < len(qs); i += 2 {
+		out = append(out, qs[i])
+	}
+	return out
 }

@@ -2,19 +2,18 @@ package tsunami
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/query"
 )
 
-// GroupedResult is a grouped aggregate's answer: one GroupAgg per
-// distinct group key, sorted by key, plus scan statistics. Partial
-// results merge exactly (per-group count and sum add; AVG derives from
-// the merged pair), which is what lets grouped queries scatter-gather
-// across regions, workers, and shards like flat aggregates.
-type GroupedResult = colstore.GroupedResult
+// GroupedResult names a Result that carries groups — a grouped query's
+// answer: one GroupAgg per distinct group key, sorted by key, Count and
+// Sum totalled over them. Partial results merge exactly (per-group count
+// and sum add; AVG derives from the merged pair), which is what lets
+// grouped queries scatter-gather across workers and shards by the same
+// merge as flat aggregates.
+type GroupedResult = Result
 
 // GroupAgg is one group's aggregate: the group key, the matching row
 // count, and (for SUM/AVG queries) the sum of the aggregated column.
@@ -30,120 +29,38 @@ func SumBy(aggDim, dim int, filters ...Filter) Query {
 	return query.NewSum(aggDim, filters...).By(dim)
 }
 
-// groupedIndex is implemented by indexes that can answer grouped
-// aggregates natively (TsunamiIndex, LiveStore, ShardedStore). Baseline
-// indexes do not implement it; ExecuteGrouped falls back to a full
-// row-at-a-time scan over their store only when the index exposes one.
-type groupedIndex interface {
-	ExecuteGrouped(q query.Query) colstore.GroupedResult
-}
-
-// intraQueryGroupedIndex is the grouped face of intraQueryIndex: split
-// one grouped query's work across submitted tasks and merge the grouped
-// partials. Same no-blocking contract.
-type intraQueryGroupedIndex interface {
-	ExecuteGroupedParallelOn(q query.Query, workers int, submit func(task func())) colstore.GroupedResult
-}
-
 // ErrNotGrouped reports a grouped query sent to an index that cannot
 // answer grouped aggregates (a baseline index), or a flat query sent to
 // ExecuteGrouped.
 var ErrNotGrouped = fmt.Errorf("tsunami: index does not support grouped aggregates")
 
-// ExecuteGrouped answers one grouped aggregate (built with CountBy,
-// SumBy, or Query.By). With IntraQuery enabled on a supporting index the
-// query's work is split across the worker pool, exactly like Execute.
-// Indexes that cannot answer grouped queries return ErrNotGrouped.
+// ExecuteGrouped is Execute for callers that want a grouped answer or an
+// error, never a flat answer dressed as grouped: a query with no GROUP
+// BY, or an index that cannot group (a baseline), yields ErrNotGrouped.
 // After Close it returns a zero result and nil error, matching Execute.
 func (e *Executor) ExecuteGrouped(q Query) (GroupedResult, error) {
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
-		return GroupedResult{}, nil
+	if err := e.groups(q); err != nil {
+		return GroupedResult{}, err
 	}
-	if !q.Grouped() {
-		return GroupedResult{}, fmt.Errorf("%w: query %s has no GROUP BY; use Execute", ErrNotGrouped, q)
-	}
-	idx := e.source()
-	m, w := e.metrics, e.workload
-	var start time.Time
-	if m != nil || w != nil {
-		start = time.Now()
-	}
-	var res GroupedResult
-	if p, ok := idx.(intraQueryGroupedIndex); ok && e.intra {
-		res = p.ExecuteGroupedParallelOn(q, e.workers, func(task func()) {
-			if !e.trySubmit(task) {
-				task()
-			}
-		})
-	} else if g, ok := idx.(groupedIndex); ok {
-		res = g.ExecuteGrouped(q)
-	} else {
-		return GroupedResult{}, fmt.Errorf("%w: %s", ErrNotGrouped, idx.Name())
-	}
-	if m != nil || w != nil {
-		d := time.Since(start)
-		if m != nil {
-			m.latency.RecordDuration(d)
-		}
-		w.Record(q, d, res.TotalCount(), res.PointsScanned, res.BytesTouched)
-	}
-	return res, nil
+	return e.Execute(q), nil
 }
 
-// ServeGrouped answers one grouped query under the same admission
-// control as Serve: plan-time row/byte budgets first (the group-key
-// column is charged as one extra stream by the cost estimate), then the
-// in-flight watermark for the query's priority class. Without an
-// Admission configuration it is exactly ExecuteGrouped.
+// ServeGrouped is Serve with ExecuteGrouped's guarantee.
 func (e *Executor) ServeGrouped(q Query, pri Priority) (GroupedResult, error) {
-	a := e.adm
-	if a == nil {
-		return e.ExecuteGrouped(q)
+	if err := e.groups(q); err != nil {
+		return GroupedResult{}, err
 	}
-	m := e.metrics
-	if a.maxRows > 0 || a.maxBytes > 0 {
-		if ce, ok := e.source().(costEstimator); ok {
-			rows, bytes := ce.EstimateCost(q)
-			if a.maxRows > 0 && rows > a.maxRows {
-				if m != nil {
-					m.admBudget.Inc()
-				}
-				return GroupedResult{}, fmt.Errorf("%w: plan estimates %d rows scanned, budget %d", ErrOverBudget, rows, a.maxRows)
-			}
-			if a.maxBytes > 0 && bytes > a.maxBytes {
-				if m != nil {
-					m.admBudget.Inc()
-				}
-				return GroupedResult{}, fmt.Errorf("%w: plan estimates %d bytes touched, budget %d", ErrOverBudget, bytes, a.maxBytes)
-			}
-		}
+	return e.Serve(q, pri)
+}
+
+// groups reports why q cannot be answered grouped here, or nil.
+func (e *Executor) groups(q Query) error {
+	if !q.Grouped() {
+		return fmt.Errorf("%w: query %s has no GROUP BY; use Execute", ErrNotGrouped, q)
 	}
-	if lim := a.limit(pri); lim > 0 {
-		if n := a.inFlight.Add(1); n > lim {
-			a.inFlight.Add(-1)
-			if m != nil {
-				m.admShed.Inc()
-			}
-			return GroupedResult{}, fmt.Errorf("%w: %d %s-priority queries in flight (limit %d)", ErrShed, n-1, pri, lim)
-		}
-		if m != nil {
-			m.admInFlight.Add(1)
-		}
-		defer func() {
-			a.inFlight.Add(-1)
-			if m != nil {
-				m.admInFlight.Add(-1)
-			}
-		}()
-		// See Serve: yield once so a burst's true concurrency reaches the
-		// watermark before any of it starts scanning.
-		runtime.Gosched()
+	idx := e.source()
+	if _, ok := idx.(pipelined); !ok {
+		return fmt.Errorf("%w: %s", ErrNotGrouped, idx.Name())
 	}
-	if m != nil {
-		m.admAdmitted.Inc()
-	}
-	return e.ExecuteGrouped(q)
+	return nil
 }

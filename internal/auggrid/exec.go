@@ -50,26 +50,6 @@ func (g *Grid) Execute(q query.Query, ctx *ExecContext) (colstore.ScanResult, Ex
 	return res, st
 }
 
-// ExecuteGrouped answers a grouped aggregate against the grid's physical
-// range, folding matching rows into acc grouped by q.GroupDim(). The
-// plan is identical to Execute's — the same physical ranges with the
-// same exactness flags — only the per-range scan differs: each range
-// runs the selection-vector grouped kernel instead of the fused flat
-// one. The concurrency contract matches Execute (acc is the caller's
-// per-query state, like ctx).
-func (g *Grid) ExecuteGrouped(q query.Query, ctx *ExecContext, acc *colstore.GroupAccumulator) ExecStats {
-	if ctx == nil {
-		ctx = GetExecContext()
-		defer PutExecContext(ctx)
-	}
-	var st ExecStats
-	ctx.phys = g.planInto(q, ctx, ctx.phys[:0], &st)
-	for _, pr := range ctx.phys {
-		g.store.ScanRangeGrouped(q, pr.Start, pr.End, pr.Exact, acc)
-	}
-	return st
-}
-
 // PlanRanges appends to dst the physical row ranges Execute would scan for
 // q and returns the extended slice plus the traversal stats. Scanning every
 // returned range with q and merging the results is exactly Execute; the

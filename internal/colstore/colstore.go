@@ -168,7 +168,11 @@ func (s *Store) Clone() *Store {
 	return out
 }
 
-// ScanResult carries the aggregate produced by a scan.
+// ScanResult is the one result type of the repository: the (count, sum)
+// pair a scan produced, its scan-volume accounting and — for a grouped
+// query — one such pair per group key. A flat query's result has nil
+// Groups; a grouped query's Count and Sum are the totals over its
+// groups, so "grouped total == flat count" holds by construction.
 type ScanResult struct {
 	Count uint64
 	Sum   int64
@@ -183,18 +187,18 @@ type ScanResult struct {
 	// scalar tiers — so the bench harness can report effective GB/s per
 	// shape and track the gap to STREAM bandwidth across PRs.
 	BytesTouched uint64
+
+	// GroupDim, Regime and Groups describe a grouped query's answer: the
+	// dimension grouped by, the accumulation path that produced it (the
+	// widest one, for a merged result), and one GroupAgg per distinct key
+	// among matching rows, sorted ascending by key.
+	GroupDim int
+	Regime   GroupRegime
+	Groups   []GroupAgg
 }
 
-// Add accumulates another result into r. Because a result carries the
-// sum+count pair, partial aggregates from disjoint scans (region splits,
-// shard scatter-gather) merge exactly — including AVG, which is derived
-// from the merged pair (see Avg), never averaged across partials.
-func (r *ScanResult) Add(o ScanResult) {
-	r.Count += o.Count
-	r.Sum += o.Sum
-	r.PointsScanned += o.PointsScanned
-	r.BytesTouched += o.BytesTouched
-}
+// GroupedResult names a ScanResult that carries groups.
+type GroupedResult = ScanResult
 
 // Avg returns the mean of the aggregated dimension over matching rows
 // (Sum/Count), or 0 when nothing matched. Only meaningful for SUM

@@ -50,11 +50,12 @@ import (
 // time; its sub-word tail runs row-at-a-time (see ScanRangeGrouped for
 // why a learned-grid plan's many short ranges are better served so).
 //
-// Partials merge exactly: GroupedResult carries per-group (count, sum)
-// pairs sorted by key, and Merge is a sorted-list union that adds pairs
-// — so grouped results combine across regions, executor workers, and
-// shard scatter-gather precisely like flat ScanResults do, with AVG
-// derived from the merged pair, never averaged across partials.
+// Partials merge exactly: a grouped ScanResult carries per-group
+// (count, sum) pairs sorted by key, and Merge is a sorted-list union
+// that adds pairs — so grouped results combine across executor workers,
+// delta buffers, and shard scatter-gather by the same Merge flat ones
+// do, with AVG derived from the merged pair, never averaged across
+// partials.
 
 // SelVector is a materialized selection over a physical row range: bit k
 // of Words[w] is set iff row Start+w*64+k matched every filter. Bits at
@@ -225,33 +226,25 @@ func (g GroupRegime) String() string {
 	return [...]string{"none", "bytecode", "dense", "hash"}[g]
 }
 
-// GroupedResult is the grouped counterpart of ScanResult: one GroupAgg
-// per distinct group-key value among matching rows, sorted ascending by
-// key, plus the same scan-volume accounting and the regime that produced
-// it (the widest one, for a merged result).
-type GroupedResult struct {
-	GroupDim      int
-	Regime        GroupRegime
-	Groups        []GroupAgg
-	PointsScanned uint64
-	BytesTouched  uint64
-}
-
-// Merge folds another grouped partial into r: a sorted-list union that
-// adds (count, sum) pairs for shared keys. Because the pairs are exact,
-// partials from disjoint scans (region splits, executor chunks, shard
-// scatter-gather) merge exactly — including per-group AVG, which is
-// derived from the merged pair via GroupAgg.Avg, never averaged across
-// partials. The union is built in r.Groups' own capacity, growing it
-// only when o brings keys r lacks.
+// Merge folds another partial into r — the one merge of the repository.
+// The (count, sum) pair and the scan accounting add; groups merge by a
+// sorted-list union that adds the pairs of shared keys. Because the
+// pairs are exact, partials from disjoint scans (executor chunks, delta
+// buffers, shard scatter-gather) merge exactly — including AVG, overall
+// and per group, which is derived from the merged pair (Avg,
+// GroupAgg.Avg), never averaged across partials. The union is built in
+// r.Groups' own capacity, growing it only when o brings keys r lacks,
+// and never aliases o.Groups.
 //
 // Groups keyed by different dimensions have no union: when both sides
 // hold groups and their GroupDim differ, Merge changes nothing and
 // returns false.
-func (r *GroupedResult) Merge(o GroupedResult) bool {
+func (r *ScanResult) Merge(o ScanResult) bool {
 	if len(r.Groups) > 0 && len(o.Groups) > 0 && r.GroupDim != o.GroupDim {
 		return false
 	}
+	r.Count += o.Count
+	r.Sum += o.Sum
 	r.PointsScanned += o.PointsScanned
 	r.BytesTouched += o.BytesTouched
 	r.Regime = max(r.Regime, o.Regime)
@@ -301,7 +294,7 @@ func (r *GroupedResult) Merge(o GroupedResult) bool {
 
 // Find returns the group for key and whether it exists (binary search
 // over the sorted groups).
-func (r GroupedResult) Find(key int64) (GroupAgg, bool) {
+func (r ScanResult) Find(key int64) (GroupAgg, bool) {
 	i := sort.Search(len(r.Groups), func(i int) bool { return r.Groups[i].Key >= key })
 	if i < len(r.Groups) && r.Groups[i].Key == key {
 		return r.Groups[i], true
@@ -309,8 +302,9 @@ func (r GroupedResult) Find(key int64) (GroupAgg, bool) {
 	return GroupAgg{}, false
 }
 
-// TotalCount returns the number of matching rows across all groups.
-func (r GroupedResult) TotalCount() uint64 {
+// TotalCount returns the number of matching rows across all groups; for
+// a grouped query's result it equals Count.
+func (r ScanResult) TotalCount() uint64 {
 	var n uint64
 	for _, g := range r.Groups {
 		n += g.Count
@@ -318,9 +312,19 @@ func (r GroupedResult) TotalCount() uint64 {
 	return n
 }
 
-// Clone deep-copies the result, so cached grouped results can be handed
-// out without aliasing the cache's groups slice.
-func (r GroupedResult) Clone() GroupedResult {
+// Equal reports whether two results are identical: aggregates,
+// accounting, and every group (the groups slice makes a ScanResult
+// incomparable with ==).
+func (r ScanResult) Equal(o ScanResult) bool {
+	return r.Count == o.Count && r.Sum == o.Sum &&
+		r.PointsScanned == o.PointsScanned && r.BytesTouched == o.BytesTouched &&
+		r.GroupDim == o.GroupDim && r.Regime == o.Regime && slices.Equal(r.Groups, o.Groups)
+}
+
+// Clone deep-copies the result, so cached results can be handed out
+// without aliasing the cache's groups slice (a flat result has none and
+// copies without allocating).
+func (r ScanResult) Clone() ScanResult {
 	out := r
 	out.Groups = append([]GroupAgg(nil), r.Groups...)
 	return out
@@ -343,7 +347,7 @@ type groupCell struct {
 
 // GroupAccumulator accumulates grouped (count, sum) pairs across any
 // number of ScanRangeGrouped calls (regions, chunks) plus individually
-// added rows (delta buffers), then emits one sorted GroupedResult. Reset
+// added rows (delta buffers), then emits one grouped ScanResult. Reset
 // arms it for a query and a store; it is built to be pooled and reset,
 // never reallocated, and holds no reference to the store's data. It is
 // not safe for concurrent use; parallel executors give each worker its
@@ -495,13 +499,14 @@ func (a *GroupAccumulator) consume(gcol, agg []int64, codes []byte, row0 int, se
 	}
 }
 
-// Result assembles the accumulated groups into a GroupedResult sorted by
-// key: the dense cells are emitted in index order off the touched
-// bitmap, and only by-value cells (which all lie outside the dense
-// window, below or above it) are sorted. The accumulator remains usable
-// (further scans keep accumulating).
-func (a *GroupAccumulator) Result() GroupedResult {
-	res := GroupedResult{
+// Result assembles the accumulated groups into a ScanResult sorted by
+// key, with Count and Sum totalled over them: the dense cells are
+// emitted in index order off the touched bitmap, and only by-value
+// cells (which all lie outside the dense window, below or above it) are
+// sorted. The accumulator remains usable (further scans keep
+// accumulating).
+func (a *GroupAccumulator) Result() ScanResult {
+	res := ScanResult{
 		GroupDim:      a.dim,
 		Regime:        a.regime,
 		PointsScanned: a.points,
@@ -541,7 +546,17 @@ func (a *GroupAccumulator) Result() GroupedResult {
 		}
 	}
 	res.Groups = append(res.Groups, above...)
+	res.total()
 	return res
+}
+
+// total sets Count and Sum to the totals over the groups.
+func (r *ScanResult) total() {
+	r.Count, r.Sum = 0, 0
+	for _, g := range r.Groups {
+		r.Count += g.Count
+		r.Sum += g.Sum
+	}
 }
 
 // ScanRangeGrouped scans physical rows [start, end) against q and folds
@@ -633,7 +648,7 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 // ScanRangeGroupedScalar is the row-at-a-time grouped scan, retained as
 // the oracle ScanRangeGrouped is property-tested and benchmarked
 // against. It merges its groups into res with identical accounting.
-func (s *Store) ScanRangeGroupedScalar(q query.Query, start, end int, exact bool, res *GroupedResult) {
+func (s *Store) ScanRangeGroupedScalar(q query.Query, start, end int, exact bool, res *ScanResult) {
 	if start < 0 {
 		start = 0
 	}
@@ -644,7 +659,7 @@ func (s *Store) ScanRangeGroupedScalar(q query.Query, start, end int, exact bool
 		return
 	}
 	n := uint64(end - start)
-	part := GroupedResult{GroupDim: q.GroupDim(), PointsScanned: n}
+	part := ScanResult{GroupDim: q.GroupDim(), PointsScanned: n}
 	if exact {
 		part.BytesTouched = n * 8 * uint64(1+sumCols(q))
 	} else {
@@ -682,5 +697,6 @@ func (s *Store) ScanRangeGroupedScalar(q query.Query, start, end int, exact bool
 		part.Groups = append(part.Groups, GroupAgg{Key: k, Count: c.count, Sum: c.sum})
 	}
 	sort.Slice(part.Groups, func(i, j int) bool { return part.Groups[i].Key < part.Groups[j].Key })
+	part.total()
 	res.Merge(part)
 }

@@ -25,11 +25,11 @@ func scanTiers(t *testing.T, s *Store, q query.Query, start, end int, exact bool
 	s.ScanRange(q, start, end, exact, &dispatched)
 	SetSIMD(prev)
 
-	if portable != want {
+	if !portable.Equal(want) {
 		t.Fatalf("portable %+v != scalar %+v\nq=%s start=%d end=%d exact=%v",
 			portable, want, q, start, end, exact)
 	}
-	if dispatched != want {
+	if !dispatched.Equal(want) {
 		t.Fatalf("%s %+v != scalar %+v\nq=%s start=%d end=%d exact=%v",
 			KernelName(), dispatched, want, q, start, end, exact)
 	}

@@ -55,9 +55,11 @@ func findRegionForPoint(nd *gridtree.Node, row []int64) *gridtree.Region {
 	return nd.Region
 }
 
-// scanDeltas accumulates matches from the delta buffers of the regions the
-// query intersects; Execute calls it after the clustered scan.
-func (t *Tsunami) scanDeltas(q query.Query, regions []*gridtree.Region, res *colstore.ScanResult) {
+// scanDeltas folds matches from the delta buffers of the regions the
+// query intersects — into acc when the query is grouped (acc non-nil),
+// into res otherwise; ExecuteWith calls it after the clustered scan.
+// Each buffered row is one scanned point.
+func (t *Tsunami) scanDeltas(q query.Query, regions []*gridtree.Region, res *colstore.ScanResult, acc *colstore.GroupAccumulator) {
 	if t.numBuffered == 0 {
 		return
 	}
@@ -66,13 +68,24 @@ func (t *Tsunami) scanDeltas(q query.Query, regions []*gridtree.Region, res *col
 		if d == nil {
 			continue
 		}
+		if acc != nil {
+			acc.AddScanned(uint64(len(d.rows)), 0)
+		} else {
+			res.PointsScanned += uint64(len(d.rows))
+		}
 		for _, row := range d.rows {
-			res.PointsScanned++
-			if q.MatchesRow(row) {
+			if !q.MatchesRow(row) {
+				continue
+			}
+			var v int64
+			if q.Agg == query.Sum {
+				v = row[q.AggDim]
+			}
+			if acc != nil {
+				acc.AddRow(row[q.GroupDim()], v)
+			} else {
 				res.Count++
-				if q.Agg == query.Sum {
-					res.Sum += row[q.AggDim]
-				}
+				res.Sum += v
 			}
 		}
 	}

@@ -56,10 +56,10 @@ func (t *Tsunami) Explain(q query.Query) Trace {
 		}
 		rt.PointsScanned = res.PointsScanned
 		rt.Matched = res.Count
-		tr.Total.Add(res)
+		tr.Total.Merge(res)
 		tr.Regions = append(tr.Regions, rt)
 	}
-	t.scanDeltas(q, ctx.regions, &tr.Total)
+	t.scanDeltas(q, ctx.regions, &tr.Total, nil)
 	return tr
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -46,84 +45,5 @@ func TestSharedIndexExecutesConcurrently(t *testing.T) {
 	close(errs)
 	for q := range errs {
 		t.Errorf("concurrent reader got a wrong answer on %s", q)
-	}
-}
-
-// TestExecuteParallelMatchesSequential checks intra-query parallelism:
-// splitting a query's regions across workers must merge to the sequential
-// answer, at every worker count.
-func TestExecuteParallelMatchesSequential(t *testing.T) {
-	st := testutil.SmallTaxi(8000, 4)
-	work := testutil.SkewedQueries(st, 120, 5)
-	idx := Build(st, work, smallConfig(FullTsunami))
-	probe := testutil.RandomQueries(st, 40, 6)
-
-	for _, workers := range []int{0, 1, 2, 4, runtime.NumCPU()} {
-		for _, q := range probe {
-			want := idx.Execute(q)
-			got := idx.ExecuteParallel(q, workers)
-			if got != want {
-				t.Fatalf("ExecuteParallel(%s, %d) = %+v, want %+v", q, workers, got, want)
-			}
-		}
-	}
-}
-
-// TestExecuteParallelChunksSingleRegion pins sub-region parallelism: with
-// one region (AugGridOnly) larger than the chunk granularity, the chunked
-// path splits its planned ranges across workers and must still merge to
-// the sequential answer — previously a single huge region ran
-// single-threaded no matter the worker count.
-func TestExecuteParallelChunksSingleRegion(t *testing.T) {
-	st := testutil.SmallTaxi(60000, 11)
-	work := testutil.SkewedQueries(st, 120, 12)
-	idx := Build(st, work, smallConfig(AugGridOnly))
-	if n := len(idx.tree.Regions); n != 1 {
-		t.Fatalf("AugGridOnly built %d regions, want 1", n)
-	}
-	probe := testutil.RandomQueries(st, 40, 13)
-	maxTasks := 0
-	for _, workers := range []int{2, 3, 8} {
-		for _, q := range probe {
-			want := idx.Execute(q)
-			tasks := 0
-			got := idx.ExecuteParallelOn(q, workers, func(task func()) {
-				tasks++
-				go task()
-			})
-			if got != want {
-				t.Fatalf("ExecuteParallel(%s, %d) = %+v, want %+v", q, workers, got, want)
-			}
-			if tasks > maxTasks {
-				maxTasks = tasks
-			}
-		}
-	}
-	// The region is far larger than the chunk granularity, so the pool
-	// must actually have been used — not clamped back to one worker by
-	// the region count (the pre-PR-5 behavior this test exists to catch).
-	if maxTasks < 2 {
-		t.Fatalf("no query fanned out over the single region (max tasks = %d)", maxTasks)
-	}
-}
-
-// TestExecuteParallelSeesDeltas checks that buffered inserts are counted
-// exactly once when a query's regions execute on multiple workers.
-func TestExecuteParallelSeesDeltas(t *testing.T) {
-	st := testutil.SmallTaxi(6000, 7)
-	work := testutil.SkewedQueries(st, 100, 8)
-	idx := Build(st, work, smallConfig(FullTsunami))
-	row := make([]int64, st.NumDims())
-	for i := 0; i < 50; i++ {
-		if err := idx.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	probe := testutil.RandomQueries(st, 20, 9)
-	for _, q := range probe {
-		want := idx.Execute(q)
-		if got := idx.ExecuteParallel(q, 4); got != want {
-			t.Fatalf("ExecuteParallel with deltas on %s = %+v, want %+v", q, got, want)
-		}
 	}
 }

@@ -86,16 +86,17 @@ type Tsunami struct {
 	numBuffered int
 }
 
-// execContext bundles the per-query scratch of one traversal: the region
-// list produced by the Grid Tree plus the grid-level context threaded
-// through every region grid. Contexts are pooled so the public Execute
-// keeps its one-argument signature while staying allocation-free and safe
-// for arbitrary concurrent callers.
+// execContext bundles the per-query scratch of one run through the
+// pipeline: the region list produced by the Grid Tree, the grid-level
+// context threaded through every region grid, the planned ranges, and a
+// grouped query's accumulator. Contexts are pooled so Execute keeps its
+// one-argument signature while staying allocation-free and safe for
+// arbitrary concurrent callers.
 type execContext struct {
 	regions []*gridtree.Region
 	grid    *auggrid.ExecContext
-	phys    []auggrid.PhysRange       // planned ranges (sub-region parallel path)
-	chunks  []auggrid.PhysRange       // block-split ranges workers drain
+	phys    []auggrid.PhysRange       // the plan: every range the query scans
+	chunks  []auggrid.PhysRange       // the plan split at chunkRows, for workers to drain
 	acc     colstore.GroupAccumulator // grouped queries' cells, Reset per query
 }
 
@@ -224,121 +225,122 @@ func (t *Tsunami) Name() string { return t.cfg.Variant.String() }
 // BuildStats returns the build timing split (Fig 9b).
 func (t *Tsunami) BuildStats() index.BuildStats { return t.stats }
 
-// Execute implements index.Index (§3 query workflow): traverse the Grid
-// Tree for intersecting regions, delegate to each region's Augmented Grid,
-// and aggregate; unindexed regions are scanned. Safe for any number of
-// concurrent callers against the same index (see the Tsunami doc comment
-// for the read/write contract).
+// Execute implements index.Index: ExecuteWith, inline and untraced.
 func (t *Tsunami) Execute(q query.Query) colstore.ScanResult {
+	return t.ExecuteWith(q, index.Exec{})
+}
+
+// ExecuteGrouped is Execute; a query built with By carries its own
+// grouping, so the name adds nothing and is kept for callers that have it.
+func (t *Tsunami) ExecuteGrouped(q query.Query) colstore.GroupedResult {
+	return t.ExecuteWith(q, index.Exec{})
+}
+
+// ExecuteWith is the index's one execution pipeline (§3 query workflow):
+// route q through the Grid Tree, let each routed region's Augmented Grid
+// turn the filters into physical ranges (plan), scan the ranges — inline,
+// or split at chunkRows and drained by x.Workers tasks on x.Submit — fold
+// in the routed regions' buffered inserts, and merge. A grouped query
+// runs the same plan (GROUP BY never changes which rows a query touches,
+// only what is folded per matching row) through the grouped scan kernel
+// into pooled accumulators; every partial is a ScanResult and merges
+// exactly. With x.Trace set the same code stamps stage times as it goes.
+// Safe for any number of concurrent callers against the same index (see
+// the Tsunami doc comment for the read/write contract).
+func (t *Tsunami) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 	ctx := execCtxPool.Get().(*execContext)
 	defer execCtxPool.Put(ctx)
-	return t.executeCtx(q, ctx)
-}
-
-// executeCtx is Execute with explicit per-query state.
-func (t *Tsunami) executeCtx(q query.Query, ctx *execContext) colstore.ScanResult {
-	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
-	return t.executeRegions(q, ctx.regions, ctx.grid)
-}
-
-// executeRegions is the sequential execution path over an already-found
-// region list: answer q in each region, then fold in buffered inserts.
-func (t *Tsunami) executeRegions(q query.Query, regions []*gridtree.Region, gctx *auggrid.ExecContext) colstore.ScanResult {
-	var res colstore.ScanResult
-	for _, r := range regions {
-		t.executeRegion(q, r, gctx, &res)
+	tr := x.Trace
+	var began, mark time.Time
+	if tr != nil {
+		began = time.Now()
+		mark = began
 	}
-	t.scanDeltas(q, regions, &res)
+
+	t.plan(q, ctx)
+	if tr != nil {
+		mark = tr.Stage("plan", mark, fmt.Sprintf("%d of %d regions routed, %d ranges planned",
+			len(ctx.regions), len(t.tree.Regions), len(ctx.phys)))
+	}
+
+	// The caller's own fold: a flat query's matches land in res directly,
+	// a grouped query's in the context's accumulator. Workers, when the
+	// scan fans out, fold into partials of their own.
+	var res colstore.ScanResult
+	var acc *colstore.GroupAccumulator
+	if q.Grouped() {
+		acc = &ctx.acc
+		acc.Reset(q, t.store)
+	}
+	var partials []colstore.ScanResult
+	if x.Workers > 1 && tr == nil {
+		partials = t.drain(q, ctx.split(), x.Workers, x.Submit)
+	}
+	if partials == nil {
+		t.scanRanges(q, ctx.phys, &res, acc)
+	}
+	if tr != nil {
+		name, detail := "scan", ""
+		if acc != nil {
+			name, detail = "scan+group", "regime "+acc.Regime().String()
+		}
+		mark = tr.Stage(name, mark, detail)
+	}
+
+	t.scanDeltas(q, ctx.regions, &res, acc)
+	if tr != nil {
+		mark = tr.Stage("delta", mark, fmt.Sprintf("%d buffered rows visible", t.numBuffered))
+	}
+
+	if acc != nil {
+		res = acc.Result()
+	}
+	for _, p := range partials {
+		res.Merge(p)
+	}
+	if tr != nil {
+		if acc != nil {
+			mark = tr.Stage("merge", mark, fmt.Sprintf("%d groups assembled", len(res.Groups)))
+		}
+		tr.Query = q.String()
+		tr.Total = mark.Sub(began)
+		tr.Rows = res.PointsScanned
+		tr.Bytes = res.BytesTouched
+		tr.Regions = len(ctx.regions)
+	}
 	return res
 }
 
-// executeRegion answers q within one region: grid regions delegate to
-// their Augmented Grid, unindexed regions scan their physical range.
-func (t *Tsunami) executeRegion(q query.Query, r *gridtree.Region, gctx *auggrid.ExecContext, res *colstore.ScanResult) {
-	if g := t.grids[r.ID]; g != nil {
-		sub, _ := g.Execute(q, gctx)
-		res.Add(sub)
+// plan routes q through the Grid Tree into ctx.regions and turns the
+// routed regions into ctx.phys, the physical ranges a scan of q visits:
+// grid regions through their Augmented Grid, unindexed regions as one
+// range.
+func (t *Tsunami) plan(q query.Query, ctx *execContext) {
+	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
+	ctx.phys = ctx.phys[:0]
+	for _, r := range ctx.regions {
+		if g := t.grids[r.ID]; g != nil {
+			ctx.phys, _ = g.PlanRanges(q, ctx.grid, ctx.phys)
+			continue
+		}
+		if b := t.bounds[r.ID]; b[0] < b[1] {
+			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1], Exact: regionContained(q, r)})
+		}
+	}
+}
+
+// scanRanges scans ranges against q into acc when the query is grouped
+// (acc non-nil), into res otherwise.
+func (t *Tsunami) scanRanges(q query.Query, ranges []auggrid.PhysRange, res *colstore.ScanResult, acc *colstore.GroupAccumulator) {
+	if acc != nil {
+		for _, pr := range ranges {
+			t.store.ScanRangeGrouped(q, pr.Start, pr.End, pr.Exact, acc)
+		}
 		return
 	}
-	b := t.bounds[r.ID]
-	t.store.ScanRange(q, b[0], b[1], regionContained(q, r), res)
-}
-
-// ExecuteParallel answers one query with intra-query parallelism: the
-// regions the Grid Tree routes the query to are spread across up to
-// workers goroutines, each executing its share of region grids with its
-// own context, and the partial ScanResults are merged. For queries that
-// touch few regions (or workers <= 1) it falls back to the sequential
-// path, so it is always safe to call. The concurrency contract matches
-// Execute.
-func (t *Tsunami) ExecuteParallel(q query.Query, workers int) colstore.ScanResult {
-	return t.ExecuteParallelOn(q, workers, nil)
-}
-
-// ExecuteParallelOn is ExecuteParallel with task scheduling delegated to
-// the caller: each of the up to workers region-draining tasks is handed to
-// submit, which must run it (possibly later) on some goroutine — typically
-// an existing worker pool, so per-query goroutine creation is avoided.
-// Tasks never block on other tasks, so running them on a shared pool
-// cannot deadlock. A nil submit spawns one goroutine per task.
-func (t *Tsunami) ExecuteParallelOn(q query.Query, workers int, submit func(task func())) colstore.ScanResult {
-	ctx := execCtxPool.Get().(*execContext)
-	defer execCtxPool.Put(ctx)
-	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
-	regions := ctx.regions
-	if workers <= 1 || len(regions) == 0 {
-		return t.executeRegions(q, regions, ctx.grid)
+	for _, pr := range ranges {
+		t.store.ScanRange(q, pr.Start, pr.End, pr.Exact, res)
 	}
-	if submit == nil {
-		submit = func(task func()) { go task() }
-	}
-
-	// With many regions per worker, per-region pulling already balances
-	// well and skips the up-front planning pass; with few regions (the
-	// common case after Grid Tree routing, and the worst case for the old
-	// path — one huge region ran single-threaded), plan every region's
-	// physical ranges, split them at block granularity, and let workers
-	// drain chunks instead. Workers are NOT clamped to the region count
-	// here: the chunked path parallelizes below region granularity, so
-	// even a single-region query can use the whole pool.
-	if len(regions) < 4*workers {
-		return t.executeChunked(q, regions, ctx, workers, submit)
-	}
-	if workers > len(regions) {
-		workers = len(regions)
-	}
-
-	// Dynamic work assignment: region sizes are highly skewed (Tab 4), so
-	// workers pull the next region from a shared cursor instead of taking
-	// fixed stripes.
-	var cursor atomic.Int64
-	partial := make([]colstore.ScanResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		w := w
-		submit(func() {
-			defer wg.Done()
-			gctx := auggrid.GetExecContext()
-			defer auggrid.PutExecContext(gctx)
-			var res colstore.ScanResult
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(regions) {
-					break
-				}
-				t.executeRegion(q, regions[i], gctx, &res)
-			}
-			partial[w] = res
-		})
-	}
-	wg.Wait()
-	var res colstore.ScanResult
-	for _, p := range partial {
-		res.Add(p)
-	}
-	t.scanDeltas(q, regions, &res)
-	return res
 }
 
 // chunkRows is the sub-region scan granularity: planned physical ranges
@@ -353,72 +355,61 @@ func (t *Tsunami) ExecuteParallelOn(q query.Query, workers int, submit func(task
 // kernels' 1024-row block's job.
 const chunkRows = 64 * 1024
 
-// executeChunked is the sub-region parallel path: plan the physical row
-// ranges every routed region would scan (grid regions via PlanRanges,
-// unindexed regions as one range), split long ranges at chunkRows
-// granularity, and have workers drain chunks from a shared cursor.
-// Aggregates are sum+count pairs, so chunk partials merge exactly. Plans
-// yielding too few chunks to be worth fanning out are scanned inline.
-func (t *Tsunami) executeChunked(q query.Query, regions []*gridtree.Region, ctx *execContext, workers int, submit func(task func())) colstore.ScanResult {
-	ctx.phys = ctx.phys[:0]
-	for _, r := range regions {
-		if g := t.grids[r.ID]; g != nil {
-			ctx.phys, _ = g.PlanRanges(q, ctx.grid, ctx.phys)
-			continue
-		}
-		b := t.bounds[r.ID]
-		if b[0] < b[1] {
-			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1], Exact: regionContained(q, r)})
-		}
-	}
+// split cuts the plan's ranges at chunkRows granularity into ctx.chunks.
+func (ctx *execContext) split() []auggrid.PhysRange {
 	ctx.chunks = ctx.chunks[:0]
 	for _, pr := range ctx.phys {
 		for s := pr.Start; s < pr.End; s += chunkRows {
-			e := s + chunkRows
-			if e > pr.End {
-				e = pr.End
-			}
-			ctx.chunks = append(ctx.chunks, auggrid.PhysRange{Start: s, End: e, Exact: pr.Exact})
+			ctx.chunks = append(ctx.chunks, auggrid.PhysRange{Start: s, End: min(s+chunkRows, pr.End), Exact: pr.Exact})
 		}
 	}
-	chunks := ctx.chunks
-	var res colstore.ScanResult
-	if len(chunks) < 2 || workers <= 1 {
-		for _, c := range chunks {
-			t.store.ScanRange(q, c.Start, c.End, c.Exact, &res)
-		}
-		t.scanDeltas(q, regions, &res)
-		return res
+	return ctx.chunks
+}
+
+// drain is the parallel scan: up to workers tasks handed to submit (nil
+// spawns goroutines) pull chunks from a shared cursor — chunk sizes are
+// skewed, so no fixed stripes — and each folds its share into one
+// partial, a grouped query's through a pooled accumulator of its own.
+// Workers are not clamped to the region count: chunks cut below region
+// granularity, so a single-region query can use the whole pool. A plan
+// of fewer than two chunks is not worth fanning out: drain returns nil
+// and the caller scans inline.
+func (t *Tsunami) drain(q query.Query, chunks []auggrid.PhysRange, workers int, submit func(task func())) []colstore.ScanResult {
+	if len(chunks) < 2 {
+		return nil
 	}
-	if workers > len(chunks) {
-		workers = len(chunks)
+	if submit == nil {
+		submit = func(task func()) { go task() }
 	}
+	workers = min(workers, len(chunks))
 	var cursor atomic.Int64
-	partial := make([]colstore.ScanResult, workers)
+	partials := make([]colstore.ScanResult, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range partials {
 		wg.Add(1)
-		w := w
 		submit(func() {
 			defer wg.Done()
-			var res colstore.ScanResult
+			var acc *colstore.GroupAccumulator
+			if q.Grouped() {
+				wctx := execCtxPool.Get().(*execContext)
+				defer execCtxPool.Put(wctx)
+				acc = &wctx.acc
+				acc.Reset(q, t.store)
+			}
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(chunks) {
 					break
 				}
-				c := chunks[i]
-				t.store.ScanRange(q, c.Start, c.End, c.Exact, &res)
+				t.scanRanges(q, chunks[i:i+1], &partials[w], acc)
 			}
-			partial[w] = res
+			if acc != nil {
+				partials[w] = acc.Result()
+			}
 		})
 	}
 	wg.Wait()
-	for _, p := range partial {
-		res.Add(p)
-	}
-	t.scanDeltas(q, regions, &res)
-	return res
+	return partials
 }
 
 func regionContained(q query.Query, r *gridtree.Region) bool {
@@ -477,28 +468,16 @@ func (t *Tsunami) RegionsVisited(q query.Query) int {
 
 // EstimateCost bounds q's scan cost at plan time, without scanning
 // anything: rows is the number of physical rows the executed plan would
-// visit (Grid Tree routing plus each routed region grid's physical range
-// plan, plus the buffered delta rows every query folds in), and bytes
-// models the column bytes those rows would move — 8 per row for each
-// filter column plus the aggregate column for SUM, the same planned
-// figure ScanResult.BytesTouched reports, as an upper bound (exact-range
-// scans touch less). The Executor's admission budgets are enforced
-// against this estimate.
+// visit (the pipeline's own plan step, plus the buffered delta rows every
+// query folds in), and bytes models the column bytes those rows would
+// move — 8 per row for each filter column plus the aggregate column for
+// SUM, the same planned figure ScanResult.BytesTouched reports, as an
+// upper bound (exact-range scans touch less). The Executor's admission
+// budgets are enforced against this estimate.
 func (t *Tsunami) EstimateCost(q query.Query) (rows, bytes uint64) {
 	ctx := execCtxPool.Get().(*execContext)
 	defer execCtxPool.Put(ctx)
-	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
-	ctx.phys = ctx.phys[:0]
-	for _, r := range ctx.regions {
-		if g := t.grids[r.ID]; g != nil {
-			ctx.phys, _ = g.PlanRanges(q, ctx.grid, ctx.phys)
-			continue
-		}
-		b := t.bounds[r.ID]
-		if b[0] < b[1] {
-			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1]})
-		}
-	}
+	t.plan(q, ctx)
 	for _, pr := range ctx.phys {
 		rows += uint64(pr.End - pr.Start)
 	}

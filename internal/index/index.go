@@ -9,6 +9,7 @@ package index
 
 import (
 	"repro/internal/colstore"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -28,6 +29,29 @@ type Index interface {
 	// SizeBytes reports the index structure's memory footprint, excluding
 	// the column data itself (the paper's "index size" metric, Fig 8).
 	SizeBytes() uint64
+}
+
+// Exec says how one query is to run through an execution pipeline
+// (core.Tsunami, live.Store and sharded.Store each implement one
+// ExecuteWith(q, Exec)); what the query computes — flat or grouped,
+// COUNT or SUM — is the query's own business. The zero value runs
+// inline on the calling goroutine, untraced.
+type Exec struct {
+	// Workers > 1 splits the query's scan work (a core index's planned
+	// ranges, a sharded store's routed shards) across up to that many
+	// tasks and merges their partials.
+	Workers int
+	// Submit schedules one such task, typically on an existing worker
+	// pool; it must run the task (possibly later) on some goroutine.
+	// Tasks never block on other tasks, so a shared pool cannot
+	// deadlock. Nil spawns a goroutine per task.
+	Submit func(task func())
+	// Trace, when non-nil, is filled with the run's explain-analyze
+	// record: the same code executes and stamps stage times as it goes.
+	// A traced run executes inline, so stage times attribute exactly,
+	// and always executes (it bypasses result caches); the answer is
+	// identical to an untraced run's.
+	Trace *obs.QueryTrace
 }
 
 // BuildStats records how long an index build spent in its two phases,

@@ -5,15 +5,17 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
 
-// TestLiveExecuteGroupedAllocs pins that the live wrapper adds no
-// allocation of its own to a grouped query: with the cache off (a cache
-// put clones the groups) and metrics on, it is still the result alone.
-func TestLiveExecuteGroupedAllocs(t *testing.T) {
+// TestLiveExecuteAllocs pins that the live wrapper adds no allocation of
+// its own to a query: with the cache off (a cache put clones the groups)
+// and metrics on, a flat query allocates nothing and a grouped one its
+// result alone.
+func TestLiveExecuteAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops pooled contexts under -race")
 	}
@@ -21,17 +23,25 @@ func TestLiveExecuteGroupedAllocs(t *testing.T) {
 	idx := core.Build(st, testutil.SkewedQueries(st, 100, 52), smallConfig())
 	s := Open(idx, nil, Config{Metrics: obs.NewRegistry()})
 	defer s.Close()
-	qs := testutil.RandomGroupedQueries(st, 60, 53)
-	for _, q := range qs {
-		s.ExecuteGrouped(q)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(len(qs)*3, func() {
-		s.ExecuteGrouped(qs[i%len(qs)])
-		i++
-	})
-	if allocs > 2 {
-		t.Fatalf("LiveStore.ExecuteGrouped allocates %.1f times per query, want <= 2 (the result)", allocs)
+	for _, c := range []struct {
+		name string
+		qs   []query.Query
+		max  float64
+	}{
+		{"flat", testutil.RandomQueries(st, 60, 53), 0},
+		{"grouped", testutil.RandomGroupedQueries(st, 60, 53), 2},
+	} {
+		for _, q := range c.qs {
+			s.Execute(q)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(c.qs)*3, func() {
+			s.Execute(c.qs[i%len(c.qs)])
+			i++
+		})
+		if allocs > c.max {
+			t.Errorf("a %s LiveStore.Execute allocates %.1f times per query, want <= %v", c.name, allocs, c.max)
+		}
 	}
 }
 
@@ -56,7 +66,7 @@ func TestLiveGroupedRegimeCounters(t *testing.T) {
 			s.ExecuteGrouped(q) // a cache hit
 		}
 	}
-	s.ExecuteGroupedTrace(query.NewCount().By(4)) // traced queries execute: counted
+	s.ExecuteWith(query.NewCount().By(4), index.Exec{Trace: new(obs.QueryTrace)}) // traced queries execute: counted
 	counters := reg.Snapshot().Counters
 	for g, qs := range runs {
 		want := uint64(len(qs))

@@ -244,7 +244,7 @@ type version struct {
 
 // Store is an epoch-based read-write serving layer over a Tsunami index.
 //
-// Concurrency: Execute/ExecuteParallelOn/CurrentIndex/Stats may be called
+// Concurrency: Execute/ExecuteWith/CurrentIndex/Stats may be called
 // from any number of goroutines, and never block on writers or
 // maintenance. Insert/InsertBatch may be called from any number of
 // goroutines; they serialize on a short critical section (derive + swap)
@@ -360,11 +360,13 @@ func Open(idx *core.Tsunami, optimized []query.Query, cfg Config) *Store {
 				idx := s.cur.Load().idx
 				return uint64(idx.Store().NumRows() + idx.NumBuffered())
 			},
-			// Slow-query exemplars trace through the current epoch's core
-			// index directly — not Store.ExecuteTrace — so a capture never
-			// re-records into the collector or the detector feed.
+			// Slow-query exemplars re-run through the current epoch's core
+			// index directly — the same pipeline the query was served on,
+			// minus this layer — so a capture never re-records into the
+			// collector or the detector feed.
 			Trace: func(q query.Query) *obs.QueryTrace {
-				_, tr := s.cur.Load().idx.ExecuteTrace(q)
+				tr := new(obs.QueryTrace)
+				s.cur.Load().idx.ExecuteWith(q, index.Exec{Trace: tr})
 				return tr
 			},
 		})
@@ -396,58 +398,49 @@ func Recover(r io.Reader, optimized []query.Query, cfg Config) (*Store, error) {
 	return Open(idx, optimized, cfg), nil
 }
 
-// Execute answers one query against the current epoch, lock-free, and
-// feeds the shift detector (sampled: observations are dropped, not
-// waited for, when the detector falls behind) and the workload-
-// statistics collector when one is configured.
+// Execute implements index.Index: ExecuteWith, inline and untraced.
 func (s *Store) Execute(q query.Query) colstore.ScanResult {
-	v := s.cur.Load()
-	s.queries.Add(1)
-	if res, ok := s.cacheGet(v, q); ok {
-		return res
-	}
-	m, w := s.metrics, s.cfg.Workload
-	if m == nil && w == nil {
-		res := v.idx.Execute(q)
-		s.cachePut(v, q, res)
-		s.observeAsync(q, res.Count, v)
-		return res
-	}
-	start := time.Now()
-	res := v.idx.Execute(q)
-	d := time.Since(start)
-	if m != nil {
-		m.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-	}
-	w.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
-	s.cachePut(v, q, res)
-	s.observeAsync(q, res.Count, v)
-	return res
+	return s.ExecuteWith(q, index.Exec{})
 }
 
-// ExecuteParallelOn exposes the index's intra-query parallelism against
-// the current epoch (see core.Tsunami.ExecuteParallelOn), so a Store can
-// sit directly behind an Executor with IntraQuery enabled.
-func (s *Store) ExecuteParallelOn(q query.Query, workers int, submit func(task func())) colstore.ScanResult {
+// ExecuteGrouped is Execute; a query built with By carries its own
+// grouping, so the name adds nothing and is kept for callers that have it.
+func (s *Store) ExecuteGrouped(q query.Query) colstore.GroupedResult {
+	return s.ExecuteWith(q, index.Exec{})
+}
+
+// ExecuteWith answers one query — flat or grouped — against the current
+// epoch, lock-free: it wraps the index's pipeline (core.Tsunami.
+// ExecuteWith, to which x passes through) with this layer's concerns,
+// each exactly once — the epoch load, the result-cache probe and fill,
+// metrics and workload-statistics recording, and the shift detector's
+// feed (sampled: observations are dropped, not waited for, when the
+// detector falls behind). Buffered-but-unmerged rows are folded in by
+// the index's delta scan. A traced run prefixes the trace with the epoch
+// it was served against and is accounted exactly like an untraced one,
+// so traced queries do not skew the aggregates they are debugging.
+func (s *Store) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 	v := s.cur.Load()
 	s.queries.Add(1)
-	if res, ok := s.cacheGet(v, q); ok {
+	if tr := x.Trace; tr != nil {
+		tr.AddStage("epoch", 0, fmt.Sprintf("serving epoch %d (%d buffered rows)", v.epoch, v.idx.NumBuffered()))
+	} else if res, ok := s.cacheGet(v, q); ok {
 		return res
 	}
 	m, w := s.metrics, s.cfg.Workload
-	if m == nil && w == nil {
-		res := v.idx.ExecuteParallelOn(q, workers, submit)
-		s.cachePut(v, q, res)
-		s.observeAsync(q, res.Count, v)
-		return res
+	var start time.Time
+	if m != nil || w != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	res := v.idx.ExecuteParallelOn(q, workers, submit)
-	d := time.Since(start)
-	if m != nil {
-		m.qm.Observe(d, res.PointsScanned, res.BytesTouched)
+	res := v.idx.ExecuteWith(q, x)
+	if m != nil || w != nil {
+		d := time.Since(start)
+		if m != nil {
+			m.qm.Observe(d, res.PointsScanned, res.BytesTouched)
+			m.regimes[res.Regime].Inc()
+		}
+		w.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
 	}
-	w.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
 	s.cachePut(v, q, res)
 	s.observeAsync(q, res.Count, v)
 	return res

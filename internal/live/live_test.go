@@ -379,13 +379,22 @@ func TestLivePartialMerge(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// A merge counts itself and emits its event under maintMu: holding it
+	// makes the merge count, the published epoch and the event list agree.
+	s.maintMu.Lock()
+	afterFirst := s.Stats()
+	s.maintMu.Unlock()
 	mu.Lock()
 	first := merges[0]
 	mu.Unlock()
 	if first.MergedRows == 0 || first.MergedRows >= 210 {
 		t.Errorf("partial merge folded %d rows, want some but not all of 210", first.MergedRows)
 	}
-	if got := s.Stats().BufferedRows; got == 0 || got >= 210 {
+	// A wake-up left over from the inserts that kept the buffer over the
+	// threshold while the first merge ran may already have folded the
+	// sub-threshold remainder (mergeLocked's fold-everything fallback): the
+	// remainder is only there to see while that merge is the only one.
+	if got := afterFirst.BufferedRows; afterFirst.Merges == 1 && (got == 0 || got >= 210) {
 		t.Errorf("buffered = %d after partial merge, want the cold remainder", got)
 	}
 	// Both folded and still-buffered rows stay visible.

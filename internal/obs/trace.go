@@ -10,9 +10,10 @@ import (
 // (plan/route/scan/merge...) plus per-shard breakdowns for scatter-gather
 // queries. It is the explain-analyze counterpart to the aggregate
 // histograms — the registry tells you p99 moved, a trace tells you which
-// stage of which shard moved it. Traces are built by the ExecuteTrace
-// methods (core, live, sharded) and rendered by String; they are not
-// concurrency-safe and cost a few allocations, which is why they are
+// stage of which shard moved it. A trace is filled by the execution
+// pipelines themselves (core, live, sharded ExecuteWith, when
+// index.Exec.Trace is set) and rendered by String; it is not
+// concurrency-safe and costs a few allocations, which is why it is
 // opt-in rather than ambient.
 type QueryTrace struct {
 	// Query is the rendered query text the trace belongs to.
@@ -52,6 +53,15 @@ type ShardSpan struct {
 // AddStage appends a completed stage.
 func (t *QueryTrace) AddStage(name string, d time.Duration, detail string) {
 	t.Stages = append(t.Stages, TraceStage{Name: name, Duration: d, Detail: detail})
+}
+
+// Stage appends a stage that ran from since until now and returns now,
+// the next stage's start: consecutive stages share their boundary clock
+// read, so stage durations never sum past Total.
+func (t *QueryTrace) Stage(name string, since time.Time, detail string) time.Time {
+	now := time.Now()
+	t.AddStage(name, now.Sub(since), detail)
+	return now
 }
 
 // String renders the trace in an explain-analyze style block.

@@ -63,13 +63,13 @@ type key struct {
 }
 
 // entry pairs a result with the version vector it was computed under
-// (nil for single-epoch callers). Flat and grouped entries share the
-// map: their keys can never collide because groupBy is part of the key
-// (0 for flat queries, 1+dim for grouped ones).
+// (nil for single-epoch callers). Flat and grouped results are one
+// value type and share the map: their keys can never collide because
+// groupBy is part of the key (0 for flat queries, 1+dim for grouped
+// ones). The entry owns its groups slice.
 type entry struct {
-	vec     []uint64
-	res     colstore.ScanResult
-	grouped *colstore.GroupedResult // non-nil iff the entry is grouped
+	vec []uint64
+	res colstore.ScanResult
 }
 
 type lockShard struct {
@@ -176,7 +176,9 @@ func vecEqual(a, b []uint64) bool {
 
 // Get looks up q's result at version ver. vec, when non-nil, must match
 // the stored entry's vector element-wise — the collision-proof check
-// behind Digest. A miss (or a nil cache) reports ok=false.
+// behind Digest. A miss (or a nil cache) reports ok=false. A grouped
+// result is returned as a deep copy: callers may hold or modify it
+// without aliasing the cached groups slice.
 func (c *Cache) Get(ver uint64, vec []uint64, q query.Query) (colstore.ScanResult, bool) {
 	if c == nil {
 		return colstore.ScanResult{}, false
@@ -190,17 +192,19 @@ func (c *Cache) Get(ver uint64, vec []uint64, q query.Query) (colstore.ScanResul
 	s.mu.Lock()
 	e, hit := s.m[k]
 	s.mu.Unlock()
-	if !hit || e.grouped != nil || !vecEqual(e.vec, vec) {
+	if !hit || !vecEqual(e.vec, vec) {
 		c.misses.Add(1)
 		return colstore.ScanResult{}, false
 	}
 	c.hits.Add(1)
-	return e.res, true
+	return e.res.Clone(), true
 }
 
 // Put stores q's result computed at version ver (with its version
-// vector, for multi-component callers). Reports whether an existing
-// entry was evicted to make room. Uncacheable queries are dropped.
+// vector, for multi-component callers). The entry keeps its own deep
+// copy of a grouped result's groups, so the caller's result remains
+// independently usable. Reports whether an existing entry was evicted
+// to make room. Uncacheable queries are dropped.
 func (c *Cache) Put(ver uint64, vec []uint64, q query.Query, res colstore.ScanResult) (evicted bool) {
 	if c == nil {
 		return false
@@ -213,6 +217,7 @@ func (c *Cache) Put(ver uint64, vec []uint64, q query.Query, res colstore.ScanRe
 	if len(vec) > 0 {
 		vcopy = append([]uint64(nil), vec...)
 	}
+	own := res.Clone()
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
 	if _, exists := s.m[k]; !exists && len(s.m) >= c.perShard {
@@ -238,76 +243,7 @@ func (c *Cache) Put(ver uint64, vec []uint64, q query.Query, res colstore.ScanRe
 			evicted = true
 		}
 	}
-	s.m[k] = entry{vec: vcopy, res: res}
-	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-	}
-	return evicted
-}
-
-// GetGrouped looks up a grouped query's result at version ver, with the
-// same vector-verify contract as Get. The returned result is a deep
-// copy: callers may hold or modify it without aliasing the cached
-// groups slice.
-func (c *Cache) GetGrouped(ver uint64, vec []uint64, q query.Query) (colstore.GroupedResult, bool) {
-	if c == nil {
-		return colstore.GroupedResult{}, false
-	}
-	k, ok := keyOf(ver, q)
-	if !ok {
-		c.misses.Add(1)
-		return colstore.GroupedResult{}, false
-	}
-	s := &c.shards[k.shard()]
-	s.mu.Lock()
-	e, hit := s.m[k]
-	s.mu.Unlock()
-	if !hit || e.grouped == nil || !vecEqual(e.vec, vec) {
-		c.misses.Add(1)
-		return colstore.GroupedResult{}, false
-	}
-	c.hits.Add(1)
-	return e.grouped.Clone(), true
-}
-
-// PutGrouped stores a grouped query's result computed at version ver.
-// The entry keeps its own deep copy of the groups, so the caller's
-// result remains independently usable. Eviction policy matches Put.
-func (c *Cache) PutGrouped(ver uint64, vec []uint64, q query.Query, res colstore.GroupedResult) (evicted bool) {
-	if c == nil {
-		return false
-	}
-	k, ok := keyOf(ver, q)
-	if !ok {
-		return false
-	}
-	var vcopy []uint64
-	if len(vec) > 0 {
-		vcopy = append([]uint64(nil), vec...)
-	}
-	own := res.Clone()
-	s := &c.shards[k.shard()]
-	s.mu.Lock()
-	if _, exists := s.m[k]; !exists && len(s.m) >= c.perShard {
-		var victim key
-		have := false
-		n := 0
-		for ek := range s.m {
-			if !have || ek.ver != ver {
-				victim, have = ek, true
-			}
-			n++
-			if ek.ver != ver || n >= evictScan {
-				break
-			}
-		}
-		if have {
-			delete(s.m, victim)
-			evicted = true
-		}
-	}
-	s.m[k] = entry{vec: vcopy, grouped: &own}
+	s.m[k] = entry{vec: vcopy, res: own}
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)

@@ -117,7 +117,7 @@ func TestRouterCacheCoherenceUnderIngestAndMove(t *testing.T) {
 	testutil.CheckMatchesFullScan(t, s, truth, probes)
 	for _, q := range probes {
 		first := s.Execute(q)
-		if second := s.Execute(q); first != second {
+		if second := s.Execute(q); !first.Equal(second) {
 			t.Fatalf("stable-vector repeat diverged for %v: %+v vs %+v", q, first, second)
 		}
 	}

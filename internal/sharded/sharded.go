@@ -16,11 +16,12 @@
 // Reads are routed: the partitioner prunes shards whose key range cannot
 // intersect the query's filters, the survivors execute independently, and
 // the partial aggregates merge (COUNT and SUM are sums; AVG ships as a
-// sum+count pair in ScanResult, so it merges exactly too). Store
-// implements the executor's intra-query interface, so an Executor with
-// IntraQuery enabled scatters the surviving shards across its worker pool
-// and gathers the partials — scatter-gather through the existing pool,
-// no second scheduler.
+// sum+count pair in ScanResult, so it merges exactly too; a grouped
+// query ships one pair per group). Store implements the same
+// ExecuteWith pipeline interface as a bare index, so an Executor with
+// IntraQuery enabled scatters the surviving shards across its worker
+// pool and gathers the partials — scatter-gather through the existing
+// pool, no second scheduler.
 //
 // Consistency: each shard's reads are epoch-consistent and each batch is
 // atomic within a shard, but a batch spanning shards becomes visible
@@ -105,8 +106,8 @@ type Config struct {
 	// per-shard configs so a fan-out query is never double-counted. The
 	// collector is bound to the whole table: per-dimension domains are the
 	// union across shards, the live row count sums the shards, and
-	// slow-query exemplars trace through the router's non-recording trace
-	// path. Nil keeps the hot path bare.
+	// slow-query exemplars re-run through the router's pipeline below the
+	// recording wrapper. Nil keeps the hot path bare.
 	Workload *wstats.Collector
 	// CacheEntries, when > 0, enables a router-level result cache
 	// (internal/qcache) with roughly that many entries, keyed on the
@@ -177,7 +178,7 @@ var errClosed = errors.New("sharded: store is closed")
 
 // Store serves one logical table from N independent LiveStore shards.
 //
-// Concurrency: Execute/ExecuteParallelOn/Stats may be called from any
+// Concurrency: Execute/ExecuteWith/Stats may be called from any
 // number of goroutines and never block on writers or maintenance.
 // Insert/InsertBatch may be called from any number of goroutines; batches
 // to different shards proceed fully in parallel, and concurrent batches
@@ -467,10 +468,12 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 				}
 				return total
 			},
-			// Slow-query exemplars go through the non-recording trace path,
-			// so a capture never re-records into the collector.
+			// Slow-query exemplars re-run through the router's pipeline
+			// below the recording wrapper, so a capture never re-records
+			// into the collector.
 			Trace: func(q query.Query) *obs.QueryTrace {
-				_, tr := s.executeTrace(q)
+				tr := new(obs.QueryTrace)
+				s.run(q, index.Exec{Trace: tr})
 				return tr
 			},
 		})
@@ -535,9 +538,11 @@ func (s *Store) countRoute(scanned int) {
 // migration's commit window overlaps the attempt, the result is discarded
 // and the read retried once the window closes. Reads therefore never
 // block on a lock, yet never observe a half-migrated placement (rows
-// counted twice in source and destination, or in neither). fn reports how
-// many shards it scanned through scanned; pruning counters are updated
-// only for the attempt whose result is returned.
+// counted twice in source and destination, or in neither) — every
+// partial is an exact (count, sum) pair, per group for a grouped query,
+// so a retried read is simply the right answer. fn reports how many
+// shards it scanned through scanned; pruning counters are updated only
+// for the attempt whose result is returned.
 func (s *Store) readStable(fn func(top *topology, scanned *int) colstore.ScanResult) colstore.ScanResult {
 	m := s.metrics
 	var start time.Time
@@ -569,45 +574,113 @@ func (s *Store) readStable(fn func(top *topology, scanned *int) colstore.ScanRes
 	}
 }
 
-// Execute implements index.Index: route, execute the surviving shards on
-// the calling goroutine, merge the partial aggregates. Lock-free (each
-// shard read resolves that shard's current epoch; migration windows are
-// retried, not waited on); use an Executor with IntraQuery for parallel
-// scatter-gather.
+// Execute implements index.Index: ExecuteWith, inline and untraced. Use
+// an Executor with IntraQuery for parallel scatter-gather.
 func (s *Store) Execute(q query.Query) colstore.ScanResult {
+	return s.ExecuteWith(q, index.Exec{})
+}
+
+// ExecuteGrouped is Execute; a query built with By carries its own
+// grouping, so the name adds nothing and is kept for callers that have it.
+func (s *Store) ExecuteGrouped(q query.Query) colstore.GroupedResult {
+	return s.ExecuteWith(q, index.Exec{})
+}
+
+// ExecuteWith answers one query — flat or grouped — scatter-gather
+// style and records it into the workload statistics, once, at the
+// router (see run for the pipeline).
+func (s *Store) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 	w := s.workload
 	if w == nil {
-		return s.executeRouted(q)
+		return s.run(q, x)
 	}
 	start := time.Now()
-	res := s.executeRouted(q)
+	res := s.run(q, x)
 	w.Record(q, time.Since(start), res.Count, res.PointsScanned, res.BytesTouched)
 	return res
 }
 
-func (s *Store) executeRouted(q query.Query) colstore.ScanResult {
-	return s.readStable(func(top *topology, scanned *int) colstore.ScanResult {
+// run is the router's pipeline, each concern exactly once: under one
+// seqlock-stable topology, route (the partitioner prunes shards), probe
+// the router cache on the routed shards' epoch vector, scatter to the
+// surviving shards, merge their partials exactly, fill the cache.
+// Lock-free: each shard read resolves that shard's current epoch, and
+// migration windows are retried, not waited on. With x.Trace set the
+// same code records the pruning decision, a span per surviving shard and
+// the gather-merge cost; a seqlock retry rebuilds the trace from
+// scratch, so spans from a discarded attempt never leak into it.
+func (s *Store) run(q query.Query, x index.Exec) colstore.ScanResult {
+	tr := x.Trace
+	var began time.Time
+	if tr != nil {
+		began = time.Now()
+	}
+	res := s.readStable(func(top *topology, scanned *int) colstore.ScanResult {
+		var mark time.Time
+		if tr != nil {
+			tr.Stages, tr.Shards, tr.Regions = tr.Stages[:0], tr.Shards[:0], 0
+			mark = time.Now()
+		}
 		ids := top.parts.Shards(q, make([]int, 0, len(s.shards)))
 		*scanned = len(ids)
-		vec, ver, cok := s.cacheKey(top, ids)
-		if cok {
+		var vec []uint64
+		var ver uint64
+		if tr != nil {
+			mark = tr.Stage("route", mark,
+				fmt.Sprintf("%d of %d shards survive pruning (gen %d)", len(ids), len(s.shards), top.gen))
+		} else if s.cache != nil {
+			vec, ver = s.cacheKey(top, ids)
 			if res, hit := s.cache.Get(ver, vec, q); hit {
 				s.cacheHits.Add(1)
 				return res
 			}
 			s.cacheMisses.Add(1)
 		}
+
 		var res colstore.ScanResult
-		if len(ids) == 1 {
-			res = s.shards[ids[0]].Execute(q)
-		} else {
-			for _, id := range ids {
-				res.Add(s.shards[id].Execute(q))
+		parts := s.scatter(q, ids, x)
+		if tr != nil {
+			name, detail := "scan", ""
+			if q.Grouped() {
+				var regime colstore.GroupRegime
+				for _, p := range parts {
+					regime = max(regime, p.Regime)
+				}
+				name, detail = "scan+group", "regime "+regime.String()
+			}
+			mark = tr.Stage(name, mark, detail)
+		}
+		if len(parts) > 0 {
+			// parts[0] is this attempt's own: merging into it in place
+			// spares a single-shard answer its copy.
+			res = parts[0]
+			for _, p := range parts[1:] {
+				res.Merge(p)
 			}
 		}
-		s.cachePutRouted(ver, vec, q, res, cok)
+		if tr != nil {
+			tr.Stage("merge", mark, fmt.Sprintf("%d partials, %d groups", len(parts), len(res.Groups)))
+		}
+
+		// Put is safe without a second epoch read. If a routed shard
+		// published between the key's capture and its execute, the merged
+		// result may mix epochs — but then the current vector has already
+		// moved past vec (epochs are monotonic within a generation, and
+		// every shard replacement bumps the generation), so the entry can
+		// never be served: a lookup recomputes the vector from current
+		// state and element-wise comparison rejects it.
+		if vec != nil && s.cache.Put(ver, vec, q, res) {
+			s.cacheEvictions.Add(1)
+		}
 		return res
 	})
+	if tr != nil {
+		tr.Query = q.String()
+		tr.Total = time.Since(began)
+		tr.Rows = res.PointsScanned
+		tr.Bytes = res.BytesTouched
+	}
+	return res
 }
 
 // cacheKey builds the router cache's version vector for a routed query:
@@ -615,115 +688,70 @@ func (s *Store) executeRouted(q query.Query) colstore.ScanResult {
 // in routing order. The generation pins the routing itself (same
 // generation → same partitioner → same ids for this query) and the
 // epochs pin each shard's contents, so a vector identifies exactly one
-// scatter-gather answer. cok=false means the cache is off.
-func (s *Store) cacheKey(top *topology, ids []int) (vec []uint64, ver uint64, cok bool) {
-	if s.cache == nil {
-		return nil, 0, false
-	}
+// scatter-gather answer.
+func (s *Store) cacheKey(top *topology, ids []int) (vec []uint64, ver uint64) {
 	vec = make([]uint64, 0, len(ids)+1)
 	vec = append(vec, top.gen)
 	for _, id := range ids {
 		vec = append(vec, s.shards[id].Epoch())
 	}
-	return vec, qcache.Digest(vec), true
+	return vec, qcache.Digest(vec)
 }
 
-// cachePutRouted stores a scatter-gather result under the version vector
-// captured before the shard executes. If any routed shard published
-// between the capture and the execute, the merged result may mix epochs —
-// but then the current vector has already moved past vec (epochs are
-// monotonic within a generation, and every shard replacement bumps the
-// generation), so the entry can never be served: a lookup recomputes the
-// vector from current state and element-wise comparison rejects it. Put
-// is therefore always safe without a second epoch read.
-func (s *Store) cachePutRouted(ver uint64, vec []uint64, q query.Query, res colstore.ScanResult, cok bool) {
-	if !cok {
-		return
-	}
-	if s.cache.Put(ver, vec, q, res) {
-		s.cacheEvictions.Add(1)
-	}
-}
-
-// ExecuteParallelOn answers one query scatter-gather style: the surviving
-// shards are drained by up to workers tasks handed to submit (typically
-// an Executor's worker pool; see the executor's intra-query interface),
-// and the partial aggregates are merged. Tasks never block on other
-// tasks, so running them on a shared pool cannot deadlock. A nil submit
-// spawns one goroutine per task.
-func (s *Store) ExecuteParallelOn(q query.Query, workers int, submit func(task func())) colstore.ScanResult {
-	w := s.workload
-	if w == nil {
-		return s.executeParallelRouted(q, workers, submit)
-	}
-	start := time.Now()
-	res := s.executeParallelRouted(q, workers, submit)
-	w.Record(q, time.Since(start), res.Count, res.PointsScanned, res.BytesTouched)
-	return res
-}
-
-func (s *Store) executeParallelRouted(q query.Query, workers int, submit func(task func())) colstore.ScanResult {
-	return s.readStable(func(top *topology, scanned *int) colstore.ScanResult {
-		ids := top.parts.Shards(q, make([]int, 0, len(s.shards)))
-		*scanned = len(ids)
-		vec, ver, cok := s.cacheKey(top, ids)
-		if cok {
-			if res, hit := s.cache.Get(ver, vec, q); hit {
-				s.cacheHits.Add(1)
-				return res
+// scatter executes q on every routed shard and returns the shards'
+// answers in routing order: on the calling goroutine, or — x.Workers > 1
+// — drained by up to that many tasks handed to x.Submit (typically an
+// Executor's worker pool; nil spawns goroutines). Shard sizes are skewed
+// (pruning can leave one big shard and several small ones), so tasks
+// pull the next shard from a shared cursor; they never block on other
+// tasks, so running them on a shared pool cannot deadlock. Each shard
+// runs its own pipeline inline: the pool's parallelism is spent across
+// shards. A traced run executes shard by shard on the calling goroutine,
+// deliberately: sequential spans attribute time to shards exactly.
+func (s *Store) scatter(q query.Query, ids []int, x index.Exec) []colstore.ScanResult {
+	parts := make([]colstore.ScanResult, len(ids))
+	workers := min(x.Workers, len(ids))
+	if tr := x.Trace; tr != nil || workers <= 1 {
+		for i, id := range ids {
+			if tr == nil {
+				parts[i] = s.shards[id].ExecuteWith(q, index.Exec{})
+				continue
 			}
-			s.cacheMisses.Add(1)
-		}
-		w := workers
-		if w > len(ids) {
-			w = len(ids)
-		}
-		if w <= 1 {
-			var res colstore.ScanResult
-			if len(ids) == 1 {
-				res = s.shards[ids[0]].Execute(q)
-			} else {
-				for _, id := range ids {
-					res.Add(s.shards[id].Execute(q))
-				}
-			}
-			s.cachePutRouted(ver, vec, q, res, cok)
-			return res
-		}
-		sub := submit
-		if sub == nil {
-			sub = func(task func()) { go task() }
-		}
-		// Dynamic assignment: shard result sizes are skewed (pruning can
-		// leave one big shard and several small ones), so workers pull the
-		// next shard from a shared cursor.
-		var cursor atomic.Int64
-		partial := make([]colstore.ScanResult, w)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			k := k
-			sub(func() {
-				defer wg.Done()
-				var res colstore.ScanResult
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(ids) {
-						break
-					}
-					res.Add(s.shards[ids[i]].Execute(q))
-				}
-				partial[k] = res
+			start := time.Now()
+			var sub obs.QueryTrace
+			parts[i] = s.shards[id].ExecuteWith(q, index.Exec{Trace: &sub})
+			tr.Shards = append(tr.Shards, obs.ShardSpan{
+				Shard:    id,
+				Duration: time.Since(start),
+				Rows:     parts[i].PointsScanned,
+				Bytes:    parts[i].BytesTouched,
+				Regions:  sub.Regions,
 			})
+			tr.Regions += sub.Regions
 		}
-		wg.Wait()
-		var res colstore.ScanResult
-		for _, p := range partial {
-			res.Add(p)
-		}
-		s.cachePutRouted(ver, vec, q, res, cok)
-		return res
-	})
+		return parts
+	}
+	submit := x.Submit
+	if submit == nil {
+		submit = func(task func()) { go task() }
+	}
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		submit(func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(ids) {
+					break
+				}
+				parts[i] = s.shards[ids[i]].ExecuteWith(q, index.Exec{})
+			}
+		})
+	}
+	wg.Wait()
+	return parts
 }
 
 // EstimateCost bounds q's plan-time scan cost: the sum of the routed

@@ -191,7 +191,7 @@ func TestShardedMatchesFullScan(t *testing.T) {
 		// Scatter-gather path must agree with the sequential path.
 		for _, q := range probe[:20] {
 			seq := s.Execute(q)
-			par := s.ExecuteParallelOn(q, 4, nil)
+			par := s.ExecuteWith(q, index.Exec{Workers: 4})
 			if par.Count != seq.Count || par.Sum != seq.Sum {
 				t.Errorf("%s: scatter-gather (%d, %d) != sequential (%d, %d) on %s",
 					s.Name(), par.Count, par.Sum, seq.Count, seq.Sum, q)

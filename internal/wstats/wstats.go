@@ -82,10 +82,12 @@ func (c *Config) fill() {
 // a live row count for selectivity, and a trace function the slow-query
 // log uses to capture exemplar explain-analyze traces. Serving layers
 // call Bind at open; every field is optional (nil/empty disables the
-// dependent statistic). The Trace function must execute outside the
-// collector's own recording path — LiveStore binds the core index's
-// ExecuteTrace and ShardedStore a non-recording router variant — so a
-// captured exemplar never re-records into the collector.
+// dependent statistic). The Trace function re-runs the query, traced,
+// through the pipeline it was served on but below the layer that records
+// — LiveStore binds the core index's ExecuteWith, ShardedStore its
+// router's pipeline under the recording wrapper — so a captured exemplar
+// is a trace of the query as asked (grouped queries included) and never
+// re-records into the collector.
 type Binding struct {
 	DimNames           []string
 	DomainLo, DomainHi []int64

@@ -45,9 +45,10 @@ func MetricsHandler(m *Metrics) http.Handler { return obs.Handler(m) }
 
 // QueryTrace is one query's explain-analyze record: stage timings
 // (plan/route/scan/merge), per-shard breakdowns for scatter-gather
-// queries, and the scan volume behind the answer. Produced by the
-// ExecuteTrace methods on TsunamiIndex, LiveStore, and ShardedStore;
-// rendered by its String method (also: the tsunami-cli `trace` command).
+// queries, and the scan volume behind the answer. Filled by ExecuteWith
+// on TsunamiIndex, LiveStore, and ShardedStore when Exec.Trace points at
+// one; rendered by its String method (also: the tsunami-cli `trace`
+// command).
 type QueryTrace = obs.QueryTrace
 
 // TraceStage is one named, timed phase of a QueryTrace.

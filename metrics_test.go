@@ -1,10 +1,10 @@
 // Tests of the observability wiring: metrics recorded by the Executor,
-// LiveStore, and ShardedStore through one shared registry, and the
-// ExecuteTrace paths returning answers identical to Execute.
+// LiveStore, and ShardedStore through one shared registry (traced runs
+// answering exactly like untraced ones is internal/sharded's
+// TestPipelineEquivalence).
 package tsunami_test
 
 import (
-	"strings"
 	"testing"
 
 	tsunami "repro"
@@ -163,68 +163,4 @@ func gaugeNames(s tsunami.MetricsSnapshot) []string {
 		names = append(names, n)
 	}
 	return names
-}
-
-// TestExecuteTraceEquivalence checks every layer's traced execution
-// returns the same answer as plain Execute and carries the expected
-// stages.
-func TestExecuteTraceEquivalence(t *testing.T) {
-	ds := tsunami.GenerateTaxi(12_000, 7)
-	work := tsunami.WorkloadFor(ds, 8, 8)
-	idx := tsunami.New(ds.Store, work, smallOptions())
-
-	// Core index.
-	for _, q := range work {
-		want := idx.Execute(q)
-		got, tr := idx.ExecuteTrace(q)
-		if got != want {
-			t.Fatalf("core trace of %s: result %+v want %+v", q, got, want)
-		}
-		if tr.Rows != got.PointsScanned || tr.Bytes != got.BytesTouched {
-			t.Fatalf("core trace volume (%d,%d) disagrees with result (%d,%d)",
-				tr.Rows, tr.Bytes, got.PointsScanned, got.BytesTouched)
-		}
-		if len(tr.Stages) != 3 || tr.Stages[0].Name != "plan" {
-			t.Fatalf("core trace stages: %+v", tr.Stages)
-		}
-	}
-
-	// Live store (prepends the epoch stage).
-	ls := tsunami.NewLiveStore(idx, work, tsunami.LiveOptions{})
-	defer ls.Close()
-	got, tr := ls.ExecuteTrace(work[0])
-	if got != ls.Execute(work[0]) {
-		t.Fatalf("live trace result mismatch")
-	}
-	if tr.Stages[0].Name != "epoch" || !strings.Contains(tr.Stages[0].Detail, "epoch") {
-		t.Fatalf("live trace missing epoch stage: %+v", tr.Stages)
-	}
-
-	// Sharded store (route/scan/merge + per-shard spans).
-	ss, err := tsunami.NewShardedStore(ds.Store, work, smallOptions(),
-		tsunami.ShardedOptions{Shards: 3, Learned: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	for _, q := range work {
-		want := ss.Execute(q)
-		got, tr := ss.ExecuteTrace(q)
-		if got != want {
-			t.Fatalf("sharded trace of %s: result %+v want %+v", q, got, want)
-		}
-		if len(tr.Shards) == 0 || tr.Stages[0].Name != "route" {
-			t.Fatalf("sharded trace shape: stages %+v shards %+v", tr.Stages, tr.Shards)
-		}
-		var rows uint64
-		for _, sp := range tr.Shards {
-			rows += sp.Rows
-		}
-		if rows != got.PointsScanned {
-			t.Fatalf("shard spans sum %d rows, result scanned %d", rows, got.PointsScanned)
-		}
-		if rendered := tr.String(); !strings.Contains(rendered, "route") || !strings.Contains(rendered, "shard") {
-			t.Fatalf("trace rendering incomplete:\n%s", rendered)
-		}
-	}
 }

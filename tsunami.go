@@ -21,7 +21,7 @@
 // of concurrent goroutines with no cloning. For throughput-oriented serving,
 // NewExecutor wraps an index in a fixed worker pool with batch execution
 // (ExecuteBatch) and optional intra-query parallelism that splits a single
-// query's Grid Tree regions across workers.
+// query's planned scan ranges across workers.
 //
 // Quick start:
 //
@@ -57,8 +57,18 @@ const (
 // aggregation.
 type Query = query.Query
 
-// Result is a query's aggregate plus scan statistics.
+// Result is a query's answer — the one result type: the aggregate as a
+// (count, sum) pair, scan statistics, and for a grouped query (CountBy,
+// SumBy, Query.By) one such pair per group, Count and Sum totalling them.
+// Results merge exactly (Result.Merge) and compare with Result.Equal.
 type Result = colstore.ScanResult
+
+// Exec says how one query runs through ExecuteWith on a TsunamiIndex,
+// LiveStore or ShardedStore: Workers/Submit split its scan across tasks
+// (what an Executor with IntraQuery passes), Trace collects an
+// explain-analyze QueryTrace from the same run. Execute(q) is
+// ExecuteWith(q, Exec{}).
+type Exec = index.Exec
 
 // Table is the in-memory column store indexes are clustered over.
 type Table = colstore.Store
