@@ -624,7 +624,10 @@ func eval(s *session, names []string, line string) bool {
 		case s.shard != nil:
 			err = s.shard.Flush()
 		default:
-			err = s.idx.MergeDeltas()
+			var merged *core.Tsunami
+			if merged, err = s.idx.MergedCopy(); err == nil {
+				s.idx = merged
+			}
 		}
 		if err != nil {
 			fmt.Println(err)

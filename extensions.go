@@ -11,8 +11,11 @@ import (
 // This file exposes the paper's §8 future-work extensions, implemented in
 // this repository:
 //
-//   - insertions through per-region delta buffers (TsunamiIndex.Insert /
-//     MergeDeltas, the differential-file scheme the paper cites);
+//   - insertions through per-region delta buffers, the differential-file
+//     scheme the paper cites: TsunamiIndex.Insert buffers a row in an index
+//     no reader holds yet (CopyWithInserts derives a successor of one that
+//     is serving), and idx, err = idx.MergedCopy() folds the buffers into
+//     the clustered layout of a new index, leaving the old one untouched;
 //   - workload-shift detection (ShiftDetector);
 //   - outlier-robust functional mappings (Options via NewRobust);
 //   - co-access ordering for categorical dimensions (CategoricalRemap).

@@ -62,7 +62,8 @@ func TestInsertAndMergeViaPublicAPI(t *testing.T) {
 	if got := idx.Execute(q).Count; got != 100 {
 		t.Fatalf("pre-merge count = %d, want 100", got)
 	}
-	if err := idx.MergeDeltas(); err != nil {
+	idx, err := idx.MergedCopy()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := idx.Execute(q).Count; got != 100 {

@@ -276,7 +276,10 @@ func TestGroupedSlowQueryExemplar(t *testing.T) {
 	table := testutil.SmallTaxi(3000, 41)
 	work := testutil.RandomQueries(table, 20, 42)
 	opts := tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16}
-	wopts := tsunami.WorkloadOptions{SampleEvery: 1, MinSamples: 32, SlowFactor: 1.5}
+	// The arming queries are really served, so under -race one of them can
+	// trip the freshly armed threshold; no rate-limit window, or its
+	// capture would swallow the exemplar this test is about.
+	wopts := tsunami.WorkloadOptions{SampleEvery: 1, MinSamples: 32, SlowFactor: 1.5, TraceInterval: time.Nanosecond}
 	slow := tsunami.CountBy(4)
 
 	check := func(name string, wl *tsunami.WorkloadStats, serve func(tsunami.Query) tsunami.Result) {

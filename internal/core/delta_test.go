@@ -38,50 +38,6 @@ func TestInsertWrongArity(t *testing.T) {
 	}
 }
 
-func TestMergeDeltasFoldsRows(t *testing.T) {
-	st := testutil.SmallTaxi(5000, 4)
-	work := testutil.SkewedQueries(st, 100, 5)
-	idx := Build(st, work, smallConfig(FullTsunami))
-
-	rng := rand.New(rand.NewSource(6))
-	inserted := make([][]int64, 200)
-	for i := range inserted {
-		row := []int64{
-			rng.Int63n(1_000_000),
-			rng.Int63n(1_000_000),
-			rng.Int63n(1000),
-			rng.Int63n(3000),
-			1 + rng.Int63n(6),
-		}
-		inserted[i] = row
-		if err := idx.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := idx.MergeDeltas(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.NumBuffered() != 0 {
-		t.Errorf("buffered = %d after merge, want 0", idx.NumBuffered())
-	}
-	if idx.Store().NumRows() != 5200 {
-		t.Errorf("rows = %d after merge, want 5200", idx.Store().NumRows())
-	}
-
-	// Ground truth: original data + inserted rows.
-	truth := buildTruth(t, st, inserted)
-	full := index.NewFullScan(truth)
-	probe := testutil.RandomQueries(st, 80, 7)
-	for _, q := range probe {
-		want := full.Execute(q)
-		got := idx.Execute(q)
-		if got.Count != want.Count || got.Sum != want.Sum {
-			t.Fatalf("after merge, %s: got (%d, %d), want (%d, %d)",
-				q, got.Count, got.Sum, want.Count, want.Sum)
-		}
-	}
-}
-
 func TestInsertQueryMergeQueryCycle(t *testing.T) {
 	st := testutil.SmallTaxi(5000, 8)
 	work := testutil.SkewedQueries(st, 100, 9)
@@ -109,7 +65,8 @@ func TestInsertQueryMergeQueryCycle(t *testing.T) {
 				t.Fatalf("cycle %d pre-merge %s: got %d, want %d", cycle, q, got, want)
 			}
 		}
-		if err := idx.MergeDeltas(); err != nil {
+		var err error
+		if idx, err = idx.MergedCopy(); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range probe {
@@ -117,96 +74,6 @@ func TestInsertQueryMergeQueryCycle(t *testing.T) {
 				t.Fatalf("cycle %d post-merge %s: got %d, want %d", cycle, q, got, want)
 			}
 		}
-	}
-}
-
-// TestMergeDeltasOverPartial drives a skewed ingest: one region absorbs
-// most inserts, several others get a trickle. A partial merge must fold
-// only the hot buffers, keep the cold rows buffered (and still visible),
-// and leave every answer equal to a full scan throughout.
-func TestMergeDeltasOverPartial(t *testing.T) {
-	st := testutil.SmallTaxi(6000, 13)
-	work := testutil.SkewedQueries(st, 100, 14)
-	idx := Build(st, work, smallConfig(FullTsunami))
-
-	rng := rand.New(rand.NewSource(15))
-	var all [][]int64
-	insert := func(row []int64) {
-		t.Helper()
-		all = append(all, row)
-		if err := idx.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hot: 300 rows concentrated at the top of dim 0 (one or two regions).
-	for i := 0; i < 300; i++ {
-		insert([]int64{990_000 + rng.Int63n(10_000), rng.Int63n(1_100_000), rng.Int63n(1000), rng.Int63n(3000), 1 + rng.Int63n(6)})
-	}
-	// Cold: 40 rows spread over the whole domain.
-	for i := 0; i < 40; i++ {
-		insert([]int64{rng.Int63n(900_000), rng.Int63n(1_100_000), rng.Int63n(1000), rng.Int63n(3000), 1 + rng.Int63n(6)})
-	}
-
-	folded, err := idx.MergeDeltasOver(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if folded == 0 || folded >= 340 {
-		t.Fatalf("partial merge folded %d rows, want some but not all of 340", folded)
-	}
-	if got := idx.NumBuffered(); got != 340-folded {
-		t.Errorf("buffered = %d after partial merge, want %d", got, 340-folded)
-	}
-	if got := idx.Store().NumRows(); got != 6000+folded {
-		t.Errorf("clustered rows = %d, want %d", got, 6000+folded)
-	}
-
-	truth := buildTruth(t, st, all)
-	full := index.NewFullScan(truth)
-	probe := append(testutil.RandomQueries(st, 60, 16),
-		query.NewCount(query.Filter{Dim: 0, Lo: 990_000, Hi: 1_100_000}),
-		query.NewCount())
-	for _, q := range probe {
-		want := full.Execute(q)
-		got := idx.Execute(q)
-		if got.Count != want.Count || got.Sum != want.Sum {
-			t.Fatalf("after partial merge, %s: got (%d, %d), want (%d, %d)",
-				q, got.Count, got.Sum, want.Count, want.Sum)
-		}
-	}
-
-	// Raising nothing over the bar must leave the index untouched.
-	before := idx.Store()
-	if n, err := idx.MergeDeltasOver(1 << 20); err != nil || n != 0 {
-		t.Fatalf("over-threshold merge folded %d (err %v), want 0", n, err)
-	}
-	if idx.Store() != before {
-		t.Error("no-op partial merge rebuilt the store")
-	}
-
-	// A full merge afterwards folds the cold remainder.
-	if err := idx.MergeDeltas(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.NumBuffered() != 0 {
-		t.Errorf("buffered = %d after full merge, want 0", idx.NumBuffered())
-	}
-	for _, q := range probe {
-		if got, want := idx.Execute(q).Count, full.Execute(q).Count; got != want {
-			t.Fatalf("after full merge, %s: got %d, want %d", q, got, want)
-		}
-	}
-}
-
-func TestMergeDeltasNoopWhenEmpty(t *testing.T) {
-	st := testutil.SmallTaxi(2000, 12)
-	idx := Build(st, nil, smallConfig(FullTsunami))
-	before := idx.Store()
-	if err := idx.MergeDeltas(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Store() != before {
-		t.Error("empty merge should not rebuild the store")
 	}
 }
 

@@ -40,7 +40,7 @@ func (t *Tsunami) Explain(q query.Query) Trace {
 	tr := Trace{Query: q, RegionsTotal: len(t.tree.Regions)}
 	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
 	for _, r := range ctx.regions {
-		rt := RegionTrace{RegionID: r.ID, Rows: len(r.Rows)}
+		rt := RegionTrace{RegionID: r.ID, Rows: t.regionRows(r.ID)}
 		var res colstore.ScanResult
 		if g := t.grids[r.ID]; g != nil {
 			rt.HasGrid = true

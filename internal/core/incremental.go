@@ -1,42 +1,39 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
-	"repro/internal/auggrid"
 	"repro/internal/query"
 )
 
 // Incremental re-optimization (§8): "Tsunami could be incrementally
 // adjusted, e.g. by only re-optimizing the Augmented Grids whose regions
-// saw the most significant workload shift." ReoptimizeRegions scores each
-// region by how much the new workload's demands on it diverge from the
-// workload its grid was optimized for, re-optimizes only the top regions,
-// and splices the rebuilt segments into the clustered layout. The Grid
-// Tree itself is untouched, so this is much cheaper than a full rebuild —
-// and correspondingly weaker when the shift moves query skew across
-// region boundaries (then use Reoptimize).
+// saw the most significant workload shift." ReoptimizeRegionsCopy scores
+// each region by how much the new workload's demands on it diverge from
+// the workload its grid was optimized for and hands the top regions to the
+// copy-on-write region rewrite (rewrite.go) with their new query sets. The
+// Grid Tree structure is untouched, so this is much cheaper than a full
+// rebuild — and correspondingly weaker when the shift moves query skew
+// across region boundaries (then use Reoptimize).
 
 // regionDrift scores one region's workload change.
 type regionDrift struct {
-	id    int
-	drift float64
+	id, rows int
+	drift    float64
 }
 
-// ReoptimizeRegions re-optimizes the grids of at most maxRegions regions —
-// those whose incident workload changed most — for the new workload. It
-// returns the number of regions rebuilt and the wall time.
-func (t *Tsunami) ReoptimizeRegions(workload []query.Query, maxRegions int) (int, float64, error) {
+// ReoptimizeRegionsCopy returns a new index in which the grids of at most
+// maxRegions regions — those whose incident workload changed most — are
+// re-optimized for the new workload, and every buffered row is folded into
+// the clustered layout by the same pass (a region that both drifted and
+// holds buffered rows is built once, over the union). It also returns the
+// number of regions re-optimized and the wall time. t is untouched and can
+// keep serving reads throughout.
+func (t *Tsunami) ReoptimizeRegionsCopy(workload []query.Query, maxRegions int) (*Tsunami, int, float64, error) {
 	start := time.Now()
 	if maxRegions <= 0 {
 		maxRegions = 1 + len(t.tree.Regions)/10
-	}
-	if t.numBuffered > 0 {
-		if err := t.MergeDeltas(); err != nil {
-			return 0, 0, err
-		}
 	}
 
 	// Assign the new workload to regions.
@@ -54,85 +51,37 @@ func (t *Tsunami) ReoptimizeRegions(workload []query.Query, maxRegions int) (int
 	for _, r := range t.tree.Regions {
 		oldTotal += len(r.Queries)
 	}
-	if oldTotal == 0 {
-		oldTotal = 1
-	}
 	newTotal := 0
 	for _, qs := range newQueries {
 		newTotal += len(qs)
 	}
-	if newTotal == 0 {
-		newTotal = 1
-	}
 	drifts := make([]regionDrift, 0, len(t.tree.Regions))
 	for _, r := range t.tree.Regions {
-		oldFrac := float64(len(r.Queries)) / float64(oldTotal)
-		newFrac := float64(len(newQueries[r.ID])) / float64(newTotal)
+		oldFrac := float64(len(r.Queries)) / float64(max(oldTotal, 1))
+		newFrac := float64(len(newQueries[r.ID])) / float64(max(newTotal, 1))
 		d := newFrac - oldFrac
 		if d < 0 {
 			d = -d
 		}
-		// Weight by region size: a drifted region holding many points
-		// matters more.
-		d *= float64(len(r.Rows))
-		drifts = append(drifts, regionDrift{id: r.ID, drift: d})
+		// Weight by region size, buffered rows included (the rewrite folds
+		// them): a drifted region holding many points matters more.
+		rows := t.regionRows(r.ID)
+		if dl := t.deltas[r.ID]; dl != nil {
+			rows += len(dl.rows)
+		}
+		drifts = append(drifts, regionDrift{id: r.ID, rows: rows, drift: d * float64(rows)})
 	}
 	sort.Slice(drifts, func(a, b int) bool { return drifts[a].drift > drifts[b].drift })
 
-	rebuilt := 0
+	reopt := make(map[int][]query.Query)
 	for _, rd := range drifts {
-		if rebuilt >= maxRegions || rd.drift == 0 {
+		if len(reopt) >= maxRegions || rd.drift == 0 {
 			break
 		}
-		r := t.tree.Regions[rd.id]
-		qs := newQueries[rd.id]
-		if len(r.Rows) < t.cfg.MinRowsForGrid {
-			continue
-		}
-		if err := t.rebuildRegion(r.ID, qs); err != nil {
-			return rebuilt, time.Since(start).Seconds(), err
-		}
-		r.Queries = qs
-		rebuilt++
-	}
-	return rebuilt, time.Since(start).Seconds(), nil
-}
-
-// rebuildRegion re-optimizes one region's grid for queries and rewrites
-// its physical segment in place. Row count is unchanged, so all other
-// regions' offsets stay valid.
-func (t *Tsunami) rebuildRegion(id int, queries []query.Query) error {
-	b := t.bounds[id]
-	seg := buildSegmentStore(t.store, b[0], b[1], nil)
-	rows := make([]int, seg.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	if len(queries) == 0 {
-		// No queries touch it anymore: drop the grid, keep the segment.
-		t.grids[id] = nil
-		return nil
-	}
-	gcfg := t.cfg.Grid
-	opt := t.cfg.Optimizer
-	if opt.Name == "" {
-		opt = auggrid.AGD()
-	}
-	layout, _ := auggrid.Optimize(seg, rows, queries, opt, gcfg)
-	g, ordered, err := auggrid.Build(seg, rows, layout)
-	if err != nil {
-		return fmt.Errorf("core: rebuild region %d: %w", id, err)
-	}
-	// Write the reordered segment back into the main store.
-	d := t.store.NumDims()
-	for j := 0; j < d; j++ {
-		dst := t.store.Column(j)[b[0]:b[1]]
-		src := seg.Column(j)
-		for i, o := range ordered {
-			dst[i] = src[o]
+		if rd.rows >= t.cfg.MinRowsForGrid {
+			reopt[rd.id] = newQueries[rd.id]
 		}
 	}
-	g.Finalize(t.store, b[0])
-	t.grids[id] = g
-	return nil
+	nt, _, err := t.rewrite(0, nil, reopt)
+	return nt, len(reopt), time.Since(start).Seconds(), err
 }

@@ -3,56 +3,19 @@ package core
 import (
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/testutil"
 )
 
-func TestReoptimizeRegionsStaysCorrect(t *testing.T) {
-	st := testutil.SmallTaxi(20000, 1)
-	workA := testutil.SkewedQueries(st, 200, 2)
-	idx := Build(st, workA, smallConfig(FullTsunami))
-
-	workB := testutil.RandomQueries(st, 150, 3)
-	rebuilt, secs, err := idx.ReoptimizeRegions(workB, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if secs <= 0 {
-		t.Error("expected measurable time")
-	}
-	t.Logf("rebuilt %d regions in %.3fs", rebuilt, secs)
-
-	// Correctness after the in-place splice, on both workloads.
-	testutil.CheckMatchesFullScan(t, idx, st, workA[:50])
-	testutil.CheckMatchesFullScan(t, idx, st, workB[:50])
-}
-
-func TestReoptimizeRegionsRebuildsSomething(t *testing.T) {
-	st := testutil.SmallTaxi(20000, 4)
-	workA := testutil.SkewedQueries(st, 200, 5)
-	idx := Build(st, workA, smallConfig(FullTsunami))
-	if idx.IndexStats().NumLeafRegions < 2 {
-		t.Skip("tree did not split; nothing to rebuild incrementally")
-	}
-	// A workload concentrated on a different dimension shifts incident
-	// queries across regions.
-	workB := testutil.RandomQueries(st, 200, 6)
-	rebuilt, _, err := idx.ReoptimizeRegions(workB, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt == 0 {
-		t.Error("expected at least one region rebuild under a shifted workload")
-	}
-}
-
+// Correctness, buffered rows and "rebuilds something" are rows of
+// TestMaintenanceIsCopyOnWrite; what is left here is the reason the
+// operation exists.
 func TestReoptimizeRegionsCheaperThanFull(t *testing.T) {
 	st := testutil.SmallTaxi(30000, 7)
 	workA := testutil.SkewedQueries(st, 300, 8)
 	idx := Build(st, workA, smallConfig(FullTsunami))
 	workB := testutil.RandomQueries(st, 200, 9)
 
-	_, incSecs, err := idx.ReoptimizeRegions(workB, 2)
+	_, _, incSecs, err := idx.ReoptimizeRegionsCopy(workB, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,38 +23,4 @@ func TestReoptimizeRegionsCheaperThanFull(t *testing.T) {
 	if incSecs > fullSecs {
 		t.Errorf("incremental (%.3fs) should not exceed full rebuild (%.3fs)", incSecs, fullSecs)
 	}
-}
-
-func TestReoptimizeRegionsWithBufferedInserts(t *testing.T) {
-	st := testutil.SmallTaxi(10000, 10)
-	workA := testutil.SkewedQueries(st, 150, 11)
-	idx := Build(st, workA, smallConfig(FullTsunami))
-	for i := 0; i < 30; i++ {
-		if err := idx.Insert([]int64{int64(i * 1000), int64(i*1000 + 50), 10, 100, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	workB := testutil.RandomQueries(st, 100, 12)
-	if _, _, err := idx.ReoptimizeRegions(workB, 3); err != nil {
-		t.Fatal(err)
-	}
-	if idx.NumBuffered() != 0 {
-		t.Error("incremental reopt should fold buffered inserts first")
-	}
-	// Ground truth includes inserts.
-	truth := buildTruth(t, st, insertedRows(30))
-	full := index.NewFullScan(truth)
-	for _, q := range workB[:40] {
-		if got, want := idx.Execute(q).Count, full.Execute(q).Count; got != want {
-			t.Fatalf("%s: got %d, want %d", q, got, want)
-		}
-	}
-}
-
-func insertedRows(n int) [][]int64 {
-	out := make([][]int64, n)
-	for i := range out {
-		out[i] = []int64{int64(i * 1000), int64(i*1000 + 50), 10, 100, 2}
-	}
-	return out
 }

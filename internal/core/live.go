@@ -1,20 +1,16 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/auggrid"
-	"repro/internal/gridtree"
-	"repro/internal/query"
-)
+import "fmt"
 
 // Copy-on-write maintenance (§8 serving): the variants in this file never
 // mutate their receiver, so a published index can keep serving lock-free
 // readers while a writer or a background maintainer derives the next
 // version from it. They are the building blocks of the epoch-based
 // LiveStore (internal/live): CopyWithInserts is the serialized ingest
-// step, MergedCopy and ReoptimizeRegionsCopy are the background rebuild
-// steps, and every result is published with a single atomic pointer swap.
+// step, MergedCopyOver, ReoptimizeRegionsCopy and SplitRange — one region
+// rewrite (rewrite.go) with different arguments — are the background
+// rebuild steps, and every result is published with a single atomic
+// pointer swap.
 
 // CopyWithInserts returns a copy of t whose delta buffers additionally
 // hold rows, leaving t untouched. The copy shares the clustered column
@@ -63,50 +59,41 @@ func (t *Tsunami) CopyWithInserts(rows [][]int64) (*Tsunami, error) {
 }
 
 // MergedCopy returns a new index equal to t with every buffered row folded
-// into the clustered layout (see MergeDeltas), leaving t untouched so it
-// can keep serving reads for the whole — potentially long — rebuild.
+// into the clustered layout, leaving t untouched so it can keep serving
+// reads for the whole — potentially long — rebuild. Each affected region's
+// grid is rebuilt with its existing layout over the union of its old rows
+// and its buffered rows; the Grid Tree structure and all layouts are
+// unchanged (re-optimization is a separate, heavier operation — see
+// ReoptimizeRegionsCopy and Reoptimize).
 func (t *Tsunami) MergedCopy() (*Tsunami, error) {
 	nt, _, err := t.MergedCopyOver(0)
 	return nt, err
 }
 
-// MergedCopyOver is MergedCopy with a per-region threshold (see
-// MergeDeltasOver): only regions whose delta buffer holds at least
-// minPerRegion rows are folded; the rest stay buffered in the copy. It
-// returns the copy and how many rows were folded. When nothing crosses
-// the threshold the fold count is zero and the returned copy is t itself
-// (unchanged, still valid to serve).
+// MergedCopyOver is MergedCopy restricted to hot regions: only regions
+// whose own delta buffer holds at least minPerRegion rows are folded;
+// colder regions keep their rows buffered in the copy (still scanned
+// alongside the clustered data, exactly as before the merge) and are
+// copied verbatim, their grids rebased rather than rebuilt. The store
+// rewrite itself is still O(table) — contiguous region segments leave no
+// way to splice — but the per-region sort and grid rebuild, the dominant
+// merge cost, is paid only for the hot regions: the win on skewed ingest,
+// where a few regions absorb most inserts. minPerRegion <= 1 folds every
+// region with buffered rows. It returns the copy and how many rows were
+// folded; when nothing crosses the threshold the fold count is zero and
+// the returned copy is t itself (unchanged, still valid to serve).
 func (t *Tsunami) MergedCopyOver(minPerRegion int) (*Tsunami, int, error) {
-	// MergeDeltasOver only reads the old store (it emits a fresh one), so
-	// the fork can share it; the tree is deep-copied because merging widens
-	// region boxes and renumbers region rows.
-	nt := t.fork(false)
-	n, err := nt.MergeDeltasOver(minPerRegion)
-	if err != nil {
-		return nil, 0, err
+	folded := 0
+	for _, dl := range t.deltas {
+		if n := len(dl.rows); n >= max(minPerRegion, 1) {
+			folded += n
+		}
 	}
-	if n == 0 {
+	if folded == 0 {
 		return t, 0, nil
 	}
-	return nt, n, nil
-}
-
-// ReoptimizeRegionsCopy is ReoptimizeRegions rebuilt into a copy: it
-// returns a new index whose most-drifted region grids are re-optimized
-// for the new workload (buffered rows are merged first), plus the number
-// of regions rebuilt and the wall time. t is untouched and can keep
-// serving reads throughout.
-func (t *Tsunami) ReoptimizeRegionsCopy(workload []query.Query, maxRegions int) (*Tsunami, int, float64, error) {
-	// rebuildRegion rewrites store segments in place, so the fork needs a
-	// private store. When rows are buffered, ReoptimizeRegions starts with
-	// a MergeDeltas that already replaces the fork's store with a fresh
-	// one; cloning up front would be wasted work.
-	nt := t.fork(t.numBuffered == 0)
-	n, secs, err := nt.ReoptimizeRegions(workload, maxRegions)
-	if err != nil {
-		return nil, n, secs, err
-	}
-	return nt, n, secs, nil
+	nt, _, err := t.rewrite(minPerRegion, nil, nil)
+	return nt, folded, err
 }
 
 // BufferedRows returns a copy of every inserted-but-unmerged row, in
@@ -123,70 +110,6 @@ func (t *Tsunami) BufferedRows() [][]int64 {
 				out = append(out, append([]int64(nil), row...))
 			}
 		}
-	}
-	return out
-}
-
-// fork shallow-copies the index with a deep-copied Grid Tree, so the
-// mutating maintenance operations (MergeDeltas, ReoptimizeRegions) can run
-// on the fork without the live index observing region-box widening, row
-// renumbering, or grid/bounds replacement. Grids and delta buffers are
-// shared: both are replaced wholesale, never edited, by those operations.
-// cloneStore must be true if the operation writes store columns in place.
-func (t *Tsunami) fork(cloneStore bool) *Tsunami {
-	nt := &Tsunami{
-		cfg:         t.cfg,
-		store:       t.store,
-		stats:       t.stats,
-		numBuffered: t.numBuffered,
-	}
-	if cloneStore {
-		nt.store = t.store.Clone()
-	}
-	nt.tree = cloneTree(t.tree)
-	nt.grids = append([]*auggrid.Grid(nil), t.grids...)
-	nt.bounds = append([][2]int(nil), t.bounds...)
-	if t.deltas != nil {
-		nt.deltas = make(map[int]*delta, len(t.deltas))
-		for id, d := range t.deltas {
-			nt.deltas[id] = d
-		}
-	}
-	return nt
-}
-
-// cloneTree deep-copies nodes and regions. Region bounds are copied
-// (MergeDeltas widens them in place); Rows and Queries slices are shared
-// because maintenance replaces them wholesale. The build-only config of
-// the source tree is not carried over, matching Load.
-func cloneTree(tr *gridtree.Tree) *gridtree.Tree {
-	regions := make([]*gridtree.Region, len(tr.Regions))
-	for i, r := range tr.Regions {
-		regions[i] = &gridtree.Region{
-			Lo:      append([]int64(nil), r.Lo...),
-			Hi:      append([]int64(nil), r.Hi...),
-			Rows:    r.Rows,
-			Queries: r.Queries,
-			ID:      r.ID,
-		}
-	}
-	return &gridtree.Tree{
-		Root:     cloneNode(tr.Root, regions),
-		Regions:  regions,
-		NumNodes: tr.NumNodes,
-		Depth:    tr.Depth,
-		NumTypes: tr.NumTypes,
-	}
-}
-
-func cloneNode(nd *gridtree.Node, regions []*gridtree.Region) *gridtree.Node {
-	if nd.Region != nil {
-		return &gridtree.Node{Region: regions[nd.Region.ID]}
-	}
-	out := &gridtree.Node{SplitDim: nd.SplitDim, SplitVals: nd.SplitVals}
-	out.Children = make([]*gridtree.Node, len(nd.Children))
-	for i, c := range nd.Children {
-		out.Children[i] = cloneNode(c, regions)
 	}
 	return out
 }

@@ -60,102 +60,3 @@ func TestCopyWithInsertsLeavesOriginalUntouched(t *testing.T) {
 		t.Errorf("chain mutated its parent: count = %d, want 2", got)
 	}
 }
-
-// TestMergedCopyMatchesInPlaceMerge checks MergedCopy produces an index
-// equivalent to MergeDeltas while leaving the receiver serving the
-// pre-merge state.
-func TestMergedCopyMatchesInPlaceMerge(t *testing.T) {
-	st := testutil.SmallTaxi(6000, 21)
-	work := testutil.SkewedQueries(st, 100, 22)
-	idx := Build(st, work, smallConfig(FullTsunami))
-
-	var withRows *Tsunami = idx
-	var err error
-	probeRows := make([][]int64, 40)
-	for i := range probeRows {
-		probeRows[i] = []int64{8_000_000 + int64(i), 8_000_100, 9, 9, 9}
-	}
-	withRows, err = idx.CopyWithInserts(probeRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := withRows.MergedCopy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.NumBuffered(); got != 0 {
-		t.Errorf("merged copy still buffers %d rows", got)
-	}
-	if got := withRows.NumBuffered(); got != 40 {
-		t.Errorf("receiver lost its buffer: %d, want 40", got)
-	}
-	if merged.Store().NumRows() != 6040 {
-		t.Errorf("merged rows = %d, want 6040", merged.Store().NumRows())
-	}
-	if idx.Store().NumRows() != 6000 {
-		t.Errorf("original store grew to %d rows", idx.Store().NumRows())
-	}
-
-	probe := testutil.RandomQueries(st, 60, 23)
-	probe = append(probe, query.NewCount(query.Filter{Dim: 0, Lo: 8_000_000, Hi: 8_000_039}))
-	for _, q := range probe {
-		a, b := withRows.Execute(q), merged.Execute(q)
-		if a.Count != b.Count || a.Sum != b.Sum {
-			t.Errorf("merged copy diverges on %s: (%d, %d) vs (%d, %d)",
-				q, b.Count, b.Sum, a.Count, a.Sum)
-		}
-	}
-}
-
-// TestReoptimizeRegionsCopyLeavesOriginalUntouched checks the rebuilt-into-
-// copy re-optimization: answers are preserved, buffered rows are folded in,
-// and the receiver (including its store contents) is unchanged.
-func TestReoptimizeRegionsCopyLeavesOriginalUntouched(t *testing.T) {
-	st := testutil.SmallTaxi(8000, 31)
-	work := testutil.SkewedQueries(st, 100, 32)
-	idx := Build(st, work, smallConfig(FullTsunami))
-
-	// Both with and without buffered rows (the fork's store handling
-	// differs between the two).
-	for _, buffered := range []int{0, 30} {
-		src := idx
-		var err error
-		if buffered > 0 {
-			rows := make([][]int64, buffered)
-			for i := range rows {
-				rows[i] = []int64{9_000_000 + int64(i), 9_000_100, 1, 1, 1}
-			}
-			src, err = idx.CopyWithInserts(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := src.Store().Column(0)[0]
-		shifted := testutil.SkewedQueries(st, 100, 33)
-		cp, n, _, err := src.ReoptimizeRegionsCopy(shifted, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			t.Errorf("buffered=%d: no regions rebuilt", buffered)
-		}
-		if got := cp.NumBuffered(); got != 0 {
-			t.Errorf("buffered=%d: copy still buffers %d rows", buffered, got)
-		}
-		if got := src.NumBuffered(); got != buffered {
-			t.Errorf("buffered=%d: receiver buffer became %d", buffered, got)
-		}
-		if got := src.Store().Column(0)[0]; got != before {
-			t.Errorf("buffered=%d: receiver store mutated in place", buffered)
-		}
-		probe := testutil.RandomQueries(st, 60, 34)
-		for _, q := range probe {
-			a, b := src.Execute(q), cp.Execute(q)
-			if a.Count != b.Count || a.Sum != b.Sum {
-				t.Errorf("buffered=%d: reoptimized copy diverges on %s: (%d, %d) vs (%d, %d)",
-					buffered, q, b.Count, b.Sum, a.Count, a.Sum)
-			}
-		}
-	}
-}

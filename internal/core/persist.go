@@ -122,12 +122,7 @@ func Load(r io.Reader) (*Tsunami, error) {
 
 	regions := make([]*gridtree.Region, len(s.Regions))
 	for i, sr := range s.Regions {
-		b := s.Bounds[i]
-		rows := make([]int, b[1]-b[0])
-		for k := range rows {
-			rows[k] = b[0] + k
-		}
-		regions[i] = &gridtree.Region{Lo: sr.Lo, Hi: sr.Hi, Rows: rows, ID: i}
+		regions[i] = &gridtree.Region{Lo: sr.Lo, Hi: sr.Hi, ID: i}
 	}
 	root, err := fromSnapNode(s.Root, regions)
 	if err != nil {

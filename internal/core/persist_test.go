@@ -74,7 +74,7 @@ func TestSaveCarriesBufferedInserts(t *testing.T) {
 		t.Errorf("buffered inserts lost through save/load: count = %d, want 25", got)
 	}
 	// ...and merge cleanly on the restored index.
-	if err := loaded.MergeDeltas(); err != nil {
+	if loaded, err = loaded.MergedCopy(); err != nil {
 		t.Fatal(err)
 	}
 	if got := loaded.Execute(q).Count; got != 25 {
@@ -106,7 +106,7 @@ func TestLoadedIndexSupportsInserts(t *testing.T) {
 	if err := loaded.Insert([]int64{1, 2, 3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.MergeDeltas(); err != nil {
+	if loaded, err = loaded.MergedCopy(); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Store().NumRows() != 5001 {

@@ -1,20 +1,15 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/auggrid"
-	"repro/internal/colstore"
-)
+import "fmt"
 
 // Range extraction (shard rebalancing support): SplitRange carves a key
 // range out of an index into a row set, producing a successor index that
 // serves everything else. It is the source-shard half of an online
 // migration — the sharded rebalancer extracts a moving range from one
-// shard and drains it into a neighbor's ingest path — and, like the other
-// copy-on-write maintenance operations in live.go, it never mutates its
-// receiver, so a published epoch keeps serving lock-free readers for the
-// whole rebuild.
+// shard and drains it into a neighbor's ingest path — and, as one more
+// caller of the copy-on-write region rewrite (rewrite.go), it never
+// mutates its receiver, so a published epoch keeps serving lock-free
+// readers for the whole rebuild.
 
 // SplitRange returns a copy of t that no longer contains the rows whose
 // dim value lies in [lo, hi] (both inclusive), together with those rows.
@@ -33,152 +28,5 @@ func (t *Tsunami) SplitRange(dim int, lo, hi int64) (*Tsunami, [][]int64, error)
 	if lo > hi {
 		return nil, nil, fmt.Errorf("core: split range [%d, %d] is empty", lo, hi)
 	}
-	nt := t.fork(false)
-	moved, err := nt.splitRange(dim, lo, hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nt, moved, nil
-}
-
-// splitRange rewrites the receiver without the rows in [lo, hi] on dim and
-// returns them. Callers own the receiver exclusively (it is a fresh fork).
-func (t *Tsunami) splitRange(dim int, lo, hi int64) ([][]int64, error) {
-	d := t.store.NumDims()
-	col := t.store.Column(dim)
-	inRange := func(v int64) bool { return v >= lo && v <= hi }
-
-	var moved [][]int64
-	newCols := make([][]int64, d)
-	for j := range newCols {
-		newCols[j] = make([]int64, 0, t.store.NumRows())
-	}
-	newBounds := make([][2]int, len(t.bounds))
-	newGrids := make([]*auggrid.Grid, len(t.grids))
-	rebuilt := make([]bool, len(t.grids))
-	rewritten := make([]bool, len(t.grids)) // touched: row set changed, old grid is invalid
-	cursor := 0
-	row := make([]int64, d)
-	for _, r := range t.tree.Regions {
-		b := t.bounds[r.ID]
-		dl := t.deltas[r.ID]
-		// A region is touched when it must be rewritten: it holds clustered
-		// rows in the moving range, or buffered rows (which this rebuild
-		// folds, like a merge).
-		touched := dl != nil && len(dl.rows) > 0
-		if !touched && r.Lo[dim] <= hi && r.Hi[dim] >= lo {
-			for i := b[0]; i < b[1]; i++ {
-				if inRange(col[i]) {
-					touched = true
-					break
-				}
-			}
-		}
-		start := cursor
-		if !touched {
-			for j := 0; j < d; j++ {
-				newCols[j] = append(newCols[j], t.store.Column(j)[b[0]:b[1]]...)
-			}
-			cursor += b[1] - b[0]
-			newBounds[r.ID] = [2]int{start, cursor}
-			if start != b[0] {
-				// The segment shifted (an earlier region shrank): refresh the
-				// region's absolute row ids.
-				r.Rows = make([]int, cursor-start)
-				for i := range r.Rows {
-					r.Rows[i] = start + i
-				}
-			}
-			continue
-		}
-		rewritten[r.ID] = true
-
-		// Collect the region's surviving rows (clustered, then buffered)
-		// into a scratch segment; in-range rows leave for the moved set.
-		keptCols := make([][]int64, d)
-		for i := b[0]; i < b[1]; i++ {
-			if inRange(col[i]) {
-				moved = append(moved, append([]int64(nil), t.store.Row(i, row)...))
-				continue
-			}
-			for j := 0; j < d; j++ {
-				keptCols[j] = append(keptCols[j], t.store.Value(i, j))
-			}
-		}
-		if dl != nil {
-			for _, drow := range dl.rows {
-				if inRange(drow[dim]) {
-					moved = append(moved, drow)
-					continue
-				}
-				for j, v := range drow {
-					keptCols[j] = append(keptCols[j], v)
-					// Widen the region's box to cover the folded row, as
-					// MergeDeltas does: regionContained relies on box
-					// soundness.
-					if v < r.Lo[j] {
-						r.Lo[j] = v
-					}
-					if v > r.Hi[j] {
-						r.Hi[j] = v
-					}
-				}
-			}
-		}
-		kept := len(keptCols[0])
-		if g := t.grids[r.ID]; g != nil && kept > 0 {
-			seg, err := colstore.FromColumns(keptCols, t.store.Names())
-			if err != nil {
-				return nil, fmt.Errorf("core: split of region %d: %w", r.ID, err)
-			}
-			segRows := make([]int, kept)
-			for i := range segRows {
-				segRows[i] = i
-			}
-			ng, ordered, err := auggrid.Build(seg, segRows, g.Layout())
-			if err != nil {
-				return nil, fmt.Errorf("core: split rebuild of region %d: %w", r.ID, err)
-			}
-			for _, i := range ordered {
-				for j := 0; j < d; j++ {
-					newCols[j] = append(newCols[j], seg.Value(i, j))
-				}
-			}
-			newGrids[r.ID] = ng
-			rebuilt[r.ID] = true
-		} else {
-			// No grid, or the region emptied out: plain rows, plain scans.
-			for j := 0; j < d; j++ {
-				newCols[j] = append(newCols[j], keptCols[j]...)
-			}
-		}
-		cursor += kept
-		newBounds[r.ID] = [2]int{start, cursor}
-		r.Rows = make([]int, kept)
-		for i := range r.Rows {
-			r.Rows[i] = start + i
-		}
-	}
-
-	newStore, err := colstore.FromColumns(newCols, t.store.Names())
-	if err != nil {
-		return nil, fmt.Errorf("core: split: %w", err)
-	}
-	for id, g := range t.grids {
-		switch {
-		case rebuilt[id]:
-			newGrids[id].Finalize(newStore, newBounds[id][0])
-		case g != nil && !rewritten[id]:
-			// Untouched region: same rows in the same order, new offsets.
-			newGrids[id] = g.Rebase(newStore, newBounds[id][0])
-		}
-		// Touched regions that emptied out (or never had a grid) fall back
-		// to the nil-grid plain-scan path.
-	}
-	t.store = newStore
-	t.grids = newGrids
-	t.bounds = newBounds
-	t.deltas = nil
-	t.numBuffered = 0
-	return moved, nil
+	return t.rewrite(0, &rangeCut{dim: dim, lo: lo, hi: hi}, nil)
 }

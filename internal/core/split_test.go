@@ -83,7 +83,7 @@ func TestSplitRangeMovesExactRows(t *testing.T) {
 	if err := rem.Insert([]int64{cut, cut, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rem.MergeDeltas(); err != nil {
+	if rem, err = rem.MergedCopy(); err != nil {
 		t.Fatal(err)
 	}
 	if got := rem.Execute(query.NewCount(query.Filter{Dim: 0, Lo: cut, Hi: cut2})).Count; got != 1 {

@@ -70,8 +70,10 @@ type Config struct {
 // Tsunami is a built index. A built Tsunami is immutable on the read path:
 // Execute, Explain, and RegionsVisited keep all per-query state in pooled
 // execution contexts, so one shared index serves any number of concurrent
-// callers. Writes (Insert, MergeDeltas, Reoptimize*) mutate the index and
-// must be externally synchronized with readers.
+// callers. Maintenance never writes it either — CopyWithInserts,
+// MergedCopy(Over), ReoptimizeRegionsCopy, SplitRange and Reoptimize each
+// derive a successor and leave the receiver serving. Insert is the only
+// mutator, and may run only on an index no reader holds yet.
 type Tsunami struct {
 	cfg    Config
 	store  *colstore.Store
@@ -81,7 +83,7 @@ type Tsunami struct {
 	stats  index.BuildStats
 
 	// Insert buffering (§8): per-region delta siblings, folded in by
-	// MergeDeltas.
+	// MergedCopy.
 	deltas      map[int]*delta
 	numBuffered int
 }
@@ -179,6 +181,9 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 		start := len(perm)
 		perm = append(perm, ordered[r.ID]...)
 		t.bounds[r.ID] = [2]int{start, len(perm)}
+		// The row ids fed the build and are stale once the store is
+		// reordered; bounds carry the region's extent from here on.
+		r.Rows = nil
 	}
 	optTotal := time.Since(optStart).Seconds()
 
@@ -432,6 +437,9 @@ func (t *Tsunami) SizeBytes() uint64 {
 	return size
 }
 
+// regionRows is the number of clustered rows in region id.
+func (t *Tsunami) regionRows(id int) int { return t.bounds[id][1] - t.bounds[id][0] }
+
 // Store returns the reorganized column store (tests use it as ground
 // truth).
 func (t *Tsunami) Store() *colstore.Store { return t.store }
@@ -496,7 +504,7 @@ func (t *Tsunami) EstimateCost(q query.Query) (rows, bytes uint64) {
 func (t *Tsunami) DebugRegions() string {
 	out := ""
 	for id, r := range t.tree.Regions {
-		out += fmt.Sprintf("region %d: rows=%d queries=%d", id, len(r.Rows), len(r.Queries))
+		out += fmt.Sprintf("region %d: rows=%d queries=%d", id, t.regionRows(id), len(r.Queries))
 		if g := t.grids[id]; g != nil {
 			out += fmt.Sprintf(" cells=%d layout=%v", g.NumCells(), g.Layout())
 		}
@@ -514,9 +522,9 @@ func (t *Tsunami) IndexStats() Stats {
 	}
 	var pts []int
 	var fms, ccdfs, gridRegions int
-	for id, r := range t.tree.Regions {
-		pts = append(pts, len(r.Rows))
-		if g := t.grids[id]; g != nil {
+	for id, g := range t.grids {
+		pts = append(pts, t.regionRows(id))
+		if g != nil {
 			f, c := g.Layout().Skeleton.CountKinds()
 			fms += f
 			ccdfs += c

@@ -104,7 +104,10 @@ func (c *Config) fill() {
 type Region struct {
 	// Lo and Hi are the region's inclusive per-dimension bounds.
 	Lo, Hi []int64
-	// Rows are the store row ids inside the region (pre-reorder).
+	// Rows are the store row ids inside the region. Build-time only: they
+	// index the store as it was handed to Build, and core.Build clears them
+	// once it has reordered that store (nil on a built, derived or loaded
+	// index, whose region extents live in the index's bounds).
 	Rows []int
 	// Queries are the sample-workload queries intersecting the region.
 	Queries []query.Query

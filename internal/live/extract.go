@@ -68,29 +68,16 @@ func (s *Store) PrepareExtract(dim int, lo, hi int64) (*Extraction, error) {
 // removal observable to its own readers. Maintenance stays paused until
 // Release.
 func (e *Extraction) Commit() ([][]int64, error) {
-	s := e.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errClosed
-	}
 	if e.committed {
 		return nil, errors.New("live: extraction committed twice")
 	}
-	tail := s.log[e.v.logLen:]
-	kept := make([][]int64, 0, len(tail))
-	for _, row := range tail {
-		if row[e.dim] >= e.lo && row[e.dim] <= e.hi {
-			e.moved = append(e.moved, row)
-			continue
-		}
-		if err := e.remaining.Insert(row); err != nil {
-			return nil, fmt.Errorf("live: extract replay: %w", err)
-		}
-		kept = append(kept, row)
+	tail, _, err := e.s.publishSuccessor(e.v, e.remaining, func(row []int64) bool {
+		return row[e.dim] >= e.lo && row[e.dim] <= e.hi
+	})
+	if err != nil {
+		return nil, fmt.Errorf("live: extract: %w", err)
 	}
-	s.log = kept
-	s.publishLocked(e.remaining, len(s.log))
+	e.moved = append(e.moved, tail...)
 	e.committed = true
 	return e.moved, nil
 }

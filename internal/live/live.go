@@ -11,7 +11,7 @@
 // affected delta buffers) and publishes it with one atomic swap. A single
 // background maintenance goroutine keeps the hot path clean: when buffered
 // rows cross a threshold it folds them into a fresh clustered copy
-// (core.MergedCopy), when the served query stream drifts from the optimized
+// (core.MergedCopyOver), when the served query stream drifts from the optimized
 // workload (shift.Detector) it re-optimizes the most-drifted region grids
 // into a copy (core.ReoptimizeRegionsCopy) — closing the §8 adaptivity loop
 // end to end — and it periodically snapshots the current epoch (including
@@ -28,8 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,8 +71,8 @@ type Config struct {
 	// current epoch — including buffered-but-unmerged rows — to
 	// SnapshotPath (0 disables).
 	SnapshotInterval time.Duration
-	// SnapshotPath is where periodic snapshots are written (atomically,
-	// via a temp file + rename). Required when SnapshotInterval > 0.
+	// SnapshotPath is where periodic snapshots are written (atomically and
+	// durably, see WriteAtomic). Required when SnapshotInterval > 0.
 	SnapshotPath string
 	// OnEvent, when non-nil, is called after each merge, re-optimization,
 	// snapshot, or maintenance error — usually from the maintenance
@@ -591,6 +589,39 @@ func (s *Store) publishLocked(idx *core.Tsunami, logLen int) {
 	s.cur.Store(&version{idx: idx, epoch: old.epoch + 1, logLen: logLen})
 }
 
+// publishSuccessor finishes every maintenance operation: next was derived,
+// off the hot path, from epoch v, so the rows ingested since v was captured
+// are missing from it. Under s.mu — writers wait only for this short
+// section — they are replayed into its delta buffers (next is private
+// until the swap, the one place core's Insert may run), the replay log is
+// trimmed to them, and next is published as the returned epoch. Rows
+// divert accepts (nil: none) are returned instead of replayed: an
+// extraction's in-range tail leaves with its moved set. Nothing is
+// published on error — errClosed when Close won the race with the rebuild.
+func (s *Store) publishSuccessor(v *version, next *core.Tsunami, divert func(row []int64) bool) ([][]int64, uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, 0, errClosed
+	}
+	tail := s.log[v.logLen:]
+	kept := make([][]int64, 0, len(tail))
+	var diverted [][]int64
+	for _, row := range tail {
+		if divert != nil && divert(row) {
+			diverted = append(diverted, row)
+			continue
+		}
+		if err := next.Insert(row); err != nil {
+			return nil, 0, err
+		}
+		kept = append(kept, row)
+	}
+	s.log = kept
+	s.publishLocked(next, len(s.log))
+	return diverted, s.cur.Load().epoch, nil
+}
+
 // Flush synchronously folds every buffered row into a fresh clustered
 // copy and publishes it, like a threshold-triggered background merge.
 // Concurrent inserts remain buffered in the published epoch. Flush on a
@@ -786,25 +817,10 @@ func (s *Store) mergeLocked(minPerRegion int) error {
 			return nil // raced with another merge; nothing left to fold
 		}
 	}
-	s.mu.Lock()
-	if s.closed { // lost the race with Close during the rebuild
-		s.mu.Unlock()
-		return errClosed
+	_, epoch, err := s.publishSuccessor(v, merged, nil)
+	if err != nil {
+		return fmt.Errorf("live: merge: %w", err)
 	}
-	// Rows ingested since v was captured are not in the merged copy's
-	// clustered data; replay them into its (private, unpublished) delta
-	// buffers before the swap.
-	tail := s.log[v.logLen:]
-	for _, row := range tail {
-		if err := merged.Insert(row); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("live: merge replay: %w", err)
-		}
-	}
-	s.log = append([][]int64(nil), tail...)
-	s.publishLocked(merged, len(s.log))
-	epoch := s.cur.Load().epoch
-	s.mu.Unlock()
 
 	s.merges.Add(1)
 	if m := s.metrics; m != nil {
@@ -833,26 +849,14 @@ func (s *Store) runReoptimize() {
 		s.emit(Event{Kind: EventError, Err: fmt.Errorf("live: reoptimize: %w", err)})
 		return
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.maintMu.Unlock()
+	_, epoch, err := s.publishSuccessor(v, reopt, nil)
+	s.maintMu.Unlock()
+	if err != nil {
+		if !errors.Is(err, errClosed) {
+			s.emit(Event{Kind: EventError, Err: fmt.Errorf("live: reoptimize replay: %w", err)})
+		}
 		return
 	}
-	tail := s.log[v.logLen:]
-	for _, row := range tail {
-		if err := reopt.Insert(row); err != nil {
-			s.mu.Unlock()
-			s.maintMu.Unlock()
-			s.emit(Event{Kind: EventError, Err: fmt.Errorf("live: reoptimize replay: %w", err)})
-			return
-		}
-	}
-	s.log = append([][]int64(nil), tail...)
-	s.publishLocked(reopt, len(s.log))
-	epoch := s.cur.Load().epoch
-	s.mu.Unlock()
-	s.maintMu.Unlock()
 
 	s.reopts.Add(1)
 	if m := s.metrics; m != nil {
@@ -883,36 +887,11 @@ func (s *Store) snapshotToPath() error {
 	return s.snapshotLocked()
 }
 
-// snapshotLocked persists the current epoch atomically: write a temp file
-// in the target directory, fsync-free rename over the destination. Crash
-// mid-write leaves the previous snapshot intact.
+// snapshotLocked persists the current epoch atomically and durably (see
+// WriteAtomic): a crash mid-write leaves the previous snapshot intact.
 func (s *Store) snapshotLocked() error {
 	start := time.Now()
-	v := s.cur.Load()
-	dir := filepath.Dir(s.cfg.SnapshotPath)
-	f, err := os.CreateTemp(dir, ".live-snapshot-*")
-	if err != nil {
-		return fmt.Errorf("live: snapshot: %w", err)
-	}
-	if err := v.idx.Save(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("live: snapshot: %w", err)
-	}
-	// Flush to stable storage before the rename: without it a power loss
-	// can journal the rename ahead of the data blocks, destroying the
-	// previous good snapshot along with the new one.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("live: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("live: snapshot: %w", err)
-	}
-	if err := os.Rename(f.Name(), s.cfg.SnapshotPath); err != nil {
-		os.Remove(f.Name())
+	if err := WriteAtomic(s.cfg.SnapshotPath, s.cur.Load().idx.Save); err != nil {
 		return fmt.Errorf("live: snapshot: %w", err)
 	}
 	s.snapshots.Add(1)

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/query"
 )
 
@@ -87,7 +88,7 @@ func shardGenFile(dir string, i int) string {
 // writeShardGen atomically stamps shard i's snapshot with the partitioner
 // generation it was written under.
 func writeShardGen(dir string, i int, gen uint64) error {
-	return writeAtomic(shardGenFile(dir, i), func(w io.Writer) error {
+	return live.WriteAtomic(shardGenFile(dir, i), func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%d\n", gen)
 		return err
 	})
@@ -110,7 +111,7 @@ func readShardGen(dir string, i int) uint64 {
 // writeShardSnapshot atomically writes shard i's snapshot file, then its
 // generation stamp.
 func writeShardSnapshot(dir string, i int, idx *core.Tsunami, gen uint64) error {
-	if err := writeAtomic(shardFile(dir, i), idx.Save); err != nil {
+	if err := live.WriteAtomic(shardFile(dir, i), idx.Save); err != nil {
 		return fmt.Errorf("sharded: shard %d snapshot: %w", i, err)
 	}
 	if err := writeShardGen(dir, i, gen); err != nil {
@@ -293,7 +294,7 @@ func writeManifest(dir string, spec Spec, gen uint64, pending *pendingMove) erro
 		return fmt.Errorf("sharded: manifest: %w", err)
 	}
 	m := manifest{FormatVersion: manifestVersion, Spec: spec, Generation: gen, Pending: pending}
-	err := writeAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
+	err := live.WriteAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(&m)
 	})
 	if err != nil {
@@ -317,53 +318,4 @@ func readManifest(dir string) (*manifest, error) {
 		return nil, fmt.Errorf("sharded: recover: manifest version %d, want 1..%d", m.FormatVersion, manifestVersion)
 	}
 	return &m, nil
-}
-
-// writeAtomic writes via a temp file in the target's directory, fsyncs,
-// renames over the destination, and fsyncs the directory, so a crash
-// mid-write cannot destroy an existing good file — and, once writeAtomic
-// returns, the rename itself is durable. That last property is what the
-// migration protocol's cross-file write ordering (pending manifest → dst
-// → src → clean manifest) rests on: without the directory sync, a
-// journal could persist a later rename before an earlier one and
-// Recover's case analysis would read a reordered history.
-func writeAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory, making the renames inside it durable in
-// order.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -101,11 +101,16 @@ func TestCollectorEndToEnd(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		c.Record(hot, 10*time.Microsecond, 100, 200, 1600)
 	}
+	// The consumer arms the slow threshold at 1.5x the 10µs p99 while the
+	// hot records are still streaming in, so the warm shape stays under it
+	// (12µs < 15µs): were it to trip the fresh threshold, its exemplar
+	// capture would open the trace rate-limit window and swallow the real
+	// outlier's.
 	for i := 0; i < 30; i++ {
-		c.Record(warm, 20*time.Microsecond, 250, 300, 2400)
+		c.Record(warm, 12*time.Microsecond, 250, 300, 2400)
 	}
 	c.Sync()
-	// Past MinSamples the threshold is armed off the ~10-20µs p99; a 5ms
+	// Past MinSamples the threshold is armed off the ~10-12µs p99; a 5ms
 	// outlier must land in the slow log (and breach the 1ms SLO).
 	slowQ := query.NewSum(1, query.Filter{Dim: 0, Lo: 0, Hi: 200})
 	c.Record(slowQ, 5*time.Millisecond, 900, 1000, 8000)

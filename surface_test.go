@@ -38,3 +38,29 @@ func TestQuerySurface(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintenanceSurface keeps maintenance copy-on-write: the methods that
+// change what an index holds are the committed list — six that derive a
+// successor and leave the receiver serving, plus Insert, the one mutator —
+// and every other exported method is a committed read. An in-place twin
+// (a MergeDeltas beside MergedCopy) fits neither list and fails here.
+func TestMaintenanceSurface(t *testing.T) {
+	maintenance := []string{"CopyWithInserts", "Insert", "MergedCopy", "MergedCopyOver", "Reoptimize", "ReoptimizeRegionsCopy", "SplitRange"}
+	reads := []string{"BufferedRows", "BuildStats", "DebugRegions", "EstimateCost", "Execute", "ExecuteGrouped", "ExecuteWith",
+		"Explain", "IndexStats", "Name", "NumBuffered", "RegionsVisited", "Save", "SizeBytes", "Store"}
+	typ := reflect.TypeOf((*tsunami.TsunamiIndex)(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		derives := m.Type.NumOut() > 0 && m.Type.Out(0) == typ
+		if derives != (slices.Contains(maintenance, m.Name) && m.Name != "Insert") {
+			t.Errorf("%s: returns a successor index = %v, which is not what the committed lists say", m.Name, derives)
+		}
+		if !slices.Contains(reads, m.Name) {
+			got = append(got, m.Name)
+		}
+	}
+	if !slices.Equal(got, maintenance) { // reflect lists methods sorted by name
+		t.Errorf("%v mutates or derives an index through %v, the committed list is %v", typ, got, maintenance)
+	}
+}
