@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,12 +76,6 @@ func BenchmarkFig12bOptimizers(b *testing.B) { runExperiment(b, "fig12b") }
 // BenchmarkAblations measures the design-choice ablations DESIGN.md calls
 // out (sort-dim refinement, FMs, CCDFs, merge epsilon, outlier buffers).
 func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablation") }
-
-// BenchmarkConcurrentThroughput regenerates the concurrency experiment:
-// Executor batch throughput at 1, 4, and NumCPU workers against one shared
-// Tsunami index (reported alongside the Fig 7 harness; see also the
-// workers=N sub-benchmarks below for queries/sec at each pool size).
-func BenchmarkConcurrentThroughput(b *testing.B) { runExperiment(b, "concurrency") }
 
 // BenchmarkExecutorWorkers reports queries/sec of the Fig 7-style query mix
 // through the Executor worker pool at 1, 4, and NumCPU workers.
@@ -178,17 +173,25 @@ func BenchmarkLiveMixed(b *testing.B) {
 // concurrent writers stream row batches into a ShardedStore at 1, 2, and
 // 4 shards (plus NumCPU when distinct). Each shard has its own serialized
 // copy-on-write ingest section, so on a multi-core runner rows/sec grows
-// with shards — the acceptance target is ≥2x at 4 shards vs 1 (a
-// single-core runner can't show scaling; the absolute numbers still
-// catch regressions in the routed ingest path). Merges are disabled so
-// the numbers isolate ingest, not maintenance.
+// with shards — the acceptance target is ≥2x at 4 shards vs 1. Merges are
+// disabled so the numbers isolate ingest, not maintenance.
+//
+// The last shard count also reports best-multi-shard-x: the best
+// multi-shard rows/sec over the shards=1 rows/sec of the same run, the
+// figure CI holds at >=0.85 (sharding must not cost ingest throughput;
+// the inverse-scaling bug it guards against read 0.67). It is reported
+// only with GOMAXPROCS > 1: writers timesharing one CPU cannot show
+// scaling, and the ratio there is scheduler noise.
 func BenchmarkShardedIngest(b *testing.B) {
 	ds := tsunami.GenerateTaxi(30_000, 1)
 	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
 		counts = append(counts, n)
 	}
-	for _, shards := range counts {
+	// rate[i] is counts[i]'s rows/sec; go test calls a sub-benchmark
+	// with growing b.N, and the last call's reading is the one that stays.
+	rate := make([]float64, len(counts))
+	for i, shards := range counts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			ss, err := tsunami.NewShardedStore(ds.Store, nil,
 				tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16},
@@ -229,7 +232,11 @@ func BenchmarkShardedIngest(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "rows/sec")
+			rate[i] = float64(b.N*batchSize) / b.Elapsed().Seconds()
+			b.ReportMetric(rate[i], "rows/sec")
+			if i == len(counts)-1 && rate[0] > 0 && runtime.GOMAXPROCS(0) > 1 {
+				b.ReportMetric(slices.Max(rate[1:])/rate[0], "best-multi-shard-x")
+			}
 		})
 	}
 }

@@ -1,348 +1,201 @@
-// Command benchgate is the benchmark-regression gate CI runs on every PR:
-// it parses `go test -bench` output, extracts the ns/op of the gated
-// benchmarks, and compares each against a checked-in baseline, failing
-// (exit 1) when a benchmark is slower than baseline by more than its
-// allowed tolerance.
+// Command benchgate is CI's performance-floor check: it reads `go test
+// -bench` output on stdin, echoes it, and checks the bounds given as
+// arguments. Every bound compares readings taken within that one run, so
+// none depends on the runner's hardware. Two forms:
 //
-// Usage:
+//	'<unit><=N' or '<unit>>=N'
+//	    a custom metric (b.ReportMetric) against a number. Every benchmark
+//	    that reported the unit is checked, on the median of its -count
+//	    repeats.
+//	'BenchmarkA/BenchmarkB>=N' (or <=)
+//	    the ns/op of family A over family B, paired by sub-benchmark name
+//	    (BenchmarkA/x over BenchmarkB/x), each side the fastest of its
+//	    repeats.
 //
-//	go test -run '^$' -bench BenchmarkScanKernels -benchtime 200ms ./internal/colstore | \
-//	    go run ./cmd/benchgate -baseline .github/scan-baseline.json
-//
-//	go test ... -bench ... | go run ./cmd/benchgate -baseline f.json -update
-//
-// The baseline file maps a benchmark name prefix (sub-benchmark names as
-// printed, without the -<GOMAXPROCS> suffix) to its reference ns/op and a
-// relative tolerance. -update rewrites the baseline from the observed run
-// instead of gating, which is how the reference numbers are refreshed
-// after an intentional perf change (commit the result).
-//
-// The relative gates need no baseline file (immune to runner-hardware
-// variance): -min-speedup requires kernel benchmarks to beat their
-// scalar twins by a factor, measured within one run; the custom-metric
-// gates read metrics benchmarks report via b.ReportMetric and compare
-// them against a bound. -max-overhead gates `overhead-pct` (the
-// differential BenchmarkObsOverhead — CI's observability budget);
-// -min-hit-pct, -min-cache-speedup, -min-shed-pct, and -max-shed-p99-x
-// gate the serving-discipline metrics BenchmarkTraffic reports
-// (`hit-pct`, `cache-speedup-x`, `shed-pct`, `shed-p99-x`):
+// A bound that matches no benchmark fails: a renamed or deleted benchmark
+// must not pass CI silently. Exit status is 0 when every bound holds, 1
+// when one fails, 2 for a malformed bound or unreadable input.
 //
 //	go test -run '^$' -bench BenchmarkObsOverhead -benchtime 1x . | \
-//	    go run ./cmd/benchgate -max-overhead 2
+//	    go run ./cmd/benchgate 'overhead-pct<=2'
 //
-//	go test -run '^$' -bench BenchmarkTraffic -benchtime 1x . | \
-//	    go run ./cmd/benchgate -min-hit-pct 50 -min-cache-speedup 5 \
-//	        -min-shed-pct 10 -max-shed-p99-x 10
-//
-// A second mode compares two committed tsunami-bench JSON artifacts and
-// prints the metric-by-metric delta (the repo's benchmark timeline):
-//
-//	go run ./cmd/benchgate -compare BENCH_5.json BENCH_6.json
-//
-// Compare never exits non-zero for a slowdown — artifacts from different
-// PRs come from different runners, so it reports environment mismatches
-// (num_cpu, gomaxprocs, kernel tier) as warnings instead of gating.
+//	go test -run '^$' -bench 'BenchmarkScan(Kernels|Scalar)' ./internal/colstore | \
+//	    go run ./cmd/benchgate 'BenchmarkScanScalar/BenchmarkScanKernels>=1.5'
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Entry is one gated benchmark in the baseline file.
-type Entry struct {
-	// NsPerOp is the reference time per operation.
-	NsPerOp float64 `json:"ns_per_op"`
-	// Tolerance is the allowed relative slowdown before the gate fails
-	// (0.20 = fail when observed > 1.2x baseline). Generous tolerances
-	// absorb runner jitter; a real kernel regression is far larger.
-	Tolerance float64 `json:"tolerance"`
-}
+func main() { os.Exit(run(os.Stdin, os.Stdout, os.Args[1:])) }
 
-// Baseline is the checked-in reference file.
-type Baseline struct {
-	// Note documents how to regenerate the file.
-	Note       string           `json:"note,omitempty"`
-	Benchmarks map[string]Entry `json:"benchmarks"`
-}
-
-func main() {
-	var (
-		baselinePath = flag.String("baseline", "", "baseline JSON file (required)")
-		update       = flag.Bool("update", false, "rewrite the baseline from this run instead of gating")
-		tolerance    = flag.Float64("tolerance", 0.20, "tolerance written by -update")
-		minSpeedup   = flag.Float64("min-speedup", 0, "also require kernel/scalar speedup >= this, measured within this run (0 disables)")
-		kernelPrefix = flag.String("kernel-prefix", "BenchmarkScanKernels", "benchmark prefix of the kernel side of the speedup gate")
-		scalarPrefix = flag.String("scalar-prefix", "BenchmarkScanScalar", "benchmark prefix of the scalar side of the speedup gate")
-		maxOverhead  = flag.Float64("max-overhead", 0, "fail when a benchmark's reported overhead-pct metric exceeds this many percent (0 disables)")
-		minHitPct    = flag.Float64("min-hit-pct", 0, "fail when a benchmark's reported hit-pct metric is below this many percent (0 disables)")
-		minCacheX    = flag.Float64("min-cache-speedup", 0, "fail when a benchmark's reported cache-speedup-x metric is below this factor (0 disables)")
-		minShedPct   = flag.Float64("min-shed-pct", 0, "fail when a benchmark's reported shed-pct metric is below this many percent (0 disables)")
-		maxShedP99X  = flag.Float64("max-shed-p99-x", 0, "fail when a benchmark's reported shed-p99-x metric exceeds this factor (0 disables)")
-		compare      = flag.Bool("compare", false, "compare two tsunami-bench JSON reports (old new) and print the delta table")
-	)
-	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchgate: -compare needs exactly two arguments: old.json new.json")
-			os.Exit(2)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1)); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		return
-	}
-	// The absolute baseline is optional when a relative or custom-metric
-	// gate is requested: those compare within one run (or against a
-	// stated bound) and need no reference file.
-	anyMetricGate := *maxOverhead > 0 || *minHitPct > 0 || *minCacheX > 0 || *minShedPct > 0 || *maxShedP99X > 0
-	if *baselinePath == "" && *minSpeedup == 0 && !anyMetricGate {
-		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required (or a relative gate: -min-speedup / a custom-metric gate)")
-		os.Exit(2)
-	}
-	if *baselinePath == "" && *update {
-		fmt.Fprintln(os.Stderr, "benchgate: -update needs -baseline")
-		os.Exit(2)
-	}
-
-	observed, metrics, err := parseBench(os.Stdin)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	if len(observed) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results on stdin")
-		os.Exit(2)
-	}
-
-	if *update {
-		if err := writeBaseline(*baselinePath, observed, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("benchgate: wrote %d benchmarks to %s\n", len(observed), *baselinePath)
-		return
-	}
-
-	failed := 0
-	if *baselinePath != "" {
-		raw, err := os.ReadFile(*baselinePath)
+// run gates the bench output on in against the bounds in args, writing
+// the echoed input and one ok/FAIL line per reading to out, and returns
+// the exit status.
+func run(in io.Reader, out io.Writer, args []string) int {
+	bounds := make([]bound, len(args))
+	for i, arg := range args {
+		b, err := parseBound(arg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
+			fmt.Fprintln(out, "benchgate:", err)
+			return 2
 		}
-		var base Baseline
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", *baselinePath, err)
-			os.Exit(2)
-		}
-
-		names := make([]string, 0, len(base.Benchmarks))
-		for name := range base.Benchmarks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			entry := base.Benchmarks[name]
-			got, ok := observed[name]
-			if !ok {
-				fmt.Printf("MISSING  %-40s baseline %.0f ns/op, not in this run\n", name, entry.NsPerOp)
-				failed++
-				continue
-			}
-			limit := entry.NsPerOp * (1 + entry.Tolerance)
-			ratio := got / entry.NsPerOp
-			if got > limit {
-				fmt.Printf("FAIL     %-40s %.0f ns/op vs baseline %.0f (%.2fx, limit %.2fx)\n",
-					name, got, entry.NsPerOp, ratio, 1+entry.Tolerance)
-				failed++
-			} else {
-				fmt.Printf("ok       %-40s %.0f ns/op vs baseline %.0f (%.2fx)\n",
-					name, got, entry.NsPerOp, ratio)
-			}
+		bounds[i] = b
+	}
+	if len(bounds) == 0 {
+		fmt.Fprintln(out, "usage: go test -bench ... | benchgate '<unit><=N' 'BenchmarkA/BenchmarkB>=N' ...")
+		return 2
+	}
+	r, err := parseBench(in, out)
+	if err != nil {
+		fmt.Fprintln(out, "benchgate:", err)
+		return 2
+	}
+	status := 0
+	for _, b := range bounds {
+		if !b.check(r, out) {
+			status = 1
 		}
 	}
-	// Relative gate: kernel vs scalar measured in the same run on the same
-	// machine, so it is immune to the runner-hardware variance the absolute
-	// baseline gate is exposed to. Requires the run to include both
-	// benchmark families.
-	if *minSpeedup > 0 {
-		pairs := 0
-		kernelNames := make([]string, 0, len(observed))
-		for name := range observed {
-			if strings.HasPrefix(name, *kernelPrefix) {
-				kernelNames = append(kernelNames, name)
-			}
-		}
-		sort.Strings(kernelNames)
-		for _, name := range kernelNames {
-			kernelNs := observed[name]
-			scalarNs, ok := observed[*scalarPrefix+name[len(*kernelPrefix):]]
-			if !ok {
-				continue
-			}
-			pairs++
-			speedup := scalarNs / kernelNs
-			if speedup < *minSpeedup {
-				fmt.Printf("FAIL     %-40s %.2fx over scalar, want >= %.2fx\n", name, speedup, *minSpeedup)
-				failed++
-			} else {
-				fmt.Printf("ok       %-40s %.2fx over scalar\n", name, speedup)
-			}
-		}
-		if pairs == 0 {
-			fmt.Printf("benchgate: -min-speedup set but no %s/%s pairs in this run\n", *kernelPrefix, *scalarPrefix)
-			failed++
-		}
-	}
-	// Custom-metric gates: benchmarks report a figure via b.ReportMetric
-	// (the overhead-pct differential — see BenchmarkObsOverhead — or the
-	// serving-discipline figures BenchmarkTraffic reports) and the gate
-	// compares it against a stated bound. Measuring such figures inside
-	// one benchmark and gating the reported metric is deliberate:
-	// comparing two separate benchmark runs is NOT robust — a
-	// multi-second noisy window on a loaded runner lands asymmetrically
-	// and fakes (or masks) a regression several times the real one. With
-	// -count N each gate takes the median of the runs' reported values.
-	failed += gateMetric(metrics, "overhead-pct", *maxOverhead, false, "-max-overhead")
-	failed += gateMetric(metrics, "hit-pct", *minHitPct, true, "-min-hit-pct")
-	failed += gateMetric(metrics, "cache-speedup-x", *minCacheX, true, "-min-cache-speedup")
-	failed += gateMetric(metrics, "shed-pct", *minShedPct, true, "-min-shed-pct")
-	failed += gateMetric(metrics, "shed-p99-x", *maxShedP99X, false, "-max-shed-p99-x")
-	if failed > 0 {
-		fmt.Printf("benchgate: %d benchmark(s) regressed past tolerance\n", failed)
-		os.Exit(1)
-	}
+	return status
 }
 
-// gateMetric gates every benchmark that reported the given custom metric
-// against bound (a floor when wantMin, a ceiling otherwise), taking the
-// median when -count repeated the benchmark. A zero bound disables the
-// gate. A configured gate with no benchmark reporting the metric is a
-// failure: a renamed or deleted benchmark must not silently pass CI.
-func gateMetric(metrics map[string]map[string][]float64, unit string, bound float64, wantMin bool, flagName string) int {
-	if bound == 0 {
-		return 0
-	}
-	byName := metrics[unit]
-	if len(byName) == 0 {
-		fmt.Printf("benchgate: %s set but no benchmark reported a %s metric\n", flagName, unit)
-		return 1
-	}
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	failed := 0
-	for _, name := range names {
-		vals := append([]float64(nil), byName[name]...)
-		sort.Float64s(vals)
-		got := vals[len(vals)/2]
-		if len(vals)%2 == 0 {
-			got = (vals[len(vals)/2-1] + vals[len(vals)/2]) / 2
-		}
-		bad := got > bound
-		rel := "<="
-		if wantMin {
-			bad = got < bound
-			rel = ">="
-		}
-		if bad {
-			fmt.Printf("FAIL     %-40s %.2f %s, want %s %.2f\n", name, got, unit, rel, bound)
-			failed++
-		} else {
-			fmt.Printf("ok       %-40s %.2f %s (want %s %.2f)\n", name, got, unit, rel, bound)
-		}
-	}
-	return failed
+// bound is one parsed argument: readings of what must stay at or above
+// (min) or at or below limit. num and den are set for a ratio bound.
+type bound struct {
+	what     string // the argument's left-hand side, as given
+	num, den string
+	min      bool
+	limit    float64
 }
 
-// parseBench extracts "Benchmark<Name>[-P] <N> <ns> ns/op ..." lines,
-// keyed by name with the GOMAXPROCS suffix stripped — including the
-// "#01"-style suffixes go test appends when a benchmark runs b.Run with
-// one name several times. Repeated runs of one benchmark keep the
-// fastest ns/op (the standard de-noising for the absolute and speedup
-// gates). The second map collects every other "<value> <unit>" column —
-// the custom metrics benchmarks report via b.ReportMetric — as
-// unit -> benchmark name -> values in input order, for the
-// custom-metric gates.
-func parseBench(r *os.File) (map[string]float64, map[string]map[string][]float64, error) {
-	out := make(map[string]float64)
-	metrics := make(map[string]map[string][]float64)
-	sc := bufio.NewScanner(r)
+func parseBound(arg string) (bound, error) {
+	i := strings.LastIndex(arg, "=") - 1
+	if i < 1 || (arg[i] != '<' && arg[i] != '>') {
+		return bound{}, fmt.Errorf("bound %q: want <unit><=N, <unit>>=N or BenchmarkA/BenchmarkB>=N", arg)
+	}
+	limit, err := strconv.ParseFloat(arg[i+2:], 64)
+	if err != nil {
+		return bound{}, fmt.Errorf("bound %q: %v", arg, err)
+	}
+	b := bound{what: arg[:i], min: arg[i] == '>', limit: limit}
+	// Metric units never start with "Benchmark", so two family names
+	// around a slash can only mean a ratio (units such as rows/sec stay
+	// metrics).
+	if num, den, ok := strings.Cut(b.what, "/"); ok && strings.HasPrefix(num, "Benchmark") && strings.HasPrefix(den, "Benchmark") {
+		b.num, b.den = num, den
+	}
+	return b, nil
+}
+
+// check prints one line per reading the bound applies to and reports
+// whether all of them hold; no reading at all is a failure.
+func (b bound) check(r results, out io.Writer) bool {
+	got := make(map[string]float64)
+	if b.den != "" {
+		for name, den := range r.ns {
+			sub, ok := strings.CutPrefix(name, b.den)
+			if !ok || (sub != "" && sub[0] != '/') {
+				continue
+			}
+			if num, ok := r.ns[b.num+sub]; ok {
+				got[name] = num / den
+			}
+		}
+	} else {
+		for name, vals := range r.metrics[b.what] {
+			got[name] = median(vals)
+		}
+	}
+	rel := "<="
+	if b.min {
+		rel = ">="
+	}
+	if len(got) == 0 {
+		fmt.Fprintf(out, "FAIL     no benchmark in this run gives a %s reading (want %s %.2f)\n", b.what, rel, b.limit)
+		return false
+	}
+	all := true
+	for _, name := range slices.Sorted(maps.Keys(got)) {
+		v, verdict := got[name], "ok  "
+		// Stated as what passes, so a NaN reading fails either form.
+		if pass := (b.min && v >= b.limit) || (!b.min && v <= b.limit); !pass {
+			verdict, all = "FAIL", false
+		}
+		fmt.Fprintf(out, "%s     %-40s %.2f %s (want %s %.2f)\n", verdict, name, v, b.what, rel, b.limit)
+	}
+	return all
+}
+
+// median of a benchmark's readings; the input slice is reordered.
+func median(vals []float64) float64 {
+	slices.Sort(vals)
+	n := len(vals)
+	if n%2 == 0 {
+		return (vals[n/2-1] + vals[n/2]) / 2
+	}
+	return vals[n/2]
+}
+
+// results is one bench run: per benchmark the fastest ns/op of its
+// repeats, and per custom-metric unit every value each benchmark
+// reported, in input order.
+type results struct {
+	ns      map[string]float64
+	metrics map[string]map[string][]float64
+}
+
+// parseBench reads "Benchmark<Name>[-P] <N> <value> <unit> ..." lines,
+// echoing everything to out so the gate's input stays in the CI log.
+// Names are keyed with the -<GOMAXPROCS> suffix stripped, and the "#01"
+// suffix go test appends when one name runs several times. A line that
+// does not parse is skipped: the bound it would have fed then fails for
+// want of a reading.
+func parseBench(in io.Reader, out io.Writer) (results, error) {
+	r := results{ns: make(map[string]float64), metrics: make(map[string]map[string][]float64)}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // echo, so the gate's input stays in the CI log
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+		fmt.Fprintln(out, sc.Text())
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		name := fields[0]
-		if cut := strings.LastIndex(name, "-"); cut > 0 {
-			if _, err := strconv.Atoi(name[cut+1:]); err == nil {
-				name = name[:cut]
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
+		}
+		name := f[0]
+		for _, sep := range []string{"-", "#"} {
+			if cut := strings.LastIndex(name, sep); cut > 0 {
+				if _, err := strconv.Atoi(name[cut+1:]); err == nil {
+					name = name[:cut]
+				}
 			}
 		}
-		if cut := strings.LastIndex(name, "#"); cut > 0 {
-			if _, err := strconv.Atoi(name[cut+1:]); err == nil {
-				name = name[:cut]
-			}
-		}
-		// Units follow their values column-wise: "<value> ns/op",
-		// "<value> overhead-pct", ...
-		for i := 2; i < len(fields); i++ {
-			if fields[i] == "ns/op" {
-				ns, err := strconv.ParseFloat(fields[i-1], 64)
-				if err != nil {
-					return nil, nil, fmt.Errorf("bad ns/op value in %q: %v", line, err)
-				}
-				if prev, ok := out[name]; !ok || ns < prev {
-					out[name] = ns
-				}
-				continue
-			}
-			// Any other unit column is a custom metric; a column that
-			// does not parse as a number (e.g. the iteration count
-			// followed by a unit-less token) is not one.
-			v, err := strconv.ParseFloat(fields[i-1], 64)
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
+				break
+			}
+			unit := f[i+1]
+			if unit == "ns/op" {
+				if prev, ok := r.ns[name]; !ok || v < prev {
+					r.ns[name] = v
+				}
 				continue
 			}
-			if _, err := strconv.ParseFloat(fields[i], 64); err == nil {
-				continue
+			if r.metrics[unit] == nil {
+				r.metrics[unit] = make(map[string][]float64)
 			}
-			byName := metrics[fields[i]]
-			if byName == nil {
-				byName = make(map[string][]float64)
-				metrics[fields[i]] = byName
-			}
-			byName[name] = append(byName[name], v)
+			r.metrics[unit][name] = append(r.metrics[unit][name], v)
 		}
 	}
-	return out, metrics, sc.Err()
-}
-
-// writeBaseline emits a fresh baseline file from the observed run.
-func writeBaseline(path string, observed map[string]float64, tol float64) error {
-	base := Baseline{
-		Note:       "regenerate: go test -run '^$' -bench BenchmarkScanKernels -benchtime 200ms ./internal/colstore | go run ./cmd/benchgate -baseline <this file> -update",
-		Benchmarks: make(map[string]Entry, len(observed)),
-	}
-	for name, ns := range observed {
-		base.Benchmarks[name] = Entry{NsPerOp: ns, Tolerance: tol}
-	}
-	raw, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return r, sc.Err()
 }

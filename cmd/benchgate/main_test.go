@@ -5,125 +5,97 @@ import (
 	"testing"
 )
 
-const oldReport = `{
-  "schema": "tsunami-bench/v1",
-  "go_version": "go1.24.0",
-  "goos": "linux", "goarch": "amd64",
-  "num_cpu": 1, "gomaxprocs": 1,
-  "experiments": {
-    "scan": {
-      "rows": 131072,
-      "shapes": [
-        {"shape": "count_1f", "mrows_per_s": 500, "speedup_vs_scalar": 3.7},
-        {"shape": "sum_1f", "mrows_per_s": 400, "speedup_vs_scalar": 3.0}
-      ]
-    },
-    "sharded": {
-      "scaling_unreliable": false,
-      "ingest": [
-        {"shards": 1, "rows_per_s": 100000, "speedup_vs_1": 1},
-        {"shards": 4, "rows_per_s": 67000, "speedup_vs_1": 0.67}
-      ]
-    }
-  }
-}`
+// benchText is literal `go test -bench` output: three families with
+// GOMAXPROCS suffixes, -count 3 repeats of the metric benchmarks (one of
+// them under a "#01" name), a benchmark that printed into its own result
+// line, and the trailer lines.
+const benchText = `goos: linux
+goarch: amd64
+pkg: repro/internal/colstore
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkScanKernels/count_1f-8         	    2000	    100000 ns/op	83886.08 MB/s
+BenchmarkScanKernels/count_1f-8         	    2000	     50000 ns/op	167772.16 MB/s
+BenchmarkScanKernels/count_2f-8         	    1000	    200000 ns/op	41943.04 MB/s
+BenchmarkScanKernelsPortable/count_1f-8 	     500	    300000 ns/op
+BenchmarkScanKernelsPortable/count_2f-8 	     500	    280000 ns/op
+BenchmarkScanScalar/count_1f-8          	     100	   1000000 ns/op
+BenchmarkScanScalar/count_1f-8          	     100	    900000 ns/op
+BenchmarkScanScalar/count_2f-8          	     100	   2000000 ns/op
+BenchmarkScanScalar/sum_9f-8            	     100	   2000000 ns/op
+BenchmarkObsOverhead/exec-8             	       1	 377963629 ns/op	   1988112 instr-pass-ns	         2.500 overhead-pct
+BenchmarkObsOverhead/exec-8             	       1	 377963629 ns/op	   1988112 instr-pass-ns	         1.500 overhead-pct
+BenchmarkObsOverhead/exec#01-8          	       1	 377963629 ns/op	   1988112 instr-pass-ns	         9.000 overhead-pct
+BenchmarkObsOverhead/batch-8            	       1	 240260073 ns/op	   1231651 instr-pass-ns	        -0.9985 overhead-pct
+BenchmarkTraffic 	       1	1000438174 ns/op	       119.8 cache-speedup-x	        91.40 hit-pct
+BenchmarkTab3Datasets-8   	
+=== Tab 3 — Dataset and query characteristics ===
+       1	 377963629 ns/op
+PASS
+ok  	repro/internal/colstore	12.3s
+`
 
-const newReport = `{
-  "schema": "tsunami-bench/v1",
-  "go_version": "go1.24.0",
-  "goos": "linux", "goarch": "amd64",
-  "num_cpu": 1, "gomaxprocs": 4,
-  "scan_kernel": "avx2",
-  "experiments": {
-    "scan": {
-      "rows": 131072,
-      "shapes": [
-        {"shape": "count_1f", "mrows_per_s": 6000, "kernel_gb_per_s": 48.0},
-        {"shape": "sum_1f", "mrows_per_s": 4000, "speedup_vs_scalar": 30.1}
-      ]
-    },
-    "sharded": {
-      "scaling_unreliable": true,
-      "ingest": [
-        {"shards": 1, "rows_per_s": 100000, "speedup_vs_1": 1},
-        {"shards": 4, "rows_per_s": 120000, "speedup_vs_1": 1.2}
-      ]
-    }
-  }
-}`
-
-func TestCompareReports(t *testing.T) {
-	var sb strings.Builder
-	if err := compareReports(&sb, []byte(oldReport), []byte(newReport)); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	t.Log("\n" + out)
-
-	// Shared metrics line up by label field, not array position, and the
-	// delta is new/old.
-	wantLines := []string{
-		"scan.shapes[shape=count_1f].mrows_per_s",
-		"12.00x", // 6000/500
-		"sharded.ingest[shards=4].speedup_vs_1",
-		"1.79x", // 1.2/0.67
-	}
-	for _, want := range wantLines {
-		if !strings.Contains(out, want) {
-			t.Errorf("compare output missing %q", want)
-		}
-	}
-
-	// Metric churn is reported, not fatal: fields only one side has.
-	if !strings.Contains(out, "scan.shapes[shape=count_1f].kernel_gb_per_s") || !strings.Contains(out, "new") {
-		t.Error("metric present only in the new report should be listed as new")
-	}
-	if !strings.Contains(out, "scan.shapes[shape=count_1f].speedup_vs_scalar") || !strings.Contains(out, "gone") {
-		t.Error("metric present only in the old report should be listed as gone")
-	}
-
-	// Booleans flatten to 0/1 so flag flips show in the timeline.
-	if !strings.Contains(out, "sharded.scaling_unreliable") {
-		t.Error("boolean flags should appear as metrics")
-	}
-
-	// Environment differences warn but do not error.
-	if !strings.Contains(out, "WARNING: gomaxprocs differs (old 1, new 4)") {
-		t.Error("gomaxprocs mismatch should produce a warning")
-	}
-	if !strings.Contains(out, "WARNING: scan_kernel differs (old (unset), new avx2)") {
-		t.Error("scan_kernel mismatch should produce a warning")
-	}
-	if strings.Contains(out, "WARNING: num_cpu") {
-		t.Error("matching num_cpu must not warn")
+func TestGate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bounds []string
+		status int
+		want   []string // substrings of the output
+	}{
+		{"metric median over repeats, #01 and -8 stripped",
+			[]string{"overhead-pct<=2.5"}, 0,
+			[]string{"ok       BenchmarkObsOverhead/exec ", " 2.50 overhead-pct (want <= 2.50)", "ok       BenchmarkObsOverhead/batch ", " -1.00 overhead-pct"}},
+		{"every benchmark reporting the metric is checked",
+			[]string{"overhead-pct<=2"}, 1,
+			[]string{"FAIL     BenchmarkObsOverhead/exec ", "ok       BenchmarkObsOverhead/batch "}},
+		{"floor holds, name without GOMAXPROCS suffix",
+			[]string{"hit-pct>=50", "cache-speedup-x>=5"}, 0,
+			[]string{"ok       BenchmarkTraffic ", " 91.40 hit-pct (want >= 50.00)", " 119.80 cache-speedup-x"}},
+		{"floor broken",
+			[]string{"hit-pct>=95"}, 1, []string{"FAIL     BenchmarkTraffic "}},
+		{"one failing bound among passing ones fails the run",
+			[]string{"cache-speedup-x>=5", "hit-pct>=95", "overhead-pct<=10"}, 1, nil},
+		{"ratio: fastest of repeats, paired by sub-benchmark, unpaired shapes ignored",
+			[]string{"BenchmarkScanScalar/BenchmarkScanKernels>=10"}, 0,
+			[]string{"ok       BenchmarkScanKernels/count_1f ", " 18.00 BenchmarkScanScalar/BenchmarkScanKernels", "ok       BenchmarkScanKernels/count_2f ", " 10.00 "}},
+		{"ratio: family is matched whole, not as a prefix",
+			[]string{"BenchmarkScanKernelsPortable/BenchmarkScanKernels>=1.5"}, 1,
+			[]string{"ok       BenchmarkScanKernels/count_1f ", " 6.00 ", "FAIL     BenchmarkScanKernels/count_2f ", " 1.40 "}},
+		{"ratio ceiling",
+			[]string{"BenchmarkScanKernels/BenchmarkScanScalar<=0.1"}, 0,
+			[]string{"ok       BenchmarkScanScalar/count_1f ", " 0.06 "}},
+		{"metric no benchmark reported", []string{"shed-pct>=10"}, 1, []string{"FAIL     no benchmark in this run gives a shed-pct reading"}},
+		{"a slash in a unit is still a metric", []string{"rows/sec>=1"}, 1, []string{"gives a rows/sec reading"}},
+		{"ratio with no pair", []string{"BenchmarkScanGroupedScalar/BenchmarkScanGrouped>=1.5"}, 1, []string{"FAIL     no benchmark"}},
+		{"ratio whose pairs share no sub-benchmark", []string{"BenchmarkTraffic/BenchmarkScanKernels>=1"}, 1, []string{"FAIL     no benchmark"}},
+		{"malformed: no comparison", []string{"overhead-pct"}, 2, []string{`bound "overhead-pct"`}},
+		{"malformed: bare equals", []string{"overhead-pct=2"}, 2, nil},
+		{"malformed: no left-hand side", []string{"<=2"}, 2, nil},
+		{"malformed: limit not a number", []string{"hit-pct>=half"}, 2, nil},
+		{"malformed bound beside a good one", []string{"hit-pct>=50", "-max-overhead"}, 2, nil},
+		{"no bounds", nil, 2, []string{"usage:"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			if got := run(strings.NewReader(benchText), &out, tc.bounds); got != tc.status {
+				t.Errorf("exit status %d, want %d\n%s", got, tc.status, out.String())
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output lacks %q:\n%s", want, out.String())
+				}
+			}
+			if tc.status != 2 && !strings.Contains(out.String(), "=== Tab 3") {
+				t.Error("input was not echoed")
+			}
+		})
 	}
 }
 
-func TestCompareReportsBadJSON(t *testing.T) {
-	var sb strings.Builder
-	if err := compareReports(&sb, []byte("{"), []byte(newReport)); err == nil {
-		t.Error("truncated old report should error")
-	}
-	if err := compareReports(&sb, []byte(oldReport), []byte("not json")); err == nil {
-		t.Error("malformed new report should error")
-	}
-}
-
-func TestFlattenElemKey(t *testing.T) {
-	out := make(map[string]float64)
-	flatten("x", map[string]any{
-		"anon": []any{
-			map[string]any{"v": 1.0},
-			map[string]any{"v": 2.0},
-		},
-		"workers_arr": []any{
-			map[string]any{"workers": 4.0, "qps": 9.0},
-		},
-	}, out)
-	if out["x.anon[0].v"] != 1 || out["x.anon[1].v"] != 2 {
-		t.Errorf("unlabeled arrays should key by index: %v", out)
-	}
-	if out["x.workers_arr[workers=4].qps"] != 9 {
-		t.Errorf("labeled arrays should key by label field: %v", out)
+// TestGateEmptyInput: a gate fed nothing (the bench step crashed, the
+// regexp matched no benchmark) fails every bound.
+func TestGateEmptyInput(t *testing.T) {
+	var out strings.Builder
+	if got := run(strings.NewReader("PASS\n"), &out, []string{"overhead-pct<=2"}); got != 1 {
+		t.Errorf("exit status %d, want 1\n%s", got, out.String())
 	}
 }

@@ -1,19 +1,17 @@
 // Command tsunami-bench regenerates the tables and figures of the Tsunami
-// paper's evaluation (§6) on generated datasets.
+// paper's evaluation (§6) on generated datasets, plus the two serving
+// experiments the repository benchmark (benchmark/, BENCHMARK.json) does
+// not cover yet: online rebalancing and the open-loop overload burst.
 //
 // Usage:
 //
 //	tsunami-bench -experiment fig7 -rows 200000
-//	tsunami-bench -experiment sharded
+//	tsunami-bench -experiment rebalance,traffic -quick
 //	tsunami-bench -experiment all -quick
-//	tsunami-bench -experiment scan,concurrency,sharded -quick -json > BENCH.json
 //
 // Experiments: tab3, tab4, fig7, fig8, fig9a, fig9b, fig10, fig11a,
-// fig11b, fig12a, fig12b, ablation, scan, groupby, concurrency, sharded,
-// rebalance, traffic, all. -experiment accepts a comma-separated list; with
-// -json the run emits one machine-readable bench.Report instead of tables
-// (only scan, groupby, concurrency, sharded, obs, and traffic have JSON
-// reporters — CI uploads that output as the per-PR BENCH artifact).
+// fig11b, fig12a, fig12b, ablation, rebalance, traffic, all. -experiment
+// accepts a comma-separated list.
 package main
 
 import (
@@ -27,12 +25,11 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated experiment ids (tab3, tab4, fig7..fig12b, ablation, scan, groupby, concurrency, sharded, rebalance, obs, traffic, all)")
+		experiment = flag.String("experiment", "all", "comma-separated experiment ids ("+strings.Join(bench.IDs(), ", ")+")")
 		rows       = flag.Int("rows", 0, "base dataset rows (default 200000; paper used 184M-300M)")
 		perType    = flag.Int("queries-per-type", 0, "queries per query type (default 100, as in the paper)")
 		seed       = flag.Int64("seed", 42, "generator seed")
 		quick      = flag.Bool("quick", false, "small fast run for smoke testing")
-		asJSON     = flag.Bool("json", false, "emit one machine-readable JSON report (scan, groupby, concurrency, sharded, obs, traffic only)")
 	)
 	flag.Parse()
 
@@ -42,19 +39,8 @@ func main() {
 		Seed:           *seed,
 		Quick:          *quick,
 	}
-	ids := strings.Split(*experiment, ",")
-	for i, id := range ids {
-		ids[i] = strings.TrimSpace(id)
-	}
-	if *asJSON {
-		if err := bench.RunJSON(os.Stdout, ids, o); err != nil {
-			fmt.Fprintln(os.Stderr, "tsunami-bench:", err)
-			os.Exit(2)
-		}
-		return
-	}
-	for _, id := range ids {
-		if err := bench.Run(os.Stdout, id, o); err != nil {
+	for _, id := range strings.Split(*experiment, ",") {
+		if err := bench.Run(os.Stdout, strings.TrimSpace(id), o); err != nil {
 			fmt.Fprintln(os.Stderr, "tsunami-bench:", err)
 			os.Exit(2)
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,78 +12,92 @@ func tinyOptions() Options {
 	return Options{Rows: 6000, QueriesPerType: 10, Seed: 5, Quick: true}
 }
 
-func TestRunDispatchUnknown(t *testing.T) {
-	if err := Run(io.Discard, "fig99", tinyOptions()); err == nil {
-		t.Error("unknown experiment id should error")
-	}
+// kept is the committed experiment list, in the order "all" runs it, with
+// the section header each prints first and the strings its output must
+// carry. Adding, dropping or reordering an experiment means editing this
+// table.
+var kept = []struct {
+	id, header string
+	want       []string
+}{
+	{"tab3", "Tab 3", []string{"TPC-H", "Taxi", "Perfmon", "Stocks", "query types"}},
+	{"tab4", "Tab 4", []string{"GT nodes", "avg CCDFs", "flood cells"}},
+	{"fig7", "Fig 7", []string{"Tsunami", "Flood", "KDTree", "ZOrder", "Hyperoctree", "SingleDim", "speedup"}},
+	{"fig8", "Fig 8", []string{"vs Tsunami", "Hyperoctree"}},
+	{"fig9a", "Fig 9a", []string{"before shift", "stale layout", "after re-optimization", "re-optimization time"}},
+	{"fig9b", "Fig 9b", []string{"sort (s)", "optimize (s)"}},
+	{"fig10", "Fig 10", []string{"uncorrelated group", "correlated group"}},
+	{"fig11a", "Fig 11a", []string{"rows", "KDTree"}},
+	{"fig11b", "Fig 11b", []string{"selectivity", "%"}},
+	{"fig12a", "Fig 12a", []string{"AugGrid-only", "GridTree-only", "speedup vs Flood"}},
+	{"fig12b", "Fig 12b", []string{"AGD", "GD", "BlackBox", "AGD-NI", "cost-model error"}},
+	{"ablation", "Ablation", []string{"no functional mappings"}},
+	{"rebalance", "Rebalance", []string{"before skew", "during migration", "exact", "migrated", "post-rebalance spread"}},
+	{"traffic", "Traffic", []string{"cache hit rate", "hot query", "admitted with shedding"}},
 }
 
-func TestTab3Output(t *testing.T) {
-	var buf bytes.Buffer
-	Tab3(&buf, tinyOptions())
-	out := buf.String()
-	for _, want := range []string{"TPC-H", "Taxi", "Perfmon", "Stocks", "query types"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Tab3 output missing %q:\n%s", want, out)
+// headers lists the section headers in out, in order, after checking
+// that the harness reported no self-check failure. Every experiment
+// checks its own indexes against a full scan (rebalance: every
+// mid-migration answer against fixed ground truth) and says so in its
+// output: CORRECTNESS FAILURE, REBALANCE FAILURE, BUILD FAILURE,
+// "FAILURE:", INCORRECT.
+func headers(t *testing.T, out string) []string {
+	t.Helper()
+	for _, bad := range []string{"FAILURE", "INCORRECT"} {
+		if strings.Contains(out, bad) {
+			t.Fatalf("harness reported %s:\n%s", bad, out)
 		}
 	}
-}
-
-func TestFig7OutputAndCorrectness(t *testing.T) {
-	var buf bytes.Buffer
-	Fig7(&buf, tinyOptions())
-	out := buf.String()
-	if strings.Contains(out, "CORRECTNESS FAILURE") {
-		t.Fatalf("Fig7 detected an incorrect index:\n%s", out)
-	}
-	for _, want := range []string{"Tsunami", "Flood", "KDTree", "ZOrder", "Hyperoctree", "SingleDim", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Fig7 output missing %q", want)
+	var hs []string
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "=== "); ok {
+			h, _, _ := strings.Cut(rest, " — ")
+			hs = append(hs, h)
 		}
 	}
+	return hs
 }
 
-func TestFig12bReportsCostError(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions()
-	Fig12b(&buf, o)
-	out := buf.String()
-	if strings.Contains(out, "INCORRECT") {
-		t.Fatalf("an optimizer produced an incorrect grid:\n%s", out)
+// TestExperiments runs every kept experiment by id at test scale, then
+// "all", which must visit exactly the kept list in order, and the ids Run
+// must refuse.
+func TestExperiments(t *testing.T) {
+	var all []string
+	for _, e := range kept {
+		all = append(all, e.header)
+		t.Run(e.id, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Run(&buf, e.id, tinyOptions()); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			if hs := headers(t, out); !slices.Equal(hs, []string{e.header}) {
+				t.Errorf("%s printed sections %q, want only %q", e.id, hs, e.header)
+			}
+			for _, want := range e.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s output missing %q:\n%s", e.id, want, out)
+				}
+			}
+		})
 	}
-	for _, want := range []string{"AGD", "GD", "BlackBox", "AGD-NI", "cost-model error"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Fig12b output missing %q", want)
+	t.Run("all", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("short mode")
 		}
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions()
-	o.Rows = 4000
-	Ablations(&buf, o)
-	out := buf.String()
-	if strings.Contains(out, "CORRECTNESS FAILURE") {
-		t.Fatalf("ablation variant incorrect:\n%s", out)
-	}
-	if !strings.Contains(out, "no functional mappings") {
-		t.Error("ablation output incomplete")
-	}
-}
-
-func TestConcurrencyRun(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions()
-	o.Rows = 4000
-	Concurrency(&buf, o)
-	out := buf.String()
-	if strings.Contains(out, "CORRECTNESS FAILURE") {
-		t.Fatalf("concurrency experiment detected an incorrect index:\n%s", out)
-	}
-	for _, want := range []string{"workers", "throughput", "speedup", "intra-query"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Concurrency output missing %q:\n%s", want, out)
+		// Smaller than tinyOptions: only the visiting order is new here.
+		var buf bytes.Buffer
+		if err := Run(&buf, "all", Options{Rows: 1500, QueriesPerType: 3, Seed: 5, Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+		if hs := headers(t, buf.String()); !slices.Equal(hs, all) {
+			t.Errorf("all visited %q, want %q", hs, all)
+		}
+	})
+	for _, id := range []string{"scan", "groupby", "concurrency", "sharded", "obs", "fig99", ""} {
+		if err := Run(io.Discard, id, tinyOptions()); err == nil {
+			t.Errorf("Run accepted experiment id %q", id)
 		}
 	}
 }

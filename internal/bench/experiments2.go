@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
@@ -221,74 +222,48 @@ func (x *gridIndex) Execute(q query.Query) colstore.ScanResult {
 }
 func (x *gridIndex) SizeBytes() uint64 { return x.g.SizeBytes() }
 
-// All runs every experiment in paper order.
-func All(w io.Writer, o Options) {
-	Tab3(w, o)
-	Tab4(w, o)
-	Fig7(w, o)
-	Fig8(w, o)
-	Fig9a(w, o)
-	Fig9b(w, o)
-	Fig10(w, o)
-	Fig11a(w, o)
-	Fig11b(w, o)
-	Fig12a(w, o)
-	Fig12b(w, o)
-	Ablations(w, o)
-	Scan(w, o)
-	GroupBy(w, o)
-	Concurrency(w, o)
-	Sharded(w, o)
-	Rebalance(w, o)
-	Obs(w, o)
-	Traffic(w, o)
+// experiments is every experiment in paper order: Run dispatches on it
+// and "all" visits it front to back.
+var experiments = []struct {
+	id  string
+	run func(io.Writer, Options)
+}{
+	{"tab3", Tab3},
+	{"tab4", Tab4},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9a", Fig9a},
+	{"fig9b", Fig9b},
+	{"fig10", Fig10},
+	{"fig11a", Fig11a},
+	{"fig11b", Fig11b},
+	{"fig12a", Fig12a},
+	{"fig12b", Fig12b},
+	{"ablation", Ablations},
+	{"rebalance", Rebalance},
+	{"traffic", Traffic},
+}
+
+// IDs lists what Run accepts: every experiment in paper order, then "all".
+func IDs() []string {
+	ids := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	return append(ids, "all")
 }
 
 // Run dispatches an experiment by id ("tab3", "fig7", ..., "all").
 func Run(w io.Writer, id string, o Options) error {
-	switch id {
-	case "tab3":
-		Tab3(w, o)
-	case "tab4":
-		Tab4(w, o)
-	case "fig7":
-		Fig7(w, o)
-	case "fig8":
-		Fig8(w, o)
-	case "fig9a":
-		Fig9a(w, o)
-	case "fig9b":
-		Fig9b(w, o)
-	case "fig10":
-		Fig10(w, o)
-	case "fig11a":
-		Fig11a(w, o)
-	case "fig11b":
-		Fig11b(w, o)
-	case "fig12a":
-		Fig12a(w, o)
-	case "fig12b":
-		Fig12b(w, o)
-	case "ablation":
-		Ablations(w, o)
-	case "scan":
-		Scan(w, o)
-	case "groupby":
-		GroupBy(w, o)
-	case "concurrency":
-		Concurrency(w, o)
-	case "sharded":
-		Sharded(w, o)
-	case "rebalance":
-		Rebalance(w, o)
-	case "obs":
-		Obs(w, o)
-	case "traffic":
-		Traffic(w, o)
-	case "all":
-		All(w, o)
-	default:
-		return fmt.Errorf("unknown experiment %q (tab3, tab4, fig7, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, ablation, scan, groupby, concurrency, sharded, rebalance, obs, traffic, all)", id)
+	ran := false
+	for _, e := range experiments {
+		if id == e.id || id == "all" {
+			e.run(w, o)
+			ran = true
+		}
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (%s)", id, strings.Join(IDs(), ", "))
 	}
 	return nil
 }

@@ -18,43 +18,43 @@ import (
 	"repro/internal/workload"
 )
 
-// TrafficResult is the heavy-traffic serving experiment's machine-
-// readable output: what the epoch-keyed result cache buys on a skewed
-// (zipfian) query stream, and what admission control buys under an
-// open-loop burst that offers more load than the machine can serve.
+// TrafficResult is the heavy-traffic serving experiment's output: what
+// the epoch-keyed result cache buys on a skewed (zipfian) query stream,
+// and what admission control buys under an open-loop burst that offers
+// more load than the machine can serve.
 type TrafficResult struct {
-	Rows     int `json:"rows"`
-	PoolSize int `json:"pool_size"` // distinct queries in the zipfian pool
+	Rows     int
+	PoolSize int // distinct queries in the zipfian pool
 
 	// Closed-loop zipfian stream against the cached store.
-	ZipfQueries int     `json:"zipf_queries"`
-	HitRatePct  float64 `json:"hit_rate_pct"`
+	ZipfQueries int
+	HitRatePct  float64
 	// HotHitNs / UncachedNs are the median latency of the stream's most
 	// popular query served from the cache vs executed uncached;
 	// CacheSpeedupX is their ratio (the ISSUE's >=10x claim).
-	HotHitNs      float64 `json:"hot_hit_ns"`
-	UncachedNs    float64 `json:"uncached_ns"`
-	CacheSpeedupX float64 `json:"cache_speedup_x"`
+	HotHitNs      float64
+	UncachedNs    float64
+	CacheSpeedupX float64
 
 	// Open-loop burst: Concurrency goroutines offer queries as fast as
 	// they can against an uncached store — far beyond MaxInFlight.
-	Concurrency int `json:"concurrency"`
-	MaxInFlight int `json:"max_in_flight"`
+	Concurrency int
+	MaxInFlight int
 	// UnloadedP99Us is the p99 with one client and no contention — the
 	// latency the SLO is written against.
-	UnloadedP99Us float64 `json:"unloaded_p99_us"`
+	UnloadedP99Us float64
 	// UnsheddedP99Us is the burst p99 with no admission control: every
 	// query is accepted and they all queue on each other.
-	UnsheddedP99Us float64 `json:"unshedded_p99_us"`
+	UnsheddedP99Us float64
 	// ShedAdmittedP99Us is the burst p99 of the *admitted* queries when
 	// the Executor sheds beyond MaxInFlight; ShedPct is how much of the
 	// offered load was shed to protect it.
-	ShedAdmittedP99Us float64 `json:"shed_admitted_p99_us"`
-	ShedPct           float64 `json:"shed_pct"`
+	ShedAdmittedP99Us float64
+	ShedPct           float64
 	// P99 ratios over unloaded: the unshedded one degrades with the
 	// burst size, the shedded one is the discipline's claim (<= 2x).
-	UnsheddedP99X float64 `json:"unshedded_p99_x"`
-	ShedP99X      float64 `json:"shed_p99_x"`
+	UnsheddedP99X float64
+	ShedP99X      float64
 }
 
 // RunTraffic measures the serving discipline end to end. One immutable
@@ -300,6 +300,16 @@ func medianLatencyNs(reps int, fn func()) float64 {
 		ns[i] = float64(time.Since(start).Nanoseconds())
 	}
 	return median(ns)
+}
+
+// median of a sample set; the input slice is reordered.
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 0 {
+		return (vals[n/2-1] + vals[n/2]) / 2
+	}
+	return vals[n/2]
 }
 
 // p99 of a latency sample; the input slice is reordered.

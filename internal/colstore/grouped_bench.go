@@ -10,9 +10,9 @@ import (
 // GROUP BY query, the same query without its GROUP BY (the flat scan
 // the grouped one is held against), and the physical ranges both scan,
 // every row of which is filter-checked. Like KernelBenchShapes, the
-// canonical list lives here so the CI-gated BenchmarkScanGrouped and
-// the bench harness's groupby experiment can never drift apart on what
-// they measure.
+// canonical list lives here so BenchmarkScanGrouped and
+// BenchmarkScanGroupedScalar, which CI pairs shape by shape, run the
+// same shapes.
 type GroupedBenchShape struct {
 	Name        string
 	Query, Flat query.Query

@@ -5,10 +5,9 @@ import "testing"
 // BenchmarkScanGrouped measures single-thread throughput of the grouped
 // scan on the dispatched kernels over the GroupedBench shapes, with one
 // accumulator Reset per pass the way a pooled query context runs it. CI
-// gates the kernel-vs-scalar speedup within one run (cmd/benchgate
-// -min-speedup with -kernel-prefix BenchmarkScanGrouped -scalar-prefix
-// BenchmarkScanGroupedScalar), which is immune to runner-hardware
-// variance.
+// gates the kernel-vs-scalar speedup within one run (benchgate
+// 'BenchmarkScanGroupedScalar/BenchmarkScanGrouped>=1.5'), which is
+// immune to runner-hardware variance.
 func BenchmarkScanGrouped(b *testing.B) {
 	s, shapes := GroupedBench(1<<18, 7)
 	for _, sh := range shapes {

@@ -49,8 +49,8 @@ const (
 
 // BenchShape is one (agg x filter-count) scan shape of the kernel
 // benchmark suite. The canonical list lives in KernelBenchShapes so the
-// CI-gated BenchmarkScanKernels and the bench harness's scan experiment
-// can never drift apart on what they measure.
+// three families CI pairs shape by shape — BenchmarkScanKernels,
+// BenchmarkScanKernelsPortable, BenchmarkScanScalar — run the same shapes.
 type BenchShape struct {
 	Name  string
 	Query query.Query

@@ -6,11 +6,11 @@
 // instrumented stores (a pair completes within a few milliseconds, so a
 // runner stall or frequency shift hits both sides of a pair equally),
 // computes the per-pair slowdown ratio, and reports the median across
-// all pairs as an `overhead-pct` metric. benchgate's -max-overhead gate
-// reads that metric and fails CI when it exceeds 2%:
+// all pairs as an `overhead-pct` metric. benchgate reads that metric and
+// fails CI when it exceeds 2%:
 //
 //	go test -run '^$' -bench BenchmarkObsOverhead -benchtime 1x . | \
-//	    go run ./cmd/benchgate -max-overhead 2
+//	    go run ./cmd/benchgate 'overhead-pct<=2'
 //
 // The median-of-paired-ratios design is deliberate: comparing the two
 // sides as separate benchmark runs (even interleaved rounds folded

@@ -5,8 +5,8 @@
 // custom benchmark metrics benchgate can gate on:
 //
 //	go test -run '^$' -bench BenchmarkTraffic -benchtime 1x . | \
-//	    go run ./cmd/benchgate -min-hit-pct 50 -min-cache-speedup 5 \
-//	        -min-shed-pct 10 -max-shed-p99-x 10
+//	    go run ./cmd/benchgate 'hit-pct>=50' 'cache-speedup-x>=5' \
+//	        'shed-pct>=10' 'shed-p99-x<=10'
 //
 // The thresholds in CI are deliberately loose versions of the claims the
 // experiment makes (a ~90% hit rate, a >=10x cached speedup, most of a
