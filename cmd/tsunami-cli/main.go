@@ -343,23 +343,13 @@ func main() {
 	// collector).
 	if s.idx != nil {
 		idx := s.idx
-		st := idx.Store()
-		lo := make([]int64, st.NumDims())
-		hi := make([]int64, st.NumDims())
-		for d := range lo {
-			lo[d], hi[d] = st.MinMax(d)
+		rows := func() uint64 { return uint64(idx.Store().NumRows() + idx.NumBuffered()) }
+		trace := func(q query.Query) *obs.QueryTrace {
+			tr := new(obs.QueryTrace)
+			idx.ExecuteWith(q, index.Exec{Trace: tr})
+			return tr
 		}
-		wl.Bind(wstats.Binding{
-			DimNames: st.Names(),
-			DomainLo: lo,
-			DomainHi: hi,
-			Rows:     func() uint64 { return uint64(idx.Store().NumRows() + idx.NumBuffered()) },
-			Trace: func(q query.Query) *obs.QueryTrace {
-				tr := new(obs.QueryTrace)
-				idx.ExecuteWith(q, index.Exec{Trace: tr})
-				return tr
-			},
-		})
+		wl.Bind(wstats.BindingOf(rows, trace, idx.Store()))
 	}
 
 	// Every mode serves through one Executor so the admission flags apply
@@ -422,7 +412,6 @@ func main() {
 			}
 		})
 	}
-	finals = append(finals, wl.Close)
 	if srv != nil {
 		finals = append(finals, func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -525,7 +514,7 @@ func eval(s *session, names []string, line string) bool {
   sum <col> <pred>...    SUM(col)
                          append "by <col>" for a grouped aggregate (GROUP BY),
                          e.g. count day<=100 by store / sum price by qty
-  explain <pred>...      show which regions/cells the query touches (plan only)
+  explain <pred>...      run the query; show per-region ranges planned, rows scanned and matched
   trace <count|sum ...>  explain-analyze: run the query, show per-stage and per-shard timings
   stats                  index structure + serving telemetry (latency quantiles, scan volume)
   topq [n]               heaviest query shapes by count with per-shape latency (default 10)
@@ -548,7 +537,6 @@ func eval(s *session, names []string, line string) bool {
 			}
 			n = v
 		}
-		s.wl.Sync()
 		snap := s.wl.Snapshot()
 		if len(snap.Fingerprints) == 0 {
 			fmt.Println("no queries sampled yet")
@@ -568,7 +556,6 @@ func eval(s *session, names []string, line string) bool {
 				100*f.Share, fmtSec(f.P50Seconds), fmtSec(f.P99Seconds))
 		}
 	case "slowlog":
-		s.wl.Sync()
 		snap := s.wl.Snapshot()
 		if snap.SlowThresholdSeconds == 0 {
 			fmt.Printf("slow threshold not armed yet (%d sampled; it arms from the sampled p99)\n", snap.Sampled)
@@ -798,7 +785,6 @@ func printStats(s *session) {
 	}
 	fmt.Println()
 
-	s.wl.Sync()
 	wsnap := s.wl.Snapshot()
 	fmt.Printf("  %-12s %s recorded (%d sampled 1-in-%d)", "workload",
 		fmtCount(wsnap.Queries), wsnap.Sampled, wsnap.SampleEvery)

@@ -166,18 +166,18 @@ func TestExecutorAfterCloseIsSafe(t *testing.T) {
 }
 
 // TestExecuteBatchWaves checks adaptive batch sizing: a batch much larger
-// than MaxWave is processed in pool-sized waves with results positionally
+// than one wave (8*Workers) is processed in pool-sized waves with results positionally
 // identical to sequential execution.
 func TestExecuteBatchWaves(t *testing.T) {
 	ds, work, probe, _ := concurrencySetup(t, 8_000, 61)
 	idx := tsunami.New(ds.Store, work, smallOptions())
 
-	// 8 probes tiled to a 200-query batch against MaxWave 16.
+	// 8 probes tiled to a 200-query batch against waves of 32.
 	big := make([]tsunami.Query, 200)
 	for i := range big {
 		big[i] = probe[i%len(probe)]
 	}
-	ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 4, MaxWave: 16})
+	ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 4})
 	defer ex.Close()
 	got := ex.ExecuteBatch(big)
 	if len(got) != len(big) {

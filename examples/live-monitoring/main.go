@@ -73,7 +73,6 @@ func main() {
 	// knows dimension names and domains for selectivity stats).
 	m := tsunami.NewMetrics()
 	wl := tsunami.NewWorkloadStats(tsunami.WorkloadOptions{})
-	defer wl.Close()
 	ls := tsunami.NewLiveStore(idx, work, tsunami.LiveOptions{Metrics: m, Workload: wl, MergeThreshold: 4096})
 	defer ls.Close()
 	ex := tsunami.NewExecutorSource(ls, tsunami.ExecutorOptions{Workers: 2, Metrics: m})

@@ -51,11 +51,6 @@ type ExecutorOptions struct {
 	// ShardedStore does, by shard — scatter-gather). Batch execution
 	// always parallelizes across queries regardless.
 	IntraQuery bool
-	// MaxWave caps how many batch queries are in flight at once: large
-	// ExecuteBatch calls are split into waves of this size so in-flight
-	// work (and the cache footprint of its result writes) stays bounded
-	// by the pool, not the batch (default 8*Workers, minimum Workers).
-	MaxWave int
 	// Metrics, when non-nil, records pool telemetry into the registry:
 	// queue wait and depth, per-query execution latency, wave sizes, and
 	// tasks executed (tsunami_exec_* metric names). Nil leaves the hot
@@ -225,7 +220,6 @@ type Executor struct {
 	source   func() Index
 	intra    index.Exec // how a single Execute call runs: split across the pool with IntraQuery, else the zero value
 	workers  int
-	maxWave  int
 	metrics  *execMetrics      // nil when instrumentation is off
 	workload *wstats.Collector // nil when workload stats are off
 	adm      *admission        // nil when admission control is off
@@ -262,17 +256,9 @@ func newExecutor(source func() Index, o ExecutorOptions) *Executor {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	maxWave := o.MaxWave
-	if maxWave <= 0 {
-		maxWave = 8 * workers
-	}
-	if maxWave < workers {
-		maxWave = workers
-	}
 	e := &Executor{
 		source:   source,
 		workers:  workers,
-		maxWave:  maxWave,
 		metrics:  newExecMetrics(o.Metrics),
 		workload: o.Workload,
 		jobs:     make(chan execJob, 2*workers),
@@ -451,16 +437,15 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 // them across the worker pool, and returns results positionally aligned
 // with qs. Results are identical
 // to calling Execute sequentially on each query. Batches larger than
-// MaxWave are processed in waves so the amount of in-flight work stays
+// 8*Workers are processed in waves of that size so the amount of
+// in-flight work (and the cache footprint of its result writes) stays
 // proportional to the pool, not the batch. After Close it returns zero
 // Results for every query.
 func (e *Executor) ExecuteBatch(qs []Query) []Result {
+	wave := 8 * e.workers
 	out := make([]Result, len(qs))
-	for start := 0; start < len(qs); start += e.maxWave {
-		end := start + e.maxWave
-		if end > len(qs) {
-			end = len(qs)
-		}
+	for start := 0; start < len(qs); start += wave {
+		end := min(start+wave, len(qs))
 		if !e.runWave(qs[start:end], out[start:end]) {
 			break // closed: remaining results stay zero
 		}

@@ -287,9 +287,7 @@ func TestGroupedSlowQueryExemplar(t *testing.T) {
 		for i := 0; i < 64; i++ { // arm the adaptive threshold off real served queries
 			serve(work[i%len(work)])
 		}
-		wl.Sync()
 		wl.Record(slow, 5*time.Second, 3000, 3000, 24000)
-		wl.Sync()
 		snap := wl.Snapshot()
 		if snap.Queries != 65 {
 			t.Errorf("%s: collector recorded %d queries, want the 65 served — an exemplar capture fed back into it", name, snap.Queries)
@@ -307,13 +305,11 @@ func TestGroupedSlowQueryExemplar(t *testing.T) {
 	}
 
 	lwl := tsunami.NewWorkloadStats(wopts)
-	defer lwl.Close()
 	ls := tsunami.NewLiveStore(tsunami.New(table, work, opts), work, tsunami.LiveOptions{Workload: lwl})
 	defer ls.Close()
 	check("LiveStore", lwl, ls.Execute)
 
 	swl := tsunami.NewWorkloadStats(wopts)
-	defer swl.Close()
 	ss, err := tsunami.NewShardedStore(table, work, opts, tsunami.ShardedOptions{Shards: 2, Workload: swl})
 	if err != nil {
 		t.Fatal(err)

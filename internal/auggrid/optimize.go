@@ -9,6 +9,10 @@ import (
 	"repro/internal/query"
 )
 
+// cellsPerBlock sets the initial cell budget to roughly one cell per this
+// many points.
+const cellsPerBlock = 1024
+
 // OptimizeConfig controls layout search.
 type OptimizeConfig struct {
 	Eval EvalConfig
@@ -16,9 +20,6 @@ type OptimizeConfig struct {
 	MaxCells int
 	// MaxIters bounds AGD's outer loop (default 6).
 	MaxIters int
-	// CellsPerBlock sets the initial cell budget to roughly one cell per
-	// this many points (default 1024).
-	CellsPerBlock int
 	// UseSortDim enables a within-cell sort dimension chosen as the most
 	// selective filtered dim (Flood's sort dimension).
 	UseSortDim bool
@@ -46,9 +47,6 @@ func (c *OptimizeConfig) fill() {
 	}
 	if c.MaxIters <= 0 {
 		c.MaxIters = 6
-	}
-	if c.CellsPerBlock <= 0 {
-		c.CellsPerBlock = 1024
 	}
 	if c.FMErrFrac == 0 {
 		c.FMErrFrac = 0.10
@@ -398,7 +396,7 @@ func (c *searchCtx) initialP(s Skeleton) []int {
 	for j := range p {
 		p[j] = 1
 	}
-	budget := float64(len(c.rows)) / float64(c.cfg.CellsPerBlock)
+	budget := float64(len(c.rows)) / cellsPerBlock
 	if budget < 16 {
 		budget = 16
 	}

@@ -1,7 +1,6 @@
 package gridtree
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/colstore"
@@ -23,16 +22,6 @@ type Config struct {
 	// MinSkewReduction rejects splits reducing skew by less than this
 	// fraction of the node's query mass (default 0.05).
 	MinSkewReduction float64
-	// NoiseFactor scales the sampling-noise floor added to the split
-	// threshold. m uniformly-placed narrow queries have an expected EMD
-	// from uniform of ≈0.67·√m (a random walk over bins), so a reduction
-	// must beat NoiseFactor·Σ_types √m_t on top of MinSkewReduction to
-	// count as real skew rather than Poisson noise. Disabled by default
-	// (negative): at the paper's 100-queries-per-type scale genuine skew
-	// reductions are comparable to the noise floor, and suppressing them
-	// costs more than the occasional noise split. Set to ~1.0 for
-	// patternless high-volume workloads. Zero means "default" (disabled).
-	NoiseFactor float64
 	// MinPointFrac and MinQueryFrac stop recursion when a node holds fewer
 	// than this fraction of all points / queries (default 0.01 each).
 	MinPointFrac float64
@@ -50,12 +39,17 @@ type Config struct {
 	// §4.2.2 intends even on patternless workloads (default 64; the
 	// paper's optimized trees have 35–54 nodes).
 	MaxNodes int
-	// DBSCANEps is the query-type clustering radius (default 0.2).
-	DBSCANEps float64
-	// SampleValues caps the number of values used to lay out skew-histogram
-	// bins per node and dimension (default 8192).
-	SampleValues int
 }
+
+const (
+	// TypeEps is the query-type clustering radius (DBSCAN eps over
+	// selectivity embeddings, §4.3.1); the shift detector matches live
+	// queries to types within the same radius.
+	TypeEps = 0.2
+	// histSampleValues caps the number of values used to lay out
+	// skew-histogram bins per node and dimension.
+	histSampleValues = 8192
+)
 
 func (c *Config) fill() {
 	if c.HistBins <= 0 {
@@ -69,9 +63,6 @@ func (c *Config) fill() {
 	}
 	if c.MinSkewReduction == 0 {
 		c.MinSkewReduction = 0.05
-	}
-	if c.NoiseFactor == 0 {
-		c.NoiseFactor = -1 // disabled by default; see Config docs
 	}
 	if c.MinPointFrac == 0 {
 		c.MinPointFrac = 0.01
@@ -90,12 +81,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 64
-	}
-	if c.DBSCANEps == 0 {
-		c.DBSCANEps = 0.2
-	}
-	if c.SampleValues <= 0 {
-		c.SampleValues = 8192
 	}
 }
 
@@ -143,7 +128,7 @@ type Tree struct {
 // values) pair with the largest skew reduction found via skew trees.
 func Build(st *colstore.Store, queries []query.Query, cfg Config) *Tree {
 	cfg.fill()
-	typed, numTypes := ClusterQueryTypes(st, queries, cfg.DBSCANEps)
+	typed, numTypes := ClusterQueryTypes(st, queries, TypeEps)
 
 	n := st.NumRows()
 	rows := make([]int, n)
@@ -199,26 +184,14 @@ func (t *Tree) build(st *colstore.Store, rows []int, queries []query.Query, lo, 
 		if hi[dim] <= lo[dim] {
 			continue
 		}
-		vals := sampleValues(st.Column(dim), rows, t.cfg.SampleValues)
+		vals := sampleValues(st.Column(dim), rows, histSampleValues)
 		plan := planSplit(vals, dim, lo[dim], hi[dim], queries, t.NumTypes, t.cfg)
 		if plan.reduction > best.reduction {
 			best = plan
 		}
 	}
-	// Reject when the reduction is below 5% of the node's query mass plus
-	// the sampling-noise floor (≈√m expected EMD per type of m queries).
+	// Reject when the reduction is below 5% of the node's query mass.
 	threshold := t.cfg.MinSkewReduction * float64(len(queries))
-	if t.cfg.NoiseFactor > 0 {
-		perType := make(map[int]int)
-		for _, q := range queries {
-			perType[q.Type]++
-		}
-		noise := 0.0
-		for _, m := range perType {
-			noise += sqrtf(m)
-		}
-		threshold += t.cfg.NoiseFactor * noise
-	}
 	if len(best.values) == 0 || best.reduction < threshold {
 		return makeLeaf()
 	}
@@ -264,10 +237,6 @@ func (t *Tree) build(st *colstore.Store, rows []int, queries []query.Query, lo, 
 		nd.Children[i] = t.build(st, buckets[i], cq, clo, chi, depth+1, minPoints, minQueries)
 	}
 	return nd
-}
-
-func sqrtf(m int) float64 {
-	return math.Sqrt(float64(m))
 }
 
 func cleanSplitVals(vals []int64, lo, hi int64) []int64 {

@@ -58,9 +58,6 @@ type Config struct {
 	// falls back to folding everything, keeping delta scans bounded on
 	// perfectly uniform ingest. Flush always folds everything.
 	RegionMergeThreshold int
-	// MaxReoptRegions caps how many region grids one shift-triggered
-	// re-optimization rebuilds (default: core's 1 + regions/10).
-	MaxReoptRegions int
 	// Shift tunes the drift detector (see shift.Config). Detection only
 	// runs when the store was opened with the optimized workload.
 	Shift shift.Config
@@ -344,30 +341,20 @@ func Open(idx *core.Tsunami, optimized []query.Query, cfg Config) *Store {
 		s.obs = make(chan obsItem, 4*cfg.Shift.WindowSize)
 	}
 	if cfg.Workload != nil {
-		st := idx.Store()
-		lo := make([]int64, st.NumDims())
-		hi := make([]int64, st.NumDims())
-		for d := range lo {
-			lo[d], hi[d] = st.MinMax(d)
+		rows := func() uint64 {
+			idx := s.cur.Load().idx
+			return uint64(idx.Store().NumRows() + idx.NumBuffered())
 		}
-		cfg.Workload.Bind(wstats.Binding{
-			DimNames: st.Names(),
-			DomainLo: lo,
-			DomainHi: hi,
-			Rows: func() uint64 {
-				idx := s.cur.Load().idx
-				return uint64(idx.Store().NumRows() + idx.NumBuffered())
-			},
-			// Slow-query exemplars re-run through the current epoch's core
-			// index directly — the same pipeline the query was served on,
-			// minus this layer — so a capture never re-records into the
-			// collector or the detector feed.
-			Trace: func(q query.Query) *obs.QueryTrace {
-				tr := new(obs.QueryTrace)
-				s.cur.Load().idx.ExecuteWith(q, index.Exec{Trace: tr})
-				return tr
-			},
-		})
+		// Slow-query exemplars re-run through the current epoch's core
+		// index directly — the same pipeline the query was served on,
+		// minus this layer — so a capture never re-records into the
+		// collector or the detector feed.
+		trace := func(q query.Query) *obs.QueryTrace {
+			tr := new(obs.QueryTrace)
+			s.cur.Load().idx.ExecuteWith(q, index.Exec{Trace: tr})
+			return tr
+		}
+		cfg.Workload.Bind(wstats.BindingOf(rows, trace, idx.Store()))
 	}
 	go s.maintain()
 	// A restored index may already hold a threshold's worth of buffered
@@ -843,7 +830,7 @@ func (s *Store) runReoptimize() {
 	s.maintMu.Lock()
 	v := s.cur.Load()
 	start := time.Now()
-	reopt, n, _, err := v.idx.ReoptimizeRegionsCopy(work, s.cfg.MaxReoptRegions)
+	reopt, n, _, err := v.idx.ReoptimizeRegionsCopy(work, 0)
 	if err != nil {
 		s.maintMu.Unlock()
 		s.emit(Event{Kind: EventError, Err: fmt.Errorf("live: reoptimize: %w", err)})

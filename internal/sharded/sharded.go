@@ -441,42 +441,27 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 	}
 	if cfg.Workload != nil {
 		s.workload = cfg.Workload
-		st := idxs[0].Store()
-		lo := make([]int64, st.NumDims())
-		hi := make([]int64, st.NumDims())
-		for d := range lo {
-			lo[d], hi[d] = st.MinMax(d)
-			for _, idx := range idxs[1:] {
-				l, h := idx.Store().MinMax(d)
-				if l < lo[d] {
-					lo[d] = l
-				}
-				if h > hi[d] {
-					hi[d] = h
-				}
-			}
+		stores := make([]*colstore.Store, len(idxs))
+		for i, idx := range idxs {
+			stores[i] = idx.Store()
 		}
-		s.workload.Bind(wstats.Binding{
-			DimNames: st.Names(),
-			DomainLo: lo,
-			DomainHi: hi,
-			Rows: func() uint64 {
-				var total uint64
-				for _, sh := range s.shards {
-					idx := sh.Index()
-					total += uint64(idx.Store().NumRows() + idx.NumBuffered())
-				}
-				return total
-			},
-			// Slow-query exemplars re-run through the router's pipeline
-			// below the recording wrapper, so a capture never re-records
-			// into the collector.
-			Trace: func(q query.Query) *obs.QueryTrace {
-				tr := new(obs.QueryTrace)
-				s.run(q, index.Exec{Trace: tr})
-				return tr
-			},
-		})
+		rows := func() uint64 {
+			var total uint64
+			for _, sh := range s.shards {
+				idx := sh.Index()
+				total += uint64(idx.Store().NumRows() + idx.NumBuffered())
+			}
+			return total
+		}
+		// Slow-query exemplars re-run through the router's pipeline
+		// below the recording wrapper, so a capture never re-records
+		// into the collector.
+		trace := func(q query.Query) *obs.QueryTrace {
+			tr := new(obs.QueryTrace)
+			s.run(q, index.Exec{Trace: tr})
+			return tr
+		}
+		s.workload.Bind(wstats.BindingOf(rows, trace, stores...))
 	}
 	// Seed the directory with a full consistent snapshot (shard files
 	// first, manifest last), never a bare manifest: Recover must always

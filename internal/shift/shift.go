@@ -21,16 +21,6 @@ type Config struct {
 	// WindowSize is the number of recent queries compared against the
 	// optimized workload (default 256).
 	WindowSize int
-	// NovelFracThreshold triggers when this fraction of the window matches
-	// no known query type (default 0.25).
-	NovelFracThreshold float64
-	// FreqDriftThreshold triggers when the total variation distance
-	// between the optimized and observed type-frequency distributions
-	// exceeds it (default 0.35).
-	FreqDriftThreshold float64
-	// Eps is the embedding-distance radius for matching a query to a type,
-	// the same scale as the Grid Tree's DBSCAN eps (default 0.2).
-	Eps float64
 	// MinObserved suppresses triggering before the window has seen this
 	// many queries (default WindowSize/2).
 	MinObserved int
@@ -51,19 +41,20 @@ func (c *Config) fill() {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 256
 	}
-	if c.NovelFracThreshold == 0 {
-		c.NovelFracThreshold = 0.25
-	}
-	if c.FreqDriftThreshold == 0 {
-		c.FreqDriftThreshold = 0.35
-	}
-	if c.Eps == 0 {
-		c.Eps = 0.2
-	}
 	if c.MinObserved == 0 {
 		c.MinObserved = c.WindowSize / 2
 	}
 }
+
+const (
+	// novelFracThreshold triggers when this fraction of the window matches
+	// no known query type.
+	novelFracThreshold = 0.25
+	// freqDriftThreshold triggers when the total variation distance
+	// between the optimized and observed type-frequency distributions
+	// exceeds it.
+	freqDriftThreshold = 0.35
+)
 
 // typeProfile is one optimized query type: its dimension set and the
 // centroid of its selectivity embeddings.
@@ -105,7 +96,7 @@ const minSelObs = 8
 func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detector {
 	cfg.fill()
 	d := &Detector{cfg: cfg, st: st, sample: sampleRows(st.NumRows(), 2000)}
-	typed, numTypes := gridtree.ClusterQueryTypes(st, optimized, cfg.Eps)
+	typed, numTypes := gridtree.ClusterQueryTypes(st, optimized, gridtree.TypeEps)
 
 	sums := make(map[int][]float64)
 	counts := make(map[int]int)
@@ -230,11 +221,11 @@ func (d *Detector) ObserveResult(ty int, sel float64) {
 }
 
 // match assigns a query to the nearest profile with the same dimension set
-// within Eps, or -1.
+// within the clustering radius, or -1.
 func (d *Detector) match(q query.Query) int {
 	key := q.DimSetKey()
 	emb := d.embed(q)
-	best, bestDist := -1, d.cfg.Eps
+	best, bestDist := -1, gridtree.TypeEps
 	for i, p := range d.profiles {
 		if p.dimKey != key || len(p.centroid) != len(emb) {
 			continue
@@ -309,8 +300,8 @@ func (d *Detector) Analyze() Report {
 			rep.SelDrift = drift
 		}
 	}
-	rep.ShiftDetected = rep.NovelFrac > d.cfg.NovelFracThreshold ||
-		rep.FreqDrift > d.cfg.FreqDriftThreshold ||
+	rep.ShiftDetected = rep.NovelFrac > novelFracThreshold ||
+		rep.FreqDrift > freqDriftThreshold ||
 		(d.cfg.SelDriftThreshold > 0 && rep.SelDrift > d.cfg.SelDriftThreshold)
 	return rep
 }

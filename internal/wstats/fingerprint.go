@@ -11,10 +11,11 @@
 // The package follows the same contract as internal/obs: a nil *Collector
 // disables everything with zero hot-path cost, and recording never blocks
 // the query path — the few always-on pieces (SLO counters, the slow-query
-// threshold check) are a handful of uncontended atomics, and everything
-// stateful (sketch, histograms, slow-query ring) lives on a single
-// consumer goroutine fed by a sampled, non-blocking channel whose
-// overflow is dropped and counted, never waited on.
+// threshold check) are a handful of atomics, and everything stateful
+// (sketch, histograms, slow-query ring) sits behind one mutex that Record
+// only ever tries, for 1 query in SampleEvery: a sample that finds it
+// held is dropped and counted, never waited on. The Collector is passive
+// — no goroutine, no channel, nothing to close.
 package wstats
 
 import (

@@ -8,8 +8,8 @@ import "math/bits"
 // at 2KB — small enough to embed one per heavy-hitter sketch entry.
 // internal/obs has a finer (8 sub-bucket) striped histogram for the
 // registry; this one trades resolution for per-fingerprint footprint and
-// is only ever touched by the collector's single consumer goroutine, so
-// it needs no striping or atomics.
+// is only ever touched under the collector's mutex, so it needs no
+// striping or atomics.
 const (
 	latSubBits    = 2
 	latSubBuckets = 1 << latSubBits

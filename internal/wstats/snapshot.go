@@ -11,9 +11,9 @@ import (
 // for the /workloadz JSON endpoint (field tags are the documented wire
 // schema; see README "Workload observability").
 type Snapshot struct {
-	// Queries counts every Record call; Sampled is how many of them the
-	// consumer applied to the heavyweight statistics (1 in SampleEvery,
-	// plus slow queries); Dropped counts consumer-channel overflow.
+	// Queries counts every Record call; Sampled is how many of them
+	// folded into the heavyweight statistics (1 in SampleEvery); Dropped
+	// counts sampled or slow queries that found the statistics busy.
 	Queries     uint64 `json:"queries"`
 	Sampled     uint64 `json:"sampled"`
 	SampleEvery int    `json:"sample_every"`
@@ -103,8 +103,7 @@ type SlowEntry struct {
 }
 
 // Snapshot copies the current statistics. Safe from any goroutine; nil
-// returns a zero snapshot. It reflects what the consumer has applied so
-// far — tests and CLI commands call Sync first for exactness.
+// returns a zero snapshot. Every Record that has returned is in it.
 func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
@@ -196,7 +195,7 @@ func dimNameOrEmpty(names []string, dim int) string {
 }
 
 // trimHist drops all-zero histograms from the JSON (copies otherwise —
-// snapshots must not alias live consumer state).
+// snapshots must not alias live collector state).
 func trimHist(h []uint64) []uint64 {
 	for _, v := range h {
 		if v != 0 {
@@ -219,7 +218,6 @@ func sortDims(ds []DimStat) {
 // mounted unconditionally.
 func HTTPHandler(c *Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		c.Sync()
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

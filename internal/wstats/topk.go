@@ -20,7 +20,7 @@ type hhEntry struct {
 // and any item with true count > n/k is always monitored. The randomized
 // differential test (topk_test.go) checks both against an exact oracle.
 //
-// The sketch is owned by the collector's consumer goroutine; no locking.
+// The sketch is guarded by the collector's mutex; no locking of its own.
 // Eviction scans all k entries for the minimum — O(k) with k≈64, paid
 // only on the sampled stream, which keeps the structure trivially simple
 // next to the textbook min-heap + linked-bucket construction.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/obs"
 	"repro/internal/query"
 )
@@ -17,23 +18,25 @@ type Objective struct {
 	Target  float64
 }
 
+const (
+	// topK is the heavy-hitter sketch capacity, in fingerprints.
+	topK = 64
+	// slowLogSize bounds the slow-query exemplar ring.
+	slowLogSize = 64
+)
+
 // Config tunes a Collector; zero values take defaults.
 type Config struct {
-	// TopK is the heavy-hitter sketch capacity (default 64 fingerprints).
-	TopK int
-	// SampleEvery feeds every Nth query to the stateful consumer (sketch,
-	// selectivity stats, latency histograms); 1 records everything
-	// (default 8). SLO counters and the slow-query check are always-on
-	// regardless — sampling only thins the heavyweight statistics.
-	// Queries beyond the slow threshold always reach the consumer.
+	// SampleEvery folds every Nth query into the stateful statistics
+	// (sketch, selectivity stats, latency histograms); 1 records
+	// everything (default 8). SLO counters and the slow-query check are
+	// always-on regardless — sampling only thins the heavyweight
+	// statistics. Queries beyond the slow threshold are always folded.
 	SampleEvery int
-	// SlowLogSize bounds the slow-query exemplar ring (default 64).
-	SlowLogSize int
 	// SlowFactor sets the adaptive slow threshold at this multiple of the
-	// sampled p99 (default 1.5); MinSlow floors it. The threshold arms
-	// after MinSamples sampled queries (default 64).
+	// sampled p99 (default 1.5). The threshold arms after MinSamples
+	// sampled queries (default 64).
 	SlowFactor float64
-	MinSlow    time.Duration
 	MinSamples int
 	// TraceInterval rate-limits exemplar trace captures for slow-log
 	// entries: at most one re-executed trace per interval (default 250ms).
@@ -42,20 +45,11 @@ type Config struct {
 	// Objectives are the latency SLOs tracked with always-on good/bad
 	// counters (default: 1ms@99%, 10ms@99.9%).
 	Objectives []Objective
-	// Buffer is the consumer channel capacity (default 1024); overflow is
-	// dropped and counted, never waited on.
-	Buffer int
 }
 
 func (c *Config) fill() {
-	if c.TopK <= 0 {
-		c.TopK = 64
-	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 8
-	}
-	if c.SlowLogSize <= 0 {
-		c.SlowLogSize = 64
 	}
 	if c.SlowFactor <= 0 {
 		c.SlowFactor = 1.5
@@ -72,9 +66,6 @@ func (c *Config) fill() {
 			{Latency: 10 * time.Millisecond, Target: 0.999},
 		}
 	}
-	if c.Buffer <= 0 {
-		c.Buffer = 1024
-	}
 }
 
 // Binding connects a Collector to the store it observes: column names for
@@ -87,12 +78,32 @@ func (c *Config) fill() {
 // — LiveStore binds the core index's ExecuteWith, ShardedStore its
 // router's pipeline under the recording wrapper — so a captured exemplar
 // is a trace of the query as asked (grouped queries included) and never
-// re-records into the collector.
+// re-records into the collector. It runs inside Record, on the goroutine
+// that served the slow query: at most one re-execution per TraceInterval
+// per collector.
 type Binding struct {
 	DimNames           []string
 	DomainLo, DomainHi []int64
 	Rows               func() uint64
 	Trace              func(query.Query) *obs.QueryTrace
+}
+
+// BindingOf builds the Binding of a table held in one store, or split
+// across several with the same columns (a dimension's domain is then the
+// union of theirs); rows and trace become Binding.Rows and Binding.Trace.
+func BindingOf(rows func() uint64, trace func(query.Query) *obs.QueryTrace, stores ...*colstore.Store) Binding {
+	b := Binding{DimNames: stores[0].Names(), Rows: rows, Trace: trace}
+	b.DomainLo = make([]int64, stores[0].NumDims())
+	b.DomainHi = make([]int64, stores[0].NumDims())
+	for d := range b.DomainLo {
+		b.DomainLo[d], b.DomainHi[d] = stores[0].MinMax(d)
+		for _, st := range stores[1:] {
+			lo, hi := st.MinMax(d)
+			b.DomainLo[d] = min(b.DomainLo[d], lo)
+			b.DomainHi[d] = max(b.DomainHi[d], hi)
+		}
+	}
+	return b
 }
 
 // sloState is one objective's always-on counters.
@@ -103,7 +114,7 @@ type sloState struct {
 	bad    atomic.Uint64
 }
 
-// item is one recorded query on its way to the consumer goroutine.
+// item is one recorded query on its way into the sampled statistics.
 type item struct {
 	q                       query.Query
 	ns                      int64
@@ -114,9 +125,9 @@ type item struct {
 // Collector gathers workload statistics from the serving hot path. A nil
 // *Collector is a valid no-op (every method checks), mirroring the
 // nil-registry contract of internal/obs. Record is safe from any number
-// of goroutines and never blocks: the inline portion is a few uncontended
-// atomics, and the stateful portion runs on one consumer goroutine behind
-// a drop-on-overflow channel.
+// of goroutines and never blocks: the always-on portion is a few atomics,
+// and a sampled or slow query folds into the stateful portion under
+// mu.TryLock — contention drops the sample and counts it.
 type Collector struct {
 	cfg         Config
 	sampleEvery uint64
@@ -129,15 +140,8 @@ type Collector struct {
 	slowThrNs atomic.Int64
 	slo       []sloState
 
-	ch    chan item
-	flush chan chan struct{}
-	quit  chan struct{}
-	done  chan struct{}
-	once  sync.Once
-
-	// mu guards the consumer-owned statistics against Snapshot and Bind.
-	// The consumer takes it per applied item; contention is rare (scrapes
-	// and stats commands), never on the query path.
+	// mu guards the sampled statistics. Record only ever tries it;
+	// Snapshot and Bind (scrapes, stats commands, open) take it outright.
 	mu       sync.Mutex
 	binding  Binding
 	sketch   *spaceSaving
@@ -175,28 +179,21 @@ const (
 	selBuckets = 33
 )
 
-// New starts a Collector and its consumer goroutine. Close releases it;
-// a closed Collector keeps accepting Record calls (they drop into the
-// full channel or the counters) so shutdown ordering is a non-issue.
+// New returns a Collector. It owns no goroutine and nothing to release.
 func New(cfg Config) *Collector {
 	cfg.fill()
 	c := &Collector{
 		cfg:         cfg,
 		sampleEvery: uint64(cfg.SampleEvery),
 		slo:         make([]sloState, len(cfg.Objectives)),
-		ch:          make(chan item, cfg.Buffer),
-		flush:       make(chan chan struct{}),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
-		sketch:      newSpaceSaving(cfg.TopK),
+		sketch:      newSpaceSaving(topK),
 		dims:        make(map[int]*dimStats),
-		slowRing:    make([]SlowEntry, cfg.SlowLogSize),
+		slowRing:    make([]SlowEntry, slowLogSize),
 	}
 	for i, o := range cfg.Objectives {
 		c.slo[i].thrNs = int64(o.Latency)
 		c.slo[i].target = o.Target
 	}
-	go c.run()
 	return c
 }
 
@@ -241,68 +238,21 @@ func (c *Collector) Record(q query.Query, d time.Duration, matched, scanned, byt
 	if !sampled && !slow {
 		return
 	}
-	select {
-	case c.ch <- item{q: q, ns: ns, matched: matched, scanned: scanned, bytes: bytes, slow: slow, sampled: sampled}:
-	default:
+	if !c.mu.TryLock() {
 		c.dropped.Add(1)
-	}
-}
-
-// Sync blocks until every item recorded before the call has been applied
-// by the consumer — for deterministic tests and CLI commands; never
-// needed on the serving path. No-op on nil or after Close.
-func (c *Collector) Sync() {
-	if c == nil {
 		return
 	}
-	ack := make(chan struct{})
-	select {
-	case c.flush <- ack:
-		<-ack
-	case <-c.done:
-	}
-}
-
-// Close stops the consumer goroutine. Recording after Close stays safe
-// (and is dropped once the channel fills).
-func (c *Collector) Close() {
-	if c == nil {
-		return
-	}
-	c.once.Do(func() { close(c.quit) })
-	<-c.done
-}
-
-func (c *Collector) run() {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.quit:
-			return
-		case it := <-c.ch:
-			c.apply(it)
-		case ack := <-c.flush:
-			c.drain()
-			close(ack)
-		}
-	}
-}
-
-// drain applies everything already queued (used by Sync).
-func (c *Collector) drain() {
-	for {
-		select {
-		case it := <-c.ch:
-			c.apply(it)
-		default:
-			return
-		}
-	}
-}
-
-func (c *Collector) apply(it item) {
-	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.apply(item{q: q, ns: ns, matched: matched, scanned: scanned, bytes: bytes, slow: slow, sampled: sampled})
+}
+
+// Close is a no-op: a Collector holds nothing to release. The method stays
+// only for its two callers in the frozen benchmark module,
+// benchmark/stack.go:181 and benchmark/trace.go:377.
+func (c *Collector) Close() {}
+
+// apply folds one item into the sampled statistics; the caller holds mu.
+func (c *Collector) apply(it item) {
 	if it.sampled {
 		c.sampled++
 		c.lat.record(it.ns)
@@ -328,9 +278,6 @@ func (c *Collector) refreshThreshold() {
 		return
 	}
 	thr := int64(float64(c.lat.quantile(0.99)) * c.cfg.SlowFactor)
-	if min := int64(c.cfg.MinSlow); thr < min {
-		thr = min
-	}
 	if thr < 1 {
 		thr = 1
 	}

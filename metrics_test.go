@@ -41,7 +41,7 @@ func TestExecutorMetrics(t *testing.T) {
 	if h := snap.Hists[obs.MExecLatency]; h.Count() != uint64(len(work))+1 {
 		t.Fatalf("latency observations %d want %d", h.Count(), len(work)+1)
 	}
-	// MaxWave defaults to 8*Workers=16, so the batch runs in ceil(n/16)
+	// A wave is 8*Workers=16 queries, so the batch runs in ceil(n/16)
 	// waves of at most 16 queries (quantiles report bucket upper bounds).
 	waves := (len(work) + 15) / 16
 	if h := snap.Hists[obs.MExecWaveSize]; h.Count() != uint64(waves) || h.Quantile(1) < 16 {

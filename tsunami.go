@@ -38,7 +38,6 @@ import (
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/query"
 )
@@ -105,16 +104,13 @@ type Options struct {
 	// MaxOptQueries caps the workload replayed by the cost model
 	// (default 100).
 	MaxOptQueries int
-	// MaxTreeNodes caps the Grid Tree size (default 64).
-	MaxTreeNodes int
 	// Seed drives all randomized pieces (default 1).
 	Seed int64
 }
 
 func (o Options) coreConfig(v core.Variant) core.Config {
 	return core.Config{
-		Variant:  v,
-		GridTree: gridtree.Config{MaxNodes: o.MaxTreeNodes},
+		Variant: v,
 		Grid: auggrid.OptimizeConfig{
 			Eval: auggrid.EvalConfig{
 				SampleSize: o.SampleSize,

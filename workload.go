@@ -30,8 +30,10 @@ import (
 // cost, the same contract as Metrics.
 
 // WorkloadStats collects per-query workload statistics. The hot path
-// (Record) is a few uncontended atomics plus a sampled, non-blocking
-// hand-off to a background consumer; it never blocks the query path.
+// (Record) is a few atomics; a sampled query (1 in SampleEvery) also
+// folds into the sketch and histograms there and then, under a try-lock —
+// contention drops the sample and counts it, so Record never blocks the
+// query path. The collector is passive: it owns no goroutine.
 type WorkloadStats = wstats.Collector
 
 // WorkloadOptions tunes a WorkloadStats collector; the zero value uses
@@ -56,8 +58,8 @@ type WorkloadBinding = wstats.Binding
 
 // NewWorkloadStats returns a collector ready to be passed to
 // LiveOptions.Workload, ShardedOptions.Workload, or
-// ExecutorOptions.Workload (one layer only — see ExecutorOptions).
-// Close releases its background consumer.
+// ExecutorOptions.Workload (one layer only — see ExecutorOptions). It
+// holds nothing to release.
 func NewWorkloadStats(o WorkloadOptions) *WorkloadStats { return wstats.New(o) }
 
 // WorkloadHandler serves w's statistics as indented JSON (the /workloadz
