@@ -174,3 +174,43 @@ func TestServePlanTimeBudgets(t *testing.T) {
 		t.Fatalf("full-table SUM at MaxBytes=%d: %v", byteBudget, err)
 	}
 }
+
+// TestServeBudgetsOverCachingStore checks the cached-answer shortcut in
+// the cost estimate cannot launder a rejected query: an over-budget query
+// is never executed, so never cached, so rejected again on its second
+// Serve — while an in-budget one is admitted (unplanned) as a hit.
+func TestServeBudgetsOverCachingStore(t *testing.T) {
+	const rows = 5000
+	ds := tsunami.GenerateTaxi(rows, 1)
+	idx := tsunami.New(ds.Store, tsunami.WorkloadFor(ds, 10, 2), tsunami.Options{OptimizerIters: 2, MaxOptQueries: 16})
+	ls := tsunami.NewLiveStore(idx, nil, tsunami.LiveOptions{CacheEntries: 64})
+	defer ls.Close()
+	ex := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{
+		Workers:   1,
+		Admission: tsunami.AdmissionConfig{MaxRows: rows - 1},
+	})
+	defer ex.Close()
+
+	for ask := 1; ask <= 2; ask++ {
+		if _, err := ex.Serve(tsunami.Count(), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrOverBudget) {
+			t.Fatalf("ask %d of the full-table query under MaxRows=%d: want ErrOverBudget, got %v", ask, rows-1, err)
+		}
+	}
+	if cs := ls.CacheStats(); cs.Entries != 0 {
+		t.Fatalf("a rejected query reached the cache: %+v", cs)
+	}
+
+	lo, _ := ds.Store.MinMax(0)
+	narrow := tsunami.Count(tsunami.Filter{Dim: 0, Lo: lo, Hi: lo})
+	first, err := ex.Serve(narrow, tsunami.PriorityNormal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ex.Serve(narrow, tsunami.PriorityNormal)
+	if err != nil || !second.Equal(first) {
+		t.Fatalf("second ask: res=%+v err=%v, want %+v", second, err, first)
+	}
+	if cs := ls.CacheStats(); cs.Hits != 1 {
+		t.Fatalf("second ask was not a cache hit: %+v", cs)
+	}
+}

@@ -363,9 +363,9 @@ func main() {
 	}
 	switch {
 	case s.live != nil:
-		s.ex = tsunami.NewExecutorSource(s.live, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
+		s.ex = tsunami.NewExecutor(s.live, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
 	case s.shard != nil:
-		s.ex = tsunami.NewExecutorSource(s.shard, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
+		s.ex = tsunami.NewExecutor(s.shard, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
 	default:
 		s.ex = tsunami.NewExecutor(s.idx, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
 	}
@@ -767,9 +767,15 @@ func printStats(s *session) {
 		if total := hits + misses; total > 0 {
 			rate = fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(total))
 		}
+		var entries float64 // one gauge, or one per shard
+		for name, v := range snap.Gauges {
+			if strings.HasPrefix(name, obs.MCacheEntries) {
+				entries += v
+			}
+		}
 		fmt.Printf("  %-12s %s hits, %s misses (%s hit rate), %d entries, %s evictions\n", "cache",
 			fmtCount(hits), fmtCount(misses), rate,
-			int64(snap.Gauges[obs.MCacheEntries]), fmtCount(snap.Counters[obs.MCacheEvictions]))
+			int64(entries), fmtCount(snap.Counters[obs.MCacheEvictions]))
 	}
 	if admitted, ok := snap.Counters[obs.MAdmissionAdmitted]; ok {
 		fmt.Printf("  %-12s %s admitted, %s shed, %s over budget, %d in flight\n", "admission",

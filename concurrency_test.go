@@ -200,8 +200,9 @@ func TestExecutorOverLiveStore(t *testing.T) {
 	ls := tsunami.NewLiveStore(idx, nil, tsunami.LiveOptions{MergeThreshold: 64})
 	defer ls.Close()
 
-	// A LiveStore is both an Index and an IndexSource; both compositions
-	// must track epochs (Execute resolves the current epoch per call).
+	// A LiveStore is an Index that resolves the current epoch per call;
+	// NewExecutorSource is the kept synonym of NewExecutor, and both
+	// compositions must track epochs.
 	exIdx := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{Workers: 4})
 	defer exIdx.Close()
 	exSrc := tsunami.NewExecutorSource(ls, tsunami.ExecutorOptions{Workers: 4})

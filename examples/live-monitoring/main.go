@@ -75,7 +75,7 @@ func main() {
 	wl := tsunami.NewWorkloadStats(tsunami.WorkloadOptions{})
 	ls := tsunami.NewLiveStore(idx, work, tsunami.LiveOptions{Metrics: m, Workload: wl, MergeThreshold: 4096})
 	defer ls.Close()
-	ex := tsunami.NewExecutorSource(ls, tsunami.ExecutorOptions{Workers: 2, Metrics: m})
+	ex := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{Workers: 2, Metrics: m})
 	defer ex.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

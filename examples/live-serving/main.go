@@ -33,7 +33,7 @@ func main() {
 	dashboards := tsunami.GenerateWorkload(ds.Store, []tsunami.TypeSpec{
 		{Name: "recent-by-distance", Dims: []tsunami.DimSpec{
 			{Dim: 0, Sel: 0.1, Jitter: 0.2, Skew: tsunami.SkewRecent}, // pickup_time
-			{Dim: 2, Sel: 0.15, Jitter: 0.2},                         // distance
+			{Dim: 2, Sel: 0.15, Jitter: 0.2},                          // distance
 		}},
 	}, 120, 2)
 

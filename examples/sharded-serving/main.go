@@ -34,7 +34,7 @@ func main() {
 	dashboards := tsunami.GenerateWorkload(ds.Store, []tsunami.TypeSpec{
 		{Name: "recent-by-distance", Dims: []tsunami.DimSpec{
 			{Dim: 0, Sel: 0.1, Jitter: 0.2, Skew: tsunami.SkewRecent}, // pickup_time
-			{Dim: 2, Sel: 0.15, Jitter: 0.2},                         // distance
+			{Dim: 2, Sel: 0.15, Jitter: 0.2},                          // distance
 		}},
 	}, 120, 2)
 
@@ -76,7 +76,7 @@ func main() {
 	// 4 readers serve dashboards through an Executor with intra-query
 	// scatter-gather enabled.
 	fmt.Println("\nphase 2: 4 writers streaming, readers scatter-gathering through the Executor")
-	ex := tsunami.NewExecutorSource(ss, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
+	ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
 	defer ex.Close()
 
 	var stop atomic.Bool

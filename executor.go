@@ -31,16 +31,6 @@ type pipelined interface {
 	EstimateCost(q query.Query) (rows, bytes uint64)
 }
 
-// IndexSource yields the index an Executor executes against, resolved per
-// query, so sources that swap indexes over time (a LiveStore publishing
-// background merges and re-optimizations, a ShardedStore whose shards
-// each publish their own epochs) take effect without restarting the pool.
-// Every returned index must honor the Index read-path concurrency
-// contract.
-type IndexSource interface {
-	CurrentIndex() Index
-}
-
 // ExecutorOptions configures an Executor. The zero value uses one worker
 // per CPU with intra-query parallelism off.
 type ExecutorOptions struct {
@@ -205,19 +195,18 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 // Executor serves queries against one shared index from a fixed pool of
 // workers. It relies on the Index concurrency contract — built indexes are
 // immutable on the read path — so no cloning happens anywhere; every worker
-// executes against the same index value. Built over an IndexSource
-// (NewExecutorSource), it instead resolves the source's current index per
-// query, so epoch swaps published by a LiveStore are picked up mid-batch.
+// executes against the same index value. A LiveStore or ShardedStore is
+// such a value: it resolves its current epoch(s) per query itself, so
+// epoch swaps are picked up mid-batch.
 //
 // An Executor is safe for concurrent use: ExecuteBatch may be called from
 // many goroutines at once and the pool fair-shares across them. Close
 // releases the workers. Execute and ExecuteBatch after Close are no-ops
-// returning zero Results. A plain-index Executor's index must not be
-// mutated (inserts, merges, re-optimization) while the Executor is
-// serving; an IndexSource-backed Executor relies on the source only ever
-// publishing immutable values.
+// returning zero Results. A bare index must not be mutated (inserts,
+// merges, re-optimization) while the Executor is serving; the stores
+// only ever publish immutable values.
 type Executor struct {
-	source   func() Index
+	idx      Index
 	intra    index.Exec // how a single Execute call runs: split across the pool with IntraQuery, else the zero value
 	workers  int
 	metrics  *execMetrics      // nil when instrumentation is off
@@ -240,24 +229,12 @@ type Executor struct {
 
 // NewExecutor starts a worker pool over a shared index.
 func NewExecutor(idx Index, o ExecutorOptions) *Executor {
-	return newExecutor(func() Index { return idx }, o)
-}
-
-// NewExecutorSource starts a worker pool over an IndexSource; each query
-// executes against the source's index at the moment it starts, so index
-// swaps (e.g. LiveStore epoch publishes) take effect without restarting
-// the pool.
-func NewExecutorSource(src IndexSource, o ExecutorOptions) *Executor {
-	return newExecutor(src.CurrentIndex, o)
-}
-
-func newExecutor(source func() Index, o ExecutorOptions) *Executor {
 	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
 	e := &Executor{
-		source:   source,
+		idx:      idx,
 		workers:  workers,
 		metrics:  newExecMetrics(o.Metrics),
 		workload: o.Workload,
@@ -285,6 +262,10 @@ func newExecutor(source func() Index, o ExecutorOptions) *Executor {
 	}
 	return e
 }
+
+// NewExecutorSource is NewExecutor; the stores are Indexes, so the name
+// adds nothing and is kept for callers that have it.
+func NewExecutorSource(idx Index, o ExecutorOptions) *Executor { return NewExecutor(idx, o) }
 
 // execJob is one unit of pool work. The enqueue timestamp rides in the
 // channel element (set only when metrics are on), so queue-wait
@@ -348,7 +329,7 @@ func (e *Executor) Execute(q Query) Result {
 // run answers q against the current index — through its pipeline when it
 // has one, as x says — and records the query.
 func (e *Executor) run(q Query, x index.Exec) Result {
-	idx := e.source()
+	idx := e.idx
 	m, w := e.metrics, e.workload
 	var start time.Time
 	if m != nil || w != nil {
@@ -387,7 +368,7 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 	}
 	m := e.metrics
 	if a.maxRows > 0 || a.maxBytes > 0 {
-		if p, ok := e.source().(pipelined); ok {
+		if p, ok := e.idx.(pipelined); ok {
 			rows, bytes := p.EstimateCost(q)
 			if a.maxRows > 0 && rows > a.maxRows {
 				if m != nil {

@@ -345,7 +345,7 @@ func TestExecutorAnswersGroupedQueries(t *testing.T) {
 		mixed = append(mixed, q, q.By(4)) // the same filters flat and grouped: the same cache key but for GroupBy
 	}
 	for _, intra := range []bool{false, true} {
-		ex := tsunami.NewExecutorSource(ls, tsunami.ExecutorOptions{
+		ex := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{
 			Workers: 4, IntraQuery: intra,
 			Admission: tsunami.AdmissionConfig{MaxRows: 1 << 40},
 		})

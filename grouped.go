@@ -58,9 +58,8 @@ func (e *Executor) groups(q Query) error {
 	if !q.Grouped() {
 		return fmt.Errorf("%w: query %s has no GROUP BY; use Execute", ErrNotGrouped, q)
 	}
-	idx := e.source()
-	if _, ok := idx.(pipelined); !ok {
-		return fmt.Errorf("%w: %s", ErrNotGrouped, idx.Name())
+	if _, ok := e.idx.(pipelined); !ok {
+		return fmt.Errorf("%w: %s", ErrNotGrouped, e.idx.Name())
 	}
 	return nil
 }

@@ -165,7 +165,7 @@ func RunTraffic(o Options) (*TrafficResult, error) {
 	// excess load is shed immediately, the backlog never forms, and the
 	// admitted queries' p99 stays near the unloaded baseline.
 	res.MaxInFlight = runtime.GOMAXPROCS(0)
-	ex := tsunami.NewExecutorSource(bare, tsunami.ExecutorOptions{
+	ex := tsunami.NewExecutor(bare, tsunami.ExecutorOptions{
 		Admission: tsunami.AdmissionConfig{MaxInFlight: res.MaxInFlight},
 	})
 	defer ex.Close()

@@ -51,7 +51,7 @@ func (t *Tsunami) Explain(q query.Query) Trace {
 			rt.CellsVisited = st.CellsVisited
 		} else {
 			b := t.bounds[r.ID]
-			t.store.ScanRange(q, b[0], b[1], regionContained(q, r), &res)
+			t.store.ScanRange(q, b[0], b[1], q.ContainsBox(r.Lo, r.Hi), &res)
 			rt.CellRanges = 1
 		}
 		rt.PointsScanned = res.PointsScanned

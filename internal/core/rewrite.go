@@ -47,7 +47,7 @@ func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
 // sets, and the buffered row slices themselves. The Grid Tree is copied,
 // because folded rows widen the successor's region boxes (the tree only
 // constrains split dimensions, so an insert may lie outside the recorded
-// min/max of the others, and regionContained relies on sound boxes), and
+// min/max of the others, and the exact-scan test relies on sound boxes), and
 // carried-over buffers get fresh containers and backing arrays, so a
 // later Insert into the successor cannot touch arrays the receiver reads.
 func (t *Tsunami) rewrite(minFold int, cut *rangeCut, reopt map[int][]query.Query) (*Tsunami, [][]int64, error) {

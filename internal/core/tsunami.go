@@ -329,7 +329,7 @@ func (t *Tsunami) plan(q query.Query, ctx *execContext) {
 			continue
 		}
 		if b := t.bounds[r.ID]; b[0] < b[1] {
-			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1], Exact: regionContained(q, r)})
+			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1], Exact: q.ContainsBox(r.Lo, r.Hi)})
 		}
 	}
 }
@@ -415,15 +415,6 @@ func (t *Tsunami) drain(q query.Query, chunks []auggrid.PhysRange, workers int, 
 	}
 	wg.Wait()
 	return partials
-}
-
-func regionContained(q query.Query, r *gridtree.Region) bool {
-	for _, f := range q.Filters {
-		if r.Lo[f.Dim] < f.Lo || r.Hi[f.Dim] > f.Hi {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes implements index.Index: the Grid Tree plus every region grid.

@@ -7,6 +7,7 @@ package gridtree
 
 import (
 	"repro/internal/colstore"
+	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/stats"
 )
@@ -28,7 +29,7 @@ func ClusterQueryTypes(st *colstore.Store, queries []query.Query, eps float64) (
 		groups[q.DimSetKey()] = append(groups[q.DimSetKey()], i)
 	}
 
-	sample := sampleRowIdx(st.NumRows(), 2000)
+	sample := index.SampleRows(st.NumRows(), 2000)
 	nextType := 0
 	for _, idxs := range groups {
 		if len(idxs) == 0 {
@@ -40,7 +41,7 @@ func ClusterQueryTypes(st *colstore.Store, queries []query.Query, eps float64) (
 			e := make([]float64, len(dims))
 			for di, dim := range dims {
 				f, _ := out[qi].Filter(dim)
-				e[di] = selectivityOnSample(st, sample, f)
+				e[di] = index.SampleSelectivity(st, sample, f)
 			}
 			emb[k] = e
 		}
@@ -51,34 +52,4 @@ func ClusterQueryTypes(st *colstore.Store, queries []query.Query, eps float64) (
 		nextType += stats.NumClusters(labels)
 	}
 	return out, nextType
-}
-
-func sampleRowIdx(n, want int) []int {
-	if n <= want {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, want)
-	stride := n / want
-	for i := range out {
-		out[i] = i * stride
-	}
-	return out
-}
-
-func selectivityOnSample(st *colstore.Store, rows []int, f query.Filter) float64 {
-	if len(rows) == 0 {
-		return 1
-	}
-	col := st.Column(f.Dim)
-	match := 0
-	for _, r := range rows {
-		if v := col[r]; v >= f.Lo && v <= f.Hi {
-			match++
-		}
-	}
-	return float64(match) / float64(len(rows))
 }

@@ -113,3 +113,37 @@ func DimSelectivity(s *colstore.Store, q query.Query, dim int) float64 {
 	s.ScanRange(query.NewCount(f), 0, s.NumRows(), false, &res)
 	return float64(res.Count) / float64(s.NumRows())
 }
+
+// SampleRows returns the row indexes of a strided sample of an n-row
+// table: every row when n <= want, else want rows n/want apart. The
+// query-type clustering, the shift detector's fingerprints and the
+// baselines' dimension ordering all estimate selectivity on it.
+func SampleRows(n, want int) []int {
+	stride := 1
+	if n > want {
+		stride = n / want
+	} else {
+		want = n
+	}
+	out := make([]int, want)
+	for i := range out {
+		out[i] = i * stride
+	}
+	return out
+}
+
+// SampleSelectivity returns the fraction of the sampled rows that match
+// f (1 on an empty sample).
+func SampleSelectivity(s *colstore.Store, rows []int, f query.Filter) float64 {
+	if len(rows) == 0 {
+		return 1
+	}
+	col := s.Column(f.Dim)
+	match := 0
+	for _, r := range rows {
+		if v := col[r]; v >= f.Lo && v <= f.Hi {
+			match++
+		}
+	}
+	return float64(match) / float64(len(rows))
+}

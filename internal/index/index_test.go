@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/colstore"
@@ -67,5 +68,23 @@ func TestDimSelectivity(t *testing.T) {
 	q2 := query.NewCount(query.Filter{Dim: 0, Lo: 1, Hi: 1})
 	if sel := DimSelectivity(s, q2, 1); sel != 1.0 {
 		t.Errorf("unfiltered dim selectivity = %f, want 1", sel)
+	}
+}
+
+func TestSampleRowsAndSelectivity(t *testing.T) {
+	if got := SampleRows(3, 10); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("small table sample = %v, want every row", got)
+	}
+	if got := SampleRows(11, 3); !slices.Equal(got, []int{0, 3, 6}) {
+		t.Errorf("strided sample = %v, want [0 3 6]", got)
+	}
+	s := store(t)
+	rows := SampleRows(s.NumRows(), 100)
+	f0 := query.Filter{Dim: 0, Lo: 1, Hi: 2}
+	if sel := SampleSelectivity(s, rows, f0); sel != Selectivity(s, query.NewCount(f0)) {
+		t.Errorf("one filter on a full sample = %f, want the exact selectivity", sel)
+	}
+	if SampleSelectivity(s, nil, f0) != 1 {
+		t.Error("an empty sample must report 1")
 	}
 }

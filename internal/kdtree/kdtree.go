@@ -183,7 +183,7 @@ func (x *Index) Execute(q query.Query) colstore.ScanResult {
 
 func (x *Index) visit(nd *node, q query.Query, res *colstore.ScanResult) {
 	if nd.leaf {
-		exact := boxContained(q, nd.boxLo, nd.boxHi)
+		exact := q.ContainsBox(nd.boxLo, nd.boxHi)
 		x.store.ScanRange(q, nd.start, nd.end, exact, res)
 		return
 	}
@@ -199,17 +199,6 @@ func (x *Index) visit(nd *node, q query.Query, res *colstore.ScanResult) {
 	if f.Hi >= nd.splitVal {
 		x.visit(nd.right, q, res)
 	}
-}
-
-// boxContained reports whether the box [lo, hi] lies entirely inside every
-// filter of q.
-func boxContained(q query.Query, lo, hi []int64) bool {
-	for _, f := range q.Filters {
-		if lo[f.Dim] < f.Lo || hi[f.Dim] > f.Hi {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes implements index.Index: every node stores split metadata plus

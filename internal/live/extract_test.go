@@ -38,7 +38,7 @@ func TestExtractionMovesRangeWithConcurrentIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				v := lo + int64(i)      // outside the moving range
+				v := lo + int64(i) // outside the moving range
 				if (i+w)%2 == 0 {
 					v = cut + int64(i) // inside
 				}

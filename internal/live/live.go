@@ -106,8 +106,8 @@ type Config struct {
 	// previously computed result for the exact same canonical query at the
 	// current epoch — invalidation is free because every publish bumps the
 	// epoch, so a stale entry's key can never match again. 0 disables the
-	// cache. A ShardedStore caches at the router instead and clears this
-	// per shard — set sharded.Config.CacheEntries there.
+	// cache. Under a ShardedStore this is one shard's share (see
+	// sharded.Config.CacheEntries).
 	CacheEntries int
 }
 
@@ -239,7 +239,7 @@ type version struct {
 
 // Store is an epoch-based read-write serving layer over a Tsunami index.
 //
-// Concurrency: Execute/ExecuteWith/CurrentIndex/Stats may be called
+// Concurrency: Execute/ExecuteWith/Stats may be called
 // from any number of goroutines, and never block on writers or
 // maintenance. Insert/InsertBatch may be called from any number of
 // goroutines; they serialize on a short critical section (derive + swap)
@@ -440,7 +440,7 @@ func (s *Store) cacheGet(v *version, q query.Query) (colstore.ScanResult, bool) 
 		return colstore.ScanResult{}, false
 	}
 	start := time.Now()
-	res, ok := s.cache.Get(v.epoch, nil, q)
+	res, ok := s.cache.Get(v.epoch, q)
 	if !ok {
 		s.cacheMisses.Add(1)
 		return colstore.ScanResult{}, false
@@ -465,7 +465,7 @@ func (s *Store) cachePut(v *version, q query.Query, res colstore.ScanResult) {
 	if s.cache == nil {
 		return
 	}
-	if s.cache.Put(v.epoch, nil, q, res) {
+	if s.cache.Put(v.epoch, q, res) {
 		s.cacheEvictions.Add(1)
 	}
 }
@@ -501,22 +501,23 @@ func (s *Store) SizeBytes() uint64 { return s.cur.Load().idx.SizeBytes() }
 // holds it, even across later swaps.
 func (s *Store) Index() *core.Tsunami { return s.cur.Load().idx }
 
-// CurrentIndex implements the executor's IndexSource. It returns the
-// Store itself, not the raw epoch handle: Execute resolves the current
-// epoch per call anyway, and routing through the Store keeps query
-// accounting and the shift-detector feed identical to direct Execute
-// calls (use Index for the raw epoch handle).
-func (s *Store) CurrentIndex() index.Index { return s }
-
 // Epoch returns the current epoch number; it advances by one per
 // published version (ingest batch, merge, or re-optimization).
 func (s *Store) Epoch() uint64 { return s.cur.Load().epoch }
 
 // EstimateCost bounds q's plan-time scan cost against the current epoch
 // (see core.Tsunami.EstimateCost); the Executor's admission budgets use
-// it to reject over-budget queries before they scan.
+// it to reject over-budget queries before they scan. A query the result
+// cache holds at the current epoch costs (0, 0) — serving it scans
+// nothing — and is not planned. An over-budget query is never executed,
+// so never cached; but a publish between the estimate and the execute
+// lets that one already-admitted query through unbudgeted.
 func (s *Store) EstimateCost(q query.Query) (rows, bytes uint64) {
-	return s.cur.Load().idx.EstimateCost(q)
+	v := s.cur.Load()
+	if s.cache.Has(v.epoch, q) {
+		return 0, 0
+	}
+	return v.idx.EstimateCost(q)
 }
 
 // Insert ingests one row. It becomes visible to queries as soon as Insert

@@ -469,3 +469,42 @@ func TestLiveEventsAndFlushNoBuffered(t *testing.T) {
 		t.Error("no merge event emitted")
 	}
 }
+
+// TestLiveEstimateCostOfCachedQuery checks admission's view of the result
+// cache: a query the cache holds at the current epoch costs nothing, the
+// real plan estimate returns with the next publish, and a store without a
+// cache always reports the plan estimate.
+func TestLiveEstimateCostOfCachedQuery(t *testing.T) {
+	st := testutil.SmallTaxi(4000, 61)
+	work := testutil.SkewedQueries(st, 40, 62)
+	q := work[0]
+	for _, entries := range []int{64, 0} {
+		s := Open(core.Build(st, work, smallConfig()), nil, Config{CacheEntries: entries})
+		defer s.Close()
+		planRows, planBytes := s.Index().EstimateCost(q)
+		if planRows == 0 {
+			t.Fatalf("probe %s plans no rows; pick another", q)
+		}
+		check := func(when string, wantRows, wantBytes uint64) {
+			t.Helper()
+			if rows, bytes := s.EstimateCost(q); rows != wantRows || bytes != wantBytes {
+				t.Errorf("CacheEntries=%d, %s: EstimateCost = (%d, %d), want (%d, %d)", entries, when, rows, bytes, wantRows, wantBytes)
+			}
+		}
+		check("before the first ask", planRows, planBytes)
+		s.Execute(q)
+		if entries > 0 {
+			check("after being served", 0, 0)
+		} else {
+			check("after being served", planRows, planBytes)
+		}
+		if cs := s.CacheStats(); cs.Hits != 0 || cs.Misses > 1 {
+			t.Errorf("CacheEntries=%d: estimates moved the cache counters: %+v", entries, cs)
+		}
+		if err := s.Insert(st.Row(0, nil)); err != nil {
+			t.Fatal(err)
+		}
+		planRows, planBytes = s.Index().EstimateCost(q)
+		check("after an insert", planRows, planBytes)
+	}
+}

@@ -14,7 +14,7 @@ import (
 // per stripe.
 const (
 	subBits    = 3
-	subBuckets = 1 << subBits // 8
+	subBuckets = 1 << subBits                         // 8
 	numBuckets = subBuckets + (63-subBits)*subBuckets // 8 + 60*8 = 488
 )
 

@@ -175,35 +175,17 @@ func (x *Index) Execute(q query.Query) colstore.ScanResult {
 }
 
 func (x *Index) visit(nd *node, q query.Query, res *colstore.ScanResult) {
-	if !boxIntersects(q, nd.lo, nd.hi) {
+	if !q.IntersectsBox(nd.lo, nd.hi) {
 		return
 	}
 	if nd.leaf {
-		exact := boxContained(q, nd.lo, nd.hi)
+		exact := q.ContainsBox(nd.lo, nd.hi)
 		x.store.ScanRange(q, nd.start, nd.end, exact, res)
 		return
 	}
 	for _, c := range nd.children {
 		x.visit(c, q, res)
 	}
-}
-
-func boxIntersects(q query.Query, lo, hi []int64) bool {
-	for _, f := range q.Filters {
-		if hi[f.Dim] < f.Lo || lo[f.Dim] > f.Hi {
-			return false
-		}
-	}
-	return true
-}
-
-func boxContained(q query.Query, lo, hi []int64) bool {
-	for _, f := range q.Filters {
-		if lo[f.Dim] < f.Lo || hi[f.Dim] > f.Hi {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes implements index.Index: per-node bounds plus child map entries.

@@ -13,18 +13,13 @@
 //
 // Invalidation is exact and free. The version a caller passes is the
 // serving epoch the result was computed at: the LiveStore's epoch
-// counter, or for the sharded router a digest of (topology generation,
-// routed shard ids, per-shard epochs). Every publish bumps the epoch,
+// counter (a ShardedStore caches nothing itself — each shard's LiveStore
+// caches its own partials). Every publish bumps the epoch,
 // so a cached entry is valid precisely while its version is current — a
 // stale entry's key simply never matches again and no sweeper or TTL is
 // needed. Stale entries are reclaimed lazily by eviction pressure,
 // which prefers entries whose version differs from the one being
 // inserted (i.e. provably stale ones) over live ones.
-//
-// Callers that need multi-component versions (the sharded router) pass
-// the full version vector alongside the digested version; entries store
-// a copy and Get compares it element-wise, so a digest collision can
-// cause a spurious miss but never a stale hit.
 package qcache
 
 import (
@@ -62,19 +57,13 @@ type key struct {
 	f       [maxFilters]query.Filter
 }
 
-// entry pairs a result with the version vector it was computed under
-// (nil for single-epoch callers). Flat and grouped results are one
-// value type and share the map: their keys can never collide because
-// groupBy is part of the key (0 for flat queries, 1+dim for grouped
-// ones). The entry owns its groups slice.
-type entry struct {
-	vec []uint64
-	res colstore.ScanResult
-}
-
+// lockShard is one stripe of the map. Flat and grouped results are one
+// value type and share it: their keys can never collide because groupBy
+// is part of the key (0 for flat queries, 1+dim for grouped ones). A
+// stored result owns its groups slice.
 type lockShard struct {
 	mu sync.Mutex
-	m  map[key]entry
+	m  map[key]colstore.ScanResult
 }
 
 // Cache is a bounded, concurrency-safe result cache. A nil *Cache is
@@ -97,7 +86,7 @@ func New(entries int) *Cache {
 	per := (entries + nlocks - 1) / nlocks
 	c := &Cache{perShard: per}
 	for i := range c.shards {
-		c.shards[i].m = make(map[key]entry, per)
+		c.shards[i].m = make(map[key]colstore.ScanResult, per)
 	}
 	return c
 }
@@ -151,71 +140,57 @@ func (k *key) shard() int {
 	return int(h % nlocks)
 }
 
-// Digest folds a version vector into the single version word used for
-// keying. Collisions are harmless: Get compares the full vector.
-func Digest(vec []uint64) uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range vec {
-		h ^= v
-		h *= fnvPrime
-	}
-	return h
-}
-
-func vecEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Get looks up q's result at version ver. vec, when non-nil, must match
-// the stored entry's vector element-wise — the collision-proof check
-// behind Digest. A miss (or a nil cache) reports ok=false. A grouped
-// result is returned as a deep copy: callers may hold or modify it
-// without aliasing the cached groups slice.
-func (c *Cache) Get(ver uint64, vec []uint64, q query.Query) (colstore.ScanResult, bool) {
+// lookup is the stripe-locked map probe behind Get and Has; ok=false for
+// a nil cache, an uncacheable query, or a miss.
+func (c *Cache) lookup(ver uint64, q query.Query) (res colstore.ScanResult, ok bool) {
 	if c == nil {
-		return colstore.ScanResult{}, false
+		return res, false
 	}
 	k, ok := keyOf(ver, q)
 	if !ok {
-		c.misses.Add(1)
-		return colstore.ScanResult{}, false
+		return res, false
 	}
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
-	e, hit := s.m[k]
+	res, ok = s.m[k]
 	s.mu.Unlock()
-	if !hit || !vecEqual(e.vec, vec) {
+	return res, ok
+}
+
+// Get looks up q's result at version ver. A miss (or a nil cache)
+// reports ok=false. A grouped result is returned as a deep copy: callers
+// may hold or modify it without aliasing the cached groups slice.
+func (c *Cache) Get(ver uint64, q query.Query) (colstore.ScanResult, bool) {
+	if c == nil {
+		return colstore.ScanResult{}, false
+	}
+	res, ok := c.lookup(ver, q)
+	if !ok {
 		c.misses.Add(1)
 		return colstore.ScanResult{}, false
 	}
 	c.hits.Add(1)
-	return e.res.Clone(), true
+	return res.Clone(), true
 }
 
-// Put stores q's result computed at version ver (with its version
-// vector, for multi-component callers). The entry keeps its own deep
-// copy of a grouped result's groups, so the caller's result remains
+// Has reports whether Get(ver, q) would hit, without cloning the result
+// or counting a hit or a miss.
+func (c *Cache) Has(ver uint64, q query.Query) bool {
+	_, ok := c.lookup(ver, q)
+	return ok
+}
+
+// Put stores q's result computed at version ver. The entry keeps its own
+// deep copy of a grouped result's groups, so the caller's result remains
 // independently usable. Reports whether an existing entry was evicted
 // to make room. Uncacheable queries are dropped.
-func (c *Cache) Put(ver uint64, vec []uint64, q query.Query, res colstore.ScanResult) (evicted bool) {
+func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) (evicted bool) {
 	if c == nil {
 		return false
 	}
 	k, ok := keyOf(ver, q)
 	if !ok {
 		return false
-	}
-	var vcopy []uint64
-	if len(vec) > 0 {
-		vcopy = append([]uint64(nil), vec...)
 	}
 	own := res.Clone()
 	s := &c.shards[k.shard()]
@@ -223,9 +198,8 @@ func (c *Cache) Put(ver uint64, vec []uint64, q query.Query, res colstore.ScanRe
 	if _, exists := s.m[k]; !exists && len(s.m) >= c.perShard {
 		// Evict: map iteration order is effectively random, so the first
 		// few yielded entries are a cheap uniform sample. Prefer one whose
-		// version is not the one being inserted — provably stale under
-		// single-epoch keying, at worst a different hot epoch mix under
-		// digested keying — else take any sampled entry.
+		// version is not the one being inserted — provably stale — else
+		// take any sampled entry.
 		var victim key
 		have := false
 		n := 0
@@ -243,7 +217,7 @@ func (c *Cache) Put(ver uint64, vec []uint64, q query.Query, res colstore.ScanRe
 			evicted = true
 		}
 	}
-	s.m[k] = entry{vec: vcopy, res: own}
+	s.m[k] = own
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)

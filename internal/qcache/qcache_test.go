@@ -19,11 +19,11 @@ func res(count uint64, sum int64) colstore.ScanResult {
 func TestPutGetRoundtrip(t *testing.T) {
 	c := New(64)
 	qa := q(query.Filter{Dim: 0, Lo: 1, Hi: 10})
-	if _, ok := c.Get(7, nil, qa); ok {
+	if _, ok := c.Get(7, qa); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(7, nil, qa, res(42, 99))
-	got, ok := c.Get(7, nil, qa)
+	c.Put(7, qa, res(42, 99))
+	got, ok := c.Get(7, qa)
 	if !ok || got.Count != 42 || got.Sum != 99 {
 		t.Fatalf("roundtrip: got %+v ok=%v", got, ok)
 	}
@@ -40,13 +40,13 @@ func TestLiteralBoundsDistinguishEntries(t *testing.T) {
 	c := New(64)
 	q10 := q(query.Filter{Dim: 2, Lo: query.NoLo, Hi: 10})
 	q20 := q(query.Filter{Dim: 2, Lo: query.NoLo, Hi: 20})
-	c.Put(1, nil, q10, res(10, 0))
-	c.Put(1, nil, q20, res(20, 0))
-	a, ok := c.Get(1, nil, q10)
+	c.Put(1, q10, res(10, 0))
+	c.Put(1, q20, res(20, 0))
+	a, ok := c.Get(1, q10)
 	if !ok || a.Count != 10 {
 		t.Fatalf("q10: %+v ok=%v", a, ok)
 	}
-	b, ok := c.Get(1, nil, q20)
+	b, ok := c.Get(1, q20)
 	if !ok || b.Count != 20 {
 		t.Fatalf("q20: %+v ok=%v", b, ok)
 	}
@@ -58,16 +58,16 @@ func TestAggregateDistinguishesEntries(t *testing.T) {
 	cnt := query.NewCount(f...)
 	sum3 := query.NewSum(3, f...)
 	sum4 := query.NewSum(4, f...)
-	c.Put(1, nil, cnt, res(1, 0))
-	c.Put(1, nil, sum3, res(2, 30))
-	c.Put(1, nil, sum4, res(2, 40))
-	if r, ok := c.Get(1, nil, cnt); !ok || r.Count != 1 {
+	c.Put(1, cnt, res(1, 0))
+	c.Put(1, sum3, res(2, 30))
+	c.Put(1, sum4, res(2, 40))
+	if r, ok := c.Get(1, cnt); !ok || r.Count != 1 {
 		t.Fatalf("count entry: %+v ok=%v", r, ok)
 	}
-	if r, ok := c.Get(1, nil, sum3); !ok || r.Sum != 30 {
+	if r, ok := c.Get(1, sum3); !ok || r.Sum != 30 {
 		t.Fatalf("sum3 entry: %+v ok=%v", r, ok)
 	}
-	if r, ok := c.Get(1, nil, sum4); !ok || r.Sum != 40 {
+	if r, ok := c.Get(1, sum4); !ok || r.Sum != 40 {
 		t.Fatalf("sum4 entry: %+v ok=%v", r, ok)
 	}
 }
@@ -75,32 +75,18 @@ func TestAggregateDistinguishesEntries(t *testing.T) {
 func TestEpochBumpInvalidates(t *testing.T) {
 	c := New(64)
 	qa := q(query.Filter{Dim: 1, Lo: 5, Hi: 5})
-	c.Put(3, nil, qa, res(7, 0))
-	if _, ok := c.Get(4, nil, qa); ok {
+	c.Put(3, qa, res(7, 0))
+	if _, ok := c.Get(4, qa); ok {
 		t.Fatal("stale epoch served")
 	}
-	if r, ok := c.Get(3, nil, qa); !ok || r.Count != 7 {
+	if c.Has(4, qa) || !c.Has(3, qa) {
+		t.Fatal("Has disagrees with the epoch the entry was stored at")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("Has moved the counters: %+v", st)
+	}
+	if r, ok := c.Get(3, qa); !ok || r.Count != 7 {
 		t.Fatal("current epoch entry lost")
-	}
-}
-
-func TestVectorMismatchMisses(t *testing.T) {
-	c := New(64)
-	qa := q(query.Filter{Dim: 0, Lo: 0, Hi: 1})
-	vec := []uint64{9, 0, 4, 1, 7}
-	ver := Digest(vec)
-	c.Put(ver, vec, qa, res(5, 0))
-	if r, ok := c.Get(ver, vec, qa); !ok || r.Count != 5 {
-		t.Fatalf("vector hit: %+v ok=%v", r, ok)
-	}
-	// Same digested version, different vector: must miss (this is the
-	// collision-proofing path).
-	other := []uint64{9, 0, 4, 1, 8}
-	if _, ok := c.Get(ver, other, qa); ok {
-		t.Fatal("hit on mismatched version vector")
-	}
-	if _, ok := c.Get(ver, nil, qa); ok {
-		t.Fatal("hit with nil vector against stored vector")
 	}
 }
 
@@ -111,7 +97,7 @@ func TestUncacheableQueries(t *testing.T) {
 	for i := range wide {
 		wide[i] = query.Filter{Dim: i, Lo: 0, Hi: 1}
 	}
-	c.Put(1, nil, query.Query{Agg: query.Count, Filters: wide}, res(1, 0))
+	c.Put(1, query.Query{Agg: query.Count, Filters: wide}, res(1, 0))
 	if c.Len() != 0 {
 		t.Fatal("cached a too-wide query")
 	}
@@ -119,11 +105,11 @@ func TestUncacheableQueries(t *testing.T) {
 	bad := query.Query{Agg: query.Count, Filters: []query.Filter{
 		{Dim: 3, Lo: 0, Hi: 1}, {Dim: 1, Lo: 0, Hi: 1},
 	}}
-	c.Put(1, nil, bad, res(1, 0))
+	c.Put(1, bad, res(1, 0))
 	if c.Len() != 0 {
 		t.Fatal("cached a non-canonical query")
 	}
-	if _, ok := c.Get(1, nil, bad); ok {
+	if _, ok := c.Get(1, bad); ok {
 		t.Fatal("hit for uncacheable query")
 	}
 }
@@ -136,10 +122,10 @@ func TestEvictionBoundsSizeAndPrefersStale(t *testing.T) {
 	// A stale-epoch entry per lock shard's worth, then flood with a newer
 	// epoch: size must stay bounded and evictions must be counted.
 	for i := 0; i < 16; i++ {
-		c.Put(1, nil, mk(i), res(uint64(i), 0))
+		c.Put(1, mk(i), res(uint64(i), 0))
 	}
 	for i := 0; i < 500; i++ {
-		c.Put(2, nil, mk(i), res(uint64(i), 0))
+		c.Put(2, mk(i), res(uint64(i), 0))
 	}
 	// Capacity rounds up per lock shard; allow that slack.
 	if n := c.Len(); n > 32+nlocks {
@@ -150,7 +136,7 @@ func TestEvictionBoundsSizeAndPrefersStale(t *testing.T) {
 	}
 	// Spot-check: current-epoch lookups still mostly work for the latest
 	// inserts (the newest entries were inserted after eviction pressure).
-	if _, ok := c.Get(2, nil, mk(499)); !ok {
+	if _, ok := c.Get(2, mk(499)); !ok {
 		t.Fatal("most recent insert evicted immediately")
 	}
 }
@@ -158,10 +144,13 @@ func TestEvictionBoundsSizeAndPrefersStale(t *testing.T) {
 func TestNilCacheNoOps(t *testing.T) {
 	var c *Cache
 	qa := q(query.Filter{Dim: 0, Lo: 0, Hi: 1})
-	if _, ok := c.Get(1, nil, qa); ok {
+	if _, ok := c.Get(1, qa); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.Put(1, nil, qa, res(1, 0))
+	c.Put(1, qa, res(1, 0))
+	if c.Has(1, qa) {
+		t.Fatal("nil cache has an entry")
+	}
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", st)
 	}
@@ -184,7 +173,8 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				qa := q(query.Filter{Dim: w % 3, Lo: int64(i % 50), Hi: int64(i%50 + w)})
 				ver := uint64(i % 4)
-				if r, ok := c.Get(ver, nil, qa); ok {
+				c.Has(ver, qa) // races with the Puts below under -race
+				if r, ok := c.Get(ver, qa); ok {
 					// Any hit must carry the value stored for exactly this
 					// (ver, query) pair.
 					want := uint64(ver*1000) + uint64(i%50)
@@ -193,7 +183,7 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 				} else {
-					c.Put(ver, nil, qa, res(uint64(ver*1000)+uint64(i%50), 0))
+					c.Put(ver, qa, res(uint64(ver*1000)+uint64(i%50), 0))
 				}
 			}
 		}()

@@ -168,6 +168,30 @@ func (q Query) MatchesRow(row []int64) bool {
 	return true
 }
 
+// ContainsBox reports whether the box [lo, hi] (one inclusive bound pair
+// per dimension) lies inside every filter: every point of the box
+// matches, so rows known to be in it can be scanned without per-value
+// checks.
+func (q Query) ContainsBox(lo, hi []int64) bool {
+	for _, f := range q.Filters {
+		if lo[f.Dim] < f.Lo || hi[f.Dim] > f.Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// IntersectsBox reports whether the box [lo, hi] overlaps every filter:
+// false means no point of the box can match.
+func (q Query) IntersectsBox(lo, hi []int64) bool {
+	for _, f := range q.Filters {
+		if hi[f.Dim] < f.Lo || lo[f.Dim] > f.Hi {
+			return false
+		}
+	}
+	return true
+}
+
 // Clip returns a copy of the query whose filters are intersected with the
 // per-dimension bounds lo/hi (inclusive), e.g. to restrict a query to a Grid
 // Tree region. The boolean is false when the intersection is empty.

@@ -79,6 +79,31 @@ func TestMatchesRow(t *testing.T) {
 	}
 }
 
+func TestBoxTests(t *testing.T) {
+	q := NewCount(Filter{Dim: 0, Lo: 10, Hi: 20}, Filter{Dim: 2, Lo: 5, Hi: 5})
+	for _, c := range []struct {
+		lo, hi               []int64
+		contains, intersects bool
+	}{
+		{[]int64{12, -99, 5}, []int64{18, 99, 5}, true, true}, // inside both filters; dim 1 is free
+		{[]int64{10, 0, 5}, []int64{20, 0, 5}, true, true},    // bounds are inclusive
+		{[]int64{12, 0, 4}, []int64{18, 0, 6}, false, true},   // straddles the equality
+		{[]int64{0, 0, 5}, []int64{10, 0, 5}, false, true},    // touches dim 0's lower bound
+		{[]int64{21, 0, 5}, []int64{30, 0, 5}, false, false},  // past dim 0's upper bound
+		{[]int64{12, 0, 6}, []int64{18, 0, 9}, false, false},  // misses the equality
+	} {
+		if got := q.ContainsBox(c.lo, c.hi); got != c.contains {
+			t.Errorf("ContainsBox(%v, %v) = %v, want %v", c.lo, c.hi, got, c.contains)
+		}
+		if got := q.IntersectsBox(c.lo, c.hi); got != c.intersects {
+			t.Errorf("IntersectsBox(%v, %v) = %v, want %v", c.lo, c.hi, got, c.intersects)
+		}
+	}
+	if all := NewCount(); !all.ContainsBox(nil, nil) || !all.IntersectsBox(nil, nil) {
+		t.Error("an unfiltered query contains and intersects every box")
+	}
+}
+
 func TestClip(t *testing.T) {
 	q := NewCount(Filter{Dim: 0, Lo: 0, Hi: 100}, Filter{Dim: 1, Lo: 50, Hi: 60})
 	clipped, ok := q.Clip([]int64{20, 0}, []int64{80, 100})

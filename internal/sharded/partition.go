@@ -34,9 +34,9 @@ type Partitioner interface {
 
 // Spec is the serializable form of a partitioner.
 type Spec struct {
-	Kind string // "hash" or "range"
-	Dim  int    // the partitioned dimension
-	N    int    // shard count
+	Kind string  // "hash" or "range"
+	Dim  int     // the partitioned dimension
+	N    int     // shard count
 	Cuts []int64 // range only: ascending cut points, len N-1
 }
 

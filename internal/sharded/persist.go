@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/live"
@@ -148,20 +147,10 @@ func (s *Store) save(dir string) error {
 	}
 	s.mu.Unlock()
 
-	errs := make([]error, len(handles))
-	var wg sync.WaitGroup
-	for i, idx := range handles {
-		i, idx := i, idx
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := writeShardSnapshot(dir, i, idx, top.gen); err != nil {
-				errs[i] = err
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := eachShard(len(handles), func(i int) error {
+		return writeShardSnapshot(dir, i, handles[i], top.gen)
+	})
+	if err != nil {
 		return fmt.Errorf("sharded: save: %w", err)
 	}
 	return writeManifest(dir, top.parts.Spec(), top.gen, nil)
@@ -220,24 +209,16 @@ func Recover(dir string, workload []query.Query, cfg Config) (*Store, error) {
 	cfg.fill()
 
 	idxs := make([]*core.Tsunami, parts.NumShards())
-	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for i := range idxs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, err := os.Open(shardFile(dir, i))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer f.Close()
-			idxs[i], errs[i] = core.Load(f)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err = eachShard(len(idxs), func(i int) error {
+		f, err := os.Open(shardFile(dir, i))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		idxs[i], err = core.Load(f)
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("sharded: recover: %w", err)
 	}
 	for _, i := range sanitize {

@@ -109,14 +109,13 @@ type Config struct {
 	// slow-query exemplars re-run through the router's pipeline below the
 	// recording wrapper. Nil keeps the hot path bare.
 	Workload *wstats.Collector
-	// CacheEntries, when > 0, enables a router-level result cache
-	// (internal/qcache) with roughly that many entries, keyed on the
-	// topology generation plus the per-shard epoch vector of the shards
-	// the query routes to — so a hit is exactly the scatter-gather answer
-	// at those epochs, and any ingest, merge, or migration on a routed
-	// shard invalidates it for free. Any Live.CacheEntries is cleared on
-	// the per-shard configs: caching below the router would hold the same
-	// results twice and hit less. 0 disables the cache.
+	// CacheEntries, when > 0, gives the store roughly that many result-
+	// cache entries in total: every shard's LiveStore is opened with
+	// ceil(CacheEntries/shards) of them and caches its own partials, keyed
+	// on its own epoch (see live.Config.CacheEntries). The router holds no
+	// cache; a hit is served, recorded and detector-fed by each routed
+	// shard, and an insert into one shard leaves the other shards'
+	// partials valid. 0 passes Live.CacheEntries through untouched.
 	CacheEntries int
 }
 
@@ -235,14 +234,6 @@ type Store struct {
 	metrics     *shardedMetrics   // nil when instrumentation is off
 	workload    *wstats.Collector // nil when workload stats are off
 
-	// cache is the router-level result cache; nil when disabled. The
-	// counters alongside it are nil-safe obs instruments resolved once at
-	// open (nil when metrics are off).
-	cache          *qcache.Cache
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
-
 	emitMu sync.Mutex // serializes OnEvent across shards
 
 	queries       atomic.Uint64
@@ -325,25 +316,34 @@ func Open(table *colstore.Store, workload []query.Query, bcfg core.Config, cfg C
 	bcfg.Parallelism = per
 
 	idxs := make([]*core.Tsunami, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			st, err := colstore.FromColumns(shardCols[s], table.Names())
-			if err != nil {
-				errs[s] = fmt.Errorf("sharded: shard %d: %w", s, err)
-				return
-			}
-			idxs[s] = core.Build(st, shardWorkload(parts, s, workload), bcfg)
-		}(s)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := eachShard(n, func(s int) error {
+		st, err := colstore.FromColumns(shardCols[s], table.Names())
+		if err != nil {
+			return fmt.Errorf("sharded: shard %d: %w", s, err)
+		}
+		idxs[s] = core.Build(st, shardWorkload(parts, s, workload), bcfg)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return openShards(parts, idxs, workload, cfg, 1)
+}
+
+// eachShard runs fn(i) for every i in [0, n) concurrently and joins the
+// errors (nil when every call succeeded).
+func eachShard(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // shardWorkload filters workload down to the queries that can touch
@@ -382,26 +382,15 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 	}
 	s.topo.Store(&topology{parts: parts, gen: gen})
 	s.metrics = newShardedMetrics(s, cfg.Metrics)
-	if cfg.CacheEntries > 0 {
-		s.cache = qcache.New(cfg.CacheEntries)
-		if r := cfg.Metrics; r != nil {
-			s.cacheHits = r.Counter(obs.MCacheHits)
-			s.cacheMisses = r.Counter(obs.MCacheMisses)
-			s.cacheEvictions = r.Counter(obs.MCacheEvictions)
-			r.GaugeFunc(obs.MCacheEntries, func() float64 {
-				return float64(s.cache.Len())
-			})
-		}
-	}
 	s.shards = make([]*live.Store, len(idxs))
 	for i, idx := range idxs {
 		lc := cfg.Live
 		// Workload stats record once at the router (below); a collector on
-		// the per-shard config would double-count every fan-out query. The
-		// result cache likewise lives at the router only (see
-		// Config.CacheEntries).
+		// the per-shard config would double-count every fan-out query.
 		lc.Workload = nil
-		lc.CacheEntries = 0
+		if n := cfg.CacheEntries; n > 0 {
+			lc.CacheEntries = (n + len(idxs) - 1) / len(idxs)
+		}
 		if cfg.Metrics != nil {
 			lc.Metrics = cfg.Metrics
 			lc.MetricsLabel = fmt.Sprintf(`{shard="%d"}`, i)
@@ -586,9 +575,9 @@ func (s *Store) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 }
 
 // run is the router's pipeline, each concern exactly once: under one
-// seqlock-stable topology, route (the partitioner prunes shards), probe
-// the router cache on the routed shards' epoch vector, scatter to the
-// surviving shards, merge their partials exactly, fill the cache.
+// seqlock-stable topology, route (the partitioner prunes shards), scatter
+// to the surviving shards, merge their partials exactly. Results are
+// cached below the router, by each shard at its own epoch.
 // Lock-free: each shard read resolves that shard's current epoch, and
 // migration windows are retried, not waited on. With x.Trace set the
 // same code records the pruning decision, a span per surviving shard and
@@ -608,18 +597,9 @@ func (s *Store) run(q query.Query, x index.Exec) colstore.ScanResult {
 		}
 		ids := top.parts.Shards(q, make([]int, 0, len(s.shards)))
 		*scanned = len(ids)
-		var vec []uint64
-		var ver uint64
 		if tr != nil {
 			mark = tr.Stage("route", mark,
 				fmt.Sprintf("%d of %d shards survive pruning (gen %d)", len(ids), len(s.shards), top.gen))
-		} else if s.cache != nil {
-			vec, ver = s.cacheKey(top, ids)
-			if res, hit := s.cache.Get(ver, vec, q); hit {
-				s.cacheHits.Add(1)
-				return res
-			}
-			s.cacheMisses.Add(1)
 		}
 
 		var res colstore.ScanResult
@@ -646,17 +626,6 @@ func (s *Store) run(q query.Query, x index.Exec) colstore.ScanResult {
 		if tr != nil {
 			tr.Stage("merge", mark, fmt.Sprintf("%d partials, %d groups", len(parts), len(res.Groups)))
 		}
-
-		// Put is safe without a second epoch read. If a routed shard
-		// published between the key's capture and its execute, the merged
-		// result may mix epochs — but then the current vector has already
-		// moved past vec (epochs are monotonic within a generation, and
-		// every shard replacement bumps the generation), so the entry can
-		// never be served: a lookup recomputes the vector from current
-		// state and element-wise comparison rejects it.
-		if vec != nil && s.cache.Put(ver, vec, q, res) {
-			s.cacheEvictions.Add(1)
-		}
 		return res
 	})
 	if tr != nil {
@@ -666,21 +635,6 @@ func (s *Store) run(q query.Query, x index.Exec) colstore.ScanResult {
 		tr.Bytes = res.BytesTouched
 	}
 	return res
-}
-
-// cacheKey builds the router cache's version vector for a routed query:
-// the topology generation followed by each routed shard's current epoch,
-// in routing order. The generation pins the routing itself (same
-// generation → same partitioner → same ids for this query) and the
-// epochs pin each shard's contents, so a vector identifies exactly one
-// scatter-gather answer.
-func (s *Store) cacheKey(top *topology, ids []int) (vec []uint64, ver uint64) {
-	vec = make([]uint64, 0, len(ids)+1)
-	vec = append(vec, top.gen)
-	for _, id := range ids {
-		vec = append(vec, s.shards[id].Epoch())
-	}
-	return vec, qcache.Digest(vec)
 }
 
 // scatter executes q on every routed shard and returns the shards'
@@ -768,11 +722,6 @@ func (s *Store) SizeBytes() uint64 {
 	}
 	return total
 }
-
-// CurrentIndex implements the executor's IndexSource: the Store itself,
-// so an Executor built over it routes and scatter-gathers per query and
-// picks up every shard's epoch swaps.
-func (s *Store) CurrentIndex() index.Index { return s }
 
 // Insert ingests one row into its shard. It is visible to queries when
 // Insert returns.
@@ -881,20 +830,12 @@ func (s *Store) InsertBatch(rows [][]int64) error {
 // Flush folds every shard's buffered rows into its clustered layout, in
 // parallel, and returns when all shards are clean.
 func (s *Store) Flush() error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := sh.Flush(); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return eachShard(len(s.shards), func(i int) error {
+		if err := s.shards[i].Flush(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		return nil
+	})
 }
 
 // Stats is a point-in-time summary of a sharded store.
@@ -918,8 +859,8 @@ type Stats struct {
 	Rebalances   uint64
 	RowsMigrated uint64
 
-	// Cache is the router-level result cache's counters; all-zero when
-	// disabled.
+	// Cache sums the shards' result-cache counters: a query routed to k
+	// shards is k probes. All-zero when caching is off.
 	Cache qcache.Stats
 
 	// Sums over shards.
@@ -946,7 +887,6 @@ func (s *Store) Stats() Stats {
 		ShardsPruned:  s.shardsPruned.Load(),
 		Rebalances:    s.rebalances.Load(),
 		RowsMigrated:  s.rowsMigrated.Load(),
-		Cache:         s.cache.Stats(),
 		PerShard:      make([]live.Stats, len(s.shards)),
 	}
 	for i, sh := range s.shards {
@@ -957,6 +897,10 @@ func (s *Store) Stats() Stats {
 		st.Merges += ls.Merges
 		st.Reoptimizations += ls.Reoptimizations
 		st.Snapshots += ls.Snapshots
+		st.Cache.Hits += ls.Cache.Hits
+		st.Cache.Misses += ls.Cache.Misses
+		st.Cache.Evictions += ls.Cache.Evictions
+		st.Cache.Entries += ls.Cache.Entries
 	}
 	return st
 }
@@ -980,26 +924,18 @@ func (s *Store) Close() error {
 		s.closed = true
 		s.mu.Unlock()
 		s.rebalMu.Unlock()
-		errs := make([]error, len(s.shards), len(s.shards)+1)
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			i, sh := i, sh
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := sh.Close(); err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				}
-			}()
-		}
-		wg.Wait()
+		s.closeErr = eachShard(len(s.shards), func(i int) error {
+			if err := s.shards[i].Close(); err != nil {
+				return fmt.Errorf("shard %d: %w", i, err)
+			}
+			return nil
+		})
 		// With periodic snapshots on, each shard's Close already wrote its
 		// final state into the directory (ingest stopped first, so the
 		// union is a consistent cut); otherwise write the cut ourselves.
 		if s.snapshotDir != "" && !s.shardFinals {
-			errs = append(errs, s.Save(s.snapshotDir))
+			s.closeErr = errors.Join(s.closeErr, s.Save(s.snapshotDir))
 		}
-		s.closeErr = errors.Join(errs...)
 	})
 	return s.closeErr
 }

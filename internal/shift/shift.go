@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/gridtree"
+	"repro/internal/index"
 	"repro/internal/query"
 )
 
@@ -95,7 +96,7 @@ const minSelObs = 8
 // Queries are clustered into types exactly as the Grid Tree does (§4.3.1).
 func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detector {
 	cfg.fill()
-	d := &Detector{cfg: cfg, st: st, sample: sampleRows(st.NumRows(), 2000)}
+	d := &Detector{cfg: cfg, st: st, sample: index.SampleRows(st.NumRows(), 2000)}
 	typed, numTypes := gridtree.ClusterQueryTypes(st, optimized, gridtree.TypeEps)
 
 	sums := make(map[int][]float64)
@@ -170,23 +171,9 @@ func (d *Detector) querySelectivity(q query.Query) float64 {
 func (d *Detector) embed(q query.Query) []float64 {
 	out := make([]float64, len(q.Filters))
 	for i, f := range q.Filters {
-		out[i] = d.selectivity(f)
+		out[i] = index.SampleSelectivity(d.st, d.sample, f)
 	}
 	return out
-}
-
-func (d *Detector) selectivity(f query.Filter) float64 {
-	if len(d.sample) == 0 {
-		return 1
-	}
-	col := d.st.Column(f.Dim)
-	match := 0
-	for _, r := range d.sample {
-		if v := col[r]; v >= f.Lo && v <= f.Hi {
-			match++
-		}
-	}
-	return float64(match) / float64(len(d.sample))
 }
 
 // Observe records one live query and returns its matched type index, or
@@ -308,19 +295,3 @@ func (d *Detector) Analyze() Report {
 
 // NumTypes returns the number of fingerprinted query types.
 func (d *Detector) NumTypes() int { return len(d.profiles) }
-
-func sampleRows(n, want int) []int {
-	if n <= want {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, want)
-	stride := n / want
-	for i := range out {
-		out[i] = i * stride
-	}
-	return out
-}

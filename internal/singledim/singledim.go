@@ -57,10 +57,10 @@ func MostSelectiveDim(s *colstore.Store, workload []query.Query) int {
 	d := s.NumDims()
 	sum := make([]float64, d)
 	cnt := make([]int, d)
-	sample := sampleRows(s, 2000)
+	sample := index.SampleRows(s.NumRows(), 2000)
 	for _, q := range workload {
 		for _, f := range q.Filters {
-			sum[f.Dim] += sampleSelectivity(s, sample, f)
+			sum[f.Dim] += index.SampleSelectivity(s, sample, f)
 			cnt[f.Dim]++
 		}
 	}
@@ -75,37 +75,6 @@ func MostSelectiveDim(s *colstore.Store, workload []query.Query) int {
 		}
 	}
 	return best
-}
-
-func sampleRows(s *colstore.Store, n int) []int {
-	total := s.NumRows()
-	if total <= n {
-		out := make([]int, total)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, n)
-	stride := total / n
-	for i := range out {
-		out[i] = i * stride
-	}
-	return out
-}
-
-func sampleSelectivity(s *colstore.Store, rows []int, f query.Filter) float64 {
-	if len(rows) == 0 {
-		return 1
-	}
-	col := s.Column(f.Dim)
-	match := 0
-	for _, r := range rows {
-		if v := col[r]; v >= f.Lo && v <= f.Hi {
-			match++
-		}
-	}
-	return float64(match) / float64(len(rows))
 }
 
 // Name implements index.Index.

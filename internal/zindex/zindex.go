@@ -185,31 +185,13 @@ func (x *Index) Execute(q query.Query) colstore.ScanResult {
 		if pg.zmin > zmax {
 			break
 		}
-		if !pageIntersects(q, pg) {
+		if !q.IntersectsBox(pg.lo, pg.hi) {
 			continue
 		}
-		exact := pageContained(q, pg)
+		exact := q.ContainsBox(pg.lo, pg.hi)
 		x.store.ScanRange(q, pg.start, pg.end, exact, &res)
 	}
 	return res
-}
-
-func pageIntersects(q query.Query, pg *page) bool {
-	for _, f := range q.Filters {
-		if pg.hi[f.Dim] < f.Lo || pg.lo[f.Dim] > f.Hi {
-			return false
-		}
-	}
-	return true
-}
-
-func pageContained(q query.Query, pg *page) bool {
-	for _, f := range q.Filters {
-		if pg.lo[f.Dim] < f.Lo || pg.hi[f.Dim] > f.Hi {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes implements index.Index: quantizer boundaries plus per-page

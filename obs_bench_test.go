@@ -64,8 +64,8 @@ func obsBenchSetup(b *testing.B) {
 		})
 		// The batch pair stacks executor instrumentation (queue depth,
 		// queue wait, wave sizes) on top of the store's.
-		obsBench.bareEx = tsunami.NewExecutorSource(obsBench.bare, tsunami.ExecutorOptions{Workers: 2})
-		obsBench.instrEx = tsunami.NewExecutorSource(obsBench.instr, tsunami.ExecutorOptions{
+		obsBench.bareEx = tsunami.NewExecutor(obsBench.bare, tsunami.ExecutorOptions{Workers: 2})
+		obsBench.instrEx = tsunami.NewExecutor(obsBench.instr, tsunami.ExecutorOptions{
 			Workers: 2,
 			Metrics: tsunami.NewMetrics(),
 		})

@@ -107,10 +107,10 @@ func runRandomizedRebalance(t *testing.T, seed int64) {
 	var clock atomic.Int64
 	clock.Store(timeSpan)
 	const (
-		phases        = 2
-		writersPP     = 3
-		batchesPerWr  = 25
-		rowsPerBatch  = 16
+		phases       = 2
+		writersPP    = 3
+		batchesPerWr = 25
+		rowsPerBatch = 16
 	)
 	for phase := 0; phase < phases; phase++ {
 		var writers sync.WaitGroup

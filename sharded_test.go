@@ -151,7 +151,7 @@ func TestShardedExecutorScatterGather(t *testing.T) {
 	}
 
 	// Batch path: queries fan across the pool, each routed per shard.
-	ex := tsunami.NewExecutorSource(ss, tsunami.ExecutorOptions{Workers: 4})
+	ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 4})
 	got := ex.ExecuteBatch(work)
 	for i := range work {
 		if got[i].Count != want[i].Count || got[i].Sum != want[i].Sum {
@@ -163,7 +163,7 @@ func TestShardedExecutorScatterGather(t *testing.T) {
 
 	// Intra-query path: each query's surviving shards scatter across the
 	// pool and the partials gather.
-	ex = tsunami.NewExecutorSource(ss, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
+	ex = tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
 	defer ex.Close()
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {

@@ -32,8 +32,8 @@ import (
 //     and crash-consistently.
 
 // LiveStore is a concurrently-writable serving layer over a Tsunami
-// index. It implements Index (reads execute against the current epoch)
-// and IndexSource (so an Executor built over it picks up epoch swaps).
+// index. It implements Index: each read resolves the current epoch, so an
+// Executor built over it picks up epoch swaps.
 //
 // Any number of goroutines may call Execute concurrently with any number
 // of goroutines calling Insert/InsertBatch; queries never block on writes
@@ -50,12 +50,15 @@ type LiveEvent = live.Event
 // LiveStats is a point-in-time summary of a LiveStore.
 type LiveStats = live.Stats
 
-// CacheStats is a point-in-time summary of a serving layer's result
-// cache (LiveOptions.CacheEntries / ShardedOptions.CacheEntries): hit,
-// miss, and eviction totals plus the current entry count. The cache is
-// keyed on (epoch, exact canonical query) — literal filter bounds
-// included — so every publish invalidates exactly and for free; see
-// internal/qcache for why the key is not the workload fingerprint.
+// CacheStats is a point-in-time summary of a LiveStore's result cache
+// (LiveOptions.CacheEntries): hit, miss, and eviction totals plus the
+// current entry count. The cache is keyed on (epoch, exact canonical
+// query) — literal filter bounds included — so every publish invalidates
+// exactly and for free; see internal/qcache for why the key is not the
+// workload fingerprint. A ShardedStore has no cache of its own: its
+// shards cache their partials (ShardedOptions.CacheEntries is split
+// among them) and ShardedStats.Cache sums their counters, a query routed
+// to k shards counting as k probes.
 type CacheStats = qcache.Stats
 
 // Maintenance event kinds reported through LiveOptions.OnEvent.
@@ -102,8 +105,8 @@ func RecoverLiveStore(r io.Reader, optimized []Query, o LiveOptions) (*LiveStore
 // merging their partial aggregates (COUNT/SUM add; AVG merges exactly
 // because Result carries the sum+count pair).
 //
-// ShardedStore implements Index and IndexSource, and supports the
-// Executor's intra-query interface: an Executor with IntraQuery enabled
+// ShardedStore implements Index and supports the Executor's intra-query
+// interface: an Executor with IntraQuery enabled
 // scatters each query's surviving shards across its worker pool and
 // gathers the partials.
 type ShardedStore = sharded.Store
@@ -158,7 +161,7 @@ func NewRangePartitioner(table *Table, dim, shards int) Partitioner {
 //	go func() { ss.InsertBatch(rows) }()   // writers scale with shards
 //	res := ss.Execute(q)                   // routed, pruned, merged
 //
-//	ex := tsunami.NewExecutorSource(ss, tsunami.ExecutorOptions{IntraQuery: true})
+//	ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{IntraQuery: true})
 //	res = ex.Execute(q)                    // parallel scatter-gather
 func NewShardedStore(table *Table, workload []Query, o Options, so ShardedOptions) (*ShardedStore, error) {
 	return sharded.Open(table, workload, o.coreConfig(core.FullTsunami), so)
