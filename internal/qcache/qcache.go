@@ -17,12 +17,22 @@
 // caches its own partials). Every publish bumps the epoch,
 // so a cached entry is valid precisely while its version is current — a
 // stale entry's key simply never matches again and no sweeper or TTL is
-// needed. Stale entries are reclaimed lazily by eviction pressure,
-// which prefers entries whose version differs from the one being
-// inserted (i.e. provably stale ones) over live ones.
+// needed.
+//
+// Eviction is sampled LFU with decay, because serving traffic is skewed
+// (the paper's premise) and a hot result is worth keeping over a one-off.
+// Every entry carries a saturating hit count that Get bumps; Has does not
+// (an admission estimate is not a use), and a re-Put of a cached key
+// keeps it. A Put into a full stripe samples up to evictScan entries: a
+// provably stale one (its version differs from the one being inserted)
+// is the victim if the sample holds one, else the least-hit entry in the
+// sample. Each stripe halves all its counts every decayEvery x its
+// capacity insertions, so a hot set that traffic stops asking for loses
+// its claim in bounded time instead of pinning the cache forever.
 package qcache
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -38,9 +48,13 @@ const (
 	// nlocks is the lock-striping factor: keys hash across this many
 	// independently locked map shards.
 	nlocks = 16
-	// evictScan is how many map entries a full shard examines looking
-	// for a stale-version victim before settling for any entry.
-	evictScan = 4
+	// evictScan is how many map entries (in map-iteration order, a cheap
+	// random sample) a full stripe examines to pick a victim: the first
+	// stale-version entry it meets, else the least-hit entry sampled.
+	evictScan = 16
+	// decayEvery is the decay period in units of a stripe's capacity:
+	// after decayEvery*perShard insertions a stripe halves every count.
+	decayEvery = 16
 )
 
 // key is the exact identity of a cached result: version plus the full
@@ -57,13 +71,20 @@ type key struct {
 	f       [maxFilters]query.Filter
 }
 
+// entry is one cached result and the number of Gets it served (halved
+// by decay). A stored result owns its groups slice.
+type entry struct {
+	res  colstore.ScanResult
+	hits uint32
+}
+
 // lockShard is one stripe of the map. Flat and grouped results are one
 // value type and share it: their keys can never collide because groupBy
-// is part of the key (0 for flat queries, 1+dim for grouped ones). A
-// stored result owns its groups slice.
+// is part of the key (0 for flat queries, 1+dim for grouped ones).
 type lockShard struct {
-	mu sync.Mutex
-	m  map[key]colstore.ScanResult
+	mu      sync.Mutex
+	m       map[key]*entry
+	inserts int // new keys since the last decay
 }
 
 // Cache is a bounded, concurrency-safe result cache. A nil *Cache is
@@ -86,7 +107,7 @@ func New(entries int) *Cache {
 	per := (entries + nlocks - 1) / nlocks
 	c := &Cache{perShard: per}
 	for i := range c.shards {
-		c.shards[i].m = make(map[key]colstore.ScanResult, per)
+		c.shards[i].m = make(map[key]*entry, per)
 	}
 	return c
 }
@@ -137,12 +158,21 @@ func (k *key) shard() int {
 		mix(uint64(f.Lo))
 		mix(uint64(f.Hi))
 	}
+	// Word-wise FNV leaves the low bits a function of the inputs' low bits
+	// alone (a point filter, Lo == Hi, cancels out of bit 0 and would reach
+	// half the stripes), so finish with murmur3's fmix64.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return int(h % nlocks)
 }
 
 // lookup is the stripe-locked map probe behind Get and Has; ok=false for
-// a nil cache, an uncacheable query, or a miss.
-func (c *Cache) lookup(ver uint64, q query.Query) (res colstore.ScanResult, ok bool) {
+// a nil cache, an uncacheable query, or a miss. use counts a hit on the
+// entry found.
+func (c *Cache) lookup(ver uint64, q query.Query, use bool) (res colstore.ScanResult, ok bool) {
 	if c == nil {
 		return res, false
 	}
@@ -152,19 +182,26 @@ func (c *Cache) lookup(ver uint64, q query.Query) (res colstore.ScanResult, ok b
 	}
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
-	res, ok = s.m[k]
+	e, ok := s.m[k]
+	if ok {
+		res = e.res
+		if use && e.hits < math.MaxUint32 {
+			e.hits++
+		}
+	}
 	s.mu.Unlock()
 	return res, ok
 }
 
-// Get looks up q's result at version ver. A miss (or a nil cache)
-// reports ok=false. A grouped result is returned as a deep copy: callers
-// may hold or modify it without aliasing the cached groups slice.
+// Get looks up q's result at version ver and counts a hit on it. A miss
+// (or a nil cache) reports ok=false. A grouped result is returned as a
+// deep copy: callers may hold or modify it without aliasing the cached
+// groups slice.
 func (c *Cache) Get(ver uint64, q query.Query) (colstore.ScanResult, bool) {
 	if c == nil {
 		return colstore.ScanResult{}, false
 	}
-	res, ok := c.lookup(ver, q)
+	res, ok := c.lookup(ver, q, true)
 	if !ok {
 		c.misses.Add(1)
 		return colstore.ScanResult{}, false
@@ -174,16 +211,17 @@ func (c *Cache) Get(ver uint64, q query.Query) (colstore.ScanResult, bool) {
 }
 
 // Has reports whether Get(ver, q) would hit, without cloning the result
-// or counting a hit or a miss.
+// or counting a hit or a miss — on the cache or on the entry.
 func (c *Cache) Has(ver uint64, q query.Query) bool {
-	_, ok := c.lookup(ver, q)
+	_, ok := c.lookup(ver, q, false)
 	return ok
 }
 
 // Put stores q's result computed at version ver. The entry keeps its own
 // deep copy of a grouped result's groups, so the caller's result remains
-// independently usable. Reports whether an existing entry was evicted
-// to make room. Uncacheable queries are dropped.
+// independently usable; a re-Put of a cached key replaces the result and
+// keeps the entry's hit count. Reports whether an existing entry was
+// evicted to make room. Uncacheable queries are dropped.
 func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) (evicted bool) {
 	if c == nil {
 		return false
@@ -195,29 +233,41 @@ func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) (evicted
 	own := res.Clone()
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
-	if _, exists := s.m[k]; !exists && len(s.m) >= c.perShard {
+	if e, exists := s.m[k]; exists {
+		e.res = own
+		s.mu.Unlock()
+		return false
+	}
+	if len(s.m) >= c.perShard {
 		// Evict: map iteration order is effectively random, so the first
-		// few yielded entries are a cheap uniform sample. Prefer one whose
-		// version is not the one being inserted — provably stale — else
-		// take any sampled entry.
+		// evictScan yielded entries are a cheap sample. A provably stale
+		// one (not at the version being inserted) goes first, else the
+		// least-hit one sampled.
 		var victim key
-		have := false
+		var least *entry
 		n := 0
-		for ek := range s.m {
-			if !have || ek.ver != ver {
-				victim, have = ek, true
+		for ek, e := range s.m {
+			if ek.ver != ver {
+				victim = ek
+				break
 			}
-			n++
-			if ek.ver != ver || n >= evictScan {
+			if least == nil || e.hits < least.hits {
+				victim, least = ek, e
+			}
+			if n++; n >= evictScan {
 				break
 			}
 		}
-		if have {
-			delete(s.m, victim)
-			evicted = true
+		delete(s.m, victim)
+		evicted = true
+	}
+	s.m[k] = &entry{res: own}
+	if s.inserts++; s.inserts >= decayEvery*c.perShard {
+		s.inserts = 0
+		for _, e := range s.m {
+			e.hits >>= 1
 		}
 	}
-	s.m[k] = own
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
