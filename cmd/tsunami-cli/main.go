@@ -13,14 +13,16 @@
 //	> stats
 //	> quit
 //
-// With -live the shell serves through a LiveStore: inserts are published
-// copy-on-write and merge in the background once -merge-threshold rows
-// are buffered, a shift detector watches the query stream and
-// re-optimizes drifted regions, maintenance events are printed as they
-// complete, and -snapshot/-snapshot-every persist crash-recovery
-// snapshots (including buffered rows) while serving.
+// The shell serves through a LiveStore, so a built index is never written:
+// inserts are published copy-on-write and merge in the background once
+// -merge-threshold rows are buffered (`merge` folds them now), a shift
+// detector watches the query stream and re-optimizes drifted regions,
+// maintenance events are printed as they complete, and
+// -snapshot/-snapshot-every persist crash-recovery snapshots (including
+// buffered rows) while serving. -load reopens a file written by `save` or
+// -snapshot.
 //
-//	tsunami-cli -dataset taxi -live -merge-threshold 10000 \
+//	tsunami-cli -dataset taxi -merge-threshold 10000 \
 //	    -snapshot /tmp/taxi.idx -snapshot-every 30s
 //
 // With -shards N the shell serves through a ShardedStore: rows are
@@ -43,18 +45,18 @@
 //	    -rebalance-every 30s -rebalance-skew 2 \
 //	    -snapshot-dir /tmp/taxi-shards -snapshot-every 30s
 //
-// Every mode records into one metrics registry: `stats` prints a unified
+// Both modes record into one metrics registry: `stats` prints a unified
 // serving summary (queries, latency quantiles, scan volume, ingest,
 // maintenance) from it, `trace <query>` runs a query with explain-analyze
 // stage timings, and -metrics ADDR serves the registry over HTTP —
 // Prometheus text at /metrics, JSON quantiles at /statsz, and
 // net/http/pprof under /debug/pprof/:
 //
-//	tsunami-cli -dataset taxi -live -metrics 127.0.0.1:9100
+//	tsunami-cli -dataset taxi -metrics 127.0.0.1:9100
 //	> trace count passengers=1
 //	> stats
 //
-// In both serve modes SIGINT/SIGTERM shut down gracefully: ingest stops,
+// In both modes SIGINT/SIGTERM shut down gracefully: ingest stops,
 // maintenance quiesces, and a final snapshot is written before exit.
 package main
 
@@ -89,27 +91,34 @@ import (
 	"repro/internal/wstats"
 )
 
-// session is the shell's target: a plain offline index, the same index
-// served through a LiveStore (-live), or a ShardedStore (-shards N).
-type session struct {
-	idx   *core.Tsunami  // offline mode only
-	live  *live.Store    // live mode only
-	shard *sharded.Store // sharded mode only
+// store is what the two serving layers, live.Store and sharded.Store,
+// share: the shell queries, ingests, merges and closes through it.
+type store interface {
+	tsunami.Index
+	ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult
+	Insert(row []int64) error
+	Flush() error
+	Close() error
+}
 
-	// ex fronts whichever target is active with the Executor's admission
-	// control: shell queries go through Serve, so -max-inflight sheds and
+// session is the shell's target: a LiveStore, or a ShardedStore
+// (-shards N).
+type session struct {
+	store store          // live or shard, whichever is set
+	live  *live.Store    // without -shards
+	shard *sharded.Store // with -shards N
+
+	// ex fronts the store with the Executor's admission control: shell
+	// queries go through Serve, so -max-inflight sheds and
 	// -max-rows/-max-bytes reject over-budget queries at plan time.
 	ex *tsunami.Executor
 
-	// metrics is the registry every mode records into; the live and
-	// sharded stores instrument themselves, the offline index is wrapped
-	// here through qm so `stats` reads one schema regardless of mode.
+	// metrics is the registry both stores instrument themselves into, so
+	// `stats` reads one schema regardless of mode.
 	metrics *obs.Registry
-	qm      *obs.QueryMetrics
 
 	// wl is the workload-statistics collector behind `topq`, `slowlog`,
-	// the stats workload lines, and /workloadz. The live and sharded
-	// stores record into it themselves; plain mode records here.
+	// the stats workload lines, and /workloadz; the stores record into it.
 	wl *wstats.Collector
 
 	// lastSnap/lastStats anchor the rates (q/s, Mrows/s, GB/s) the
@@ -117,65 +126,16 @@ type session struct {
 	lastSnap  obs.Snapshot
 	lastStats time.Time
 
-	// shutdown quiesces whichever serving mode is active (final
-	// snapshots included); it is safe to call more than once.
+	// shutdown quiesces the store (final snapshots included); it is safe
+	// to call more than once.
 	shutdown func()
 }
 
 func (s *session) index() *core.Tsunami {
-	if s.live != nil {
-		return s.live.Index()
-	}
 	if s.shard != nil {
 		return s.shard.Shard(0).Index() // representative shard for explain/stats
 	}
-	return s.idx
-}
-
-// execute answers q — flat, or grouped when it was parsed with a
-// trailing "by <col>" clause — through the Executor's admission. The
-// serving layers record their own metrics and workload stats; plain mode
-// records here.
-func (s *session) execute(q query.Query) (colstore.ScanResult, error) {
-	start := time.Now()
-	res, err := s.ex.Serve(q, tsunami.PriorityInteractive)
-	if err == nil && s.idx != nil {
-		s.record(q, time.Since(start), res)
-	}
-	return res, err
-}
-
-// executeTrace answers q with an explain-analyze trace through the
-// active mode's own pipeline, feeding the same metrics as execute so
-// traced queries do not skew the aggregates.
-func (s *session) executeTrace(q query.Query) (colstore.ScanResult, *obs.QueryTrace) {
-	x := index.Exec{Trace: new(obs.QueryTrace)}
-	switch {
-	case s.live != nil:
-		return s.live.ExecuteWith(q, x), x.Trace
-	case s.shard != nil:
-		return s.shard.ExecuteWith(q, x), x.Trace
-	}
-	start := time.Now()
-	res := s.idx.ExecuteWith(q, x)
-	s.record(q, time.Since(start), res)
-	return res, x.Trace
-}
-
-// record is plain mode's telemetry for one answered query.
-func (s *session) record(q query.Query, d time.Duration, res colstore.ScanResult) {
-	s.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-	s.wl.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
-}
-
-func (s *session) insert(row []int64) error {
-	if s.live != nil {
-		return s.live.Insert(row)
-	}
-	if s.shard != nil {
-		return s.shard.Insert(row)
-	}
-	return s.idx.Insert(row)
+	return s.live.Index()
 }
 
 func (s *session) buffered() int {
@@ -192,27 +152,23 @@ func main() {
 		dims      = flag.Int("dims", 8, "dimensions (synthetic datasets only)")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		load      = flag.String("load", "", "load a saved index (file) or sharded snapshot (directory) instead of building")
-		liveMode  = flag.Bool("live", false, "serve through a LiveStore: background merge, shift-triggered reoptimization")
-		shards    = flag.Int("shards", 0, "serve through a ShardedStore with this many shards (0 = off)")
+		shards    = flag.Int("shards", 0, "serve through a ShardedStore with this many shards (0 = one LiveStore)")
 		partition = flag.String("partition", "range", "sharded partitioner: range (learned cuts) or hash")
 		partDim   = flag.Int("partition-dim", 0, "dimension the sharded partitioner cuts or hashes on")
-		mergeAt   = flag.Int("merge-threshold", 4096, "buffered rows triggering a background merge (-live, -shards)")
-		regionAt  = flag.Int("region-merge-threshold", 0, "per-region buffered rows for partial merges, 0 = full merges (-live, -shards)")
-		snapPath  = flag.String("snapshot", "", "periodic crash-recovery snapshot file (-live)")
+		mergeAt   = flag.Int("merge-threshold", 4096, "buffered rows triggering a background merge")
+		regionAt  = flag.Int("region-merge-threshold", 0, "per-region buffered rows for partial merges, 0 = full merges")
+		snapPath  = flag.String("snapshot", "", "periodic crash-recovery snapshot file (without -shards)")
 		snapDir   = flag.String("snapshot-dir", "", "periodic crash-recovery snapshot directory (-shards)")
 		snapEvery = flag.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval (needs -snapshot or -snapshot-dir)")
 		rebEvery  = flag.Duration("rebalance-every", 0, "shard imbalance check interval, 0 = no auto-rebalance (-shards with -partition range)")
 		rebSkew   = flag.Float64("rebalance-skew", 2, "rebalance when the largest shard exceeds this multiple of the mean")
 		metrics   = flag.String("metrics", "", "serve /metrics, /statsz, and /debug/pprof/ on this address (e.g. 127.0.0.1:9100)")
-		cacheSize = flag.Int("cache", 4096, "epoch-keyed result cache entries, 0 = off (-live, -shards)")
+		cacheSize = flag.Int("cache", 4096, "epoch-keyed result cache entries, 0 = off")
 		maxFlight = flag.Int("max-inflight", 0, "shed queries beyond this many in flight, 0 = no cap")
 		maxRows   = flag.Uint64("max-rows", 0, "reject queries whose plan estimates more scanned rows, 0 = no budget")
 		maxBytes  = flag.Uint64("max-bytes", 0, "reject queries whose plan estimates more touched bytes, 0 = no budget")
 	)
 	flag.Parse()
-	if *liveMode && *shards > 0 {
-		fatal(fmt.Errorf("-live and -shards are mutually exclusive"))
-	}
 	if *partition != "range" && *partition != "hash" {
 		fatal(fmt.Errorf("unknown -partition %q (range, hash)", *partition))
 	}
@@ -223,14 +179,13 @@ func main() {
 		fatal(fmt.Errorf("-shards uses -snapshot-dir, not -snapshot"))
 	}
 	if *shards == 0 && *snapDir != "" {
-		fatal(fmt.Errorf("-snapshot-dir needs -shards (use -snapshot with -live)"))
+		fatal(fmt.Errorf("-snapshot-dir needs -shards (use -snapshot without it)"))
 	}
 
-	// One registry serves every mode: the live/sharded stores instrument
-	// themselves through it, plain mode wraps index execution below, and
-	// -metrics exposes it over HTTP. The workload collector rides along
-	// the same way — the serving layer records into it per query, and
-	// `topq`, `slowlog`, `stats`, and /workloadz read it back.
+	// One registry serves both modes: the stores instrument themselves
+	// through it, and -metrics exposes it over HTTP. The workload
+	// collector rides along the same way — the store records into it per
+	// query, and `topq`, `slowlog`, `stats`, and /workloadz read it back.
 	reg := obs.NewRegistry()
 	wl := wstats.New(wstats.Config{})
 
@@ -263,15 +218,21 @@ func main() {
 		shardCfg.Live.SnapshotInterval = *snapEvery
 	}
 
+	// Without -shards the shell serves one LiveStore, which prints its
+	// events and, with -snapshot, keeps a crash-recovery snapshot.
+	liveCfg.OnEvent = printLiveEvent
+	if *snapPath != "" {
+		liveCfg.SnapshotPath = *snapPath
+		liveCfg.SnapshotInterval = *snapEvery
+	}
+
 	s := &session{
 		metrics:   reg,
-		qm:        obs.NewQueryMetrics(reg),
 		wl:        wl,
 		lastStats: time.Now(),
 		shutdown:  func() {},
 	}
 	var names []string
-	var work []query.Query
 
 	switch {
 	case *shards > 0 && *load != "":
@@ -285,7 +246,7 @@ func main() {
 			st.NumShards(), st.Partitioner(), st.Stats().ClusteredRows+st.Stats().BufferedRows)
 	case *shards > 0:
 		ds := generate(*dataset, *rows, *dims, *seed)
-		work = workload.ForDataset(ds, 100, *seed+1)
+		work := workload.ForDataset(ds, 100, *seed+1)
 		names = ds.Store.Names()
 		fmt.Printf("building %d-shard Tsunami over %s (%d rows, %d dims, %d sample queries)...\n",
 			*shards, ds.Name, ds.Rows(), ds.Dims(), len(work))
@@ -298,77 +259,47 @@ func main() {
 		fmt.Printf("built in %.1fs; partitioner %s; columns: %s\n",
 			time.Since(start).Seconds(), st.Partitioner(), strings.Join(names, ", "))
 	case *load != "":
+		// A loaded index has no sample workload to fingerprint, so shift
+		// detection only runs for freshly built indexes.
 		f, err := os.Open(*load)
 		if err != nil {
 			fatal(err)
 		}
-		idx, err := core.Load(f)
+		s.live, err = live.Recover(f, nil, liveCfg)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
-		s.idx = idx
+		idx := s.live.Index()
 		names = idx.Store().Names()
 		fmt.Printf("loaded index: %d rows, %d dims\n", idx.Store().NumRows(), idx.Store().NumDims())
 	default:
 		ds := generate(*dataset, *rows, *dims, *seed)
-		work = workload.ForDataset(ds, 100, *seed+1)
+		work := workload.ForDataset(ds, 100, *seed+1)
+		names = ds.Store.Names()
 		fmt.Printf("building Tsunami over %s (%d rows, %d dims, %d sample queries)...\n",
 			ds.Name, ds.Rows(), ds.Dims(), len(work))
 		start := time.Now()
-		s.idx = core.Build(ds.Store, work, buildConfig(*seed))
-		names = s.idx.Store().Names()
+		s.live = live.Open(core.Build(ds.Store, work, buildConfig(*seed)), work, liveCfg)
 		fmt.Printf("built in %.1fs; columns: %s\n", time.Since(start).Seconds(), strings.Join(names, ", "))
 	}
-
-	if *liveMode {
-		cfg := liveCfg
-		cfg.OnEvent = printLiveEvent
-		if *snapPath != "" {
-			cfg.SnapshotPath = *snapPath
-			cfg.SnapshotInterval = *snapEvery
-		}
-		// A loaded index has no sample workload to fingerprint, so shift
-		// detection only runs for freshly built indexes.
-		s.live = live.Open(s.idx, work, cfg)
-		s.idx = nil
+	if s.live != nil {
+		s.store = s.live
 		fmt.Printf("live serving: merge threshold %d, shift detection %v\n",
 			*mergeAt, s.live.Stats().DetectorTypes > 0)
+	} else {
+		s.store = s.shard
 	}
 
-	// Plain offline mode: the serving layers bind the collector inside
-	// their Open paths; here the session records manually, so bind the
-	// table directly (slow-query exemplars re-run through the core index's
-	// pipeline, which records nothing, so a capture cannot re-enter the
-	// collector).
-	if s.idx != nil {
-		idx := s.idx
-		rows := func() uint64 { return uint64(idx.Store().NumRows() + idx.NumBuffered()) }
-		trace := func(q query.Query) *obs.QueryTrace {
-			tr := new(obs.QueryTrace)
-			idx.ExecuteWith(q, index.Exec{Trace: tr})
-			return tr
-		}
-		wl.Bind(wstats.BindingOf(rows, trace, idx.Store()))
-	}
-
-	// Every mode serves through one Executor so the admission flags apply
-	// uniformly (and the tsunami_admission_* fields always exist on
-	// /statsz, at 0 when admission is off). The serving stores instrument
-	// and record workload stats themselves; plain mode records in execute.
-	admission := tsunami.AdmissionConfig{
+	// Queries go through one Executor so the admission flags apply
+	// (and the tsunami_admission_* fields always exist on /statsz, at 0
+	// when admission is off). The stores instrument and record workload
+	// stats themselves.
+	s.ex = tsunami.NewExecutor(s.store, tsunami.ExecutorOptions{Metrics: reg, Admission: tsunami.AdmissionConfig{
 		MaxInFlight: *maxFlight,
 		MaxRows:     *maxRows,
 		MaxBytes:    *maxBytes,
-	}
-	switch {
-	case s.live != nil:
-		s.ex = tsunami.NewExecutor(s.live, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
-	case s.shard != nil:
-		s.ex = tsunami.NewExecutor(s.shard, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
-	default:
-		s.ex = tsunami.NewExecutor(s.idx, tsunami.ExecutorOptions{Metrics: reg, Admission: admission})
-	}
+	}})
 
 	// The observability endpoint binds synchronously so a bad address
 	// fails loudly instead of the operator scraping a port nothing holds.
@@ -388,30 +319,15 @@ func main() {
 		fmt.Printf("metrics: http://%s/metrics (also /statsz, /workloadz, /debug/pprof/)\n", ln.Addr())
 	}
 
-	// Graceful shutdown, in dependency order: stop ingest and quiesce
-	// maintenance (final snapshots included), drain the workload
-	// collector, then let in-flight scrapes finish before the HTTP server
-	// goes away. Ctrl-C on a plain offline shell just stops the endpoint.
-	var finals []func()
-	finals = append(finals, s.ex.Close)
-	switch {
-	case s.live != nil:
-		ls := s.live
-		finals = append(finals, func() {
-			fmt.Println("shutting down: quiescing maintenance...")
-			if err := ls.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tsunami-cli: final snapshot:", err)
-			}
-		})
-	case s.shard != nil:
-		st := s.shard
-		finals = append(finals, func() {
-			fmt.Println("shutting down: quiescing shard maintenance...")
-			if err := st.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tsunami-cli: final snapshots:", err)
-			}
-		})
-	}
+	// Graceful shutdown, in dependency order: stop serving, stop ingest
+	// and quiesce maintenance (final snapshots included), then let
+	// in-flight scrapes finish before the HTTP server goes away.
+	finals := []func(){s.ex.Close, func() {
+		fmt.Println("shutting down: quiescing maintenance...")
+		if err := s.store.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "tsunami-cli: final snapshot:", err)
+		}
+	}}
 	if srv != nil {
 		finals = append(finals, func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -519,7 +435,7 @@ func eval(s *session, names []string, line string) bool {
   stats                  index structure + serving telemetry (latency quantiles, scan volume)
   topq [n]               heaviest query shapes by count with per-shape latency (default 10)
   slowlog                slow-query log: queries beyond the adaptive p99 threshold, with traces
-  insert v1,v2,...       add a row (live/sharded: visible immediately, merged in background)
+  insert v1,v2,...       add a row (visible immediately, merged in background)
   merge                  fold buffered rows into the clustered layout now
   rebalance              re-learn shard cuts and migrate rows online (sharded, range partitioner)
   save <file|dir>        persist the index (sharded: a snapshot directory)
@@ -582,8 +498,11 @@ func eval(s *session, names []string, line string) bool {
 			fmt.Println(err)
 			return false
 		}
-		res, tr := s.executeTrace(q)
-		fmt.Print(tr.String())
+		// The store's own pipeline, traced: it records the query like any
+		// other, so traced queries do not skew the aggregates.
+		x := index.Exec{Trace: new(obs.QueryTrace)}
+		res := s.store.ExecuteWith(q, x)
+		fmt.Print(x.Trace.String())
 		printResult(q, names, res, 0)
 	case "insert":
 		rest := strings.TrimSpace(line[len("insert"):])
@@ -597,26 +516,14 @@ func eval(s *session, names []string, line string) bool {
 			}
 			row = append(row, v)
 		}
-		if err := s.insert(row); err != nil {
+		if err := s.store.Insert(row); err != nil {
 			fmt.Println(err)
 			return false
 		}
 		fmt.Printf("inserted (%d pending merge)\n", s.buffered())
 	case "merge":
 		start := time.Now()
-		var err error
-		switch {
-		case s.live != nil:
-			err = s.live.Flush()
-		case s.shard != nil:
-			err = s.shard.Flush()
-		default:
-			var merged *core.Tsunami
-			if merged, err = s.idx.MergedCopy(); err == nil {
-				s.idx = merged
-			}
-		}
-		if err != nil {
+		if err := s.store.Flush(); err != nil {
 			fmt.Println(err)
 			return false
 		}
@@ -659,11 +566,7 @@ func eval(s *session, names []string, line string) bool {
 			fmt.Println(err)
 			return false
 		}
-		if s.live != nil {
-			err = s.live.Snapshot(f)
-		} else {
-			err = s.idx.Save(f)
-		}
+		err = s.live.Snapshot(f)
 		f.Close()
 		if err != nil {
 			fmt.Println(err)
@@ -681,7 +584,7 @@ func eval(s *session, names []string, line string) bool {
 			return false
 		}
 		start := time.Now()
-		res, err := s.execute(q)
+		res, err := s.ex.Serve(q, tsunami.PriorityInteractive)
 		if err != nil {
 			fmt.Println(err)
 			return false
@@ -724,7 +627,7 @@ func printResult(q query.Query, names []string, res colstore.ScanResult, elapsed
 
 // printStats prints the index-structure block (Tab 4 of the paper)
 // followed by one serving block whose schema is identical across the
-// plain, live, and sharded modes — every figure in it is sourced from the
+// live and sharded modes — every figure in it is sourced from the
 // shared metrics registry, so `stats` and a /metrics scrape can never
 // disagree. Rates cover the window since the previous stats command.
 func printStats(s *session) {

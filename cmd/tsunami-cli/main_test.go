@@ -5,19 +5,53 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestHelperCLIMain is not a test: it is the child process the bind-
-// failure test re-execs, running the real main() with arguments passed
-// through the environment.
+// TestHelperCLIMain is not a test: it is the child process the shell
+// tests re-exec, running the real main() with arguments passed through
+// the environment.
 func TestHelperCLIMain(t *testing.T) {
 	if os.Getenv("TSUNAMI_CLI_HELPER") != "1" {
-		t.Skip("helper process for TestMetricsBindFailureExitsNonZero")
+		t.Skip("helper process for the shell tests")
 	}
 	os.Args = append([]string{"tsunami-cli"}, strings.Fields(os.Getenv("TSUNAMI_CLI_ARGS"))...)
 	main()
+}
+
+// cli re-execs the test binary as the shell with args, feeding it stdin.
+func cli(args, stdin string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], "-test.run", "TestHelperCLIMain")
+	cmd.Env = append(os.Environ(), "TSUNAMI_CLI_HELPER=1", "TSUNAMI_CLI_ARGS="+args)
+	cmd.Stdin = strings.NewReader(stdin)
+	return cmd
+}
+
+// modes are the shell's two serve modes: one LiveStore, or shards.
+var modes = map[string]string{
+	"default": "",
+	"sharded": "-shards 2",
+}
+
+// TestInsertMergeInsertCounts pipes an insert, a merge and a second insert
+// into the shell: `count` and `trace count` must both see the two rows,
+// the merged one and the buffered one, in every serve mode.
+func TestInsertMergeInsertCounts(t *testing.T) {
+	const script = "insert -5,1,1\nmerge\ninsert -7,1,1\ncount d0<=-1\ntrace count d0<=-1\nquit\n"
+	for name, mode := range modes {
+		t.Run(name, func(t *testing.T) {
+			out, err := cli("-dataset uniform -rows 3000 -dims 3 "+mode, script).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%v; output:\n%s", err, out)
+			}
+			got := regexp.MustCompile(`count=(\d+)`).FindAllStringSubmatch(string(out), -1)
+			if len(got) != 2 || got[0][1] != "2" || got[1][1] != "2" {
+				t.Fatalf("count and trace should both answer count=2, got %v; output:\n%s", got, out)
+			}
+		})
+	}
 }
 
 // TestMetricsBindFailureExitsNonZero pre-binds a listener and starts the
@@ -32,20 +66,9 @@ func TestMetricsBindFailureExitsNonZero(t *testing.T) {
 	defer ln.Close()
 	addr := ln.Addr().String()
 
-	modes := map[string]string{
-		"live":    "-live",
-		"sharded": "-shards 2",
-		"plain":   "",
-	}
 	for name, mode := range modes {
 		t.Run(name, func(t *testing.T) {
-			args := "-dataset uniform -rows 500 -dims 3 -metrics " + addr
-			if mode != "" {
-				args += " " + mode
-			}
-			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperCLIMain")
-			cmd.Env = append(os.Environ(), "TSUNAMI_CLI_HELPER=1", "TSUNAMI_CLI_ARGS="+args)
-			out, err := cmd.CombinedOutput()
+			out, err := cli("-dataset uniform -rows 500 -dims 3 -metrics "+addr+" "+mode, "").CombinedOutput()
 			var ee *exec.ExitError
 			if !errors.As(err, &ee) {
 				t.Fatalf("CLI with an occupied -metrics address exited cleanly; output:\n%s", out)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/wstats"
 )
 
 // pipelined is the one capability the Executor looks for in an index:
@@ -47,16 +46,6 @@ type ExecutorOptions struct {
 	// path exactly as uninstrumented — submitted tasks are not even
 	// wrapped.
 	Metrics *obs.Registry
-	// Workload, when non-nil, records every query the pool answers into
-	// the workload-statistics collector (fingerprints, heavy hitters, SLO
-	// counters, slow-query log). Set this only when the Executor serves a
-	// plain index: a LiveStore or ShardedStore with its own Workload
-	// collector already records per query, and recording at both layers
-	// would double-count. The Executor does not bind the collector to a
-	// table — bind it through the serving layer's config or
-	// WorkloadStats.Bind for named dimensions, domains, and slow-query
-	// exemplar traces.
-	Workload *WorkloadStats
 	// Admission, when any field is set, turns on admission control for
 	// queries served through Serve: bounded in-flight load with
 	// priority-classed shedding, and per-query row/byte budgets enforced
@@ -202,16 +191,13 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 // An Executor is safe for concurrent use: ExecuteBatch may be called from
 // many goroutines at once and the pool fair-shares across them. Close
 // releases the workers. Execute and ExecuteBatch after Close are no-ops
-// returning zero Results. A bare index must not be mutated (inserts,
-// merges, re-optimization) while the Executor is serving; the stores
-// only ever publish immutable values.
+// returning zero Results.
 type Executor struct {
-	idx      Index
-	intra    index.Exec // how a single Execute call runs: split across the pool with IntraQuery, else the zero value
-	workers  int
-	metrics  *execMetrics      // nil when instrumentation is off
-	workload *wstats.Collector // nil when workload stats are off
-	adm      *admission        // nil when admission control is off
+	idx     Index
+	intra   index.Exec // how a single Execute call runs: split across the pool with IntraQuery, else the zero value
+	workers int
+	metrics *execMetrics // nil when instrumentation is off
+	adm     *admission   // nil when admission control is off
 
 	// jobs carries closures so one pool serves both granularities: whole
 	// queries (ExecuteBatch) and a single query's region-draining tasks
@@ -234,11 +220,10 @@ func NewExecutor(idx Index, o ExecutorOptions) *Executor {
 		workers = runtime.NumCPU()
 	}
 	e := &Executor{
-		idx:      idx,
-		workers:  workers,
-		metrics:  newExecMetrics(o.Metrics),
-		workload: o.Workload,
-		jobs:     make(chan execJob, 2*workers),
+		idx:     idx,
+		workers: workers,
+		metrics: newExecMetrics(o.Metrics),
+		jobs:    make(chan execJob, 2*workers),
 	}
 	if o.IntraQuery {
 		// If the pool is closed mid-query the remaining tasks run on the
@@ -327,12 +312,11 @@ func (e *Executor) Execute(q Query) Result {
 }
 
 // run answers q against the current index — through its pipeline when it
-// has one, as x says — and records the query.
+// has one, as x says — and records its latency.
 func (e *Executor) run(q Query, x index.Exec) Result {
-	idx := e.idx
-	m, w := e.metrics, e.workload
+	idx, m := e.idx, e.metrics
 	var start time.Time
-	if m != nil || w != nil {
+	if m != nil {
 		start = time.Now()
 	}
 	var res Result
@@ -341,12 +325,8 @@ func (e *Executor) run(q Query, x index.Exec) Result {
 	} else {
 		res = idx.Execute(q)
 	}
-	if m != nil || w != nil {
-		d := time.Since(start)
-		if m != nil {
-			m.latency.RecordDuration(d)
-		}
-		w.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
+	if m != nil {
+		m.latency.RecordDuration(time.Since(start))
 	}
 	return res
 }

@@ -12,10 +12,11 @@ import (
 // this repository:
 //
 //   - insertions through per-region delta buffers, the differential-file
-//     scheme the paper cites: TsunamiIndex.Insert buffers a row in an index
-//     no reader holds yet (CopyWithInserts derives a successor of one that
-//     is serving), and idx, err = idx.MergedCopy() folds the buffers into
-//     the clustered layout of a new index, leaving the old one untouched;
+//     scheme the paper cites: a built index is never written, so
+//     idx, err = idx.CopyWithInserts(rows) derives a successor that buffers
+//     the rows, and idx, _, err = idx.MergedCopyOver(0) folds the buffers
+//     into the clustered layout of a new one (a LiveStore does both for
+//     concurrent writers);
 //   - workload-shift detection (ShiftDetector);
 //   - outlier-robust functional mappings (Options via NewRobust);
 //   - co-access ordering for categorical dimensions (CategoricalRemap).

@@ -48,22 +48,22 @@ func TestShiftDetectorViaPublicAPI(t *testing.T) {
 func TestInsertAndMergeViaPublicAPI(t *testing.T) {
 	ds := tsunami.GenerateTPCH(10_000, 6)
 	work := tsunami.WorkloadFor(ds, 10, 7)
-	idx := tsunami.New(ds.Store, work, smallOptions())
-	row := make([]int64, ds.Dims())
-	for j := range row {
-		row[j] = 42
-	}
-	for i := 0; i < 100; i++ {
-		if err := idx.Insert(row); err != nil {
-			t.Fatal(err)
+	rows := make([][]int64, 100)
+	for i := range rows {
+		rows[i] = make([]int64, ds.Dims())
+		for j := range rows[i] {
+			rows[i][j] = 42
 		}
+	}
+	idx, err := tsunami.New(ds.Store, work, smallOptions()).CopyWithInserts(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := tsunami.Count(tsunami.Filter{Dim: 0, Lo: 42, Hi: 42}, tsunami.Filter{Dim: 1, Lo: 42, Hi: 42})
 	if got := idx.Execute(q).Count; got != 100 {
 		t.Fatalf("pre-merge count = %d, want 100", got)
 	}
-	idx, err := idx.MergedCopy()
-	if err != nil {
+	if idx, _, err = idx.MergedCopyOver(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := idx.Execute(q).Count; got != 100 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/colstore"
@@ -12,39 +11,14 @@ import (
 // Insertion support (§8 "Data and Workload Shift"): Tsunami is
 // read-optimized, so inserts are buffered in a per-region delta sibling —
 // a small row-major buffer scanned alongside the region's grid — and
-// periodically folded into the clustered layout by MergedCopy, exactly
+// periodically folded into the clustered layout by MergedCopyOver, exactly
 // the differential-file scheme the paper proposes [Severance & Lohman
-// 1976].
+// 1976]. A built index is never written: CopyWithInserts derives a
+// successor holding the new rows.
 
 // delta is one region's insert buffer.
 type delta struct {
 	rows [][]int64
-}
-
-// Insert buffers a new point in the region that contains it. The row's
-// length must match the table's dimensionality. Insert is the index's only
-// mutator: it may run only on an index no reader holds and that owns its
-// delta buffers — one a single goroutine built or loaded, or the successor
-// of a region rewrite (MergedCopyOver, ReoptimizeRegionsCopy, SplitRange)
-// before it is published, which is LiveStore's tail replay. A
-// CopyWithInserts successor shares buffers with its receiver: to add rows
-// to an index that is serving readers, call CopyWithInserts again.
-func (t *Tsunami) Insert(row []int64) error {
-	if len(row) != t.store.NumDims() {
-		return fmt.Errorf("core: row has %d values, table has %d dims", len(row), t.store.NumDims())
-	}
-	r := findRegionForPoint(t.tree.Root, row)
-	if t.deltas == nil {
-		t.deltas = make(map[int]*delta)
-	}
-	d := t.deltas[r.ID]
-	if d == nil {
-		d = &delta{}
-		t.deltas[r.ID] = d
-	}
-	d.rows = append(d.rows, append([]int64(nil), row...))
-	t.numBuffered++
-	return nil
 }
 
 // NumBuffered reports how many inserted rows await merging.

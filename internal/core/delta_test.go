@@ -16,10 +16,13 @@ func TestInsertVisibleBeforeMerge(t *testing.T) {
 	idx := Build(st, work, smallConfig(FullTsunami))
 
 	// Insert rows with a sentinel value far outside the existing domain.
+	var rows [][]int64
 	for i := 0; i < 10; i++ {
-		if err := idx.Insert([]int64{2_000_000, 2_000_100, 50, 500, 3}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, []int64{2_000_000, 2_000_100, 50, 500, 3})
+	}
+	idx, err := idx.CopyWithInserts(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if idx.NumBuffered() != 10 {
 		t.Fatalf("buffered = %d, want 10", idx.NumBuffered())
@@ -33,7 +36,7 @@ func TestInsertVisibleBeforeMerge(t *testing.T) {
 func TestInsertWrongArity(t *testing.T) {
 	st := testutil.SmallTaxi(2000, 3)
 	idx := Build(st, nil, smallConfig(FullTsunami))
-	if err := idx.Insert([]int64{1, 2}); err == nil {
+	if _, err := idx.CopyWithInserts([][]int64{{1, 2}}); err == nil {
 		t.Error("short row should be rejected")
 	}
 }
@@ -46,15 +49,17 @@ func TestInsertQueryMergeQueryCycle(t *testing.T) {
 
 	var all [][]int64
 	for cycle := 0; cycle < 3; cycle++ {
+		var rows [][]int64
 		for i := 0; i < 50; i++ {
-			row := []int64{
+			rows = append(rows, []int64{
 				rng.Int63n(1_000_000), rng.Int63n(1_100_000),
 				rng.Int63n(1000), rng.Int63n(3000), 1 + rng.Int63n(6),
-			}
-			all = append(all, row)
-			if err := idx.Insert(row); err != nil {
-				t.Fatal(err)
-			}
+			})
+		}
+		all = append(all, rows...)
+		var err error
+		if idx, err = idx.CopyWithInserts(rows); err != nil {
+			t.Fatal(err)
 		}
 		// Queries must be correct with a half-full buffer too.
 		truth := buildTruth(t, st, all)
@@ -65,8 +70,7 @@ func TestInsertQueryMergeQueryCycle(t *testing.T) {
 				t.Fatalf("cycle %d pre-merge %s: got %d, want %d", cycle, q, got, want)
 			}
 		}
-		var err error
-		if idx, err = idx.MergedCopy(); err != nil {
+		if idx, _, err = idx.MergedCopyOver(0); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range probe {

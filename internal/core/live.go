@@ -58,23 +58,17 @@ func (t *Tsunami) CopyWithInserts(rows [][]int64) (*Tsunami, error) {
 	return nt, nil
 }
 
-// MergedCopy returns a new index equal to t with every buffered row folded
+// MergedCopyOver returns a new index equal to t with buffered rows folded
 // into the clustered layout, leaving t untouched so it can keep serving
-// reads for the whole — potentially long — rebuild. Each affected region's
+// reads for the whole — potentially long — rebuild. Each folded region's
 // grid is rebuilt with its existing layout over the union of its old rows
 // and its buffered rows; the Grid Tree structure and all layouts are
 // unchanged (re-optimization is a separate, heavier operation — see
-// ReoptimizeRegionsCopy and Reoptimize).
-func (t *Tsunami) MergedCopy() (*Tsunami, error) {
-	nt, _, err := t.MergedCopyOver(0)
-	return nt, err
-}
-
-// MergedCopyOver is MergedCopy restricted to hot regions: only regions
-// whose own delta buffer holds at least minPerRegion rows are folded;
-// colder regions keep their rows buffered in the copy (still scanned
-// alongside the clustered data, exactly as before the merge) and are
-// copied verbatim, their grids rebased rather than rebuilt. The store
+// ReoptimizeRegionsCopy and Reoptimize). Only regions whose own delta
+// buffer holds at least minPerRegion rows are folded; colder regions keep
+// their rows buffered in the copy (still scanned alongside the clustered
+// data, exactly as before the merge) and are copied verbatim, their grids
+// rebased rather than rebuilt. The store
 // rewrite itself is still O(table) — contiguous region segments leave no
 // way to splice — but the per-region sort and grid rebuild, the dominant
 // merge cost, is paid only for the hot regions: the win on skewed ingest,

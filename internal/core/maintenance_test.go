@@ -268,7 +268,7 @@ func TestMaintenanceIsCopyOnWrite(t *testing.T) {
 				t.Error("nothing crossed the bar, yet the store was rebuilt")
 			}
 			// The cold remainder stays foldable: a later full merge takes it.
-			full, err := succ.MergedCopy()
+			full, _, err := succ.MergedCopyOver(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,29 +401,21 @@ func TestMaintenanceIsCopyOnWrite(t *testing.T) {
 				checkRegionCounts(t, out.succ)
 
 				// The successor resumes normal life: inserts — even back into
-				// a range it just gave up — and a merge still work. A rewrite's
-				// successor owns its delta buffers, so it takes the rows through
-				// Insert, as LiveStore's replay does before publishing it; the
-				// receiver must not see them.
-				next := out.succ
+				// a range it just gave up — and a merge still work. The rows
+				// reach it through CopyWithInserts, as LiveStore's replay does
+				// before publishing it; the receiver must not see them.
 				extra := [][]int64{taxiRow(lo0 + (hi0-lo0)/2)}
 				for i := int64(0); i < 8; i++ {
 					extra = append(extra, taxiRow(lo0+(hi0-lo0)*i/8))
 				}
-				var err error
-				if next.Store() != src.Store() {
-					for _, row := range extra {
-						if err := next.Insert(row); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if after := imageOf(t, src); !reflect.DeepEqual(before, after) {
-						t.Error("Insert into the successor reached the receiver")
-					}
-				} else if next, err = next.CopyWithInserts(extra); err != nil {
+				next, err := out.succ.CopyWithInserts(extra)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if next, err = next.MergedCopy(); err != nil {
+				if after := imageOf(t, src); !reflect.DeepEqual(before, after) {
+					t.Error("inserting into the successor reached the receiver")
+				}
+				if next, _, err = next.MergedCopyOver(0); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := next.Execute(query.NewCount()).Count, uint64(len(wantRows)+len(extra)); got != want || next.NumBuffered() != 0 {

@@ -46,11 +46,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveCarriesBufferedInserts(t *testing.T) {
 	st := testutil.SmallTaxi(5000, 4)
 	work := testutil.SkewedQueries(st, 100, 5)
-	idx := Build(st, work, smallConfig(FullTsunami))
+	var rows [][]int64
 	for i := 0; i < 25; i++ {
-		if err := idx.Insert([]int64{5_000_000, 5_000_100, 7, 7, 7}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, []int64{5_000_000, 5_000_100, 7, 7, 7})
+	}
+	idx, err := Build(st, work, smallConfig(FullTsunami)).CopyWithInserts(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := idx.Save(&buf); err != nil {
@@ -74,7 +76,7 @@ func TestSaveCarriesBufferedInserts(t *testing.T) {
 		t.Errorf("buffered inserts lost through save/load: count = %d, want 25", got)
 	}
 	// ...and merge cleanly on the restored index.
-	if loaded, err = loaded.MergedCopy(); err != nil {
+	if loaded, _, err = loaded.MergedCopyOver(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := loaded.Execute(q).Count; got != 25 {
@@ -103,10 +105,10 @@ func TestLoadedIndexSupportsInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Insert([]int64{1, 2, 3, 4, 5}); err != nil {
+	if loaded, err = loaded.CopyWithInserts([][]int64{{1, 2, 3, 4, 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if loaded, err = loaded.MergedCopy(); err != nil {
+	if loaded, _, err = loaded.MergedCopyOver(0); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Store().NumRows() != 5001 {

@@ -49,7 +49,8 @@ func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
 // constrains split dimensions, so an insert may lie outside the recorded
 // min/max of the others, and the exact-scan test relies on sound boxes), and
 // carried-over buffers get fresh containers and backing arrays, so a
-// later Insert into the successor cannot touch arrays the receiver reads.
+// CopyWithInserts on the successor (LiveStore's tail replay) cannot append
+// into arrays the receiver's own CopyWithInserts lineage shares.
 func (t *Tsunami) rewrite(minFold int, cut *rangeCut, reopt map[int][]query.Query) (*Tsunami, [][]int64, error) {
 	d := t.store.NumDims()
 	nt := &Tsunami{

@@ -24,14 +24,14 @@ func TestSplitRangeMovesExactRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	var buffered [][]int64
 	for i := 0; i < 150; i++ {
-		row := []int64{
+		buffered = append(buffered, []int64{
 			rng.Int63n(1_000_000), rng.Int63n(1_100_000),
 			rng.Int63n(1000), rng.Int63n(3000), 1 + rng.Int63n(6),
-		}
-		buffered = append(buffered, row)
-		if err := idx.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+		})
+	}
+	idx, err := idx.CopyWithInserts(buffered)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	lo, hi := st.MinMax(0)
@@ -80,10 +80,10 @@ func TestSplitRangeMovesExactRows(t *testing.T) {
 
 	// The remainder resumes normal life: inserts (even back into the
 	// extracted range) and merges still work.
-	if err := rem.Insert([]int64{cut, cut, 1, 1, 1}); err != nil {
+	if rem, err = rem.CopyWithInserts([][]int64{{cut, cut, 1, 1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if rem, err = rem.MergedCopy(); err != nil {
+	if rem, _, err = rem.MergedCopyOver(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := rem.Execute(query.NewCount(query.Filter{Dim: 0, Lo: cut, Hi: cut2})).Count; got != 1 {

@@ -70,10 +70,9 @@ type Config struct {
 // Tsunami is a built index. A built Tsunami is immutable on the read path:
 // Execute, Explain, and RegionsVisited keep all per-query state in pooled
 // execution contexts, so one shared index serves any number of concurrent
-// callers. Maintenance never writes it either — CopyWithInserts,
-// MergedCopy(Over), ReoptimizeRegionsCopy, SplitRange and Reoptimize each
-// derive a successor and leave the receiver serving. Insert is the only
-// mutator, and may run only on an index no reader holds yet.
+// callers. Nothing else writes it either: CopyWithInserts,
+// MergedCopyOver, ReoptimizeRegionsCopy, SplitRange and Reoptimize each
+// derive a successor and leave the receiver serving.
 type Tsunami struct {
 	cfg    Config
 	store  *colstore.Store
@@ -83,7 +82,7 @@ type Tsunami struct {
 	stats  index.BuildStats
 
 	// Insert buffering (§8): per-region delta siblings, folded in by
-	// MergedCopy.
+	// MergedCopyOver.
 	deltas      map[int]*delta
 	numBuffered int
 }

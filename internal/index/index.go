@@ -23,8 +23,8 @@ type Index interface {
 	// Execute must be safe for any number of concurrent callers against
 	// the same index value, with no per-goroutine cloning; implementations
 	// keep per-query state on the stack or in pooled execution contexts.
-	// Operations that mutate an index (inserts, merges, re-optimization)
-	// require external synchronization with readers.
+	// Inserts, merges and re-optimization never write a built index: they
+	// derive a successor, and the serving stores publish it.
 	Execute(q query.Query) colstore.ScanResult
 	// SizeBytes reports the index structure's memory footprint, excluding
 	// the column data itself (the paper's "index size" metric, Fig 8).

@@ -306,8 +306,7 @@ type Store struct {
 
 // Open starts serving idx. optimized is the sample workload the index was
 // built for; it seeds the shift detector's fingerprint (pass nil to serve
-// without shift detection). The Store owns idx from here on: it must not
-// be mutated by the caller anymore (reads through the Store are fine).
+// without shift detection).
 func Open(idx *core.Tsunami, optimized []query.Query, cfg Config) *Store {
 	cfg.fill()
 	s := &Store{
@@ -580,12 +579,13 @@ func (s *Store) publishLocked(idx *core.Tsunami, logLen int) {
 // publishSuccessor finishes every maintenance operation: next was derived,
 // off the hot path, from epoch v, so the rows ingested since v was captured
 // are missing from it. Under s.mu — writers wait only for this short
-// section — they are replayed into its delta buffers (next is private
-// until the swap, the one place core's Insert may run), the replay log is
-// trimmed to them, and next is published as the returned epoch. Rows
-// divert accepts (nil: none) are returned instead of replayed: an
-// extraction's in-range tail leaves with its moved set. Nothing is
-// published on error — errClosed when Close won the race with the rebuild.
+// section — they are replayed into it with one CopyWithInserts (the log's
+// rows are the store's own copies, never written again, so the successor
+// may keep them), the replay log is trimmed to them, and the result is
+// published as the returned epoch. Rows divert accepts (nil: none) are
+// returned instead of replayed: an extraction's in-range tail leaves with
+// its moved set. Nothing is published on error — errClosed when Close won
+// the race with the rebuild.
 func (s *Store) publishSuccessor(v *version, next *core.Tsunami, divert func(row []int64) bool) ([][]int64, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -600,10 +600,13 @@ func (s *Store) publishSuccessor(v *version, next *core.Tsunami, divert func(row
 			diverted = append(diverted, row)
 			continue
 		}
-		if err := next.Insert(row); err != nil {
+		kept = append(kept, row)
+	}
+	if len(kept) > 0 {
+		var err error
+		if next, err = next.CopyWithInserts(kept); err != nil {
 			return nil, 0, err
 		}
-		kept = append(kept, row)
 	}
 	s.log = kept
 	s.publishLocked(next, len(s.log))

@@ -213,11 +213,9 @@ func TestPipelineEquivalence(t *testing.T) {
 	qs := probeQueries(t, truth, 454)
 
 	t.Run("bare index with buffered rows", func(t *testing.T) {
-		idx := core.Build(st, work, sharded.SmallConfig())
-		for _, row := range extra {
-			if err := idx.Insert(row); err != nil {
-				t.Fatal(err)
-			}
+		idx, err := core.Build(st, work, sharded.SmallConfig()).CopyWithInserts(extra)
+		if err != nil {
+			t.Fatal(err)
 		}
 		l := layer{"bare index", idx, truth, coreStages}
 		pool := newPool(l)

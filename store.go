@@ -72,8 +72,8 @@ const (
 // NewLiveStore starts serving idx with live writes and background
 // maintenance. optimized is the sample workload the index was built for;
 // it fingerprints the workload-shift detector (pass nil to serve without
-// shift-triggered re-optimization). The LiveStore owns idx from here on:
-// don't mutate it directly anymore.
+// shift-triggered re-optimization). idx itself is never written: writes
+// publish successors derived from it.
 //
 //	idx := tsunami.New(table, work, tsunami.Options{})
 //	ls := tsunami.NewLiveStore(idx, work, tsunami.LiveOptions{MergeThreshold: 10_000})

@@ -48,18 +48,10 @@ type WorkloadObjective = wstats.Objective
 // the JSON document /workloadz serves.
 type WorkloadSnapshot = wstats.Snapshot
 
-// WorkloadBinding ties a collector to the table it observes: dimension
-// names and domains for readable shapes and bound histograms, a live row
-// count for selectivity, and a trace function for slow-query exemplars.
-// LiveOptions.Workload and ShardedOptions.Workload bind automatically;
-// use WorkloadStats.Bind directly only for a collector on a plain-index
-// Executor.
-type WorkloadBinding = wstats.Binding
-
 // NewWorkloadStats returns a collector ready to be passed to
-// LiveOptions.Workload, ShardedOptions.Workload, or
-// ExecutorOptions.Workload (one layer only — see ExecutorOptions). It
-// holds nothing to release.
+// LiveOptions.Workload or ShardedOptions.Workload, which bind it to the
+// table they serve (dimension names and domains, live row count, and a
+// trace function for slow-query exemplars). It holds nothing to release.
 func NewWorkloadStats(o WorkloadOptions) *WorkloadStats { return wstats.New(o) }
 
 // WorkloadHandler serves w's statistics as indented JSON (the /workloadz
