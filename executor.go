@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/colstore"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -16,19 +15,30 @@ import (
 
 // pipelined is the one capability the Executor looks for in an index:
 // the execution pipeline TsunamiIndex, LiveStore and ShardedStore
-// implement. ExecuteWith answers flat and grouped queries alike and can
-// split one query's work across submitted tasks (a TsunamiIndex spreads
-// its planned ranges over them, a ShardedStore its unpruned shards — so
-// one Executor serves both granularities of scatter-gather without a
-// second scheduler; tasks never block on other submitted tasks, which
-// is what makes sharing one pool deadlock-free). EstimateCost bounds a
-// query's scan cost at plan time, for the admission budgets. Baseline
-// indexes implement neither: they answer flat queries through
-// Index.Execute only, unbudgeted.
+// implement. Plan routes and plans a query, flat or grouped, and pins
+// the epoch(s) it answers from, without scanning; the plan's Cost is
+// what the admission budgets check, and the same plan then executes or
+// is released. Executing can split one query's work across submitted
+// tasks (a TsunamiIndex spreads its planned ranges over them, a
+// ShardedStore its unpruned shards — so one Executor serves both
+// granularities of scatter-gather without a second scheduler; tasks
+// never block on other submitted tasks, which is what makes sharing one
+// pool deadlock-free). Baseline indexes have no pipeline: they answer
+// flat queries through Index.Execute only, unbudgeted.
 type pipelined interface {
-	ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult
-	EstimateCost(q query.Query) (rows, bytes uint64)
+	Plan(q query.Query, x index.Exec) index.Plan
 }
+
+// unpipelined is a baseline index's stand-in plan: nothing to price, and
+// Index.Execute to run.
+type unpipelined struct {
+	idx Index
+	q   Query
+}
+
+func (u unpipelined) Cost() (rows, bytes uint64) { return 0, 0 }
+func (u unpipelined) Execute() Result            { return u.idx.Execute(u.q) }
+func (u unpipelined) Release()                   {}
 
 // ExecutorOptions configures an Executor. The zero value uses one worker
 // per CPU with intra-query parallelism off.
@@ -115,6 +125,10 @@ var ErrShed = errors.New("tsunami: query shed (serving at capacity)")
 // errors carry the estimate; match with errors.Is.
 var ErrOverBudget = errors.New("tsunami: query over plan-time budget")
 
+// ErrClosed reports a query served after the Executor was closed; the
+// result was never computed.
+var ErrClosed = errors.New("tsunami: executor is closed")
+
 // admission is the Executor's load-shedding state: one atomic in-flight
 // counter checked against per-priority watermarks, plus the plan-time
 // budgets.
@@ -145,6 +159,21 @@ func (a *admission) limit(pri Priority) int64 {
 		l = 1
 	}
 	return l
+}
+
+// admit checks a plan's price against the row and byte budgets.
+func (a *admission) admit(p index.Plan) error {
+	if a.maxRows == 0 && a.maxBytes == 0 {
+		return nil
+	}
+	rows, bytes := p.Cost()
+	if a.maxRows > 0 && rows > a.maxRows {
+		return fmt.Errorf("%w: plan estimates %d rows scanned, budget %d", ErrOverBudget, rows, a.maxRows)
+	}
+	if a.maxBytes > 0 && bytes > a.maxBytes {
+		return fmt.Errorf("%w: plan estimates %d bytes touched, budget %d", ErrOverBudget, bytes, a.maxBytes)
+	}
+	return nil
 }
 
 // execMetrics caches the Executor's resolved instruments so the record
@@ -191,7 +220,7 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 // An Executor is safe for concurrent use: ExecuteBatch may be called from
 // many goroutines at once and the pool fair-shares across them. Close
 // releases the workers. Execute and ExecuteBatch after Close are no-ops
-// returning zero Results.
+// returning zero Results; Serve returns ErrClosed.
 type Executor struct {
 	idx     Index
 	intra   index.Exec // how a single Execute call runs: split across the pool with IntraQuery, else the zero value
@@ -302,71 +331,81 @@ func (e *Executor) Workers() int { return e.workers }
 // runs on the calling goroutine (the pool is for batches). After Close
 // it returns a zero Result.
 func (e *Executor) Execute(q Query) Result {
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
+	if e.isClosed() {
 		return Result{}
 	}
 	return e.run(q, e.intra)
 }
 
+func (e *Executor) isClosed() bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.closed
+}
+
 // run answers q against the current index — through its pipeline when it
 // has one, as x says — and records its latency.
 func (e *Executor) run(q Query, x index.Exec) Result {
-	idx, m := e.idx, e.metrics
 	var start time.Time
-	if m != nil {
+	if e.metrics != nil {
 		start = time.Now()
 	}
-	var res Result
-	if p, ok := idx.(pipelined); ok {
-		res = p.ExecuteWith(q, x)
-	} else {
-		res = idx.Execute(q)
+	return e.finish(e.plan(q, x), start)
+}
+
+// plan plans q on the index's pipeline, or stands in for a baseline's.
+func (e *Executor) plan(q Query, x index.Exec) index.Plan {
+	if p, ok := e.idx.(pipelined); ok {
+		return p.Plan(q, x)
 	}
-	if m != nil {
+	return unpipelined{e.idx, q}
+}
+
+// finish executes a plan and records the query's latency since start.
+func (e *Executor) finish(p index.Plan, start time.Time) Result {
+	res := p.Execute()
+	if m := e.metrics; m != nil {
 		m.latency.RecordDuration(time.Since(start))
 	}
 	return res
 }
 
-// Serve answers one query under admission control: plan-time row/byte
-// budgets are checked first (nothing is scanned for a rejected query; a
-// grouped query's group-key column is charged as one extra stream by the
-// cost estimate), then the in-flight watermark for the query's priority
-// class — at capacity the query is shed immediately rather than queued,
-// so admitted queries keep bounded latency while overload turns into
-// fast ErrShed returns the client can retry with backoff. Without an
-// Admission configuration Serve is exactly Execute. Shed and
-// budget-rejected queries are counted in the registry
-// (tsunami_admission_*).
+// Serve answers one query under admission control. The query is planned
+// once, and that plan is what admission prices and what executes. Its
+// plan-time row/byte cost is checked against the budgets first (nothing
+// is scanned for a rejected query; a grouped query's group-key column is
+// charged as one extra stream, and an answer the result cache holds is
+// free), then the in-flight watermark for the query's priority class — at
+// capacity the query is shed immediately rather than queued, so admitted
+// queries keep bounded latency while overload turns into fast ErrShed
+// returns the client can retry with backoff. A refused query's plan is
+// released: it leaves no trace in the stores below, and only the
+// registry counts it (tsunami_admission_*). Without an Admission
+// configuration Serve is Execute. After Close it returns ErrClosed.
 func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
-	a := e.adm
-	if a == nil {
-		return e.Execute(q), nil
+	if e.isClosed() {
+		return Result{}, ErrClosed
 	}
-	m := e.metrics
-	if a.maxRows > 0 || a.maxBytes > 0 {
-		if p, ok := e.idx.(pipelined); ok {
-			rows, bytes := p.EstimateCost(q)
-			if a.maxRows > 0 && rows > a.maxRows {
-				if m != nil {
-					m.admBudget.Inc()
-				}
-				return Result{}, fmt.Errorf("%w: plan estimates %d rows scanned, budget %d", ErrOverBudget, rows, a.maxRows)
-			}
-			if a.maxBytes > 0 && bytes > a.maxBytes {
-				if m != nil {
-					m.admBudget.Inc()
-				}
-				return Result{}, fmt.Errorf("%w: plan estimates %d bytes touched, budget %d", ErrOverBudget, bytes, a.maxBytes)
-			}
+	a, m := e.adm, e.metrics
+	var start time.Time
+	if m != nil {
+		start = time.Now()
+	}
+	p := e.plan(q, e.intra)
+	if a == nil {
+		return e.finish(p, start), nil
+	}
+	if err := a.admit(p); err != nil {
+		p.Release()
+		if m != nil {
+			m.admBudget.Inc()
 		}
+		return Result{}, err
 	}
 	if lim := a.limit(pri); lim > 0 {
 		if n := a.inFlight.Add(1); n > lim {
 			a.inFlight.Add(-1)
+			p.Release()
 			if m != nil {
 				m.admShed.Inc()
 			}
@@ -391,7 +430,7 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 	if m != nil {
 		m.admAdmitted.Inc()
 	}
-	return e.Execute(q), nil
+	return e.finish(p, start), nil
 }
 
 // ExecuteBatch answers every query — flat and grouped may mix — fanning

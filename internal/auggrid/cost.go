@@ -20,17 +20,14 @@ import (
 // scale, where the two-term model drives partition counts toward absurd
 // values because scans look free. Values are in nanoseconds.
 //
-// The defaults are anchored to the dispatched vectorized ScanRange
-// kernels: the AVX2 tier streams a memory-resident column at ~0.4-0.5
-// ns/row·dim where the pre-vectorization scan path cost ~0.9, so W1 is
-// 0.45 (pricing scans at the old rate would overstate scan cost 2x and
-// the predicted times Fig 12b compares against measurement would drift).
+// The defaults are hand-anchored constants, not measured at run time.
+// W1 is set to the AVX2 scan rate: the dispatched ScanRange kernels
+// stream a memory-resident column at ~0.4-0.5 ns/row·dim, so W1 is 0.45.
 // W0 and W2 keep their validated ratios to W1 — layout choice minimizes
-// cost, and the argmin only sees relative weights, so the default
-// *layouts* are identical to the pre-SIMD calibration that the
-// scanned-points claims tests pinned. CalibrateWeights re-measures all
-// three on the host (and through the dispatcher, so a machine without
-// AVX2 calibrates to its own portable-kernel scan rate).
+// cost, and the argmin only sees relative weights, so every layout (and
+// so every index size) depends on those ratios alone. A machine without
+// AVX2 scans slower, but its layouts are priced with the same constants
+// and come out identical.
 type CostWeights struct {
 	W0 float64
 	W1 float64

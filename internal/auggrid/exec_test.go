@@ -197,16 +197,3 @@ func TestGridDimsExcludeMappedAndSort(t *testing.T) {
 		t.Errorf("NumCells = %d, want 4", l.NumCells())
 	}
 }
-
-func TestCalibrateWeightsSane(t *testing.T) {
-	w := CalibrateWeights()
-	if w.W0 <= 0 || w.W1 <= 0 || w.W2 <= 0 {
-		t.Errorf("calibrated weights not positive: %+v", w)
-	}
-	if w.W1 > 50 {
-		t.Errorf("per-value scan cost %v ns implausible", w.W1)
-	}
-	if w.W0 < w.W1 {
-		t.Errorf("range jump (%v) should cost more than one value scan (%v)", w.W0, w.W1)
-	}
-}

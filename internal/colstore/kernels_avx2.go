@@ -96,6 +96,31 @@ func KernelName() string {
 
 func simdEnabled() bool { return useSIMD.Load() }
 
+// prefetchRows is how much of a range Prefetch asks for: the first 64
+// rows (one 512-byte run of lines) of each column. A planned range is
+// typically a few dozen rows, and a longer one is covered past its head
+// by the kernels' own block prefetch and the hardware streamer.
+const prefetchRows = 64
+
+// Prefetch issues PREFETCHT0 for the head of rows [start, end) of every
+// column a non-exact scan of q reads: its filter columns, and the SUM
+// column. A plan walker calls it for a range a few positions ahead of the
+// one it scans, so the line fills of short ranges overlap instead of
+// stalling one after another. It is a hint: it changes no result, and a
+// non-exact scan of the range reads the same lines.
+func (s *Store) Prefetch(q query.Query, start, end int) {
+	n := min(end, s.NumRows(), start+prefetchRows) - start
+	if start < 0 || n <= 0 {
+		return
+	}
+	for _, f := range q.Filters {
+		prefetchT0(&s.cols[f.Dim][start], n)
+	}
+	if q.Agg == query.Sum {
+		prefetchT0(&s.cols[q.AggDim][start], n)
+	}
+}
+
 // scanOneFilterSIMD is the AVX2 single-filter kernel: one fused pass,
 // 4 lanes per compare, no mask materialization. The asm loops prefetch
 // ~1KiB ahead of every load stream.

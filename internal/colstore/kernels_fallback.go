@@ -22,6 +22,10 @@ func KernelName() string { return "portable" }
 
 func simdEnabled() bool { return false }
 
+// Prefetch is a no-op in this build: there is no prefetch instruction to
+// issue, and the hint changes no result.
+func (s *Store) Prefetch(q query.Query, start, end int) {}
+
 func (s *Store) scanOneFilterSIMD(q query.Query, start, end int, res *ScanResult) {
 	s.scanOneFilterPortable(q, start, end, res)
 }

@@ -92,8 +92,13 @@ type Tsunami struct {
 // context threaded through every region grid, the planned ranges, and a
 // grouped query's accumulator. Contexts are pooled so Execute keeps its
 // one-argument signature while staying allocation-free and safe for
-// arbitrary concurrent callers.
+// arbitrary concurrent callers. A context Plan filled is the index's
+// index.Plan: it also holds the query, the index and how to run it.
 type execContext struct {
+	t       *Tsunami
+	q       query.Query
+	x       index.Exec
+	planned time.Duration // a traced plan's planning time, for the trace's Total
 	regions []*gridtree.Region
 	grid    *auggrid.ExecContext
 	phys    []auggrid.PhysRange       // the plan: every range the query scans
@@ -241,30 +246,87 @@ func (t *Tsunami) ExecuteGrouped(q query.Query) colstore.GroupedResult {
 }
 
 // ExecuteWith is the index's one execution pipeline (§3 query workflow):
-// route q through the Grid Tree, let each routed region's Augmented Grid
-// turn the filters into physical ranges (plan), scan the ranges — inline,
-// or split at chunkRows and drained by x.Workers tasks on x.Submit — fold
-// in the routed regions' buffered inserts, and merge. A grouped query
+// Plan, then Execute. Safe for any number of concurrent callers against
+// the same index (see the Tsunami doc comment for the read/write
+// contract).
+func (t *Tsunami) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
+	return t.Plan(q, x).Execute()
+}
+
+// Plan is the pipeline's plan step: route q through the Grid Tree and let
+// each routed region's Augmented Grid turn the filters into physical
+// ranges, into a pooled context. Nothing is scanned until the plan
+// executes: then the ranges are scanned — inline, or split at chunkRows
+// and drained by x.Workers tasks on x.Submit — the routed regions'
+// buffered inserts folded in, and the partials merged. A grouped query
 // runs the same plan (GROUP BY never changes which rows a query touches,
 // only what is folded per matching row) through the grouped scan kernel
 // into pooled accumulators; every partial is a ScanResult and merges
 // exactly. With x.Trace set the same code stamps stage times as it goes.
-// Safe for any number of concurrent callers against the same index (see
-// the Tsunami doc comment for the read/write contract).
-func (t *Tsunami) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
+func (t *Tsunami) Plan(q query.Query, x index.Exec) index.Plan {
 	ctx := execCtxPool.Get().(*execContext)
-	defer execCtxPool.Put(ctx)
+	ctx.t, ctx.q, ctx.x = t, q, x
+	var began time.Time
+	if x.Trace != nil {
+		began = time.Now()
+	}
+	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
+	ctx.phys = ctx.phys[:0]
+	for _, r := range ctx.regions {
+		if g := t.grids[r.ID]; g != nil {
+			ctx.phys, _ = g.PlanRanges(q, ctx.grid, ctx.phys)
+			continue
+		}
+		// An unindexed region is one range.
+		if b := t.bounds[r.ID]; b[0] < b[1] {
+			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1], Exact: q.ContainsBox(r.Lo, r.Hi)})
+		}
+	}
+	if tr := x.Trace; tr != nil {
+		ctx.planned = tr.Stage("plan", began, fmt.Sprintf("%d of %d regions routed, %d ranges planned",
+			len(ctx.regions), len(t.tree.Regions), len(ctx.phys))).Sub(began)
+	}
+	return ctx
+}
+
+// Cost prices the plan (see index.Plan): every planned row, plus the
+// buffered delta rows every query folds in, times 8 bytes per column
+// read — each filter column, the SUM column, and a grouped query's key
+// column as one extra stream: ScanResult's PointsScanned and
+// BytesTouched as bounds, since an exact range reads fewer columns.
+func (ctx *execContext) Cost() (rows, bytes uint64) {
+	for _, pr := range ctx.phys {
+		rows += uint64(pr.End - pr.Start)
+	}
+	q := ctx.q
+	rows += uint64(ctx.t.NumBuffered())
+	cols := uint64(len(q.Filters))
+	if q.Agg == query.Sum {
+		cols++
+	}
+	if q.Grouped() {
+		cols++
+	}
+	return rows, rows * 8 * cols
+}
+
+// Release returns the context to the pool without executing it.
+func (ctx *execContext) Release() {
+	ctx.t, ctx.q, ctx.x, ctx.planned = nil, query.Query{}, index.Exec{}, 0
+	execCtxPool.Put(ctx)
+}
+
+// Execute scans the plan, merges, and releases the context.
+func (ctx *execContext) Execute() colstore.ScanResult {
+	defer ctx.Release()
+	t, q, x := ctx.t, ctx.q, ctx.x
 	tr := x.Trace
 	var began, mark time.Time
 	if tr != nil {
-		began = time.Now()
-		mark = began
-	}
-
-	t.plan(q, ctx)
-	if tr != nil {
-		mark = tr.Stage("plan", mark, fmt.Sprintf("%d of %d regions routed, %d ranges planned",
-			len(ctx.regions), len(t.tree.Regions), len(ctx.phys)))
+		// Total counts the planning and this execution, not whatever ran
+		// between them (a sharded plan plans every shard first).
+		mark = time.Now()
+		began = mark.Add(-ctx.planned)
 	}
 
 	// The caller's own fold: a flat query's matches land in res directly,
@@ -315,35 +377,28 @@ func (t *Tsunami) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 	return res
 }
 
-// plan routes q through the Grid Tree into ctx.regions and turns the
-// routed regions into ctx.phys, the physical ranges a scan of q visits:
-// grid regions through their Augmented Grid, unindexed regions as one
-// range.
-func (t *Tsunami) plan(q query.Query, ctx *execContext) {
-	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
-	ctx.phys = ctx.phys[:0]
-	for _, r := range ctx.regions {
-		if g := t.grids[r.ID]; g != nil {
-			ctx.phys, _ = g.PlanRanges(q, ctx.grid, ctx.phys)
-			continue
-		}
-		if b := t.bounds[r.ID]; b[0] < b[1] {
-			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1], Exact: q.ContainsBox(r.Lo, r.Hi)})
-		}
-	}
-}
+// prefetchAhead is how many planned ranges ahead of the scan scanRanges
+// prefetches. A plan is mostly short ranges (a median of ~17 rows on the
+// Taxi workloads), each a few lines per column, so scanning them one by
+// one waits out one memory latency per range; issuing the fetches two
+// ranges early overlaps those waits with the scans in between.
+const prefetchAhead = 2
 
 // scanRanges scans ranges against q into acc when the query is grouped
-// (acc non-nil), into res otherwise.
+// (acc non-nil), into res otherwise, prefetching the columns of the range
+// prefetchAhead positions on. Exact ranges are not prefetched: their scan
+// reads no filter column.
 func (t *Tsunami) scanRanges(q query.Query, ranges []auggrid.PhysRange, res *colstore.ScanResult, acc *colstore.GroupAccumulator) {
-	if acc != nil {
-		for _, pr := range ranges {
-			t.store.ScanRangeGrouped(q, pr.Start, pr.End, pr.Exact, acc)
+	st := t.store
+	for i, pr := range ranges {
+		if j := i + prefetchAhead; j < len(ranges) && !ranges[j].Exact {
+			st.Prefetch(q, ranges[j].Start, ranges[j].End)
 		}
-		return
-	}
-	for _, pr := range ranges {
-		t.store.ScanRange(q, pr.Start, pr.End, pr.Exact, res)
+		if acc != nil {
+			st.ScanRangeGrouped(q, pr.Start, pr.End, pr.Exact, acc)
+		} else {
+			st.ScanRange(q, pr.Start, pr.End, pr.Exact, res)
+		}
 	}
 }
 
@@ -464,30 +519,12 @@ func (t *Tsunami) RegionsVisited(q query.Query) int {
 	return n
 }
 
-// EstimateCost bounds q's scan cost at plan time, without scanning
-// anything: rows is the number of physical rows the executed plan would
-// visit (the pipeline's own plan step, plus the buffered delta rows every
-// query folds in), and bytes models the column bytes those rows would
-// move — 8 per row for each filter column plus the aggregate column for
-// SUM, the same planned figure ScanResult.BytesTouched reports, as an
-// upper bound (exact-range scans touch less). The Executor's admission
-// budgets are enforced against this estimate.
+// EstimateCost is the price of q's plan, planned and released unexecuted
+// (see Plan and index.Plan's Cost).
 func (t *Tsunami) EstimateCost(q query.Query) (rows, bytes uint64) {
-	ctx := execCtxPool.Get().(*execContext)
-	defer execCtxPool.Put(ctx)
-	t.plan(q, ctx)
-	for _, pr := range ctx.phys {
-		rows += uint64(pr.End - pr.Start)
-	}
-	rows += uint64(t.NumBuffered())
-	cols := uint64(len(q.Filters))
-	if q.Agg == query.Sum {
-		cols++
-	}
-	if q.Grouped() {
-		cols++ // the group-key column is one extra stream
-	}
-	return rows, rows * 8 * cols
+	p := t.Plan(q, index.Exec{})
+	defer p.Release()
+	return p.Cost()
 }
 
 // DebugRegions renders per-region layout summaries for diagnostics.

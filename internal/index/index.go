@@ -54,6 +54,27 @@ type Exec struct {
 	Trace *obs.QueryTrace
 }
 
+// Plan is one query planned through an execution pipeline (core.Tsunami,
+// live.Store and sharded.Store each return one from Plan(q, Exec)): the
+// routing and range planning are done, the epoch(s) it answers from are
+// pinned, and nothing is scanned or recorded yet. Admission prices it,
+// then either executes it or releases it; ExecuteWith(q, x) is exactly
+// Plan(q, x).Execute(). A plan is not safe for concurrent use, and
+// exactly one of Execute and Release is called on it, once.
+type Plan interface {
+	// Cost is the plan's scan price, computed without scanning: the rows
+	// its execution visits and the column bytes those rows move, 8 per
+	// row for each column read (an upper bound: exact ranges read less).
+	// An answer the plan found in a result cache costs (0, 0).
+	Cost() (rows, bytes uint64)
+	// Execute runs the plan as the Exec it was made with says, records
+	// the query at every layer, and releases the plan.
+	Execute() colstore.ScanResult
+	// Release gives back a plan that will not execute. A released plan
+	// leaves no trace: no counter, cache entry or statistic moves.
+	Release()
+}
+
 // BuildStats records how long an index build spent in its two phases,
 // reported by Fig 9b (solid bars = sorting, hatched = optimization).
 type BuildStats struct {

@@ -239,7 +239,7 @@ type version struct {
 
 // Store is an epoch-based read-write serving layer over a Tsunami index.
 //
-// Concurrency: Execute/ExecuteWith/Stats may be called
+// Concurrency: Execute/ExecuteWith/Plan/Stats may be called
 // from any number of goroutines, and never block on writers or
 // maintenance. Insert/InsertBatch may be called from any number of
 // goroutines; they serialize on a short critical section (derive + swap)
@@ -394,79 +394,124 @@ func (s *Store) ExecuteGrouped(q query.Query) colstore.GroupedResult {
 }
 
 // ExecuteWith answers one query — flat or grouped — against the current
-// epoch, lock-free: it wraps the index's pipeline (core.Tsunami.
-// ExecuteWith, to which x passes through) with this layer's concerns,
-// each exactly once — the epoch load, the result-cache probe and fill,
-// metrics and workload-statistics recording, and the shift detector's
-// feed (sampled: observations are dropped, not waited for, when the
-// detector falls behind). Buffered-but-unmerged rows are folded in by
-// the index's delta scan. A traced run prefixes the trace with the epoch
-// it was served against and is accounted exactly like an untraced one,
-// so traced queries do not skew the aggregates they are debugging.
+// epoch, lock-free: Plan, then Execute.
 func (s *Store) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
+	return s.Plan(q, x).Execute()
+}
+
+// plan is one query planned against one epoch: the version it pinned,
+// and either the answer the result cache held for it there or the
+// index's own plan.
+type plan struct {
+	s      *Store
+	v      *version
+	q      query.Query
+	began  time.Time           // set when metrics or workload stats record the query
+	probed bool                // the cache was looked up: Execute counts the hit or miss
+	cached colstore.ScanResult // the cache's answer when core is nil; its groups are the entry's
+	core   index.Plan
+}
+
+var planPool = sync.Pool{New: func() any { return new(plan) }}
+
+// Plan pins the current epoch and plans q against it: an answer the
+// result cache holds at that epoch is the whole plan, priced (0, 0);
+// otherwise the plan is the index's (core.Tsunami.Plan, to which x passes
+// through). Executing the plan adds this layer's concerns, each exactly
+// once — the cache fill, metrics and workload-statistics recording, and
+// the shift detector's feed (sampled: observations are dropped, not
+// waited for, when the detector falls behind). Buffered-but-unmerged
+// rows are folded in by the index's delta scan. The epoch is immutable,
+// so a plan executed after later publishes returns exactly the pinned
+// epoch's answer. A traced plan prefixes the trace with the epoch, always
+// executes (it skips the cache lookup), and is accounted exactly like an
+// untraced one, so traced queries do not skew the aggregates they are
+// debugging.
+func (s *Store) Plan(q query.Query, x index.Exec) index.Plan {
+	p := planPool.Get().(*plan)
 	v := s.cur.Load()
-	s.queries.Add(1)
+	p.s, p.v, p.q = s, v, q
+	if s.metrics != nil || s.cfg.Workload != nil {
+		p.began = time.Now()
+	}
 	if tr := x.Trace; tr != nil {
 		tr.AddStage("epoch", 0, fmt.Sprintf("serving epoch %d (%d buffered rows)", v.epoch, v.idx.NumBuffered()))
-	} else if res, ok := s.cacheGet(v, q); ok {
-		return res
-	}
-	m, w := s.metrics, s.cfg.Workload
-	var start time.Time
-	if m != nil || w != nil {
-		start = time.Now()
-	}
-	res := v.idx.ExecuteWith(q, x)
-	if m != nil || w != nil {
-		d := time.Since(start)
-		if m != nil {
-			m.qm.Observe(d, res.PointsScanned, res.BytesTouched)
-			m.regimes[res.Regime].Inc()
+	} else if s.cache != nil {
+		p.probed = true
+		var ok bool
+		if p.cached, ok = s.cache.Peek(v.epoch, q); ok {
+			return p
 		}
-		w.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
 	}
-	s.cachePut(v, q, res)
-	s.observeAsync(q, res.Count, v)
-	return res
+	p.core = v.idx.Plan(q, x)
+	return p
 }
 
-// cacheGet serves q from the result cache at v's epoch when possible. A
-// hit is recorded into metrics and workload stats like any served query
-// (with zero rows/bytes scanned — the point of the hit) and still feeds
-// the shift detector, so cached traffic cannot blind the adaptivity loop.
-func (s *Store) cacheGet(v *version, q query.Query) (colstore.ScanResult, bool) {
-	if s.cache == nil {
-		return colstore.ScanResult{}, false
+// Cost is the index plan's price, or (0, 0) for a cached answer.
+func (p *plan) Cost() (rows, bytes uint64) {
+	if p.core == nil {
+		return 0, 0
 	}
-	start := time.Now()
-	res, ok := s.cache.Get(v.epoch, q)
-	if !ok {
-		s.cacheMisses.Add(1)
-		return colstore.ScanResult{}, false
+	return p.core.Cost()
+}
+
+// Release gives the plan back unexecuted: nothing was counted yet.
+func (p *plan) Release() {
+	if p.core != nil {
+		p.core.Release()
 	}
-	s.cacheHits.Add(1)
+	*p = plan{}
+	planPool.Put(p)
+}
+
+// Execute serves the plan: the cached answer, or the index plan's, which
+// is then cached under the pinned epoch. Either way the query is counted
+// and recorded into metrics and workload stats — a hit with zero rows and
+// bytes scanned, the point of the hit — and fed to the shift detector,
+// so cached traffic cannot blind the adaptivity loop. Recorded latency
+// runs from the plan to the answer.
+func (p *plan) Execute() colstore.ScanResult {
+	s, v, q := p.s, p.v, p.q
+	s.queries.Add(1)
+	hit := p.core == nil
+	if p.probed {
+		s.cache.Count(v.epoch, q, hit)
+		if hit {
+			s.cacheHits.Add(1)
+		} else {
+			s.cacheMisses.Add(1)
+		}
+	}
+	var res colstore.ScanResult
+	var rows, bytes uint64
+	if hit {
+		res = p.cached.Clone()
+	} else {
+		res = p.core.Execute()
+		p.core = nil
+		rows, bytes = res.PointsScanned, res.BytesTouched
+	}
 	if m, w := s.metrics, s.cfg.Workload; m != nil || w != nil {
-		d := time.Since(start)
+		d := time.Since(p.began)
 		if m != nil {
-			m.qm.Observe(d, 0, 0)
+			m.qm.Observe(d, rows, bytes)
+			if !hit {
+				m.regimes[res.Regime].Inc()
+			}
 		}
-		w.Record(q, d, res.Count, 0, 0)
+		w.Record(q, d, res.Count, rows, bytes)
+	}
+	if !hit && s.cache != nil {
+		// v.idx is immutable, so res is exactly epoch v's answer even if a
+		// newer epoch has published since: the entry is then merely
+		// unreachable (its epoch is no longer current), never wrong.
+		if s.cache.Put(v.epoch, q, res) {
+			s.cacheEvictions.Add(1)
+		}
 	}
 	s.observeAsync(q, res.Count, v)
-	return res, true
-}
-
-// cachePut stores a freshly computed result under v's epoch. v.idx is
-// immutable, so res is exactly epoch v's answer even if a newer epoch
-// published mid-execution — the entry is then merely unreachable (its
-// epoch is no longer current), never wrong.
-func (s *Store) cachePut(v *version, q query.Query, res colstore.ScanResult) {
-	if s.cache == nil {
-		return
-	}
-	if s.cache.Put(v.epoch, q, res) {
-		s.cacheEvictions.Add(1)
-	}
+	p.Release()
+	return res
 }
 
 // observeAsync feeds the detector one served query and the result
@@ -504,19 +549,13 @@ func (s *Store) Index() *core.Tsunami { return s.cur.Load().idx }
 // published version (ingest batch, merge, or re-optimization).
 func (s *Store) Epoch() uint64 { return s.cur.Load().epoch }
 
-// EstimateCost bounds q's plan-time scan cost against the current epoch
-// (see core.Tsunami.EstimateCost); the Executor's admission budgets use
-// it to reject over-budget queries before they scan. A query the result
-// cache holds at the current epoch costs (0, 0) — serving it scans
-// nothing — and is not planned. An over-budget query is never executed,
-// so never cached; but a publish between the estimate and the execute
-// lets that one already-admitted query through unbudgeted.
+// EstimateCost is the price of q's plan against the current epoch,
+// planned and released unexecuted (see Plan): (0, 0) for a query the
+// result cache holds there, which serving scans nothing for.
 func (s *Store) EstimateCost(q query.Query) (rows, bytes uint64) {
-	v := s.cur.Load()
-	if s.cache.Has(v.epoch, q) {
-		return 0, 0
-	}
-	return v.idx.EstimateCost(q)
+	p := s.Plan(q, index.Exec{})
+	defer p.Release()
+	return p.Cost()
 }
 
 // Insert ingests one row. It becomes visible to queries as soon as Insert

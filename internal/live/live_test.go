@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/gridtree"
+	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/shift"
 	"repro/internal/testutil"
@@ -506,5 +508,54 @@ func TestLiveEstimateCostOfCachedQuery(t *testing.T) {
 		}
 		planRows, planBytes = s.Index().EstimateCost(q)
 		check("after an insert", planRows, planBytes)
+	}
+}
+
+// TestLivePlanPinsItsEpoch checks a plan answers for the epoch it pinned:
+// executed after an insert has published the next epoch, it returns the
+// pinned epoch's oracle answer — a cached answer (priced (0, 0)) and a
+// planned scan alike, flat and grouped — while a query planned afterwards
+// sees the insert.
+func TestLivePlanPinsItsEpoch(t *testing.T) {
+	st := testutil.SmallTaxi(4000, 71)
+	work := testutil.SkewedQueries(st, 40, 72)
+	qs := []query.Query{query.NewCount(), query.NewSum(2), query.NewCount().By(4), query.NewSum(3).By(4)}
+	check := func(what string, q query.Query, got colstore.ScanResult, truth *colstore.Store) {
+		t.Helper()
+		flat := q
+		flat.GroupBy = 0
+		if want := index.NewFullScan(truth).Execute(flat); got.Count != want.Count || got.Sum != want.Sum {
+			t.Errorf("%s %s = (count %d, sum %d), oracle (%d, %d)", what, q, got.Count, got.Sum, want.Count, want.Sum)
+		}
+		if q.Grouped() && !slices.Equal(got.Groups, testutil.GroupedOracle(truth, q).Groups) {
+			t.Errorf("%s %s groups differ from the oracle's", what, q)
+		}
+	}
+	for _, entries := range []int{64, 0} {
+		s := Open(core.Build(st, work, smallConfig()), nil, Config{CacheEntries: entries})
+		defer s.Close()
+		oracle := testutil.NewOracle(st)
+		for i, q := range qs {
+			for _, served := range []bool{false, true} {
+				if served {
+					s.Execute(q) // cached at this epoch when the store caches
+				}
+				pinned, epoch := oracle.Snapshot(), s.Epoch()
+				p := s.Plan(q, index.Exec{})
+				if rows, bytes := p.Cost(); served && entries > 0 && (rows != 0 || bytes != 0) {
+					t.Errorf("a cached %s is priced (%d, %d), want (0, 0)", q, rows, bytes)
+				}
+				row := st.Row(i, nil)
+				if err := s.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+				oracle.Add(row)
+				if s.Epoch() != epoch+1 {
+					t.Fatalf("the insert published epoch %d, want %d", s.Epoch(), epoch+1)
+				}
+				check("planned at the earlier epoch", q, p.Execute(), pinned)
+				check("planned after the insert", q, s.Execute(q), oracle.Snapshot())
+			}
+		}
 	}
 }

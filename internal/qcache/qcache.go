@@ -21,9 +21,9 @@
 //
 // Eviction is sampled LFU with decay, because serving traffic is skewed
 // (the paper's premise) and a hot result is worth keeping over a one-off.
-// Every entry carries a saturating hit count that Get bumps; Has does not
-// (an admission estimate is not a use), and a re-Put of a cached key
-// keeps it. A Put into a full stripe samples up to evictScan entries: a
+// Every entry carries a saturating hit count that a served hit bumps
+// (Count); a Peek does not (a query planned and then refused is not a
+// use), and a re-Put of a cached key keeps it. A Put into a full stripe samples up to evictScan entries: a
 // provably stale one (its version differs from the one being inserted)
 // is the victim if the sample holds one, else the least-hit entry in the
 // sample. Each stripe halves all its counts every decayEvery x its
@@ -169,9 +169,9 @@ func (k *key) shard() int {
 	return int(h % nlocks)
 }
 
-// lookup is the stripe-locked map probe behind Get and Has; ok=false for
-// a nil cache, an uncacheable query, or a miss. use counts a hit on the
-// entry found.
+// lookup is the stripe-locked map probe behind Peek and Count; ok=false
+// for a nil cache, an uncacheable query, or a miss. use counts a hit on
+// the entry found.
 func (c *Cache) lookup(ver uint64, q query.Query, use bool) (res colstore.ScanResult, ok bool) {
 	if c == nil {
 		return res, false
@@ -193,28 +193,29 @@ func (c *Cache) lookup(ver uint64, q query.Query, use bool) (res colstore.ScanRe
 	return res, ok
 }
 
-// Get looks up q's result at version ver and counts a hit on it. A miss
-// (or a nil cache) reports ok=false. A grouped result is returned as a
-// deep copy: callers may hold or modify it without aliasing the cached
-// groups slice.
-func (c *Cache) Get(ver uint64, q query.Query) (colstore.ScanResult, bool) {
-	if c == nil {
-		return colstore.ScanResult{}, false
-	}
-	res, ok := c.lookup(ver, q, true)
-	if !ok {
-		c.misses.Add(1)
-		return colstore.ScanResult{}, false
-	}
-	c.hits.Add(1)
-	return res.Clone(), true
+// Peek looks up q's result at version ver without counting a hit or a
+// miss — on the cache or on the entry: a query is looked up when it is
+// planned, and may be refused before it is served. Count records the
+// outcome once it is. A miss (or a nil cache) reports ok=false. A grouped
+// result's groups are the entry's own, never written again (a re-Put
+// replaces them): Clone before handing them out.
+func (c *Cache) Peek(ver uint64, q query.Query) (colstore.ScanResult, bool) {
+	return c.lookup(ver, q, false)
 }
 
-// Has reports whether Get(ver, q) would hit, without cloning the result
-// or counting a hit or a miss — on the cache or on the entry.
-func (c *Cache) Has(ver uint64, q query.Query) bool {
-	_, ok := c.lookup(ver, q, false)
-	return ok
+// Count records how a Peek of q at version ver was served: from the cache
+// (hit) — a use on the entry, if it is still cached, and a hit — or by
+// executing the query — a miss. No-op on a nil cache.
+func (c *Cache) Count(ver uint64, q query.Query, hit bool) {
+	if c == nil {
+		return
+	}
+	if !hit {
+		c.misses.Add(1)
+		return
+	}
+	c.lookup(ver, q, true)
+	c.hits.Add(1)
 }
 
 // Put stores q's result computed at version ver. The entry keeps its own

@@ -18,14 +18,28 @@ func res(count uint64, sum int64) colstore.ScanResult {
 	return colstore.ScanResult{Count: count, Sum: sum}
 }
 
+// get is a served lookup, the way a LiveStore plans and executes one: a
+// Peek, its outcome counted, and the result cloned.
+func get(c *Cache, ver uint64, qq query.Query) (colstore.ScanResult, bool) {
+	r, ok := c.Peek(ver, qq)
+	c.Count(ver, qq, ok)
+	return r.Clone(), ok
+}
+
+// has is a lookup that is never served: a Peek alone.
+func has(c *Cache, ver uint64, qq query.Query) bool {
+	_, ok := c.Peek(ver, qq)
+	return ok
+}
+
 func TestPutGetRoundtrip(t *testing.T) {
 	c := New(64)
 	qa := q(query.Filter{Dim: 0, Lo: 1, Hi: 10})
-	if _, ok := c.Get(7, qa); ok {
+	if _, ok := get(c, 7, qa); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put(7, qa, res(42, 99))
-	got, ok := c.Get(7, qa)
+	got, ok := get(c, 7, qa)
 	if !ok || got.Count != 42 || got.Sum != 99 {
 		t.Fatalf("roundtrip: got %+v ok=%v", got, ok)
 	}
@@ -44,11 +58,11 @@ func TestLiteralBoundsDistinguishEntries(t *testing.T) {
 	q20 := q(query.Filter{Dim: 2, Lo: query.NoLo, Hi: 20})
 	c.Put(1, q10, res(10, 0))
 	c.Put(1, q20, res(20, 0))
-	a, ok := c.Get(1, q10)
+	a, ok := get(c, 1, q10)
 	if !ok || a.Count != 10 {
 		t.Fatalf("q10: %+v ok=%v", a, ok)
 	}
-	b, ok := c.Get(1, q20)
+	b, ok := get(c, 1, q20)
 	if !ok || b.Count != 20 {
 		t.Fatalf("q20: %+v ok=%v", b, ok)
 	}
@@ -63,13 +77,13 @@ func TestAggregateDistinguishesEntries(t *testing.T) {
 	c.Put(1, cnt, res(1, 0))
 	c.Put(1, sum3, res(2, 30))
 	c.Put(1, sum4, res(2, 40))
-	if r, ok := c.Get(1, cnt); !ok || r.Count != 1 {
+	if r, ok := get(c, 1, cnt); !ok || r.Count != 1 {
 		t.Fatalf("count entry: %+v ok=%v", r, ok)
 	}
-	if r, ok := c.Get(1, sum3); !ok || r.Sum != 30 {
+	if r, ok := get(c, 1, sum3); !ok || r.Sum != 30 {
 		t.Fatalf("sum3 entry: %+v ok=%v", r, ok)
 	}
-	if r, ok := c.Get(1, sum4); !ok || r.Sum != 40 {
+	if r, ok := get(c, 1, sum4); !ok || r.Sum != 40 {
 		t.Fatalf("sum4 entry: %+v ok=%v", r, ok)
 	}
 }
@@ -78,16 +92,16 @@ func TestEpochBumpInvalidates(t *testing.T) {
 	c := New(64)
 	qa := q(query.Filter{Dim: 1, Lo: 5, Hi: 5})
 	c.Put(3, qa, res(7, 0))
-	if _, ok := c.Get(4, qa); ok {
+	if _, ok := get(c, 4, qa); ok {
 		t.Fatal("stale epoch served")
 	}
-	if c.Has(4, qa) || !c.Has(3, qa) {
-		t.Fatal("Has disagrees with the epoch the entry was stored at")
+	if has(c, 4, qa) || !has(c, 3, qa) {
+		t.Fatal("Peek disagrees with the epoch the entry was stored at")
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("Has moved the counters: %+v", st)
+		t.Fatalf("Peek moved the counters: %+v", st)
 	}
-	if r, ok := c.Get(3, qa); !ok || r.Count != 7 {
+	if r, ok := get(c, 3, qa); !ok || r.Count != 7 {
 		t.Fatal("current epoch entry lost")
 	}
 }
@@ -111,7 +125,7 @@ func TestUncacheableQueries(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("cached a non-canonical query")
 	}
-	if _, ok := c.Get(1, bad); ok {
+	if _, ok := get(c, 1, bad); ok {
 		t.Fatal("hit for uncacheable query")
 	}
 }
@@ -160,7 +174,7 @@ func TestPointQueriesReachEveryStripe(t *testing.T) {
 // getN asks for qq n times.
 func getN(c *Cache, ver uint64, qq query.Query, n int) {
 	for i := 0; i < n; i++ {
-		c.Get(ver, qq)
+		get(c, ver, qq)
 	}
 }
 
@@ -197,7 +211,7 @@ func TestEvictionBoundsSizeAndPrefersStale(t *testing.T) {
 	}
 	// Spot-check: current-epoch lookups still mostly work for the latest
 	// inserts (the newest entries were inserted after eviction pressure).
-	if _, ok := c.Get(2, mk(499)); !ok {
+	if _, ok := get(c, 2, mk(499)); !ok {
 		t.Fatal("most recent insert evicted immediately")
 	}
 
@@ -217,34 +231,34 @@ func TestEvictionBoundsSizeAndPrefersStale(t *testing.T) {
 		}
 		fresh := g.in(t, 2, s, 2)
 		c.Put(2, fresh[0], res(3, 0))
-		if c.Has(1, stale) {
+		if has(c, 1, stale) {
 			t.Fatalf("stripe %d: a live entry was evicted before the stale one", s)
 		}
 		getN(c, 2, fresh[0], 3)
 		c.Put(2, fresh[1], res(3, 0))
-		if c.Has(2, live[0]) {
+		if has(c, 2, live[0]) {
 			t.Fatalf("stripe %d: the least-hit entry survived", s)
 		}
 		for _, qq := range append(live[1:], fresh...) {
-			if !c.Has(2, qq) {
+			if !has(c, 2, qq) {
 				t.Fatalf("stripe %d: an entry other than the least-hit was evicted", s)
 			}
 		}
 	}
 }
 
-// A cached Has is an admission estimate, not a use, and a re-Put refreshes
-// the result without resetting the count.
+// A Peek never served (a query planned, then refused) is not a use, and a
+// re-Put refreshes the result without resetting the count.
 func TestHasAndRePutKeepCount(t *testing.T) {
 	c := New(64)
 	qa := mk(1)
 	c.Put(1, qa, res(1, 0))
 	getN(c, 1, qa, 3)
 	for i := 0; i < 5; i++ {
-		c.Has(1, qa)
+		has(c, 1, qa)
 	}
 	if h := hitsOf(t, c, 1, qa); h != 3 {
-		t.Fatalf("after 3 Gets and 5 Has: %d hits", h)
+		t.Fatalf("after 3 served lookups and 5 bare Peeks: %d hits", h)
 	}
 	if c.Put(1, qa, res(2, 0)) {
 		t.Fatal("re-Put evicted")
@@ -252,7 +266,7 @@ func TestHasAndRePutKeepCount(t *testing.T) {
 	if h := hitsOf(t, c, 1, qa); h != 3 {
 		t.Fatalf("re-Put reset the count to %d", h)
 	}
-	if r, ok := c.Get(1, qa); !ok || r.Count != 2 {
+	if r, ok := get(c, 1, qa); !ok || r.Count != 2 {
 		t.Fatalf("re-Put did not replace the result: %+v ok=%v", r, ok)
 	}
 }
@@ -269,7 +283,7 @@ func TestZipfHitRate(t *testing.T) {
 		hits := 0
 		for i := 0; i < draws; i++ {
 			qq := mk(int(z.Uint64()))
-			if _, ok := c.Get(1, qq); ok {
+			if _, ok := get(c, 1, qq); ok {
 				if i >= warm {
 					hits++
 				}
@@ -300,7 +314,7 @@ func TestHotSetSurvivesFlood(t *testing.T) {
 		c.Put(1, mk(len(hot)+i), res(0, 0))
 	}
 	for i, qq := range hot {
-		if !c.Has(1, qq) {
+		if !has(c, 1, qq) {
 			t.Fatalf("hot query %d evicted by one-off keys", i)
 		}
 	}
@@ -330,13 +344,13 @@ func TestDecayTurnsOverColdHotSet(t *testing.T) {
 		inserts++
 	}
 	ask := func(qq query.Query) {
-		if _, ok := c.Get(1, qq); !ok {
+		if _, ok := get(c, 1, qq); !ok {
 			put(qq)
 		}
 	}
 	resident := func() bool {
 		for _, qq := range hot {
-			if !c.Has(1, qq) {
+			if !has(c, 1, qq) {
 				return false
 			}
 		}
@@ -364,11 +378,11 @@ func TestDecayTurnsOverColdHotSet(t *testing.T) {
 func TestNilCacheNoOps(t *testing.T) {
 	var c *Cache
 	qa := q(query.Filter{Dim: 0, Lo: 0, Hi: 1})
-	if _, ok := c.Get(1, qa); ok {
+	if _, ok := get(c, 1, qa); ok {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(1, qa, res(1, 0))
-	if c.Has(1, qa) {
+	if has(c, 1, qa) {
 		t.Fatal("nil cache has an entry")
 	}
 	if st := c.Stats(); st != (Stats{}) {
@@ -393,8 +407,8 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				qa := q(query.Filter{Dim: w % 3, Lo: int64(i % 50), Hi: int64(i%50 + w)})
 				ver := uint64(i % 4)
-				c.Has(ver, qa) // races with the Puts below under -race
-				if r, ok := c.Get(ver, qa); ok {
+				has(c, ver, qa) // races with the Puts below under -race
+				if r, ok := get(c, ver, qa); ok {
 					// Any hit must carry the value stored for exactly this
 					// (ver, query) pair.
 					want := uint64(ver*1000) + uint64(i%50)

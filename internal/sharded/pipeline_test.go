@@ -1,6 +1,7 @@
 package sharded_test
 
 import (
+	"errors"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -22,10 +23,30 @@ import (
 
 // pipeline is what every layer under test offers: an index whose one
 // execution entry point takes the how (inline, fanned out, traced) as an
-// argument.
+// argument, and is its plan step followed by the plan's execution.
 type pipeline interface {
 	index.Index
 	ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult
+	Plan(q query.Query, x index.Exec) index.Plan
+}
+
+// estimate is what a plan of q on the layer must be priced at: the
+// layer's EstimateCost, or for a sharded store — which has none — the
+// sum of the routed shards'.
+func estimate(src pipeline, q query.Query) (rows, bytes uint64) {
+	switch l := src.(type) {
+	case *core.Tsunami:
+		return l.EstimateCost(q)
+	case *live.Store:
+		return l.EstimateCost(q)
+	case *sharded.Store:
+		for _, id := range l.Partitioner().Shards(q, nil) {
+			r, b := l.Shard(id).EstimateCost(q)
+			rows += r
+			bytes += b
+		}
+	}
+	return rows, bytes
 }
 
 // layer is one serving shape and the rows a full scan of it must see.
@@ -158,15 +179,25 @@ func checkOracle(t *testing.T, l layer, q query.Query, res colstore.ScanResult) 
 	}
 }
 
-// checkEquivalence drives every query through the layer four ways —
+// checkEquivalence drives every query through the layer six ways —
 // inline, Workers: 4 with goroutines, Workers: 4 on an Executor's pool,
-// and traced — and asserts the inline answer is the oracle's and the
-// other three are bit-for-bit the same (aggregates, groups, accounting,
-// regime). Which untraced way runs first rotates per query, so behind a
-// result cache each of them takes its turn being the miss that executes.
+// planned, priced and executed inline and with Workers: 4, and traced —
+// and asserts the inline answer is the oracle's and the others are
+// bit-for-bit the same (aggregates, groups, accounting, regime), and a
+// plan's price is the layer's estimate. Which untraced way runs first
+// rotates per query, so behind a result cache each of them takes its
+// turn being the miss that executes.
 func checkEquivalence(t *testing.T, l layer, pool *tsunami.Executor, qs []query.Query) {
 	t.Helper()
 	for i, q := range qs {
+		planned := func(x index.Exec) colstore.ScanResult {
+			rows, bytes := estimate(l.src, q)
+			p := l.src.Plan(q, x)
+			if r, b := p.Cost(); r != rows || b != bytes {
+				t.Errorf("%s: plan of %s is priced (%d, %d), its estimate is (%d, %d)", l.name, q, r, b, rows, bytes)
+			}
+			return p.Execute()
+		}
 		ways := []struct {
 			name string
 			run  func() colstore.ScanResult
@@ -174,6 +205,8 @@ func checkEquivalence(t *testing.T, l layer, pool *tsunami.Executor, qs []query.
 			{"inline", func() colstore.ScanResult { return l.src.ExecuteWith(q, index.Exec{}) }},
 			{"Workers: 4", func() colstore.ScanResult { return l.src.ExecuteWith(q, index.Exec{Workers: 4}) }},
 			{"Workers: 4 on an Executor pool", func() colstore.ScanResult { return pool.Execute(q) }},
+			{"planned, priced, executed", func() colstore.ScanResult { return planned(index.Exec{}) }},
+			{"planned, priced, executed on Workers: 4", func() colstore.ScanResult { return planned(index.Exec{Workers: 4}) }},
 		}
 		got := make([]colstore.ScanResult, len(ways))
 		for k := range ways {
@@ -200,7 +233,8 @@ func newPool(l layer) *tsunami.Executor {
 
 // TestPipelineEquivalence is the one equivalence test of the execution
 // pipeline: {flat COUNT, flat SUM, grouped COUNT, grouped SUM} × {inline,
-// Workers: 4, Workers: 4 on an Executor pool, traced} through a bare
+// Workers: 4, Workers: 4 on an Executor pool, planned-priced-executed
+// inline and on Workers: 4, traced} through a bare
 // index with buffered rows (one of them beyond every accumulator
 // window), a single-region index, a caching LiveStore, and a
 // ShardedStore in the middle of a rebalance — all against the full-scan
@@ -346,4 +380,62 @@ func TestPipelineEquivalence(t *testing.T) {
 		}
 		checkEquivalence(t, l, pool, qs)
 	})
+}
+
+// TestShardedBudgetSumsRoutedShards checks admission over a ShardedStore:
+// a query is priced at the sum of the routed shards' plans, refused one
+// row under that and admitted at it, and a refused query reaches no shard
+// — nothing is scanned, counted or cached anywhere.
+func TestShardedBudgetSumsRoutedShards(t *testing.T) {
+	st := testutil.SmallTaxi(6000, 461)
+	work := testutil.SkewedQueries(st, 100, 462)
+	ss, err := sharded.Open(st, work, sharded.SmallConfig(), sharded.Config{
+		Shards:       4,
+		Learned:      true,
+		CacheEntries: 64,
+		Live:         live.Config{DisableShift: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	lo, hi := st.MinMax(0)
+	narrow := query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: lo + (hi-lo)/3})
+	if n := len(ss.Partitioner().Shards(narrow, nil)); n == ss.NumShards() {
+		t.Fatalf("%s routes to all %d shards; the test needs one the router prunes", narrow, n)
+	}
+	serve := func(q query.Query, maxRows uint64) (colstore.ScanResult, error) {
+		ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 2, IntraQuery: true, Admission: tsunami.AdmissionConfig{MaxRows: maxRows}})
+		defer ex.Close()
+		return ex.Serve(q, tsunami.PriorityNormal)
+	}
+	for _, q := range []query.Query{narrow, query.NewSum(2), query.NewCount().By(4)} {
+		ids := ss.Partitioner().Shards(q, nil)
+		var rows uint64
+		for _, id := range ids {
+			r, _ := ss.Shard(id).EstimateCost(q)
+			rows += r
+		}
+		before := ss.Stats()
+		if _, err := serve(q, rows-1); !errors.Is(err, tsunami.ErrOverBudget) {
+			t.Fatalf("%s under MaxRows = %d, one below its routed shards' plans: want ErrOverBudget, got %v", q, rows-1, err)
+		}
+		after := ss.Stats()
+		if after.Queries != before.Queries || after.ShardsScanned != before.ShardsScanned || after.Cache != before.Cache {
+			t.Errorf("refused %s reached the store: %+v, before %+v", q, after, before)
+		}
+		for i := range after.PerShard {
+			if a, b := after.PerShard[i], before.PerShard[i]; a.Queries != b.Queries || a.Cache != b.Cache {
+				t.Errorf("refused %s reached shard %d: %+v, before %+v", q, i, a, b)
+			}
+		}
+		res, err := serve(q, rows)
+		if err != nil {
+			t.Fatalf("%s at MaxRows = %d, its routed shards' plans: %v", q, rows, err)
+		}
+		checkOracle(t, layer{name: "ShardedStore under admission", truth: st}, q, res)
+		if got := ss.Stats().ShardsScanned - after.ShardsScanned; got != uint64(len(ids)) {
+			t.Errorf("admitted %s scanned %d shards, routed to %d", q, got, len(ids))
+		}
+	}
 }

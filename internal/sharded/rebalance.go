@@ -36,9 +36,10 @@ import (
 //  2. Commit (the only exclusive window): with the ingest gate held, the
 //     extraction commits (replaying rows ingested during the prepare),
 //     the moved rows drain into the destination's ingest path, and the
-//     successor partitioner is published. Readers overlapping this window
-//     retry (see readStable); writers wait on the gate. The window's cost
-//     is the moved-row handoff, never the index rebuild.
+//     successor partitioner is published. Readers planning across this
+//     window retry the planning (see Store.Plan); writers wait on the
+//     gate. The window's cost is the moved-row handoff, never the index
+//     rebuild.
 //  3. Persist (concurrent again): when a SnapshotDir is configured, the
 //     move is made durable — destination snapshot, source snapshot, then
 //     the clean manifest — in the order Recover's reconciliation assumes.

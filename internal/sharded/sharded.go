@@ -18,7 +18,7 @@
 // the partial aggregates merge (COUNT and SUM are sums; AVG ships as a
 // sum+count pair in ScanResult, so it merges exactly too; a grouped
 // query ships one pair per group). Store implements the same
-// ExecuteWith pipeline interface as a bare index, so an Executor with
+// Plan/ExecuteWith pipeline as a bare index, so an Executor with
 // IntraQuery enabled scatters the surviving shards across its worker
 // pool and gathers the partials — scatter-gather through the existing
 // pool, no second scheduler.
@@ -34,10 +34,10 @@
 // watches per-shard row counts, re-learns the range partitioner's
 // equi-depth cuts when skewed ingest unbalances the shards, and migrates
 // rows between neighbors — readers stay lock-free and exact through every
-// migration (reads retry around a seqlock'd commit window), and the
-// snapshot manifest carries a partitioner generation plus a write-intent
-// record so a crash mid-migration recovers to a consistent placement
-// (persist.go).
+// migration (query planning retries around a seqlock'd commit window),
+// and the snapshot manifest carries a partitioner generation plus a
+// write-intent record so a crash mid-migration recovers to a consistent
+// placement (persist.go).
 package sharded
 
 import (
@@ -106,8 +106,8 @@ type Config struct {
 	// per-shard configs so a fan-out query is never double-counted. The
 	// collector is bound to the whole table: per-dimension domains are the
 	// union across shards, the live row count sums the shards, and
-	// slow-query exemplars re-run through the router's pipeline below the
-	// recording wrapper. Nil keeps the hot path bare.
+	// slow-query exemplars re-run through the router's pipeline without
+	// recording. Nil keeps the hot path bare.
 	Workload *wstats.Collector
 	// CacheEntries, when > 0, gives the store roughly that many result-
 	// cache entries in total: every shard's LiveStore is opened with
@@ -121,7 +121,7 @@ type Config struct {
 
 // shardedMetrics caches the router's resolved instruments.
 type shardedMetrics struct {
-	latency        *obs.Histogram // end-to-end scatter-gather, incl. seqlock retries
+	latency        *obs.Histogram // end-to-end, plan (incl. seqlock retries) to merged answer
 	fanout         *obs.Histogram
 	scanned        *obs.Counter
 	pruned         *obs.Counter
@@ -177,7 +177,7 @@ var errClosed = errors.New("sharded: store is closed")
 
 // Store serves one logical table from N independent LiveStore shards.
 //
-// Concurrency: Execute/ExecuteWith/Stats may be called from any
+// Concurrency: Execute/ExecuteWith/Plan/Stats may be called from any
 // number of goroutines and never block on writers or maintenance.
 // Insert/InsertBatch may be called from any number of goroutines; batches
 // to different shards proceed fully in parallel, and concurrent batches
@@ -442,12 +442,11 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 			}
 			return total
 		}
-		// Slow-query exemplars re-run through the router's pipeline
-		// below the recording wrapper, so a capture never re-records
-		// into the collector.
+		// Slow-query exemplars re-run through the router's pipeline with
+		// no collector to record into, so a capture never re-records.
 		trace := func(q query.Query) *obs.QueryTrace {
 			tr := new(obs.QueryTrace)
-			s.run(q, index.Exec{Trace: tr})
+			s.plan(q, index.Exec{Trace: tr}, nil).Execute()
 			return tr
 		}
 		s.workload.Bind(wstats.BindingOf(rows, trace, stores...))
@@ -508,46 +507,6 @@ func (s *Store) countRoute(scanned int) {
 	}
 }
 
-// readStable runs fn against a stable topology, seqlock-style: if a
-// migration's commit window overlaps the attempt, the result is discarded
-// and the read retried once the window closes. Reads therefore never
-// block on a lock, yet never observe a half-migrated placement (rows
-// counted twice in source and destination, or in neither) — every
-// partial is an exact (count, sum) pair, per group for a grouped query,
-// so a retried read is simply the right answer. fn reports how many
-// shards it scanned through scanned; pruning counters are updated only
-// for the attempt whose result is returned.
-func (s *Store) readStable(fn func(top *topology, scanned *int) colstore.ScanResult) colstore.ScanResult {
-	m := s.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	for attempt := 0; ; attempt++ {
-		g := s.migrating.Load()
-		if g&1 == 0 {
-			var scanned int
-			res := fn(s.topo.Load(), &scanned)
-			if s.migrating.Load() == g {
-				s.countRoute(scanned)
-				if m != nil {
-					// End-to-end scatter-gather latency, retries included —
-					// this is the p99 a client of the sharded store sees.
-					m.latency.RecordDuration(time.Since(start))
-				}
-				return res
-			}
-		}
-		if attempt < 4 {
-			runtime.Gosched()
-		} else {
-			// A migration commit is in flight; its cost is proportional to
-			// the moved rows, so back off instead of burning a core.
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-}
-
 // Execute implements index.Index: ExecuteWith, inline and untraced. Use
 // an Executor with IntraQuery for parallel scatter-gather.
 func (s *Store) Execute(q query.Query) colstore.ScanResult {
@@ -561,112 +520,202 @@ func (s *Store) ExecuteGrouped(q query.Query) colstore.GroupedResult {
 }
 
 // ExecuteWith answers one query — flat or grouped — scatter-gather
-// style and records it into the workload statistics, once, at the
-// router (see run for the pipeline).
+// style: Plan, then Execute.
 func (s *Store) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
-	w := s.workload
-	if w == nil {
-		return s.run(q, x)
-	}
-	start := time.Now()
-	res := s.run(q, x)
-	w.Record(q, time.Since(start), res.Count, res.PointsScanned, res.BytesTouched)
-	return res
+	return s.Plan(q, x).Execute()
 }
 
-// run is the router's pipeline, each concern exactly once: under one
-// seqlock-stable topology, route (the partitioner prunes shards), scatter
-// to the surviving shards, merge their partials exactly. Results are
-// cached below the router, by each shard at its own epoch.
-// Lock-free: each shard read resolves that shard's current epoch, and
-// migration windows are retried, not waited on. With x.Trace set the
-// same code records the pruning decision, a span per surviving shard and
-// the gather-merge cost; a seqlock retry rebuilds the trace from
-// scratch, so spans from a discarded attempt never leak into it.
-func (s *Store) run(q query.Query, x index.Exec) colstore.ScanResult {
-	tr := x.Trace
-	var began time.Time
-	if tr != nil {
-		began = time.Now()
-	}
-	res := s.readStable(func(top *topology, scanned *int) colstore.ScanResult {
-		var mark time.Time
-		if tr != nil {
-			tr.Stages, tr.Shards, tr.Regions = tr.Stages[:0], tr.Shards[:0], 0
-			mark = time.Now()
-		}
-		ids := top.parts.Shards(q, make([]int, 0, len(s.shards)))
-		*scanned = len(ids)
-		if tr != nil {
-			mark = tr.Stage("route", mark,
-				fmt.Sprintf("%d of %d shards survive pruning (gen %d)", len(ids), len(s.shards), top.gen))
-		}
+// plan is one query routed and planned on every surviving shard, each
+// shard plan pinning that shard's epoch.
+type plan struct {
+	s       *Store
+	q       query.Query
+	x       index.Exec
+	w       *wstats.Collector // records the executed query; nil for a slow-query exemplar
+	began   time.Time         // set when metrics, workload stats or a trace time the query
+	planned time.Duration     // a traced plan's planning time, for the trace's Total
+	ids     []int             // the routed shards
+	shards  []index.Plan      // their plans, aligned with ids
+	subs    []obs.QueryTrace  // a traced plan's per-shard traces, aligned with ids
+}
 
-		var res colstore.ScanResult
-		parts := s.scatter(q, ids, x)
-		if tr != nil {
-			name, detail := "scan", ""
-			if q.Grouped() {
-				var regime colstore.GroupRegime
-				for _, p := range parts {
-					regime = max(regime, p.Regime)
+var planPool = sync.Pool{New: func() any { return new(plan) }}
+
+// Plan is the router's plan step: under one seqlock-stable topology,
+// route q (the partitioner prunes shards) and plan it on every surviving
+// shard (live.Store.Plan), each shard plan pinning its epoch. If a
+// migration's commit window overlaps planning, the shard plans are
+// released and planning retried once the window closes — nothing has
+// been scanned yet. Planning therefore never blocks on a lock, yet a plan
+// never spans a half-migrated placement (rows counted twice in source and
+// destination, or in neither), and because epochs are immutable it
+// answers exactly for that placement whenever it executes. Executing the
+// plan scatters the shard plans, merges their partials exactly — every
+// partial is an exact (count, sum) pair, per group for a grouped query —
+// and records the query once, at the router. Results are cached below
+// the router, by each shard at its own epoch. With x.Trace set the same
+// code records the routing and planning, a span per surviving shard and
+// the gather-merge cost; a retried planning restarts the trace's stages,
+// and spans are added only as the plan executes, so nothing from a
+// discarded attempt leaks into it.
+func (s *Store) Plan(q query.Query, x index.Exec) index.Plan {
+	return s.plan(q, x, s.workload)
+}
+
+func (s *Store) plan(q query.Query, x index.Exec, w *wstats.Collector) *plan {
+	p := planPool.Get().(*plan)
+	p.s, p.q, p.x, p.w = s, q, x, w
+	tr := x.Trace
+	if s.metrics != nil || w != nil || tr != nil {
+		p.began = time.Now()
+	}
+	for attempt := 0; ; attempt++ {
+		if g := s.migrating.Load(); g&1 == 0 {
+			if s.planShards(p, g) {
+				if tr != nil {
+					p.planned = time.Since(p.began)
 				}
-				name, detail = "scan+group", "regime "+regime.String()
+				return p
 			}
-			mark = tr.Stage(name, mark, detail)
+			p.releaseShards()
 		}
-		if len(parts) > 0 {
-			// parts[0] is this attempt's own: merging into it in place
-			// spares a single-shard answer its copy.
-			res = parts[0]
-			for _, p := range parts[1:] {
-				res.Merge(p)
-			}
+		if attempt < 4 {
+			runtime.Gosched()
+		} else {
+			// A migration commit is in flight; its cost is proportional to
+			// the moved rows, so back off instead of burning a core.
+			time.Sleep(200 * time.Microsecond)
 		}
-		if tr != nil {
-			tr.Stage("merge", mark, fmt.Sprintf("%d partials, %d groups", len(parts), len(res.Groups)))
-		}
-		return res
-	})
+	}
+}
+
+// planShards is one planning attempt at migration sequence g; it reports
+// whether no commit window overlapped it.
+func (s *Store) planShards(p *plan, g uint64) bool {
+	q, tr := p.q, p.x.Trace
+	var mark time.Time
 	if tr != nil {
+		tr.Stages = tr.Stages[:0]
+		mark = time.Now()
+	}
+	top := s.topo.Load()
+	p.ids = top.parts.Shards(q, p.ids[:0])
+	if tr != nil {
+		p.subs = make([]obs.QueryTrace, len(p.ids))
+	}
+	for i, id := range p.ids {
+		var sx index.Exec
+		if tr != nil {
+			sx.Trace = &p.subs[i]
+		}
+		p.shards = append(p.shards, s.shards[id].Plan(q, sx))
+	}
+	if tr != nil {
+		tr.Stage("route", mark, fmt.Sprintf("%d of %d shards survive pruning (gen %d) and are planned", len(p.ids), len(s.shards), top.gen))
+	}
+	return s.migrating.Load() == g
+}
+
+// Cost is the sum of the routed shards' plan prices.
+func (p *plan) Cost() (rows, bytes uint64) {
+	for _, sp := range p.shards {
+		r, b := sp.Cost()
+		rows += r
+		bytes += b
+	}
+	return rows, bytes
+}
+
+// releaseShards gives back the shard plans not yet executed.
+func (p *plan) releaseShards() {
+	for _, sp := range p.shards {
+		sp.Release()
+	}
+	p.shards = p.shards[:0]
+}
+
+// Release gives the plan back unexecuted: no shard scanned or counted.
+func (p *plan) Release() {
+	p.releaseShards()
+	*p = plan{ids: p.ids[:0], shards: p.shards}
+	planPool.Put(p)
+}
+
+// Execute scatters the shard plans, merges their partials, and records
+// the query: routing counters, end-to-end latency from the plan (this is
+// the p99 a client of the sharded store sees), workload statistics.
+func (p *plan) Execute() colstore.ScanResult {
+	s, q, tr := p.s, p.q, p.x.Trace
+	var began, mark time.Time
+	if tr != nil {
+		// Total counts the planning and this execution, not whatever ran
+		// between them.
+		mark = time.Now()
+		began = mark.Add(-p.planned)
+	}
+	var res colstore.ScanResult
+	parts := p.scatter()
+	p.shards = p.shards[:0] // each executed shard plan released itself
+	if tr != nil {
+		name, detail := "scan", ""
+		if q.Grouped() {
+			var regime colstore.GroupRegime
+			for _, part := range parts {
+				regime = max(regime, part.Regime)
+			}
+			name, detail = "scan+group", "regime "+regime.String()
+		}
+		mark = tr.Stage(name, mark, detail)
+	}
+	if len(parts) > 0 {
+		// parts[0] is this query's own: merging into it in place spares a
+		// single-shard answer its copy.
+		res = parts[0]
+		for _, part := range parts[1:] {
+			res.Merge(part)
+		}
+	}
+	if tr != nil {
+		end := tr.Stage("merge", mark, fmt.Sprintf("%d partials, %d groups", len(parts), len(res.Groups)))
 		tr.Query = q.String()
-		tr.Total = time.Since(began)
+		tr.Total = end.Sub(began)
 		tr.Rows = res.PointsScanned
 		tr.Bytes = res.BytesTouched
 	}
+	s.countRoute(len(p.ids))
+	if m := s.metrics; m != nil {
+		m.latency.RecordDuration(time.Since(p.began))
+	}
+	if w := p.w; w != nil {
+		w.Record(q, time.Since(p.began), res.Count, res.PointsScanned, res.BytesTouched)
+	}
+	p.Release()
 	return res
 }
 
-// scatter executes q on every routed shard and returns the shards'
-// answers in routing order: on the calling goroutine, or — x.Workers > 1
-// — drained by up to that many tasks handed to x.Submit (typically an
-// Executor's worker pool; nil spawns goroutines). Shard sizes are skewed
-// (pruning can leave one big shard and several small ones), so tasks
-// pull the next shard from a shared cursor; they never block on other
-// tasks, so running them on a shared pool cannot deadlock. Each shard
-// runs its own pipeline inline: the pool's parallelism is spent across
-// shards. A traced run executes shard by shard on the calling goroutine,
-// deliberately: sequential spans attribute time to shards exactly.
-func (s *Store) scatter(q query.Query, ids []int, x index.Exec) []colstore.ScanResult {
-	parts := make([]colstore.ScanResult, len(ids))
-	workers := min(x.Workers, len(ids))
+// scatter executes every shard plan and returns the shards' answers in
+// routing order: on the calling goroutine, or — Workers > 1 — drained by
+// up to that many tasks handed to Submit (typically an Executor's worker
+// pool; nil spawns goroutines). Shard sizes are skewed (pruning can leave
+// one big shard and several small ones), so tasks pull the next shard
+// from a shared cursor; they never block on other tasks, so running them
+// on a shared pool cannot deadlock. Each shard runs its own pipeline
+// inline: the pool's parallelism is spent across shards. A traced run
+// executes shard by shard on the calling goroutine, and each shard's span
+// is its own traced plan and execution.
+func (p *plan) scatter() []colstore.ScanResult {
+	shards, x := p.shards, p.x
+	parts := make([]colstore.ScanResult, len(shards))
+	workers := min(x.Workers, len(shards))
 	if tr := x.Trace; tr != nil || workers <= 1 {
-		for i, id := range ids {
-			if tr == nil {
-				parts[i] = s.shards[id].ExecuteWith(q, index.Exec{})
-				continue
+		for i, sp := range shards {
+			parts[i] = sp.Execute()
+			if tr != nil {
+				sub := &p.subs[i]
+				tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: p.ids[i], Duration: sub.Total,
+					Rows: parts[i].PointsScanned, Bytes: parts[i].BytesTouched, Regions: sub.Regions})
+				tr.Regions += sub.Regions
 			}
-			start := time.Now()
-			var sub obs.QueryTrace
-			parts[i] = s.shards[id].ExecuteWith(q, index.Exec{Trace: &sub})
-			tr.Shards = append(tr.Shards, obs.ShardSpan{
-				Shard:    id,
-				Duration: time.Since(start),
-				Rows:     parts[i].PointsScanned,
-				Bytes:    parts[i].BytesTouched,
-				Regions:  sub.Regions,
-			})
-			tr.Regions += sub.Regions
 		}
 		return parts
 	}
@@ -682,30 +731,15 @@ func (s *Store) scatter(q query.Query, ids []int, x index.Exec) []colstore.ScanR
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(ids) {
+				if i >= len(shards) {
 					break
 				}
-				parts[i] = s.shards[ids[i]].ExecuteWith(q, index.Exec{})
+				parts[i] = shards[i].Execute()
 			}
 		})
 	}
 	wg.Wait()
 	return parts
-}
-
-// EstimateCost bounds q's plan-time scan cost: the sum of the routed
-// (unpruned) shards' own estimates under the current topology (see
-// core.Tsunami.EstimateCost). The Executor's admission budgets use it to
-// reject over-budget queries before any shard scans.
-func (s *Store) EstimateCost(q query.Query) (rows, bytes uint64) {
-	top := s.topo.Load()
-	ids := top.parts.Shards(q, make([]int, 0, len(s.shards)))
-	for _, id := range ids {
-		r, b := s.shards[id].EstimateCost(q)
-		rows += r
-		bytes += b
-	}
-	return rows, bytes
 }
 
 // Name implements index.Index.
