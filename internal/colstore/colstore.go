@@ -216,8 +216,10 @@ func (r ScanResult) Avg() float64 {
 // If exact is true the caller guarantees every row in the range matches every
 // filter, so per-value checks are skipped — the paper's scan-time
 // optimization. For COUNT with exact ranges no column data is touched at all.
-// Filtered (non-exact) ranges run on the branch-free block kernels in
-// kernels.go; ScanRangeScalar retains the row-at-a-time loop as the oracle.
+// Filtered (non-exact) ranges run on one branch-free fused kernel for any
+// filter count (kernels.go), which compares every filter in registers and
+// folds each group of rows at once; ScanRangeScalar retains the
+// row-at-a-time loop as the oracle.
 func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanResult) {
 	if start < 0 {
 		start = 0
@@ -255,26 +257,23 @@ func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanRe
 		}
 	}
 
-	switch len(q.Filters) {
-	case 0:
-		res.Count += n
-		if q.Agg == query.Sum {
-			col := s.cols[q.AggDim][start:end]
-			var sum int64
-			for _, v := range col {
-				sum += v
-			}
-			res.Sum += sum
+	if len(q.Filters) > 0 {
+		s.scanFiltered(q, start, end, res)
+		return
+	}
+	res.Count += n
+	if q.Agg == query.Sum {
+		col := s.cols[q.AggDim][start:end]
+		var sum int64
+		for _, v := range col {
+			sum += v
 		}
-	case 1:
-		s.scanOneFilter(q, start, end, res)
-	default:
-		s.scanManyFilters(q, start, end, res)
+		res.Sum += sum
 	}
 }
 
 // ScanRangeScalar is the pre-kernel row-at-a-time implementation of
-// ScanRange, retained verbatim as the oracle the block kernels are
+// ScanRange, retained verbatim as the oracle the kernels are
 // property-tested and benchmarked against.
 func (s *Store) ScanRangeScalar(q query.Query, start, end int, exact bool, res *ScanResult) {
 	if start < 0 {

@@ -57,6 +57,18 @@ import (
 // do, with AVG derived from the merged pair, never averaged across
 // partials.
 
+const (
+	// blockRows is the grouped scan's block size: 16 mask words of 64
+	// rows. Each filter revisits the block, then the accumulator does:
+	// 1024 rows x 8 B = 8 KiB per column, so a few filter columns plus
+	// the group and SUM columns stay resident in L1d (32-48 KiB) for the
+	// later passes instead of re-streaming from L2. Doubling to 2048 rows
+	// overflows L1d at 3+ filters; halving doubles the per-block dispatch
+	// overhead without improving residency.
+	blockRows  = 1024
+	blockWords = blockRows / 64
+)
+
 // SelVector is a materialized selection over a physical row range: bit k
 // of Words[w] is set iff row Start+w*64+k matched every filter. Bits at
 // or beyond Rows are always clear. It is the intermediate between the
@@ -628,12 +640,13 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 		acc.consume(gcol, aggCol, codes, b0, sel)
 	}
 
-	// The sub-word tail runs row-at-a-time, like the flat kernels'. Mask
-	// kernels over the tail (an overlapped 64-row word, or an exact-length
-	// vector compare) measured ~20% slower on a learned-grid plan, which
-	// is mostly ranges shorter than a word: those are bound by the cache
-	// lines they touch, and a row that fails one filter never touches
-	// the next filter's column.
+	// The sub-word tail runs row-at-a-time. Mask kernels over the tail (an
+	// overlapped 64-row word, or an exact-length vector compare) measured
+	// ~20% slower on a learned-grid plan, which is mostly ranges shorter
+	// than a word: those are bound by the cache lines they touch, and a
+	// row that fails one filter never touches the next filter's column.
+	// (The flat scan writes no mask words, so its fused kernel vectorizes
+	// down to a range's last 3 rows.)
 	for i := full; i < end; i++ {
 		if s.rowMatches(filters, i) {
 			var v int64

@@ -20,13 +20,7 @@ type GroupedBenchShape struct {
 }
 
 // Rows returns the number of rows the shape's ranges cover.
-func (sh GroupedBenchShape) Rows() int {
-	n := 0
-	for _, r := range sh.Ranges {
-		n += r[1] - r[0]
-	}
-	return n
-}
+func (sh GroupedBenchShape) Rows() int { return rangeRows(sh.Ranges) }
 
 // GroupedBenchKeys are the distinct-key counts of the fixture's three
 // group columns: one under the byte-code bound, a taxi zone's 263, and
@@ -38,8 +32,7 @@ var GroupedBenchKeys = [3]int{8, 263, 4096}
 // GroupedBenchKeys — and its shapes: the canonical count_1f filter with
 // a GROUP BY on each column, COUNT and SUM, over one full-table range,
 // and two plan-shaped ones: a learned-grid plan's list of short ranges
-// (two in three shorter than one 64-row mask word, the Fig 7 taxi mix's
-// share) under two filters, grouped by the 263-key column.
+// (benchPlan) under two filters, grouped by the 263-key column.
 func GroupedBench(rows int, seed int64) (*Store, []GroupedBenchShape) {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([][]int64, 4, 7)
@@ -62,16 +55,7 @@ func GroupedBench(rows int, seed int64) (*Store, []GroupedBenchShape) {
 		panic(err) // equal-length columns by construction
 	}
 
-	var plan [][2]int
-	for start := 0; start < rows; {
-		length := 1 + rng.Intn(63)
-		if rng.Intn(3) == 0 {
-			length = 64 + rng.Intn(400)
-		}
-		end := min(start+length, rows)
-		plan = append(plan, [2]int{start, end})
-		start = end + rng.Intn(2000)
-	}
+	plan := benchPlan(rng, rows)
 	full := [][2]int{{0, rows}}
 	f := func(dim int) query.Filter { return query.Filter{Dim: dim, Lo: 250_000, Hi: 750_000} }
 	shape := func(name string, flat query.Query, by int, ranges [][2]int) GroupedBenchShape {

@@ -4,9 +4,9 @@ package colstore
 
 // Mask-word dispatch for the grouped pipeline: route to the AVX2 mask
 // kernels when dispatch is enabled, otherwise to the portable word
-// helpers. These carry the same contract as the flat kernels' block
-// loop: write-then-AND semantics with dead-word skip, returning the OR
-// of the produced words.
+// helpers. Both tiers have the contract maskBlockInto relies on:
+// write-then-AND semantics with dead-word skip, returning the OR of the
+// produced words.
 
 func maskWordsInto(col []int64, out []uint64, nw int, lo int64, width uint64) uint64 {
 	if simdEnabled() {

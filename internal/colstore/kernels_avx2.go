@@ -3,7 +3,7 @@
 package colstore
 
 import (
-	"math/bits"
+	"math"
 	"os"
 	"sync/atomic"
 
@@ -27,19 +27,13 @@ func xgetbv0() (eax, edx uint32)
 func prefetchT0(p *int64, rows int)
 
 //go:noescape
-func rangeCountAVX2(vals *int64, n int, lo int64, width uint64) uint64
-
-//go:noescape
-func rangeCountSumAVX2(col, agg *int64, n int, lo int64, width uint64) (count uint64, sum int64)
+func rangeCountSumNAVX2(args *filterArg, k int, agg *int64, n int) (count uint64, sum int64)
 
 //go:noescape
 func maskWordsAVX2(vals *int64, out *uint64, nWords int, lo int64, width uint64) uint64
 
 //go:noescape
 func maskWordsAndAVX2(vals *int64, out *uint64, nWords int, lo int64, width uint64) uint64
-
-//go:noescape
-func maskedSumAVX2(agg *int64, mask *uint64, nWords int) int64
 
 var haveAVX2 = detectAVX2()
 
@@ -121,121 +115,39 @@ func (s *Store) Prefetch(q query.Query, start, end int) {
 	}
 }
 
-// scanOneFilterSIMD is the AVX2 single-filter kernel: one fused pass,
-// 4 lanes per compare, no mask materialization. The asm loops prefetch
-// ~1KiB ahead of every load stream.
-func (s *Store) scanOneFilterSIMD(q query.Query, start, end int, res *ScanResult) {
-	f := q.Filters[0]
-	col := s.cols[f.Dim][start:end]
-	width := uint64(f.Hi - f.Lo)
-	n := len(col)
-	nw := n &^ 63
-	if q.Agg == query.Count {
-		var count uint64
-		if nw > 0 {
-			count = rangeCountAVX2(&col[0], nw, f.Lo, width)
-		}
-		for _, v := range col[nw:] {
-			if v >= f.Lo && v <= f.Hi {
-				count++
-			}
-		}
-		res.Count += count
-		return
-	}
-	agg := s.cols[q.AggDim][start:end]
-	var count uint64
-	var sum int64
-	if nw > 0 {
-		count, sum = rangeCountSumAVX2(&col[0], &agg[0], nw, f.Lo, width)
-	}
-	for i := nw; i < n; i++ {
-		if v := col[i]; v >= f.Lo && v <= f.Hi {
-			count++
-			sum += agg[i]
-		}
-	}
-	res.Count += count
-	res.Sum += sum
+// filterArg is one filter as rangeCountSumNAVX2 reads it: col is the
+// filter's column at the range's first row, lo and width are biased by
+// 2^63 for the signed compare (see kernels_avx2_amd64.s).
+type filterArg struct {
+	col       *int64
+	lo, width int64
 }
 
-// scanManyFiltersSIMD mirrors the portable N-filter kernel block loop,
-// with the per-word work in AVX2: the first filter writes each block's
-// masks, later filters AND into them (skipping dead words inside the
-// asm), and SUM reads the combined mask via the vectorized masked
-// accumulator. Before computing a block it software-prefetches the next
-// block of the first filter column (and the aggregate column for SUM) —
-// the streams the block loop is guaranteed to touch next — so line
-// fills overlap with the current block's compute.
-func (s *Store) scanManyFiltersSIMD(q query.Query, start, end int, res *ScanResult) {
-	var mask [blockWords]uint64
+// scanFilteredSIMD is the AVX2 fused kernel: every filter compared in
+// registers, 16 then 4 rows at a time, and folded with no mask written;
+// the last 0-3 rows go to foldRows. Up to 8 filters' arguments live on
+// the stack, so a scan allocates nothing.
+func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult) {
 	var agg []int64
-	doSum := q.Agg == query.Sum
-	if doSum {
-		agg = s.cols[q.AggDim][start:end]
+	if q.Agg == query.Sum {
+		agg = s.cols[q.AggDim]
 	}
-	col0 := s.cols[q.Filters[0].Dim]
-	n := end - start
-	count := 0
+	body := start + (end-start)&^3
+	var count uint64
 	var sum int64
-	for b0 := 0; b0 < n; b0 += blockRows {
-		bn := n - b0
-		if bn > blockRows {
-			bn = blockRows
+	if body > start {
+		var buf [8]filterArg
+		args := buf[:0]
+		for _, f := range q.Filters {
+			args = append(args, filterArg{&s.cols[f.Dim][start], f.Lo ^ math.MinInt64, (f.Hi - f.Lo) ^ math.MinInt64})
 		}
-		if next := b0 + blockRows; next < n {
-			nn := n - next
-			if nn > blockRows {
-				nn = blockRows
-			}
-			prefetchT0(&col0[start+next], nn)
-			if doSum {
-				prefetchT0(&agg[next], nn)
-			}
+		var aggp *int64
+		if agg != nil {
+			aggp = &agg[start]
 		}
-		nw := bn >> 6
-		var any uint64
-		if nw > 0 {
-			for fi, f := range q.Filters {
-				colp := &s.cols[f.Dim][start+b0]
-				width := uint64(f.Hi - f.Lo)
-				if fi == 0 {
-					any = maskWordsAVX2(colp, &mask[0], nw, f.Lo, width)
-				} else {
-					any = maskWordsAndAVX2(colp, &mask[0], nw, f.Lo, width)
-				}
-				if any == 0 {
-					break
-				}
-			}
-		}
-		if any != 0 {
-			for w := 0; w < nw; w++ {
-				count += bits.OnesCount64(mask[w])
-			}
-			if doSum {
-				sum += maskedSumAVX2(&agg[b0], &mask[0], nw)
-			}
-		}
-		// Scalar tail: the final sub-word rows of the last block.
-		for i := b0 + nw*64; i < b0+bn; i++ {
-			row := start + i
-			ok := true
-			for _, f := range q.Filters {
-				v := s.cols[f.Dim][row]
-				if v < f.Lo || v > f.Hi {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				count++
-				if doSum {
-					sum += s.cols[q.AggDim][row]
-				}
-			}
-		}
+		count, sum = rangeCountSumNAVX2(&args[0], len(args), aggp, body-start)
 	}
-	res.Count += uint64(count)
-	res.Sum += sum
+	c, sm := s.foldRows(q, agg, body, end)
+	res.Count += count + c
+	res.Sum += sum + sm
 }

@@ -2,23 +2,24 @@
 
 #include "textflag.h"
 
-// AVX2 scan kernels: 4x int64 lanes per instruction, same block structure
-// and exact semantics as the portable branch-free kernels in kernels.go.
+// AVX2 scan kernels: 4x int64 lanes per instruction, exact semantics of
+// the portable branch-free kernels in kernels.go. rangeCountSumNAVX2 is
+// the flat scan; the mask-word kernels serve the grouped scan.
 //
 // The range predicate uint64(v-lo) <= width is evaluated with the signed
 // compare VPCMPGTQ via the bias trick: adding 2^63 (mod 2^64) to both
 // sides of an unsigned compare turns it into the signed compare of the
 // biased values. Because 2^63 is only the sign bit, v - lo + 2^63 folds
 // into a single VPSUBQ by the precomputed scalar lo' = lo - 2^63, and
-// width + 2^63 is precomputed once per call. VPCMPGTQ(u, w') then yields
-// all-ones exactly on the NON-matching lanes, which both the counting
-// kernels (accumulate -1 per non-match) and the masked-sum kernel
-// (VPANDN clears non-matching lanes) consume without a NOT.
+// width' = width + 2^63 is precomputed too. VPCMPGTQ(u, width') then
+// yields all-ones exactly on the NON-matching lanes, which COUNT
+// (accumulate -1 per non-match) and SUM (VPANDN clears non-matching
+// lanes) consume without a NOT.
 //
-// Every loop software-prefetches ~1KiB ahead of the load stream: scans are
-// memory-bound past ~1 GB/s/core, and the explicit PREFETCHT0 keeps the
-// line fills ahead of the 4-lane consume rate across block boundaries
-// where the hardware streamer has to restart.
+// Every 16-row loop software-prefetches ~1KiB ahead of each load stream:
+// scans are memory-bound past ~1 GB/s/core, and the explicit PREFETCHT0
+// keeps the line fills ahead of the consume rate where the hardware
+// streamer has to restart.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -55,61 +56,138 @@ pf_loop:
 pf_done:
 	RET
 
-// func rangeCountAVX2(vals *int64, n int, lo int64, width uint64) uint64
-// Counts vals[i] with uint64(vals[i]-lo) <= width. n must be a multiple
-// of 4 (callers pass multiples of 64).
-TEXT ·rangeCountAVX2(SB), NOSPLIT, $0-40
-	MOVQ vals+0(FP), SI
-	MOVQ n+8(FP), CX
-	MOVQ CX, R8                 // saved n: count = n + sum(acc lanes)
-	MOVQ $0x8000000000000000, DX
-	MOVQ lo+16(FP), AX
-	SUBQ DX, AX                 // lo' = lo - 2^63
-	MOVQ AX, X1
-	VPBROADCASTQ X1, Y1
-	MOVQ width+24(FP), AX
-	ADDQ DX, AX                 // width' = width + 2^63
-	MOVQ AX, X2
-	VPBROADCASTQ X2, Y2
-	VPXOR Y10, Y10, Y10         // four accumulators of -1 per non-match
+// func rangeCountSumNAVX2(args *filterArg, k int, agg *int64, n int) (count uint64, sum int64)
+// The fused scan kernel: counts the rows among the n that match all k
+// filters (k >= 1) and, when agg is non-nil, sums agg over them. args[j]
+// is {col at the range's first row, lo', width'}; n must be a multiple of 4.
+//
+// Per group of rows the first filter writes one non-match mask per YMM
+// and every later filter ORs into it; the group then folds the masks:
+// COUNT adds them (-1 per non-match lane, so count = n + lanes), SUM adds
+// agg with those lanes cleared.
+//
+// Registers: DI args, R8 k, DX agg, CX rows left, BX byte offset of the
+// group, R9/R10 the filter cursor and filters left, SI the filter's
+// column. Y0/Y1 lo'/width', Y2-Y5 a later filter's masks, Y6-Y9 the
+// group's masks, Y10-Y13 the count and Y14/Y15 the sum accumulators.
+
+// FILTER loads the filter at R9: its column into SI, lo' and width' into
+// Y0 and Y1.
+#define FILTER \
+	MOVQ (R9), SI; \
+	VPBROADCASTQ 8(R9), Y0; \
+	VPBROADCASTQ 16(R9), Y1
+
+// COMPARE16 sets r0-r3 to the non-match masks of the 16 rows at SI+BX
+// (all-ones where u = v - lo' > width') and prefetches 1 KiB ahead.
+#define COMPARE16(r0, r1, r2, r3) \
+	VMOVDQU (SI)(BX*1), r0; \
+	VMOVDQU 32(SI)(BX*1), r1; \
+	VMOVDQU 64(SI)(BX*1), r2; \
+	VMOVDQU 96(SI)(BX*1), r3; \
+	PREFETCHT0 1024(SI)(BX*1); \
+	PREFETCHT0 1088(SI)(BX*1); \
+	VPSUBQ Y0, r0, r0; \
+	VPSUBQ Y0, r1, r1; \
+	VPSUBQ Y0, r2, r2; \
+	VPSUBQ Y0, r3, r3; \
+	VPCMPGTQ Y1, r0, r0; \
+	VPCMPGTQ Y1, r1, r1; \
+	VPCMPGTQ Y1, r2, r2; \
+	VPCMPGTQ Y1, r3, r3
+
+// COMPARE4 is COMPARE16 for the 4 rows at SI+BX, without prefetch.
+#define COMPARE4(r0) \
+	VMOVDQU (SI)(BX*1), r0; \
+	VPSUBQ Y0, r0, r0; \
+	VPCMPGTQ Y1, r0, r0
+
+TEXT ·rangeCountSumNAVX2(SB), NOSPLIT, $0-48
+	MOVQ args+0(FP), DI
+	MOVQ k+8(FP), R8
+	MOVQ agg+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ CX, R11                // saved n
+	XORQ BX, BX
+	VPXOR Y10, Y10, Y10
 	VPXOR Y11, Y11, Y11
 	VPXOR Y12, Y12, Y12
 	VPXOR Y13, Y13, Y13
-rc_loop16:
-	CMPQ CX, $16
-	JL   rc_loop4
-	VMOVDQU (SI), Y3
-	VMOVDQU 32(SI), Y4
-	VMOVDQU 64(SI), Y5
-	VMOVDQU 96(SI), Y6
-	PREFETCHT0 1024(SI)
-	PREFETCHT0 1088(SI)
-	VPSUBQ Y1, Y3, Y3           // u = v - lo'
-	VPSUBQ Y1, Y4, Y4
-	VPSUBQ Y1, Y5, Y5
-	VPSUBQ Y1, Y6, Y6
-	VPCMPGTQ Y2, Y3, Y3         // all-ones where u > width' (non-match)
-	VPCMPGTQ Y2, Y4, Y4
-	VPCMPGTQ Y2, Y5, Y5
-	VPCMPGTQ Y2, Y6, Y6
-	VPADDQ Y3, Y10, Y10
-	VPADDQ Y4, Y11, Y11
-	VPADDQ Y5, Y12, Y12
-	VPADDQ Y6, Y13, Y13
-	ADDQ $128, SI
+	VPXOR Y14, Y14, Y14
+	VPXOR Y15, Y15, Y15
 	SUBQ $16, CX
-	JMP  rc_loop16
-rc_loop4:
-	CMPQ CX, $4
-	JL   rc_done
-	VMOVDQU (SI), Y3
-	VPSUBQ Y1, Y3, Y3
-	VPCMPGTQ Y2, Y3, Y3
-	VPADDQ Y3, Y10, Y10
-	ADDQ $32, SI
+	JL   rcn_tail16
+
+rcn_loop16:
+	MOVQ DI, R9
+	MOVQ R8, R10
+	FILTER
+	COMPARE16(Y6, Y7, Y8, Y9)
+	JMP  rcn_next16
+rcn_filter16:
+	FILTER
+	COMPARE16(Y2, Y3, Y4, Y5)
+	VPOR Y2, Y6, Y6
+	VPOR Y3, Y7, Y7
+	VPOR Y4, Y8, Y8
+	VPOR Y5, Y9, Y9
+rcn_next16:
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  rcn_filter16
+
+	TESTQ DX, DX
+	JZ   rcn_count16
+	LEAQ (DX)(BX*1), AX
+	VPANDN (AX), Y6, Y2         // agg where every filter matched, 0 elsewhere
+	VPANDN 32(AX), Y7, Y3
+	VPANDN 64(AX), Y8, Y4
+	VPANDN 96(AX), Y9, Y5
+	PREFETCHT0 1024(AX)
+	PREFETCHT0 1088(AX)
+	VPADDQ Y3, Y2, Y2
+	VPADDQ Y5, Y4, Y4
+	VPADDQ Y2, Y14, Y14
+	VPADDQ Y4, Y15, Y15
+rcn_count16:
+	VPADDQ Y6, Y10, Y10
+	VPADDQ Y7, Y11, Y11
+	VPADDQ Y8, Y12, Y12
+	VPADDQ Y9, Y13, Y13
+	ADDQ $128, BX
+	SUBQ $16, CX
+	JGE  rcn_loop16
+
+rcn_tail16:
+	ADDQ $16, CX                // 0-15 rows left, a multiple of 4
+	JZ   rcn_done
+
+rcn_loop4:
+	MOVQ DI, R9
+	MOVQ R8, R10
+	FILTER
+	COMPARE4(Y6)
+	JMP  rcn_next4
+rcn_filter4:
+	FILTER
+	COMPARE4(Y2)
+	VPOR Y2, Y6, Y6
+rcn_next4:
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  rcn_filter4
+
+	TESTQ DX, DX
+	JZ   rcn_count4
+	VPANDN (DX)(BX*1), Y6, Y2
+	VPADDQ Y2, Y14, Y14
+rcn_count4:
+	VPADDQ Y6, Y10, Y10
+	ADDQ $32, BX
 	SUBQ $4, CX
-	JMP  rc_loop4
-rc_done:
+	JNZ  rcn_loop4
+
+rcn_done:
 	VPADDQ Y11, Y10, Y10
 	VPADDQ Y13, Y12, Y12
 	VPADDQ Y12, Y10, Y10
@@ -117,84 +195,17 @@ rc_done:
 	VPADDQ X3, X10, X10
 	VPSRLDQ $8, X10, X3
 	VPADDQ X3, X10, X10
+	VPADDQ Y15, Y14, Y14
+	VEXTRACTI128 $1, Y14, X4
+	VPADDQ X4, X14, X14
+	VPSRLDQ $8, X14, X4
+	VPADDQ X4, X14, X14
 	VZEROUPPER
 	MOVQ X10, AX
-	ADDQ R8, AX                 // n - nonmatches
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func rangeCountSumAVX2(col, agg *int64, n int, lo int64, width uint64) (count uint64, sum int64)
-// Fused single-filter SUM kernel: count matches of col and sum agg over
-// the matching lanes. n must be a multiple of 4.
-TEXT ·rangeCountSumAVX2(SB), NOSPLIT, $0-56
-	MOVQ col+0(FP), SI
-	MOVQ agg+8(FP), DI
-	MOVQ n+16(FP), CX
-	MOVQ CX, R8
-	MOVQ $0x8000000000000000, DX
-	MOVQ lo+24(FP), AX
-	SUBQ DX, AX
-	MOVQ AX, X1
-	VPBROADCASTQ X1, Y1
-	MOVQ width+32(FP), AX
-	ADDQ DX, AX
-	MOVQ AX, X2
-	VPBROADCASTQ X2, Y2
-	VPXOR Y10, Y10, Y10         // count acc (-1 per non-match)
-	VPXOR Y11, Y11, Y11
-	VPXOR Y12, Y12, Y12         // sum acc
-	VPXOR Y13, Y13, Y13
-rcs_loop8:
-	CMPQ CX, $8
-	JL   rcs_loop4
-	VMOVDQU (SI), Y3
-	VMOVDQU 32(SI), Y4
-	PREFETCHT0 1024(SI)
-	PREFETCHT0 1024(DI)
-	VPSUBQ Y1, Y3, Y3
-	VPSUBQ Y1, Y4, Y4
-	VPCMPGTQ Y2, Y3, Y3         // non-match lanes all-ones
-	VPCMPGTQ Y2, Y4, Y4
-	VPADDQ Y3, Y10, Y10
-	VPADDQ Y4, Y11, Y11
-	VPANDN (DI), Y3, Y5         // agg where match, 0 elsewhere
-	VPANDN 32(DI), Y4, Y6
-	VPADDQ Y5, Y12, Y12
-	VPADDQ Y6, Y13, Y13
-	ADDQ $64, SI
-	ADDQ $64, DI
-	SUBQ $8, CX
-	JMP  rcs_loop8
-rcs_loop4:
-	CMPQ CX, $4
-	JL   rcs_done
-	VMOVDQU (SI), Y3
-	VPSUBQ Y1, Y3, Y3
-	VPCMPGTQ Y2, Y3, Y3
-	VPADDQ Y3, Y10, Y10
-	VPANDN (DI), Y3, Y5
-	VPADDQ Y5, Y12, Y12
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	JMP  rcs_loop4
-rcs_done:
-	VPADDQ Y11, Y10, Y10
-	VPADDQ Y13, Y12, Y12
-	VEXTRACTI128 $1, Y10, X3
-	VPADDQ X3, X10, X10
-	VPSRLDQ $8, X10, X3
-	VPADDQ X3, X10, X10
-	VEXTRACTI128 $1, Y12, X4
-	VPADDQ X4, X12, X12
-	VPSRLDQ $8, X12, X4
-	VPADDQ X4, X12, X12
-	VZEROUPPER
-	MOVQ X10, AX
-	ADDQ R8, AX
-	MOVQ AX, count+40(FP)
-	MOVQ X12, AX
-	MOVQ AX, sum+48(FP)
+	ADDQ R11, AX                // n - non-matches
+	MOVQ AX, count+32(FP)
+	MOVQ X14, AX
+	MOVQ AX, sum+40(FP)
 	RET
 
 // func maskWordsAVX2(vals *int64, out *uint64, nWords int, lo int64, width uint64) uint64
@@ -300,77 +311,4 @@ mwa_skip:
 mwa_done:
 	MOVQ R9, ret+40(FP)
 	VZEROUPPER
-	RET
-
-DATA laneShifts<>+0(SB)/8, $0
-DATA laneShifts<>+8(SB)/8, $1
-DATA laneShifts<>+16(SB)/8, $2
-DATA laneShifts<>+24(SB)/8, $3
-GLOBL laneShifts<>(SB), RODATA|NOPTR, $32
-
-DATA laneOnes<>+0(SB)/8, $1
-DATA laneOnes<>+8(SB)/8, $1
-DATA laneOnes<>+16(SB)/8, $1
-DATA laneOnes<>+24(SB)/8, $1
-GLOBL laneOnes<>(SB), RODATA|NOPTR, $32
-
-DATA laneFours<>+0(SB)/8, $4
-DATA laneFours<>+8(SB)/8, $4
-DATA laneFours<>+16(SB)/8, $4
-DATA laneFours<>+24(SB)/8, $4
-GLOBL laneFours<>(SB), RODATA|NOPTR, $32
-
-// func maskedSumAVX2(agg *int64, mask *uint64, nWords int) int64
-// Sums agg[k] over the set bits of the nWords selection masks (64 values
-// per word), skipping all-zero words. Wraps mod 2^64 exactly like the
-// portable maskedSum.
-//
-// The mask word is broadcast straight from memory and the per-lane bit is
-// isolated with a growing VPSRLVQ shift vector ([0..3], +4 per group), so
-// the loop is pure VEX — a legacy-SSE GP->XMM move here would take the
-// AVX-SSE transition penalty on every group with YMM state dirty.
-TEXT ·maskedSumAVX2(SB), NOSPLIT, $0-32
-	MOVQ agg+0(FP), SI
-	MOVQ mask+8(FP), DI
-	MOVQ nWords+16(FP), R13
-	VMOVDQU laneOnes<>(SB), Y8
-	VMOVDQU laneFours<>(SB), Y9
-	VPXOR Y0, Y0, Y0            // sum acc
-	TESTQ R13, R13
-	JZ   ms_done
-ms_word:
-	MOVQ (DI), R10
-	TESTQ R10, R10
-	JZ   ms_skip
-	VPBROADCASTQ (DI), Y1       // whole mask word in every lane
-	VMOVDQU laneShifts<>(SB), Y7 // reset shifts to [0,1,2,3]
-	MOVQ $16, BX
-ms_group:
-	VPSRLVQ Y7, Y1, Y2          // lane j of group k gets bits >> (4k+j)
-	VPAND Y8, Y2, Y2            // isolate bit 0 per lane
-	VPCMPEQQ Y8, Y2, Y2         // all-ones where bit set
-	VPAND (SI), Y2, Y2          // agg where selected
-	VPADDQ Y2, Y0, Y0
-	VPADDQ Y9, Y7, Y7           // shifts += 4
-	PREFETCHT0 1024(SI)
-	ADDQ $32, SI
-	DECQ BX
-	JNZ  ms_group
-	ADDQ $8, DI
-	DECQ R13
-	JNZ  ms_word
-	JMP  ms_done
-ms_skip:
-	ADDQ $512, SI
-	ADDQ $8, DI
-	DECQ R13
-	JNZ  ms_word
-ms_done:
-	VEXTRACTI128 $1, Y0, X3
-	VPADDQ X3, X0, X0
-	VPSRLDQ $8, X0, X3
-	VPADDQ X3, X0, X0
-	VZEROUPPER
-	MOVQ X0, AX
-	MOVQ AX, ret+24(FP)
 	RET

@@ -26,10 +26,6 @@ func simdEnabled() bool { return false }
 // issue, and the hint changes no result.
 func (s *Store) Prefetch(q query.Query, start, end int) {}
 
-func (s *Store) scanOneFilterSIMD(q query.Query, start, end int, res *ScanResult) {
-	s.scanOneFilterPortable(q, start, end, res)
-}
-
-func (s *Store) scanManyFiltersSIMD(q query.Query, start, end int, res *ScanResult) {
-	s.scanManyFiltersPortable(q, start, end, res)
+func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult) {
+	s.scanFilteredPortable(q, start, end, res)
 }

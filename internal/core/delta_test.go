@@ -81,6 +81,51 @@ func TestInsertQueryMergeQueryCycle(t *testing.T) {
 	}
 }
 
+// TestPlanCostChargesOnlyRoutedDeltas pins admission's price of buffered
+// rows to the rows Execute folds in: a plan pays for the delta buffers of
+// the regions it routes to and no others, so a probe routed away from
+// every buffered row is priced exactly as before the insert, and no probe
+// is priced below the rows it scans.
+func TestPlanCostChargesOnlyRoutedDeltas(t *testing.T) {
+	st := testutil.SmallTaxi(10000, 4)
+	base := Build(st, testutil.SkewedQueries(st, 100, 5), smallConfig(FullTsunami))
+	// 500 buffered rows, all in one region: copies of an existing row.
+	rows := make([][]int64, 500)
+	for i := range rows {
+		rows[i] = st.Row(0, nil)
+	}
+	idx, err := base.CopyWithInserts(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	away := 0
+	for _, q := range testutil.RandomQueries(st, 200, 6) {
+		p := idx.Plan(q, index.Exec{}).(*execContext)
+		routed := false
+		for _, r := range p.regions {
+			routed = routed || idx.deltas[r.ID] != nil
+		}
+		priced, _ := p.Cost()
+		res := p.Execute()
+		if priced < res.PointsScanned {
+			t.Errorf("%s: priced %d rows, scanned %d", q, priced, res.PointsScanned)
+		}
+		if routed {
+			continue
+		}
+		away++
+		bp := base.Plan(q, index.Exec{})
+		before, _ := bp.Cost()
+		bp.Release()
+		if priced != before {
+			t.Errorf("%s routes away from every buffered row: priced %d rows, %d before the insert", q, priced, before)
+		}
+	}
+	if away == 0 {
+		t.Fatal("no probe routed away from the buffered rows")
+	}
+}
+
 // buildTruth appends inserted rows to a copy of the original table.
 func buildTruth(t *testing.T, st *colstore.Store, rows [][]int64) *colstore.Store {
 	t.Helper()

@@ -290,16 +290,21 @@ func (t *Tsunami) Plan(q query.Query, x index.Exec) index.Plan {
 }
 
 // Cost prices the plan (see index.Plan): every planned row, plus the
-// buffered delta rows every query folds in, times 8 bytes per column
-// read — each filter column, the SUM column, and a grouped query's key
-// column as one extra stream: ScanResult's PointsScanned and
-// BytesTouched as bounds, since an exact range reads fewer columns.
+// buffered delta rows of the routed regions (the ones Execute folds in),
+// times 8 bytes per column read — each filter column, the SUM column, and
+// a grouped query's key column as one extra stream: ScanResult's
+// PointsScanned and BytesTouched as bounds, since an exact range reads
+// fewer columns.
 func (ctx *execContext) Cost() (rows, bytes uint64) {
 	for _, pr := range ctx.phys {
 		rows += uint64(pr.End - pr.Start)
 	}
+	for _, r := range ctx.regions {
+		if d := ctx.t.deltas[r.ID]; d != nil {
+			rows += uint64(len(d.rows))
+		}
+	}
 	q := ctx.q
-	rows += uint64(ctx.t.NumBuffered())
 	cols := uint64(len(q.Filters))
 	if q.Agg == query.Sum {
 		cols++

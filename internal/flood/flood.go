@@ -73,7 +73,7 @@ func (x *Index) Name() string { return "Flood" }
 // Execute implements index.Index. The grid is immutable and per-query
 // state lives in a pooled ExecContext, so one shared Flood index serves
 // any number of concurrent callers; inexact cell ranges filter on the
-// store's branch-free block kernels.
+// store's branch-free scan kernel.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {
 	res, _ := x.grid.Execute(q, nil)
 	return res

@@ -172,7 +172,7 @@ func (x *Index) BuildStats() index.BuildStats { return x.stats }
 // Execute implements index.Index: traverse to intersecting leaves and scan
 // their physical ranges, skipping per-value checks when a leaf's box is
 // contained in the query rectangle; partially-covered leaves filter on the
-// store's branch-free block kernels. The tree is immutable after Build and
+// store's branch-free scan kernel. The tree is immutable after Build and
 // traversal state is on the stack, so Execute is safe for concurrent
 // callers sharing one index.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {

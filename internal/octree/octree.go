@@ -165,7 +165,7 @@ func (x *Index) BuildStats() index.BuildStats { return x.stats }
 
 // Execute implements index.Index: intersecting leaves scan their physical
 // ranges, with partially-covered octants filtered on the store's
-// branch-free block kernels. The tree is immutable after Build and
+// branch-free scan kernel. The tree is immutable after Build and
 // traversal state is on the stack, so Execute is safe for concurrent
 // callers sharing one index.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {

@@ -88,7 +88,7 @@ func (x *Index) BuildStats() index.BuildStats { return x.stats }
 
 // Execute implements index.Index. Queries filtering the sort dimension
 // binary-search their physical range; others scan the whole table on the
-// store's branch-free block kernels, which is what keeps this baseline's
+// store's branch-free scan kernel, which is what keeps this baseline's
 // fallback path honest at scale. The sorted store is immutable after
 // Build, so Execute is safe for concurrent callers sharing one index.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {
