@@ -85,6 +85,51 @@ func TestPublicAPIAllBaselinesAgree(t *testing.T) {
 	}
 }
 
+// TestPublicAPISplitFilters builds Query literals that filter one dim twice
+// — Count and Sum normalize duplicates away, a literal does not — and
+// requires every index to answer them as the full scan does: the rows
+// matching both filters, whichever comes first, and none when the two
+// exclude each other.
+func TestPublicAPISplitFilters(t *testing.T) {
+	ds := tsunami.GenerateTaxi(20_000, 1)
+	work := tsunami.WorkloadFor(ds, 15, 2)
+	full := tsunami.NewFullScan(ds.Store)
+	indexes := []tsunami.Index{
+		tsunami.New(ds.Store, work, smallOptions()),
+		tsunami.NewAugGridOnly(ds.Store, work, smallOptions()),
+		tsunami.NewGridTreeOnly(ds.Store, work, smallOptions()),
+		tsunami.NewFlood(ds.Store, work, smallOptions()),
+		tsunami.NewKDTree(ds.Store, work, 1024),
+		tsunami.NewZOrder(ds.Store, 1024),
+		tsunami.NewHyperoctree(ds.Store, 1024),
+		tsunami.NewSingleDim(ds.Store, work, -1),
+	}
+	nd := ds.Store.NumDims()
+	for d := 0; d < nd; d++ {
+		lo, hi := ds.Store.MinMax(d)
+		a, b := lo+(hi-lo)/4, lo+(hi-lo)*2/3
+		ge := tsunami.Filter{Dim: d, Lo: a, Hi: tsunami.NoHi}
+		le := tsunami.Filter{Dim: d, Lo: tsunami.NoLo, Hi: b}
+		apart := tsunami.Filter{Dim: d, Lo: tsunami.NoLo, Hi: a - 1}
+		other := tsunami.Filter{Dim: (d + 1) % nd, Lo: tsunami.NoLo, Hi: tsunami.NoHi}
+		sum := tsunami.Sum(d)
+		sum.Filters = []tsunami.Filter{le, ge}
+		for _, q := range []tsunami.Query{
+			{Filters: []tsunami.Filter{ge, le}, Type: -1},
+			sum,
+			{Filters: []tsunami.Filter{ge, other, le}, Type: -1},
+			{Filters: []tsunami.Filter{ge, apart}, Type: -1},
+		} {
+			want := full.Execute(q)
+			for _, idx := range indexes {
+				if got := idx.Execute(q); got.Count != want.Count || got.Sum != want.Sum {
+					t.Errorf("%s on %s: got (%d, %d), want (%d, %d)", idx.Name(), q, got.Count, got.Sum, want.Count, want.Sum)
+				}
+			}
+		}
+	}
+}
+
 func TestPublicAPIWorkloadShift(t *testing.T) {
 	ds := tsunami.GenerateTPCH(15_000, 5)
 	workA := tsunami.WorkloadFor(ds, 15, 6)

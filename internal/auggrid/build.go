@@ -36,13 +36,14 @@ type Grid struct {
 	strides  []int // stride per grid dim (aligned with gridDims)
 	posOf    []int // dim -> position in gridDims, -1 if not a grid dim
 
-	// Independent dims: partition boundaries, len P[d]+1.
-	bounds map[int][]int64
-	// Conditional dims: per-base-partition boundaries, [pBase][P[d]+1].
-	condBounds map[int][][]int64
-	// Mapped dims: functional mapping predicting target value from this
-	// dim's value.
-	mappings map[int]stats.LinReg
+	// Per-dim tables, indexed by dim. bounds[d] is an independent dim's
+	// partition boundaries, len P[d]+1; condBounds[d] a conditional dim's
+	// per-base-partition boundaries, [pBase][P[d]+1]; both nil for dims of
+	// other kinds. mappings[d] is a mapped dim's functional mapping
+	// predicting the target value from this dim's value (zero otherwise).
+	bounds     [][]int64
+	condBounds [][][]int64
+	mappings   []stats.LinReg
 	// Observed per-dim min/max, used to clamp unbounded filters before
 	// applying functional mappings.
 	dimLo, dimHi []int64
@@ -65,24 +66,17 @@ func Build(st *colstore.Store, rows []int, layout Layout) (*Grid, []int, error) 
 	if len(layout.Skeleton) != st.NumDims() {
 		return nil, nil, fmt.Errorf("auggrid: layout has %d dims, store has %d", len(layout.Skeleton), st.NumDims())
 	}
+	d := st.NumDims()
 	g := &Grid{
 		layout:     layout.Clone(),
 		n:          len(rows),
-		gridDims:   gridDimsTopological(layout),
-		bounds:     make(map[int][]int64),
-		condBounds: make(map[int][][]int64),
-		mappings:   make(map[int]stats.LinReg),
+		bounds:     make([][]int64, d),
+		condBounds: make([][][]int64, d),
+		mappings:   make([]stats.LinReg, d),
 	}
 	g.layout.normalize()
-	g.posOf = make([]int, st.NumDims())
-	for j := range g.posOf {
-		g.posOf[j] = -1
-	}
-	for k, j := range g.gridDims {
-		g.posOf[j] = k
-	}
+	g.index()
 
-	d := st.NumDims()
 	g.dimLo = make([]int64, d)
 	g.dimHi = make([]int64, d)
 	for j := 0; j < d; j++ {
@@ -90,14 +84,7 @@ func Build(st *colstore.Store, rows []int, layout Layout) (*Grid, []int, error) 
 		g.dimLo[j], g.dimHi[j] = lo, hi
 	}
 
-	// Strides for row-major cell ids over grid dims.
-	g.strides = make([]int, len(g.gridDims))
-	stride := 1
-	for i := len(g.gridDims) - 1; i >= 0; i-- {
-		g.strides[i] = stride
-		stride *= g.layout.P[g.gridDims[i]]
-	}
-	numCells := stride
+	numCells := g.layout.NumCells()
 
 	// Phase 1: independent boundaries and functional mappings. With
 	// OutlierFrac > 0 the mappings are fit robustly and the rows outside
@@ -238,6 +225,25 @@ func (g *Grid) Rebase(st *colstore.Store, start int) *Grid {
 	return &ng
 }
 
+// index derives the cell-id structures from the layout: the grid dims in
+// stride order, each dim's position among them, and the row-major strides.
+func (g *Grid) index() {
+	g.gridDims = gridDimsTopological(g.layout)
+	g.posOf = make([]int, len(g.layout.Skeleton))
+	for j := range g.posOf {
+		g.posOf[j] = -1
+	}
+	for k, j := range g.gridDims {
+		g.posOf[j] = k
+	}
+	g.strides = make([]int, len(g.gridDims))
+	stride := 1
+	for i := len(g.gridDims) - 1; i >= 0; i-- {
+		g.strides[i] = stride
+		stride *= g.layout.P[g.gridDims[i]]
+	}
+}
+
 // gridDimsTopological returns the grid dims (not mapped, not the sort dim)
 // ordered with independents first, then conditionals, so bases always
 // precede their dependents in stride order.
@@ -298,16 +304,29 @@ func minMaxRows(col []int64, rows []int) (int64, int64) {
 // search over the boundary array, clamped to [0, P[j]-1].
 func (g *Grid) partIndep(j int, v int64) int {
 	b := g.bounds[j]
-	i := sort.Search(len(b), func(i int) bool { return b[i] > v }) - 1
-	return clampPart(i, g.layout.P[j])
+	return clampPart(searchGT(b, 0, len(b), v)-1, g.layout.P[j])
 }
 
 // partCond returns the partition of value v in conditional dim j given the
 // base partition bp.
 func (g *Grid) partCond(j, bp int, v int64) int {
 	b := g.condBounds[j][bp]
-	i := sort.Search(len(b), func(i int) bool { return b[i] > v }) - 1
-	return clampPart(i, g.layout.P[j])
+	return clampPart(searchGT(b, 0, len(b), v)-1, g.layout.P[j])
+}
+
+// searchGT returns the first index i in [lo, hi) with s[i] > v, or hi when
+// there is none; s[lo:hi] must be ascending. It is the package's one binary
+// search: a plain loop, so a hot caller pays no closure call per probe.
+func searchGT(s []int64, lo, hi int, v int64) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] > v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 func clampPart(i, p int) int {
@@ -363,7 +382,8 @@ func (g *Grid) SizeBytes() uint64 {
 			size += uint64(len(b)) * 8
 		}
 	}
-	size += uint64(len(g.mappings)) * 32 // slope, intercept, el, eu (§5.2.1)
+	fms, _ := g.layout.Skeleton.CountKinds()
+	size += uint64(fms) * 32 // slope, intercept, el, eu (§5.2.1)
 	size += uint64(len(g.dimLo)) * 16
 	return size
 }

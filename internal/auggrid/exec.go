@@ -2,7 +2,6 @@ package auggrid
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/colstore"
 	"repro/internal/query"
@@ -64,9 +63,10 @@ func (g *Grid) PlanRanges(q query.Query, ctx *ExecContext, dst []PhysRange) ([]P
 	return g.planInto(q, ctx, dst, &st), st
 }
 
-// planInto computes the ranges Execute scans: enumerate intersecting cell
-// runs, refine per cell by the sort dimension when applicable, and append
-// the outlier buffer.
+// planInto computes the ranges Execute scans: the cell runs that intersect
+// the query, each refined cell by cell when the query filters the sort dim,
+// then the outlier buffer. The walk emits runs in ascending cell order and
+// refinement keeps it, so the ranges ascend and never overlap.
 func (g *Grid) planInto(q query.Query, ctx *ExecContext, dst []PhysRange, st *ExecStats) []PhysRange {
 	if g.n == 0 {
 		return dst
@@ -74,51 +74,17 @@ func (g *Grid) planInto(q query.Query, ctx *ExecContext, dst []PhysRange, st *Ex
 
 	effLo, effHi, ok := g.effectiveFilters(q, ctx)
 	if !ok {
-		// The functional-mapping bounds prove no INLIER can match, but the
-		// bounds do not cover the outlier buffer — scan it regardless.
+		// No INLIER can match, but the outlier buffer lies outside the
+		// mappings' error bounds: scan it regardless.
 		return g.planOutliers(dst, st)
 	}
 
-	runs := g.enumerate(q, effLo, effHi, ctx)
-	if len(runs) == 0 {
+	runs := mergeRuns(g.enumerate(q, effLo, effHi, ctx))
+	if sd := g.layout.SortDim; sd >= 0 && (effLo[sd] != query.NoLo || effHi[sd] != query.NoHi) {
+		dst = g.refine(runs, g.store.Column(sd), effLo[sd], effHi[sd], dst, st)
 		return g.planOutliers(dst, st)
 	}
-	// walk emits runs in row-major order, so they are already sorted except
-	// in rare conditional-boundary cases; sort only when needed.
-	for i := 1; i < len(runs); i++ {
-		if runs[i].start < runs[i-1].start {
-			sort.Slice(runs, func(a, b int) bool { return runs[a].start < runs[b].start })
-			break
-		}
-	}
-	runs = mergeRuns(runs)
-
-	sortFilter, refine := query.Filter{}, false
-	if g.layout.SortDim >= 0 {
-		sortFilter, refine = q.Filter(g.layout.SortDim)
-	}
-
 	for _, r := range runs {
-		if refine {
-			// Rows within each cell are sorted by the sort dimension:
-			// binary-search the exact sub-range per cell (§2.2 refinement).
-			col := g.store.Column(g.layout.SortDim)
-			for c := r.start; c <= r.end; c++ {
-				s, e := g.offsets[c], g.offsets[c+1]
-				if s >= e {
-					continue
-				}
-				lo := s + sort.Search(e-s, func(i int) bool { return col[s+i] >= sortFilter.Lo })
-				hi := s + sort.Search(e-s, func(i int) bool { return col[s+i] > sortFilter.Hi })
-				if lo >= hi {
-					continue
-				}
-				dst = append(dst, PhysRange{Start: lo, End: hi, Exact: r.exact})
-				st.CellRanges++
-				st.CellsVisited++
-			}
-			continue
-		}
 		s, e := g.offsets[r.start], g.offsets[r.end+1]
 		if s >= e {
 			continue
@@ -128,6 +94,36 @@ func (g *Grid) planInto(q query.Query, ctx *ExecContext, dst []PhysRange, st *Ex
 		st.CellsVisited += r.end - r.start + 1
 	}
 	return g.planOutliers(dst, st)
+}
+
+// refine appends, for each non-empty cell of runs, the rows whose sort
+// value lies in [lo, hi] (§2.2 refinement). A cell's rows are sorted by the
+// sort dim, so its first and last rows are its minimum and maximum: a cell
+// wholly outside the filter costs those two loads and no search, a cell
+// wholly inside is taken whole, and only a side the filter cuts is
+// searched.
+func (g *Grid) refine(runs []run, col []int64, lo, hi int64, dst []PhysRange, st *ExecStats) []PhysRange {
+	for _, r := range runs {
+		for c := r.start; c <= r.end; c++ {
+			s, e := g.offsets[c], g.offsets[c+1]
+			if s >= e || col[s] > hi || col[e-1] < lo {
+				continue
+			}
+			if col[s] < lo {
+				s = searchGT(col, s, e, lo-1)
+			}
+			if col[e-1] > hi {
+				e = searchGT(col, s, e, hi)
+			}
+			if s == e {
+				continue // the filter falls between two of the cell's values
+			}
+			dst = append(dst, PhysRange{Start: s, End: e, Exact: r.exact})
+			st.CellRanges++
+			st.CellsVisited++
+		}
+	}
+	return dst
 }
 
 // planOutliers appends the rows diverted by robust functional mappings
@@ -141,11 +137,13 @@ func (g *Grid) planOutliers(dst []PhysRange, st *ExecStats) []PhysRange {
 	return append(dst, PhysRange{Start: s, End: s + g.nOutliers})
 }
 
-// effectiveFilters combines the query's own filters with ranges induced by
-// functional mappings (§5.2.1): a filter over a mapped dimension is
-// transformed into a filter over the target dimension and intersected with
-// any existing filter there. Returns ok=false when an intersection is
-// provably empty.
+// effectiveFilters returns per-dim bounds every matching inlier satisfies:
+// the query's filters, intersected per dim (a query may filter one dim more
+// than once), then the ranges induced by functional mappings (§5.2.1): a
+// filter over a mapped dimension is transformed into a filter over the
+// target dimension and intersected with any existing filter there. Returns
+// ok=false when an intersection is provably empty, so every bound it
+// returns has lo <= hi.
 func (g *Grid) effectiveFilters(q query.Query, ctx *ExecContext) ([]int64, []int64, bool) {
 	d := len(g.layout.Skeleton)
 	lo, hi := ctx.effBounds(d)
@@ -153,7 +151,11 @@ func (g *Grid) effectiveFilters(q query.Query, ctx *ExecContext) ([]int64, []int
 		lo[j], hi[j] = query.NoLo, query.NoHi
 	}
 	for _, f := range q.Filters {
-		lo[f.Dim], hi[f.Dim] = f.Lo, f.Hi
+		lo[f.Dim] = max(lo[f.Dim], f.Lo)
+		hi[f.Dim] = min(hi[f.Dim], f.Hi)
+		if lo[f.Dim] > hi[f.Dim] {
+			return nil, nil, false
+		}
 	}
 	for j, strat := range g.layout.Skeleton {
 		if strat.Kind != Mapped {
@@ -172,8 +174,7 @@ func (g *Grid) effectiveFilters(q query.Query, ctx *ExecContext) ([]int64, []int
 		if flo > fhi {
 			return nil, nil, false // filter excludes the whole domain
 		}
-		m := g.mappings[j]
-		blo, bhi := m.Bounds(float64(flo), float64(fhi))
+		blo, bhi := g.mappings[j].Bounds(float64(flo), float64(fhi))
 		t := strat.Other
 		tlo := int64(math.Floor(blo))
 		thi := int64(math.Ceil(bhi))
@@ -190,56 +191,43 @@ func (g *Grid) effectiveFilters(q query.Query, ctx *ExecContext) ([]int64, []int
 	return lo, hi, true
 }
 
-// dimRange holds a per-grid-dim partition index range plus the endpoint
-// exactness needed to split runs (§5.3.1 counts the resulting ranges).
+// dimRange is one grid position the walk visits: its partition index range
+// plus the endpoint exactness needed to split runs (§5.3.1 counts the
+// resulting ranges). A filtered conditional dim whose base the walk visits
+// has a range that depends on the base's partition, so the walk computes it
+// from that partition's boundaries.
 type dimRange struct {
+	pos, stride      int // position in gridDims, and its cell-id stride
 	a, b             int
-	filtered         bool
 	exactLo, exactHi bool // endpoint partitions contained in the filter
 	conditional      bool
-	basePos          int // position of the base dim in gridDims (conditional only)
-	condLo, condHi   int64
+	dim, p           int // conditional only: the dim and its partition count
+	basePos          int // conditional only: the base's position in gridDims
+	lo, hi           int64
 }
 
-// enumerate produces the cell-id runs intersecting the query.
+// enumerate produces the cell-id runs intersecting the query, in ascending
+// cell order.
 //
 // Grid dims are walked in stride order (gridDims is topological: bases
-// before dependents). Trailing dims that the query leaves unconstrained —
-// full partition range, and not the base of any filtered conditional dim —
-// form a suffix whose cells are contiguous per prefix combination, so
-// recursion stops at the last constrained position e and emits runs of
-// strides[e] cells at a time. This keeps enumeration cost proportional to
-// the number of constrained combinations, not total intersecting cells.
+// before dependents). A conditional dim whose base has one partition has
+// one set of boundaries, so its range is computed once, as an independent
+// dim's is. A position with one partition has cell index 0 in every cell,
+// so the walk skips it unless its range depends on a walked base: a filter
+// there can only clear exactness, which is folded into baseExact once.
+// Trailing positions the query leaves unconstrained form a suffix whose
+// cells are contiguous per prefix combination, so the walk stops at the
+// last filtered position e and emits runs of strides[e] cells at a time; a
+// conditional dim comes after its base, so the walk has fixed the base's
+// partition by the time it needs it. This keeps enumeration cost
+// proportional to the number of constrained combinations, not total
+// intersecting cells.
 func (g *Grid) enumerate(q query.Query, effLo, effHi []int64, ctx *ExecContext) []run {
 	nd := len(g.gridDims)
 	ctx.runs = ctx.runs[:0]
 	if nd == 0 {
 		// No grid dims at all: one run over the single cell.
 		return append(ctx.runs, run{start: 0, end: 0, exact: len(q.Filters) == 0})
-	}
-
-	ranges, idx := ctx.dimScratch(nd)
-
-	for k, j := range g.gridDims {
-		filtered := effLo[j] != query.NoLo || effHi[j] != query.NoHi
-		switch g.layout.Skeleton[j].Kind {
-		case Independent:
-			r := dimRange{filtered: filtered}
-			if filtered {
-				r.a, r.b, r.exactLo, r.exactHi = g.indepRange(j, effLo[j], effHi[j])
-			} else {
-				r.a, r.b, r.exactLo, r.exactHi = 0, g.layout.P[j]-1, true, true
-			}
-			ranges[k] = r
-		case Conditional:
-			ranges[k] = dimRange{
-				filtered:    filtered,
-				conditional: true,
-				basePos:     g.posOf[g.layout.Skeleton[j].Other],
-				condLo:      effLo[j],
-				condHi:      effHi[j],
-			}
-		}
 	}
 
 	// A filter over a mapped dim makes every cell inexact (cell geometry
@@ -253,56 +241,60 @@ func (g *Grid) enumerate(q query.Query, effLo, effHi []int64, ctx *ExecContext) 
 		}
 	}
 
-	// Find the emission position e: the last position that is filtered or
-	// that a filtered conditional dim depends on.
+	ranges, idx := ctx.dimScratch(nd)
 	e := -1
-	for k := nd - 1; k >= 0; k-- {
-		if ranges[k].filtered {
-			e = k
-			break
+	for k, j := range g.gridDims {
+		p := g.layout.P[j]
+		r := dimRange{pos: k, stride: g.strides[k], b: p - 1, exactLo: true, exactHi: true}
+		if effLo[j] == query.NoLo && effHi[j] == query.NoHi {
+			if p > 1 {
+				ranges = append(ranges, r) // walked over its full range
+			}
+			continue
 		}
-	}
-	for k := range ranges {
-		if ranges[k].conditional && ranges[k].filtered && ranges[k].basePos > e {
-			e = ranges[k].basePos
+		switch strat := g.layout.Skeleton[j]; {
+		case strat.Kind == Conditional && g.layout.P[strat.Other] > 1:
+			r.conditional, r.dim, r.p, r.basePos = true, j, p, g.posOf[strat.Other]
+			r.lo, r.hi = effLo[j], effHi[j]
+		case strat.Kind == Conditional:
+			r.a, r.b, r.exactLo, r.exactHi = boundsRange(g.condBounds[j][0], p, effLo[j], effHi[j])
+		default:
+			r.a, r.b, r.exactLo, r.exactHi = boundsRange(g.bounds[j], p, effLo[j], effHi[j])
 		}
+		if p == 1 && !r.conditional {
+			baseExact = baseExact && r.exactLo && r.exactHi
+			continue
+		}
+		e = len(ranges)
+		ranges = append(ranges, r)
 	}
 	if e < 0 {
-		// Fully unconstrained over grid dims: one run over everything.
+		// No filtered position left to walk: one run over everything.
 		return append(ctx.runs, run{start: 0, end: len(g.offsets) - 2, exact: baseExact})
 	}
 
-	g.walk(ctx, ranges, idx, 0, e, 0, baseExact)
+	g.walk(ctx, ranges[:e+1], idx, 0, 0, baseExact)
 	return ctx.runs
 }
 
-// walk recursively enumerates positions [k, e] of the grid; position e
-// emits runs covering its partition range times the unconstrained suffix.
-func (g *Grid) walk(ctx *ExecContext, ranges []dimRange, idx []int, k, e, cellBase int, exact bool) {
+// walk recursively enumerates ranges[k:], whose last entry is the emission
+// position: it emits runs covering its partition range times the
+// unconstrained suffix. Each position's partitions go in ascending order,
+// so the runs come out in ascending cell order.
+func (g *Grid) walk(ctx *ExecContext, ranges []dimRange, idx []int, k, cellBase int, exact bool) {
 	r := &ranges[k]
-	a, b := r.a, r.b
-	exLo, exHi := r.exactLo, r.exactHi
+	a, b, exLo, exHi := r.a, r.b, r.exactLo, r.exactHi
 	if r.conditional {
-		j := g.gridDims[k]
-		a, b, exLo, exHi = g.condRange(j, idx[r.basePos], r.condLo, r.condHi, r.filtered)
+		a, b, exLo, exHi = boundsRange(g.condBounds[r.dim][idx[r.basePos]], r.p, r.lo, r.hi)
 	}
-	stride := g.strides[k]
-	if k == e {
-		g.emitRuns(ctx, cellBase, stride, a, b, exact, exLo, exHi, r.filtered)
+	if k == len(ranges)-1 {
+		ctx.emitRuns(cellBase, r.stride, a, b, exact, exLo, exHi)
 		return
 	}
 	for i := a; i <= b; i++ {
-		idx[k] = i
-		ex := exact
-		if r.filtered {
-			if i == a && !exLo {
-				ex = false
-			}
-			if i == b && !exHi {
-				ex = false
-			}
-		}
-		g.walk(ctx, ranges, idx, k+1, e, cellBase+i*stride, ex)
+		idx[r.pos] = i
+		ex := exact && (i != a || exLo) && (i != b || exHi)
+		g.walk(ctx, ranges, idx, k+1, cellBase+i*r.stride, ex)
 	}
 }
 
@@ -310,73 +302,44 @@ func (g *Grid) walk(ctx *ExecContext, ranges []dimRange, idx []int, k, e, cellBa
 // emission position: each partition spans stride consecutive cells (the
 // unconstrained suffix), and inexact endpoint partitions are split off so
 // interior cells can use the exact-range scan optimization.
-func (g *Grid) emitRuns(ctx *ExecContext, base, stride, a, b int, exact, exLo, exHi, filtered bool) {
-	if !filtered {
-		exLo, exHi = true, true
-	}
-	block := func(p0, p1 int, ex bool) run {
-		return run{start: base + p0*stride, end: base + (p1+1)*stride - 1, exact: ex}
-	}
-	if a == b {
-		ctx.runs = append(ctx.runs, block(a, a, exact && exLo && exHi))
-		return
-	}
-	lo, hi := a, b
+func (ctx *ExecContext) emitRuns(base, stride, a, b int, exact, exLo, exHi bool) {
 	if !exLo {
-		ctx.runs = append(ctx.runs, block(a, a, false))
-		lo = a + 1
+		ctx.runs = append(ctx.runs, run{start: base + a*stride, end: base + (a+1)*stride - 1})
+		a++
 	}
-	endSplit := !exHi
-	if endSplit {
-		hi = b - 1
+	split := !exHi && a <= b
+	if split {
+		b--
 	}
-	if lo <= hi {
-		ctx.runs = append(ctx.runs, block(lo, hi, exact))
+	if a <= b {
+		ctx.runs = append(ctx.runs, run{start: base + a*stride, end: base + (b+1)*stride - 1, exact: exact})
 	}
-	if endSplit {
-		ctx.runs = append(ctx.runs, block(b, b, false))
+	if split {
+		ctx.runs = append(ctx.runs, run{start: base + (b+1)*stride, end: base + (b+2)*stride - 1})
 	}
-}
-
-// indepRange returns the intersecting partition range of an independent dim
-// for filter [lo, hi], plus endpoint exactness.
-func (g *Grid) indepRange(j int, lo, hi int64) (int, int, bool, bool) {
-	return boundsRange(g.bounds[j], g.layout.P[j], lo, hi)
-}
-
-// condRange is indepRange for a conditional dim given the base partition.
-func (g *Grid) condRange(j, bp int, lo, hi int64, filtered bool) (int, int, bool, bool) {
-	if !filtered {
-		return 0, g.layout.P[j] - 1, true, true
-	}
-	return boundsRange(g.condBounds[j][bp], g.layout.P[j], lo, hi)
 }
 
 // boundsRange computes the partition index range [a, b] intersecting value
-// range [lo, hi] under boundary array bounds (p+1 long), with endpoint
-// exactness: whether the endpoint partitions' slabs are contained in
-// [lo, hi].
+// range [lo, hi] (lo <= hi) under boundary array bounds (p+1 long), with
+// endpoint exactness: whether the endpoint partitions' slabs are contained
+// in [lo, hi]. Partitions before a hold only values below lo, so the
+// search for b starts at a, and b >= a.
 func boundsRange(bounds []int64, p int, lo, hi int64) (int, int, bool, bool) {
-	a := clampPart(sort.Search(len(bounds), func(i int) bool { return bounds[i] > lo })-1, p)
-	b := clampPart(sort.Search(len(bounds), func(i int) bool { return bounds[i] > hi })-1, p)
-	if b < a {
-		b = a
-	}
+	a := clampPart(searchGT(bounds, 0, len(bounds), lo)-1, p)
+	b := clampPart(searchGT(bounds, a, len(bounds), hi)-1, p)
 	exLo := lo <= bounds[a]
 	exHi := hi >= bounds[b+1]-1
 	return a, b, exLo, exHi
 }
 
-// mergeRuns merges sorted runs whose cell ranges are adjacent and share the
-// same exactness.
+// mergeRuns merges ascending runs whose cell ranges are adjacent and share
+// the same exactness.
 func mergeRuns(runs []run) []run {
 	out := runs[:1]
 	for _, r := range runs[1:] {
 		last := &out[len(out)-1]
-		if r.start <= last.end+1 && r.exact == last.exact {
-			if r.end > last.end {
-				last.end = r.end
-			}
+		if r.start == last.end+1 && r.exact == last.exact {
+			last.end = r.end
 			continue
 		}
 		out = append(out, r)

@@ -33,14 +33,14 @@ func (ctx *ExecContext) effBounds(d int) ([]int64, []int64) {
 	return ctx.effLo[:d], ctx.effHi[:d]
 }
 
-// dimScratch returns the context's range and index arrays sized for nd grid
-// dims.
+// dimScratch returns the context's range array, empty with room for nd
+// grid dims, and its index array sized for nd grid dims.
 func (ctx *ExecContext) dimScratch(nd int) ([]dimRange, []int) {
 	if cap(ctx.ranges) < nd {
 		ctx.ranges = make([]dimRange, nd)
 		ctx.idx = make([]int, nd)
 	}
-	return ctx.ranges[:nd], ctx.idx[:nd]
+	return ctx.ranges[:0], ctx.idx[:nd]
 }
 
 // ctxPool serves Execute calls that pass a nil context. Pooling keeps the

@@ -309,8 +309,8 @@ func emptyCellFraction(xs, ys []int64, p int) float64 {
 	by := equiDepthBounds(ys, p)
 	occupied := make([]bool, p*p)
 	for i := range xs {
-		ix := clampPart(searchBounds(bx, xs[i]), p)
-		iy := clampPart(searchBounds(by, ys[i]), p)
+		ix := clampPart(searchGT(bx, 0, len(bx), xs[i])-1, p)
+		iy := clampPart(searchGT(by, 0, len(by), ys[i])-1, p)
 		occupied[ix*p+iy] = true
 	}
 	full := 0
@@ -340,10 +340,6 @@ func equiDepthBounds(vals []int64, p int) []int64 {
 		}
 	}
 	return b
-}
-
-func searchBounds(b []int64, v int64) int {
-	return sort.Search(len(b), func(i int) bool { return b[i] > v }) - 1
 }
 
 func minMax(vals []int64) (int64, int64) {

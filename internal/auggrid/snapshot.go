@@ -1,12 +1,17 @@
 package auggrid
 
-import "repro/internal/stats"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // GridSnapshot is the serializable form of a built Grid (§8 "Persistence":
 // Tsunami's structures are not inherently in-memory-only; this snapshot
 // plus the reordered column data fully reconstruct a queryable index).
 // Offsets are stored relative to the grid's start so the snapshot is
-// position-independent.
+// position-independent. The per-dim tables are keyed by dim, the form every
+// snapshot has been written in; a Grid holds them as dense slices.
 type GridSnapshot struct {
 	Layout     Layout
 	Bounds     map[int][]int64
@@ -25,17 +30,28 @@ func (g *Grid) Snapshot() GridSnapshot {
 	for i, o := range g.offsets {
 		offsets[i] = o - g.start
 	}
-	return GridSnapshot{
+	s := GridSnapshot{
 		Layout:     g.layout.Clone(),
-		Bounds:     g.bounds,
-		CondBounds: g.condBounds,
-		Mappings:   g.mappings,
+		Bounds:     make(map[int][]int64),
+		CondBounds: make(map[int][][]int64),
+		Mappings:   make(map[int]stats.LinReg),
 		DimLo:      g.dimLo,
 		DimHi:      g.dimHi,
 		Offsets:    offsets,
 		NOutliers:  g.nOutliers,
 		N:          g.n,
 	}
+	for j, strat := range g.layout.Skeleton {
+		switch strat.Kind {
+		case Independent:
+			s.Bounds[j] = g.bounds[j]
+		case Conditional:
+			s.CondBounds[j] = g.condBounds[j]
+		case Mapped:
+			s.Mappings[j] = g.mappings[j]
+		}
+	}
+	return s
 }
 
 // FromSnapshot reconstructs a Grid. The caller must Finalize it against
@@ -44,30 +60,37 @@ func FromSnapshot(s GridSnapshot) (*Grid, error) {
 	if err := s.Layout.Validate(); err != nil {
 		return nil, err
 	}
+	d := len(s.Layout.Skeleton)
 	g := &Grid{
-		layout:     s.Layout.Clone(),
-		n:          s.N,
-		gridDims:   gridDimsTopological(s.Layout),
-		bounds:     s.Bounds,
-		condBounds: s.CondBounds,
-		mappings:   s.Mappings,
-		dimLo:      s.DimLo,
-		dimHi:      s.DimHi,
-		nOutliers:  s.NOutliers,
+		layout:    s.Layout.Clone(),
+		n:         s.N,
+		dimLo:     s.DimLo,
+		dimHi:     s.DimHi,
+		nOutliers: s.NOutliers,
+	}
+	var err error
+	if g.bounds, err = dense(s.Bounds, d); err != nil {
+		return nil, err
+	}
+	if g.condBounds, err = dense(s.CondBounds, d); err != nil {
+		return nil, err
+	}
+	if g.mappings, err = dense(s.Mappings, d); err != nil {
+		return nil, err
 	}
 	g.offsets = append([]int(nil), s.Offsets...)
-	g.posOf = make([]int, len(s.Layout.Skeleton))
-	for j := range g.posOf {
-		g.posOf[j] = -1
-	}
-	for k, j := range g.gridDims {
-		g.posOf[j] = k
-	}
-	g.strides = make([]int, len(g.gridDims))
-	stride := 1
-	for i := len(g.gridDims) - 1; i >= 0; i-- {
-		g.strides[i] = stride
-		stride *= g.layout.P[g.gridDims[i]]
-	}
+	g.index()
 	return g, nil
+}
+
+// dense lays a snapshot's dim-keyed table out as a slice indexed by dim.
+func dense[T any](m map[int]T, d int) ([]T, error) {
+	out := make([]T, d)
+	for j, v := range m {
+		if j < 0 || j >= d {
+			return nil, fmt.Errorf("auggrid: snapshot has a table entry for dim %d of %d", j, d)
+		}
+		out[j] = v
+	}
+	return out, nil
 }
