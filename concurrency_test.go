@@ -1,7 +1,7 @@
 // Concurrency contract tests: one shared index per test, no clones, many
 // goroutines. Run with -race these prove the entire read path — Tsunami and
 // every baseline — keeps no shared mutable per-query state, and that the
-// Executor's batch and intra-query paths match sequential execution.
+// Executor's batch path matches sequential execution.
 package tsunami_test
 
 import (
@@ -146,23 +146,21 @@ func TestExecutorAfterCloseIsSafe(t *testing.T) {
 	ds, work, probe, _ := concurrencySetup(t, 6_000, 51)
 	idx := tsunami.New(ds.Store, work, smallOptions())
 
-	for _, intra := range []bool{false, true} {
-		ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 2, IntraQuery: intra})
-		ex.Close()
-		if got := ex.Execute(probe[0]); !got.Equal(tsunami.Result{}) {
-			t.Errorf("intra=%v: Execute after Close = %+v, want zero", intra, got)
-		}
-		res := ex.ExecuteBatch(probe)
-		if len(res) != len(probe) {
-			t.Fatalf("intra=%v: %d results for %d queries", intra, len(res), len(probe))
-		}
-		for i, r := range res {
-			if !r.Equal(tsunami.Result{}) {
-				t.Errorf("intra=%v: batch result %d after Close = %+v, want zero", intra, i, r)
-			}
-		}
-		ex.Close() // still idempotent
+	ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 2})
+	ex.Close()
+	if got := ex.Execute(probe[0]); !got.Equal(tsunami.Result{}) {
+		t.Errorf("Execute after Close = %+v, want zero", got)
 	}
+	res := ex.ExecuteBatch(probe)
+	if len(res) != len(probe) {
+		t.Fatalf("%d results for %d queries", len(res), len(probe))
+	}
+	for i, r := range res {
+		if !r.Equal(tsunami.Result{}) {
+			t.Errorf("batch result %d after Close = %+v, want zero", i, r)
+		}
+	}
+	ex.Close() // still idempotent
 }
 
 // TestExecuteBatchWaves checks adaptive batch sizing: a batch much larger
@@ -242,25 +240,5 @@ func TestExecutorOverLiveStore(t *testing.T) {
 		if got != want[0]+extra {
 			t.Errorf("%s executor post-swap on %s: %d, want %d", name, target, got, want[0]+extra)
 		}
-	}
-}
-
-// TestExecutorIntraQuery checks the intra-query path: splitting one query's
-// regions across workers must produce the sequential answer, including on
-// baselines that don't support splitting (where it falls back).
-func TestExecutorIntraQuery(t *testing.T) {
-	ds, work, probe, want := concurrencySetup(t, 10_000, 41)
-
-	for _, idx := range []tsunami.Index{
-		tsunami.New(ds.Store, work, smallOptions()),
-		tsunami.NewKDTree(ds.Store, work, 2048), // no intra-query support: fallback path
-	} {
-		ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
-		for i, q := range probe {
-			if got := ex.Execute(q).Count; got != want[i] {
-				t.Errorf("%s intra-query on %s: got %d, want %d", idx.Name(), q, got, want[i])
-			}
-		}
-		ex.Close()
 	}
 }

@@ -1,8 +1,7 @@
 // Serving: the serving stack end to end over one taxi table.
 //
 //  1. A LiveStore serves dashboards through an Executor: a batch fanned
-//     across the worker pool and a query split across it (intra-query)
-//     must both match inline execution.
+//     across the worker pool must match inline execution.
 //  2. Four writers stream fresh trips in while readers serve; inserts
 //     publish copy-on-write epochs and background merges fold them in.
 //     Mid-run the query mix shifts to one the index was never optimized
@@ -12,7 +11,7 @@
 //     /workloadz (the workload profile) and /metrics (Prometheus text).
 //  4. The same table is served by a 4-shard ShardedStore (learned range
 //     cuts on pickup_time): routed reads prune shards, ingest runs in
-//     parallel, and scatter-gather through the Executor matches inline.
+//     parallel, and a batch through the Executor matches inline.
 //  5. Both stores snapshot and recover, and the recovered stores answer
 //     exactly like the originals.
 //
@@ -185,22 +184,17 @@ func main() {
 }
 
 // checkExecutor checks that an Executor over src answers a batch fanned
-// across its pool, and each query split across the pool, exactly as src
-// answers inline.
+// across its pool exactly as src answers inline.
 func checkExecutor(src tsunami.Index, qs []tsunami.Query) {
-	ex := tsunami.NewExecutor(src, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
+	ex := tsunami.NewExecutor(src, tsunami.ExecutorOptions{Workers: 4})
 	defer ex.Close()
 	batch := ex.ExecuteBatch(qs)
 	for i, q := range qs {
-		want := src.Execute(q)
-		if !batch[i].Equal(want) {
+		if !batch[i].Equal(src.Execute(q)) {
 			log.Fatalf("batch result diverged on %s", q)
 		}
-		if !ex.Execute(q).Equal(want) {
-			log.Fatalf("intra-query result diverged on %s", q)
-		}
 	}
-	fmt.Printf("  batch of %d queries and intra-query execution match inline execution\n", len(qs))
+	fmt.Printf("  batch of %d queries matches inline execution\n", len(qs))
 }
 
 // checkRecovered checks that a recovered store answers qs and a full

@@ -18,13 +18,9 @@ import (
 // implement. Plan routes and plans a query, flat or grouped, and pins
 // the epoch(s) it answers from, without scanning; the plan's Cost is
 // what the admission budgets check, and the same plan then executes or
-// is released. Executing can split one query's work across submitted
-// tasks (a TsunamiIndex spreads its planned ranges over them, a
-// ShardedStore its unpruned shards — so one Executor serves both
-// granularities of scatter-gather without a second scheduler; tasks
-// never block on other submitted tasks, which is what makes sharing one
-// pool deadlock-free). Baseline indexes have no pipeline: they answer
-// flat queries through Index.Execute only, unbudgeted.
+// is released. A plan executes on the goroutine that runs it. Baseline
+// indexes have no pipeline: they answer flat queries through
+// Index.Execute only, unbudgeted.
 type pipelined interface {
 	Plan(q query.Query, x index.Exec) index.Plan
 }
@@ -41,15 +37,11 @@ func (u unpipelined) Execute() Result            { return u.idx.Execute(u.q) }
 func (u unpipelined) Release()                   {}
 
 // ExecutorOptions configures an Executor. The zero value uses one worker
-// per CPU with intra-query parallelism off.
+// per CPU.
 type ExecutorOptions struct {
-	// Workers is the size of the worker pool (default runtime.NumCPU()).
+	// Workers is the size of the worker pool ExecuteBatch spreads its
+	// queries over (default runtime.NumCPU()).
 	Workers int
-	// IntraQuery additionally splits each single Execute call across the
-	// pool when the index supports it (TsunamiIndex does, by region;
-	// ShardedStore does, by shard — scatter-gather). Batch execution
-	// always parallelizes across queries regardless.
-	IntraQuery bool
 	// Metrics, when non-nil, records pool telemetry into the registry:
 	// queue wait and depth, per-query execution latency, wave sizes, and
 	// tasks executed (tsunami_exec_* metric names). Nil leaves the hot
@@ -223,15 +215,11 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 // returning zero Results; Serve returns ErrClosed.
 type Executor struct {
 	idx     Index
-	intra   index.Exec // how a single Execute call runs: split across the pool with IntraQuery, else the zero value
 	workers int
 	metrics *execMetrics // nil when instrumentation is off
 	adm     *admission   // nil when admission control is off
 
-	// jobs carries closures so one pool serves both granularities: whole
-	// queries (ExecuteBatch) and a single query's region-draining tasks
-	// (intra-query Execute). Jobs never block on other jobs, so sharing
-	// the pool cannot deadlock.
+	// jobs carries ExecuteBatch's queries, one closure each.
 	jobs chan execJob
 	wg   sync.WaitGroup
 
@@ -253,15 +241,6 @@ func NewExecutor(idx Index, o ExecutorOptions) *Executor {
 		workers: workers,
 		metrics: newExecMetrics(o.Metrics),
 		jobs:    make(chan execJob, 2*workers),
-	}
-	if o.IntraQuery {
-		// If the pool is closed mid-query the remaining tasks run on the
-		// calling goroutine; the answer is still complete.
-		e.intra = index.Exec{Workers: workers, Submit: func(task func()) {
-			if !e.trySubmit(task) {
-				task()
-			}
-		}}
 	}
 	if o.Admission.enabled() {
 		e.adm = &admission{
@@ -305,8 +284,7 @@ func (e *Executor) worker() {
 
 // trySubmit schedules a task on the pool, or reports false after Close.
 // The depth increment happens only after the closed check, so a false
-// return can never leak a depth increment (the caller runs the task
-// itself).
+// return can never leak a depth increment.
 func (e *Executor) trySubmit(task func()) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -326,15 +304,13 @@ func (e *Executor) trySubmit(task func()) bool {
 func (e *Executor) Workers() int { return e.workers }
 
 // Execute answers one query, flat or grouped (built with CountBy, SumBy
-// or Query.By). With IntraQuery enabled on a supporting index the
-// query's work is split into tasks run on the worker pool; otherwise it
-// runs on the calling goroutine (the pool is for batches). After Close
-// it returns a zero Result.
+// or Query.By), on the calling goroutine: the pool is for batches. After
+// Close it returns a zero Result.
 func (e *Executor) Execute(q Query) Result {
 	if e.isClosed() {
 		return Result{}
 	}
-	return e.run(q, e.intra)
+	return e.run(q)
 }
 
 func (e *Executor) isClosed() bool {
@@ -344,19 +320,19 @@ func (e *Executor) isClosed() bool {
 }
 
 // run answers q against the current index — through its pipeline when it
-// has one, as x says — and records its latency.
-func (e *Executor) run(q Query, x index.Exec) Result {
+// has one — and records its latency.
+func (e *Executor) run(q Query) Result {
 	var start time.Time
 	if e.metrics != nil {
 		start = time.Now()
 	}
-	return e.finish(e.plan(q, x), start)
+	return e.finish(e.plan(q), start)
 }
 
 // plan plans q on the index's pipeline, or stands in for a baseline's.
-func (e *Executor) plan(q Query, x index.Exec) index.Plan {
+func (e *Executor) plan(q Query) index.Plan {
 	if p, ok := e.idx.(pipelined); ok {
-		return p.Plan(q, x)
+		return p.Plan(q, index.Exec{})
 	}
 	return unpipelined{e.idx, q}
 }
@@ -391,7 +367,7 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 	if m != nil {
 		start = time.Now()
 	}
-	p := e.plan(q, e.intra)
+	p := e.plan(q)
 	if a == nil {
 		return e.finish(p, start), nil
 	}
@@ -465,9 +441,7 @@ func (e *Executor) runWave(qs []Query, out []Result) bool {
 	for i, q := range qs {
 		done.Add(1)
 		if !e.trySubmit(func() {
-			// Inline, whatever IntraQuery says: a pool task that waited
-			// on sub-tasks of its own could deadlock the pool.
-			out[i] = e.run(q, index.Exec{})
+			out[i] = e.run(q)
 			done.Done()
 		}) {
 			done.Done() // never scheduled

@@ -1,6 +1,6 @@
 // Acceptance tests for grouped aggregates (GROUP BY) across the serving
 // stack, run against the public API. Every path — the plain index, the
-// Executor (intra-query parallelism and admission included), a LiveStore
+// Executor (admission included), a LiveStore
 // with buffered-but-unmerged rows, and a ShardedStore through a forced
 // rebalance — must agree exactly with a naive full-scan group-by oracle:
 // same group keys, same per-group count and sum.
@@ -26,12 +26,6 @@ func TestGroupedMatchesOracleOnIndex(t *testing.T) {
 
 	qs := testutil.RandomGroupedQueries(table, 60, 9)
 	testutil.CheckGroupedMatchesFullScan(t, "TsunamiIndex", idx.ExecuteGrouped, table, qs)
-
-	// The parallel grouped path merges per-worker partials; it must be
-	// bit-identical to the sequential path's answer.
-	testutil.CheckGroupedMatchesFullScan(t, "TsunamiIndex(parallel)",
-		func(q tsunami.Query) tsunami.GroupedResult { return idx.ExecuteWith(q, tsunami.Exec{Workers: 4}) },
-		table, qs)
 }
 
 func TestGroupedExecutorAndAdmission(t *testing.T) {
@@ -39,22 +33,22 @@ func TestGroupedExecutorAndAdmission(t *testing.T) {
 	work := testutil.RandomQueries(table, 20, 12)
 	idx := tsunami.New(table, work, tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16})
 
-	ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
+	ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 4})
 	defer ex.Close()
 	qs := testutil.RandomGroupedQueries(table, 30, 13)
 	testutil.CheckGroupedMatchesFullScan(t, "Executor",
 		func(q tsunami.Query) tsunami.GroupedResult {
-			res, err := ex.ExecuteGrouped(q)
+			res, err := ex.ServeGrouped(q, tsunami.PriorityNormal)
 			if err != nil {
-				t.Fatalf("ExecuteGrouped(%s): %v", q, err)
+				t.Fatalf("ServeGrouped(%s): %v", q, err)
 			}
 			return res
 		}, table, qs)
 
 	// A flat query through the grouped entry point is a usage error, not
 	// a silent empty result.
-	if _, err := ex.ExecuteGrouped(tsunami.Count()); !errors.Is(err, tsunami.ErrNotGrouped) {
-		t.Errorf("flat query through ExecuteGrouped: err=%v, want ErrNotGrouped", err)
+	if _, err := ex.ServeGrouped(tsunami.Count(), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrNotGrouped) {
+		t.Errorf("flat query through ServeGrouped: err=%v, want ErrNotGrouped", err)
 	}
 
 	// ServeGrouped enforces the same plan-time budgets as Serve: a
@@ -204,7 +198,6 @@ func TestGroupedShardedUnderRebalance(t *testing.T) {
 				default:
 				}
 				ss.ExecuteGrouped(gqs[k%len(gqs)])
-				ss.ExecuteWith(gqs[(k+1)%len(gqs)], tsunami.Exec{Workers: 2})
 			}
 		}()
 	}
@@ -252,16 +245,12 @@ func TestGroupedShardedUnderRebalance(t *testing.T) {
 			testutil.RandomGroupedQueries(oracle.Snapshot(), 20, seed+int64(phase)+100))
 	}
 
-	// Final check after one more rebalance on the quiesced store, through
-	// both the sequential and parallel scatter-gather paths.
+	// Final check after one more rebalance on the quiesced store.
 	if err := ss.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
 	final := testutil.RandomGroupedQueries(oracle.Snapshot(), 20, seed+200)
 	oracle.CheckGrouped(t, "ShardedStore(final)", ss.ExecuteGrouped, final)
-	oracle.CheckGrouped(t, "ShardedStore(final,parallel)",
-		func(q tsunami.Query) tsunami.GroupedResult { return ss.ExecuteWith(q, tsunami.Exec{Workers: 3}) },
-		final)
 	if ss.Stats().RowsMigrated == 0 {
 		t.Error("rebalancing never migrated rows; the mid-migration grouped path was untested")
 	}
@@ -344,47 +333,45 @@ func TestExecutorAnswersGroupedQueries(t *testing.T) {
 	for _, q := range testutil.RandomQueries(table, 20, 53) {
 		mixed = append(mixed, q, q.By(4)) // the same filters flat and grouped: the same cache key but for GroupBy
 	}
-	for _, intra := range []bool{false, true} {
-		ex := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{
-			Workers: 4, IntraQuery: intra,
-			Admission: tsunami.AdmissionConfig{MaxRows: 1 << 40},
-		})
-		for round := 0; round < 2; round++ { // the second round is served from the cache
-			batch := ex.ExecuteBatch(mixed)
-			for i, q := range mixed {
-				if seq := ex.Execute(q); !batch[i].Equal(seq) {
-					t.Fatalf("intra=%v: batch answer to %s = %+v, sequential %+v", intra, q, batch[i], seq)
-				}
-				if served, err := ex.Serve(q, tsunami.PriorityNormal); err != nil || !served.Equal(batch[i]) {
-					t.Fatalf("intra=%v: Serve(%s) = %+v, %v; batch %+v", intra, q, served, err, batch[i])
-				}
-				if !q.Grouped() && batch[i].Groups != nil {
-					t.Fatalf("intra=%v: flat %s answered with groups %v", intra, q, batch[i].Groups)
-				}
+	ex := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{
+		Workers:   4,
+		Admission: tsunami.AdmissionConfig{MaxRows: 1 << 40},
+	})
+	defer ex.Close()
+	for round := 0; round < 2; round++ { // the second round is served from the cache
+		batch := ex.ExecuteBatch(mixed)
+		for i, q := range mixed {
+			if seq := ex.Execute(q); !batch[i].Equal(seq) {
+				t.Fatalf("batch answer to %s = %+v, sequential %+v", q, batch[i], seq)
 			}
-			// The oracle asks for each query's answer; hand it the batch's
-			// (and, for the probes it adds itself, a fresh one).
-			answers := make(map[string]tsunami.Result, len(mixed))
-			for i, q := range mixed {
-				answers[q.String()] = batch[i]
+			if served, err := ex.Serve(q, tsunami.PriorityNormal); err != nil || !served.Equal(batch[i]) {
+				t.Fatalf("Serve(%s) = %+v, %v; batch %+v", q, served, err, batch[i])
 			}
-			lookup := func(q tsunami.Query) tsunami.Result {
-				if res, ok := answers[q.String()]; ok {
-					return res
-				}
-				return ex.Execute(q)
+			if !q.Grouped() && batch[i].Groups != nil {
+				t.Fatalf("flat %s answered with groups %v", q, batch[i].Groups)
 			}
-			oracle.Check(t, answerIndex(lookup), everyOther(mixed, 0))
-			oracle.CheckGrouped(t, "ExecuteBatch", lookup, everyOther(mixed, 1))
 		}
-		ex.Close()
+		// The oracle asks for each query's answer; hand it the batch's
+		// (and, for the probes it adds itself, a fresh one).
+		answers := make(map[string]tsunami.Result, len(mixed))
+		for i, q := range mixed {
+			answers[q.String()] = batch[i]
+		}
+		lookup := func(q tsunami.Query) tsunami.Result {
+			if res, ok := answers[q.String()]; ok {
+				return res
+			}
+			return ex.Execute(q)
+		}
+		oracle.Check(t, answerIndex(lookup), everyOther(mixed, 0))
+		oracle.CheckGrouped(t, "ExecuteBatch", lookup, everyOther(mixed, 1))
 	}
 
-	flood := tsunami.NewExecutor(tsunami.NewFlood(table, work, tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16}),
-		tsunami.ExecutorOptions{})
+	baseline := tsunami.NewFlood(table, work, tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16})
+	flood := tsunami.NewExecutor(baseline, tsunami.ExecutorOptions{})
 	defer flood.Close()
-	if res, err := flood.ExecuteGrouped(tsunami.CountBy(4)); !errors.Is(err, tsunami.ErrNotGrouped) || !res.Equal(tsunami.Result{}) {
-		t.Errorf("ExecuteGrouped on a baseline index = %+v, %v; want a zero result and ErrNotGrouped", res, err)
+	if got, want := flood.Execute(work[0]), baseline.Execute(work[0]); !got.Equal(want) {
+		t.Errorf("Execute on a baseline index = %+v, want %+v", got, want)
 	}
 	if res, err := flood.ServeGrouped(tsunami.CountBy(4), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrNotGrouped) || !res.Equal(tsunami.Result{}) {
 		t.Errorf("ServeGrouped on a baseline index = %+v, %v; want a zero result and ErrNotGrouped", res, err)

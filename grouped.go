@@ -11,8 +11,8 @@ import (
 // answer: one GroupAgg per distinct group key, sorted by key, Count and
 // Sum totalled over them. Partial results merge exactly (per-group count
 // and sum add; AVG derives from the merged pair), which is what lets
-// grouped queries scatter-gather across workers and shards by the same
-// merge as flat aggregates.
+// grouped queries scatter-gather across shards by the same merge as flat
+// aggregates.
 type GroupedResult = Result
 
 // GroupAgg is one group's aggregate: the group key, the matching row
@@ -31,21 +31,12 @@ func SumBy(aggDim, dim int, filters ...Filter) Query {
 
 // ErrNotGrouped reports a grouped query sent to an index that cannot
 // answer grouped aggregates (a baseline index), or a flat query sent to
-// ExecuteGrouped.
+// ServeGrouped.
 var ErrNotGrouped = fmt.Errorf("tsunami: index does not support grouped aggregates")
 
-// ExecuteGrouped is Execute for callers that want a grouped answer or an
+// ServeGrouped is Serve for callers that want a grouped answer or an
 // error, never a flat answer dressed as grouped: a query with no GROUP
 // BY, or an index that cannot group (a baseline), yields ErrNotGrouped.
-// After Close it returns a zero result and nil error, matching Execute.
-func (e *Executor) ExecuteGrouped(q Query) (GroupedResult, error) {
-	if err := e.groups(q); err != nil {
-		return GroupedResult{}, err
-	}
-	return e.Execute(q), nil
-}
-
-// ServeGrouped is Serve with ExecuteGrouped's guarantee.
 func (e *Executor) ServeGrouped(q Query, pri Priority) (GroupedResult, error) {
 	if err := e.groups(q); err != nil {
 		return GroupedResult{}, err

@@ -24,8 +24,7 @@ type run struct {
 // PhysRange is one contiguous physical row range [Start, End) a query's
 // execution scans, with the exactness flag colstore.ScanRange consumes.
 // Ranges are absolute positions in the finalized store, so callers may
-// scan them directly — in any order, or split across goroutines — and
-// merge the partial ScanResults.
+// scan them directly, in any order, and merge the partial ScanResults.
 type PhysRange struct {
 	Start, End int
 	Exact      bool

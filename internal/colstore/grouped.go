@@ -17,8 +17,8 @@ import (
 // word w set iff row start+w*64+k matches every filter — the exact words
 // maskWordsAVX2 and maskWord already compute), and the grouping operator
 // consumes them column-at-a-time, folding each selected row's group-key
-// value into a per-group (count, sum) pair. SelVector exposes the mask
-// as a first-class value; GroupAccumulator is the operator.
+// value into a per-group (count, sum) pair. GroupAccumulator is the
+// operator.
 //
 // The accumulator rests on one fact: the group column's value span is
 // known (the store caches each column's min and max on first grouped
@@ -52,9 +52,8 @@ import (
 //
 // Partials merge exactly: a grouped ScanResult carries per-group
 // (count, sum) pairs sorted by key, and Merge is a sorted-list union
-// that adds pairs — so grouped results combine across executor workers,
-// delta buffers, and shard scatter-gather by the same Merge flat ones
-// do, with AVG derived from the merged pair, never averaged across
+// that adds pairs — so grouped results combine across delta buffers and
+// shard scatter-gather by the same Merge flat ones do, with AVG derived from the merged pair, never averaged across
 // partials.
 
 const (
@@ -68,84 +67,6 @@ const (
 	blockRows  = 1024
 	blockWords = blockRows / 64
 )
-
-// SelVector is a materialized selection over a physical row range: bit k
-// of Words[w] is set iff row Start+w*64+k matched every filter. Bits at
-// or beyond Rows are always clear. It is the intermediate between the
-// filter stage (FilterRange, or the per-block masks inside
-// ScanRangeGrouped) and mask-consuming operators.
-type SelVector struct {
-	Start int      // physical row index of bit 0 of Words[0]
-	Rows  int      // rows covered; the tail of the last word is clear
-	Words []uint64 // ceil(Rows/64) mask words
-}
-
-// Reset re-targets the vector at rows [start, start+rows) with all bits
-// clear, reusing the existing words allocation when large enough.
-func (sv *SelVector) Reset(start, rows int) {
-	sv.Start, sv.Rows = start, rows
-	nw := (rows + 63) / 64
-	if cap(sv.Words) < nw {
-		sv.Words = make([]uint64, nw)
-		return
-	}
-	sv.Words = sv.Words[:nw]
-	for i := range sv.Words {
-		sv.Words[i] = 0
-	}
-}
-
-// OnesCount returns the number of selected rows.
-func (sv *SelVector) OnesCount() int {
-	n := 0
-	for _, w := range sv.Words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// FilterRange evaluates q's filters over physical rows [start, end) into
-// sv. If exact is true (or the query has no filters) every row is
-// selected without touching column data. Full 64-row words run on the
-// dispatched mask kernels (AVX2 or portable); the sub-word tail is
-// evaluated row-at-a-time. An inverted filter (Lo > Hi) selects nothing.
-func (s *Store) FilterRange(q query.Query, start, end int, exact bool, sv *SelVector) {
-	if start < 0 {
-		start = 0
-	}
-	if end > s.NumRows() {
-		end = s.NumRows()
-	}
-	if start >= end {
-		sv.Reset(start, 0)
-		return
-	}
-	n := end - start
-	sv.Reset(start, n)
-	nw := n >> 6
-	if exact || len(q.Filters) == 0 {
-		for w := 0; w < nw; w++ {
-			sv.Words[w] = ^uint64(0)
-		}
-		for i := nw * 64; i < n; i++ {
-			sv.Words[i>>6] |= 1 << (uint(i) & 63)
-		}
-		return
-	}
-	for _, f := range q.Filters {
-		if f.Lo > f.Hi {
-			return
-		}
-	}
-	if nw > 0 {
-		s.maskBlockInto(q.Filters, start, nw, sv.Words[:nw])
-	}
-	for i := nw * 64; i < n; i++ {
-		if s.rowMatches(q.Filters, start+i) {
-			sv.Words[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-}
 
 // maskBlockInto fills mask[0:nw] with the conjunction of the filters
 // over rows [start, start+nw*64): the first filter writes each word,
@@ -241,8 +162,8 @@ func (g GroupRegime) String() string {
 // Merge folds another partial into r — the one merge of the repository.
 // The (count, sum) pair and the scan accounting add; groups merge by a
 // sorted-list union that adds the pairs of shared keys. Because the
-// pairs are exact, partials from disjoint scans (executor chunks, delta
-// buffers, shard scatter-gather) merge exactly — including AVG, overall
+// pairs are exact, partials from disjoint scans (delta buffers, shard
+// scatter-gather) merge exactly — including AVG, overall
 // and per group, which is derived from the merged pair (Avg,
 // GroupAgg.Avg), never averaged across partials. The union is built in
 // r.Groups' own capacity, growing it only when o brings keys r lacks,

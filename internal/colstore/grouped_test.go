@@ -208,30 +208,6 @@ func TestGroupedResultMerge(t *testing.T) {
 	}
 }
 
-// TestFilterRangeMatchesMatches pins the public selection-vector filter
-// stage to Query.MatchesRow row by row.
-func TestFilterRangeMatchesMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := randGroupedStore(t, rng, 3_000)
-	row := make([]int64, s.NumDims())
-	for i := 0; i < 40; i++ {
-		q := randGroupedQuery(rng)
-		start := rng.Intn(s.NumRows())
-		end := start + rng.Intn(s.NumRows()-start+1)
-		var sv SelVector
-		s.FilterRange(q, start, end, false, &sv)
-		if sv.Start != start || sv.Rows != end-start {
-			t.Fatalf("FilterRange bounds: got [%d,+%d) want [%d,+%d)", sv.Start, sv.Rows, start, end-start)
-		}
-		for r := start; r < end; r++ {
-			bit := sv.Words[(r-start)>>6]>>(uint(r-start)&63)&1 == 1
-			if want := q.MatchesRow(s.Row(r, row)); bit != want {
-				t.Fatalf("row %d: sel bit %v, MatchesRow %v (query %v)", r, bit, want, q)
-			}
-		}
-	}
-}
-
 // TestGroupAggAvg pins per-group AVG to the merged pair.
 func TestGroupAggAvg(t *testing.T) {
 	g := GroupAgg{Key: 1, Count: 4, Sum: -10}

@@ -37,16 +37,17 @@ func findRegionForPoint(nd *gridtree.Node, row []int64) *gridtree.Region {
 // scanDeltas folds matches from the delta buffers of the regions the
 // query intersects — into acc when the query is grouped (acc non-nil),
 // into res otherwise; ExecuteWith calls it after the clustered scan.
-// Each buffered row is one scanned point.
-func (t *Tsunami) scanDeltas(q query.Query, regions []*gridtree.Region, res *colstore.ScanResult, acc *colstore.GroupAccumulator) {
+// Each buffered row is one scanned point; it returns how many it visited.
+func (t *Tsunami) scanDeltas(q query.Query, regions []*gridtree.Region, res *colstore.ScanResult, acc *colstore.GroupAccumulator) (scanned int) {
 	if t.numBuffered == 0 {
-		return
+		return 0
 	}
 	for _, r := range regions {
 		d := t.deltas[r.ID]
 		if d == nil {
 			continue
 		}
+		scanned += len(d.rows)
 		if acc != nil {
 			acc.AddScanned(uint64(len(d.rows)), 0)
 		} else {
@@ -68,4 +69,5 @@ func (t *Tsunami) scanDeltas(q query.Query, regions []*gridtree.Region, res *col
 			}
 		}
 	}
+	return scanned
 }

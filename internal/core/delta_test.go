@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -123,6 +124,51 @@ func TestPlanCostChargesOnlyRoutedDeltas(t *testing.T) {
 	}
 	if away == 0 {
 		t.Fatal("no probe routed away from the buffered rows")
+	}
+}
+
+// TestTraceDeltaCountsRoutedBuffers pins the trace's delta stage to the
+// buffered rows the query actually scans: a query routed away from every
+// buffered row reads "0 of M", one routed to them reads "M of M".
+func TestTraceDeltaCountsRoutedBuffers(t *testing.T) {
+	st := testutil.SmallTaxi(10000, 4)
+	// 500 buffered rows, all in one region: copies of an existing row.
+	rows := make([][]int64, 500)
+	for i := range rows {
+		rows[i] = st.Row(0, nil)
+	}
+	idx, err := Build(st, testutil.SkewedQueries(st, 100, 5), smallConfig(FullTsunami)).CopyWithInserts(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[bool]bool{}
+	for _, q := range testutil.RandomQueries(st, 200, 6) {
+		routed := false
+		for _, r := range idx.tree.FindRegions(q, nil) {
+			routed = routed || idx.deltas[r.ID] != nil
+		}
+		if seen[routed] {
+			continue
+		}
+		seen[routed] = true
+		var tr obs.QueryTrace
+		idx.ExecuteWith(q, index.Exec{Trace: &tr})
+		want := "0 of 500 buffered rows scanned"
+		if routed {
+			want = "500 of 500 buffered rows scanned"
+		}
+		var got string
+		for _, stage := range tr.Stages {
+			if stage.Name == "delta" {
+				got = stage.Detail
+			}
+		}
+		if got != want {
+			t.Errorf("%s (routed to the buffer: %v): delta stage says %q, want %q", q, routed, got, want)
+		}
+	}
+	if !seen[false] || !seen[true] {
+		t.Fatalf("probes covered routed=%v only; the test needs both", seen)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/auggrid"
@@ -102,7 +101,6 @@ type execContext struct {
 	regions []*gridtree.Region
 	grid    *auggrid.ExecContext
 	phys    []auggrid.PhysRange       // the plan: every range the query scans
-	chunks  []auggrid.PhysRange       // the plan split at chunkRows, for workers to drain
 	acc     colstore.GroupAccumulator // grouped queries' cells, Reset per query
 }
 
@@ -256,13 +254,12 @@ func (t *Tsunami) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 // Plan is the pipeline's plan step: route q through the Grid Tree and let
 // each routed region's Augmented Grid turn the filters into physical
 // ranges, into a pooled context. Nothing is scanned until the plan
-// executes: then the ranges are scanned — inline, or split at chunkRows
-// and drained by x.Workers tasks on x.Submit — the routed regions'
-// buffered inserts folded in, and the partials merged. A grouped query
-// runs the same plan (GROUP BY never changes which rows a query touches,
-// only what is folded per matching row) through the grouped scan kernel
-// into pooled accumulators; every partial is a ScanResult and merges
-// exactly. With x.Trace set the same code stamps stage times as it goes.
+// executes: then the ranges are scanned on the calling goroutine and the
+// routed regions' buffered inserts folded in. A grouped query runs the
+// same plan (GROUP BY never changes which rows a query touches, only what
+// is folded per matching row) through the grouped scan kernel into the
+// context's pooled accumulator. With x.Trace set the same code stamps
+// stage times as it goes.
 func (t *Tsunami) Plan(q query.Query, x index.Exec) index.Plan {
 	ctx := execCtxPool.Get().(*execContext)
 	ctx.t, ctx.q, ctx.x = t, q, x
@@ -321,11 +318,11 @@ func (ctx *execContext) Release() {
 	execCtxPool.Put(ctx)
 }
 
-// Execute scans the plan, merges, and releases the context.
+// Execute scans the plan and the routed regions' buffered rows, and
+// releases the context.
 func (ctx *execContext) Execute() colstore.ScanResult {
 	defer ctx.Release()
-	t, q, x := ctx.t, ctx.q, ctx.x
-	tr := x.Trace
+	t, q, tr := ctx.t, ctx.q, ctx.x.Trace
 	var began, mark time.Time
 	if tr != nil {
 		// Total counts the planning and this execution, not whatever ran
@@ -334,22 +331,15 @@ func (ctx *execContext) Execute() colstore.ScanResult {
 		began = mark.Add(-ctx.planned)
 	}
 
-	// The caller's own fold: a flat query's matches land in res directly,
-	// a grouped query's in the context's accumulator. Workers, when the
-	// scan fans out, fold into partials of their own.
+	// A flat query's matches land in res directly, a grouped query's in
+	// the context's accumulator.
 	var res colstore.ScanResult
 	var acc *colstore.GroupAccumulator
 	if q.Grouped() {
 		acc = &ctx.acc
 		acc.Reset(q, t.store)
 	}
-	var partials []colstore.ScanResult
-	if x.Workers > 1 && tr == nil {
-		partials = t.drain(q, ctx.split(), x.Workers, x.Submit)
-	}
-	if partials == nil {
-		t.scanRanges(q, ctx.phys, &res, acc)
-	}
+	t.scanRanges(q, ctx.phys, &res, acc)
 	if tr != nil {
 		name, detail := "scan", ""
 		if acc != nil {
@@ -358,16 +348,13 @@ func (ctx *execContext) Execute() colstore.ScanResult {
 		mark = tr.Stage(name, mark, detail)
 	}
 
-	t.scanDeltas(q, ctx.regions, &res, acc)
+	scanned := t.scanDeltas(q, ctx.regions, &res, acc)
 	if tr != nil {
-		mark = tr.Stage("delta", mark, fmt.Sprintf("%d buffered rows visible", t.numBuffered))
+		mark = tr.Stage("delta", mark, fmt.Sprintf("%d of %d buffered rows scanned", scanned, t.numBuffered))
 	}
 
 	if acc != nil {
 		res = acc.Result()
-	}
-	for _, p := range partials {
-		res.Merge(p)
 	}
 	if tr != nil {
 		if acc != nil {
@@ -405,75 +392,6 @@ func (t *Tsunami) scanRanges(q query.Query, ranges []auggrid.PhysRange, res *col
 			st.ScanRange(q, pr.Start, pr.End, pr.Exact, res)
 		}
 	}
-}
-
-// chunkRows is the sub-region scan granularity: planned physical ranges
-// longer than this are split into chunkRows pieces so even a single huge
-// range spreads across the pool. A multiple of the colstore kernel block
-// (1024 rows). Sized against kernel speed, not cache: the AVX2 kernels
-// scan a chunk's column in ~15-30us, so at 16k rows the shared-cursor
-// fetch and call overhead (~100ns) started to show at high worker
-// counts; 64k keeps it under ~1% while still yielding enough chunks for
-// the pool to balance (a 1M-row region splits 16 ways). Chunks are a
-// scheduling unit, not a cache-blocking unit — cache residency is the
-// kernels' 1024-row block's job.
-const chunkRows = 64 * 1024
-
-// split cuts the plan's ranges at chunkRows granularity into ctx.chunks.
-func (ctx *execContext) split() []auggrid.PhysRange {
-	ctx.chunks = ctx.chunks[:0]
-	for _, pr := range ctx.phys {
-		for s := pr.Start; s < pr.End; s += chunkRows {
-			ctx.chunks = append(ctx.chunks, auggrid.PhysRange{Start: s, End: min(s+chunkRows, pr.End), Exact: pr.Exact})
-		}
-	}
-	return ctx.chunks
-}
-
-// drain is the parallel scan: up to workers tasks handed to submit (nil
-// spawns goroutines) pull chunks from a shared cursor — chunk sizes are
-// skewed, so no fixed stripes — and each folds its share into one
-// partial, a grouped query's through a pooled accumulator of its own.
-// Workers are not clamped to the region count: chunks cut below region
-// granularity, so a single-region query can use the whole pool. A plan
-// of fewer than two chunks is not worth fanning out: drain returns nil
-// and the caller scans inline.
-func (t *Tsunami) drain(q query.Query, chunks []auggrid.PhysRange, workers int, submit func(task func())) []colstore.ScanResult {
-	if len(chunks) < 2 {
-		return nil
-	}
-	if submit == nil {
-		submit = func(task func()) { go task() }
-	}
-	workers = min(workers, len(chunks))
-	var cursor atomic.Int64
-	partials := make([]colstore.ScanResult, workers)
-	var wg sync.WaitGroup
-	for w := range partials {
-		wg.Add(1)
-		submit(func() {
-			defer wg.Done()
-			var acc *colstore.GroupAccumulator
-			if q.Grouped() {
-				wctx := execCtxPool.Get().(*execContext)
-				defer execCtxPool.Put(wctx)
-				acc = &wctx.acc
-				acc.Reset(q, t.store)
-			}
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(chunks) {
-					break
-				}
-				t.scanRanges(q, chunks[i:i+1], &partials[w], acc)
-			}
-			if acc != nil {
-				partials[w] = acc.Result()
-			}
-		})
-	}
-	wg.Wait()
-	return partials
 }
 
 // SizeBytes implements index.Index: the Grid Tree plus every region grid.

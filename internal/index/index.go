@@ -34,23 +34,13 @@ type Index interface {
 // Exec says how one query is to run through an execution pipeline
 // (core.Tsunami, live.Store and sharded.Store each implement one
 // ExecuteWith(q, Exec)); what the query computes — flat or grouped,
-// COUNT or SUM — is the query's own business. The zero value runs
-// inline on the calling goroutine, untraced.
+// COUNT or SUM — is the query's own business. Every run executes inline
+// on the goroutine that asked for it; the zero value runs untraced.
 type Exec struct {
-	// Workers > 1 splits the query's scan work (a core index's planned
-	// ranges, a sharded store's routed shards) across up to that many
-	// tasks and merges their partials.
-	Workers int
-	// Submit schedules one such task, typically on an existing worker
-	// pool; it must run the task (possibly later) on some goroutine.
-	// Tasks never block on other tasks, so a shared pool cannot
-	// deadlock. Nil spawns a goroutine per task.
-	Submit func(task func())
 	// Trace, when non-nil, is filled with the run's explain-analyze
 	// record: the same code executes and stamps stage times as it goes.
-	// A traced run executes inline, so stage times attribute exactly,
-	// and always executes (it bypasses result caches); the answer is
-	// identical to an untraced run's.
+	// A traced run always executes (it bypasses result caches); the
+	// answer is identical to an untraced run's.
 	Trace *obs.QueryTrace
 }
 
@@ -67,8 +57,9 @@ type Plan interface {
 	// row for each column read (an upper bound: exact ranges read less).
 	// An answer the plan found in a result cache costs (0, 0).
 	Cost() (rows, bytes uint64)
-	// Execute runs the plan as the Exec it was made with says, records
-	// the query at every layer, and releases the plan.
+	// Execute runs the plan on the calling goroutine, traced if the Exec
+	// it was made with says so, records the query at every layer, and
+	// releases the plan.
 	Execute() colstore.ScanResult
 	// Release gives back a plan that will not execute. A released plan
 	// leaves no trace: no counter, cache entry or statistic moves.

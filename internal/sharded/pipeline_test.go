@@ -22,8 +22,7 @@ import (
 )
 
 // pipeline is what every layer under test offers: an index whose one
-// execution entry point takes the how (inline, fanned out, traced) as an
-// argument, and is its plan step followed by the plan's execution.
+// execution entry point takes the how (traced or not) as an argument, and is its plan step followed by the plan's execution.
 type pipeline interface {
 	index.Index
 	ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult
@@ -179,9 +178,8 @@ func checkOracle(t *testing.T, l layer, q query.Query, res colstore.ScanResult) 
 	}
 }
 
-// checkEquivalence drives every query through the layer six ways —
-// inline, Workers: 4 with goroutines, Workers: 4 on an Executor's pool,
-// planned, priced and executed inline and with Workers: 4, and traced —
+// checkEquivalence drives every query through the layer four ways —
+// inline, through an Executor, planned, priced and executed, and traced —
 // and asserts the inline answer is the oracle's and the others are
 // bit-for-bit the same (aggregates, groups, accounting, regime), and a
 // plan's price is the layer's estimate. Which untraced way runs first
@@ -190,9 +188,9 @@ func checkOracle(t *testing.T, l layer, q query.Query, res colstore.ScanResult) 
 func checkEquivalence(t *testing.T, l layer, pool *tsunami.Executor, qs []query.Query) {
 	t.Helper()
 	for i, q := range qs {
-		planned := func(x index.Exec) colstore.ScanResult {
+		planned := func() colstore.ScanResult {
 			rows, bytes := estimate(l.src, q)
-			p := l.src.Plan(q, x)
+			p := l.src.Plan(q, index.Exec{})
 			if r, b := p.Cost(); r != rows || b != bytes {
 				t.Errorf("%s: plan of %s is priced (%d, %d), its estimate is (%d, %d)", l.name, q, r, b, rows, bytes)
 			}
@@ -203,10 +201,8 @@ func checkEquivalence(t *testing.T, l layer, pool *tsunami.Executor, qs []query.
 			run  func() colstore.ScanResult
 		}{
 			{"inline", func() colstore.ScanResult { return l.src.ExecuteWith(q, index.Exec{}) }},
-			{"Workers: 4", func() colstore.ScanResult { return l.src.ExecuteWith(q, index.Exec{Workers: 4}) }},
-			{"Workers: 4 on an Executor pool", func() colstore.ScanResult { return pool.Execute(q) }},
-			{"planned, priced, executed", func() colstore.ScanResult { return planned(index.Exec{}) }},
-			{"planned, priced, executed on Workers: 4", func() colstore.ScanResult { return planned(index.Exec{Workers: 4}) }},
+			{"through an Executor", func() colstore.ScanResult { return pool.Execute(q) }},
+			{"planned, priced, executed", planned},
 		}
 		got := make([]colstore.ScanResult, len(ways))
 		for k := range ways {
@@ -228,13 +224,12 @@ func checkEquivalence(t *testing.T, l layer, pool *tsunami.Executor, qs []query.
 }
 
 func newPool(l layer) *tsunami.Executor {
-	return tsunami.NewExecutor(l.src, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
+	return tsunami.NewExecutor(l.src, tsunami.ExecutorOptions{Workers: 4})
 }
 
 // TestPipelineEquivalence is the one equivalence test of the execution
 // pipeline: {flat COUNT, flat SUM, grouped COUNT, grouped SUM} × {inline,
-// Workers: 4, Workers: 4 on an Executor pool, planned-priced-executed
-// inline and on Workers: 4, traced} through a bare
+// through an Executor, planned-priced-executed, traced} through a bare
 // index with buffered rows (one of them beyond every accumulator
 // window), a single-region index, a caching LiveStore, and a
 // ShardedStore in the middle of a rebalance — all against the full-scan
@@ -262,9 +257,7 @@ func TestPipelineEquivalence(t *testing.T) {
 		}
 	})
 
-	// One region (AugGridOnly) is the worst case for fanning a query out:
-	// the plan's ranges must be cut below region granularity, and the
-	// submitted tasks must really be used, not clamped to the region count.
+	// One region (AugGridOnly): every query routes to the one grid.
 	t.Run("single-region index", func(t *testing.T) {
 		cfg := sharded.SmallConfig()
 		cfg.Variant = core.AugGridOnly
@@ -276,21 +269,6 @@ func TestPipelineEquivalence(t *testing.T) {
 		pool := newPool(l)
 		defer pool.Close()
 		checkEquivalence(t, l, pool, qs)
-		maxTasks := 0
-		for _, q := range qs {
-			tasks := 0
-			got := idx.ExecuteWith(q, index.Exec{Workers: 3, Submit: func(task func()) {
-				tasks++
-				go task()
-			}})
-			if !got.Equal(idx.Execute(q)) {
-				t.Errorf("%s on 3 submitted tasks = %+v, inline %+v", q, got, idx.Execute(q))
-			}
-			maxTasks = max(maxTasks, tasks)
-		}
-		if maxTasks < 2 {
-			t.Errorf("no query fanned out over the single region (max tasks = %d)", maxTasks)
-		}
 	})
 
 	t.Run("caching LiveStore", func(t *testing.T) {
@@ -405,7 +383,7 @@ func TestShardedBudgetSumsRoutedShards(t *testing.T) {
 		t.Fatalf("%s routes to all %d shards; the test needs one the router prunes", narrow, n)
 	}
 	serve := func(q query.Query, maxRows uint64) (colstore.ScanResult, error) {
-		ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 2, IntraQuery: true, Admission: tsunami.AdmissionConfig{MaxRows: maxRows}})
+		ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 2, Admission: tsunami.AdmissionConfig{MaxRows: maxRows}})
 		defer ex.Close()
 		return ex.Serve(q, tsunami.PriorityNormal)
 	}

@@ -18,10 +18,9 @@
 // the partial aggregates merge (COUNT and SUM are sums; AVG ships as a
 // sum+count pair in ScanResult, so it merges exactly too; a grouped
 // query ships one pair per group). Store implements the same
-// Plan/ExecuteWith pipeline as a bare index, so an Executor with
-// IntraQuery enabled scatters the surviving shards across its worker
-// pool and gathers the partials — scatter-gather through the existing
-// pool, no second scheduler.
+// Plan/ExecuteWith pipeline as a bare index: one query executes its
+// surviving shards one after another on the calling goroutine, and
+// parallelism comes from concurrent queries.
 //
 // Consistency: each shard's reads are epoch-consistent and each batch is
 // atomic within a shard, but a batch spanning shards becomes visible
@@ -507,8 +506,7 @@ func (s *Store) countRoute(scanned int) {
 	}
 }
 
-// Execute implements index.Index: ExecuteWith, inline and untraced. Use
-// an Executor with IntraQuery for parallel scatter-gather.
+// Execute implements index.Index: ExecuteWith, untraced.
 func (s *Store) Execute(q query.Query) colstore.ScanResult {
 	return s.ExecuteWith(q, index.Exec{})
 }
@@ -550,7 +548,7 @@ var planPool = sync.Pool{New: func() any { return new(plan) }}
 // never spans a half-migrated placement (rows counted twice in source and
 // destination, or in neither), and because epochs are immutable it
 // answers exactly for that placement whenever it executes. Executing the
-// plan scatters the shard plans, merges their partials exactly — every
+// plan runs the shard plans in turn, merges their partials exactly — every
 // partial is an exact (count, sum) pair, per group for a grouped query —
 // and records the query once, at the router. Results are cached below
 // the router, by each shard at its own epoch. With x.Trace set the same
@@ -693,52 +691,22 @@ func (p *plan) Execute() colstore.ScanResult {
 	return res
 }
 
-// scatter executes every shard plan and returns the shards' answers in
-// routing order: on the calling goroutine, or — Workers > 1 — drained by
-// up to that many tasks handed to Submit (typically an Executor's worker
-// pool; nil spawns goroutines). Shard sizes are skewed (pruning can leave
-// one big shard and several small ones), so tasks pull the next shard
-// from a shared cursor; they never block on other tasks, so running them
-// on a shared pool cannot deadlock. Each shard runs its own pipeline
-// inline: the pool's parallelism is spent across shards. A traced run
-// executes shard by shard on the calling goroutine, and each shard's span
-// is its own traced plan and execution.
+// scatter executes every shard plan in routing order on the calling
+// goroutine and returns the shards' answers. Each shard runs its own
+// pipeline; a traced run's span per shard is that shard's own traced plan
+// and execution.
 func (p *plan) scatter() []colstore.ScanResult {
-	shards, x := p.shards, p.x
-	parts := make([]colstore.ScanResult, len(shards))
-	workers := min(x.Workers, len(shards))
-	if tr := x.Trace; tr != nil || workers <= 1 {
-		for i, sp := range shards {
-			parts[i] = sp.Execute()
-			if tr != nil {
-				sub := &p.subs[i]
-				tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: p.ids[i], Duration: sub.Total,
-					Rows: parts[i].PointsScanned, Bytes: parts[i].BytesTouched, Regions: sub.Regions})
-				tr.Regions += sub.Regions
-			}
+	tr := p.x.Trace
+	parts := make([]colstore.ScanResult, len(p.shards))
+	for i, sp := range p.shards {
+		parts[i] = sp.Execute()
+		if tr != nil {
+			sub := &p.subs[i]
+			tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: p.ids[i], Duration: sub.Total,
+				Rows: parts[i].PointsScanned, Bytes: parts[i].BytesTouched, Regions: sub.Regions})
+			tr.Regions += sub.Regions
 		}
-		return parts
 	}
-	submit := x.Submit
-	if submit == nil {
-		submit = func(task func()) { go task() }
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		submit(func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(shards) {
-					break
-				}
-				parts[i] = shards[i].Execute()
-			}
-		})
-	}
-	wg.Wait()
 	return parts
 }
 
@@ -771,11 +739,25 @@ func (s *Store) Insert(row []int64) error {
 	// Routing under the ingest gate: a migration publishes its topology
 	// while holding the gate exclusively, so the shard chosen here always
 	// matches the placement the routing layer advertises.
-	if err := s.shards[s.topo.Load().parts.ShardOf(row)].Insert(row); err != nil {
+	id, err := s.shardOf(s.topo.Load().parts, row)
+	if err != nil {
+		return err
+	}
+	if err := s.shards[id].Insert(row); err != nil {
 		return err
 	}
 	s.inserts.Add(1)
 	return nil
+}
+
+// shardOf routes row with parts, or errors if a custom Partitioner names
+// a shard the store does not have.
+func (s *Store) shardOf(parts Partitioner, row []int64) (int, error) {
+	id := parts.ShardOf(row)
+	if id < 0 || id >= len(s.shards) {
+		return 0, fmt.Errorf("sharded: partitioner sent a row to shard %d of %d", id, len(s.shards))
+	}
+	return id, nil
 }
 
 // InsertBatch splits rows by owning shard and ingests the pieces in
@@ -803,12 +785,16 @@ func (s *Store) InsertBatch(rows [][]int64) error {
 	// is the one their placement is published against (a migration cannot
 	// swap topologies mid-batch: it needs the gate exclusively). Shard ids
 	// are dense, so group into a shard-indexed slice (no map hashing on
-	// the ingest hot path).
+	// the ingest hot path). Every row is routed before any shard inserts,
+	// so a batch the partitioner misroutes inserts nothing.
 	parts := s.topo.Load().parts
 	groups := make([][][]int64, len(s.shards))
 	touched := 0
 	for _, row := range rows {
-		id := parts.ShardOf(row)
+		id, err := s.shardOf(parts, row)
+		if err != nil {
+			return err
+		}
 		if groups[id] == nil {
 			touched++
 		}

@@ -139,8 +139,8 @@ func TestShardedEqualsUnshardedUnderIngest(t *testing.T) {
 }
 
 // TestShardedExecutorScatterGather routes a ShardedStore through the
-// public Executor: batch execution and intra-query scatter-gather must
-// both match direct sequential execution.
+// public Executor: a batch fanned across the pool and concurrent Execute
+// callers must both match direct sequential execution.
 func TestShardedExecutorScatterGather(t *testing.T) {
 	_, work, ss := shardedSetup(t, 8000, tsunami.ShardedOptions{Shards: 4, Learned: true})
 	defer ss.Close()
@@ -152,6 +152,7 @@ func TestShardedExecutorScatterGather(t *testing.T) {
 
 	// Batch path: queries fan across the pool, each routed per shard.
 	ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 4})
+	defer ex.Close()
 	got := ex.ExecuteBatch(work)
 	for i := range work {
 		if got[i].Count != want[i].Count || got[i].Sum != want[i].Sum {
@@ -159,12 +160,9 @@ func TestShardedExecutorScatterGather(t *testing.T) {
 				i, work[i], got[i].Count, got[i].Sum, want[i].Count, want[i].Sum)
 		}
 	}
-	ex.Close()
 
-	// Intra-query path: each query's surviving shards scatter across the
-	// pool and the partials gather.
-	ex = tsunami.NewExecutor(ss, tsunami.ExecutorOptions{Workers: 4, IntraQuery: true})
-	defer ex.Close()
+	// Concurrent callers: each query's surviving shards execute on its
+	// caller's goroutine and the partials gather.
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		r := r

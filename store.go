@@ -105,10 +105,8 @@ func RecoverLiveStore(r io.Reader, optimized []Query, o LiveOptions) (*LiveStore
 // merging their partial aggregates (COUNT/SUM add; AVG merges exactly
 // because Result carries the sum+count pair).
 //
-// ShardedStore implements Index and supports the Executor's intra-query
-// interface: an Executor with IntraQuery enabled
-// scatters each query's surviving shards across its worker pool and
-// gathers the partials.
+// ShardedStore implements Index and the same Plan/ExecuteWith pipeline as
+// a TsunamiIndex, so an Executor serves it like any other index.
 type ShardedStore = sharded.Store
 
 // ShardedOptions configures a ShardedStore: shard count, partitioner
@@ -161,8 +159,8 @@ func NewRangePartitioner(table *Table, dim, shards int) Partitioner {
 //	go func() { ss.InsertBatch(rows) }()   // writers scale with shards
 //	res := ss.Execute(q)                   // routed, pruned, merged
 //
-//	ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{IntraQuery: true})
-//	res = ex.Execute(q)                    // parallel scatter-gather
+//	ex := tsunami.NewExecutor(ss, tsunami.ExecutorOptions{})
+//	out := ex.ExecuteBatch(qs)             // queries spread over the pool
 func NewShardedStore(table *Table, workload []Query, o Options, so ShardedOptions) (*ShardedStore, error) {
 	return sharded.Open(table, workload, o.coreConfig(core.FullTsunami), so)
 }

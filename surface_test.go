@@ -10,8 +10,8 @@ import (
 )
 
 // TestQuerySurface keeps the query entry points from silently regrowing
-// into a method-name matrix: how a query runs (inline, fanned out,
-// traced) and what it computes (flat, grouped) are arguments of
+// into a method-name matrix: how a query runs (inline or traced) and
+// what it computes (flat, grouped) are arguments of
 // ExecuteWith and of the query itself, not new method names. A change to
 // this list is a change to the public surface and should look like one.
 func TestQuerySurface(t *testing.T) {
@@ -24,7 +24,7 @@ func TestQuerySurface(t *testing.T) {
 		{(*tsunami.TsunamiIndex)(nil), perLayer},
 		{(*tsunami.LiveStore)(nil), perLayer},
 		{(*tsunami.ShardedStore)(nil), perLayer},
-		{(*tsunami.Executor)(nil), []string{"Execute", "ExecuteBatch", "ExecuteGrouped", "Serve", "ServeGrouped"}},
+		{(*tsunami.Executor)(nil), []string{"Execute", "ExecuteBatch", "Serve", "ServeGrouped"}},
 	} {
 		typ := reflect.TypeOf(c.typ)
 		var got []string
@@ -35,6 +35,28 @@ func TestQuerySurface(t *testing.T) {
 		}
 		if !slices.Equal(got, c.want) { // reflect lists methods sorted by name
 			t.Errorf("%v has query entry points %v, the committed list is %v", typ, got, c.want)
+		}
+	}
+}
+
+// TestExecutionKnobs pins every settable field that changes how a query
+// executes. Each field is an option a caller can set, so one that
+// returns (a fan-out switch, say) has to change this list to do it.
+func TestExecutionKnobs(t *testing.T) {
+	for _, c := range []struct {
+		typ  any
+		want []string
+	}{
+		{tsunami.Exec{}, []string{"Trace"}},
+		{tsunami.ExecutorOptions{}, []string{"Workers", "Metrics", "Admission"}},
+	} {
+		typ := reflect.TypeOf(c.typ)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v has fields %v, the committed list is %v", typ, got, c.want)
 		}
 	}
 }

@@ -18,10 +18,11 @@
 //
 // Every built index is immutable on the read path: Execute keeps per-query
 // state in pooled execution contexts, so one shared index serves any number
-// of concurrent goroutines with no cloning. For throughput-oriented serving,
-// NewExecutor wraps an index in a fixed worker pool with batch execution
-// (ExecuteBatch) and optional intra-query parallelism that splits a single
-// query's planned scan ranges across workers.
+// of concurrent goroutines with no cloning. Each query executes on the
+// goroutine that asks for it; parallelism is across queries. For
+// throughput-oriented serving, NewExecutor wraps an index in a fixed worker
+// pool that spreads a batch's queries over it (ExecuteBatch) and admits
+// served queries (Serve).
 //
 // Quick start:
 //
@@ -63,10 +64,8 @@ type Query = query.Query
 type Result = colstore.ScanResult
 
 // Exec says how one query runs through ExecuteWith on a TsunamiIndex,
-// LiveStore or ShardedStore: Workers/Submit split its scan across tasks
-// (what an Executor with IntraQuery passes), Trace collects an
-// explain-analyze QueryTrace from the same run. Execute(q) is
-// ExecuteWith(q, Exec{}).
+// LiveStore or ShardedStore: Trace collects an explain-analyze QueryTrace
+// from the same run. Execute(q) is ExecuteWith(q, Exec{}).
 type Exec = index.Exec
 
 // Plan is one query planned by Plan(q, x) on a TsunamiIndex, LiveStore
