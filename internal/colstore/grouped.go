@@ -9,16 +9,16 @@ import (
 	"repro/internal/query"
 )
 
-// Grouped aggregation over the selection-vector pipeline.
+// Grouped aggregation over the selection-word pipeline.
 //
 // The flat kernels in kernels.go fuse filter evaluation and aggregation
 // and never materialize which rows matched. GROUP BY needs that
-// intermediate: the filter stage produces selection-mask words (bit k of
-// word w set iff row start+w*64+k matches every filter — the exact words
-// maskWordsAVX2 and maskWord already compute), and the grouping operator
-// consumes them column-at-a-time, folding each selected row's group-key
-// value into a per-group (count, sum) pair. GroupAccumulator is the
-// operator.
+// intermediate: the selection stage (selectWords, the flat kernel writing
+// a word where it would fold) produces selection words (bit k of word w
+// set iff row start+w*64+k matches every filter), and the grouping
+// operator consumes them column-at-a-time, folding each selected row's
+// group-key value into a per-group (count, sum) pair. GroupAccumulator is
+// the operator.
 //
 // The accumulator rests on one fact: the group column's value span is
 // known (the store caches each column's min and max on first grouped
@@ -34,97 +34,30 @@ import (
 // per query from the column's span (GroupRegime):
 //
 //   - Byte-code (COUNT, span <= maxFastGroups): the store lazily
-//     byte-codes the column (grouped_codes.go) and full words are
-//     consumed by the byte-lane count kernels — 32 rows per compare, one
-//     pass over a 1-byte stream. Single-filter blocks skip mask-word
-//     materialization entirely via the fused kernel. Code c is dense
-//     cell c (both are anchored at the column's min), so the kernels'
-//     counts fold into the cells at Result.
+//     byte-codes the column (grouped_codes.go) and the selection words
+//     are consumed by the byte-lane count kernels — 32 rows per compare,
+//     one pass over a 1-byte stream. Code c is dense cell c (both are
+//     anchored at the column's min), so the kernels' counts fold into the
+//     cells at Result.
 //
 //   - Hash (span > maxDenseSpan): cells live by value in a slice indexed
 //     through a map. Also where a dense accumulator puts the rare key
 //     outside its window — a buffered insert beyond the column's range,
 //     or a scan of another store.
 //
-// Full 64-row words of a range go through the mask kernels a block at a
-// time; its sub-word tail runs row-at-a-time (see ScanRangeGrouped for
-// why a learned-grid plan's many short ranges are better served so).
+// A range is selected and consumed selWords words at a time, its partial
+// last word included, so every row of it goes through the kernels.
 //
 // Partials merge exactly: a grouped ScanResult carries per-group
 // (count, sum) pairs sorted by key, and Merge is a sorted-list union
 // that adds pairs — so grouped results combine across delta buffers and
-// shard scatter-gather by the same Merge flat ones do, with AVG derived from the merged pair, never averaged across
-// partials.
+// shard scatter-gather by the same Merge flat ones do, with AVG derived
+// from the merged pair, never averaged across partials.
 
-const (
-	// blockRows is the grouped scan's block size: 16 mask words of 64
-	// rows. Each filter revisits the block, then the accumulator does:
-	// 1024 rows x 8 B = 8 KiB per column, so a few filter columns plus
-	// the group and SUM columns stay resident in L1d (32-48 KiB) for the
-	// later passes instead of re-streaming from L2. Doubling to 2048 rows
-	// overflows L1d at 3+ filters; halving doubles the per-block dispatch
-	// overhead without improving residency.
-	blockRows  = 1024
-	blockWords = blockRows / 64
-)
-
-// maskBlockInto fills mask[0:nw] with the conjunction of the filters
-// over rows [start, start+nw*64): the first filter writes each word,
-// later filters AND into it (skipping words already dead). Returns the
-// OR of all words, so callers can skip fully-dead blocks.
-func (s *Store) maskBlockInto(filters []query.Filter, start, nw int, mask []uint64) uint64 {
-	var any uint64
-	for fi, f := range filters {
-		col := s.cols[f.Dim][start : start+nw*64]
-		width := uint64(f.Hi - f.Lo)
-		if fi == 0 {
-			any = maskWordsInto(col, mask, nw, f.Lo, width)
-		} else {
-			any = maskWordsAndInto(col, mask, nw, f.Lo, width)
-		}
-		if any == 0 {
-			break
-		}
-	}
-	return any
-}
-
-func (s *Store) rowMatches(filters []query.Filter, row int) bool {
-	for _, f := range filters {
-		if v := s.cols[f.Dim][row]; v < f.Lo || v > f.Hi {
-			return false
-		}
-	}
-	return true
-}
-
-// Portable mask-word helpers shared by every build; the dispatch
-// wrappers (grouped_dispatch_*.go) route to the AVX2 kernels when they
-// are compiled in and enabled.
-
-func maskWordsPortable(col []int64, out []uint64, nw int, lo int64, width uint64) uint64 {
-	var any uint64
-	for w := 0; w < nw; w++ {
-		m := maskWord(col[w*64:], lo, width)
-		out[w] = m
-		any |= m
-	}
-	return any
-}
-
-func maskWordsAndPortable(col []int64, out []uint64, nw int, lo int64, width uint64) uint64 {
-	var any uint64
-	for w := 0; w < nw; w++ {
-		m := out[w]
-		if m == 0 {
-			continue
-		}
-		m &= maskWord(col[w*64:], lo, width)
-		out[w] = m
-		any |= m
-	}
-	return any
-}
+// selWords is how many selection words a grouped scan selects before it
+// consumes them: 1024 rows, whose group and SUM columns (8 KiB each) are
+// still in L1d when the accumulator reads them.
+const selWords = 16
 
 // GroupAgg is one group's exact aggregate: the group-key value and the
 // (count, sum) pair over matching rows with that key.
@@ -307,7 +240,7 @@ type GroupAccumulator struct {
 	points uint64
 	bytes  uint64
 
-	sel [blockWords]uint64 // per-block selection words
+	sel [selWords]uint64 // selection words of the rows being scanned
 }
 
 // NewGroupAccumulator returns an accumulator armed for q over s.
@@ -394,29 +327,30 @@ func (a *GroupAccumulator) AddScanned(points, bytes uint64) {
 	a.bytes += bytes
 }
 
-// consume folds the rows selected by sel — whole 64-row words starting
-// at row0 — into the accumulator. With codes set the byte-code count
-// kernels take them; otherwise this is the one-pass fold: for every set
-// bit, the row's group value picks its cell by subtraction and COUNT
-// and SUM (agg nil for COUNT) add in place.
-func (a *GroupAccumulator) consume(gcol, agg []int64, codes []byte, row0 int, sel []uint64) {
+// consume folds the rows selected by sel — words of 64 rows from row0,
+// the last one ending at end — into the accumulator. With codes set the
+// byte-code count kernels take them; otherwise this is the one-pass fold:
+// for every set bit, the row's group value picks its cell by subtraction
+// and COUNT and SUM (agg nil for COUNT) add in place.
+func (a *GroupAccumulator) consume(gcol, agg []int64, codes []byte, row0, end int, sel []uint64) {
 	if codes != nil {
+		// The coded image is padded, so the last word's codes can be read
+		// whole; its clear bits count nothing.
 		groupCountCodes(codes[row0:row0+len(sel)*64], sel, a.codeCounts[:], len(a.cells))
 		return
 	}
 	// COUNT reads its zero "aggregate" from the group column under an
 	// all-clear mask, so one loop serves both and neither branches on it.
-	gcol = gcol[row0 : row0+len(sel)*64]
+	gcol = gcol[row0:end]
 	vals, keep := gcol, int64(0)
 	if agg != nil {
-		vals, keep = agg[row0:row0+len(sel)*64], -1
+		vals, keep = agg[row0:end], -1
 	}
 	cells, touched, base := a.cells, a.touched, a.base
 	for w, m := range sel {
-		g, av := gcol[w<<6:w<<6+64], vals[w<<6:w<<6+64]
 		for ; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m) & 63
-			k, v := g[i], av[i]&keep
+			r := w<<6 + bits.TrailingZeros64(m)
+			k, v := gcol[r], vals[r]&keep
 			idx := uint64(k - base)
 			if idx >= uint64(len(cells)) {
 				a.AddRow(k, v)
@@ -497,7 +431,8 @@ func (r *ScanResult) total() {
 // meaning as in ScanRange — every row in the range is known to match, so
 // filter columns are not read — but the group column (and the aggregate
 // column for SUM) is always touched: a grouped aggregate cannot skip
-// data the way an exact flat COUNT can.
+// data the way an exact flat COUNT can. The range is selected (selectWords)
+// and consumed selWords words at a time.
 //
 // Accounting mirrors ScanRange's planned-bytes model with the group
 // column as one extra stream: n*8*(filters + 1 + sumCols) bytes
@@ -533,49 +468,26 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 	// store whose coding lands inside the accumulator's window — the one
 	// it was Reset for, or another coded from the same base; otherwise
 	// this store's rows fold through the cells by value.
-	full := start + (end-start)&^63
 	var codes []byte
-	if acc.regime == RegimeByteCode && full > start {
+	if acc.regime == RegimeByteCode {
 		if gm := s.groupMetaFor(q.GroupDim(), true); gm.codes != nil && gm.base == acc.base && gm.width < uint64(len(acc.cells)) {
 			codes = gm.codes
 		}
 	}
-	for b0 := start; b0 < full; b0 += blockRows {
-		nw := min(blockWords, (full-b0)>>6)
-		sel := acc.sel[:nw]
-		switch {
-		case len(filters) == 0:
+	for r := start; r < end; r += selWords * 64 {
+		re := min(end, r+selWords*64)
+		sel := acc.sel[:(re-r+63)>>6]
+		if len(filters) == 0 {
 			for w := range sel {
 				sel[w] = ^uint64(0)
 			}
-		case codes != nil && len(filters) == 1 && groupScanBlockOneFilterCodes(
-			s.cols[filters[0].Dim][b0:b0+nw*64], codes[b0:b0+nw*64],
-			filters[0].Lo, uint64(filters[0].Hi-filters[0].Lo), acc.codeCounts[:], len(acc.cells)):
-			// Single-filter COUNT: the fused kernel evaluated the range
-			// predicate and consumed the codes in one pass, never
-			// materializing mask words.
-			continue
-		case s.maskBlockInto(filters, b0, nw, sel) == 0:
-			continue
-		}
-		acc.consume(gcol, aggCol, codes, b0, sel)
-	}
-
-	// The sub-word tail runs row-at-a-time. Mask kernels over the tail (an
-	// overlapped 64-row word, or an exact-length vector compare) measured
-	// ~20% slower on a learned-grid plan, which is mostly ranges shorter
-	// than a word: those are bound by the cache lines they touch, and a
-	// row that fails one filter never touches the next filter's column.
-	// (The flat scan writes no mask words, so its fused kernel vectorizes
-	// down to a range's last 3 rows.)
-	for i := full; i < end; i++ {
-		if s.rowMatches(filters, i) {
-			var v int64
-			if aggCol != nil {
-				v = aggCol[i]
+			if tail := (re - r) & 63; tail != 0 {
+				sel[len(sel)-1] = 1<<tail - 1
 			}
-			acc.AddRow(gcol[i], v)
+		} else {
+			s.selectWords(filters, r, re, sel)
 		}
+		acc.consume(gcol, aggCol, codes, r, re, sel)
 	}
 }
 

@@ -2,23 +2,22 @@
 
 #include "textflag.h"
 
-// AVX2 grouped-count kernels over byte-coded group columns.
+// AVX2 grouped-count kernel over byte-coded group columns.
 //
 // When a group column's value range fits in a byte window (see
-// groupCodesFor), grouping degenerates to counting byte matches: the
+// groupMetaFor), grouping degenerates to counting byte matches: the
 // store keeps codes[i] = value[i] - base, the accumulator keeps one
-// count per code, and a block is consumed by comparing the 32 code
-// bytes of each chunk against up to 8 splatted key codes at once
-// (VPCMPEQB — 32 rows per instruction instead of the mask kernels' 4),
-// masking with the selection, and subtracting the 0xFF/0x00 compare
-// result from a per-key byte accumulator (acc - (-1) = +1 per match).
+// count per code, and selection words are consumed by comparing the 32
+// code bytes of each chunk against up to 8 splatted key codes at once
+// (VPCMPEQB — 32 rows per instruction instead of the selection
+// kernel's 4), masking with the selection, and subtracting the 0xFF/0x00
+// compare result from a per-key byte accumulator (acc - (-1) = +1 per
+// match).
 // Byte accumulators are widened to the uint64 counts with VPSADBW
 // against zero at the end of the call, so callers must bound the rows
 // per call such that no byte lane can exceed 255 increments:
 // groupCountCodesAVX2 takes nWords <= 127 (each lane sees at most 2
-// increments per word), groupScanOneFilterCodesAVX2 takes n <= 8128
-// (at most 1 per 32-row chunk). Both are called per 1024-row block,
-// far under either bound.
+// increments per word); the grouped scan passes at most selWords.
 //
 // The selection bits are expanded to byte lanes with the broadcast/
 // shuffle/bit-select idiom: VPBROADCASTD replicates 32 mask bits to
@@ -144,197 +143,6 @@ gcc_skip:
 gcc_done:
 	// Widen the byte accumulators (VPSADBW vs zero: 4 qword partial sums
 	// per register), reduce each to a scalar, add into counts.
-	VPXOR Y5, Y5, Y5
-	VPSADBW Y5, Y8, Y8
-	VPSADBW Y5, Y9, Y9
-	VPSADBW Y5, Y10, Y10
-	VPSADBW Y5, Y11, Y11
-	VPSADBW Y5, Y12, Y12
-	VPSADBW Y5, Y13, Y13
-	VPSADBW Y5, Y14, Y14
-	VPSADBW Y5, Y15, Y15
-	VEXTRACTI128 $1, Y8, X7
-	VPADDQ X7, X8, X8
-	VPSRLDQ $8, X8, X7
-	VPADDQ X7, X8, X8
-	VEXTRACTI128 $1, Y9, X7
-	VPADDQ X7, X9, X9
-	VPSRLDQ $8, X9, X7
-	VPADDQ X7, X9, X9
-	VEXTRACTI128 $1, Y10, X7
-	VPADDQ X7, X10, X10
-	VPSRLDQ $8, X10, X7
-	VPADDQ X7, X10, X10
-	VEXTRACTI128 $1, Y11, X7
-	VPADDQ X7, X11, X11
-	VPSRLDQ $8, X11, X7
-	VPADDQ X7, X11, X11
-	VEXTRACTI128 $1, Y12, X7
-	VPADDQ X7, X12, X12
-	VPSRLDQ $8, X12, X7
-	VPADDQ X7, X12, X12
-	VEXTRACTI128 $1, Y13, X7
-	VPADDQ X7, X13, X13
-	VPSRLDQ $8, X13, X7
-	VPADDQ X7, X13, X13
-	VEXTRACTI128 $1, Y14, X7
-	VPADDQ X7, X14, X14
-	VPSRLDQ $8, X14, X7
-	VPADDQ X7, X14, X14
-	VEXTRACTI128 $1, Y15, X7
-	VPADDQ X7, X15, X15
-	VPSRLDQ $8, X15, X7
-	VPADDQ X7, X15, X15
-	VZEROUPPER
-	MOVQ X8, AX
-	ADDQ AX, (R10)
-	MOVQ X9, AX
-	ADDQ AX, 8(R10)
-	MOVQ X10, AX
-	ADDQ AX, 16(R10)
-	MOVQ X11, AX
-	ADDQ AX, 24(R10)
-	MOVQ X12, AX
-	ADDQ AX, 32(R10)
-	MOVQ X13, AX
-	ADDQ AX, 40(R10)
-	MOVQ X14, AX
-	ADDQ AX, 48(R10)
-	MOVQ X15, AX
-	ADDQ AX, 56(R10)
-	RET
-
-// func groupScanOneFilterCodesAVX2(col *int64, codes *byte, n int, lo int64, width uint64, splat *byte, counts *uint64)
-// Fused single-filter grouped COUNT: evaluates the range predicate
-// uint64(col[i]-lo) <= width over 32-row chunks (same bias trick as the
-// flat kernels), collects the 32 match bits in a GPR via the VMOVMSKPD
-// chain — which runs on scalar ports, overlapping the vector compares —
-// and consumes the chunk's byte codes against 8 splatted keys exactly
-// like groupCountCodesAVX2, without materializing mask words. n must be
-// a multiple of 32 and at most 8128; splat/counts as in
-// groupCountCodesAVX2.
-TEXT ·groupScanOneFilterCodesAVX2(SB), NOSPLIT, $8-56
-	MOVQ col+0(FP), SI
-	MOVQ codes+8(FP), DX
-	MOVQ n+16(FP), R13
-	MOVQ splat+40(FP), R12
-	MOVQ counts+48(FP), R10
-	MOVQ $0x8000000000000000, R11
-	MOVQ lo+24(FP), AX
-	SUBQ R11, AX                // lo' = lo - 2^63
-	MOVQ AX, X0
-	VPBROADCASTQ X0, Y0
-	MOVQ width+32(FP), AX
-	ADDQ R11, AX                // width' = width + 2^63
-	MOVQ AX, X1
-	VPBROADCASTQ X1, Y1
-	VMOVDQU groupBitSel<>(SB), Y2
-	VMOVDQU groupSelShuf<>(SB), Y3
-	VPXOR Y8, Y8, Y8            // 8 per-key byte accumulators
-	VPXOR Y9, Y9, Y9
-	VPXOR Y10, Y10, Y10
-	VPXOR Y11, Y11, Y11
-	VPXOR Y12, Y12, Y12
-	VPXOR Y13, Y13, Y13
-	VPXOR Y14, Y14, Y14
-	VPXOR Y15, Y15, Y15
-gsf_chunk:
-	CMPQ R13, $32
-	JL   gsf_done
-	// Fully unrolled 8x4-lane match-mask build: collect NON-match bits
-	// with immediate shifts (a CL shift is 3 uops on Intel; $imm is 1)
-	// and complement once at the end. The GPR chain runs on scalar
-	// ports, overlapping the vector compares.
-	VMOVDQU (SI), Y4
-	VPSUBQ Y0, Y4, Y4           // u = v - lo'
-	VPCMPGTQ Y1, Y4, Y4         // all-ones on NON-match lanes
-	VMOVMSKPD Y4, R9            // non-match bits 0..3
-	VMOVDQU 32(SI), Y4
-	VPSUBQ Y0, Y4, Y4
-	VPCMPGTQ Y1, Y4, Y4
-	VMOVMSKPD Y4, AX
-	SHLQ $4, AX
-	ORQ  AX, R9
-	VMOVDQU 64(SI), Y4
-	VPSUBQ Y0, Y4, Y4
-	VPCMPGTQ Y1, Y4, Y4
-	VMOVMSKPD Y4, AX
-	SHLQ $8, AX
-	ORQ  AX, R9
-	VMOVDQU 96(SI), Y4
-	VPSUBQ Y0, Y4, Y4
-	VPCMPGTQ Y1, Y4, Y4
-	VMOVMSKPD Y4, AX
-	SHLQ $12, AX
-	ORQ  AX, R9
-	VMOVDQU 128(SI), Y4
-	VPSUBQ Y0, Y4, Y4
-	VPCMPGTQ Y1, Y4, Y4
-	VMOVMSKPD Y4, AX
-	SHLQ $16, AX
-	ORQ  AX, R9
-	VMOVDQU 160(SI), Y4
-	VPSUBQ Y0, Y4, Y4
-	VPCMPGTQ Y1, Y4, Y4
-	VMOVMSKPD Y4, AX
-	SHLQ $20, AX
-	ORQ  AX, R9
-	VMOVDQU 192(SI), Y4
-	VPSUBQ Y0, Y4, Y4
-	VPCMPGTQ Y1, Y4, Y4
-	VMOVMSKPD Y4, AX
-	SHLQ $24, AX
-	ORQ  AX, R9
-	VMOVDQU 224(SI), Y4
-	VPSUBQ Y0, Y4, Y4
-	VPCMPGTQ Y1, Y4, Y4
-	VMOVMSKPD Y4, AX
-	SHLQ $28, AX
-	ORQ  AX, R9
-	PREFETCHT0 1024(SI)
-	PREFETCHT0 1088(SI)
-	PREFETCHT0 1152(SI)
-	PREFETCHT0 1216(SI)
-	ADDQ $256, SI
-	NOTL R9                     // 32 match bits (zero-extends)
-	TESTL R9, R9
-	JZ   gsf_next
-	MOVL R9, selw-8(SP)
-	VPBROADCASTD selw-8(SP), Y6
-	VPSHUFB Y3, Y6, Y6
-	VPAND Y2, Y6, Y6
-	VPCMPEQB Y2, Y6, Y6         // 0xFF per matching row
-	VMOVDQU (DX), Y4            // 32 codes
-	PREFETCHT0 512(DX)
-	VPCMPEQB (R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y8, Y8
-	VPCMPEQB 32(R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y9, Y9
-	VPCMPEQB 64(R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y10, Y10
-	VPCMPEQB 96(R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y11, Y11
-	VPCMPEQB 128(R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y12, Y12
-	VPCMPEQB 160(R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y13, Y13
-	VPCMPEQB 192(R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y14, Y14
-	VPCMPEQB 224(R12), Y4, Y7
-	VPAND Y6, Y7, Y7
-	VPSUBB Y7, Y15, Y15
-gsf_next:
-	ADDQ $32, DX
-	SUBQ $32, R13
-	JMP  gsf_chunk
-gsf_done:
 	VPXOR Y5, Y5, Y5
 	VPSADBW Y5, Y8, Y8
 	VPSADBW Y5, Y9, Y9

@@ -31,8 +31,9 @@ var GroupedBenchKeys = [3]int{8, 263, 4096}
 // four uniform [0, 1e6) filter columns and the three group columns of
 // GroupedBenchKeys — and its shapes: the canonical count_1f filter with
 // a GROUP BY on each column, COUNT and SUM, over one full-table range,
-// and two plan-shaped ones: a learned-grid plan's list of short ranges
-// (benchPlan) under two filters, grouped by the 263-key column.
+// and three plan-shaped ones: a learned-grid plan's list of short ranges
+// (benchPlan) under two filters, COUNT and SUM grouped by the 263-key
+// column and COUNT by the 8-key one (the byte-code path).
 func GroupedBench(rows int, seed int64) (*Store, []GroupedBenchShape) {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([][]int64, 4, 7)
@@ -68,6 +69,7 @@ func GroupedBench(rows int, seed int64) (*Store, []GroupedBenchShape) {
 		shape("gsum_1f_mid", query.NewSum(1, f(0)), 5, full),
 		shape("gcount_1f_high", query.NewCount(f(0)), 6, full),
 		shape("gsum_1f_high", query.NewSum(1, f(0)), 6, full),
+		shape("gcount_2f_plan_low", query.NewCount(f(0), f(1)), 4, plan),
 		shape("gcount_2f_plan", query.NewCount(f(0), f(1)), 5, plan),
 		shape("gsum_2f_plan", query.NewSum(2, f(0), f(1)), 5, plan),
 	}

@@ -51,7 +51,9 @@ func (s *Store) groupMetaFor(dim int, wantCodes bool) *groupMeta {
 	}
 	if wantCodes && gm.codes == nil && gm.width < maxFastGroups && s.NumRows() > 0 {
 		col := s.cols[dim]
-		codes := make([]byte, len(col))
+		// Padded to a whole last word: the count kernels read 64 codes
+		// per selection word, and a range may end inside one.
+		codes := make([]byte, len(col), len(col)+64)
 		for i, v := range col {
 			codes[i] = byte(v - gm.base)
 		}

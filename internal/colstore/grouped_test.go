@@ -419,6 +419,102 @@ func TestScanRangeGroupedPlanShapes(t *testing.T) {
 	})
 }
 
+// TestScanRangeGroupedUnalignedRanges sweeps the grouped scan over the
+// boundaries its selection stage splits a range at — the AVX2 tier's 4-
+// and 16-row groups (every length 0-17), 64-row words and the 1024-row
+// selection buffer — from unaligned starts, with 1 to 12 filters (past
+// the SIMD wrapper's 8 stack slots) and every accumulator regime, against
+// the scalar oracle on every tier.
+func TestScanRangeGroupedUnalignedRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const rows = 3*1024 + 41
+	cols := make([][]int64, 12, 16)
+	for j := range cols {
+		cols[j] = randColumn(rng, rows)
+	}
+	wild := []int64{-1 << 62, -977, 0, 3, 1 << 40, 1<<62 + 11}
+	agg, low, mid, high, wide := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := 0; i < rows; i++ {
+		agg[i] = rng.Int63n(2001) - 1000
+		low[i] = 1 + rng.Int63n(6)
+		mid[i] = rng.Int63n(48) * 7
+		high[i] = rng.Int63n(100_000) - 50_000
+		wide[i] = wild[rng.Intn(len(wild))]
+	}
+	cols = append(cols, agg, low, mid, high, wide)
+	s, err := FromColumns(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := []int{0, 1, 3, 63, 64, 65, 1023, 1024, 1029}
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025, 2100}
+	var acc GroupAccumulator
+	run := func(t *testing.T) {
+		for _, nf := range []int{1, 2, 3, 5, 8, 9, 12} {
+			fs := make([]query.Filter, nf)
+			for j := range fs {
+				fs[j] = randFilter(rng, cols[j], j)
+			}
+			for by := 13; by <= 16; by++ {
+				for _, q := range []query.Query{query.NewCount(fs...).By(by), query.NewSum(12, fs...).By(by)} {
+					for _, start := range starts {
+						for _, l := range lengths {
+							end := min(start+l, rows)
+							acc.Reset(q, s)
+							s.ScanRangeGrouped(q, start, end, false, &acc)
+							got := acc.Result()
+							var want GroupedResult
+							s.ScanRangeGroupedScalar(q, start, end, false, &want)
+							if !reflect.DeepEqual(got.Groups, want.Groups) || got.PointsScanned != want.PointsScanned || got.BytesTouched != want.BytesTouched {
+								t.Fatalf("%s %v rows [%d,%d):\n got %+v\nwant %+v", KernelName(), q, start, end, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if SIMDAvailable() {
+		t.Run("simd", func(t *testing.T) {
+			prev := SetSIMD(true)
+			defer SetSIMD(prev)
+			run(t)
+		})
+	}
+	t.Run("portable", func(t *testing.T) {
+		prev := SetSIMD(false)
+		defer SetSIMD(prev)
+		run(t)
+	})
+}
+
+// TestScanRangeGroupedAllocs pins the grouped scan's allocation budget:
+// once an accumulator is armed, a scan with up to 8 filters allocates
+// nothing in any regime — the selection words live in the accumulator and
+// the SIMD wrapper's arguments on its stack.
+func TestScanRangeGroupedAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	s := randGroupedStore(t, rng, 3000)
+	for k := 1; k <= 8; k++ {
+		fs := make([]query.Filter, k)
+		for j := range fs {
+			fs[j] = query.Filter{Dim: j % 2, Lo: 100, Hi: 900}
+		}
+		for by := 3; by <= 6; by++ {
+			for _, q := range []query.Query{query.NewCount(fs...).By(by), query.NewSum(2, fs...).By(by)} {
+				var acc GroupAccumulator
+				if n := testing.AllocsPerRun(20, func() {
+					acc.Reset(q, s)
+					s.ScanRangeGrouped(q, 5, 2990, false, &acc)
+					s.ScanRangeGrouped(q, 3, 20, false, &acc)
+				}); n != 0 {
+					t.Errorf("%s on %s: %v allocations per scan, want 0", q, KernelName(), n)
+				}
+			}
+		}
+	}
+}
+
 // TestGroupAccumulatorRowsOutsideWindow pins the by-value path a dense
 // accumulator takes for keys its window cannot hold — buffered inserts
 // below and above the column's range — including their place in the

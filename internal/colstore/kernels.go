@@ -27,10 +27,17 @@ import (
 // short ranges vectorize without reading past them. The portable kernel
 // in this file is the universal fallback (`purego` build tag,
 // non-amd64, old CPUs, or TSUNAMI_PUREGO=1): it selects 64-row mask
-// words and folds each by popcount and masked sum. Both leave their last
-// rows to foldRows, and both are the middle tier of the three-way
-// differential test SIMD == portable == scalar, whose oracle is
-// ScanRangeScalar's original row-at-a-time loop.
+// words, the last one partial, and folds each by popcount and masked
+// sum. The AVX2 kernel leaves its last 0-3 rows to that same word step,
+// and both are the middle tier of the three-way differential test
+// SIMD == portable == scalar, whose oracle is ScanRangeScalar's original
+// row-at-a-time loop.
+//
+// The grouped scan's selection stage (selectWords) is the same kernel
+// with "write the selection word" in place of "fold it": the AVX2 tier
+// writes a word per 64 rows compared in registers, the portable tier
+// writes selectWord's words, and a range's partial last word is built the
+// same way, so a 20-row range runs vectorized too.
 
 // BenchShape is one scan shape of the kernel benchmark suite: a query and
 // the physical ranges it scans, every row filter-checked. The canonical
@@ -94,16 +101,15 @@ func rangeRows(ranges [][2]int) int {
 	return n
 }
 
-// maskWord evaluates the range predicate [lo, lo+width] over exactly 64
+// maskWord evaluates the range predicate [lo, lo+width] over at most 64
 // values and returns the selection bitmask (bit k set iff vals[k] matches).
 // width is uint64(hi-lo); see the package comment for why the unsigned
 // compare is exact over the full int64 domain.
 func maskWord(vals []int64, lo int64, width uint64) uint64 {
-	vals = vals[:64:64]
 	var m uint64
-	for k := 0; k < 64; k++ {
-		_, borrow := bits.Sub64(width, uint64(vals[k]-lo), 0)
-		m |= (borrow ^ 1) << k
+	for k, v := range vals {
+		_, borrow := bits.Sub64(width, uint64(v-lo), 0)
+		m |= (borrow ^ 1) << (k & 63)
 	}
 	return m
 }
@@ -111,12 +117,34 @@ func maskWord(vals []int64, lo int64, width uint64) uint64 {
 // maskedSum accumulates vals[k] for every set bit k without branching:
 // a cleared bit contributes vals[k] & 0.
 func maskedSum(vals []int64, m uint64) int64 {
-	vals = vals[:64:64]
 	var sum int64
-	for k := 0; k < 64; k++ {
-		sum += vals[k] & -int64((m>>k)&1)
+	for k, v := range vals {
+		sum += v & -int64((m>>(k&63))&1)
 	}
 	return sum
+}
+
+// selectWord is the portable kernel's step: the selection word of the at
+// most 64 rows [start, end), the AND of every filter's maskWord (a dead
+// word stops early). Bit k is row start+k.
+func (s *Store) selectWord(filters []query.Filter, start, end int) uint64 {
+	m := ^uint64(0)
+	for _, f := range filters {
+		if m &= maskWord(s.cols[f.Dim][start:end], f.Lo, uint64(f.Hi-f.Lo)); m == 0 {
+			break
+		}
+	}
+	return m
+}
+
+// foldWord folds the at most 64 rows [start, end) under filters: COUNT by
+// popcount of their selection word, SUM (agg non-nil) by masked sum.
+func (s *Store) foldWord(filters []query.Filter, agg []int64, start, end int) (count uint64, sum int64) {
+	m := s.selectWord(filters, start, end)
+	if agg != nil && m != 0 {
+		sum = maskedSum(agg[start:end], m)
+	}
+	return uint64(bits.OnesCount64(m)), sum
 }
 
 // scanFiltered is the non-exact scan of rows [start, end) under q's
@@ -130,48 +158,44 @@ func (s *Store) scanFiltered(q query.Query, start, end int, res *ScanResult) {
 	s.scanFilteredPortable(q, start, end, res)
 }
 
-// scanFilteredPortable is the fused kernel in Go: each 64-row word ANDs
-// every filter's maskWord (a dead word stops early) and is folded at once,
-// so no mask buffer is needed.
+// scanFilteredPortable is the fused kernel in Go: each 64-row word, and
+// the last partial one, is selected and folded at once, so no mask
+// buffer is needed.
 func (s *Store) scanFilteredPortable(q query.Query, start, end int, res *ScanResult) {
 	var agg []int64
 	if q.Agg == query.Sum {
 		agg = s.cols[q.AggDim]
 	}
-	body := start + (end-start)&^63
 	var count uint64
 	var sum int64
-	for w := start; w < body; w += 64 {
-		m := ^uint64(0)
-		for _, f := range q.Filters {
-			if m &= maskWord(s.cols[f.Dim][w:w+64], f.Lo, uint64(f.Hi-f.Lo)); m == 0 {
-				break
-			}
-		}
-		count += uint64(bits.OnesCount64(m))
-		if agg != nil && m != 0 {
-			sum += maskedSum(agg[w:w+64], m)
-		}
+	for w := start; w < end; w += 64 {
+		c, sm := s.foldWord(q.Filters, agg, w, min(w+64, end))
+		count += c
+		sum += sm
 	}
-	c, sm := s.foldRows(q, agg, body, end)
-	res.Count += count + c
-	res.Sum += sum + sm
+	res.Count += count
+	res.Sum += sum
 }
 
-// foldRows folds rows [start, end) — the rows a kernel's vector body
-// leaves — one at a time but without branching: a row's match bit is the
-// AND of every filter's compare, and it gates the row's aggregate.
-func (s *Store) foldRows(q query.Query, agg []int64, start, end int) (count uint64, sum int64) {
-	for i := start; i < end; i++ {
-		m := uint64(1)
-		for _, f := range q.Filters {
-			_, borrow := bits.Sub64(uint64(f.Hi-f.Lo), uint64(s.cols[f.Dim][i]-f.Lo), 0)
-			m &^= borrow
-		}
-		count += m
-		if agg != nil {
-			sum += agg[i] & -int64(m)
-		}
+// selectWords is the grouped scan's selection stage: it writes the
+// selection of rows [start, end) under filters (at least one, none
+// inverted) to sel, bit j of sel[w] for row start+64w+j, with the bits of
+// the last word past end clear. sel holds at least ceil((end-start)/64)
+// words. Like scanFiltered it is one kernel for any filter count,
+// dispatched to the AVX2 or portable tier.
+func (s *Store) selectWords(filters []query.Filter, start, end int, sel []uint64) {
+	if simdEnabled() {
+		s.selectWordsSIMD(filters, start, end, sel)
+		return
 	}
-	return count, sum
+	s.selectWordsPortable(filters, start, end, sel)
+}
+
+// selectWordsPortable writes selectWord's word for every 64 rows of the
+// range, and for its partial last word.
+func (s *Store) selectWordsPortable(filters []query.Filter, start, end int, sel []uint64) {
+	for w := 0; start+w<<6 < end; w++ {
+		r := start + w<<6
+		sel[w] = s.selectWord(filters, r, min(r+64, end))
+	}
 }

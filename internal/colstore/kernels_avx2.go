@@ -30,10 +30,7 @@ func prefetchT0(p *int64, rows int)
 func rangeCountSumNAVX2(args *filterArg, k int, agg *int64, n int) (count uint64, sum int64)
 
 //go:noescape
-func maskWordsAVX2(vals *int64, out *uint64, nWords int, lo int64, width uint64) uint64
-
-//go:noescape
-func maskWordsAndAVX2(vals *int64, out *uint64, nWords int, lo int64, width uint64) uint64
+func rangeSelectNAVX2(args *filterArg, k int, sel *uint64, n int)
 
 var haveAVX2 = detectAVX2()
 
@@ -115,7 +112,7 @@ func (s *Store) Prefetch(q query.Query, start, end int) {
 	}
 }
 
-// filterArg is one filter as rangeCountSumNAVX2 reads it: col is the
+// filterArg is one filter as the AVX2 kernels read it: col is the
 // filter's column at the range's first row, lo and width are biased by
 // 2^63 for the signed compare (see kernels_avx2_amd64.s).
 type filterArg struct {
@@ -123,10 +120,19 @@ type filterArg struct {
 	lo, width int64
 }
 
+// filterArgs appends the kernels' arguments for filters over a range
+// starting at row start. Up to 8 fit the callers' stack arrays, so a
+// scan allocates nothing.
+func (s *Store) filterArgs(args []filterArg, filters []query.Filter, start int) []filterArg {
+	for _, f := range filters {
+		args = append(args, filterArg{&s.cols[f.Dim][start], f.Lo ^ math.MinInt64, (f.Hi - f.Lo) ^ math.MinInt64})
+	}
+	return args
+}
+
 // scanFilteredSIMD is the AVX2 fused kernel: every filter compared in
 // registers, 16 then 4 rows at a time, and folded with no mask written;
-// the last 0-3 rows go to foldRows. Up to 8 filters' arguments live on
-// the stack, so a scan allocates nothing.
+// the last 0-3 rows are folded through foldWord.
 func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult) {
 	var agg []int64
 	if q.Agg == query.Sum {
@@ -137,17 +143,37 @@ func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult)
 	var sum int64
 	if body > start {
 		var buf [8]filterArg
-		args := buf[:0]
-		for _, f := range q.Filters {
-			args = append(args, filterArg{&s.cols[f.Dim][start], f.Lo ^ math.MinInt64, (f.Hi - f.Lo) ^ math.MinInt64})
-		}
+		args := s.filterArgs(buf[:0], q.Filters, start)
 		var aggp *int64
 		if agg != nil {
 			aggp = &agg[start]
 		}
 		count, sum = rangeCountSumNAVX2(&args[0], len(args), aggp, body-start)
 	}
-	c, sm := s.foldRows(q, agg, body, end)
-	res.Count += count + c
-	res.Sum += sum + sm
+	if body < end {
+		c, sm := s.foldWord(q.Filters, agg, body, end)
+		count += c
+		sum += sm
+	}
+	res.Count += count
+	res.Sum += sum
+}
+
+// selectWordsSIMD is the AVX2 selection stage: rangeSelectNAVX2 writes
+// the words of all but the range's last 0-3 rows, which selectWord adds
+// to the open word.
+func (s *Store) selectWordsSIMD(filters []query.Filter, start, end int, sel []uint64) {
+	body := start + (end-start)&^3
+	if body > start {
+		var buf [8]filterArg
+		args := s.filterArgs(buf[:0], filters, start)
+		rangeSelectNAVX2(&args[0], len(args), &sel[0], body-start)
+	}
+	if body < end {
+		w, shift := (body-start)>>6, (body-start)&63
+		if shift == 0 {
+			sel[w] = 0
+		}
+		sel[w] |= s.selectWord(filters, body, end) << shift
+	}
 }

@@ -4,7 +4,7 @@
 
 // AVX2 scan kernels: 4x int64 lanes per instruction, exact semantics of
 // the portable branch-free kernels in kernels.go. rangeCountSumNAVX2 is
-// the flat scan; the mask-word kernels serve the grouped scan.
+// the flat scan, rangeSelectNAVX2 the grouped scan's selection stage.
 //
 // The range predicate uint64(v-lo) <= width is evaluated with the signed
 // compare VPCMPGTQ via the bias trick: adding 2^63 (mod 2^64) to both
@@ -208,107 +208,108 @@ rcn_done:
 	MOVQ AX, sum+40(FP)
 	RET
 
-// func maskWordsAVX2(vals *int64, out *uint64, nWords int, lo int64, width uint64) uint64
-// Evaluates the range predicate over nWords consecutive 64-value words,
-// writing one selection bitmask per word (bit k set iff value k matches),
-// and returns the OR of all produced words. Identical bit layout to the
-// portable maskWord.
-TEXT ·maskWordsAVX2(SB), NOSPLIT, $0-48
-	MOVQ vals+0(FP), SI
-	MOVQ out+8(FP), DI
-	MOVQ nWords+16(FP), R13
-	MOVQ $0x8000000000000000, DX
-	MOVQ lo+24(FP), AX
-	SUBQ DX, AX
-	MOVQ AX, X1
-	VPBROADCASTQ X1, Y1
-	MOVQ width+32(FP), AX
-	ADDQ DX, AX
-	MOVQ AX, X2
-	VPBROADCASTQ X2, Y2
-	XORQ R9, R9                 // any
-	TESTQ R13, R13
-	JZ   mw_done
-mw_word:
-	XORQ R10, R10               // m
-	XORQ CX, CX                 // shift
-	MOVQ $16, BX                // 16 groups of 4 lanes
-mw_group:
-	VMOVDQU (SI), Y3
-	PREFETCHT0 1024(SI)
-	VPSUBQ Y1, Y3, Y3
-	VPCMPGTQ Y2, Y3, Y3         // sign bit set on NON-match lanes
-	VMOVMSKPD Y3, AX            // 4 non-match bits
-	XORQ $0xF, AX               // match bits
-	SHLQ CX, AX
-	ORQ  AX, R10
-	ADDQ $32, SI
-	ADDQ $4, CX
-	DECQ BX
-	JNZ  mw_group
-	MOVQ R10, (DI)
-	ORQ  R10, R9
-	ADDQ $8, DI
-	DECQ R13
-	JNZ  mw_word
-mw_done:
-	MOVQ R9, ret+40(FP)
-	VZEROUPPER
-	RET
+// func rangeSelectNAVX2(args *filterArg, k int, sel *uint64, n int)
+// The selection kernel: the fused scan above with "write a selection word"
+// in place of "fold": bit j of sel[w] is set iff row 64w+j of the n
+// matches all k filters (k >= 1), and the bits of the last word past n
+// are clear. args is as for rangeCountSumNAVX2; n must be a multiple of 4.
+//
+// The open word is built in R11 from the top down, out of non-match bits:
+// each group shifts it right and puts its bits in the top 16 (or 4), so
+// after 64 rows it holds them in row order and is stored complemented;
+// a word the rows end inside is shifted down to bit 0 before its store.
+// The shift counts are immediates, and only that last store shifts by CL.
+//
+// Registers: as rangeCountSumNAVX2, with DX the next word to store, R11
+// the open word and AX/R12 scratch for the mask bits.
+TEXT ·rangeSelectNAVX2(SB), NOSPLIT, $0-32
+	MOVQ args+0(FP), DI
+	MOVQ k+8(FP), R8
+	MOVQ sel+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ BX, BX
+	XORQ R11, R11
+	SUBQ $16, CX
+	JL   rsn_tail16
 
-// func maskWordsAndAVX2(vals *int64, out *uint64, nWords int, lo int64, width uint64) uint64
-// Like maskWordsAVX2 but ANDs each produced word into out[w], skipping
-// words whose existing mask is already zero, and returns the OR of the
-// resulting words.
-TEXT ·maskWordsAndAVX2(SB), NOSPLIT, $0-48
-	MOVQ vals+0(FP), SI
-	MOVQ out+8(FP), DI
-	MOVQ nWords+16(FP), R13
-	MOVQ $0x8000000000000000, DX
-	MOVQ lo+24(FP), AX
-	SUBQ DX, AX
-	MOVQ AX, X1
-	VPBROADCASTQ X1, Y1
-	MOVQ width+32(FP), AX
-	ADDQ DX, AX
-	MOVQ AX, X2
-	VPBROADCASTQ X2, Y2
-	XORQ R9, R9                 // any
-	TESTQ R13, R13
-	JZ   mwa_done
-mwa_word:
-	MOVQ (DI), R11              // existing mask
-	TESTQ R11, R11
-	JZ   mwa_skip
-	XORQ R10, R10
-	XORQ CX, CX
-	MOVQ $16, BX
-mwa_group:
-	VMOVDQU (SI), Y3
-	PREFETCHT0 1024(SI)
-	VPSUBQ Y1, Y3, Y3
-	VPCMPGTQ Y2, Y3, Y3
-	VMOVMSKPD Y3, AX
-	XORQ $0xF, AX
-	SHLQ CX, AX
-	ORQ  AX, R10
-	ADDQ $32, SI
-	ADDQ $4, CX
-	DECQ BX
-	JNZ  mwa_group
-	ANDQ R11, R10
-	MOVQ R10, (DI)
-	ORQ  R10, R9
-	ADDQ $8, DI
-	DECQ R13
-	JNZ  mwa_word
-	JMP  mwa_done
-mwa_skip:
-	ADDQ $512, SI               // 64 values
-	ADDQ $8, DI
-	DECQ R13
-	JNZ  mwa_word
-mwa_done:
-	MOVQ R9, ret+40(FP)
+rsn_loop16:
+	MOVQ DI, R9
+	MOVQ R8, R10
+	FILTER
+	COMPARE16(Y6, Y7, Y8, Y9)
+	JMP  rsn_next16
+rsn_filter16:
+	FILTER
+	COMPARE16(Y2, Y3, Y4, Y5)
+	VPOR Y2, Y6, Y6
+	VPOR Y3, Y7, Y7
+	VPOR Y4, Y8, Y8
+	VPOR Y5, Y9, Y9
+rsn_next16:
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  rsn_filter16
+
+	VMOVMSKPD Y6, AX            // non-match bits of rows 0-3
+	VMOVMSKPD Y7, R12
+	SHLQ $4, R12
+	ORQ  R12, AX
+	VMOVMSKPD Y8, R12
+	SHLQ $8, R12
+	ORQ  R12, AX
+	VMOVMSKPD Y9, R12
+	SHLQ $12, R12
+	ORQ  R12, AX
+	SHRQ $16, R11
+	SHLQ $48, AX
+	ORQ  AX, R11
+	ADDQ $128, BX
+	TESTQ $511, BX              // 64 rows since the last store?
+	JNZ  rsn_more16
+	NOTQ R11
+	MOVQ R11, (DX)
+	ADDQ $8, DX
+rsn_more16:
+	SUBQ $16, CX
+	JGE  rsn_loop16
+
+rsn_tail16:
+	ADDQ $16, CX                // 0-12 rows left: they cannot close a word
+	JZ   rsn_done
+
+rsn_loop4:
+	MOVQ DI, R9
+	MOVQ R8, R10
+	FILTER
+	COMPARE4(Y6)
+	JMP  rsn_next4
+rsn_filter4:
+	FILTER
+	COMPARE4(Y2)
+	VPOR Y2, Y6, Y6
+rsn_next4:
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  rsn_filter4
+
+	VMOVMSKPD Y6, AX
+	SHRQ $4, R11
+	SHLQ $60, AX
+	ORQ  AX, R11
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JNZ  rsn_loop4
+
+rsn_done:
+	MOVQ BX, CX
+	ANDQ $511, CX               // bytes of the open word's rows
+	JZ   rsn_ret
+	SHRQ $3, CX
+	NEGQ CX
+	ADDQ $64, CX                // its unused bits, at the bottom
+	NOTQ R11
+	SHRQ CX, R11
+	MOVQ R11, (DX)
+rsn_ret:
 	VZEROUPPER
 	RET

@@ -29,3 +29,7 @@ func (s *Store) Prefetch(q query.Query, start, end int) {}
 func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult) {
 	s.scanFilteredPortable(q, start, end, res)
 }
+
+func (s *Store) selectWordsSIMD(filters []query.Filter, start, end int, sel []uint64) {
+	s.selectWordsPortable(filters, start, end, sel)
+}

@@ -110,6 +110,78 @@ func TestScanKernelsUnalignedRanges(t *testing.T) {
 	}
 }
 
+// TestSelectWordsMatchesScalar pins the grouped scan's selection stage
+// bit for bit: on every tier, for 1-12 filters and every range length
+// 1-17 plus the word and buffer boundaries around them, from unaligned
+// starts, bit j of word w is set iff row start+64w+j matches every
+// filter; the last word's bits past the range are clear; and no word
+// past the range's last is written.
+func TestSelectWordsMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261016))
+	const n = 2*1024 + 77
+	cols := make([][]int64, 12)
+	for j := range cols {
+		cols[j] = randColumn(rng, n)
+	}
+	s, err := FromColumns(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sentinel = 0xdeadbeefcafef00d
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 63, 64, 65, 127, 128, 129, 1023, 1024}
+	run := func(t *testing.T) {
+		for iter := 0; iter < 60; iter++ {
+			fs := make([]query.Filter, 1+rng.Intn(12))
+			for j := range fs {
+				fs[j] = randFilter(rng, cols[j], j)
+				if fs[j].Lo > fs[j].Hi { // the stage's callers drop inverted filters
+					fs[j].Lo, fs[j].Hi = fs[j].Hi, fs[j].Lo
+				}
+			}
+			for _, l := range lengths {
+				start := rng.Intn(n - l + 1)
+				end := start + l
+				words := (l + 63) / 64
+				sel := make([]uint64, words+1)
+				for w := range sel {
+					sel[w] = sentinel
+				}
+				s.selectWords(fs, start, end, sel)
+				for w := 0; w < words; w++ {
+					var want uint64
+					for j := 0; j < 64 && start+w*64+j < end; j++ {
+						row, ok := start+w*64+j, uint64(1)
+						for _, f := range fs {
+							if v := cols[f.Dim][row]; v < f.Lo || v > f.Hi {
+								ok = 0
+							}
+						}
+						want |= ok << j
+					}
+					if sel[w] != want {
+						t.Fatalf("%s %d filters rows [%d,%d) word %d: %064b, want %064b", KernelName(), len(fs), start, end, w, sel[w], want)
+					}
+				}
+				if sel[words] != sentinel {
+					t.Fatalf("%s rows [%d,%d): word %d past the range was written", KernelName(), start, end, words)
+				}
+			}
+		}
+	}
+	if SIMDAvailable() {
+		t.Run("simd", func(t *testing.T) {
+			prev := SetSIMD(true)
+			defer SetSIMD(prev)
+			run(t)
+		})
+	}
+	t.Run("portable", func(t *testing.T) {
+		prev := SetSIMD(false)
+		defer SetSIMD(prev)
+		run(t)
+	})
+}
+
 // TestScanKernelsDomainEdges pins the unsigned-compare trick at the int64
 // domain edges, where the wraparound argument has to hold exactly.
 func TestScanKernelsDomainEdges(t *testing.T) {

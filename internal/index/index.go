@@ -112,7 +112,7 @@ func Selectivity(s *colstore.Store, q query.Query) float64 {
 
 // DimSelectivity returns the fraction of rows matching only the filter on
 // one dimension of q (1.0 when the dim is unfiltered). The count runs on
-// the store's single-filter scan kernel.
+// the store's fused scan kernel.
 func DimSelectivity(s *colstore.Store, q query.Query, dim int) float64 {
 	f, ok := q.Filter(dim)
 	if !ok {
