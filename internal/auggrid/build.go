@@ -1,8 +1,9 @@
 package auggrid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cdfmodel"
 	"repro/internal/colstore"
@@ -58,8 +59,17 @@ type Grid struct {
 
 // Build computes the grid structures for layout over the given rows of st
 // (st not yet reordered) and returns the rows sorted into grid order:
-// by cell id, then by the sort dimension within each cell.
+// by cell id, then by the sort dimension within each cell, then by position
+// in rows.
 func Build(st *colstore.Store, rows []int, layout Layout) (*Grid, []int, error) {
+	return build(st, rows, layout, nil)
+}
+
+// build is Build given, per dim, the values of st's column over rows in
+// ascending order, or sorted == nil to sort the ones it needs here. The
+// Evaluator sorts its sample's columns once and passes them for every
+// candidate it prices.
+func build(st *colstore.Store, rows []int, layout Layout, sorted [][]int64) (*Grid, []int, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -94,8 +104,20 @@ func Build(st *colstore.Store, rows []int, layout Layout) (*Grid, []int, error) 
 		switch g.layout.Skeleton[j].Kind {
 		case Independent:
 			p := g.layout.P[j]
-			vals := gather(st.Column(j), rows)
-			m := cdfmodel.NewSample(vals, sampleFor(len(rows), p))
+			if p == 1 && len(rows) > 0 {
+				// One partition spans the domain: its boundaries are the
+				// minimum and one past the maximum, no CDF needed.
+				g.bounds[j] = []int64{g.dimLo[j], cdfmodel.Above(g.dimHi[j])}
+				continue
+			}
+			var vals []int64
+			if sorted != nil {
+				vals = sorted[j]
+			} else {
+				vals = gather(st.Column(j), rows)
+				slices.Sort(vals)
+			}
+			m := cdfmodel.NewSortedSample(vals, sampleFor(len(rows), p))
 			g.bounds[j] = cdfmodel.Boundaries(m, p)
 		case Mapped:
 			target := g.layout.Skeleton[j].Other
@@ -150,7 +172,8 @@ func Build(st *colstore.Store, rows []int, layout Layout) (*Grid, []int, error) 
 				cb[b] = make([]int64, p+1)
 				continue
 			}
-			m := cdfmodel.NewSample(vals, sampleFor(len(vals), p))
+			slices.Sort(vals)
+			m := cdfmodel.NewSortedSample(vals, sampleFor(len(vals), p))
 			cb[b] = cdfmodel.Boundaries(m, p)
 		}
 		g.condBounds[j] = cb
@@ -162,38 +185,66 @@ func Build(st *colstore.Store, rows []int, layout Layout) (*Grid, []int, error) 
 	for i, r := range inlierRows {
 		cells[i] = g.cellOfRow(st, r)
 	}
-	order := make([]int, len(inlierRows))
-	for i := range order {
-		order[i] = i
-	}
 	var sortCol []int64
 	if g.layout.SortDim >= 0 {
 		sortCol = st.Column(g.layout.SortDim)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := cells[order[a]], cells[order[b]]
-		if ca != cb {
-			return ca < cb
-		}
-		if sortCol != nil {
-			return sortCol[inlierRows[order[a]]] < sortCol[inlierRows[order[b]]]
-		}
-		return false
-	})
-	orderedRows := make([]int, 0, len(rows))
-	for _, o := range order {
-		orderedRows = append(orderedRows, inlierRows[o])
-	}
-	orderedRows = append(orderedRows, outlierRows...)
+	orderedRows, offsets := orderCells(inlierRows, cells, sortCol, numCells)
+	g.offsets = offsets
+	return g, append(orderedRows, outlierRows...), nil
+}
 
-	g.offsets = make([]int, numCells+1)
+// orderCells returns rows in grid order and the start of each of the
+// numCells cells in it (plus the end): rows[i] belongs to cell cells[i],
+// and within a cell rows go by ascending sortCol value (no order when
+// sortCol is nil), then by position i. That is the order a stable sort on
+// (cell, value) gives, reached by a counting sort on the cell ids and a
+// sort of each cell's (value, position) keys.
+func orderCells(rows, cells []int, sortCol []int64, numCells int) (ordered, offsets []int) {
+	offsets = make([]int, numCells+1)
 	for _, c := range cells {
-		g.offsets[c+1]++
+		offsets[c+1]++
 	}
-	for c := 1; c <= numCells; c++ {
-		g.offsets[c] += g.offsets[c-1]
+	for c := 1; c < len(offsets); c++ {
+		offsets[c] += offsets[c-1]
 	}
-	return g, orderedRows, nil
+	next := slices.Clone(offsets[:len(offsets)-1])
+	ordered = make([]int, len(rows))
+	if sortCol == nil {
+		for i, c := range cells {
+			ordered[next[c]] = rows[i]
+			next[c]++
+		}
+		return ordered, offsets
+	}
+	keys := make([]cellKey, len(rows))
+	for i, c := range cells {
+		keys[next[c]] = cellKey{v: sortCol[rows[i]], i: i}
+		next[c]++
+	}
+	for c := 0; c+1 < len(offsets); c++ {
+		if cell := keys[offsets[c]:offsets[c+1]]; len(cell) > 1 {
+			slices.SortFunc(cell, cellKey.compare)
+		}
+	}
+	for k, key := range keys {
+		ordered[k] = rows[key.i]
+	}
+	return ordered, offsets
+}
+
+// cellKey is one row of a cell being sorted: its sort-dim value and its
+// position in the input, which breaks ties so the order is total.
+type cellKey struct {
+	v int64
+	i int
+}
+
+func (a cellKey) compare(b cellKey) int {
+	if a.v != b.v {
+		return cmp.Compare(a.v, b.v)
+	}
+	return a.i - b.i
 }
 
 // Finalize binds the grid to the physically reordered store. Rows

@@ -2,6 +2,7 @@ package auggrid
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/colstore"
 	"repro/internal/query"
@@ -42,8 +43,15 @@ func DefaultCostWeights() CostWeights { return CostWeights{W0: 60, W1: 0.45, W2:
 // against it. Running the real query path on the sample grid yields exactly
 // the features the cost model needs — cell ranges and (scaled) scanned
 // points — with no separate estimation code to drift out of sync.
+//
+// The sample is fixed for the Evaluator's life, so NewEvaluator sorts each
+// of its columns once: a candidate's independent boundaries are read off
+// the sorted column, and pricing a candidate sorts only its conditional
+// dims' per-base groups and its cells' sort-dim values.
 type Evaluator struct {
 	sample  *colstore.Store
+	rows    []int     // 0..n-1: every sample row, the rows each candidate grid spans
+	sorted  [][]int64 // sorted[j] is the sample's column j in ascending order
 	queries []query.Query
 	weights CostWeights
 	scale   float64 // full rows per sample row
@@ -95,12 +103,19 @@ func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg Eva
 	}
 	d := st.NumDims()
 	cols := make([][]int64, d)
+	sorted := make([][]int64, d)
 	for j := 0; j < d; j++ {
 		cols[j] = gather(st.Column(j), sampleRows)
+		sorted[j] = slices.Clone(cols[j])
+		slices.Sort(sorted[j])
 	}
 	sample, err := colstore.FromColumns(cols, st.Names())
 	if err != nil {
 		panic("auggrid: " + err.Error()) // sample columns are consistent by construction
+	}
+	all := make([]int, len(sampleRows))
+	for i := range all {
+		all[i] = i
 	}
 
 	qs := queries
@@ -115,7 +130,10 @@ func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg Eva
 	if len(sampleRows) > 0 {
 		scale = float64(n) / float64(len(sampleRows))
 	}
-	return &Evaluator{sample: sample, queries: qs, weights: cfg.Weights, scale: scale, ctx: NewExecContext()}
+	return &Evaluator{
+		sample: sample, rows: all, sorted: sorted, queries: qs,
+		weights: cfg.Weights, scale: scale, ctx: NewExecContext(),
+	}
 }
 
 // NumQueries returns the size of the replayed workload.
@@ -149,17 +167,19 @@ func (e *Evaluator) PredictQuery(l Layout, q query.Query) float64 {
 	return e.queryCost(g, q)
 }
 
+// buildSampleGrid builds l over the whole sample and binds it to a copy of
+// the sample laid out in grid order.
 func (e *Evaluator) buildSampleGrid(l Layout) (*Grid, error) {
-	rows := make([]int, e.sample.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	st := e.sample.Clone()
-	g, ordered, err := Build(st, rows, l)
+	g, ordered, err := build(e.sample, e.rows, l, e.sorted)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Reorder(ordered); err != nil {
+	cols := make([][]int64, e.sample.NumDims())
+	for j := range cols {
+		cols[j] = gather(e.sample.Column(j), ordered)
+	}
+	st, err := colstore.FromColumns(cols, e.sample.Names())
+	if err != nil {
 		return nil, err
 	}
 	g.Finalize(st, 0)

@@ -175,8 +175,7 @@ func (g *Grid) effectiveFilters(q query.Query, ctx *ExecContext) ([]int64, []int
 		}
 		blo, bhi := g.mappings[j].Bounds(float64(flo), float64(fhi))
 		t := strat.Other
-		tlo := int64(math.Floor(blo))
-		thi := int64(math.Ceil(bhi))
+		tlo, thi := toInt64(math.Floor(blo)), toInt64(math.Ceil(bhi))
 		if tlo > lo[t] {
 			lo[t] = tlo
 		}
@@ -188,6 +187,20 @@ func (g *Grid) effectiveFilters(q query.Query, ctx *ExecContext) ([]int64, []int
 		}
 	}
 	return lo, hi, true
+}
+
+// toInt64 converts an integral float to int64, saturating: a mapping over
+// huge values can predict past the int64 range, and converting such a
+// float is not defined (amd64 gives MinInt64 either way, which would empty
+// the range).
+func toInt64(f float64) int64 {
+	switch {
+	case f >= math.MaxInt64: // float64(MaxInt64) is 2^63
+		return math.MaxInt64
+	case f <= math.MinInt64:
+		return math.MinInt64
+	}
+	return int64(f)
 }
 
 // dimRange is one grid position the walk visits: its partition index range
@@ -328,6 +341,11 @@ func boundsRange(bounds []int64, p int, lo, hi int64) (int, int, bool, bool) {
 	b := clampPart(searchGT(bounds, a, len(bounds), hi)-1, p)
 	exLo := lo <= bounds[a]
 	exHi := hi >= bounds[b+1]-1
+	if b == p-1 && bounds[p] == math.MaxInt64 {
+		// The top boundary saturated (cdfmodel.Above): the last partition
+		// may hold MaxInt64 itself.
+		exHi = hi == math.MaxInt64
+	}
 	return a, b, exLo, exHi
 }
 

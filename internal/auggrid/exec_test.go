@@ -1,6 +1,7 @@
 package auggrid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -195,5 +196,49 @@ func TestGridDimsExcludeMappedAndSort(t *testing.T) {
 	}
 	if l.NumCells() != 4 {
 		t.Errorf("NumCells = %d, want 4", l.NumCells())
+	}
+}
+
+// TestBoundsRangeSaturatedTop: a column holding MaxInt64 has its top
+// boundary saturated at MaxInt64 (one past it does not exist), so the last
+// partition holds MaxInt64 and only a filter reaching MaxInt64 contains it.
+func TestBoundsRangeSaturatedTop(t *testing.T) {
+	for _, c := range []struct {
+		bounds []int64
+		hi     int64
+		b      int
+		exHi   bool
+	}{
+		{[]int64{0, 10, 20}, 19, 1, true},
+		{[]int64{0, 10, 20}, 18, 1, false},
+		{[]int64{0, 10, math.MaxInt64}, math.MaxInt64 - 1, 1, false},
+		{[]int64{0, 10, math.MaxInt64}, math.MaxInt64, 1, true},
+		// An interior boundary at MaxInt64 stays exclusive: MaxInt64
+		// itself lands in the last partition.
+		{[]int64{0, math.MaxInt64, math.MaxInt64}, math.MaxInt64 - 1, 0, true},
+		{[]int64{0, math.MaxInt64, math.MaxInt64}, math.MaxInt64, 1, true},
+	} {
+		_, b, _, exHi := boundsRange(c.bounds, 2, 5, c.hi)
+		if b != c.b || exHi != c.exHi {
+			t.Errorf("bounds %v, hi %d: b=%d exHi=%v, want b=%d exHi=%v", c.bounds, c.hi, b, exHi, c.b, c.exHi)
+		}
+	}
+}
+
+// TestMappedBoundsSaturate: converting a mapping's predicted bound to int64
+// saturates outside the int64 range, so a huge prediction never wraps into
+// an empty range.
+func TestMappedBoundsSaturate(t *testing.T) {
+	for f, want := range map[float64]int64{
+		2:            2,
+		-3:           -3,
+		1e19:         math.MaxInt64,
+		-1e19:        math.MinInt64,
+		math.Inf(1):  math.MaxInt64,
+		math.Inf(-1): math.MinInt64,
+	} {
+		if got := toInt64(f); got != want {
+			t.Errorf("toInt64(%g) = %d, want %d", f, got, want)
+		}
 	}
 }

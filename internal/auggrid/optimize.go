@@ -3,8 +3,10 @@ package auggrid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
+	"repro/internal/cdfmodel"
 	"repro/internal/colstore"
 	"repro/internal/query"
 )
@@ -323,13 +325,13 @@ func emptyCellFraction(xs, ys []int64, p int) float64 {
 }
 
 func equiDepthBounds(vals []int64, p int) []int64 {
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
 	b := make([]int64, p+1)
 	for i := 0; i <= p; i++ {
 		idx := i * len(sorted) / p
 		if idx >= len(sorted) {
-			b[i] = sorted[len(sorted)-1] + 1
+			b[i] = cdfmodel.Above(sorted[len(sorted)-1])
 		} else {
 			b[i] = sorted[idx]
 		}

@@ -11,6 +11,7 @@ package cdfmodel
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -75,9 +76,18 @@ type SampleCDF struct {
 
 // NewSample builds a SampleCDF from values, keeping at most sampleSize
 // evenly-spaced order statistics (all values if sampleSize <= 0 or >= n).
+// It sorts a copy of values; a caller that already holds them in ascending
+// order uses NewSortedSample and skips the sort.
 func NewSample(values []int64, sampleSize int) *SampleCDF {
-	sorted := append([]int64(nil), values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return NewSortedSample(sorted, sampleSize)
+}
+
+// NewSortedSample is NewSample over values already in ascending order. The
+// model keeps sorted itself when it uses every value, so the caller must not
+// modify sorted while the model is in use.
+func NewSortedSample(sorted []int64, sampleSize int) *SampleCDF {
 	if sampleSize <= 0 || sampleSize >= len(sorted) || len(sorted) == 0 {
 		return &SampleCDF{sample: sorted}
 	}
@@ -112,7 +122,18 @@ func (s *SampleCDF) At(x int64) float64 {
 	return (float64(i-1) + frac + 1) / float64(n)
 }
 
-// Quantile returns the sample order statistic at q.
+// Above returns v+1, the exclusive upper boundary of a domain whose maximum
+// is v, saturating at math.MaxInt64: a column holding MaxInt64 has no value
+// above it, and a wrapped boundary would put its maximum in no partition.
+func Above(v int64) int64 {
+	if v == math.MaxInt64 {
+		return v
+	}
+	return v + 1
+}
+
+// Quantile returns the sample order statistic at q; at q >= 1 it is one past
+// the maximum (saturating, see Above).
 func (s *SampleCDF) Quantile(q float64) int64 {
 	n := len(s.sample)
 	if n == 0 {
@@ -122,7 +143,7 @@ func (s *SampleCDF) Quantile(q float64) int64 {
 		return s.sample[0]
 	}
 	if q >= 1 {
-		return s.sample[n-1] + 1
+		return Above(s.sample[n-1])
 	}
 	idx := int(q * float64(n))
 	if idx >= n {
@@ -154,8 +175,8 @@ type linModel struct {
 
 // NewRMI fits a two-layer RMI with numLeaves leaf models on values.
 func NewRMI(values []int64, numLeaves int) *RMI {
-	sorted := append([]int64(nil), values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
 	n := len(sorted)
 	r := &RMI{n: n}
 	if n == 0 {
@@ -278,7 +299,7 @@ func (r *RMI) Quantile(q float64) int64 {
 		return r.min
 	}
 	if q >= 1 {
-		return r.max + 1
+		return Above(r.max)
 	}
 	lo, hi := r.min, r.max
 	for lo < hi {
@@ -298,8 +319,8 @@ func (r *RMI) SizeBytes() uint64 { return 16 + uint64(len(r.leaves))*16 + 16 }
 // MaxAbsError returns the maximum |modeled CDF - empirical CDF| over values,
 // for model-quality tests.
 func (r *RMI) MaxAbsError(values []int64) float64 {
-	sorted := append([]int64(nil), values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
 	worst := 0.0
 	for i, v := range sorted {
 		emp := float64(i+1) / float64(len(sorted))

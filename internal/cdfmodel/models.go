@@ -2,6 +2,7 @@ package cdfmodel
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -58,7 +59,7 @@ func (m *LinearCDF) Quantile(q float64) int64 {
 		return m.min
 	}
 	if q >= 1 {
-		return m.max + 1
+		return Above(m.max)
 	}
 	return m.min + int64(q*float64(m.max-m.min))
 }
@@ -137,7 +138,11 @@ func (m *HistogramCDF) Quantile(q float64) int64 {
 		return m.min
 	}
 	if q >= 1 {
-		return m.min + m.width*int64(len(m.cum)-1) + 1
+		top := m.min + m.width*int64(len(m.cum)-1)
+		if top < m.min {
+			top = math.MaxInt64 // the top edge lies past the int64 domain
+		}
+		return Above(top)
 	}
 	b := sort.Search(len(m.cum), func(i int) bool { return m.cum[i] >= q }) - 1
 	if b < 0 {
@@ -159,8 +164,8 @@ func (m *HistogramCDF) SizeBytes() uint64 { return 16 + uint64(len(m.cum))*8 }
 
 // MaxAbsError measures a model's worst CDF deviation on values.
 func MaxAbsError(m Model, values []int64) float64 {
-	sorted := append([]int64(nil), values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
 	worst := 0.0
 	for i, v := range sorted {
 		emp := float64(i+1) / float64(len(sorted))

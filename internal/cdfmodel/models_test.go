@@ -1,7 +1,9 @@
 package cdfmodel
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,5 +127,50 @@ func TestModelInterfaceQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuantileSaturatesAtMaxInt64 checks every model's top boundary over a
+// column holding math.MaxInt64: one past the maximum does not exist, so
+// Quantile(1) is MaxInt64 itself, and the boundaries stay non-decreasing
+// up to it instead of wrapping to MinInt64.
+func TestQuantileSaturatesAtMaxInt64(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = math.MaxInt64 - rng.Int63n(1000)
+	}
+	vals[17] = math.MaxInt64
+	for name, m := range map[string]Model{
+		"sample":    NewSample(vals, 0),
+		"subsample": NewSample(vals, 100),
+		"linear":    NewLinear(vals),
+		"histogram": NewHistogram(vals, 64),
+		"rmi":       NewRMI(vals, 16),
+	} {
+		if q := m.Quantile(1); q != math.MaxInt64 {
+			t.Errorf("%s: Quantile(1) = %d, want MaxInt64", name, q)
+		}
+		b := Boundaries(m, 8)
+		if b[8] != math.MaxInt64 || !slices.IsSorted(b) {
+			t.Errorf("%s: boundaries %v, want non-decreasing up to MaxInt64", name, b)
+		}
+	}
+	if Above(41) != 42 || Above(math.MaxInt64) != math.MaxInt64 {
+		t.Error("Above must add one, saturating at MaxInt64")
+	}
+}
+
+// TestNewSortedSampleMatchesNewSample: the constructor over presorted
+// values is NewSample without the sort.
+func TestNewSortedSampleMatchesNewSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	vals := skewedValues(5000, rng)
+	sorted := slices.Sorted(slices.Values(vals))
+	for _, size := range []int{0, 1024, 5000, 9000} {
+		a, b := NewSample(vals, size), NewSortedSample(sorted, size)
+		if !slices.Equal(a.sample, b.sample) {
+			t.Errorf("sample size %d: NewSortedSample kept different order statistics", size)
+		}
 	}
 }

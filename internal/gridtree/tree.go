@@ -1,6 +1,7 @@
 package gridtree
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/colstore"
@@ -240,8 +241,8 @@ func (t *Tree) build(st *colstore.Store, rows []int, queries []query.Query, lo, 
 }
 
 func cleanSplitVals(vals []int64, lo, hi int64) []int64 {
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
 	out := sorted[:0]
 	for _, v := range sorted {
 		if v <= lo || v > hi {

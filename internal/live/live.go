@@ -268,6 +268,7 @@ type Store struct {
 
 	obs  chan obsItem  // sampled feed of served queries to the detector
 	wake chan struct{} // nudges maintenance when the threshold trips
+	gate chan struct{} // shared with the stores it takes turns with; nil: none (see OpenGated)
 	quit chan struct{}
 	done chan struct{}
 
@@ -308,10 +309,23 @@ type Store struct {
 // built for; it seeds the shift detector's fingerprint (pass nil to serve
 // without shift detection).
 func Open(idx *core.Tsunami, optimized []query.Query, cfg Config) *Store {
+	return OpenGated(idx, optimized, cfg, nil)
+}
+
+// OpenGated is Open for a store that takes turns at background merges
+// with the other stores opened on the same gate, a channel of capacity 1:
+// a threshold-triggered merge holds the gate's one slot while it runs, so
+// no two of them merge at once. A merge rewrites its whole store, so this
+// caps what maintenance takes from readers at one CPU and one transient
+// copy, and it makes a write burst's merge count independent of goroutine
+// scheduling (see sharded.Store). Flush does not take the gate: it is the
+// caller asking for the work now. A nil gate is Open.
+func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan struct{}) *Store {
 	cfg.fill()
 	s := &Store{
 		cfg:       cfg,
 		wake:      make(chan struct{}, 1),
+		gate:      gate,
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
 		closeDone: make(chan struct{}),
@@ -803,6 +817,16 @@ func (s *Store) recentWorkload() []query.Query {
 }
 
 func (s *Store) runMerge() {
+	// The gate before maintMu: a merge waiting its turn must not hold off
+	// this store's own Flush.
+	if s.gate != nil {
+		select {
+		case s.gate <- struct{}{}:
+			defer func() { <-s.gate }()
+		case <-s.quit:
+			return
+		}
+	}
 	s.maintMu.Lock()
 	err := s.mergeLocked(s.cfg.RegionMergeThreshold)
 	s.maintMu.Unlock()

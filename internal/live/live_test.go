@@ -559,3 +559,73 @@ func TestLivePlanPinsItsEpoch(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveMergeGate pins OpenGated's turn-taking: a threshold merge waits
+// while another store holds the gate and runs once the gate is free, Flush
+// does not wait for the gate, and Close does not wait for a merge queued
+// on it.
+func TestLiveMergeGate(t *testing.T) {
+	st := testutil.SmallTaxi(3000, 61)
+	idx := core.Build(st, testutil.SkewedQueries(st, 60, 62), smallConfig())
+	insert := func(s *Store, k int) {
+		t.Helper()
+		rows := make([][]int64, 150)
+		for i := range rows {
+			rows[i] = st.Row((k*150+i)%st.NumRows(), nil)
+		}
+		if err := s.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate := make(chan struct{}, 1)
+	s := OpenGated(idx, nil, Config{MergeThreshold: 100}, gate)
+	defer s.Close()
+
+	gate <- struct{}{} // another store is merging
+	insert(s, 0)
+	time.Sleep(50 * time.Millisecond)
+	if got := s.Stats(); got.Merges != 0 || got.BufferedRows != 150 {
+		t.Fatalf("with the gate taken: %d merges, %d rows buffered, want 0 and 150", got.Merges, got.BufferedRows)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(); got.Merges != 1 || got.BufferedRows != 0 {
+		t.Fatalf("Flush with the gate taken: %d merges, %d rows buffered, want 1 and 0", got.Merges, got.BufferedRows)
+	}
+
+	insert(s, 1)
+	time.Sleep(50 * time.Millisecond)
+	if got := s.Stats().Merges; got != 1 {
+		t.Fatalf("a threshold merge ran while the gate was taken (%d merges)", got)
+	}
+	<-gate
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Merges < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the queued merge did not run once the gate was free")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := s.Execute(query.NewCount()).Count; got != 3300 {
+		t.Errorf("count after the merges = %d, want 3300", got)
+	}
+	// The merge gives its slot back: the test can take it again.
+	select {
+	case gate <- struct{}{}:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gate was not released after the merge")
+	}
+
+	insert(s, 2) // queues a merge behind the gate the test holds
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waited for a merge queued on the gate")
+	}
+}

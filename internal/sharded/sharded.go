@@ -174,6 +174,13 @@ type Event struct {
 // errClosed reports writes after Close.
 var errClosed = errors.New("sharded: store is closed")
 
+// topology is the atomically-published routing state: the partitioner and
+// its generation, which advances by one per completed cut migration.
+type topology struct {
+	parts Partitioner
+	gen   uint64
+}
+
 // Store serves one logical table from N independent LiveStore shards.
 //
 // Concurrency: Execute/ExecuteWith/Plan/Stats may be called from any
@@ -183,13 +190,13 @@ var errClosed = errors.New("sharded: store is closed")
 // to one shard serialize only on that shard's short copy-on-write
 // section. Save briefly blocks writers (not readers) to cut a mutually
 // consistent snapshot.
-// topology is the atomically-published routing state: the partitioner and
-// its generation, which advances by one per completed cut migration.
-type topology struct {
-	parts Partitioner
-	gen   uint64
-}
-
+//
+// The shards' threshold-triggered merges take turns, one at a time
+// (live.OpenGated); Flush merges every shard at once. A merge rewrites its
+// whole shard: two side by side contend for memory bandwidth, and under a
+// write burst across shards, whether a shard folded the burst in one merge
+// or in two would hang on whether its merge goroutine got a CPU before the
+// burst ended.
 type Store struct {
 	// topo is the current partitioner + generation. Reads load it per
 	// query; migrations publish a successor inside their commit window.
@@ -382,6 +389,7 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 	s.topo.Store(&topology{parts: parts, gen: gen})
 	s.metrics = newShardedMetrics(s, cfg.Metrics)
 	s.shards = make([]*live.Store, len(idxs))
+	gate := make(chan struct{}, 1) // the shards' background merges take turns (see Store)
 	for i, idx := range idxs {
 		lc := cfg.Live
 		// Workload stats record once at the router (below); a collector on
@@ -425,7 +433,7 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 				forward(ev)
 			}
 		}
-		s.shards[i] = live.Open(idx, shardWorkload(parts, i, workload), lc)
+		s.shards[i] = live.OpenGated(idx, shardWorkload(parts, i, workload), lc, gate)
 	}
 	if cfg.Workload != nil {
 		s.workload = cfg.Workload

@@ -449,3 +449,63 @@ func combined(t *testing.T, st *colstore.Store, extra [][]int64) *colstore.Store
 }
 
 var _ index.Index = (*Store)(nil)
+
+// TestShardedMergesTakeTurns checks that the shards' threshold merges never
+// overlap: every merge's [start, end] interval, rebuilt from its event, is
+// disjoint from every other's, and every shard merged.
+func TestShardedMergesTakeTurns(t *testing.T) {
+	st := testutil.SmallTaxi(6000, 71)
+	type span struct {
+		shard      int
+		start, end time.Time
+	}
+	var spans []span // appended under the store's serialized OnEvent
+	s, err := Open(st, nil, smallConfig(), Config{
+		Shards: 2, Learned: true,
+		Live: live.Config{MergeThreshold: 200},
+		OnEvent: func(ev Event) {
+			if ev.Kind == live.EventMerge {
+				end := time.Now()
+				spans = append(spans, span{ev.Shard, end.Add(-time.Duration(ev.Seconds * 1e9)), end})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every batch holds rows of both shards, so both cross the threshold
+	// together again and again.
+	for b := 0; b < 20; b++ {
+		rows := make([][]int64, 200)
+		for i := range rows {
+			rows[i] = st.Row((b*977+i*29)%st.NumRows(), nil)
+		}
+		if err := s.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for s.Stats().BufferedRows >= 2*200 {
+		if time.Now().After(deadline) {
+			t.Fatal("the threshold merges did not drain the buffers")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	merged := map[int]bool{}
+	for i, a := range spans {
+		merged[a.shard] = true
+		for _, b := range spans[i+1:] {
+			if a.start.Before(b.end) && b.start.Before(a.end) {
+				t.Errorf("merges overlap: shard %d %v-%v and shard %d %v-%v",
+					a.shard, a.start.Format("05.000000"), a.end.Format("05.000000"),
+					b.shard, b.start.Format("05.000000"), b.end.Format("05.000000"))
+			}
+		}
+	}
+	if len(merged) != 2 {
+		t.Errorf("shards that merged: %v, want both", merged)
+	}
+}

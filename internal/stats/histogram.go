@@ -7,6 +7,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -72,8 +73,8 @@ func NewFromValues(values []int64, maxBins int) *Histogram {
 // uniqueSorted returns the sorted unique values, giving up (returning a
 // slice of length limit) once more than limit-1 uniques are seen.
 func uniqueSorted(values []int64, limit int) []int64 {
-	vs := append([]int64(nil), values...)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	vs := slices.Clone(values)
+	slices.Sort(vs)
 	out := vs[:0]
 	for i, v := range vs {
 		if i == 0 || v != out[len(out)-1] {
