@@ -1,8 +1,7 @@
 package tsunami
 
 import (
-	"repro/internal/auggrid"
-	"repro/internal/flood"
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/kdtree"
 	"repro/internal/octree"
@@ -13,23 +12,15 @@ import (
 // The paper evaluates Tsunami against five baselines over the same column
 // store (§6.1). Each constructor clones the table and clusters its own copy.
 
-// FloodIndex is a built Flood index (the learned baseline Tsunami extends).
-type FloodIndex = flood.Index
+// FloodIndex is a built Flood index (the learned baseline Tsunami
+// extends). Flood is a variant of the Tsunami index, so it is one type.
+type FloodIndex = core.Tsunami
 
 // NewFlood builds Flood: a single learned grid with independent CDF
 // partitioning per dimension, optimized for the workload with Tsunami's
 // cost model (the §6.1 modified Flood).
 func NewFlood(table *Table, workload []Query, o Options) *FloodIndex {
-	return flood.Build(table, workload, flood.Config{Grid: auggrid.OptimizeConfig{
-		Eval: auggrid.EvalConfig{
-			SampleSize: o.SampleSize,
-			MaxQueries: o.MaxOptQueries,
-			Seed:       o.Seed,
-		},
-		MaxCells: o.MaxCells,
-		MaxIters: o.OptimizerIters,
-		Seed:     o.Seed,
-	}})
+	return core.Build(table, workload, o.coreConfig(core.Flood))
 }
 
 // NewKDTree builds the k-d tree baseline: median splits, dimensions cycled

@@ -133,7 +133,7 @@ type session struct {
 
 func (s *session) index() *core.Tsunami {
 	if s.shard != nil {
-		return s.shard.Shard(0).Index() // representative shard for explain/stats
+		return s.shard.Shard(0).Index() // representative shard for stats
 	}
 	return s.live.Index()
 }
@@ -580,7 +580,12 @@ func eval(s *session, names []string, line string) bool {
 			return false
 		}
 		if verb == "explain" {
-			fmt.Print(s.index().Explain(q))
+			// The store's traced pipeline: its region spans are the
+			// EXPLAIN, recorded by the execution that answered.
+			x := index.Exec{Trace: new(obs.QueryTrace)}
+			res := s.store.ExecuteWith(q, x)
+			fmt.Print(x.Trace.Explain())
+			printResult(q, names, res, 0)
 			return false
 		}
 		start := time.Now()

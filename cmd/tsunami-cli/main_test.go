@@ -36,10 +36,13 @@ var modes = map[string]string{
 }
 
 // TestInsertMergeInsertCounts pipes an insert, a merge and a second insert
-// into the shell: `count` and `trace count` must both see the two rows,
-// the merged one and the buffered one, in every serve mode.
+// into the shell: `count`, `trace count` and `explain` must all see the
+// two rows, the merged one and the buffered one, in every serve mode, and
+// `explain` must answer a query over the whole table (every shard of a
+// sharded shell) as `count` does.
 func TestInsertMergeInsertCounts(t *testing.T) {
-	const script = "insert -5,1,1\nmerge\ninsert -7,1,1\ncount d0<=-1\ntrace count d0<=-1\nquit\n"
+	const script = "insert -5,1,1\nmerge\ninsert -7,1,1\ncount d0<=-1\ntrace count d0<=-1\nexplain d0<=-1\n" +
+		"count d0>=2000\nexplain d0>=2000\nquit\n"
 	for name, mode := range modes {
 		t.Run(name, func(t *testing.T) {
 			out, err := cli("-dataset uniform -rows 3000 -dims 3 "+mode, script).CombinedOutput()
@@ -47,8 +50,11 @@ func TestInsertMergeInsertCounts(t *testing.T) {
 				t.Fatalf("%v; output:\n%s", err, out)
 			}
 			got := regexp.MustCompile(`count=(\d+)`).FindAllStringSubmatch(string(out), -1)
-			if len(got) != 2 || got[0][1] != "2" || got[1][1] != "2" {
-				t.Fatalf("count and trace should both answer count=2, got %v; output:\n%s", got, out)
+			if len(got) != 5 || got[0][1] != "2" || got[1][1] != "2" || got[2][1] != "2" {
+				t.Fatalf("count, trace and explain should all answer count=2, got %v; output:\n%s", got, out)
+			}
+			if got[3][1] != got[4][1] {
+				t.Fatalf("count d0>=2000 answers count=%s, explain count=%s; output:\n%s", got[3][1], got[4][1], out)
 			}
 		})
 	}

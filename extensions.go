@@ -58,10 +58,6 @@ func LearnCategoricalOrder(table *Table, workload []Query, dim int) *Categorical
 // grids round-trip without re-optimization.
 func Load(r io.Reader) (*TsunamiIndex, error) { return core.Load(r) }
 
-// Trace is an EXPLAIN-style query execution report; see
-// TsunamiIndex.Explain.
-type Trace = core.Trace
-
 // NewRobust is New with outlier-robust functional mappings enabled (§8):
 // up to outlierFrac of the rows may be diverted to per-grid outlier
 // buffers so that a few stragglers don't inflate the mappings' error

@@ -367,13 +367,13 @@ func TestExecutorAnswersGroupedQueries(t *testing.T) {
 		oracle.CheckGrouped(t, "ExecuteBatch", lookup, everyOther(mixed, 1))
 	}
 
-	baseline := tsunami.NewFlood(table, work, tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16})
-	flood := tsunami.NewExecutor(baseline, tsunami.ExecutorOptions{})
-	defer flood.Close()
-	if got, want := flood.Execute(work[0]), baseline.Execute(work[0]); !got.Equal(want) {
+	baseline := tsunami.NewKDTree(table, work, 0)
+	kd := tsunami.NewExecutor(baseline, tsunami.ExecutorOptions{})
+	defer kd.Close()
+	if got, want := kd.Execute(work[0]), baseline.Execute(work[0]); !got.Equal(want) {
 		t.Errorf("Execute on a baseline index = %+v, want %+v", got, want)
 	}
-	if res, err := flood.ServeGrouped(tsunami.CountBy(4), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrNotGrouped) || !res.Equal(tsunami.Result{}) {
+	if res, err := kd.ServeGrouped(tsunami.CountBy(4), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrNotGrouped) || !res.Equal(tsunami.Result{}) {
 		t.Errorf("ServeGrouped on a baseline index = %+v, %v; want a zero result and ErrNotGrouped", res, err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 //  2. Finalize binds the grid to the reordered store at its start offset.
 //
 // After Finalize a Grid is immutable: all per-query state lives in the
-// ExecContext passed to Execute, so one Grid serves any number of
+// ExecContext passed to PlanRanges, so one Grid serves any number of
 // concurrent readers with no cloning (provided the underlying store is not
 // mutated while readers are active).
 type Grid struct {

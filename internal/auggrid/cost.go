@@ -39,10 +39,11 @@ type CostWeights struct {
 func DefaultCostWeights() CostWeights { return CostWeights{W0: 60, W1: 0.45, W2: 3} }
 
 // Evaluator predicts average query time for candidate layouts by building a
-// miniature Augmented Grid over a row sample and replaying the workload
-// against it. Running the real query path on the sample grid yields exactly
-// the features the cost model needs — cell ranges and (scaled) scanned
-// points — with no separate estimation code to drift out of sync.
+// miniature Augmented Grid over a row sample and planning the workload on
+// it. The cost model's features are plan features (§5.3.1) — cell ranges,
+// cells visited, and the (scaled) points a scan of the plan would read —
+// so the real planner prices a candidate without scanning it, and there
+// is no separate estimation code to drift out of sync.
 //
 // The sample is fixed for the Evaluator's life, so NewEvaluator sorts each
 // of its columns once: a candidate's independent boundaries are read off
@@ -56,6 +57,7 @@ type Evaluator struct {
 	weights CostWeights
 	scale   float64 // full rows per sample row
 	ctx     *ExecContext
+	phys    []PhysRange // the plan being priced, reused per query
 	// Evals counts cost-model evaluations, for optimizer comparisons.
 	Evals int
 }
@@ -186,12 +188,21 @@ func (e *Evaluator) buildSampleGrid(l Layout) (*Grid, error) {
 	return g, nil
 }
 
-// queryCost replays one query through the real execution path. The
-// evaluator owns a private ExecContext, so an Evaluator is single-goroutine
-// (each concurrently optimized region builds its own).
+// queryCost plans one query on the sample grid and prices the plan. The
+// scanned points are the rows colstore.ScanRange counts for it: every
+// inexact range, and the exact ranges too when the query sums a column.
+// The evaluator owns a private ExecContext, so an Evaluator is
+// single-goroutine (each concurrently optimized region builds its own).
 func (e *Evaluator) queryCost(g *Grid, q query.Query) float64 {
-	res, st := g.Execute(q, e.ctx)
-	scanned := float64(res.PointsScanned) * e.scale
+	var st ExecStats
+	e.phys, st = g.PlanRanges(q, e.ctx, e.phys[:0])
+	var points uint64
+	for _, pr := range e.phys {
+		if !pr.Exact || q.Agg == query.Sum {
+			points += uint64(pr.End - pr.Start)
+		}
+	}
+	scanned := float64(points) * e.scale
 	nf := float64(len(q.Filters))
 	if nf == 0 {
 		nf = 1

@@ -3,13 +3,12 @@ package auggrid
 import (
 	"math"
 
-	"repro/internal/colstore"
 	"repro/internal/query"
 )
 
-// ExecStats reports the cost-model features observed while executing a
-// query (§5.3.1): the number of physical cell ranges visited (each a lookup
-// plus likely cache miss) and the number of cells those ranges covered.
+// ExecStats reports the cost-model features of a query's plan (§5.3.1):
+// the number of physical cell ranges it visits (each a lookup plus likely
+// cache miss) and the number of cells those ranges cover.
 type ExecStats struct {
 	CellRanges   int
 	CellsVisited int
@@ -23,46 +22,24 @@ type run struct {
 
 // PhysRange is one contiguous physical row range [Start, End) a query's
 // execution scans, with the exactness flag colstore.ScanRange consumes.
-// Ranges are absolute positions in the finalized store, so callers may
-// scan them directly, in any order, and merge the partial ScanResults.
+// Ranges are absolute positions in the finalized store.
 type PhysRange struct {
 	Start, End int
 	Exact      bool
 }
 
-// Execute answers q against the grid's physical range. A built Grid is
+// PlanRanges appends to dst the physical row ranges a query's execution
+// scans for q and returns the extended slice plus the traversal stats.
+// Scanning the returned ranges with ScanRanges answers q. A built Grid is
 // immutable; all per-query state lives in ctx, so any number of goroutines
-// may Execute concurrently against the same Grid as long as each uses its
-// own ExecContext. A nil ctx borrows one from the package pool.
-func (g *Grid) Execute(q query.Query, ctx *ExecContext) (colstore.ScanResult, ExecStats) {
-	if ctx == nil {
-		ctx = GetExecContext()
-		defer PutExecContext(ctx)
-	}
-	var res colstore.ScanResult
-	var st ExecStats
-	ctx.phys = g.planInto(q, ctx, ctx.phys[:0], &st)
-	for _, pr := range ctx.phys {
-		g.store.ScanRange(q, pr.Start, pr.End, pr.Exact, &res)
-	}
-	return res, st
-}
-
-// PlanRanges appends to dst the physical row ranges Execute would scan for
-// q and returns the extended slice plus the traversal stats. Scanning every
-// returned range with q and merging the results is exactly Execute; the
-// parallel executor uses this to split one grid's scan work across workers
-// at sub-region granularity.
+// may plan concurrently against the same Grid as long as each uses its
+// own ExecContext.
 func (g *Grid) PlanRanges(q query.Query, ctx *ExecContext, dst []PhysRange) ([]PhysRange, ExecStats) {
-	if ctx == nil {
-		ctx = GetExecContext()
-		defer PutExecContext(ctx)
-	}
 	var st ExecStats
 	return g.planInto(q, ctx, dst, &st), st
 }
 
-// planInto computes the ranges Execute scans: the cell runs that intersect
+// planInto computes the ranges a query scans: the cell runs that intersect
 // the query, each refined cell by cell when the query filters the sort dim,
 // then the outlier buffer. The walk emits runs in ascending cell order and
 // refinement keeps it, so the ranges ascend and never overlap.

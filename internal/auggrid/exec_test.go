@@ -9,6 +9,15 @@ import (
 	"repro/internal/query"
 )
 
+// execute answers q on g the way core answers one region: plan the
+// ranges, then scan them with ScanRanges.
+func execute(g *Grid, q query.Query) (colstore.ScanResult, ExecStats) {
+	ranges, st := g.PlanRanges(q, NewExecContext(), nil)
+	var res colstore.ScanResult
+	ScanRanges(g.store, q, ranges, &res, nil)
+	return res, st
+}
+
 func TestExecuteUnboundedFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := makeCorrelatedStore(3000, rng)
@@ -22,7 +31,7 @@ func TestExecuteUnboundedFilters(t *testing.T) {
 	} {
 		var want colstore.ScanResult
 		st.ScanRange(q, 0, st.NumRows(), false, &want)
-		got, _ := g.Execute(q, nil)
+		got, _ := execute(g, q)
 		if got.Count != want.Count {
 			t.Errorf("%s: got %d, want %d", q, got.Count, want.Count)
 		}
@@ -34,11 +43,11 @@ func TestExecuteFilterOutsideDomain(t *testing.T) {
 	s := makeCorrelatedStore(2000, rng)
 	l := NewLayout(IndependentSkeleton(4), []int{4, 4, 2, 2}, 3)
 	g, _ := buildGrid(t, s, l)
-	res, _ := g.Execute(query.NewCount(query.Filter{Dim: 0, Lo: -500, Hi: -100}), nil)
+	res, _ := execute(g, query.NewCount(query.Filter{Dim: 0, Lo: -500, Hi: -100}))
 	if res.Count != 0 {
 		t.Errorf("below-domain filter matched %d rows", res.Count)
 	}
-	res, _ = g.Execute(query.NewCount(query.Filter{Dim: 0, Lo: 1 << 40, Hi: 1 << 41}), nil)
+	res, _ = execute(g, query.NewCount(query.Filter{Dim: 0, Lo: 1 << 40, Hi: 1 << 41}))
 	if res.Count != 0 {
 		t.Errorf("above-domain filter matched %d rows", res.Count)
 	}
@@ -52,7 +61,7 @@ func TestExecuteMappedFilterOutsideDomain(t *testing.T) {
 	l := NewLayout(sk, []int{8, 1, 2, 2}, -1)
 	g, _ := buildGrid(t, s, l)
 	// d1 = 2*d0 + [1000, 1500); values below 1000 are impossible.
-	res, _ := g.Execute(query.NewCount(query.Filter{Dim: 1, Lo: 0, Hi: 500}), nil)
+	res, _ := execute(g, query.NewCount(query.Filter{Dim: 1, Lo: 0, Hi: 500}))
 	if res.Count != 0 {
 		t.Errorf("impossible mapped filter matched %d rows", res.Count)
 	}
@@ -73,7 +82,7 @@ func TestExecuteAllDimsEquality(t *testing.T) {
 	)
 	var want colstore.ScanResult
 	st.ScanRange(q, 0, st.NumRows(), false, &want)
-	got, _ := g.Execute(q, nil)
+	got, _ := execute(g, q)
 	if got.Count != want.Count || got.Count == 0 {
 		t.Errorf("point query: got %d, want %d (>0)", got.Count, want.Count)
 	}
@@ -88,13 +97,13 @@ func TestExecStatsCountRanges(t *testing.T) {
 	// A contiguous partition range in the only partitioned dim yields at
 	// most two physical ranges: the exact interior plus an inexact
 	// endpoint partition split off so the interior can skip checks.
-	_, st := g.Execute(query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: (lo + hi) / 2}), nil)
+	_, st := execute(g, query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: (lo + hi) / 2}))
 	if st.CellRanges > 2 {
 		t.Errorf("contiguous cells produced %d ranges, want <= 2", st.CellRanges)
 	}
 	// A filter aligned exactly on partition boundaries is one exact range.
 	b := g.bounds[0]
-	_, st2 := g.Execute(query.NewCount(query.Filter{Dim: 0, Lo: b[1], Hi: b[4] - 1}), nil)
+	_, st2 := execute(g, query.NewCount(query.Filter{Dim: 0, Lo: b[1], Hi: b[4] - 1}))
 	if st2.CellRanges != 1 {
 		t.Errorf("boundary-aligned filter produced %d ranges, want 1", st2.CellRanges)
 	}
@@ -109,7 +118,7 @@ func TestExecuteExactRangeSkipsChecks(t *testing.T) {
 	// COUNT should then touch (almost) no data.
 	b := g.bounds[0]
 	q := query.NewCount(query.Filter{Dim: 0, Lo: b[2], Hi: b[5] - 1})
-	res, _ := g.Execute(q, nil)
+	res, _ := execute(g, q)
 	if res.Count == 0 {
 		t.Fatal("expected matches")
 	}
@@ -145,8 +154,8 @@ func TestConditionalGuaranteedEmptyRegions(t *testing.T) {
 		query.Filter{Dim: 0, Lo: 20000, Hi: 40000},
 		query.Filter{Dim: 2, Lo: 1000, Hi: 3000},
 	)
-	rc, _ := g.Execute(q, nil)
-	ri, _ := gi.Execute(q, nil)
+	rc, _ := execute(g, q)
+	ri, _ := execute(gi, q)
 	if rc.Count != ri.Count {
 		t.Fatalf("conditional and independent disagree: %d vs %d", rc.Count, ri.Count)
 	}

@@ -1,23 +1,20 @@
 package auggrid
 
-import "sync"
-
-// ExecContext holds all per-query scratch a Grid needs to answer a query:
+// ExecContext holds all per-query scratch a Grid needs to plan a query:
 // the effective-filter bounds produced by functional-mapping transformation,
 // the per-grid-dim partition ranges and indices used by cell enumeration,
 // and the run buffer runs are emitted into.
 //
-// A built Grid is immutable, so any number of goroutines may Execute against
-// the same Grid as long as each passes its own ExecContext (or nil, which
-// borrows one from a shared pool). Contexts are plain reusable buffers:
-// reusing one across sequential queries amortizes all per-query allocation,
-// but a single context must never be used by two queries at once.
+// A built Grid is immutable, so any number of goroutines may plan against
+// the same Grid as long as each passes its own ExecContext. Contexts are
+// plain reusable buffers: reusing one across sequential queries amortizes
+// all per-query allocation, but a single context must never be used by two
+// queries at once.
 type ExecContext struct {
 	effLo, effHi []int64
 	ranges       []dimRange
 	idx          []int
 	runs         []run
-	phys         []PhysRange
 }
 
 // NewExecContext returns an empty context. Buffers grow on first use and are
@@ -42,16 +39,3 @@ func (ctx *ExecContext) dimScratch(nd int) ([]dimRange, []int) {
 	}
 	return ctx.ranges[:0], ctx.idx[:nd]
 }
-
-// ctxPool serves Execute calls that pass a nil context. Pooling keeps the
-// zero-setup path allocation-free in steady state without forcing every
-// caller to manage contexts explicitly.
-var ctxPool = sync.Pool{New: func() any { return NewExecContext() }}
-
-// GetExecContext borrows a context from the package pool. Callers that issue
-// many queries (worker loops, region-parallel execution) should borrow once,
-// reuse it per query, and return it with PutExecContext when done.
-func GetExecContext() *ExecContext { return ctxPool.Get().(*ExecContext) }
-
-// PutExecContext returns a borrowed context to the pool.
-func PutExecContext(ctx *ExecContext) { ctxPool.Put(ctx) }

@@ -75,7 +75,7 @@ func checkAgainstFullScan(t *testing.T, s *colstore.Store, g *Grid, qs []query.Q
 	full := index.NewFullScan(s)
 	for i, q := range qs {
 		want := full.Execute(q)
-		got, _ := g.Execute(q, nil)
+		got, _ := execute(g, q)
 		if got.Count != want.Count || got.Sum != want.Sum {
 			t.Fatalf("%s query %d (%s): got (count=%d sum=%d), want (count=%d sum=%d)\nlayout: %v",
 				label, i, q, got.Count, got.Sum, want.Count, want.Sum, g.Layout())
@@ -165,7 +165,7 @@ func TestGridRandomLayoutsProperty(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			q := randomQuery(s, rng)
 			want := fullT.Execute(q)
-			got, _ := g.Execute(q, nil)
+			got, _ := execute(g, q)
 			if got.Count != want.Count || got.Sum != want.Sum {
 				t.Fatalf("trial %d query %s: got (%d, %d), want (%d, %d)\nlayout: %v",
 					trial, q, got.Count, got.Sum, want.Count, want.Sum, l)
@@ -228,7 +228,7 @@ func TestGridEmptyRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Finalize(s, 0)
-	res, _ := g.Execute(query.NewCount(query.Filter{Dim: 0, Lo: 0, Hi: 100}), nil)
+	res, _ := execute(g, query.NewCount(query.Filter{Dim: 0, Lo: 0, Hi: 100}))
 	if res.Count != 0 {
 		t.Errorf("empty grid count = %d, want 0", res.Count)
 	}

@@ -12,7 +12,7 @@
 // A full assignment of strategies is a skeleton; skeleton plus per-dimension
 // partition counts is a Layout (§5.2). Layouts are chosen by the optimizers
 // in optimize.go against the cost model in cost.go. Flood is exactly the
-// all-Independent special case, which internal/flood wraps.
+// all-Independent special case, which core builds as its Flood variant.
 package auggrid
 
 import (

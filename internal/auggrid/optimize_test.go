@@ -147,7 +147,7 @@ func checkGridCorrect(t *testing.T, g *Grid, st *colstore.Store, qs []query.Quer
 	for _, q := range qs {
 		var want colstore.ScanResult
 		st.ScanRange(q, 0, st.NumRows(), false, &want)
-		got, _ := g.Execute(q, nil)
+		got, _ := execute(g, q)
 		if got.Count != want.Count {
 			t.Fatalf("%s: %s got %d want %d", label, q, got.Count, want.Count)
 		}

@@ -90,7 +90,7 @@ func TestOutlierBufferGridMatchesFullScan(t *testing.T) {
 		q := query.NewCount(fs...)
 		var want colstore.ScanResult
 		store.ScanRange(q, 0, store.NumRows(), false, &want)
-		got, _ := g.Execute(q, nil)
+		got, _ := execute(g, q)
 		if got.Count != want.Count {
 			t.Fatalf("query %s: got %d, want %d", q, got.Count, want.Count)
 		}
@@ -122,8 +122,8 @@ func TestOutlierBufferReducesScans(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a := rng.Int63n(190000)
 		q := query.NewCount(query.Filter{Dim: 1, Lo: a, Hi: a + 5000})
-		rp, _ := gPlain.Execute(q, nil)
-		rr, _ := gRobust.Execute(q, nil)
+		rp, _ := execute(gPlain, q)
+		rr, _ := execute(gRobust, q)
 		if rp.Count != rr.Count {
 			t.Fatalf("plain and robust disagree on %s: %d vs %d", q, rp.Count, rr.Count)
 		}

@@ -205,7 +205,7 @@ func checkPlan(t *testing.T, pg planGrid, q query.Query, ctx *ExecContext) {
 			}
 		}
 	}
-	if got, _ := g.Execute(q, ctx); got.Count != want {
+	if got, _ := execute(g, q); got.Count != want {
 		t.Fatalf("%s: Execute counted %d, want %d\nlayout %v", q, got.Count, want, g.Layout())
 	}
 }

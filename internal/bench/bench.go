@@ -15,7 +15,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/flood"
 	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/kdtree"
@@ -76,11 +75,6 @@ func (o Options) tsunamiConfig(v core.Variant) core.Config {
 	}
 }
 
-func (o Options) floodConfig() flood.Config {
-	c := o.tsunamiConfig(core.FullTsunami)
-	return flood.Config{Grid: c.Grid}
-}
-
 // built pairs an index with its build timings.
 type built struct {
 	idx   index.Index
@@ -126,7 +120,7 @@ func buildTsunami(dc datasetCase, o Options) built {
 
 func buildFlood(dc datasetCase, o Options) built {
 	start := time.Now()
-	idx := flood.Build(dc.ds.Store, dc.work, o.floodConfig())
+	idx := core.Build(dc.ds.Store, dc.work, o.tsunamiConfig(core.Flood))
 	return built{idx: idx, stats: idx.BuildStats(), wall: time.Since(start).Seconds()}
 }
 

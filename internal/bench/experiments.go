@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/flood"
 	"repro/internal/index"
 	"repro/internal/workload"
 )
@@ -54,17 +53,9 @@ func Tab4(w io.Writer, o Options) {
 			fmt.Sprintf("%.2f", s.AvgFMsPerRegion),
 			fmt.Sprintf("%.2f", s.AvgCCDFsPerRegion),
 			fmt.Sprintf("%d", s.TotalGridCells),
-			fmt.Sprintf("%d", floodCells(fl)))
+			fmt.Sprintf("%d", fl.idx.(*core.Tsunami).IndexStats().TotalGridCells))
 	}
 	t.print(w)
-}
-
-func floodCells(b built) int {
-	type cells interface{ NumCells() int }
-	if c, ok := b.idx.(cells); ok {
-		return c.NumCells()
-	}
-	return 0
 }
 
 // Fig7 prints per-dataset average query time and throughput for every
@@ -152,7 +143,7 @@ func Fig9a(w io.Writer, o Options) {
 		fmt.Sprintf("%.0f", throughput(avgQueryNs(fl.idx, workB))))
 
 	nts, tsSecs := ts.idx.(*core.Tsunami).Reoptimize(workB)
-	nfl, flSecs := fl.idx.(*flood.Index).Reoptimize(workB, o.floodConfig())
+	nfl, flSecs := fl.idx.(*core.Tsunami).Reoptimize(workB)
 	t.add("after re-optimization (workload B)",
 		fmt.Sprintf("%.0f", throughput(avgQueryNs(nts, workB))),
 		fmt.Sprintf("%.0f", throughput(avgQueryNs(nfl, workB))))

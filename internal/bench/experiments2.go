@@ -164,7 +164,7 @@ func Fig12b(w io.Writer, o Options) {
 				t.add(opt.Name, "build failed", "-", layout.Skeleton.String())
 				continue
 			}
-			gi := &gridIndex{g: g, name: opt.Name}
+			gi := &gridIndex{g: g, st: st, name: opt.Name}
 			if cerr := checkCorrect(gi, st, dc.work); cerr != nil {
 				t.add(opt.Name, "INCORRECT", "-", layout.Skeleton.String())
 				continue
@@ -209,15 +209,19 @@ func buildStandaloneGrid(st *colstore.Store, layout auggrid.Layout) (*auggrid.Gr
 	return g, clone, nil
 }
 
-// gridIndex adapts a bare Augmented Grid to the Index interface.
+// gridIndex adapts a bare Augmented Grid over its store to the Index
+// interface: plan, then scan the plan.
 type gridIndex struct {
 	g    *auggrid.Grid
+	st   *colstore.Store
 	name string
 }
 
 func (x *gridIndex) Name() string { return x.name }
 func (x *gridIndex) Execute(q query.Query) colstore.ScanResult {
-	res, _ := x.g.Execute(q, nil)
+	ranges, _ := x.g.PlanRanges(q, auggrid.NewExecContext(), nil)
+	var res colstore.ScanResult
+	auggrid.ScanRanges(x.st, q, ranges, &res, nil)
 	return res
 }
 func (x *gridIndex) SizeBytes() uint64 { return x.g.SizeBytes() }

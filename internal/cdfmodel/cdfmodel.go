@@ -4,9 +4,10 @@
 // CDF and the inverse (quantile) needed to materialize partition boundaries.
 //
 // The paper notes the modeling technique is orthogonal (Flood uses an RMI,
-// "but one could also use a histogram or linear regression"); we provide a
-// two-layer RMI, an interpolated sample CDF, and an exact equi-depth model,
-// all behind one interface.
+// "but one could also use a histogram or linear regression"); the index
+// builds every partitioning from one model, an interpolated sorted-sample
+// CDF (exact equi-depth when the sample keeps every value), behind the
+// Model interface.
 package cdfmodel
 
 import (
@@ -154,179 +155,3 @@ func (s *SampleCDF) Quantile(q float64) int64 {
 
 // SizeBytes reports the sample footprint.
 func (s *SampleCDF) SizeBytes() uint64 { return uint64(len(s.sample)) * 8 }
-
-// ---------------------------------------------------------------------------
-// RMI: two-layer recursive model index over the CDF.
-
-// RMI is a two-layer recursive model index [Kraska et al. 2018]: a linear
-// root model dispatches a key to one of L linear leaf models, each fit on
-// its share of the sorted data. It models rank/n, i.e. the CDF.
-type RMI struct {
-	n         int
-	rootSlope float64
-	rootBias  float64
-	leaves    []linModel
-	min, max  int64
-}
-
-type linModel struct {
-	slope, bias float64 // predicts rank from key
-}
-
-// NewRMI fits a two-layer RMI with numLeaves leaf models on values.
-func NewRMI(values []int64, numLeaves int) *RMI {
-	sorted := slices.Clone(values)
-	slices.Sort(sorted)
-	n := len(sorted)
-	r := &RMI{n: n}
-	if n == 0 {
-		r.leaves = []linModel{{}}
-		return r
-	}
-	if numLeaves < 1 {
-		numLeaves = 1
-	}
-	if numLeaves > n {
-		numLeaves = n
-	}
-	r.min, r.max = sorted[0], sorted[n-1]
-	// Root model: linear map from key to leaf index.
-	span := float64(r.max - r.min)
-	if span <= 0 {
-		span = 1
-	}
-	r.rootSlope = float64(numLeaves) / span
-	r.rootBias = -r.rootSlope * float64(r.min)
-
-	// Assign each key to a leaf via the root model, then fit each leaf with
-	// least squares on (key, rank).
-	r.leaves = make([]linModel, numLeaves)
-	starts := make([]int, numLeaves+1)
-	leafOf := func(x int64) int {
-		i := int(r.rootSlope*float64(x) + r.rootBias)
-		if i < 0 {
-			return 0
-		}
-		if i >= numLeaves {
-			return numLeaves - 1
-		}
-		return i
-	}
-	// sorted keys map to non-decreasing leaves, so find boundaries.
-	cur := 0
-	for i := 0; i < n; i++ {
-		l := leafOf(sorted[i])
-		for cur < l {
-			cur++
-			starts[cur] = i
-		}
-	}
-	for cur < numLeaves {
-		cur++
-		starts[cur] = n
-	}
-	for l := 0; l < numLeaves; l++ {
-		a, b := starts[l], starts[l+1]
-		r.leaves[l] = fitRanks(sorted, a, b)
-	}
-	return r
-}
-
-// fitRanks fits rank ≈ slope*key + bias on sorted[a:b] (ranks a..b-1).
-func fitRanks(sorted []int64, a, b int) linModel {
-	m := b - a
-	if m <= 0 {
-		return linModel{}
-	}
-	if m == 1 {
-		return linModel{slope: 0, bias: float64(a)}
-	}
-	var sx, sy, sxx, sxy float64
-	for i := a; i < b; i++ {
-		x, y := float64(sorted[i]), float64(i)
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	fm := float64(m)
-	den := fm*sxx - sx*sx
-	if den == 0 {
-		return linModel{slope: 0, bias: sy / fm}
-	}
-	slope := (fm*sxy - sx*sy) / den
-	return linModel{slope: slope, bias: (sy - slope*sx) / fm}
-}
-
-// At returns the modeled CDF at x.
-func (r *RMI) At(x int64) float64 {
-	if r.n == 0 {
-		return 0
-	}
-	if x < r.min {
-		return 0
-	}
-	if x >= r.max {
-		return 1
-	}
-	li := int(r.rootSlope*float64(x) + r.rootBias)
-	if li < 0 {
-		li = 0
-	}
-	if li >= len(r.leaves) {
-		li = len(r.leaves) - 1
-	}
-	lm := r.leaves[li]
-	rank := lm.slope*float64(x) + lm.bias
-	cdf := rank / float64(r.n)
-	if cdf < 0 {
-		return 0
-	}
-	if cdf > 1 {
-		return 1
-	}
-	return cdf
-}
-
-// Quantile inverts the model by binary search over the key domain; the RMI
-// CDF is monotone in x by construction of clamped leaf outputs only
-// approximately, so the search uses the monotone envelope.
-func (r *RMI) Quantile(q float64) int64 {
-	if r.n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return r.min
-	}
-	if q >= 1 {
-		return Above(r.max)
-	}
-	lo, hi := r.min, r.max
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if r.At(mid) < q {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// SizeBytes reports the model footprint: root + leaves.
-func (r *RMI) SizeBytes() uint64 { return 16 + uint64(len(r.leaves))*16 + 16 }
-
-// MaxAbsError returns the maximum |modeled CDF - empirical CDF| over values,
-// for model-quality tests.
-func (r *RMI) MaxAbsError(values []int64) float64 {
-	sorted := slices.Clone(values)
-	slices.Sort(sorted)
-	worst := 0.0
-	for i, v := range sorted {
-		emp := float64(i+1) / float64(len(sorted))
-		if e := math.Abs(r.At(v) - emp); e > worst {
-			worst = e
-		}
-	}
-	return worst
-}

@@ -1,7 +1,9 @@
 package cdfmodel
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -132,58 +134,6 @@ func TestPartitionRangeOrdered(t *testing.T) {
 	}
 }
 
-func TestRMIMonotoneAndAccurate(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, gen := range []func(int, *rand.Rand) []int64{uniformValues, skewedValues} {
-		vals := gen(10000, rng)
-		m := NewRMI(vals, 64)
-		if err := m.MaxAbsError(vals); err > 0.05 {
-			t.Errorf("RMI max CDF error = %f, want <= 0.05", err)
-		}
-		if m.At(m.min-1) != 0 {
-			t.Error("CDF below min should be 0")
-		}
-		if m.At(m.max+1) != 1 {
-			t.Error("CDF above max should be 1")
-		}
-	}
-}
-
-func TestRMIQuantileInverts(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	vals := uniformValues(5000, rng)
-	m := NewRMI(vals, 64)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		v := m.Quantile(q)
-		got := m.At(v)
-		if diff := got - q; diff > 0.05 || diff < -0.05 {
-			t.Errorf("At(Quantile(%f)) = %f", q, got)
-		}
-	}
-}
-
-func TestRMIEmptyAndTiny(t *testing.T) {
-	m := NewRMI(nil, 8)
-	if m.At(5) != 0 || m.Quantile(0.5) != 0 {
-		t.Error("empty RMI should return zeros")
-	}
-	m1 := NewRMI([]int64{42}, 8)
-	if m1.At(42) != 1 {
-		t.Errorf("single-value RMI At(42) = %f, want 1", m1.At(42))
-	}
-}
-
-func TestRMISmallerThanSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	vals := uniformValues(100000, rng)
-	rmi := NewRMI(vals, 64)
-	exact := NewSample(vals, 0)
-	if rmi.SizeBytes() >= exact.SizeBytes() {
-		t.Errorf("RMI (%dB) should be far smaller than exact CDF (%dB)",
-			rmi.SizeBytes(), exact.SizeBytes())
-	}
-}
-
 func TestBoundariesOfConstantColumn(t *testing.T) {
 	vals := []int64{7, 7, 7, 7}
 	m := NewSample(vals, 0)
@@ -191,6 +141,70 @@ func TestBoundariesOfConstantColumn(t *testing.T) {
 	for i := 1; i < len(b); i++ {
 		if b[i] < b[i-1] {
 			t.Fatal("constant column boundaries must be monotone")
+		}
+	}
+}
+
+func TestModelInterfaceQuantileMonotoneProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := skewedValues(5000, rng)
+	models := []Model{NewSample(vals, 0), NewSample(vals, 512)}
+	prop := func(a, b uint8) bool {
+		qa := float64(a) / 255
+		qb := float64(b) / 255
+		if qa > qb {
+			qa, qb = qb, qa
+		}
+		for _, m := range models {
+			if m.Quantile(qa) > m.Quantile(qb) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuantileSaturatesAtMaxInt64 checks the sample model's top boundary over a
+// column holding math.MaxInt64: one past the maximum does not exist, so
+// Quantile(1) is MaxInt64 itself, and the boundaries stay non-decreasing
+// up to it instead of wrapping to MinInt64.
+func TestQuantileSaturatesAtMaxInt64(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = math.MaxInt64 - rng.Int63n(1000)
+	}
+	vals[17] = math.MaxInt64
+	for name, m := range map[string]Model{
+		"sample":    NewSample(vals, 0),
+		"subsample": NewSample(vals, 100),
+	} {
+		if q := m.Quantile(1); q != math.MaxInt64 {
+			t.Errorf("%s: Quantile(1) = %d, want MaxInt64", name, q)
+		}
+		b := Boundaries(m, 8)
+		if b[8] != math.MaxInt64 || !slices.IsSorted(b) {
+			t.Errorf("%s: boundaries %v, want non-decreasing up to MaxInt64", name, b)
+		}
+	}
+	if Above(41) != 42 || Above(math.MaxInt64) != math.MaxInt64 {
+		t.Error("Above must add one, saturating at MaxInt64")
+	}
+}
+
+// TestNewSortedSampleMatchesNewSample: the constructor over presorted
+// values is NewSample without the sort.
+func TestNewSortedSampleMatchesNewSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	vals := skewedValues(5000, rng)
+	sorted := slices.Sorted(slices.Values(vals))
+	for _, size := range []int{0, 1024, 5000, 9000} {
+		a, b := NewSample(vals, size), NewSortedSample(sorted, size)
+		if !slices.Equal(a.sample, b.sample) {
+			t.Errorf("sample size %d: NewSortedSample kept different order statistics", size)
 		}
 	}
 }

@@ -78,7 +78,7 @@ func TestExtremeValuesMatchFullScan(t *testing.T) {
 				query.NewCount(query.Filter{Dim: j, Lo: math.MinInt64, Hi: math.MinInt64}),
 			)
 		}
-		for _, v := range []Variant{FullTsunami, AugGridOnly, GridTreeOnly} {
+		for _, v := range []Variant{FullTsunami, AugGridOnly, GridTreeOnly, Flood} {
 			t.Run(fmt.Sprintf("%ddims/%s", k, v), func(t *testing.T) {
 				cfg := Config{
 					Variant: v,

@@ -16,9 +16,11 @@ import (
 // physical row order, every region's layout and cell count, and the index
 // size. The expected hashes were taken before the build path's sorts were
 // rewritten, so a faster build that moves a single row, boundary or byte of
-// index fails here. The optimizer prices layouts by replaying queries through
-// the scan path, so the same hashes must hold on every kernel tier (plain and
-// -tags purego).
+// index fails here. The Flood rows were taken when Flood became a variant of
+// this index, after checking its layout and row order against the Flood
+// build it replaced. The optimizer prices layouts from their plans without
+// scanning, so no kernel tier can move a layout: the same hashes must hold
+// on plain and -tags purego builds.
 func TestLayoutFingerprint(t *testing.T) {
 	taxi := datasets.Taxi(20000, 1)
 	tpch := datasets.TPCH(20000, 1)
@@ -39,6 +41,8 @@ func TestLayoutFingerprint(t *testing.T) {
 		{"tpch/Tsunami", tpch, tpchWork, FullTsunami, 0, "5efa48858a74b602"},
 		{"tpch/AugGrid-only", tpch, tpchWork, AugGridOnly, 0, "eb226e784c078221"},
 		{"tpch/GridTree-only", tpch, tpchWork, GridTreeOnly, 0, "3e224d9bc731fe0c"},
+		{"taxi/Flood", taxi, taxiWork, Flood, 0, "b0653f0e3b21fb98"},
+		{"tpch/Flood", tpch, tpchWork, Flood, 0, "722565bce85ca156"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

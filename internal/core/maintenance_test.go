@@ -105,23 +105,27 @@ func splitDims(nd *gridtree.Node, into map[int]bool) {
 }
 
 // checkRegionCounts asserts that the per-region row counts an index
-// reports — through Explain and through IndexStats — describe its store.
+// reports — through a traced run's region spans and through IndexStats —
+// describe its store, and that the spans account for the answer.
 func checkRegionCounts(t *testing.T, idx *Tsunami) {
 	t.Helper()
+	q := query.NewCount()
+	res, tr := traced(idx, q)
+	checkSpans(t, q, res, tr)
 	var counts []int
 	sum := 0
-	for _, rt := range idx.Explain(query.NewCount()).Regions {
-		counts = append(counts, rt.Rows)
-		sum += rt.Rows
+	for _, sp := range tr.Regions {
+		counts = append(counts, sp.Rows)
+		sum += sp.Rows
 	}
 	if sum != idx.Store().NumRows() {
-		t.Errorf("Explain region rows sum to %d, store holds %d", sum, idx.Store().NumRows())
+		t.Errorf("traced region rows sum to %d, store holds %d", sum, idx.Store().NumRows())
 	}
 	sort.Ints(counts)
 	s := idx.IndexStats()
 	if len(counts) != s.NumLeafRegions || s.MinPointsPerRegion != counts[0] ||
 		s.MedianPointsPerRegion != counts[len(counts)/2] || s.MaxPointsPerRegion != counts[len(counts)-1] {
-		t.Errorf("IndexStats %+v disagrees with Explain's region rows %v", s, counts)
+		t.Errorf("IndexStats %+v disagrees with the traced region rows %v", s, counts)
 	}
 }
 
@@ -449,13 +453,15 @@ func TestLoadReportsSavedRegionCounts(t *testing.T) {
 	if a.MinPointsPerRegion != b.MinPointsPerRegion || a.MedianPointsPerRegion != b.MedianPointsPerRegion || a.MaxPointsPerRegion != b.MaxPointsPerRegion {
 		t.Errorf("points per region: saved %+v, loaded %+v", a, b)
 	}
-	ea, eb := idx.Explain(query.NewCount()).Regions, loaded.Explain(query.NewCount()).Regions
+	_, ta := traced(idx, query.NewCount())
+	_, tb := traced(loaded, query.NewCount())
+	ea, eb := ta.Regions, tb.Regions
 	if len(ea) != len(eb) {
-		t.Fatalf("Explain visits %d regions saved, %d loaded", len(ea), len(eb))
+		t.Fatalf("a traced run visits %d regions saved, %d loaded", len(ea), len(eb))
 	}
 	for i := range ea {
 		if ea[i].Rows != eb[i].Rows {
-			t.Errorf("region %d: %d rows saved, %d loaded", ea[i].RegionID, ea[i].Rows, eb[i].Rows)
+			t.Errorf("region %d: %d rows saved, %d loaded", ea[i].Region, ea[i].Rows, eb[i].Rows)
 		}
 	}
 	checkRegionCounts(t, idx)

@@ -1,9 +1,12 @@
 // Package core implements Tsunami (§3): a composition of a Grid Tree, which
 // partitions data space into regions with low query skew, and one Augmented
 // Grid per region, optimized over only the points and queries intersecting
-// that region. The package also exposes the paper's ablations (Fig 12a):
+// that region. The package also builds the paper's ablations (Fig 12a):
 // Augmented Grid only (one grid over the whole space) and Grid Tree only
-// (a Flood-style independent grid in each region).
+// (a Flood-style independent grid in each region), and its Flood baseline
+// (§6.1), the all-Independent special case of the Augmented Grid: one
+// Flood-style grid over the whole space. Every variant answers through
+// the same plan and scan.
 package core
 
 import (
@@ -17,6 +20,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/gridtree"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -31,6 +35,11 @@ const (
 	// GridTreeOnly builds the Grid Tree with a Flood-style independent
 	// grid in each region.
 	GridTreeOnly
+	// Flood [Nathan et al., SIGMOD 2020] builds one Flood-style grid over
+	// the whole space: per-dimension CDF partitioning, a within-cell sort
+	// dimension, and partition counts optimized against Tsunami's cost
+	// model (the §6.1 modified Flood).
+	Flood
 )
 
 func (v Variant) String() string {
@@ -41,6 +50,8 @@ func (v Variant) String() string {
 		return "AugGrid-only"
 	case GridTreeOnly:
 		return "GridTree-only"
+	case Flood:
+		return "Flood"
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
@@ -67,7 +78,7 @@ type Config struct {
 }
 
 // Tsunami is a built index. A built Tsunami is immutable on the read path:
-// Execute, Explain, and RegionsVisited keep all per-query state in pooled
+// Execute and RegionsVisited keep all per-query state in pooled
 // execution contexts, so one shared index serves any number of concurrent
 // callers. Nothing else writes it either: CopyWithInserts,
 // MergedCopyOver, ReoptimizeRegionsCopy, SplitRange and Reoptimize each
@@ -88,10 +99,10 @@ type Tsunami struct {
 
 // execContext bundles the per-query scratch of one run through the
 // pipeline: the region list produced by the Grid Tree, the grid-level
-// context threaded through every region grid, the planned ranges, and a
-// grouped query's accumulator. Contexts are pooled so Execute keeps its
-// one-argument signature while staying allocation-free and safe for
-// arbitrary concurrent callers. A context Plan filled is the index's
+// context threaded through every region grid, the planned ranges and
+// where each region's ranges start, and a grouped query's accumulator.
+// Contexts are pooled so Execute keeps its one-argument signature while
+// staying allocation-free and safe for arbitrary concurrent callers. A context Plan filled is the index's
 // index.Plan: it also holds the query, the index and how to run it.
 type execContext struct {
 	t       *Tsunami
@@ -101,6 +112,7 @@ type execContext struct {
 	regions []*gridtree.Region
 	grid    *auggrid.ExecContext
 	phys    []auggrid.PhysRange       // the plan: every range the query scans
+	starts  []int                     // regions[i]'s ranges are phys[starts[i]:starts[i+1]]
 	acc     colstore.GroupAccumulator // grouped queries' cells, Reset per query
 }
 
@@ -126,7 +138,7 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 	clone := st.Clone()
 
 	var tree *gridtree.Tree
-	if cfg.Variant == AugGridOnly {
+	if cfg.Variant == AugGridOnly || cfg.Variant == Flood {
 		tree = singleRegionTree(clone, workload)
 	} else {
 		tree = gridtree.Build(clone, workload, cfg.GridTree)
@@ -157,9 +169,8 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 			defer func() { <-sem; wg.Done() }()
 			gcfg := cfg.Grid
 			opt := cfg.Optimizer
-			if cfg.Variant == GridTreeOnly {
-				// Flood inside each region: independent skeleton, P-only
-				// descent.
+			if cfg.Variant == GridTreeOnly || cfg.Variant == Flood {
+				// Flood's grid: independent skeleton, P-only descent.
 				opt = auggrid.GD()
 				gcfg.FMErrFrac = -1    // disable FM heuristic
 				gcfg.CCDFEmptyFrac = 2 // disable CCDF heuristic
@@ -205,7 +216,8 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 	return t
 }
 
-// singleRegionTree wraps the whole space in one region (AugGridOnly).
+// singleRegionTree wraps the whole space in one region (AugGridOnly,
+// Flood).
 func singleRegionTree(st *colstore.Store, workload []query.Query) *gridtree.Tree {
 	d := st.NumDims()
 	lo := make([]int64, d)
@@ -259,7 +271,7 @@ func (t *Tsunami) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 // same plan (GROUP BY never changes which rows a query touches, only what
 // is folded per matching row) through the grouped scan kernel into the
 // context's pooled accumulator. With x.Trace set the same code stamps
-// stage times as it goes.
+// stage times as it goes and records a span per routed region.
 func (t *Tsunami) Plan(q query.Query, x index.Exec) index.Plan {
 	ctx := execCtxPool.Get().(*execContext)
 	ctx.t, ctx.q, ctx.x = t, q, x
@@ -268,16 +280,15 @@ func (t *Tsunami) Plan(q query.Query, x index.Exec) index.Plan {
 		began = time.Now()
 	}
 	ctx.regions = t.tree.FindRegions(q, ctx.regions[:0])
-	ctx.phys = ctx.phys[:0]
+	ctx.phys, ctx.starts = ctx.phys[:0], append(ctx.starts[:0], 0)
 	for _, r := range ctx.regions {
 		if g := t.grids[r.ID]; g != nil {
 			ctx.phys, _ = g.PlanRanges(q, ctx.grid, ctx.phys)
-			continue
-		}
-		// An unindexed region is one range.
-		if b := t.bounds[r.ID]; b[0] < b[1] {
+		} else if b := t.bounds[r.ID]; b[0] < b[1] {
+			// An unindexed region is one range.
 			ctx.phys = append(ctx.phys, auggrid.PhysRange{Start: b[0], End: b[1], Exact: q.ContainsBox(r.Lo, r.Hi)})
 		}
+		ctx.starts = append(ctx.starts, len(ctx.phys))
 	}
 	if tr := x.Trace; tr != nil {
 		ctx.planned = tr.Stage("plan", began, fmt.Sprintf("%d of %d regions routed, %d ranges planned",
@@ -332,15 +343,29 @@ func (ctx *execContext) Execute() colstore.ScanResult {
 	}
 
 	// A flat query's matches land in res directly, a grouped query's in
-	// the context's accumulator.
+	// the context's accumulator. A traced run scans the same ranges with
+	// the same routine, region by region, to give each region its span.
 	var res colstore.ScanResult
 	var acc *colstore.GroupAccumulator
 	if q.Grouped() {
 		acc = &ctx.acc
 		acc.Reset(q, t.store)
 	}
-	t.scanRanges(q, ctx.phys, &res, acc)
-	if tr != nil {
+	var first int // the first of this run's spans in tr.Regions
+	if tr == nil {
+		auggrid.ScanRanges(t.store, q, ctx.phys, &res, acc)
+	} else {
+		first = len(tr.Regions)
+		for i, r := range ctx.regions {
+			sp := obs.RegionSpan{Region: r.ID, Rows: t.regionRows(r.ID), Ranges: ctx.starts[i+1] - ctx.starts[i]}
+			if g := t.grids[r.ID]; g != nil {
+				sp.GridCells = g.NumCells()
+			}
+			tr.Regions = append(tr.Regions, sp)
+		}
+		ctx.traceRegions(tr.Regions[first:], &res, acc, func(i int) {
+			auggrid.ScanRanges(t.store, q, ctx.phys[ctx.starts[i]:ctx.starts[i+1]], &res, acc)
+		})
 		name, detail := "scan", ""
 		if acc != nil {
 			name, detail = "scan+group", "regime "+acc.Regime().String()
@@ -348,8 +373,13 @@ func (ctx *execContext) Execute() colstore.ScanResult {
 		mark = tr.Stage(name, mark, detail)
 	}
 
-	scanned := t.scanDeltas(q, ctx.regions, &res, acc)
-	if tr != nil {
+	var scanned int
+	if tr == nil {
+		scanned = t.scanDeltas(q, ctx.regions, &res, acc)
+	} else {
+		ctx.traceRegions(tr.Regions[first:], &res, acc, func(i int) {
+			scanned += t.scanDeltas(q, ctx.regions[i:i+1], &res, acc)
+		})
 		mark = tr.Stage("delta", mark, fmt.Sprintf("%d of %d buffered rows scanned", scanned, t.numBuffered))
 	}
 
@@ -364,33 +394,27 @@ func (ctx *execContext) Execute() colstore.ScanResult {
 		tr.Total = mark.Sub(began)
 		tr.Rows = res.PointsScanned
 		tr.Bytes = res.BytesTouched
-		tr.Regions = len(ctx.regions)
 	}
 	return res
 }
 
-// prefetchAhead is how many planned ranges ahead of the scan scanRanges
-// prefetches. A plan is mostly short ranges (a median of ~17 rows on the
-// Taxi workloads), each a few lines per column, so scanning them one by
-// one waits out one memory latency per range; issuing the fetches two
-// ranges early overlaps those waits with the scans in between.
-const prefetchAhead = 2
-
-// scanRanges scans ranges against q into acc when the query is grouped
-// (acc non-nil), into res otherwise, prefetching the columns of the range
-// prefetchAhead positions on. Exact ranges are not prefetched: their scan
-// reads no filter column.
-func (t *Tsunami) scanRanges(q query.Query, ranges []auggrid.PhysRange, res *colstore.ScanResult, acc *colstore.GroupAccumulator) {
-	st := t.store
-	for i, pr := range ranges {
-		if j := i + prefetchAhead; j < len(ranges) && !ranges[j].Exact {
-			st.Prefetch(q, ranges[j].Start, ranges[j].End)
-		}
+// traceRegions runs scan(i) for every routed region i and adds the rows
+// it scanned and matched to spans[i], read off the running answer (the
+// accumulator's, for a grouped query).
+func (ctx *execContext) traceRegions(spans []obs.RegionSpan, res *colstore.ScanResult, acc *colstore.GroupAccumulator, scan func(i int)) {
+	tally := func() (scanned, matched uint64) {
 		if acc != nil {
-			st.ScanRangeGrouped(q, pr.Start, pr.End, pr.Exact, acc)
-		} else {
-			st.ScanRange(q, pr.Start, pr.End, pr.Exact, res)
+			r := acc.Result()
+			return r.PointsScanned, r.Count
 		}
+		return res.PointsScanned, res.Count
+	}
+	for i := range ctx.regions {
+		s0, m0 := tally()
+		scan(i)
+		s1, m1 := tally()
+		spans[i].Scanned += s1 - s0
+		spans[i].Matched += m1 - m0
 	}
 }
 

@@ -29,7 +29,7 @@ func TestTsunamiMatchesFullScanAllVariants(t *testing.T) {
 	st := testutil.SmallTaxi(10000, 1)
 	work := testutil.SkewedQueries(st, 120, 2)
 	probe := testutil.RandomQueries(st, 120, 3)
-	for _, v := range []Variant{FullTsunami, AugGridOnly, GridTreeOnly} {
+	for _, v := range []Variant{FullTsunami, AugGridOnly, GridTreeOnly, Flood} {
 		t.Run(v.String(), func(t *testing.T) {
 			idx := Build(st, work, smallConfig(v))
 			testutil.CheckMatchesFullScan(t, idx, st, work)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/flood"
 	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/kdtree"
@@ -78,6 +77,13 @@ func smallTsunamiConfig() core.Config {
 	}
 }
 
+// smallFloodConfig is smallTsunamiConfig's Flood variant.
+func smallFloodConfig() core.Config {
+	c := smallTsunamiConfig()
+	c.Variant = core.Flood
+	return c
+}
+
 func TestAllIndexesOnPathologicalData(t *testing.T) {
 	const n = 4000
 	for name, st := range pathologicalStores(n) {
@@ -86,7 +92,7 @@ func TestAllIndexesOnPathologicalData(t *testing.T) {
 			probe := testutil.RandomQueries(st, 60, 8)
 			indexes := []index.Index{
 				core.Build(st, work, smallTsunamiConfig()),
-				flood.Build(st, work, flood.Config{Grid: smallTsunamiConfig().Grid}),
+				core.Build(st, work, smallFloodConfig()),
 				kdtree.Build(st, work, kdtree.Config{PageSize: 128}),
 				octree.Build(st, octree.Config{PageSize: 128}),
 				zindex.Build(st, zindex.Config{PageSize: 128}),
@@ -112,7 +118,7 @@ func TestSingleRowTable(t *testing.T) {
 	}
 	indexes := []index.Index{
 		core.Build(st, nil, smallTsunamiConfig()),
-		flood.Build(st, nil, flood.Config{Grid: smallTsunamiConfig().Grid}),
+		core.Build(st, nil, smallFloodConfig()),
 		kdtree.Build(st, nil, kdtree.Config{PageSize: 16}),
 		octree.Build(st, octree.Config{PageSize: 16}),
 		zindex.Build(st, zindex.Config{PageSize: 16}),
@@ -148,7 +154,7 @@ func TestQuickRandomTables(t *testing.T) {
 		full := index.NewFullScan(st)
 		indexes := []index.Index{
 			core.Build(st, work, smallTsunamiConfig()),
-			flood.Build(st, work, flood.Config{Grid: smallTsunamiConfig().Grid}),
+			core.Build(st, work, smallFloodConfig()),
 			kdtree.Build(st, work, kdtree.Config{PageSize: 64}),
 			zindex.Build(st, zindex.Config{PageSize: 64}),
 		}

@@ -69,20 +69,28 @@ func get(t *testing.T, url string, wantStatus int) string {
 }
 
 // TestTraceString checks the explain-analyze rendering carries stages,
-// shard spans, and volume.
+// shard spans, region spans, and volume, and the EXPLAIN rendering the
+// region spans.
 func TestTraceString(t *testing.T) {
 	tr := &QueryTrace{
 		Query: "count [0,10)x[2,5)",
 		Total: 5 * time.Millisecond,
-		Rows:  1234, Bytes: 9872, Regions: 3,
+		Rows:  1234, Bytes: 9872,
+		Regions: []RegionSpan{{Shard: 1, Region: 0, Rows: 900, GridCells: 64, Ranges: 5, Scanned: 600, Matched: 17}, {Shard: 2, Region: 4, Rows: 700, Ranges: 1, Scanned: 634, Matched: 9}},
 	}
 	tr.AddStage("plan", time.Millisecond, "")
 	tr.AddStage("scan", 4*time.Millisecond, "3 regions")
-	tr.Shards = append(tr.Shards, ShardSpan{Shard: 1, Duration: 2 * time.Millisecond, Rows: 600, Bytes: 4800, Regions: 2})
+	tr.Shards = append(tr.Shards, ShardSpan{Shard: 1, Duration: 2 * time.Millisecond, Rows: 600, Bytes: 4800})
 	s := tr.String()
-	for _, want := range []string{"count [0,10)x[2,5)", "plan", "scan", "3 regions", "shard 1", "rows scanned 1234", "bytes touched 9872"} {
+	for _, want := range []string{"count [0,10)x[2,5)", "plan", "scan", "3 regions", "shard 1", "rows scanned 1234", "bytes touched 9872", "regions 2)", "bytes 4800  regions 1"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("trace rendering missing %q:\n%s", want, s)
+		}
+	}
+	e := tr.Explain()
+	for _, want := range []string{"regions visited: 2", "shard 1 region 0", "grid(64 cells)", "scanned=600", "matched=17", "shard 2 region 4", "scan "} {
+		if !strings.Contains(e, want) {
+			t.Fatalf("explain rendering missing %q:\n%s", want, e)
 		}
 	}
 }

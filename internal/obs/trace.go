@@ -28,9 +28,26 @@ type QueryTrace struct {
 	// (ScanResult.PointsScanned / ScanResult.BytesTouched).
 	Rows  uint64
 	Bytes uint64
-	// Regions is how many index regions the planner routed the query to
-	// (summed across shards for a sharded trace).
-	Regions int
+	// Regions is one span per index region the planner routed the query
+	// to, in execution order (every shard's, for a sharded trace): the
+	// EXPLAIN of the query, recorded by the execution that answered it.
+	Regions []RegionSpan
+}
+
+// RegionSpan is one index region's share of a traced query.
+type RegionSpan struct {
+	// Shard is the shard the region belongs to (0 outside a sharded
+	// store), Region its id in that shard's index.
+	Shard, Region int
+	// Rows is the region's clustered row count; GridCells its grid's
+	// cell count, 0 for a region without a grid (scanned whole).
+	Rows, GridCells int
+	// Ranges is how many physical ranges the plan scans in the region.
+	Ranges int
+	// Scanned and Matched are the rows the region's ranges and buffered
+	// inserts scanned and matched; summed over the spans they are the
+	// answer's PointsScanned and Count.
+	Scanned, Matched uint64
 }
 
 // TraceStage is one named phase of a traced query.
@@ -47,7 +64,6 @@ type ShardSpan struct {
 	Duration time.Duration
 	Rows     uint64
 	Bytes    uint64
-	Regions  int
 }
 
 // AddStage appends a completed stage.
@@ -69,7 +85,7 @@ func (t *QueryTrace) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %s\n", t.Query)
 	fmt.Fprintf(&b, "total: %s  (rows scanned %d, bytes touched %d, regions %d)\n",
-		fmtDur(t.Total), t.Rows, t.Bytes, t.Regions)
+		fmtDur(t.Total), t.Rows, t.Bytes, len(t.Regions))
 	for _, st := range t.Stages {
 		pct := 0.0
 		if t.Total > 0 {
@@ -82,8 +98,35 @@ func (t *QueryTrace) String() string {
 		b.WriteByte('\n')
 	}
 	for _, sh := range t.Shards {
+		regions := 0
+		for _, r := range t.Regions {
+			if r.Shard == sh.Shard {
+				regions++
+			}
+		}
 		fmt.Fprintf(&b, "  shard %-3d %10s  rows %d  bytes %d  regions %d\n",
-			sh.Shard, fmtDur(sh.Duration), sh.Rows, sh.Bytes, sh.Regions)
+			sh.Shard, fmtDur(sh.Duration), sh.Rows, sh.Bytes, regions)
+	}
+	return b.String()
+}
+
+// Explain renders the trace's region spans, one line per routed region:
+// the EXPLAIN of the query.
+func (t *QueryTrace) Explain() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", t.Query)
+	fmt.Fprintf(&b, "regions visited: %d\n", len(t.Regions))
+	for _, r := range t.Regions {
+		kind := "scan"
+		if r.GridCells > 0 {
+			kind = fmt.Sprintf("grid(%d cells)", r.GridCells)
+		}
+		shard := ""
+		if len(t.Shards) > 0 {
+			shard = fmt.Sprintf("shard %d ", r.Shard)
+		}
+		fmt.Fprintf(&b, "  %sregion %-3d %-16s rows=%-8d ranges=%-4d scanned=%-8d matched=%d\n",
+			shard, r.Region, kind, r.Rows, r.Ranges, r.Scanned, r.Matched)
 	}
 	return b.String()
 }

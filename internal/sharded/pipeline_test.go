@@ -92,9 +92,11 @@ func probeQueries(t *testing.T, truth *colstore.Store, seed int64) []query.Query
 // checkTrace asserts what a trace must hold no matter when it was
 // captured: totals that agree with the result, exactly the layer's
 // stages, stage durations that fit inside Total, the accumulator regime
-// named on a grouped scan, and — for a scatter-gather trace — per-shard
-// spans that account exactly for the result's scan volume, each valid
-// shard at most once (a discarded seqlock attempt must not leak spans).
+// named on a grouped scan, region spans whose scanned and matched rows sum
+// to the result's, and — for a scatter-gather trace — per-shard spans that
+// account exactly for the result's scan volume, each valid shard at most
+// once (a discarded seqlock attempt must not leak spans), with every region
+// span tagged by one of them.
 func checkTrace(t *testing.T, l layer, q query.Query, res colstore.ScanResult, tr *obs.QueryTrace) {
 	t.Helper()
 	if tr.Query != q.String() || tr.Rows != res.PointsScanned || tr.Bytes != res.BytesTouched {
@@ -132,12 +134,20 @@ func checkTrace(t *testing.T, l layer, q query.Query, res colstore.ScanResult, t
 	if rendered := tr.String(); !strings.Contains(rendered, tr.Query) || !strings.Contains(rendered, want[0]) {
 		t.Errorf("%s: trace rendering incomplete:\n%s", l.name, rendered)
 	}
+	var scanned, matched uint64
+	for _, sp := range tr.Regions {
+		scanned += sp.Scanned
+		matched += sp.Matched
+	}
+	if len(tr.Regions) == 0 || scanned != res.PointsScanned || matched != res.Count {
+		t.Errorf("%s: %d region spans of %s sum to (scanned %d, matched %d), the result is (%d, %d)",
+			l.name, len(tr.Regions), q, scanned, matched, res.PointsScanned, res.Count)
+	}
 	ss, ok := l.src.(*sharded.Store)
 	if !ok {
 		return
 	}
 	var rows, bytes uint64
-	regions := 0
 	seen := make(map[int]bool)
 	for _, sp := range tr.Shards {
 		if sp.Shard < 0 || sp.Shard >= ss.NumShards() || seen[sp.Shard] {
@@ -146,11 +156,15 @@ func checkTrace(t *testing.T, l layer, q query.Query, res colstore.ScanResult, t
 		seen[sp.Shard] = true
 		rows += sp.Rows
 		bytes += sp.Bytes
-		regions += sp.Regions
 	}
-	if rows != res.PointsScanned || bytes != res.BytesTouched || regions != tr.Regions {
-		t.Errorf("%s: shard spans of %s sum to (rows %d, bytes %d, regions %d), result and header say (%d, %d, %d)",
-			l.name, q, rows, bytes, regions, res.PointsScanned, res.BytesTouched, tr.Regions)
+	if rows != res.PointsScanned || bytes != res.BytesTouched {
+		t.Errorf("%s: shard spans of %s sum to (rows %d, bytes %d), the result says (%d, %d)",
+			l.name, q, rows, bytes, res.PointsScanned, res.BytesTouched)
+	}
+	for _, sp := range tr.Regions {
+		if !seen[sp.Shard] {
+			t.Errorf("%s: trace of %s has region %d tagged with shard %d, which has no span", l.name, q, sp.Region, sp.Shard)
+		}
 	}
 }
 

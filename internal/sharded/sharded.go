@@ -702,7 +702,8 @@ func (p *plan) Execute() colstore.ScanResult {
 // scatter executes every shard plan in routing order on the calling
 // goroutine and returns the shards' answers. Each shard runs its own
 // pipeline; a traced run's span per shard is that shard's own traced plan
-// and execution.
+// and execution, and the shard's region spans join the trace tagged with
+// the shard.
 func (p *plan) scatter() []colstore.ScanResult {
 	tr := p.x.Trace
 	parts := make([]colstore.ScanResult, len(p.shards))
@@ -711,8 +712,11 @@ func (p *plan) scatter() []colstore.ScanResult {
 		if tr != nil {
 			sub := &p.subs[i]
 			tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: p.ids[i], Duration: sub.Total,
-				Rows: parts[i].PointsScanned, Bytes: parts[i].BytesTouched, Regions: sub.Regions})
-			tr.Regions += sub.Regions
+				Rows: parts[i].PointsScanned, Bytes: parts[i].BytesTouched})
+			for _, sp := range sub.Regions {
+				sp.Shard = p.ids[i]
+				tr.Regions = append(tr.Regions, sp)
+			}
 		}
 	}
 	return parts

@@ -7,8 +7,11 @@ package stats
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+
+	"repro/internal/cdfmodel"
 )
 
 // Histogram is a fixed-binning histogram over an int64 domain [Lo, Hi]. Bin
@@ -24,23 +27,30 @@ type Histogram struct {
 
 // NewEquiWidth builds an empty histogram with n equal-width bins over
 // [lo, hi]. If the domain has fewer than n distinct values the bin count is
-// reduced so every bin spans at least one value.
+// reduced so every bin spans at least one value. The top bound saturates
+// at MaxInt64 (cdfmodel.Above), where the last bin holds MaxInt64 itself.
 func NewEquiWidth(lo, hi int64, n int) *Histogram {
 	if hi < lo {
 		hi = lo
 	}
-	width := uint64(hi-lo) + 1
-	if uint64(n) > width {
+	width := uint64(hi-lo) + 1 // 0 stands for 2^64: the whole int64 domain
+	if width != 0 && uint64(n) > width {
 		n = int(width)
 	}
 	if n < 1 {
 		n = 1
 	}
 	b := make([]int64, n+1)
-	for i := 0; i <= n; i++ {
-		b[i] = lo + int64(uint64(i)*width/uint64(n))
+	for i := 0; i < n; i++ {
+		// i*width/n in 128 bits: the product passes 2^64 on wide domains.
+		ph, pl := bits.Mul64(uint64(i), width)
+		if width == 0 {
+			ph, pl = uint64(i), 0
+		}
+		q, _ := bits.Div64(ph, pl, uint64(n))
+		b[i] = lo + int64(q)
 	}
-	b[n] = hi + 1
+	b[n] = cdfmodel.Above(hi)
 	return &Histogram{Bounds: b, Mass: make([]float64, n)}
 }
 
@@ -55,7 +65,7 @@ func NewFromValues(values []int64, maxBins int) *Histogram {
 	if len(uniq) <= maxBins {
 		b := make([]int64, len(uniq)+1)
 		copy(b, uniq)
-		b[len(uniq)] = uniq[len(uniq)-1] + 1
+		b[len(uniq)] = cdfmodel.Above(uniq[len(uniq)-1])
 		return &Histogram{Bounds: b, Mass: make([]float64, len(uniq))}
 	}
 	lo, hi := values[0], values[0]

@@ -24,6 +24,29 @@ func TestEquiWidthSmallDomain(t *testing.T) {
 	}
 }
 
+// TestHistogramTopBoundSaturates builds histograms over columns that
+// reach MaxInt64: the bounds must ascend (the top one saturating instead
+// of wrapping to MinInt64) and MaxInt64 must fall in the last bin.
+func TestHistogramTopBoundSaturates(t *testing.T) {
+	for name, h := range map[string]*Histogram{
+		"equi-width, narrow":      NewEquiWidth(math.MaxInt64-99, math.MaxInt64, 10),
+		"equi-width, half domain": NewEquiWidth(0, math.MaxInt64, 16),
+		"equi-width, full domain": NewEquiWidth(math.MinInt64, math.MaxInt64, 16),
+		"from values, uniques":    NewFromValues([]int64{1, 7, math.MaxInt64}, 128),
+		"from values, wide":       NewFromValues([]int64{math.MinInt64, -3, 0, 5, math.MaxInt64}, 4),
+	} {
+		for i := 1; i < len(h.Bounds); i++ {
+			if h.Bounds[i] < h.Bounds[i-1] {
+				t.Errorf("%s: bounds descend at %d: %v", name, i, h.Bounds)
+				break
+			}
+		}
+		if got, want := h.Bin(math.MaxInt64), h.NumBins()-1; got != want {
+			t.Errorf("%s: Bin(MaxInt64) = %d, want the last bin %d (bounds %v)", name, got, want, h.Bounds)
+		}
+	}
+}
+
 func TestNewFromValuesUniques(t *testing.T) {
 	h := NewFromValues([]int64{3, 1, 4, 1, 5}, 128)
 	if h.NumBins() != 4 {

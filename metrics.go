@@ -45,10 +45,11 @@ func MetricsHandler(m *Metrics) http.Handler { return obs.Handler(m) }
 
 // QueryTrace is one query's explain-analyze record: stage timings
 // (plan/route/scan/merge), per-shard breakdowns for scatter-gather
-// queries, and the scan volume behind the answer. Filled by ExecuteWith
-// on TsunamiIndex, LiveStore, and ShardedStore when Exec.Trace points at
-// one; rendered by its String method (also: the tsunami-cli `trace`
-// command).
+// queries, a span per routed index region (the query's EXPLAIN), and the
+// scan volume behind the answer. Filled by ExecuteWith on TsunamiIndex,
+// LiveStore, and ShardedStore when Exec.Trace points at one; rendered by
+// its String method (the tsunami-cli `trace` command) and its region
+// spans by Explain (`explain`).
 type QueryTrace = obs.QueryTrace
 
 // TraceStage is one named, timed phase of a QueryTrace.
@@ -56,3 +57,7 @@ type TraceStage = obs.TraceStage
 
 // ShardSpan is one shard's contribution to a scatter-gather QueryTrace.
 type ShardSpan = obs.ShardSpan
+
+// RegionSpan is one index region's share of a QueryTrace: its rows, grid
+// cells, planned ranges, and the rows it scanned and matched.
+type RegionSpan = obs.RegionSpan

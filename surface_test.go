@@ -69,7 +69,7 @@ func TestExecutionKnobs(t *testing.T) {
 func TestMaintenanceSurface(t *testing.T) {
 	maintenance := []string{"CopyWithInserts", "MergedCopyOver", "Reoptimize", "ReoptimizeRegionsCopy", "SplitRange"}
 	reads := []string{"BufferedRows", "BuildStats", "DebugRegions", "EstimateCost", "Execute", "ExecuteGrouped", "ExecuteWith",
-		"Explain", "IndexStats", "Name", "NumBuffered", "Plan", "RegionsVisited", "Save", "SizeBytes", "Store"}
+		"IndexStats", "Name", "NumBuffered", "Plan", "RegionsVisited", "Save", "SizeBytes", "Store"}
 	typ := reflect.TypeOf((*tsunami.TsunamiIndex)(nil))
 	var got []string
 	for i := 0; i < typ.NumMethod(); i++ {
