@@ -133,7 +133,7 @@ type session struct {
 
 func (s *session) index() *core.Tsunami {
 	if s.shard != nil {
-		return s.shard.Shard(0).Index() // representative shard for stats
+		return s.shard.Shard(0).Index() // representative shard for the grid-tree stats
 	}
 	return s.live.Index()
 }
@@ -156,7 +156,6 @@ func main() {
 		partition = flag.String("partition", "range", "sharded partitioner: range (learned cuts) or hash")
 		partDim   = flag.Int("partition-dim", 0, "dimension the sharded partitioner cuts or hashes on")
 		mergeAt   = flag.Int("merge-threshold", 4096, "buffered rows triggering a background merge")
-		regionAt  = flag.Int("region-merge-threshold", 0, "per-region buffered rows for partial merges, 0 = full merges")
 		snapPath  = flag.String("snapshot", "", "periodic crash-recovery snapshot file (without -shards)")
 		snapDir   = flag.String("snapshot-dir", "", "periodic crash-recovery snapshot directory (-shards)")
 		snapEvery = flag.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval (needs -snapshot or -snapshot-dir)")
@@ -190,11 +189,10 @@ func main() {
 	wl := wstats.New(wstats.Config{})
 
 	liveCfg := live.Config{
-		MergeThreshold:       *mergeAt,
-		RegionMergeThreshold: *regionAt,
-		CacheEntries:         *cacheSize,
-		Metrics:              reg,
-		Workload:             wl,
+		MergeThreshold: *mergeAt,
+		CacheEntries:   *cacheSize,
+		Metrics:        reg,
+		Workload:       wl,
 	}
 	if *rebEvery > 0 && (*shards == 0 || *partition == "hash") {
 		fatal(fmt.Errorf("-rebalance-every needs -shards with -partition range"))
@@ -636,12 +634,16 @@ func printResult(q query.Query, names []string, res colstore.ScanResult, elapsed
 // shared metrics registry, so `stats` and a /metrics scrape can never
 // disagree. Rates cover the window since the previous stats command.
 func printStats(s *session) {
-	idx := s.index()
-	st := idx.IndexStats()
-	fmt.Printf("grid tree: %d nodes, depth %d, %d regions\n", st.NumGridTreeNodes, st.GridTreeDepth, st.NumLeafRegions)
-	fmt.Printf("points/region: min=%d median=%d max=%d\n", st.MinPointsPerRegion, st.MedianPointsPerRegion, st.MaxPointsPerRegion)
-	fmt.Printf("avg FMs/region=%.2f avg CCDFs/region=%.2f, %d grid cells, %d bytes, %d buffered inserts\n",
-		st.AvgFMsPerRegion, st.AvgCCDFsPerRegion, st.TotalGridCells, idx.SizeBytes(), idx.NumBuffered())
+	st := s.index().IndexStats()
+	scope := "" // the grid-tree lines describe one index: shard 0's when sharded
+	if s.shard != nil {
+		scope = "shard 0 "
+	}
+	fmt.Printf("%sgrid tree: %d nodes, depth %d, %d regions\n", scope, st.NumGridTreeNodes, st.GridTreeDepth, st.NumLeafRegions)
+	fmt.Printf("%spoints/region: min=%d median=%d max=%d\n", scope, st.MinPointsPerRegion, st.MedianPointsPerRegion, st.MaxPointsPerRegion)
+	fmt.Printf("%savg FMs/region=%.2f avg CCDFs/region=%.2f, %d grid cells\n",
+		scope, st.AvgFMsPerRegion, st.AvgCCDFsPerRegion, st.TotalGridCells)
+	fmt.Printf("store: %d bytes, %d buffered inserts\n", s.store.SizeBytes(), s.buffered())
 
 	now := time.Now()
 	snap := s.metrics.Snapshot()

@@ -39,10 +39,12 @@ var modes = map[string]string{
 // into the shell: `count`, `trace count` and `explain` must all see the
 // two rows, the merged one and the buffered one, in every serve mode, and
 // `explain` must answer a query over the whole table (every shard of a
-// sharded shell) as `count` does.
+// sharded shell) as `count` does. A last insert past the top of d0 lands in
+// the other shard of a sharded shell, and `stats` must count both buffered
+// rows, not only shard 0's.
 func TestInsertMergeInsertCounts(t *testing.T) {
 	const script = "insert -5,1,1\nmerge\ninsert -7,1,1\ncount d0<=-1\ntrace count d0<=-1\nexplain d0<=-1\n" +
-		"count d0>=2000\nexplain d0>=2000\nquit\n"
+		"count d0>=2000\nexplain d0>=2000\ninsert 2000000,1,1\nstats\nquit\n"
 	for name, mode := range modes {
 		t.Run(name, func(t *testing.T) {
 			out, err := cli("-dataset uniform -rows 3000 -dims 3 "+mode, script).CombinedOutput()
@@ -55,6 +57,9 @@ func TestInsertMergeInsertCounts(t *testing.T) {
 			}
 			if got[3][1] != got[4][1] {
 				t.Fatalf("count d0>=2000 answers count=%s, explain count=%s; output:\n%s", got[3][1], got[4][1], out)
+			}
+			if m := regexp.MustCompile(`(\d+) buffered inserts`).FindStringSubmatch(string(out)); m == nil || m[1] != "2" {
+				t.Fatalf("stats should count 2 buffered inserts, got %v; output:\n%s", m, out)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 //   - insertions through per-region delta buffers, the differential-file
 //     scheme the paper cites: a built index is never written, so
 //     idx, err = idx.CopyWithInserts(rows) derives a successor that buffers
-//     the rows, and idx, _, err = idx.MergedCopyOver(0) folds the buffers
+//     the rows, and idx, _, err = idx.MergedCopy() folds the buffers
 //     into the clustered layout of a new one (a LiveStore does both for
 //     concurrent writers);
 //   - workload-shift detection (ShiftDetector);

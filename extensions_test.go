@@ -27,7 +27,7 @@ func TestRobustIndexOnDirtyData(t *testing.T) {
 func TestShiftDetectorViaPublicAPI(t *testing.T) {
 	ds := tsunami.GenerateTaxi(15_000, 3)
 	work := tsunami.WorkloadFor(ds, 30, 4)
-	det := tsunami.NewShiftDetector(ds.Store, work, tsunami.ShiftConfig{WindowSize: 60, MinObserved: 30})
+	det := tsunami.NewShiftDetector(ds.Store, work, tsunami.ShiftConfig{WindowSize: 60})
 	if det.NumTypes() < 3 {
 		t.Fatalf("fingerprinted %d types", det.NumTypes())
 	}
@@ -63,7 +63,7 @@ func TestInsertAndMergeViaPublicAPI(t *testing.T) {
 	if got := idx.Execute(q).Count; got != 100 {
 		t.Fatalf("pre-merge count = %d, want 100", got)
 	}
-	if idx, _, err = idx.MergedCopyOver(0); err != nil {
+	if idx, _, err = idx.MergedCopy(); err != nil {
 		t.Fatal(err)
 	}
 	if got := idx.Execute(q).Count; got != 100 {

@@ -261,7 +261,7 @@ func (g *Grid) Finalize(st *colstore.Store, start int) {
 // Rebase returns a copy of a finalized grid bound to st with its physical
 // segment starting at start. The segment's rows must be identical to the
 // ones g was finalized over, in the same order — Rebase only rebinds the
-// store pointer and shifts cell offsets, so a partial merge can carry an
+// store pointer and shifts cell offsets, so a merge can carry an
 // untouched region's grid into a rewritten store without re-sorting the
 // region (layout, boundaries, and mappings are shared with g, which keeps
 // serving its own store unchanged).

@@ -1,61 +1,23 @@
 // Package cdfmodel provides compact models of a column's cumulative
 // distribution function. Flood and the Augmented Grid place a value into
-// partition ⌊CDF(x)·p⌋ (§2.2), so the models here expose both the forward
-// CDF and the inverse (quantile) needed to materialize partition boundaries.
+// partition ⌊CDF(x)·p⌋ (§2.2); the index materializes those partitions
+// once, as boundary values taken from the CDF's inverse (quantile).
 //
 // The paper notes the modeling technique is orthogonal (Flood uses an RMI,
 // "but one could also use a histogram or linear regression"); the index
-// builds every partitioning from one model, an interpolated sorted-sample
-// CDF (exact equi-depth when the sample keeps every value), behind the
-// Model interface.
+// builds every partitioning from one model, a sorted-sample CDF (exact
+// equi-depth when the sample keeps every value).
 package cdfmodel
 
 import (
 	"math"
 	"slices"
-	"sort"
 )
-
-// Model estimates the CDF of a single int64 column.
-type Model interface {
-	// At returns the estimated CDF at x, in [0, 1].
-	At(x int64) float64
-	// Quantile returns the smallest value v with CDF(v) >= q (approximately
-	// for learned models). q outside [0,1] is clamped.
-	Quantile(q float64) int64
-	// SizeBytes reports the model's memory footprint, for index-size
-	// accounting.
-	SizeBytes() uint64
-}
-
-// Partition returns ⌊CDF(x)·p⌋ clamped to [0, p-1]: the grid partition a
-// value falls in (§2.2).
-func Partition(m Model, x int64, p int) int {
-	i := int(m.At(x) * float64(p))
-	if i < 0 {
-		return 0
-	}
-	if i >= p {
-		return p - 1
-	}
-	return i
-}
-
-// PartitionRange returns the inclusive partition index range [a, b]
-// intersecting filter values [lo, hi].
-func PartitionRange(m Model, lo, hi int64, p int) (int, int) {
-	a := Partition(m, lo, p)
-	b := Partition(m, hi, p)
-	if b < a {
-		b = a
-	}
-	return a, b
-}
 
 // Boundaries materializes the p+1 partition boundary values of an
 // equi-CDF partitioning: boundary i is Quantile(i/p). Boundaries are
 // non-decreasing.
-func Boundaries(m Model, p int) []int64 {
+func Boundaries(m *SampleCDF, p int) []int64 {
 	out := make([]int64, p+1)
 	for i := 0; i <= p; i++ {
 		out[i] = m.Quantile(float64(i) / float64(p))
@@ -67,10 +29,10 @@ func Boundaries(m Model, p int) []int64 {
 }
 
 // ---------------------------------------------------------------------------
-// SampleCDF: sorted-sample interpolation.
+// SampleCDF: a sorted sample.
 
-// SampleCDF models the CDF by a sorted sample with linear interpolation
-// between sample points. With sampleSize == n it is exact.
+// SampleCDF models the CDF by a sorted sample of the column's order
+// statistics. With sampleSize == n it is exact.
 type SampleCDF struct {
 	sample []int64 // sorted
 }
@@ -98,29 +60,6 @@ func NewSortedSample(sorted []int64, sampleSize int) *SampleCDF {
 		out = append(out, sorted[idx])
 	}
 	return &SampleCDF{sample: out}
-}
-
-// At returns the interpolated empirical CDF at x.
-func (s *SampleCDF) At(x int64) float64 {
-	n := len(s.sample)
-	if n == 0 {
-		return 0
-	}
-	// Rank of x: number of sample values <= x, interpolated.
-	i := sort.Search(n, func(i int) bool { return s.sample[i] > x })
-	if i == 0 {
-		return 0
-	}
-	if i == n {
-		return 1
-	}
-	// Linear interpolation between sample[i-1] and sample[i].
-	lo, hi := s.sample[i-1], s.sample[i]
-	frac := 0.0
-	if hi > lo {
-		frac = float64(x-lo) / float64(hi-lo)
-	}
-	return (float64(i-1) + frac + 1) / float64(n)
 }
 
 // Above returns v+1, the exclusive upper boundary of a domain whose maximum
@@ -152,6 +91,3 @@ func (s *SampleCDF) Quantile(q float64) int64 {
 	}
 	return s.sample[idx]
 }
-
-// SizeBytes reports the sample footprint.
-func (s *SampleCDF) SizeBytes() uint64 { return uint64(len(s.sample)) * 8 }

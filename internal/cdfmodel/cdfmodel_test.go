@@ -29,51 +29,6 @@ func skewedValues(n int, rng *rand.Rand) []int64 {
 	return out
 }
 
-func TestSampleCDFMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	vals := skewedValues(5000, rng)
-	m := NewSample(vals, 512)
-	prev := -1.0
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	step := (hi - lo) / 1000
-	if step == 0 {
-		step = 1
-	}
-	for x := lo; x <= hi; x += step {
-		c := m.At(x)
-		if c < prev {
-			t.Fatalf("CDF not monotone at %d: %f < %f", x, c, prev)
-		}
-		if c < 0 || c > 1 {
-			t.Fatalf("CDF out of range at %d: %f", x, c)
-		}
-		prev = c
-	}
-}
-
-func TestSampleCDFExactAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	vals := uniformValues(2000, rng)
-	m := NewSample(vals, 0) // exact
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i := 0; i < len(sorted); i += 97 {
-		emp := float64(i+1) / float64(len(sorted))
-		got := m.At(sorted[i])
-		if diff := got - emp; diff > 0.01 || diff < -0.01 {
-			t.Fatalf("CDF at rank %d: got %f, want ≈%f", i, got, emp)
-		}
-	}
-}
-
 func TestBoundariesEquiDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := skewedValues(20000, rng)
@@ -108,32 +63,6 @@ func TestBoundariesEquiDepth(t *testing.T) {
 	}
 }
 
-func TestPartitionClamped(t *testing.T) {
-	m := NewSample([]int64{10, 20, 30}, 0)
-	if p := Partition(m, -100, 4); p != 0 {
-		t.Errorf("below-domain partition = %d, want 0", p)
-	}
-	if p := Partition(m, 1000, 4); p != 3 {
-		t.Errorf("above-domain partition = %d, want 3", p)
-	}
-}
-
-func TestPartitionRangeOrdered(t *testing.T) {
-	prop := func(seed int64, lo, hi int32) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := NewSample(uniformValues(200, rng), 0)
-		l, h := int64(lo), int64(hi)
-		if l > h {
-			l, h = h, l
-		}
-		a, b := PartitionRange(m, l, h, 8)
-		return a >= 0 && b >= a && b < 8
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBoundariesOfConstantColumn(t *testing.T) {
 	vals := []int64{7, 7, 7, 7}
 	m := NewSample(vals, 0)
@@ -148,7 +77,7 @@ func TestBoundariesOfConstantColumn(t *testing.T) {
 func TestModelInterfaceQuantileMonotoneProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vals := skewedValues(5000, rng)
-	models := []Model{NewSample(vals, 0), NewSample(vals, 512)}
+	models := []*SampleCDF{NewSample(vals, 0), NewSample(vals, 512)}
 	prop := func(a, b uint8) bool {
 		qa := float64(a) / 255
 		qb := float64(b) / 255
@@ -178,7 +107,7 @@ func TestQuantileSaturatesAtMaxInt64(t *testing.T) {
 		vals[i] = math.MaxInt64 - rng.Int63n(1000)
 	}
 	vals[17] = math.MaxInt64
-	for name, m := range map[string]Model{
+	for name, m := range map[string]*SampleCDF{
 		"sample":    NewSample(vals, 0),
 		"subsample": NewSample(vals, 100),
 	} {

@@ -11,7 +11,7 @@ import (
 // Insertion support (§8 "Data and Workload Shift"): Tsunami is
 // read-optimized, so inserts are buffered in a per-region delta sibling —
 // a small row-major buffer scanned alongside the region's grid — and
-// periodically folded into the clustered layout by MergedCopyOver, exactly
+// periodically folded into the clustered layout by MergedCopy, exactly
 // the differential-file scheme the paper proposes [Severance & Lohman
 // 1976]. A built index is never written: CopyWithInserts derives a
 // successor holding the new rows.

@@ -71,7 +71,7 @@ func TestInsertQueryMergeQueryCycle(t *testing.T) {
 				t.Fatalf("cycle %d pre-merge %s: got %d, want %d", cycle, q, got, want)
 			}
 		}
-		if idx, _, err = idx.MergedCopyOver(0); err != nil {
+		if idx, _, err = idx.MergedCopy(); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range probe {

@@ -7,7 +7,7 @@ import "fmt"
 // readers while a writer or a background maintainer derives the next
 // version from it. They are the building blocks of the epoch-based
 // LiveStore (internal/live): CopyWithInserts is the serialized ingest
-// step, MergedCopyOver, ReoptimizeRegionsCopy and SplitRange — one region
+// step, MergedCopy, ReoptimizeRegionsCopy and SplitRange — one region
 // rewrite (rewrite.go) with different arguments — are the background
 // rebuild steps, and every result is published with a single atomic
 // pointer swap.
@@ -58,36 +58,22 @@ func (t *Tsunami) CopyWithInserts(rows [][]int64) (*Tsunami, error) {
 	return nt, nil
 }
 
-// MergedCopyOver returns a new index equal to t with buffered rows folded
-// into the clustered layout, leaving t untouched so it can keep serving
-// reads for the whole — potentially long — rebuild. Each folded region's
-// grid is rebuilt with its existing layout over the union of its old rows
-// and its buffered rows; the Grid Tree structure and all layouts are
-// unchanged (re-optimization is a separate, heavier operation — see
-// ReoptimizeRegionsCopy and Reoptimize). Only regions whose own delta
-// buffer holds at least minPerRegion rows are folded; colder regions keep
-// their rows buffered in the copy (still scanned alongside the clustered
-// data, exactly as before the merge) and are copied verbatim, their grids
-// rebased rather than rebuilt. The store
-// rewrite itself is still O(table) — contiguous region segments leave no
-// way to splice — but the per-region sort and grid rebuild, the dominant
-// merge cost, is paid only for the hot regions: the win on skewed ingest,
-// where a few regions absorb most inserts. minPerRegion <= 1 folds every
-// region with buffered rows. It returns the copy and how many rows were
-// folded; when nothing crosses the threshold the fold count is zero and
-// the returned copy is t itself (unchanged, still valid to serve).
-func (t *Tsunami) MergedCopyOver(minPerRegion int) (*Tsunami, int, error) {
-	folded := 0
-	for _, dl := range t.deltas {
-		if n := len(dl.rows); n >= max(minPerRegion, 1) {
-			folded += n
-		}
-	}
-	if folded == 0 {
+// MergedCopy returns a new index equal to t with every buffered row
+// folded into the clustered layout, leaving t untouched so it can keep
+// serving reads for the whole — potentially long — rebuild. Each region
+// with buffered rows has its grid rebuilt with its existing layout over
+// the union of its old rows and its buffered rows; the other regions are
+// copied verbatim, their grids rebased rather than rebuilt. The Grid Tree
+// structure and all layouts are unchanged (re-optimization is a separate,
+// heavier operation — see ReoptimizeRegionsCopy and Reoptimize). It
+// returns the copy and how many rows were folded; with nothing buffered
+// the fold count is zero and the returned copy is t itself.
+func (t *Tsunami) MergedCopy() (*Tsunami, int, error) {
+	if t.numBuffered == 0 {
 		return t, 0, nil
 	}
-	nt, _, err := t.rewrite(minPerRegion, nil, nil)
-	return nt, folded, err
+	nt, _, err := t.rewrite(nil, nil)
+	return nt, t.numBuffered, err
 }
 
 // BufferedRows returns a copy of every inserted-but-unmerged row, in

@@ -241,8 +241,8 @@ func TestMaintenanceIsCopyOnWrite(t *testing.T) {
 			}
 			return outcome{succ: succ, added: rows}
 		}},
-		{"MergedCopyOver(0)", func(t *testing.T, src *Tsunami) outcome {
-			succ, folded, err := src.MergedCopyOver(0)
+		{"MergedCopy", func(t *testing.T, src *Tsunami) outcome {
+			succ, folded, err := src.MergedCopy()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,33 +251,6 @@ func TestMaintenanceIsCopyOnWrite(t *testing.T) {
 			}
 			if folded == 0 && succ != src {
 				t.Error("a merge with nothing to fold should return the receiver, not rebuild the store")
-			}
-			return outcome{succ: succ}
-		}},
-		{"MergedCopyOver(100)", func(t *testing.T, src *Tsunami) outcome {
-			succ, folded, err := src.MergedCopyOver(100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if src.NumBuffered() == len(skewed) && (folded == 0 || folded >= len(skewed)) {
-				t.Errorf("partial merge folded %d rows, want some but not all of %d", folded, len(skewed))
-			}
-			if got := succ.NumBuffered(); got != src.NumBuffered()-folded {
-				t.Errorf("%d rows buffered after folding %d of %d", got, folded, src.NumBuffered())
-			}
-			if got := succ.Store().NumRows(); got != src.Store().NumRows()+folded {
-				t.Errorf("clustered rows = %d, want %d", got, src.Store().NumRows()+folded)
-			}
-			if folded == 0 && succ != src {
-				t.Error("nothing crossed the bar, yet the store was rebuilt")
-			}
-			// The cold remainder stays foldable: a later full merge takes it.
-			full, _, err := succ.MergedCopyOver(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full.NumBuffered() != 0 || full.Store().NumRows() != src.Store().NumRows()+src.NumBuffered() {
-				t.Errorf("full merge after partial: %d clustered, %d buffered", full.Store().NumRows(), full.NumBuffered())
 			}
 			return outcome{succ: succ}
 		}},
@@ -419,7 +392,7 @@ func TestMaintenanceIsCopyOnWrite(t *testing.T) {
 				if after := imageOf(t, src); !reflect.DeepEqual(before, after) {
 					t.Error("inserting into the successor reached the receiver")
 				}
-				if next, _, err = next.MergedCopyOver(0); err != nil {
+				if next, _, err = next.MergedCopy(); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := next.Execute(query.NewCount()).Count, uint64(len(wantRows)+len(extra)); got != want || next.NumBuffered() != 0 {

@@ -76,7 +76,7 @@ func TestSaveCarriesBufferedInserts(t *testing.T) {
 		t.Errorf("buffered inserts lost through save/load: count = %d, want 25", got)
 	}
 	// ...and merge cleanly on the restored index.
-	if loaded, _, err = loaded.MergedCopyOver(0); err != nil {
+	if loaded, _, err = loaded.MergedCopy(); err != nil {
 		t.Fatal(err)
 	}
 	if got := loaded.Execute(q).Count; got != 25 {
@@ -108,7 +108,7 @@ func TestLoadedIndexSupportsInserts(t *testing.T) {
 	if loaded, err = loaded.CopyWithInserts([][]int64{{1, 2, 3, 4, 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if loaded, _, err = loaded.MergedCopyOver(0); err != nil {
+	if loaded, _, err = loaded.MergedCopy(); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Store().NumRows() != 5001 {

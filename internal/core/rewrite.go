@@ -12,7 +12,7 @@ import (
 
 // The one maintenance operation (§8): rewrite the clustered table region
 // by region, copying a region verbatim or rebuilding its grid. Merging
-// delta buffers (MergedCopyOver), carving a key range out (SplitRange) and
+// delta buffers (MergedCopy), carving a key range out (SplitRange) and
 // re-optimizing drifted regions (ReoptimizeRegionsCopy) are this pass with
 // different arguments.
 
@@ -26,32 +26,28 @@ type rangeCut struct {
 func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
 
 // rewrite derives a successor index on a fresh column store and never
-// writes its receiver, which can keep serving readers throughout. Per
-// region it is driven by three inputs:
+// writes its receiver, which can keep serving readers throughout. Every
+// region folds its delta buffer into the clustered layout, so the
+// successor buffers nothing. Per region it is driven by two inputs:
 //
-//   - minFold: a region folds its delta buffer into the clustered layout
-//     when the buffer holds at least minFold rows (<= 1: any buffered
-//     rows); colder buffers are carried over, still buffered.
 //   - cut (optional): rows inside the range leave the successor — from the
-//     clustered segment and from a folded buffer alike — and are returned.
+//     clustered segment and from the buffer alike — and are returned.
 //   - reopt (optional): a region with an entry gets a grid laid out by
 //     auggrid.Optimize for those queries, or no grid when the set is
 //     empty, and records them as its workload.
 //
-// A region none of these touches is bulk-copied and its grid rebased onto
-// the new store. A touched region is staged (surviving clustered rows,
-// then folded buffered rows), built once — with the new layout, or its
-// existing one — and emitted in grid order; one that has no grid, or that
-// emptied out, is emitted as plain rows. What the successor shares with
-// the receiver is immutable: untouched grids' layouts and models, query
-// sets, and the buffered row slices themselves. The Grid Tree is copied,
+// A region with no buffered rows that neither input touches is
+// bulk-copied and its grid rebased onto the new store. Any other region
+// is staged (surviving clustered rows, then buffered rows), built once —
+// with the new layout, or its existing one — and emitted in grid order;
+// one that has no grid, or that emptied out, is emitted as plain rows.
+// What the successor shares with the receiver is immutable: untouched
+// grids' layouts and models, and query sets; the moved set may hold the
+// receiver's buffered row slices themselves. The Grid Tree is copied,
 // because folded rows widen the successor's region boxes (the tree only
 // constrains split dimensions, so an insert may lie outside the recorded
-// min/max of the others, and the exact-scan test relies on sound boxes), and
-// carried-over buffers get fresh containers and backing arrays, so a
-// CopyWithInserts on the successor (LiveStore's tail replay) cannot append
-// into arrays the receiver's own CopyWithInserts lineage shares.
-func (t *Tsunami) rewrite(minFold int, cut *rangeCut, reopt map[int][]query.Query) (*Tsunami, [][]int64, error) {
+// min/max of the others, and the exact-scan test relies on sound boxes).
+func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami, [][]int64, error) {
 	d := t.store.NumDims()
 	nt := &Tsunami{
 		cfg:    t.cfg,
@@ -71,14 +67,6 @@ func (t *Tsunami) rewrite(minFold int, cut *rangeCut, reopt map[int][]query.Quer
 		if dl := t.deltas[id]; dl != nil {
 			buffered = dl.rows
 		}
-		if len(buffered) > 0 && len(buffered) < minFold {
-			if nt.deltas == nil {
-				nt.deltas = make(map[int]*delta)
-			}
-			nt.deltas[id] = &delta{rows: append([][]int64(nil), buffered...)}
-			nt.numBuffered += len(buffered)
-			buffered = nil
-		}
 		cutting := cut != nil && r.Lo[cut.dim] <= cut.hi && r.Hi[cut.dim] >= cut.lo &&
 			slices.ContainsFunc(t.store.Column(cut.dim)[b[0]:b[1]], cut.holds)
 		queries, reoptimize := reopt[id]
@@ -93,7 +81,7 @@ func (t *Tsunami) rewrite(minFold int, cut *rangeCut, reopt map[int][]query.Quer
 		}
 
 		// Stage the region's surviving rows: the clustered segment, copied
-		// in runs between the rows that leave, then the folded buffer.
+		// in runs between the rows that leave, then the buffer.
 		seg := make([][]int64, d)
 		for j := range seg {
 			seg[j] = make([]int64, 0, b[1]-b[0]+len(buffered))

@@ -28,5 +28,5 @@ func (t *Tsunami) SplitRange(dim int, lo, hi int64) (*Tsunami, [][]int64, error)
 	if lo > hi {
 		return nil, nil, fmt.Errorf("core: split range [%d, %d] is empty", lo, hi)
 	}
-	return t.rewrite(0, &rangeCut{dim: dim, lo: lo, hi: hi}, nil)
+	return t.rewrite(&rangeCut{dim: dim, lo: lo, hi: hi}, nil)
 }

@@ -83,7 +83,7 @@ func TestSplitRangeMovesExactRows(t *testing.T) {
 	if rem, err = rem.CopyWithInserts([][]int64{{cut, cut, 1, 1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if rem, _, err = rem.MergedCopyOver(0); err != nil {
+	if rem, _, err = rem.MergedCopy(); err != nil {
 		t.Fatal(err)
 	}
 	if got := rem.Execute(query.NewCount(query.Filter{Dim: 0, Lo: cut, Hi: cut2})).Count; got != 1 {

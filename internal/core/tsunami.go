@@ -81,7 +81,7 @@ type Config struct {
 // Execute and RegionsVisited keep all per-query state in pooled
 // execution contexts, so one shared index serves any number of concurrent
 // callers. Nothing else writes it either: CopyWithInserts,
-// MergedCopyOver, ReoptimizeRegionsCopy, SplitRange and Reoptimize each
+// MergedCopy, ReoptimizeRegionsCopy, SplitRange and Reoptimize each
 // derive a successor and leave the receiver serving.
 type Tsunami struct {
 	cfg    Config
@@ -92,7 +92,7 @@ type Tsunami struct {
 	stats  index.BuildStats
 
 	// Insert buffering (§8): per-region delta siblings, folded in by
-	// MergedCopyOver.
+	// MergedCopy.
 	deltas      map[int]*delta
 	numBuffered int
 }

@@ -11,7 +11,7 @@
 // affected delta buffers) and publishes it with one atomic swap. A single
 // background maintenance goroutine keeps the hot path clean: when buffered
 // rows cross a threshold it folds them into a fresh clustered copy
-// (core.MergedCopyOver), when the served query stream drifts from the optimized
+// (core.MergedCopy), when the served query stream drifts from the optimized
 // workload (shift.Detector) it re-optimizes the most-drifted region grids
 // into a copy (core.ReoptimizeRegionsCopy) — closing the §8 adaptivity loop
 // end to end — and it periodically snapshots the current epoch (including
@@ -47,17 +47,6 @@ type Config struct {
 	// MergeThreshold is the buffered-row count that triggers a background
 	// merge into a fresh clustered copy (default 4096).
 	MergeThreshold int
-	// RegionMergeThreshold, when > 0, makes threshold-triggered merges
-	// partial: only regions whose own delta buffer holds at least this
-	// many rows are folded into the clustered layout; colder regions keep
-	// their rows buffered (and scanned alongside) until they cross it.
-	// The store copy is still O(table), but the per-region sort and grid
-	// rebuild — the dominant merge cost — is paid only for the hot
-	// regions, cutting maintenance on skewed ingest. If no region
-	// qualifies while the global MergeThreshold is exceeded, the merge
-	// falls back to folding everything, keeping delta scans bounded on
-	// perfectly uniform ingest. Flush always folds everything.
-	RegionMergeThreshold int
 	// Shift tunes the drift detector (see shift.Config). Detection only
 	// runs when the store was opened with the optimized workload.
 	Shift shift.Config
@@ -83,14 +72,9 @@ type Config struct {
 	// snapshot durations, detector fires, and buffered-rows/epoch gauges
 	// (tsunami_live_*). Shard stores sharing one registry share the
 	// counter and histogram instances, so cross-shard aggregation happens
-	// by construction. Nil disables instrumentation with zero hot-path
-	// cost.
+	// by construction (see OpenGated for how their gauges stay apart).
+	// Nil disables instrumentation with zero hot-path cost.
 	Metrics *obs.Registry
-	// MetricsLabel, when non-empty, is appended to this store's gauge
-	// names (e.g. `{shard="3"}`) so per-shard levels stay distinguishable
-	// on a shared registry. Counters and histograms are never labeled —
-	// sharing those instances is what makes shard metrics aggregate.
-	MetricsLabel string
 	// Workload, when non-nil, records every served query's shape,
 	// latency, and result selectivity into the workload-statistics
 	// collector (internal/wstats): heavy-hitter fingerprints, per-dim
@@ -221,14 +205,6 @@ func newLiveMetrics(s *Store, r *obs.Registry, label string) *liveMetrics {
 	return m
 }
 
-// obsItem is one served query on its way to the shift detector: the
-// query plus the result selectivity it observed (matched rows over the
-// rows served), which feeds the detector's ObserveResult drift signal.
-type obsItem struct {
-	q   query.Query
-	sel float64
-}
-
 // version is one published epoch: an immutable index plus how much of the
 // store's replay log its delta buffers already reflect.
 type version struct {
@@ -266,9 +242,9 @@ type Store struct {
 	// maintenance goroutine and from Flush callers).
 	emitMu sync.Mutex
 
-	obs  chan obsItem  // sampled feed of served queries to the detector
-	wake chan struct{} // nudges maintenance when the threshold trips
-	gate chan struct{} // shared with the stores it takes turns with; nil: none (see OpenGated)
+	obs  chan query.Query // sampled feed of served queries to the detector
+	wake chan struct{}    // nudges maintenance when the threshold trips
+	gate chan struct{}    // shared with the stores it takes turns with; nil: none (see OpenGated)
 	quit chan struct{}
 	done chan struct{}
 
@@ -309,7 +285,7 @@ type Store struct {
 // built for; it seeds the shift detector's fingerprint (pass nil to serve
 // without shift detection).
 func Open(idx *core.Tsunami, optimized []query.Query, cfg Config) *Store {
-	return OpenGated(idx, optimized, cfg, nil)
+	return OpenGated(idx, optimized, cfg, nil, "")
 }
 
 // OpenGated is Open for a store that takes turns at background merges
@@ -319,8 +295,12 @@ func Open(idx *core.Tsunami, optimized []query.Query, cfg Config) *Store {
 // caps what maintenance takes from readers at one CPU and one transient
 // copy, and it makes a write burst's merge count independent of goroutine
 // scheduling (see sharded.Store). Flush does not take the gate: it is the
-// caller asking for the work now. A nil gate is Open.
-func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan struct{}) *Store {
+// caller asking for the work now. label, when non-empty, is appended to
+// the store's gauge names (e.g. `{shard="3"}`) so per-shard levels stay
+// distinguishable on a shared Config.Metrics registry; counters and
+// histograms are never labeled — sharing those instances is what makes
+// shard metrics aggregate. A nil gate and an empty label is Open.
+func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan struct{}, label string) *Store {
 	cfg.fill()
 	s := &Store{
 		cfg:       cfg,
@@ -335,14 +315,14 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 	// for them exactly like rows ingested through the Store.
 	s.log = idx.BufferedRows()
 	s.cur.Store(&version{idx: idx, epoch: 1, logLen: len(s.log)})
-	s.metrics = newLiveMetrics(s, cfg.Metrics, cfg.MetricsLabel)
+	s.metrics = newLiveMetrics(s, cfg.Metrics, label)
 	if cfg.CacheEntries > 0 {
 		s.cache = qcache.New(cfg.CacheEntries)
 		if r := cfg.Metrics; r != nil {
 			s.cacheHits = r.Counter(obs.MCacheHits)
 			s.cacheMisses = r.Counter(obs.MCacheMisses)
 			s.cacheEvictions = r.Counter(obs.MCacheEvictions)
-			r.GaugeFunc(obs.MCacheEntries+cfg.MetricsLabel, func() float64 {
+			r.GaugeFunc(obs.MCacheEntries+label, func() float64 {
 				return float64(s.cache.Len())
 			})
 		}
@@ -351,7 +331,7 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 		s.detector = shift.NewDetector(idx.Store(), optimized, cfg.Shift)
 		s.detectorTypes.Store(int64(s.detector.NumTypes()))
 		s.recent = make([]query.Query, cfg.Shift.WindowSize)
-		s.obs = make(chan obsItem, 4*cfg.Shift.WindowSize)
+		s.obs = make(chan query.Query, 4*cfg.Shift.WindowSize)
 	}
 	if cfg.Workload != nil {
 		rows := func() uint64 {
@@ -523,26 +503,19 @@ func (p *plan) Execute() colstore.ScanResult {
 			s.cacheEvictions.Add(1)
 		}
 	}
-	s.observeAsync(q, res.Count, v)
+	s.observeAsync(q)
 	p.Release()
 	return res
 }
 
-// observeAsync feeds the detector one served query and the result
-// selectivity it observed against the epoch it was served from.
-func (s *Store) observeAsync(q query.Query, matched uint64, v *version) {
+// observeAsync feeds the detector one served query, or drops it when the
+// feed is full.
+func (s *Store) observeAsync(q query.Query) {
 	if s.obs == nil {
 		return
 	}
-	sel := 1.0
-	if rows := v.idx.Store().NumRows() + v.idx.NumBuffered(); rows > 0 {
-		sel = float64(matched) / float64(rows)
-		if sel > 1 {
-			sel = 1
-		}
-	}
 	select {
-	case s.obs <- obsItem{q: q, sel: sel}:
+	case s.obs <- q:
 	default:
 		s.droppedObs.Add(1)
 	}
@@ -673,7 +646,7 @@ func (s *Store) publishSuccessor(v *version, next *core.Tsunami, divert func(row
 func (s *Store) Flush() error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	return s.mergeLocked(0)
+	return s.mergeLocked()
 }
 
 // Snapshot writes the current epoch — including buffered-but-unmerged
@@ -763,13 +736,13 @@ func (s *Store) maintain() {
 		defer t.Stop()
 		tick = t.C
 	}
-	var obs <-chan obsItem = s.obs // nil when shift detection is off
+	var obs <-chan query.Query = s.obs // nil when shift detection is off
 	for {
 		select {
 		case <-s.quit:
 			return
-		case it := <-obs:
-			s.observe(it)
+		case q := <-obs:
+			s.observe(q)
 		case <-s.wake:
 			s.runMerge()
 		case <-tick:
@@ -778,14 +751,11 @@ func (s *Store) maintain() {
 	}
 }
 
-// observe feeds one served query — and the result selectivity it
-// observed — to the detector and, periodically, analyzes the window; a
-// detected shift re-optimizes the most-drifted regions for the recently
-// observed workload.
-func (s *Store) observe(it obsItem) {
-	q := it.q
-	ty := s.detector.Observe(q)
-	s.detector.ObserveResult(ty, it.sel)
+// observe feeds one served query to the detector and, periodically,
+// analyzes the window; a detected shift re-optimizes the most-drifted
+// regions for the recently observed workload.
+func (s *Store) observe(q query.Query) {
+	s.detector.Observe(q)
 	s.recent[s.recentPos] = q
 	s.recentPos = (s.recentPos + 1) % len(s.recent)
 	if s.recentN < len(s.recent) {
@@ -828,7 +798,7 @@ func (s *Store) runMerge() {
 		}
 	}
 	s.maintMu.Lock()
-	err := s.mergeLocked(s.cfg.RegionMergeThreshold)
+	err := s.mergeLocked()
 	s.maintMu.Unlock()
 	// A merge losing the race with Close is a normal shutdown, not an
 	// error worth reporting.
@@ -839,11 +809,8 @@ func (s *Store) runMerge() {
 
 // mergeLocked rebuilds the clustered layout with buffered rows folded in,
 // replays rows ingested while the rebuild ran, and publishes the result.
-// minPerRegion > 0 folds only regions whose delta buffers crossed that
-// per-region threshold (falling back to a full fold when none did, so the
-// global threshold still bounds delta scans); 0 folds everything. Readers
-// are never blocked; writers only during the short replay.
-func (s *Store) mergeLocked(minPerRegion int) error {
+// Readers are never blocked; writers only during the short replay.
+func (s *Store) mergeLocked() error {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -856,20 +823,9 @@ func (s *Store) mergeLocked(minPerRegion int) error {
 	}
 	start := time.Now()
 	// Long: runs against the immutable epoch.
-	merged, folded, err := v.idx.MergedCopyOver(minPerRegion)
+	merged, folded, err := v.idx.MergedCopy()
 	if err != nil {
 		return fmt.Errorf("live: merge: %w", err)
-	}
-	if folded == 0 {
-		// Nothing crossed the per-region bar; fold everything so buffered
-		// rows can't accumulate past MergeThreshold indefinitely.
-		merged, folded, err = v.idx.MergedCopyOver(0)
-		if err != nil {
-			return fmt.Errorf("live: merge: %w", err)
-		}
-		if folded == 0 {
-			return nil // raced with another merge; nothing left to fold
-		}
 	}
 	_, epoch, err := s.publishSuccessor(v, merged, nil)
 	if err != nil {

@@ -67,10 +67,7 @@ func TestLiveConcurrentReadWriteWithMaintenance(t *testing.T) {
 
 	s := Open(idx, work, Config{
 		MergeThreshold: 500,
-		Shift: shift.Config{
-			WindowSize:  64,
-			MinObserved: 32,
-		},
+		Shift:          shift.Config{WindowSize: 64},
 	})
 
 	probes := work[:4] // original-type queries, also used for monotonicity
@@ -332,92 +329,6 @@ func TestLivePeriodicSnapshot(t *testing.T) {
 	}
 }
 
-// TestLivePartialMerge drives skewed ingest with a per-region merge
-// threshold: the triggered merge must fold only the hot region's buffer
-// (reported via the merge event), keep the cold rows buffered yet visible,
-// and Flush must still fold everything.
-func TestLivePartialMerge(t *testing.T) {
-	st := testutil.SmallTaxi(6000, 41)
-	work := testutil.SkewedQueries(st, 100, 42)
-	idx := core.Build(st, work, smallConfig())
-
-	var mu sync.Mutex
-	var merges []Event
-	s := Open(idx, nil, Config{
-		MergeThreshold:       200,
-		RegionMergeThreshold: 100,
-		OnEvent: func(ev Event) {
-			if ev.Kind == EventMerge {
-				mu.Lock()
-				merges = append(merges, ev)
-				mu.Unlock()
-			}
-			if ev.Kind == EventError {
-				t.Errorf("maintenance error: %v", ev.Err)
-			}
-		},
-	})
-	defer s.Close()
-
-	// Hot: 190 rows in one spot of the domain; cold: 20 spread rows. The
-	// global threshold (200) trips with only the hot region over the
-	// per-region bar (100).
-	hot := make([][]int64, 190)
-	for i := range hot {
-		hot[i] = []int64{9_500_000 + int64(i), 9_500_050, 7, 7, 7}
-	}
-	if err := s.InsertBatch(hot); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := s.Insert([]int64{int64(i) * 40_000, int64(i)*40_000 + 60, 3, 3, 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Merges == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("threshold merge did not run")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// A merge counts itself and emits its event under maintMu: holding it
-	// makes the merge count, the published epoch and the event list agree.
-	s.maintMu.Lock()
-	afterFirst := s.Stats()
-	s.maintMu.Unlock()
-	mu.Lock()
-	first := merges[0]
-	mu.Unlock()
-	if first.MergedRows == 0 || first.MergedRows >= 210 {
-		t.Errorf("partial merge folded %d rows, want some but not all of 210", first.MergedRows)
-	}
-	// A wake-up left over from the inserts that kept the buffer over the
-	// threshold while the first merge ran may already have folded the
-	// sub-threshold remainder (mergeLocked's fold-everything fallback): the
-	// remainder is only there to see while that merge is the only one.
-	if got := afterFirst.BufferedRows; afterFirst.Merges == 1 && (got == 0 || got >= 210) {
-		t.Errorf("buffered = %d after partial merge, want the cold remainder", got)
-	}
-	// Both folded and still-buffered rows stay visible.
-	if got := s.Execute(query.NewCount(query.Filter{Dim: 0, Lo: 9_500_000, Hi: 9_500_189})).Count; got != 190 {
-		t.Errorf("hot rows visible = %d, want 190", got)
-	}
-	if got := s.Execute(query.NewCount(query.Filter{Dim: 3, Lo: 3, Hi: 3})).Count; got != 20 {
-		t.Errorf("cold rows visible = %d, want 20", got)
-	}
-
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().BufferedRows; got != 0 {
-		t.Errorf("buffered = %d after Flush, want 0", got)
-	}
-	if got := s.Execute(query.NewCount(query.Filter{Dim: 3, Lo: 3, Hi: 3})).Count; got != 20 {
-		t.Errorf("cold rows visible after Flush = %d, want 20", got)
-	}
-}
-
 // TestLiveEventsAndFlushNoBuffered covers the event hook and Flush
 // fast-path (no buffered rows → no new epoch).
 func TestLiveEventsAndFlushNoBuffered(t *testing.T) {
@@ -578,7 +489,7 @@ func TestLiveMergeGate(t *testing.T) {
 		}
 	}
 	gate := make(chan struct{}, 1)
-	s := OpenGated(idx, nil, Config{MergeThreshold: 100}, gate)
+	s := OpenGated(idx, nil, Config{MergeThreshold: 100}, gate, "")
 	defer s.Close()
 
 	gate <- struct{}{} // another store is merging

@@ -66,7 +66,7 @@ func TestCachedStreamStillFiresDetector(t *testing.T) {
 		Shards:       2,
 		Learned:      true,
 		CacheEntries: 64,
-		Live:         live.Config{Shift: shift.Config{WindowSize: 64, MinObserved: 32}},
+		Live:         live.Config{Shift: shift.Config{WindowSize: 64}},
 		OnEvent: func(ev Event) {
 			if ev.Kind == live.EventReoptimize {
 				reopts.Add(1)

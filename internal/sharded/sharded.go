@@ -400,7 +400,6 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 		}
 		if cfg.Metrics != nil {
 			lc.Metrics = cfg.Metrics
-			lc.MetricsLabel = fmt.Sprintf(`{shard="%d"}`, i)
 		}
 		if cfg.SnapshotDir != "" {
 			lc.SnapshotPath = shardFile(cfg.SnapshotDir, i)
@@ -433,7 +432,7 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 				forward(ev)
 			}
 		}
-		s.shards[i] = live.OpenGated(idx, shardWorkload(parts, i, workload), lc, gate)
+		s.shards[i] = live.OpenGated(idx, shardWorkload(parts, i, workload), lc, gate, fmt.Sprintf(`{shard="%d"}`, i))
 	}
 	if cfg.Workload != nil {
 		s.workload = cfg.Workload

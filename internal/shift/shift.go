@@ -20,30 +20,14 @@ import (
 // Config tunes detection sensitivity; zero values take defaults.
 type Config struct {
 	// WindowSize is the number of recent queries compared against the
-	// optimized workload (default 256).
+	// optimized workload (default 256). Analyze reports nothing until half
+	// a window has been observed.
 	WindowSize int
-	// MinObserved suppresses triggering before the window has seen this
-	// many queries (default WindowSize/2).
-	MinObserved int
-	// SelDriftThreshold, when > 0, also triggers on result-selectivity
-	// drift: the live workload-statistics layer can feed each matched
-	// query's *observed* result selectivity back through ObserveResult,
-	// and Analyze compares the per-type running means against baselines
-	// probed from the data the index was fingerprinted on. This catches
-	// drift the embedding match cannot see — the same query shapes
-	// hitting very different amounts of data, e.g. after skewed ingest —
-	// because the embedding is probed against the frozen fingerprint
-	// sample while ObserveResult reflects the data being served now.
-	// Zero (the default) keeps Report.SelDrift informational only.
-	SelDriftThreshold float64
 }
 
 func (c *Config) fill() {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 256
-	}
-	if c.MinObserved == 0 {
-		c.MinObserved = c.WindowSize / 2
 	}
 }
 
@@ -63,9 +47,6 @@ type typeProfile struct {
 	dimKey   string
 	centroid []float64
 	baseFreq float64 // fraction of the optimized workload
-	// baseSel is the type's mean full-conjunction result selectivity over
-	// the fingerprint sample — the baseline ObserveResult drifts against.
-	baseSel float64
 }
 
 // Detector watches a query stream for drift from the optimized workload.
@@ -80,17 +61,7 @@ type Detector struct {
 	pos    int
 	filled bool
 	seen   int
-
-	// Per-type observed result selectivity (running mean with a capped
-	// step, i.e. an EWMA after minSelObs observations), fed by
-	// ObserveResult.
-	obsSel  []float64
-	obsSelN []int
 }
-
-// minSelObs is how many ObserveResult samples a type needs before its
-// selectivity drift participates in Analyze.
-const minSelObs = 8
 
 // NewDetector fingerprints the workload the index was optimized for.
 // Queries are clustered into types exactly as the Grid Tree does (§4.3.1).
@@ -102,7 +73,6 @@ func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detec
 	sums := make(map[int][]float64)
 	counts := make(map[int]int)
 	keys := make(map[int]string)
-	selSums := make(map[int]float64)
 	for _, q := range typed {
 		emb := d.embed(q)
 		if s := sums[q.Type]; s == nil {
@@ -114,7 +84,6 @@ func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detec
 		}
 		counts[q.Type]++
 		keys[q.Type] = q.DimSetKey()
-		selSums[q.Type] += d.querySelectivity(q)
 	}
 	for ty := 0; ty < numTypes; ty++ {
 		n := counts[ty]
@@ -129,42 +98,10 @@ func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detec
 			dimKey:   keys[ty],
 			centroid: c,
 			baseFreq: float64(n) / float64(len(typed)),
-			baseSel:  selSums[ty] / float64(n),
 		})
 	}
 	d.window = make([]int, cfg.WindowSize)
-	d.obsSel = make([]float64, len(d.profiles))
-	d.obsSelN = make([]int, len(d.profiles))
 	return d
-}
-
-// querySelectivity probes the full conjunction's selectivity over the
-// fingerprint sample — the per-type baseline for result-selectivity
-// drift. Unlike embed's per-filter probes, this is the fraction of rows
-// the whole query matches, which is directly comparable to the observed
-// matched/served ratio ObserveResult feeds.
-func (d *Detector) querySelectivity(q query.Query) float64 {
-	if len(d.sample) == 0 {
-		return 1
-	}
-	cols := make([][]int64, len(q.Filters))
-	for i, f := range q.Filters {
-		cols[i] = d.st.Column(f.Dim)
-	}
-	match := 0
-	for _, r := range d.sample {
-		ok := true
-		for i, f := range q.Filters {
-			if v := cols[i][r]; v < f.Lo || v > f.Hi {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			match++
-		}
-	}
-	return float64(match) / float64(len(d.sample))
 }
 
 // embed computes the per-filtered-dimension selectivity embedding.
@@ -188,23 +125,6 @@ func (d *Detector) Observe(q query.Query) int {
 	}
 	d.seen++
 	return ty
-}
-
-// ObserveResult feeds one served query's observed result selectivity
-// (matched rows over table rows) for the type Observe assigned it.
-// Negative types (novel queries) are ignored — they already count toward
-// NovelFrac. The per-type estimate is a running mean whose step caps at
-// 1/16, so it tracks a moving target like an EWMA once warmed up.
-func (d *Detector) ObserveResult(ty int, sel float64) {
-	if ty < 0 || ty >= len(d.obsSel) {
-		return
-	}
-	d.obsSelN[ty]++
-	n := d.obsSelN[ty]
-	if n > 16 {
-		n = 16
-	}
-	d.obsSel[ty] += (sel - d.obsSel[ty]) / float64(n)
 }
 
 // match assigns a query to the nearest profile with the same dimension set
@@ -239,12 +159,7 @@ type Report struct {
 	FreqDrift float64
 	// MissingTypes lists optimized types absent from the window.
 	MissingTypes []int
-	// SelDrift is the largest absolute gap between a type's observed
-	// result selectivity (ObserveResult) and its fingerprint-time
-	// baseline, over types with enough observations. Always reported;
-	// only triggers when Config.SelDriftThreshold > 0.
-	SelDrift float64
-	// ShiftDetected reports whether any enabled threshold was crossed.
+	// ShiftDetected reports whether either threshold was crossed.
 	ShiftDetected bool
 }
 
@@ -255,7 +170,7 @@ func (d *Detector) Analyze() Report {
 		n = d.pos
 	}
 	var rep Report
-	if n == 0 || d.seen < d.cfg.MinObserved {
+	if n == 0 || d.seen < d.cfg.WindowSize/2 {
 		return rep
 	}
 	counts := make([]int, len(d.profiles))
@@ -279,17 +194,7 @@ func (d *Detector) Analyze() Report {
 		}
 	}
 	rep.FreqDrift = tv / 2
-	for i, p := range d.profiles {
-		if d.obsSelN[i] < minSelObs {
-			continue
-		}
-		if drift := math.Abs(d.obsSel[i] - p.baseSel); drift > rep.SelDrift {
-			rep.SelDrift = drift
-		}
-	}
-	rep.ShiftDetected = rep.NovelFrac > novelFracThreshold ||
-		rep.FreqDrift > freqDriftThreshold ||
-		(d.cfg.SelDriftThreshold > 0 && rep.SelDrift > d.cfg.SelDriftThreshold)
+	rep.ShiftDetected = rep.NovelFrac > novelFracThreshold || rep.FreqDrift > freqDriftThreshold
 	return rep
 }
 

@@ -40,8 +40,9 @@ func TestQuerySurface(t *testing.T) {
 }
 
 // TestExecutionKnobs pins every settable field that changes how a query
-// executes. Each field is an option a caller can set, so one that
-// returns (a fan-out switch, say) has to change this list to do it.
+// executes or a store is served. Each field is an option a caller can
+// set, so one that returns (a fan-out switch, a partial-merge threshold)
+// has to change this list to do it.
 func TestExecutionKnobs(t *testing.T) {
 	for _, c := range []struct {
 		typ  any
@@ -49,6 +50,11 @@ func TestExecutionKnobs(t *testing.T) {
 	}{
 		{tsunami.Exec{}, []string{"Trace"}},
 		{tsunami.ExecutorOptions{}, []string{"Workers", "Metrics", "Admission"}},
+		{tsunami.LiveOptions{}, []string{"MergeThreshold", "Shift", "DisableShift", "SnapshotInterval", "SnapshotPath",
+			"OnEvent", "Metrics", "Workload", "CacheEntries"}},
+		{tsunami.ShiftConfig{}, []string{"WindowSize"}},
+		{tsunami.ShardedOptions{}, []string{"Shards", "Dim", "Learned", "Partition", "Live", "SnapshotDir", "Rebalance",
+			"OnEvent", "Metrics", "Workload", "CacheEntries"}},
 	} {
 		typ := reflect.TypeOf(c.typ)
 		var got []string
@@ -65,9 +71,9 @@ func TestExecutionKnobs(t *testing.T) {
 // change what an index holds are the committed list, each deriving a
 // successor and leaving the receiver serving, and every other exported
 // method is a committed read. An in-place twin (a MergeDeltas beside
-// MergedCopyOver) fits neither list and fails here.
+// MergedCopy) fits neither list and fails here.
 func TestMaintenanceSurface(t *testing.T) {
-	maintenance := []string{"CopyWithInserts", "MergedCopyOver", "Reoptimize", "ReoptimizeRegionsCopy", "SplitRange"}
+	maintenance := []string{"CopyWithInserts", "MergedCopy", "Reoptimize", "ReoptimizeRegionsCopy", "SplitRange"}
 	reads := []string{"BufferedRows", "BuildStats", "DebugRegions", "EstimateCost", "Execute", "ExecuteGrouped", "ExecuteWith",
 		"IndexStats", "Name", "NumBuffered", "Plan", "RegionsVisited", "Save", "SizeBytes", "Store"}
 	typ := reflect.TypeOf((*tsunami.TsunamiIndex)(nil))
