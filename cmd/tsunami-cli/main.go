@@ -797,6 +797,13 @@ func fmtBytes(n uint64) string {
 }
 
 func generate(name string, rows, dims int, seed int64) *datasets.Dataset {
+	if rows < 1 {
+		fatal(fmt.Errorf("-rows must be at least 1, got %d", rows))
+	}
+	synthetic := strings.EqualFold(name, "uniform") || strings.EqualFold(name, "correlated")
+	if synthetic && dims < 1 {
+		fatal(fmt.Errorf("-dims must be at least 1, got %d", dims))
+	}
 	switch strings.ToLower(name) {
 	case "tpch":
 		return datasets.TPCH(rows, seed)

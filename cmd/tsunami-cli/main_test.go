@@ -93,3 +93,29 @@ func TestMetricsBindFailureExitsNonZero(t *testing.T) {
 		})
 	}
 }
+
+// TestBadSizeFlagsExitWithError starts the shell with dataset sizes it
+// cannot build: each must print an error and exit 1, not panic (a panic
+// exits 2 with a stack trace).
+func TestBadSizeFlagsExitWithError(t *testing.T) {
+	for _, args := range []string{
+		"-dataset uniform -dims 0",
+		"-dataset uniform -dims -2",
+		"-dataset correlated -rows 100 -dims 0",
+		"-dataset uniform -rows -5",
+		"-dataset taxi -rows -5",
+		"-dataset tpch -rows 0",
+	} {
+		t.Run(args, func(t *testing.T) {
+			out, err := cli(args, "quit\n").CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) {
+				t.Fatalf("exited cleanly; output:\n%s", out)
+			}
+			if code := ee.ExitCode(); code != 1 || strings.Contains(string(out), "panic") ||
+				!strings.Contains(string(out), "tsunami-cli: -") {
+				t.Fatalf("exit code %d, want 1 with a flag error; output:\n%s", code, out)
+			}
+		})
+	}
+}

@@ -65,11 +65,13 @@ func Build(st *colstore.Store, rows []int, layout Layout) (*Grid, []int, error) 
 	return build(st, rows, layout, nil)
 }
 
-// build is Build given, per dim, the values of st's column over rows in
-// ascending order, or sorted == nil to sort the ones it needs here. The
-// Evaluator sorts its sample's columns once and passes them for every
-// candidate it prices.
-func build(st *colstore.Store, rows []int, layout Layout, sorted [][]int64) (*Grid, []int, error) {
+// build is Build, or, given o, the Evaluator's pricing build: st is then
+// o's sample and rows is every sample row, 0..n-1, in order. The two share
+// boundaries, mappings and outliers; the pricing build reads independent
+// boundaries off o's sorted columns and leaves conditional groups,
+// partitions and the cell order to sampleOrder.place, where Build sorts
+// and binary-searches.
+func build(st *colstore.Store, rows []int, layout Layout, o *sampleOrder) (*Grid, []int, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -111,8 +113,8 @@ func build(st *colstore.Store, rows []int, layout Layout, sorted [][]int64) (*Gr
 				continue
 			}
 			var vals []int64
-			if sorted != nil {
-				vals = sorted[j]
+			if o != nil {
+				vals = o.sorted[j]
 			} else {
 				vals = gather(st.Column(j), rows)
 				slices.Sort(vals)
@@ -125,8 +127,8 @@ func build(st *colstore.Store, rows []int, layout Layout, sorted [][]int64) (*Gr
 			y := gather(st.Column(target), rows)
 			lr, out := robustFit(x, y, g.layout.OutlierFrac)
 			g.mappings[j] = lr
-			for i, o := range out {
-				if o {
+			for i, isOut := range out {
+				if isOut {
 					if outlier == nil {
 						outlier = make([]bool, len(rows))
 					}
@@ -148,35 +150,28 @@ func build(st *colstore.Store, rows []int, layout Layout, sorted [][]int64) (*Gr
 		}
 		g.nOutliers = len(outlierRows)
 	}
+	if o != nil {
+		return g, o.place(g, rows, numCells, outlier, outlierRows), nil
+	}
 
 	// Phase 2: conditional boundaries (bases are Independent, so their
-	// boundaries exist now).
+	// boundaries exist now), from each base partition's sorted values.
 	for j := 0; j < d; j++ {
 		if g.layout.Skeleton[j].Kind != Conditional {
 			continue
 		}
 		base := g.layout.Skeleton[j].Other
-		pBase := g.layout.P[base]
-		p := g.layout.P[j]
-		groups := make([][]int64, pBase)
+		groups := make([][]int64, g.layout.P[base])
 		baseCol := st.Column(base)
 		col := st.Column(j)
 		for _, r := range inlierRows {
 			b := g.partIndep(base, baseCol[r])
 			groups[b] = append(groups[b], col[r])
 		}
-		cb := make([][]int64, pBase)
-		for b, vals := range groups {
-			if len(vals) == 0 {
-				// Empty base partition: degenerate single-point boundaries.
-				cb[b] = make([]int64, p+1)
-				continue
-			}
+		for _, vals := range groups {
 			slices.Sort(vals)
-			m := cdfmodel.NewSortedSample(vals, sampleFor(len(vals), p))
-			cb[b] = cdfmodel.Boundaries(m, p)
 		}
-		g.condBounds[j] = cb
+		g.condBounds[j] = condBoundaries(groups, g.layout.P[j])
 	}
 
 	// Phase 3: assign cells to inlier rows, order them (cell-major, sort
@@ -192,6 +187,208 @@ func build(st *colstore.Store, rows []int, layout Layout, sorted [][]int64) (*Gr
 	orderedRows, offsets := orderCells(inlierRows, cells, sortCol, numCells)
 	g.offsets = offsets
 	return g, append(orderedRows, outlierRows...), nil
+}
+
+// condBoundaries returns a conditional dim's p+1 boundaries in each base
+// partition, given the partition's values in ascending order.
+func condBoundaries(groups [][]int64, p int) [][]int64 {
+	cb := make([][]int64, len(groups))
+	for b, vals := range groups {
+		if len(vals) == 0 {
+			// Empty base partition: degenerate single-point boundaries.
+			cb[b] = make([]int64, p+1)
+			continue
+		}
+		m := cdfmodel.NewSortedSample(vals, sampleFor(len(vals), p))
+		cb[b] = cdfmodel.Boundaries(m, p)
+	}
+	return cb
+}
+
+// sampleOrder is an Evaluator's fixed sample ordered once per column, and
+// the scratch its pricing build reuses for every candidate: each grid it
+// builds holds offsets that the next candidate overwrites.
+type sampleOrder struct {
+	order  [][]int   // order[j]: the sample rows by (column j value, row)
+	sorted [][]int64 // sorted[j][k]: column j's value at row order[j][k]
+	none   []bool    // all false: the outlier flags of a layout without any
+
+	// Per-candidate scratch.
+	parts   [][]int // parts[j][r]: row r's partition in grid dim j
+	cells   []int   // cells[r]: row r's cell
+	vals    []int64 // one conditional dim's inlier values, grouped by base partition
+	groups  [][]int64
+	start   []int // start[b]: base partition b's first value in vals
+	cursor  []int // per base partition: a fill position, then a boundary cursor
+	offsets []int
+	next    []int
+	ordered []int
+}
+
+// newSampleOrder orders each column of the sample st by (value, row).
+func newSampleOrder(st *colstore.Store) *sampleOrder {
+	n, d := st.NumRows(), st.NumDims()
+	o := &sampleOrder{
+		order:  make([][]int, d),
+		sorted: make([][]int64, d),
+		parts:  make([][]int, d),
+		none:   make([]bool, n),
+	}
+	taken := make([]int, n)
+	for j := 0; j < d; j++ {
+		col := st.Column(j)
+		sorted := slices.Clone(col)
+		slices.Sort(sorted)
+		// Each row takes the first free slot of its value's run, so ties
+		// stay in row order.
+		order := make([]int, n)
+		clear(taken)
+		for r, v := range col {
+			i, _ := slices.BinarySearch(sorted, v)
+			order[i+taken[i]] = r
+			taken[i]++
+		}
+		o.order[j], o.sorted[j] = order, sorted
+		o.parts[j] = make([]int, n)
+	}
+	return o
+}
+
+// place is the pricing build's phases 2 and 3. Given g with its
+// independent boundaries, mappings and outliers set over the sample rows
+// (0..n-1), it fills the conditional boundaries and the offsets and
+// returns the rows in grid order, with linear passes over the row orders.
+// It matches Build because a row order is a stable sort by value: rows
+// appended in it come out sorted, a cursor moving up ascending boundaries
+// stops where the binary search lands, and a stable counting sort by cell
+// over the sort dim's order leaves each cell ordered by (value, row).
+func (o *sampleOrder) place(g *Grid, rows []int, numCells int, outlier []bool, outlierRows []int) []int {
+	l, n := &g.layout, g.n
+	if outlier == nil {
+		outlier = o.none
+	}
+
+	// Partitions, independents first (gridDims puts every base before its
+	// dependents). An independent dim's cursor walks its boundaries; a
+	// conditional dim walks one cursor per base partition, over the
+	// boundaries taken from that partition's group.
+	for _, j := range g.gridDims {
+		part, sorted := o.parts[j], o.sorted[j]
+		p := l.P[j]
+		if l.Skeleton[j].Kind == Independent {
+			b, k := g.bounds[j], 0
+			for i, r := range o.order[j] {
+				for k < len(b) && b[k] <= sorted[i] {
+					k++
+				}
+				part[r] = clampPart(k-1, p)
+			}
+			continue
+		}
+		basePart := o.parts[l.Skeleton[j].Other]
+		g.condBounds[j] = condBoundaries(o.group(j, basePart, l.P[l.Skeleton[j].Other], outlier), p)
+		cursor := o.cursor
+		clear(cursor)
+		for i, r := range o.order[j] {
+			if outlier[r] {
+				continue
+			}
+			bp := basePart[r]
+			b, k := g.condBounds[j][bp], cursor[bp]
+			for k < len(b) && b[k] <= sorted[i] {
+				k++
+			}
+			cursor[bp] = k
+			part[r] = clampPart(k-1, p)
+		}
+	}
+
+	o.cells = scratch(o.cells, n)
+	cells := o.cells
+	clear(cells)
+	for k, j := range g.gridDims {
+		if s := g.strides[k]; l.P[j] > 1 {
+			for r, pt := range o.parts[j] {
+				cells[r] += pt * s
+			}
+		}
+	}
+
+	// A stable counting sort by cell, over the sort dim's row order when
+	// there is one, else over the rows in order; outliers go last.
+	o.offsets = scratch(o.offsets, numCells+1)
+	offsets := o.offsets
+	clear(offsets)
+	for r, c := range cells {
+		if !outlier[r] {
+			offsets[c+1]++
+		}
+	}
+	for c := 1; c < len(offsets); c++ {
+		offsets[c] += offsets[c-1]
+	}
+	o.next = scratch(o.next, numCells)
+	next := o.next
+	copy(next, offsets)
+	walk := rows
+	if l.SortDim >= 0 {
+		walk = o.order[l.SortDim]
+	}
+	o.ordered = scratch(o.ordered, n)
+	ordered := o.ordered
+	for _, r := range walk {
+		if !outlier[r] {
+			c := cells[r]
+			ordered[next[c]] = r
+			next[c]++
+		}
+	}
+	copy(ordered[offsets[numCells]:], outlierRows)
+	g.offsets = offsets
+	return ordered
+}
+
+// group returns conditional dim j's inlier values split by base partition
+// (basePart[r] is row r's), each group in ascending order because the rows
+// are taken in j's row order. It leaves o.cursor sized to pBase.
+func (o *sampleOrder) group(j int, basePart []int, pBase int, outlier []bool) [][]int64 {
+	o.start = scratch(o.start, pBase+1)
+	start := o.start
+	clear(start)
+	for r, b := range basePart {
+		if !outlier[r] {
+			start[b+1]++
+		}
+	}
+	for b := 1; b <= pBase; b++ {
+		start[b] += start[b-1]
+	}
+	o.cursor = scratch(o.cursor, pBase)
+	fill := o.cursor
+	copy(fill, start)
+	o.vals = scratch(o.vals, start[pBase])
+	sorted := o.sorted[j]
+	for i, r := range o.order[j] {
+		if !outlier[r] {
+			b := basePart[r]
+			o.vals[fill[b]] = sorted[i]
+			fill[b]++
+		}
+	}
+	o.groups = scratch(o.groups, pBase)
+	for b := range o.groups {
+		o.groups[b] = o.vals[start[b]:start[b+1]]
+	}
+	return o.groups
+}
+
+// scratch returns s resized to n, reallocating only when it is too short;
+// what it holds is unspecified.
+func scratch[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // orderCells returns rows in grid order and the start of each of the

@@ -2,7 +2,6 @@ package auggrid
 
 import (
 	"math/rand"
-	"slices"
 
 	"repro/internal/colstore"
 	"repro/internal/query"
@@ -45,14 +44,20 @@ func DefaultCostWeights() CostWeights { return CostWeights{W0: 60, W1: 0.45, W2:
 // so the real planner prices a candidate without scanning it, and there
 // is no separate estimation code to drift out of sync.
 //
-// The sample is fixed for the Evaluator's life, so NewEvaluator sorts each
-// of its columns once: a candidate's independent boundaries are read off
-// the sorted column, and pricing a candidate sorts only its conditional
-// dims' per-base groups and its cells' sort-dim values.
+// The sample is fixed for the Evaluator's life, so NewEvaluator orders
+// each of its columns once: the rows sorted by (value, row). Pricing a
+// candidate then sorts and searches nothing. Independent boundaries are
+// read off the sorted columns; each row's partitions, the conditional
+// dims' per-base groups and the cell order come from linear passes over
+// the row orders (sampleOrder.place), into scratch the Evaluator keeps,
+// and the grid-order copy of the sample reuses one store. Build is the
+// same code over real rows, with sorts and binary searches in those
+// three steps.
 type Evaluator struct {
 	sample  *colstore.Store
-	rows    []int     // 0..n-1: every sample row, the rows each candidate grid spans
-	sorted  [][]int64 // sorted[j] is the sample's column j in ascending order
+	rows    []int           // 0..n-1: every sample row, the rows each candidate grid spans
+	ord     *sampleOrder    // nil prices through Build's sorting path (a benchmark's baseline)
+	grid    *colstore.Store // the sample in the last priced candidate's grid order
 	queries []query.Query
 	weights CostWeights
 	scale   float64 // full rows per sample row
@@ -103,18 +108,7 @@ func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg Eva
 			sampleRows[i] = rows[rng.Intn(n)]
 		}
 	}
-	d := st.NumDims()
-	cols := make([][]int64, d)
-	sorted := make([][]int64, d)
-	for j := 0; j < d; j++ {
-		cols[j] = gather(st.Column(j), sampleRows)
-		sorted[j] = slices.Clone(cols[j])
-		slices.Sort(sorted[j])
-	}
-	sample, err := colstore.FromColumns(cols, st.Names())
-	if err != nil {
-		panic("auggrid: " + err.Error()) // sample columns are consistent by construction
-	}
+	sample := st.Gather(sampleRows, nil)
 	all := make([]int, len(sampleRows))
 	for i := range all {
 		all[i] = i
@@ -133,7 +127,7 @@ func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg Eva
 		scale = float64(n) / float64(len(sampleRows))
 	}
 	return &Evaluator{
-		sample: sample, rows: all, sorted: sorted, queries: qs,
+		sample: sample, rows: all, ord: newSampleOrder(sample), queries: qs,
 		weights: cfg.Weights, scale: scale, ctx: NewExecContext(),
 	}
 }
@@ -170,21 +164,15 @@ func (e *Evaluator) PredictQuery(l Layout, q query.Query) float64 {
 }
 
 // buildSampleGrid builds l over the whole sample and binds it to a copy of
-// the sample laid out in grid order.
+// the sample laid out in grid order. The grid lives until the next call:
+// its offsets and store are the Evaluator's scratch.
 func (e *Evaluator) buildSampleGrid(l Layout) (*Grid, error) {
-	g, ordered, err := build(e.sample, e.rows, l, e.sorted)
+	g, ordered, err := build(e.sample, e.rows, l, e.ord)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([][]int64, e.sample.NumDims())
-	for j := range cols {
-		cols[j] = gather(e.sample.Column(j), ordered)
-	}
-	st, err := colstore.FromColumns(cols, e.sample.Names())
-	if err != nil {
-		return nil, err
-	}
-	g.Finalize(st, 0)
+	e.grid = e.sample.Gather(ordered, e.grid)
+	g.Finalize(e.grid, 0)
 	return g, nil
 }
 

@@ -3,7 +3,6 @@ package auggrid
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/cdfmodel"
@@ -271,6 +270,10 @@ func (c *searchCtx) heuristicSkeleton() Skeleton {
 		empty float64
 	}
 	var ccs []ccCand
+	eq := make([][]int64, c.d) // per dim, 16 equi-depth partitions of the sample
+	for j := range eq {
+		eq[j] = equiDepthBounds(c.eval.ord.sorted[j], 16)
+	}
 	for x := 0; x < c.d; x++ {
 		if s[x].Kind != Independent || x == c.sortDim || isTarget[x] {
 			continue
@@ -279,7 +282,7 @@ func (c *searchCtx) heuristicSkeleton() Skeleton {
 			if y == x || y == c.sortDim || s[y].Kind != Independent {
 				continue
 			}
-			e := emptyCellFraction(sample.Column(x), sample.Column(y), 16)
+			e := emptyCellFraction(sample.Column(x), sample.Column(y), eq[x], eq[y])
 			if e > c.cfg.CCDFEmptyFrac {
 				ccs = append(ccs, ccCand{x: x, y: y, empty: e})
 			}
@@ -301,14 +304,14 @@ func (c *searchCtx) heuristicSkeleton() Skeleton {
 }
 
 // emptyCellFraction imposes a p×p equi-depth grid over dims (x, y) of the
-// sample and returns the fraction of empty cells — the §5.3.2 signal for
-// conditional CDFs.
-func emptyCellFraction(xs, ys []int64, p int) float64 {
+// sample, the dims' bounds bx and by (p+1 each, from equiDepthBounds), and
+// returns the fraction of empty cells — the §5.3.2 signal for conditional
+// CDFs.
+func emptyCellFraction(xs, ys, bx, by []int64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	bx := equiDepthBounds(xs, p)
-	by := equiDepthBounds(ys, p)
+	p := len(bx) - 1
 	occupied := make([]bool, p*p)
 	for i := range xs {
 		ix := clampPart(searchGT(bx, 0, len(bx), xs[i])-1, p)
@@ -324,10 +327,13 @@ func emptyCellFraction(xs, ys []int64, p int) float64 {
 	return 1 - float64(full)/float64(p*p)
 }
 
-func equiDepthBounds(vals []int64, p int) []int64 {
-	sorted := slices.Clone(vals)
-	slices.Sort(sorted)
+// equiDepthBounds returns the p+1 boundaries of p equi-depth partitions of
+// sorted, a column's values in ascending order (all zero when it is empty).
+func equiDepthBounds(sorted []int64, p int) []int64 {
 	b := make([]int64, p+1)
+	if len(sorted) == 0 {
+		return b
+	}
 	for i := 0; i <= p; i++ {
 		idx := i * len(sorted) / p
 		if idx >= len(sorted) {

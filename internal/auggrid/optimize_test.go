@@ -2,6 +2,7 @@ package auggrid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/colstore"
@@ -295,8 +296,13 @@ func TestEmptyCellFraction(t *testing.T) {
 		yTight[i] = x[i] + rng.Int63n(100)
 		yIndep[i] = rng.Int63n(100000)
 	}
-	tight := emptyCellFraction(x, yTight, 16)
-	indep := emptyCellFraction(x, yIndep, 16)
+	bounds := func(col []int64) []int64 {
+		sorted := slices.Clone(col)
+		slices.Sort(sorted)
+		return equiDepthBounds(sorted, 16)
+	}
+	tight := emptyCellFraction(x, yTight, bounds(x), bounds(yTight))
+	indep := emptyCellFraction(x, yIndep, bounds(x), bounds(yIndep))
 	if tight < 0.5 {
 		t.Errorf("tight correlation empty fraction = %.2f, want > 0.5", tight)
 	}

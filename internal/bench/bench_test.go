@@ -141,6 +141,16 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeSizes: a negative row or query count is an error
+// from Run, not a panic in a generator.
+func TestRunRejectsNegativeSizes(t *testing.T) {
+	for _, o := range []Options{{Rows: -5}, {QueriesPerType: -1}} {
+		if err := Run(io.Discard, "fig7", o); err == nil {
+			t.Errorf("Run with %+v: no error", o)
+		}
+	}
+}
+
 func TestOptionsFill(t *testing.T) {
 	o := Options{}.fill()
 	if o.Rows != 200_000 || o.QueriesPerType != 100 || o.Seed != 42 {

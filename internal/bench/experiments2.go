@@ -259,6 +259,9 @@ func IDs() []string {
 
 // Run dispatches an experiment by id ("tab3", "fig7", ..., "all").
 func Run(w io.Writer, id string, o Options) error {
+	if o.Rows < 0 || o.QueriesPerType < 0 {
+		return fmt.Errorf("rows (%d) and queries per type (%d) must not be negative (0 picks the default)", o.Rows, o.QueriesPerType)
+	}
 	ran := false
 	for _, e := range experiments {
 		if id == e.id || id == "all" {

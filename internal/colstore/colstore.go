@@ -157,6 +157,36 @@ func (s *Store) Reorder(perm []int) error {
 	return nil
 }
 
+// Gather returns a store of s's rows at the given positions, in that order.
+// It writes into reuse's columns when reuse is a store of s's width (reuse
+// may be nil), so a caller gathering again and again allocates once; reuse
+// must not be read after the call except through the returned store.
+func (s *Store) Gather(rows []int, reuse *Store) *Store {
+	out := reuse
+	if out == nil || len(out.cols) != len(s.cols) {
+		out = &Store{
+			names:     s.names,
+			cols:      make([][]int64, len(s.cols)),
+			groupMeta: make([]atomic.Pointer[groupMeta], len(s.cols)),
+		}
+	}
+	for j, c := range s.cols {
+		dst := out.cols[j]
+		if cap(dst) < len(rows) {
+			dst = make([]int64, len(rows))
+		}
+		dst = dst[:len(rows)]
+		for i, r := range rows {
+			dst[i] = c[r]
+		}
+		out.cols[j] = dst
+	}
+	for i := range out.groupMeta {
+		out.groupMeta[i].Store(nil)
+	}
+	return out
+}
+
 // Clone deep-copies the store, so an index build can reorder its own copy.
 func (s *Store) Clone() *Store {
 	out := &Store{names: append([]string(nil), s.names...)}

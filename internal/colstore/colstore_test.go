@@ -82,6 +82,31 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestGather checks Gather's rows and order, that it copies, and that
+// gathering into a store it returned reuses that store's columns.
+func TestGather(t *testing.T) {
+	s := testStore(t)
+	g := s.Gather([]int{4, 0, 4}, nil)
+	if g.NumRows() != 3 || g.NumDims() != 3 || g.Value(0, 1) != 50 || g.Value(1, 2) != 100 || g.Value(2, 0) != 5 {
+		t.Fatalf("gathered rows wrong: %v %v %v", g.Column(0), g.Column(1), g.Column(2))
+	}
+	g.Column(0)[0] = 999
+	if s.Value(4, 0) == 999 {
+		t.Error("gather shares storage with the source")
+	}
+	col := &g.Column(1)[0]
+	h := s.Gather([]int{1, 2}, g)
+	if h != g || &h.Column(1)[0] != col {
+		t.Error("gathering fewer rows into a gathered store did not reuse it")
+	}
+	if h.NumRows() != 2 || h.Value(0, 0) != 2 || h.Value(1, 2) != 300 {
+		t.Errorf("regathered rows wrong: %v %v", h.Column(0), h.Column(2))
+	}
+	if e := s.Gather(nil, nil); e.NumRows() != 0 || e.NumDims() != 3 {
+		t.Errorf("empty gather has shape (%d, %d), want (0, 3)", e.NumRows(), e.NumDims())
+	}
+}
+
 func TestScanRangeCount(t *testing.T) {
 	s := testStore(t)
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 2, Hi: 4})

@@ -80,18 +80,20 @@ func NewFromValues(values []int64, maxBins int) *Histogram {
 	return NewEquiWidth(lo, hi, maxBins)
 }
 
-// uniqueSorted returns the sorted unique values, giving up (returning a
-// slice of length limit) once more than limit-1 uniques are seen.
+// uniqueSorted returns values' distinct values in ascending order when
+// there are fewer than limit of them. Otherwise it returns limit distinct
+// values, the first limit it meets, and stops reading there: one pass over
+// a sorted set of at most limit values, no copy or sort of values.
 func uniqueSorted(values []int64, limit int) []int64 {
-	vs := slices.Clone(values)
-	slices.Sort(vs)
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-			if len(out) >= limit {
-				break
-			}
+	out := make([]int64, 0, max(limit, 0))
+	for _, v := range values {
+		i, found := slices.BinarySearch(out, v)
+		if found {
+			continue
+		}
+		out = slices.Insert(out, i, v)
+		if len(out) >= limit {
+			break
 		}
 	}
 	return out

@@ -3,8 +3,12 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cdfmodel"
 )
 
 func TestEquiWidthBins(t *testing.T) {
@@ -54,6 +58,64 @@ func TestNewFromValuesUniques(t *testing.T) {
 	}
 	if h.Bin(1) == h.Bin(3) {
 		t.Error("distinct values share a bin")
+	}
+}
+
+// newFromValuesSorted is NewFromValues as it was built before its
+// distinct-value pass: clone and sort the whole column, then walk it. It
+// is the reference NewFromValues must match.
+func newFromValuesSorted(values []int64, maxBins int) *Histogram {
+	if len(values) == 0 {
+		return NewEquiWidth(0, 0, 1)
+	}
+	vs := slices.Clone(values)
+	slices.Sort(vs)
+	uniq := slices.Compact(vs)
+	if len(uniq) <= maxBins {
+		b := append(slices.Clone(uniq), cdfmodel.Above(uniq[len(uniq)-1]))
+		return &Histogram{Bounds: b, Mass: make([]float64, len(uniq))}
+	}
+	return NewEquiWidth(uniq[0], uniq[len(uniq)-1], maxBins)
+}
+
+// TestNewFromValuesMatchesSortedReference draws columns with exactly
+// maxBins-1, maxBins and maxBins+1 distinct values (and many more),
+// repeated and shuffled, some holding MinInt64 and MaxInt64, and checks
+// NewFromValues builds the reference's histogram.
+func TestNewFromValuesMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		maxBins := 1 + rng.Intn(40)
+		distinct := maxBins + rng.Intn(3) - 1
+		if trial%5 == 0 {
+			distinct = 1 + rng.Intn(4*maxBins)
+		}
+		set := map[int64]bool{}
+		switch trial % 4 {
+		case 1:
+			set[math.MinInt64] = true
+		case 2:
+			set[math.MaxInt64] = true
+		case 3:
+			set[math.MinInt64], set[math.MaxInt64] = true, true
+		}
+		span := int64(1) << (8 + rng.Intn(55)) // >= 256: room for every draw
+		for len(set) < distinct {
+			set[rng.Int63n(span)-span/2] = true
+		}
+		var values []int64
+		for v := range set {
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				values = append(values, v)
+			}
+		}
+		rng.Shuffle(len(values), func(i, j int) { values[i], values[j] = values[j], values[i] })
+		if got, want := NewFromValues(values, maxBins), newFromValuesSorted(values, maxBins); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d distinct, maxBins %d): got bounds %v, want %v", trial, len(set), maxBins, got.Bounds, want.Bounds)
+		}
+	}
+	if got, want := NewFromValues(nil, 8), newFromValuesSorted(nil, 8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("empty column: got %v, want %v", got.Bounds, want.Bounds)
 	}
 }
 
