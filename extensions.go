@@ -35,7 +35,7 @@ type ShiftConfig = shift.Config
 
 // NewShiftDetector fingerprints the workload an index was optimized for.
 // Feed live queries to Observe and poll Analyze; on ShiftDetected, call
-// TsunamiIndex.Reoptimize with the recent workload.
+// TsunamiIndex.Reoptimize with the detector's Recent workload.
 func NewShiftDetector(table *Table, optimized []Query, cfg ShiftConfig) *ShiftDetector {
 	return shift.NewDetector(table, optimized, cfg)
 }

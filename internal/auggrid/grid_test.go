@@ -54,18 +54,15 @@ func randomQuery(s *colstore.Store, rng *rand.Rand) query.Query {
 // buildGrid builds a standalone grid over the full store.
 func buildGrid(t *testing.T, s *colstore.Store, l Layout) (*Grid, *colstore.Store) {
 	t.Helper()
-	clone := s.Clone()
-	rows := make([]int, clone.NumRows())
+	rows := make([]int, s.NumRows())
 	for i := range rows {
 		rows[i] = i
 	}
-	g, ordered, err := Build(clone, rows, l)
+	g, ordered, err := Build(s, rows, l)
 	if err != nil {
 		t.Fatalf("Build(%v): %v", l, err)
 	}
-	if err := clone.Reorder(ordered); err != nil {
-		t.Fatal(err)
-	}
+	clone := s.Gather(ordered, nil)
 	g.Finalize(clone, 0)
 	return g, clone
 }

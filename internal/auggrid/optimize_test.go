@@ -131,14 +131,11 @@ func TestAllOptimizersProduceValidLayouts(t *testing.T) {
 }
 
 func buildAndFinalize(st *colstore.Store, l Layout) (*Grid, *colstore.Store, error) {
-	clone := st.Clone()
-	g, ordered, err := Build(clone, allRowsOf(clone), l)
+	g, ordered, err := Build(st, allRowsOf(st), l)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := clone.Reorder(ordered); err != nil {
-		return nil, nil, err
-	}
+	clone := st.Gather(ordered, nil)
 	g.Finalize(clone, 0)
 	return g, clone, nil
 }

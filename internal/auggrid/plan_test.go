@@ -46,18 +46,15 @@ func planGrids(tb testing.TB) []planGrid {
 			NewLayout(single, []int{1, 1, 7, 2, 1}, 0),
 		}
 		for _, l := range layouts {
-			clone := s.Clone()
-			rows := make([]int, clone.NumRows())
+			rows := make([]int, s.NumRows())
 			for i := range rows {
 				rows[i] = i
 			}
-			g, ordered, err := Build(clone, rows, l)
+			g, ordered, err := Build(s, rows, l)
 			if err != nil {
 				panic(err)
 			}
-			if err := clone.Reorder(ordered); err != nil {
-				panic(err)
-			}
+			clone := s.Gather(ordered, nil)
 			g.Finalize(clone, 0)
 			planGridsAll = append(planGridsAll, planGrid{g: g, st: clone})
 		}
@@ -292,9 +289,7 @@ func BenchmarkPlanRanges(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.Reorder(ordered); err != nil {
-		b.Fatal(err)
-	}
+	s = s.Gather(ordered, nil)
 	g.Finalize(s, 0)
 	q := query.NewCount(
 		query.Filter{Dim: 0, Lo: 1 << 18, Hi: 3 << 18},

@@ -195,18 +195,15 @@ func allRows(n int) []int {
 	return rows
 }
 
-// buildStandaloneGrid builds one Augmented Grid over a clone of st.
+// buildStandaloneGrid builds one Augmented Grid over a reordered copy of st.
 func buildStandaloneGrid(st *colstore.Store, layout auggrid.Layout) (*auggrid.Grid, *colstore.Store, error) {
-	clone := st.Clone()
-	g, ordered, err := auggrid.Build(clone, allRows(clone.NumRows()), layout)
+	g, ordered, err := auggrid.Build(st, allRows(st.NumRows()), layout)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := clone.Reorder(ordered); err != nil {
-		return nil, nil, err
-	}
-	g.Finalize(clone, 0)
-	return g, clone, nil
+	sorted := st.Gather(ordered, nil)
+	g.Finalize(sorted, 0)
+	return g, sorted, nil
 }
 
 // gridIndex adapts a bare Augmented Grid over its store to the Index

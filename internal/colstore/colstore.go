@@ -134,33 +134,13 @@ func (s *Store) MinMax(dim int) (int64, int64) {
 	return lo, hi
 }
 
-// Reorder physically rewrites every column so that new row i holds old row
-// perm[i]. This is how clustered indexes lay out their data. perm must be a
-// permutation of [0, NumRows).
-func (s *Store) Reorder(perm []int) error {
-	n := s.NumRows()
-	if len(perm) != n {
-		return fmt.Errorf("colstore: permutation length %d, want %d", len(perm), n)
-	}
-	buf := make([]int64, n)
-	for _, c := range s.cols {
-		for i, p := range perm {
-			buf[i] = c[p]
-		}
-		copy(c, buf)
-	}
-	// The byte-coded group images alias the old row order; drop them so
-	// the next grouped scan rebuilds against the new layout.
-	for i := range s.groupMeta {
-		s.groupMeta[i].Store(nil)
-	}
-	return nil
-}
-
-// Gather returns a store of s's rows at the given positions, in that order.
-// It writes into reuse's columns when reuse is a store of s's width (reuse
-// may be nil), so a caller gathering again and again allocates once; reuse
-// must not be read after the call except through the returned store.
+// Gather returns a store of s's rows at the given positions, in that order:
+// given a permutation, it is s physically reordered, which is how the
+// clustered indexes lay out their data. It writes into reuse's columns
+// when reuse is a store of s's width (reuse may be nil), so a caller
+// gathering again and again allocates once; reuse must not be read after
+// the call except through the returned store, and its byte-coded group
+// images, which alias its old rows, are dropped.
 func (s *Store) Gather(rows []int, reuse *Store) *Store {
 	out := reuse
 	if out == nil || len(out.cols) != len(s.cols) {

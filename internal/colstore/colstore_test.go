@@ -56,20 +56,10 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestReorder(t *testing.T) {
-	s := testStore(t)
-	if err := s.Reorder([]int{4, 3, 2, 1, 0}); err != nil {
-		t.Fatal(err)
-	}
+func TestGatherPermutation(t *testing.T) {
+	s := testStore(t).Gather([]int{4, 3, 2, 1, 0}, nil)
 	if s.Value(0, 0) != 5 || s.Value(4, 2) != 100 {
 		t.Errorf("reorder wrong: row0=%d rowlast=%d", s.Value(0, 0), s.Value(4, 2))
-	}
-}
-
-func TestReorderBadLength(t *testing.T) {
-	s := testStore(t)
-	if err := s.Reorder([]int{0, 1}); err == nil {
-		t.Error("short permutation should fail")
 	}
 }
 
@@ -176,9 +166,9 @@ func TestScanMultiFilter(t *testing.T) {
 	}
 }
 
-// TestReorderIsPermutationProperty verifies that reordering preserves the
-// multiset of rows.
-func TestReorderIsPermutationProperty(t *testing.T) {
+// TestGatherIsPermutationProperty verifies that gathering a permutation
+// preserves the multiset of rows.
+func TestGatherIsPermutationProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(64)
@@ -190,10 +180,7 @@ func TestReorderIsPermutationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		perm := rng.Perm(n)
-		if err := s.Reorder(perm); err != nil {
-			return false
-		}
+		s = s.Gather(rng.Perm(n), nil)
 		// Every original row must appear exactly once.
 		seen := make(map[[2]int64]int)
 		for _, r := range rows {

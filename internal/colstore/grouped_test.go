@@ -219,14 +219,16 @@ func TestGroupAggAvg(t *testing.T) {
 	}
 }
 
-// TestGroupCodesReorderInvalidation pins the byte-code cache's Reorder
+// TestGroupCodesReorderInvalidation pins the byte-code cache's Gather
 // contract: a grouped COUNT that built the coded image must stay
-// oracle-identical after the store is physically permuted (index builds
-// Reorder after cloning — stale codes would silently misattribute every
-// row's group).
+// oracle-identical after the store's columns are rewritten in place by a
+// permuting Gather into it (the Evaluator gathers into the same store
+// again and again — stale codes would silently misattribute every row's
+// group).
 func TestGroupCodesReorderInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	s := randGroupedStore(t, rng, 5_000)
+	src := randGroupedStore(t, rng, 5_000)
+	s := src.Gather(rng.Perm(src.NumRows()), nil)
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 100, Hi: 800}).By(3)
 
 	acc := NewGroupAccumulator(q, s)
@@ -235,9 +237,8 @@ func TestGroupCodesReorderInvalidation(t *testing.T) {
 		t.Fatalf("pre-reorder mismatch:\n got %v\nwant %v", got, want)
 	}
 
-	perm := rng.Perm(s.NumRows())
-	if err := s.Reorder(perm); err != nil {
-		t.Fatal(err)
+	if g := src.Gather(rng.Perm(src.NumRows()), s); g != s {
+		t.Fatal("the gather did not reuse the coded store")
 	}
 	acc = NewGroupAccumulator(q, s)
 	s.ScanRangeGrouped(q, 0, s.NumRows(), false, acc)

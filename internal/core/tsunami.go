@@ -120,7 +120,7 @@ var execCtxPool = sync.Pool{
 	New: func() any { return &execContext{grid: auggrid.NewExecContext()} },
 }
 
-// Build optimizes and constructs the index over a clone of st for the
+// Build optimizes and constructs the index over a reordered copy of st for the
 // sample workload (§3): optimize the Grid Tree on the full dataset and
 // workload, then optimize an Augmented Grid per region on only the points
 // and queries intersecting it, then reorganize the data.
@@ -135,13 +135,11 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 	t := &Tsunami{cfg: cfg}
 
 	optStart := time.Now()
-	clone := st.Clone()
-
 	var tree *gridtree.Tree
 	if cfg.Variant == AugGridOnly || cfg.Variant == Flood {
-		tree = singleRegionTree(clone, workload)
+		tree = singleRegionTree(st, workload)
 	} else {
-		tree = gridtree.Build(clone, workload, cfg.GridTree)
+		tree = gridtree.Build(st, workload, cfg.GridTree)
 	}
 	t.tree = tree
 
@@ -175,8 +173,8 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 				gcfg.FMErrFrac = -1    // disable FM heuristic
 				gcfg.CCDFEmptyFrac = 2 // disable CCDF heuristic
 			}
-			layout, _ := auggrid.Optimize(clone, r.Rows, r.Queries, opt, gcfg)
-			g, ord, err := auggrid.Build(clone, r.Rows, layout)
+			layout, _ := auggrid.Optimize(st, r.Rows, r.Queries, opt, gcfg)
+			g, ord, err := auggrid.Build(st, r.Rows, layout)
 			if err != nil {
 				// An invalid optimized layout is a bug; fall back to a
 				// scan region rather than failing the whole build.
@@ -189,7 +187,7 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 	}
 	wg.Wait()
 
-	perm := make([]int, 0, clone.NumRows())
+	perm := make([]int, 0, st.NumRows())
 	for _, r := range tree.Regions {
 		start := len(perm)
 		perm = append(perm, ordered[r.ID]...)
@@ -201,17 +199,14 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 	optTotal := time.Since(optStart).Seconds()
 
 	sortStart := time.Now()
-	if err := clone.Reorder(perm); err != nil {
-		panic("core: " + err.Error()) // perm concatenates disjoint regions
-	}
+	t.store = st.Gather(perm, nil)
 	for id, g := range t.grids {
 		if g != nil {
-			g.Finalize(clone, t.bounds[id][0])
+			g.Finalize(t.store, t.bounds[id][0])
 		}
 	}
 	sortSecs := time.Since(sortStart).Seconds()
 
-	t.store = clone
 	t.stats = index.BuildStats{SortSeconds: sortSecs, OptimizeSeconds: optTotal}
 	return t
 }

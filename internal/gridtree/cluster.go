@@ -6,7 +6,6 @@
 package gridtree
 
 import (
-	"repro/internal/colstore"
 	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -14,13 +13,10 @@ import (
 
 // ClusterQueryTypes groups queries into types (§4.3.1): queries filtering
 // different dimension sets are always separate types; within a set, queries
-// are embedded by per-dimension filter selectivity and clustered with
-// DBSCAN (eps 0.2). It returns a copy of the queries with Type assigned,
-// plus the number of types.
-func ClusterQueryTypes(st *colstore.Store, queries []query.Query, eps float64) ([]query.Query, int) {
-	if eps <= 0 {
-		eps = 0.2
-	}
+// are embedded by per-dimension filter selectivity on the sample and
+// clustered with DBSCAN (eps TypeEps). It returns a copy of the queries
+// with Type assigned, plus the number of types.
+func ClusterQueryTypes(sample *index.Sample, queries []query.Query) ([]query.Query, int) {
 	out := make([]query.Query, len(queries))
 	copy(out, queries)
 
@@ -29,7 +25,6 @@ func ClusterQueryTypes(st *colstore.Store, queries []query.Query, eps float64) (
 		groups[q.DimSetKey()] = append(groups[q.DimSetKey()], i)
 	}
 
-	sample := index.SampleRows(st.NumRows(), 2000)
 	nextType := 0
 	for _, idxs := range groups {
 		if len(idxs) == 0 {
@@ -41,11 +36,11 @@ func ClusterQueryTypes(st *colstore.Store, queries []query.Query, eps float64) (
 			e := make([]float64, len(dims))
 			for di, dim := range dims {
 				f, _ := out[qi].Filter(dim)
-				e[di] = index.SampleSelectivity(st, sample, f)
+				e[di] = sample.Selectivity(f)
 			}
 			emb[k] = e
 		}
-		labels := stats.DBSCAN(emb, eps, 2)
+		labels := stats.DBSCAN(emb, TypeEps, 2)
 		for k, qi := range idxs {
 			out[qi].Type = nextType + labels[k]
 		}

@@ -3,6 +3,7 @@ package gridtree
 import (
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -14,7 +15,7 @@ func TestClusterQueryTypesSeparatesDimSets(t *testing.T) {
 		query.NewCount(query.Filter{Dim: 1, Lo: 0, Hi: 100}),
 		query.NewCount(query.Filter{Dim: 0, Lo: 50, Hi: 150}),
 	}
-	typed, n := ClusterQueryTypes(st, qs, 0.2)
+	typed, n := ClusterQueryTypes(index.NewSample(st, 2000), qs)
 	if n < 2 {
 		t.Fatalf("types = %d, want >= 2 (different dim sets)", n)
 	}
@@ -36,7 +37,7 @@ func TestClusterQueryTypesBySelectivity(t *testing.T) {
 		qs = append(qs, query.NewCount(query.Filter{Dim: 0, Lo: lo + int64(i)*span/20, Hi: lo + int64(i)*span/20 + span/100}))
 		qs = append(qs, query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: lo + span*6/10}))
 	}
-	typed, n := ClusterQueryTypes(st, qs, 0.2)
+	typed, n := ClusterQueryTypes(index.NewSample(st, 2000), qs)
 	if n != 2 {
 		t.Fatalf("types = %d, want 2", n)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/colstore"
+	"repro/internal/index"
 	"repro/internal/query"
 )
 
@@ -129,7 +130,7 @@ type Tree struct {
 // values) pair with the largest skew reduction found via skew trees.
 func Build(st *colstore.Store, queries []query.Query, cfg Config) *Tree {
 	cfg.fill()
-	typed, numTypes := ClusterQueryTypes(st, queries, TypeEps)
+	typed, numTypes := ClusterQueryTypes(index.NewSample(st, 2000), queries)
 
 	n := st.NumRows()
 	rows := make([]int, n)

@@ -72,19 +72,23 @@ func TestDimSelectivity(t *testing.T) {
 }
 
 func TestSampleRowsAndSelectivity(t *testing.T) {
-	if got := SampleRows(3, 10); !slices.Equal(got, []int{0, 1, 2}) {
+	if got := NewSample(store(t), 10).cols[0]; !slices.Equal(got, []int64{1, 2, 3, 4, 5}) {
 		t.Errorf("small table sample = %v, want every row", got)
 	}
-	if got := SampleRows(11, 3); !slices.Equal(got, []int{0, 3, 6}) {
-		t.Errorf("strided sample = %v, want [0 3 6]", got)
+	eleven, err := colstore.FromColumns([][]int64{{10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewSample(eleven, 3).cols[0]; !slices.Equal(got, []int64{4, 7, 10}) {
+		t.Errorf("strided sample = %v, want rows 0, 3 and 6 sorted: [4 7 10]", got)
 	}
 	s := store(t)
-	rows := SampleRows(s.NumRows(), 100)
+	sample := NewSample(s, 100)
 	f0 := query.Filter{Dim: 0, Lo: 1, Hi: 2}
-	if sel := SampleSelectivity(s, rows, f0); sel != Selectivity(s, query.NewCount(f0)) {
+	if sel := sample.Selectivity(f0); sel != Selectivity(s, query.NewCount(f0)) {
 		t.Errorf("one filter on a full sample = %f, want the exact selectivity", sel)
 	}
-	if SampleSelectivity(s, nil, f0) != 1 {
+	if NewSample(colstore.New("a"), 100).Selectivity(f0) != 1 {
 		t.Error("an empty sample must report 1")
 	}
 }

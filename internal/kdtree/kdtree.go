@@ -47,7 +47,7 @@ type Config struct {
 	DimOrder []int
 }
 
-// Build constructs the k-d tree over a clone of s.
+// Build constructs the k-d tree over a reordered copy of s.
 func Build(s *colstore.Store, workload []query.Query, cfg Config) *Index {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 4096
@@ -60,22 +60,21 @@ func Build(s *colstore.Store, workload []query.Query, cfg Config) *Index {
 	opt := time.Since(optStart).Seconds()
 
 	sortStart := time.Now()
-	clone := s.Clone()
-	n := clone.NumRows()
+	n := s.NumRows()
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
 	}
-	x := &Index{store: clone, pageSize: cfg.PageSize, dimOrder: order}
-	boxLo := make([]int64, clone.NumDims())
-	boxHi := make([]int64, clone.NumDims())
-	for d := 0; d < clone.NumDims(); d++ {
-		boxLo[d], boxHi[d] = clone.MinMax(d)
+	// The build reads s through x.store, then the store becomes s's rows
+	// in leaf order.
+	x := &Index{store: s, pageSize: cfg.PageSize, dimOrder: order}
+	boxLo := make([]int64, s.NumDims())
+	boxHi := make([]int64, s.NumDims())
+	for d := 0; d < s.NumDims(); d++ {
+		boxLo[d], boxHi[d] = s.MinMax(d)
 	}
 	x.root = x.build(rows, 0, 0, boxLo, boxHi)
-	if err := clone.Reorder(rows); err != nil {
-		panic("kdtree: " + err.Error())
-	}
+	x.store = s.Gather(rows, nil)
 	x.stats = index.BuildStats{SortSeconds: time.Since(sortStart).Seconds(), OptimizeSeconds: opt}
 	return x
 }

@@ -12,16 +12,20 @@
 // background maintenance goroutine keeps the hot path clean: when buffered
 // rows cross a threshold it folds them into a fresh clustered copy
 // (core.MergedCopy), when the served query stream drifts from the optimized
-// workload (shift.Detector) it re-optimizes the most-drifted region grids
-// into a copy (core.ReoptimizeRegionsCopy) — closing the §8 adaptivity loop
-// end to end — and it periodically snapshots the current epoch (including
+// workload it re-optimizes the most-drifted region grids into a copy
+// (core.ReoptimizeRegionsCopy) — closing the §8 adaptivity loop end to end
+// — and it periodically snapshots the current epoch (including
 // not-yet-merged rows) for crash recovery. Every maintenance result is
 // published the same way: one atomic swap; old epochs drain as their
 // readers finish and are reclaimed by the GC.
 //
-// Nothing on the query path ever takes a lock or waits for maintenance,
-// which keeps index upkeep off the memory-bound hot loop (cf. the memory
-// bottleneck argument of PIMDAL, arXiv:2504.01948).
+// The query path never waits, for writers or for maintenance. Its one
+// lock is the shift detector's, and it only tries it: each served query is
+// observed inline on the goroutine that served it (shift.Detector reads a
+// sorted sample, so an observation is a few binary searches), or dropped
+// and counted when the detector is busy; a detected shift nudges the
+// maintainer. Index upkeep stays off the memory-bound hot loop (cf. the
+// memory bottleneck argument of PIMDAL, arXiv:2504.01948).
 package live
 
 import (
@@ -98,9 +102,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.MergeThreshold <= 0 {
 		c.MergeThreshold = 4096
-	}
-	if c.Shift.WindowSize <= 0 {
-		c.Shift.WindowSize = 256
 	}
 }
 
@@ -242,11 +243,11 @@ type Store struct {
 	// maintenance goroutine and from Flush callers).
 	emitMu sync.Mutex
 
-	obs  chan query.Query // sampled feed of served queries to the detector
-	wake chan struct{}    // nudges maintenance when the threshold trips
-	gate chan struct{}    // shared with the stores it takes turns with; nil: none (see OpenGated)
-	quit chan struct{}
-	done chan struct{}
+	wake    chan struct{} // nudges maintenance when the threshold trips
+	shifted chan struct{} // nudges maintenance when the detector reports a shift; nil: detection off
+	gate    chan struct{} // shared with the stores it takes turns with; nil: none (see OpenGated)
+	quit    chan struct{}
+	done    chan struct{}
 
 	// Close is funneled through closeOnce; every caller waits on
 	// closeDone so all of them return only after the final snapshot (if
@@ -255,12 +256,10 @@ type Store struct {
 	closeDone chan struct{}
 	closeErr  error
 
-	// Maintenance-goroutine-only state.
-	detector  *shift.Detector
-	recent    []query.Query // ring of recently served queries
-	recentPos int
-	recentN   int
-	observed  int // queries observed since the detector was (re)built
+	// detMu guards detector. The query path only TryLocks it; the
+	// maintainer locks it to read the window and to swap in a successor.
+	detMu    sync.Mutex
+	detector *shift.Detector
 
 	metrics *liveMetrics // nil when instrumentation is off
 
@@ -330,8 +329,7 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 	if len(optimized) > 0 && !cfg.DisableShift {
 		s.detector = shift.NewDetector(idx.Store(), optimized, cfg.Shift)
 		s.detectorTypes.Store(int64(s.detector.NumTypes()))
-		s.recent = make([]query.Query, cfg.Shift.WindowSize)
-		s.obs = make(chan query.Query, 4*cfg.Shift.WindowSize)
+		s.shifted = make(chan struct{}, 1)
 	}
 	if cfg.Workload != nil {
 		rows := func() uint64 {
@@ -341,7 +339,7 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 		// Slow-query exemplars re-run through the current epoch's core
 		// index directly — the same pipeline the query was served on,
 		// minus this layer — so a capture never re-records into the
-		// collector or the detector feed.
+		// collector or the detector.
 		trace := func(q query.Query) *obs.QueryTrace {
 			tr := new(obs.QueryTrace)
 			s.cur.Load().idx.ExecuteWith(q, index.Exec{Trace: tr})
@@ -413,8 +411,8 @@ var planPool = sync.Pool{New: func() any { return new(plan) }}
 // otherwise the plan is the index's (core.Tsunami.Plan, to which x passes
 // through). Executing the plan adds this layer's concerns, each exactly
 // once — the cache fill, metrics and workload-statistics recording, and
-// the shift detector's feed (sampled: observations are dropped, not
-// waited for, when the detector falls behind). Buffered-but-unmerged
+// the shift detector's observation (inline; dropped, not waited for, when
+// another goroutine holds the detector). Buffered-but-unmerged
 // rows are folded in by the index's delta scan. The epoch is immutable,
 // so a plan executed after later publishes returns exactly the pinned
 // epoch's answer. A traced plan prefixes the trace with the epoch, always
@@ -461,12 +459,12 @@ func (p *plan) Release() {
 // Execute serves the plan: the cached answer, or the index plan's, which
 // is then cached under the pinned epoch. Either way the query is counted
 // and recorded into metrics and workload stats — a hit with zero rows and
-// bytes scanned, the point of the hit — and fed to the shift detector,
-// so cached traffic cannot blind the adaptivity loop. Recorded latency
-// runs from the plan to the answer.
+// bytes scanned, the point of the hit — and observed by the shift
+// detector, so cached traffic cannot blind the adaptivity loop. Recorded
+// latency runs from the plan to the answer.
 func (p *plan) Execute() colstore.ScanResult {
 	s, v, q := p.s, p.v, p.q
-	s.queries.Add(1)
+	n := s.queries.Add(1)
 	hit := p.core == nil
 	if p.probed {
 		s.cache.Count(v.epoch, q, hit)
@@ -503,21 +501,30 @@ func (p *plan) Execute() colstore.ScanResult {
 			s.cacheEvictions.Add(1)
 		}
 	}
-	s.observeAsync(q)
+	if s.shifted != nil {
+		s.observe(q, n)
+	}
 	p.Release()
 	return res
 }
 
-// observeAsync feeds the detector one served query, or drops it when the
-// feed is full.
-func (s *Store) observeAsync(q query.Query) {
-	if s.obs == nil {
+// observe feeds the detector the n-th served query and, on every 16th,
+// analyzes the window: a shift nudges the maintainer, which re-checks it.
+// A query that finds the detector held — by another query's observation,
+// or by the maintainer — is dropped and counted, never waited for.
+func (s *Store) observe(q query.Query, n uint64) {
+	if !s.detMu.TryLock() {
+		s.droppedObs.Add(1)
 		return
 	}
-	select {
-	case s.obs <- q:
-	default:
-		s.droppedObs.Add(1)
+	s.detector.Observe(q)
+	fire := n%16 == 0 && s.detector.Analyze().ShiftDetected
+	s.detMu.Unlock()
+	if fire {
+		select {
+		case s.shifted <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -671,11 +678,14 @@ type Stats struct {
 	// shift detection is off).
 	DetectorTypes int
 
-	Queries             uint64
-	Inserts             uint64
-	Merges              uint64
-	Reoptimizations     uint64
-	Snapshots           uint64
+	Queries         uint64
+	Inserts         uint64
+	Merges          uint64
+	Reoptimizations uint64
+	Snapshots       uint64
+	// DroppedObservations counts served queries the shift detector did
+	// not observe: the query found the detector held by another query's
+	// observation or by the maintainer, and served on without waiting.
 	DroppedObservations uint64
 	// Cache is the result cache's counters; all-zero when disabled.
 	Cache qcache.Stats
@@ -736,54 +746,18 @@ func (s *Store) maintain() {
 		defer t.Stop()
 		tick = t.C
 	}
-	var obs <-chan query.Query = s.obs // nil when shift detection is off
 	for {
 		select {
 		case <-s.quit:
 			return
-		case q := <-obs:
-			s.observe(q)
+		case <-s.shifted:
+			s.runReoptimize()
 		case <-s.wake:
 			s.runMerge()
 		case <-tick:
 			s.runSnapshot()
 		}
 	}
-}
-
-// observe feeds one served query to the detector and, periodically,
-// analyzes the window; a detected shift re-optimizes the most-drifted
-// regions for the recently observed workload.
-func (s *Store) observe(q query.Query) {
-	s.detector.Observe(q)
-	s.recent[s.recentPos] = q
-	s.recentPos = (s.recentPos + 1) % len(s.recent)
-	if s.recentN < len(s.recent) {
-		s.recentN++
-	}
-	s.observed++
-	// Analyze every few observations: Analyze is cheap relative to
-	// Observe's selectivity probes, but there is no point re-scoring the
-	// window per query.
-	if s.observed%16 != 0 {
-		return
-	}
-	if rep := s.detector.Analyze(); rep.ShiftDetected {
-		if m := s.metrics; m != nil {
-			m.detectorFires.Inc()
-		}
-		s.runReoptimize()
-	}
-}
-
-// recentWorkload snapshots the observation ring, oldest first.
-func (s *Store) recentWorkload() []query.Query {
-	out := make([]query.Query, 0, s.recentN)
-	start := s.recentPos - s.recentN
-	for i := 0; i < s.recentN; i++ {
-		out = append(out, s.recent[(start+i+len(s.recent))%len(s.recent)])
-	}
-	return out
 }
 
 func (s *Store) runMerge() {
@@ -841,14 +815,23 @@ func (s *Store) mergeLocked() error {
 	return nil
 }
 
-// runReoptimize rebuilds the most-drifted region grids for the recently
-// observed workload (buffered rows are merged as part of the rebuild),
-// publishes the result, and re-fingerprints the detector on the new
-// workload so one shift triggers one re-optimization.
+// runReoptimize re-checks the shift the query path reported and, if the
+// detector still reports it, rebuilds the most-drifted region grids for
+// the window's queries (buffered rows are merged as part of the rebuild),
+// publishes the result, and swaps in a detector fingerprinted on that
+// workload, so one shift triggers one re-optimization.
 func (s *Store) runReoptimize() {
-	work := s.recentWorkload()
+	var work []query.Query
+	s.detMu.Lock()
+	if s.detector.Analyze().ShiftDetected {
+		work = s.detector.Recent()
+	}
+	s.detMu.Unlock()
 	if len(work) == 0 {
 		return
+	}
+	if m := s.metrics; m != nil {
+		m.detectorFires.Inc()
 	}
 	s.maintMu.Lock()
 	v := s.cur.Load()
@@ -874,11 +857,13 @@ func (s *Store) runReoptimize() {
 		m.reoptSeconds.RecordDuration(time.Since(start))
 	}
 	// Re-fingerprint on the workload we just optimized for, over the new
-	// clustered store, and restart the window: drift is now measured
-	// against the post-shift baseline.
-	s.detector = shift.NewDetector(reopt.Store(), work, s.cfg.Shift)
-	s.detectorTypes.Store(int64(s.detector.NumTypes()))
-	s.recentN, s.recentPos, s.observed = 0, 0, 0
+	// clustered store, with an empty window: drift is now measured against
+	// the post-shift baseline.
+	det := shift.NewDetector(reopt.Store(), work, s.cfg.Shift)
+	s.detMu.Lock()
+	s.detector = det
+	s.detMu.Unlock()
+	s.detectorTypes.Store(int64(det.NumTypes()))
 	s.emit(Event{Kind: EventReoptimize, Epoch: epoch, RegionsRebuilt: n, Seconds: time.Since(start).Seconds()})
 }
 

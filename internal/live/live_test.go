@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
@@ -538,5 +540,89 @@ func TestLiveMergeGate(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close waited for a merge queued on the gate")
+	}
+}
+
+// TestDetectorObservesDuringMaintenance pins that the shift detector is
+// fed on the query path, not by the maintainer: with the maintainer parked
+// inside a merge, one goroutine serving 1,000 novel queries has every one
+// observed, and the shift they make is re-optimized for once the
+// maintainer is free again.
+func TestDetectorObservesDuringMaintenance(t *testing.T) {
+	st := testutil.SmallTaxi(8000, 81)
+	work := testutil.SkewedQueries(st, 120, 82)
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	reoptimized := make(chan struct{}, 1)
+	var park, unpark sync.Once
+	s := Open(core.Build(st, work, smallConfig()), work, Config{
+		MergeThreshold: 100,
+		Shift:          shift.Config{WindowSize: 64},
+		OnEvent: func(ev Event) {
+			switch ev.Kind {
+			case EventMerge:
+				park.Do(func() {
+					close(parked)
+					<-release
+				})
+			case EventReoptimize:
+				select {
+				case reoptimized <- struct{}{}:
+				default:
+				}
+			}
+		},
+	})
+	defer s.Close()
+	defer unpark.Do(func() { close(release) }) // before Close: Close waits for the maintainer
+
+	rows := make([][]int64, 150)
+	for i := range rows {
+		rows[i] = st.Row(i, nil)
+	}
+	if err := s.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the threshold merge did not start")
+	}
+	for k := int64(0); k < 1000; k++ {
+		s.Execute(shiftedQuery(st, k))
+	}
+	if got := s.Stats(); got.DroppedObservations != 0 || got.Reoptimizations != 0 {
+		t.Fatalf("with the maintainer in a merge: %d of 1000 observations dropped and %d re-optimizations, want 0 and 0",
+			got.DroppedObservations, got.Reoptimizations)
+	}
+	unpark.Do(func() { close(release) })
+	select {
+	case <-reoptimized:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("no re-optimization after the merge: %+v", s.Stats())
+	}
+}
+
+// TestDetectorDoesNotPinMergedStore checks that shift detection keeps no
+// epoch's table alive: once Flush publishes a merged copy, the clustered
+// store the detector was fingerprinted on is garbage.
+func TestDetectorDoesNotPinMergedStore(t *testing.T) {
+	st := testutil.SmallTaxi(4000, 91)
+	work := testutil.SkewedQueries(st, 80, 92)
+	s := Open(core.Build(st, work, smallConfig()), work, Config{})
+	defer s.Close()
+	if s.Stats().DetectorTypes == 0 {
+		t.Fatal("shift detection is off; the test proves nothing")
+	}
+	before := weak.Make(s.Index().Store())
+	if err := s.Insert(st.Row(0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if before.Value() != nil {
+		t.Error("the pre-merge clustered store is still reachable after Flush")
 	}
 }

@@ -43,7 +43,7 @@ type Config struct {
 	MaxDepth int
 }
 
-// Build constructs the hyperoctree over a clone of s.
+// Build constructs the hyperoctree over a reordered copy of s.
 func Build(s *colstore.Store, cfg Config) *Index {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 4096
@@ -55,23 +55,22 @@ func Build(s *colstore.Store, cfg Config) *Index {
 		panic("octree: more than 32 dimensions not supported")
 	}
 	sortStart := time.Now()
-	clone := s.Clone()
-	x := &Index{store: clone, pageSize: cfg.PageSize, maxDepth: cfg.MaxDepth}
-	n := clone.NumRows()
+	// The build reads s through x.store, then the store becomes s's rows
+	// in leaf order.
+	x := &Index{store: s, pageSize: cfg.PageSize, maxDepth: cfg.MaxDepth}
+	n := s.NumRows()
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
 	}
-	d := clone.NumDims()
+	d := s.NumDims()
 	lo := make([]int64, d)
 	hi := make([]int64, d)
 	for j := 0; j < d; j++ {
-		lo[j], hi[j] = clone.MinMax(j)
+		lo[j], hi[j] = s.MinMax(j)
 	}
 	x.root = x.build(rows, 0, 0, lo, hi)
-	if err := clone.Reorder(rows); err != nil {
-		panic("octree: " + err.Error())
-	}
+	x.store = s.Gather(rows, nil)
 	x.stats = index.BuildStats{SortSeconds: time.Since(sortStart).Seconds()}
 	return x
 }

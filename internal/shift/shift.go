@@ -5,7 +5,9 @@
 // index was optimized for — query types keyed by filtered-dimension set
 // with selectivity-embedding centroids — then watches the live query
 // stream over a sliding window and reports when re-optimization is
-// warranted.
+// warranted. Embeddings are read off a sorted row sample (index.Sample),
+// so observing a query costs two binary searches per filter and can run
+// on the goroutine that served it.
 package shift
 
 import (
@@ -41,40 +43,50 @@ const (
 	freqDriftThreshold = 0.35
 )
 
-// typeProfile is one optimized query type: its dimension set and the
-// centroid of its selectivity embeddings.
+// typeProfile is one optimized query type: its filtered dimensions, in
+// filter order, and the centroid of its selectivity embeddings.
 type typeProfile struct {
-	dimKey   string
+	dims     []int
 	centroid []float64
 	baseFreq float64 // fraction of the optimized workload
 }
 
+// observation is one window slot: a served query and its matched type
+// (-1 = novel).
+type observation struct {
+	q  query.Query
+	ty int
+}
+
 // Detector watches a query stream for drift from the optimized workload.
+// It keeps a sample of the table's values, not the table. A Detector is
+// not safe for concurrent use.
 type Detector struct {
 	cfg      Config
-	st       *colstore.Store
-	sample   []int
+	sample   *index.Sample
 	profiles []typeProfile
+	emb      []float64 // Observe's embedding scratch
 
-	// Sliding window of type assignments; -1 = novel.
-	window []int
+	// Sliding window of observations.
+	window []observation
 	pos    int
 	filled bool
 	seen   int
 }
 
-// NewDetector fingerprints the workload the index was optimized for.
-// Queries are clustered into types exactly as the Grid Tree does (§4.3.1).
+// NewDetector fingerprints the workload the index over st was optimized
+// for. Queries are clustered into types exactly as the Grid Tree does
+// (§4.3.1).
 func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detector {
 	cfg.fill()
-	d := &Detector{cfg: cfg, st: st, sample: index.SampleRows(st.NumRows(), 2000)}
-	typed, numTypes := gridtree.ClusterQueryTypes(st, optimized, gridtree.TypeEps)
+	d := &Detector{cfg: cfg, sample: index.NewSample(st, 2000)}
+	typed, numTypes := gridtree.ClusterQueryTypes(d.sample, optimized)
 
 	sums := make(map[int][]float64)
 	counts := make(map[int]int)
-	keys := make(map[int]string)
+	dims := make(map[int][]int)
 	for _, q := range typed {
-		emb := d.embed(q)
+		emb := d.embed(q, nil)
 		if s := sums[q.Type]; s == nil {
 			sums[q.Type] = append([]float64(nil), emb...)
 		} else {
@@ -83,7 +95,7 @@ func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detec
 			}
 		}
 		counts[q.Type]++
-		keys[q.Type] = q.DimSetKey()
+		dims[q.Type] = q.FilteredDims()
 	}
 	for ty := 0; ty < numTypes; ty++ {
 		n := counts[ty]
@@ -95,29 +107,28 @@ func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detec
 			c[i] /= float64(n)
 		}
 		d.profiles = append(d.profiles, typeProfile{
-			dimKey:   keys[ty],
+			dims:     dims[ty],
 			centroid: c,
 			baseFreq: float64(n) / float64(len(typed)),
 		})
 	}
-	d.window = make([]int, cfg.WindowSize)
+	d.window = make([]observation, cfg.WindowSize)
 	return d
 }
 
-// embed computes the per-filtered-dimension selectivity embedding.
-func (d *Detector) embed(q query.Query) []float64 {
-	out := make([]float64, len(q.Filters))
-	for i, f := range q.Filters {
-		out[i] = index.SampleSelectivity(d.st, d.sample, f)
+// embed appends q's per-filtered-dimension selectivity embedding to dst.
+func (d *Detector) embed(q query.Query, dst []float64) []float64 {
+	for _, f := range q.Filters {
+		dst = append(dst, d.sample.Selectivity(f))
 	}
-	return out
+	return dst
 }
 
 // Observe records one live query and returns its matched type index, or
-// -1 if it matches no optimized type.
+// -1 if it matches no optimized type. It does not allocate.
 func (d *Detector) Observe(q query.Query) int {
 	ty := d.match(q)
-	d.window[d.pos] = ty
+	d.window[d.pos] = observation{q: q, ty: ty}
 	d.pos++
 	if d.pos == len(d.window) {
 		d.pos = 0
@@ -130,11 +141,11 @@ func (d *Detector) Observe(q query.Query) int {
 // match assigns a query to the nearest profile with the same dimension set
 // within the clustering radius, or -1.
 func (d *Detector) match(q query.Query) int {
-	key := q.DimSetKey()
-	emb := d.embed(q)
+	d.emb = d.embed(q, d.emb[:0])
+	emb := d.emb
 	best, bestDist := -1, gridtree.TypeEps
 	for i, p := range d.profiles {
-		if p.dimKey != key || len(p.centroid) != len(emb) {
+		if !sameDims(p.dims, q.Filters) {
 			continue
 		}
 		dist := 0.0
@@ -148,6 +159,19 @@ func (d *Detector) match(q query.Query) int {
 		}
 	}
 	return best
+}
+
+// sameDims reports whether filters filter exactly dims, in that order.
+func sameDims(dims []int, filters []query.Filter) bool {
+	if len(dims) != len(filters) {
+		return false
+	}
+	for i, f := range filters {
+		if f.Dim != dims[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Report summarizes the window.
@@ -175,11 +199,11 @@ func (d *Detector) Analyze() Report {
 	}
 	counts := make([]int, len(d.profiles))
 	novel := 0
-	for i := 0; i < n; i++ {
-		if d.window[i] < 0 {
+	for _, o := range d.window[:n] {
+		if o.ty < 0 {
 			novel++
 		} else {
-			counts[d.window[i]]++
+			counts[o.ty]++
 		}
 	}
 	rep.NovelFrac = float64(novel) / float64(n)
@@ -196,6 +220,20 @@ func (d *Detector) Analyze() Report {
 	rep.FreqDrift = tv / 2
 	rep.ShiftDetected = rep.NovelFrac > novelFracThreshold || rep.FreqDrift > freqDriftThreshold
 	return rep
+}
+
+// Recent returns the window's queries, oldest first: the workload to
+// re-optimize for when Analyze reports a shift.
+func (d *Detector) Recent() []query.Query {
+	n, start := d.pos, 0
+	if d.filled {
+		n, start = len(d.window), d.pos
+	}
+	out := make([]query.Query, n)
+	for i := range out {
+		out[i] = d.window[(start+i)%len(d.window)].q
+	}
+	return out
 }
 
 // NumTypes returns the number of fingerprinted query types.

@@ -1,6 +1,7 @@
 package shift
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -124,5 +125,20 @@ func TestWindowSlides(t *testing.T) {
 	rep := det.Analyze()
 	if rep.ShiftDetected {
 		t.Errorf("window did not slide back to normal (%+v)", rep)
+	}
+}
+
+// TestRecentIsTheWindow checks that Recent returns the window's queries,
+// oldest first, before and after the window wraps.
+func TestRecentIsTheWindow(t *testing.T) {
+	det, types, ds := detectorFixture(t)
+	stream := workload.Generate(ds.Store, types, 30, 106) // 150 queries, window 100
+	for i, q := range stream {
+		det.Observe(q)
+		n := min(i+1, 100)
+		got := det.Recent()
+		if len(got) != n || !slices.Equal(got[0].Filters, stream[i+1-n].Filters) || !slices.Equal(got[n-1].Filters, stream[i].Filters) {
+			t.Fatalf("after %d observations Recent has %d queries, want the last %d oldest first", i+1, len(got), n)
+		}
 	}
 }

@@ -20,7 +20,7 @@ type Index struct {
 	stats   index.BuildStats
 }
 
-// Build clones the store, sorts it by the workload's most selective filtered
+// Build sorts a copy of the store by the workload's most selective filtered
 // dimension (or byDim if >= 0), and returns the index.
 func Build(s *colstore.Store, workload []query.Query, byDim int) *Index {
 	optStart := time.Now()
@@ -31,18 +31,14 @@ func Build(s *colstore.Store, workload []query.Query, byDim int) *Index {
 	opt := time.Since(optStart).Seconds()
 
 	sortStart := time.Now()
-	clone := s.Clone()
-	col := clone.Column(dim)
-	perm := make([]int, clone.NumRows())
+	col := s.Column(dim)
+	perm := make([]int, s.NumRows())
 	for i := range perm {
 		perm[i] = i
 	}
 	sort.SliceStable(perm, func(a, b int) bool { return col[perm[a]] < col[perm[b]] })
-	if err := clone.Reorder(perm); err != nil {
-		panic("singledim: " + err.Error()) // perm is a permutation by construction
-	}
 	return &Index{
-		store:   clone,
+		store:   s.Gather(perm, nil),
 		sortDim: dim,
 		stats: index.BuildStats{
 			SortSeconds:     time.Since(sortStart).Seconds(),
@@ -57,10 +53,10 @@ func MostSelectiveDim(s *colstore.Store, workload []query.Query) int {
 	d := s.NumDims()
 	sum := make([]float64, d)
 	cnt := make([]int, d)
-	sample := index.SampleRows(s.NumRows(), 2000)
+	sample := index.NewSample(s, 2000)
 	for _, q := range workload {
 		for _, f := range q.Filters {
-			sum[f.Dim] += index.SampleSelectivity(s, sample, f)
+			sum[f.Dim] += sample.Selectivity(f)
 			cnt[f.Dim]++
 		}
 	}

@@ -44,7 +44,7 @@ type Config struct {
 	PageSize int
 }
 
-// Build constructs the Z-order index over a clone of s.
+// Build constructs the Z-order index over a reordered copy of s.
 func Build(s *colstore.Store, cfg Config) *Index {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 4096
@@ -69,12 +69,11 @@ func Build(s *colstore.Store, cfg Config) *Index {
 	x.stats.OptimizeSeconds = time.Since(optStart).Seconds()
 
 	sortStart := time.Now()
-	clone := s.Clone()
-	n := clone.NumRows()
+	n := s.NumRows()
 	zvals := make([]uint64, n)
 	row := make([]int64, d)
 	for i := 0; i < n; i++ {
-		clone.Row(i, row)
+		s.Row(i, row)
 		zvals[i] = x.zvalue(row)
 	}
 	perm := make([]int, n)
@@ -82,10 +81,7 @@ func Build(s *colstore.Store, cfg Config) *Index {
 		perm[i] = i
 	}
 	sort.SliceStable(perm, func(a, b int) bool { return zvals[perm[a]] < zvals[perm[b]] })
-	if err := clone.Reorder(perm); err != nil {
-		panic("zindex: " + err.Error())
-	}
-	x.store = clone
+	x.store = s.Gather(perm, nil)
 
 	// Build pages with metadata over the reordered data.
 	sortedZ := make([]uint64, n)
@@ -101,7 +97,7 @@ func Build(s *colstore.Store, cfg Config) *Index {
 		pg.lo = make([]int64, d)
 		pg.hi = make([]int64, d)
 		for j := 0; j < d; j++ {
-			col := clone.Column(j)
+			col := x.store.Column(j)
 			lo, hi := col[start], col[start]
 			for i := start + 1; i < end; i++ {
 				if col[i] < lo {
