@@ -3,6 +3,7 @@ package auggrid
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/cdfmodel"
@@ -16,12 +17,13 @@ import (
 //
 //  1. Build computes all layout structures and returns the region's rows in
 //     grid order; the caller concatenates row orders, reorders the store.
-//  2. Finalize binds the grid to the reordered store at its start offset.
+//  2. Bind returns the grid bound to the reordered store at its start
+//     offset, in O(1): the cell table is relative to the grid's start.
 //
-// After Finalize a Grid is immutable: all per-query state lives in the
-// ExecContext passed to PlanRanges, so one Grid serves any number of
-// concurrent readers with no cloning (provided the underlying store is not
-// mutated while readers are active).
+// A bound Grid is immutable: all per-query state lives in the ExecContext
+// passed to PlanRanges, so one Grid serves any number of concurrent
+// readers with no cloning (provided the underlying store is not mutated
+// while readers are active).
 type Grid struct {
 	layout Layout
 	store  *colstore.Store
@@ -49,11 +51,13 @@ type Grid struct {
 	// applying functional mappings.
 	dimLo, dimHi []int64
 
-	// offsets[c] is the physical start (absolute, after Finalize) of cell c;
-	// len NumCells+1. Offsets cover only inlier rows; the nOutliers rows
-	// diverted by robust functional mappings (§8) sit immediately after
-	// the last cell and are scanned by every query.
-	offsets   []int
+	// offsets[c] is the start of cell c relative to the grid's first row,
+	// so the physical start is start+offsets[c]; len NumCells+1. Offsets
+	// cover only inlier rows; the nOutliers rows diverted by robust
+	// functional mappings (§8) sit immediately after the last cell and are
+	// scanned by every query. Four bytes an entry bound a grid to
+	// math.MaxUint32 rows, which Build enforces.
+	offsets   []uint32
 	nOutliers int
 }
 
@@ -77,6 +81,9 @@ func build(st *colstore.Store, rows []int, layout Layout, o *sampleOrder) (*Grid
 	}
 	if len(layout.Skeleton) != st.NumDims() {
 		return nil, nil, fmt.Errorf("auggrid: layout has %d dims, store has %d", len(layout.Skeleton), st.NumDims())
+	}
+	if len(rows) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("auggrid: %d rows exceed a grid's %d", len(rows), uint64(math.MaxUint32))
 	}
 	d := st.NumDims()
 	g := &Grid{
@@ -220,8 +227,8 @@ type sampleOrder struct {
 	groups  [][]int64
 	start   []int // start[b]: base partition b's first value in vals
 	cursor  []int // per base partition: a fill position, then a boundary cursor
-	offsets []int
-	next    []int
+	offsets []uint32
+	next    []uint32
 	ordered []int
 }
 
@@ -397,8 +404,8 @@ func scratch[T any](s []T, n int) []T {
 // sortCol is nil), then by position i. That is the order a stable sort on
 // (cell, value) gives, reached by a counting sort on the cell ids and a
 // sort of each cell's (value, position) keys.
-func orderCells(rows, cells []int, sortCol []int64, numCells int) (ordered, offsets []int) {
-	offsets = make([]int, numCells+1)
+func orderCells(rows, cells []int, sortCol []int64, numCells int) (ordered []int, offsets []uint32) {
+	offsets = make([]uint32, numCells+1)
 	for _, c := range cells {
 		offsets[c+1]++
 	}
@@ -444,32 +451,15 @@ func (a cellKey) compare(b cellKey) int {
 	return a.i - b.i
 }
 
-// Finalize binds the grid to the physically reordered store. Rows
-// [start, start+n) of st must be this grid's rows in the order returned by
-// Build.
-func (g *Grid) Finalize(st *colstore.Store, start int) {
-	g.store = st
-	g.start = start
-	for i := range g.offsets {
-		g.offsets[i] += start
-	}
-}
-
-// Rebase returns a copy of a finalized grid bound to st with its physical
-// segment starting at start. The segment's rows must be identical to the
-// ones g was finalized over, in the same order — Rebase only rebinds the
-// store pointer and shifts cell offsets, so a merge can carry an
+// Bind returns a copy of g bound to st, its rows starting at physical
+// offset start. Rows [start, start+n) of st must be g's rows in the order
+// Build returned them. The copy shares every table with g, which is left
+// as it was: a freshly built grid is bound once, and a merge carries an
 // untouched region's grid into a rewritten store without re-sorting the
-// region (layout, boundaries, and mappings are shared with g, which keeps
-// serving its own store unchanged).
-func (g *Grid) Rebase(st *colstore.Store, start int) *Grid {
+// region while g keeps serving its own store.
+func (g *Grid) Bind(st *colstore.Store, start int) *Grid {
 	ng := *g
-	ng.offsets = make([]int, len(g.offsets))
-	for i, o := range g.offsets {
-		ng.offsets[i] = o - g.start + start
-	}
-	ng.store = st
-	ng.start = start
+	ng.store, ng.start = st, start
 	return &ng
 }
 
@@ -617,11 +607,12 @@ func (g *Grid) NumRows() int { return g.n }
 // Start returns the grid's physical start offset.
 func (g *Grid) Start() int { return g.start }
 
-// SizeBytes reports the structure footprint: the cell lookup table (which
-// dominates, §6.3), partition boundaries, conditional CDF tables, and the
-// four floats of each functional mapping.
+// SizeBytes reports the structure footprint: the cell lookup table of
+// 4-byte offsets (which dominates, §6.3), partition boundaries,
+// conditional CDF tables, the four floats of each functional mapping, and
+// the per-dim observed min and max.
 func (g *Grid) SizeBytes() uint64 {
-	size := uint64(len(g.offsets)) * 8 // lookup table
+	size := uint64(len(g.offsets)) * 4 // lookup table
 	for _, b := range g.bounds {
 		size += uint64(len(b)) * 8
 	}

@@ -12,7 +12,7 @@ import (
 // cellOrderStable is how Build ordered rows before orderCells: one stable
 // comparison sort of the rows' positions by (cell, sort-dim value). It is
 // kept as the oracle orderCells must reproduce exactly.
-func cellOrderStable(rows, cells []int, sortCol []int64, numCells int) (ordered, offsets []int) {
+func cellOrderStable(rows, cells []int, sortCol []int64, numCells int) (ordered []int, offsets []uint32) {
 	order := make([]int, len(rows))
 	for i := range order {
 		order[i] = i
@@ -31,7 +31,7 @@ func cellOrderStable(rows, cells []int, sortCol []int64, numCells int) (ordered,
 	for _, o := range order {
 		ordered = append(ordered, rows[o])
 	}
-	offsets = make([]int, numCells+1)
+	offsets = make([]uint32, numCells+1)
 	for _, c := range cells {
 		offsets[c+1]++
 	}

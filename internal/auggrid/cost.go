@@ -172,8 +172,7 @@ func (e *Evaluator) buildSampleGrid(l Layout) (*Grid, error) {
 		return nil, err
 	}
 	e.grid = e.sample.Gather(ordered, e.grid)
-	g.Finalize(e.grid, 0)
-	return g, nil
+	return g.Bind(e.grid, 0), nil
 }
 
 // queryCost plans one query on the sample grid and prices the plan. The

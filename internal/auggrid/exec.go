@@ -60,12 +60,13 @@ func (g *Grid) planInto(q query.Query, ctx *ExecContext, dst []PhysRange, st *Ex
 		dst = g.refine(runs, g.store.Column(sd), effLo[sd], effHi[sd], dst, st)
 		return g.planOutliers(dst, st)
 	}
+	base, offsets := g.start, g.offsets
 	for _, r := range runs {
-		s, e := g.offsets[r.start], g.offsets[r.end+1]
+		s, e := offsets[r.start], offsets[r.end+1]
 		if s >= e {
 			continue
 		}
-		dst = append(dst, PhysRange{Start: s, End: e, Exact: r.exact})
+		dst = append(dst, PhysRange{Start: base + int(s), End: base + int(e), Exact: r.exact})
 		st.CellRanges++
 		st.CellsVisited += r.end - r.start + 1
 	}
@@ -77,11 +78,13 @@ func (g *Grid) planInto(q query.Query, ctx *ExecContext, dst []PhysRange, st *Ex
 // sort dim, so its first and last rows are its minimum and maximum: a cell
 // wholly outside the filter costs those two loads and no search, a cell
 // wholly inside is taken whole, and only a side the filter cuts is
-// searched.
+// searched. Positions are relative to the grid's start until emitted.
 func (g *Grid) refine(runs []run, col []int64, lo, hi int64, dst []PhysRange, st *ExecStats) []PhysRange {
+	base, offsets := g.start, g.offsets
+	col = col[base : base+g.n]
 	for _, r := range runs {
 		for c := r.start; c <= r.end; c++ {
-			s, e := g.offsets[c], g.offsets[c+1]
+			s, e := int(offsets[c]), int(offsets[c+1])
 			if s >= e || col[s] > hi || col[e-1] < lo {
 				continue
 			}
@@ -94,7 +97,7 @@ func (g *Grid) refine(runs []run, col []int64, lo, hi int64, dst []PhysRange, st
 			if s == e {
 				continue // the filter falls between two of the cell's values
 			}
-			dst = append(dst, PhysRange{Start: s, End: e, Exact: r.exact})
+			dst = append(dst, PhysRange{Start: base + s, End: base + e, Exact: r.exact})
 			st.CellRanges++
 			st.CellsVisited++
 		}
@@ -108,7 +111,7 @@ func (g *Grid) planOutliers(dst []PhysRange, st *ExecStats) []PhysRange {
 	if g.nOutliers == 0 {
 		return dst
 	}
-	s := g.offsets[len(g.offsets)-1]
+	s := g.start + int(g.offsets[len(g.offsets)-1])
 	st.CellRanges++
 	return append(dst, PhysRange{Start: s, End: s + g.nOutliers})
 }

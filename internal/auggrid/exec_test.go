@@ -169,14 +169,16 @@ func TestGridSizeAccounting(t *testing.T) {
 	sk[2] = DimStrategy{Kind: Conditional, Other: 0}
 	l := NewLayout(sk, []int{8, 1, 4, 2}, -1)
 	g, _ := buildGrid(t, s, l)
-	size := g.SizeBytes()
-	// Lookup table alone: (numCells+1)*8.
-	min := uint64(g.NumCells()+1) * 8
-	if size < min {
-		t.Errorf("size %d below lookup table size %d", size, min)
+	if g.NumCells() != 8*4*2 {
+		t.Fatalf("cells = %d, want %d", g.NumCells(), 8*4*2)
 	}
-	if size > min+1<<20 {
-		t.Errorf("size %d implausibly large", size)
+	want := uint64(4*(8*4*2+1) + // the lookup table: one 4-byte offset per cell, plus the end
+		8*(8+1+2+1) + // boundaries of independent d0 and d3
+		8*8*(4+1) + // d2's boundaries in each of d0's partitions
+		32 + // d1's mapping onto d0
+		16*4) // observed min and max of each dim
+	if got := g.SizeBytes(); got != want {
+		t.Errorf("size %d bytes, want %d", got, want)
 	}
 }
 

@@ -63,8 +63,7 @@ func buildGrid(t *testing.T, s *colstore.Store, l Layout) (*Grid, *colstore.Stor
 		t.Fatalf("Build(%v): %v", l, err)
 	}
 	clone := s.Gather(ordered, nil)
-	g.Finalize(clone, 0)
-	return g, clone
+	return g.Bind(clone, 0), clone
 }
 
 func checkAgainstFullScan(t *testing.T, s *colstore.Store, g *Grid, qs []query.Query, label string) {
@@ -224,7 +223,7 @@ func TestGridEmptyRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Finalize(s, 0)
+	g = g.Bind(s, 0)
 	res, _ := execute(g, query.NewCount(query.Filter{Dim: 0, Lo: 0, Hi: 100}))
 	if res.Count != 0 {
 		t.Errorf("empty grid count = %d, want 0", res.Count)

@@ -122,7 +122,7 @@ func TestAllOptimizersProduceValidLayouts(t *testing.T) {
 			t.Errorf("%s cost = %v", opt.Name, cost)
 		}
 		// The layout must actually build and answer queries correctly.
-		g, store, err := buildAndFinalize(st, layout)
+		g, store, err := buildAndBind(st, layout)
 		if err != nil {
 			t.Fatalf("%s layout failed to build: %v", opt.Name, err)
 		}
@@ -130,14 +130,13 @@ func TestAllOptimizersProduceValidLayouts(t *testing.T) {
 	}
 }
 
-func buildAndFinalize(st *colstore.Store, l Layout) (*Grid, *colstore.Store, error) {
+func buildAndBind(st *colstore.Store, l Layout) (*Grid, *colstore.Store, error) {
 	g, ordered, err := Build(st, allRowsOf(st), l)
 	if err != nil {
 		return nil, nil, err
 	}
 	clone := st.Gather(ordered, nil)
-	g.Finalize(clone, 0)
-	return g, clone, nil
+	return g.Bind(clone, 0), clone, nil
 }
 
 func checkGridCorrect(t *testing.T, g *Grid, st *colstore.Store, qs []query.Query, label string) {

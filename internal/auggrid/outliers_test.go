@@ -66,7 +66,7 @@ func TestOutlierBufferGridMatchesFullScan(t *testing.T) {
 	sk[1] = DimStrategy{Kind: Mapped, Other: 0}
 	l := NewLayout(sk, []int{16, 1, 4}, -1)
 	l.OutlierFrac = 0.02
-	g, store, err := buildAndFinalize(st, l)
+	g, store, err := buildAndBind(st, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestOutlierBufferReducesScans(t *testing.T) {
 	sk[1] = DimStrategy{Kind: Mapped, Other: 0}
 
 	plain := NewLayout(sk, []int{32, 1, 4}, -1)
-	gPlain, storePlain, err := buildAndFinalize(st, plain)
+	gPlain, storePlain, err := buildAndBind(st, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	robust := plain.Clone()
 	robust.OutlierFrac = 0.02
-	gRobust, storeRobust, err := buildAndFinalize(st, robust)
+	gRobust, storeRobust, err := buildAndBind(st, robust)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func planGrids(tb testing.TB) []planGrid {
 				panic(err)
 			}
 			clone := s.Gather(ordered, nil)
-			g.Finalize(clone, 0)
+			g = g.Bind(clone, 0)
 			planGridsAll = append(planGridsAll, planGrid{g: g, st: clone})
 		}
 	})
@@ -170,7 +170,7 @@ func checkPlan(t *testing.T, pg planGrid, q query.Query, ctx *ExecContext) {
 			sortLo, sortHi, refined = max(sortLo, f.Lo), min(sortHi, f.Hi), true
 		}
 	}
-	outliers := g.offsets[len(g.offsets)-1]
+	outliers := g.Start() + int(g.offsets[len(g.offsets)-1])
 	covered := make([]bool, g.NumRows())
 	prevEnd := g.Start()
 	for _, r := range ranges {
@@ -290,7 +290,7 @@ func BenchmarkPlanRanges(b *testing.B) {
 		b.Fatal(err)
 	}
 	s = s.Gather(ordered, nil)
-	g.Finalize(s, 0)
+	g = g.Bind(s, 0)
 	q := query.NewCount(
 		query.Filter{Dim: 0, Lo: 1 << 18, Hi: 3 << 18},
 		query.Filter{Dim: 3, Lo: 1 << 18, Hi: 5 << 17},

@@ -2,6 +2,8 @@ package auggrid
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -9,9 +11,11 @@ import (
 // GridSnapshot is the serializable form of a built Grid (§8 "Persistence":
 // Tsunami's structures are not inherently in-memory-only; this snapshot
 // plus the reordered column data fully reconstruct a queryable index).
-// Offsets are stored relative to the grid's start so the snapshot is
-// position-independent. The per-dim tables are keyed by dim, the form every
-// snapshot has been written in; a Grid holds them as dense slices.
+// Offsets is the grid's cell table as a Grid holds it, relative to the
+// grid's start, so the snapshot is position-independent. It and the
+// per-dim tables keep the types every snapshot has been written in: ints,
+// and maps keyed by dim, where a Grid holds uint32 offsets and dense
+// slices.
 type GridSnapshot struct {
 	Layout     Layout
 	Bounds     map[int][]int64
@@ -28,7 +32,7 @@ type GridSnapshot struct {
 func (g *Grid) Snapshot() GridSnapshot {
 	offsets := make([]int, len(g.offsets))
 	for i, o := range g.offsets {
-		offsets[i] = o - g.start
+		offsets[i] = int(o)
 	}
 	s := GridSnapshot{
 		Layout:     g.layout.Clone(),
@@ -54,10 +58,16 @@ func (g *Grid) Snapshot() GridSnapshot {
 	return s
 }
 
-// FromSnapshot reconstructs a Grid. The caller must Finalize it against
-// the (already correctly ordered) store at the grid's physical start.
+// FromSnapshot reconstructs a Grid. The caller must Bind it to the
+// (already correctly ordered) store at the grid's physical start. A
+// snapshot whose tables a query could not safely walk is an error: a cell
+// table that does not tile the grid's rows in order, boundary tables of
+// the wrong shape or out of order, or per-dim ranges missing a dim.
 func FromSnapshot(s GridSnapshot) (*Grid, error) {
 	if err := s.Layout.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.check(); err != nil {
 		return nil, err
 	}
 	d := len(s.Layout.Skeleton)
@@ -78,9 +88,81 @@ func FromSnapshot(s GridSnapshot) (*Grid, error) {
 	if g.mappings, err = dense(s.Mappings, d); err != nil {
 		return nil, err
 	}
-	g.offsets = append([]int(nil), s.Offsets...)
+	g.offsets = make([]uint32, len(s.Offsets))
+	for i, o := range s.Offsets {
+		g.offsets[i] = uint32(o)
+	}
 	g.index()
 	return g, nil
+}
+
+// check verifies what FromSnapshot's grid relies on beyond a valid
+// skeleton: a normalized partition count per dim, per-dim ranges and
+// boundary tables shaped by the layout, and a cell table that runs from 0
+// up to the inlier count, never decreasing.
+func (s *GridSnapshot) check() error {
+	l, d := &s.Layout, len(s.Layout.Skeleton)
+	if len(s.DimLo) != d || len(s.DimHi) != d {
+		return fmt.Errorf("auggrid: snapshot has %d/%d per-dim ranges for %d dims", len(s.DimLo), len(s.DimHi), d)
+	}
+	cells := 1
+	for j, p := range l.P {
+		if p < 1 || (p > 1 && (l.Skeleton[j].Kind == Mapped || j == l.SortDim)) {
+			return fmt.Errorf("auggrid: snapshot has %d partitions in dim %d", p, j)
+		}
+		if cells > len(s.Offsets)/p {
+			return fmt.Errorf("auggrid: snapshot has %d offsets for more than %d cells", len(s.Offsets), len(s.Offsets)-1)
+		}
+		cells *= p
+	}
+	for j, strat := range l.Skeleton {
+		switch strat.Kind {
+		case Independent:
+			if err := checkBounds(s.Bounds[j], l.P[j]); err != nil {
+				return fmt.Errorf("auggrid: snapshot dim %d: %w", j, err)
+			}
+		case Conditional:
+			cb := s.CondBounds[j]
+			if len(cb) != l.P[strat.Other] {
+				return fmt.Errorf("auggrid: snapshot dim %d has %d conditional tables, base dim %d has %d partitions", j, len(cb), strat.Other, l.P[strat.Other])
+			}
+			for b, bounds := range cb {
+				if err := checkBounds(bounds, l.P[j]); err != nil {
+					return fmt.Errorf("auggrid: snapshot dim %d base partition %d: %w", j, b, err)
+				}
+			}
+		}
+	}
+	if len(s.Offsets) != cells+1 {
+		return fmt.Errorf("auggrid: snapshot has %d offsets for %d cells", len(s.Offsets), cells)
+	}
+	if s.N < 0 || s.N > math.MaxUint32 || s.NOutliers < 0 {
+		return fmt.Errorf("auggrid: snapshot has %d rows, %d outliers", s.N, s.NOutliers)
+	}
+	if s.Offsets[0] != 0 {
+		return fmt.Errorf("auggrid: snapshot's first offset is %d, want 0", s.Offsets[0])
+	}
+	for c := 1; c < len(s.Offsets); c++ {
+		if s.Offsets[c] < s.Offsets[c-1] {
+			return fmt.Errorf("auggrid: snapshot's offsets decrease at cell %d", c)
+		}
+	}
+	if last := s.Offsets[cells]; last != s.N-s.NOutliers {
+		return fmt.Errorf("auggrid: snapshot's offsets end at %d, want %d rows less %d outliers", last, s.N, s.NOutliers)
+	}
+	return nil
+}
+
+// checkBounds verifies one partitioning's boundaries: p+1 of them, in
+// ascending order.
+func checkBounds(bounds []int64, p int) error {
+	if len(bounds) != p+1 {
+		return fmt.Errorf("%d boundaries for %d partitions", len(bounds), p)
+	}
+	if !slices.IsSorted(bounds) {
+		return fmt.Errorf("boundaries out of order")
+	}
+	return nil
 }
 
 // dense lays a snapshot's dim-keyed table out as a slice indexed by dim.

@@ -202,8 +202,7 @@ func buildStandaloneGrid(st *colstore.Store, layout auggrid.Layout) (*auggrid.Gr
 		return nil, nil, err
 	}
 	sorted := st.Gather(ordered, nil)
-	g.Finalize(sorted, 0)
-	return g, sorted, nil
+	return g.Bind(sorted, 0), sorted, nil
 }
 
 // gridIndex adapts a bare Augmented Grid over its store to the Index

@@ -63,7 +63,7 @@ func (t *Tsunami) CopyWithInserts(rows [][]int64) (*Tsunami, error) {
 // serving reads for the whole — potentially long — rebuild. Each region
 // with buffered rows has its grid rebuilt with its existing layout over
 // the union of its old rows and its buffered rows; the other regions are
-// copied verbatim, their grids rebased rather than rebuilt. The Grid Tree
+// copied verbatim, their grids rebound rather than rebuilt. The Grid Tree
 // structure and all layouts are unchanged (re-optimization is a separate,
 // heavier operation — see ReoptimizeRegionsCopy and Reoptimize). It
 // returns the copy and how many rows were folded; with nothing buffered

@@ -103,7 +103,13 @@ func toSnapNode(nd *gridtree.Node) *snapNode {
 	return out
 }
 
-// Load reconstructs an index written by Save.
+// Load reconstructs an index written by Save. A snapshot whose tables do
+// not fit together is an error naming the region or node at fault, never
+// an index that fails on its first query: the region bounds must tile the
+// table in order, every region box and grid must span the table's dims,
+// every grid must index exactly its region's rows through a sound cell
+// table (auggrid.FromSnapshot), and every tree node must split a real dim
+// into one child per split value plus one.
 func Load(r io.Reader) (*Tsunami, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -117,14 +123,27 @@ func Load(r io.Reader) (*Tsunami, error) {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	if len(s.Bounds) != len(s.Regions) {
-		return nil, fmt.Errorf("core: load: inconsistent region tables")
+		return nil, fmt.Errorf("core: load: %d region bounds for %d regions", len(s.Bounds), len(s.Regions))
+	}
+	d, next := store.NumDims(), 0
+	for i, b := range s.Bounds {
+		if b[0] != next || b[1] < b[0] {
+			return nil, fmt.Errorf("core: load: region %d spans rows [%d, %d), want it to start at %d", i, b[0], b[1], next)
+		}
+		next = b[1]
+	}
+	if next != store.NumRows() {
+		return nil, fmt.Errorf("core: load: regions cover %d of %d rows", next, store.NumRows())
 	}
 
 	regions := make([]*gridtree.Region, len(s.Regions))
 	for i, sr := range s.Regions {
+		if len(sr.Lo) != d || len(sr.Hi) != d {
+			return nil, fmt.Errorf("core: load: region %d box has %d/%d bounds for %d dims", i, len(sr.Lo), len(sr.Hi), d)
+		}
 		regions[i] = &gridtree.Region{Lo: sr.Lo, Hi: sr.Hi, ID: i}
 	}
-	root, err := fromSnapNode(s.Root, regions)
+	root, err := fromSnapNode(s.Root, regions, d)
 	if err != nil {
 		return nil, err
 	}
@@ -145,12 +164,17 @@ func Load(r io.Reader) (*Tsunami, error) {
 		if i < 0 || i >= len(s.Regions) {
 			return nil, fmt.Errorf("core: load: grid for unknown region %d", i)
 		}
+		if len(gs.Layout.Skeleton) != d {
+			return nil, fmt.Errorf("core: load: region %d grid has %d dims, table has %d", i, len(gs.Layout.Skeleton), d)
+		}
 		g, err := auggrid.FromSnapshot(gs)
 		if err != nil {
 			return nil, fmt.Errorf("core: load: region %d grid: %w", i, err)
 		}
-		g.Finalize(store, s.Bounds[i][0])
-		t.grids[i] = g
+		if b := s.Bounds[i]; g.NumRows() != b[1]-b[0] {
+			return nil, fmt.Errorf("core: load: region %d grid indexes %d rows, region has %d", i, g.NumRows(), b[1]-b[0])
+		}
+		t.grids[i] = g.Bind(store, s.Bounds[i][0])
 	}
 	for id, rows := range s.Deltas {
 		if id < 0 || id >= len(s.Regions) {
@@ -179,7 +203,9 @@ func Load(r io.Reader) (*Tsunami, error) {
 	return t, nil
 }
 
-func fromSnapNode(nd *snapNode, regions []*gridtree.Region) (*gridtree.Node, error) {
+// fromSnapNode rebuilds the subtree at nd over the loaded regions; d is
+// the table's dim count.
+func fromSnapNode(nd *snapNode, regions []*gridtree.Region, d int) (*gridtree.Node, error) {
 	if nd == nil {
 		return nil, fmt.Errorf("core: load: nil tree node")
 	}
@@ -189,10 +215,16 @@ func fromSnapNode(nd *snapNode, regions []*gridtree.Region) (*gridtree.Node, err
 		}
 		return &gridtree.Node{Region: regions[nd.RegionID]}, nil
 	}
+	if nd.SplitDim < 0 || nd.SplitDim >= d {
+		return nil, fmt.Errorf("core: load: tree node splits dim %d of %d", nd.SplitDim, d)
+	}
+	if len(nd.Children) != len(nd.SplitVals)+1 {
+		return nil, fmt.Errorf("core: load: tree node on dim %d has %d children for %d split values", nd.SplitDim, len(nd.Children), len(nd.SplitVals))
+	}
 	out := &gridtree.Node{SplitDim: nd.SplitDim, SplitVals: nd.SplitVals}
 	out.Children = make([]*gridtree.Node, len(nd.Children))
 	for i, c := range nd.Children {
-		child, err := fromSnapNode(c, regions)
+		child, err := fromSnapNode(c, regions, d)
 		if err != nil {
 			return nil, err
 		}

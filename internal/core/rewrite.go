@@ -37,10 +37,11 @@ func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
 //     empty, and records them as its workload.
 //
 // A region with no buffered rows that neither input touches is
-// bulk-copied and its grid rebased onto the new store. Any other region
-// is staged (surviving clustered rows, then buffered rows), built once —
-// with the new layout, or its existing one — and emitted in grid order;
-// one that has no grid, or that emptied out, is emitted as plain rows.
+// bulk-copied and its grid bound to the new store, sharing every table.
+// Any other region is staged (surviving clustered rows, then buffered
+// rows), built once — with the new layout, or its existing one — and
+// emitted in grid order; one that has no grid, or that emptied out, is
+// emitted as plain rows.
 // What the successor shares with the receiver is immutable: untouched
 // grids' layouts and models, and query sets; the moved set may hold the
 // receiver's buffered row slices themselves. The Grid Tree is copied,
@@ -75,7 +76,7 @@ func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami,
 			for j := range cols {
 				cols[j] = append(cols[j], t.store.Column(j)[b[0]:b[1]]...)
 			}
-			nt.grids[id] = t.grids[id] // rebased below, once the store exists
+			nt.grids[id] = t.grids[id] // bound below, once the store exists
 			nt.bounds[id] = [2]int{start, len(cols[0])}
 			continue
 		}
@@ -164,12 +165,10 @@ func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami,
 	}
 	nt.store = store
 	for id, g := range nt.grids {
-		switch {
-		case g == nil:
-		case g == t.grids[id]: // verbatim region: same rows, same order, new offsets
-			nt.grids[id] = g.Rebase(store, nt.bounds[id][0])
-		default:
-			g.Finalize(store, nt.bounds[id][0])
+		if g != nil {
+			// A verbatim region's grid shares the receiver's tables: its
+			// rows keep their order, and only where they start moves.
+			nt.grids[id] = g.Bind(store, nt.bounds[id][0])
 		}
 	}
 	return nt, moved, nil

@@ -17,7 +17,7 @@ import "fmt"
 // the rebuild (in-range buffered rows join the moved set), so the copy
 // starts with empty delta buffers. Affected region grids are rebuilt with
 // their existing layouts; untouched regions are copied verbatim and their
-// grids rebased. t is untouched and can keep serving reads throughout.
+// grids rebound. t is untouched and can keep serving reads throughout.
 //
 // The returned rows may share backing slices with t's delta buffers;
 // treat them as immutable.

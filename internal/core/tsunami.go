@@ -202,7 +202,7 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 	t.store = st.Gather(perm, nil)
 	for id, g := range t.grids {
 		if g != nil {
-			g.Finalize(t.store, t.bounds[id][0])
+			t.grids[id] = g.Bind(t.store, t.bounds[id][0])
 		}
 	}
 	sortSecs := time.Since(sortStart).Seconds()
