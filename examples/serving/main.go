@@ -64,7 +64,6 @@ func main() {
 	wl := tsunami.NewWorkloadStats(tsunami.WorkloadOptions{})
 	ls := tsunami.NewLiveStore(tsunami.New(ds.Store, dashboards, opts), dashboards, tsunami.LiveOptions{
 		MergeThreshold: 1000,
-		Shift:          tsunami.ShiftConfig{WindowSize: 96},
 		Metrics:        m,
 		Workload:       wl,
 		OnEvent: func(ev tsunami.LiveEvent) {

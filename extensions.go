@@ -30,14 +30,12 @@ type ShiftDetector = shift.Detector
 // ShiftReport summarizes a detector window.
 type ShiftReport = shift.Report
 
-// ShiftConfig tunes detection sensitivity.
-type ShiftConfig = shift.Config
-
 // NewShiftDetector fingerprints the workload an index was optimized for.
-// Feed live queries to Observe and poll Analyze; on ShiftDetected, call
-// TsunamiIndex.Reoptimize with the detector's Recent workload.
-func NewShiftDetector(table *Table, optimized []Query, cfg ShiftConfig) *ShiftDetector {
-	return shift.NewDetector(table, optimized, cfg)
+// Feed live queries to Observe and poll Analyze, which compares the last
+// 256 against it; on ShiftDetected, call TsunamiIndex.Reoptimize with the
+// detector's Recent workload.
+func NewShiftDetector(table *Table, optimized []Query) *ShiftDetector {
+	return shift.NewDetector(table, optimized)
 }
 
 // CategoricalRemap is a learned dictionary re-encoding for one categorical

@@ -27,7 +27,7 @@ func TestRobustIndexOnDirtyData(t *testing.T) {
 func TestShiftDetectorViaPublicAPI(t *testing.T) {
 	ds := tsunami.GenerateTaxi(15_000, 3)
 	work := tsunami.WorkloadFor(ds, 30, 4)
-	det := tsunami.NewShiftDetector(ds.Store, work, tsunami.ShiftConfig{WindowSize: 60})
+	det := tsunami.NewShiftDetector(ds.Store, work)
 	if det.NumTypes() < 3 {
 		t.Fatalf("fingerprinted %d types", det.NumTypes())
 	}
@@ -36,7 +36,7 @@ func TestShiftDetectorViaPublicAPI(t *testing.T) {
 		{Name: "new", Dims: []tsunami.DimSpec{
 			{Dim: 5, Sel: 0.01, Jitter: 0.1, Skew: tsunami.SkewExtremes},
 		}},
-	}, 80, 5)
+	}, 256, 5) // a full detector window
 	for _, q := range drifted {
 		det.Observe(q)
 	}

@@ -265,21 +265,24 @@ func TestGroupedSlowQueryExemplar(t *testing.T) {
 	table := testutil.SmallTaxi(3000, 41)
 	work := testutil.RandomQueries(table, 20, 42)
 	opts := tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16}
-	// The arming queries are really served, so under -race one of them can
-	// trip the freshly armed threshold; no rate-limit window, or its
-	// capture would swallow the exemplar this test is about.
-	wopts := tsunami.WorkloadOptions{SampleEvery: 1, MinSamples: 32, SlowFactor: 1.5, TraceInterval: time.Nanosecond}
 	slow := tsunami.CountBy(4)
 
 	check := func(name string, wl *tsunami.WorkloadStats, serve func(tsunami.Query) tsunami.Result) {
 		t.Helper()
-		for i := 0; i < 64; i++ { // arm the adaptive threshold off real served queries
+		// Arm the adaptive threshold off real served queries: it arms after
+		// 64 samples, and the collector samples 1 query in 8.
+		const arming = 8 * 64
+		for i := 0; i < arming; i++ {
 			serve(work[i%len(work)])
 		}
+		// Under -race one of the arming queries can trip the freshly armed
+		// threshold; wait out its capture's 250ms rate-limit window, or it
+		// would swallow the exemplar this test is about.
+		time.Sleep(250 * time.Millisecond)
 		wl.Record(slow, 5*time.Second, 3000, 3000, 24000)
 		snap := wl.Snapshot()
-		if snap.Queries != 65 {
-			t.Errorf("%s: collector recorded %d queries, want the 65 served — an exemplar capture fed back into it", name, snap.Queries)
+		if snap.Queries != arming+1 {
+			t.Errorf("%s: collector recorded %d queries, want the %d served — an exemplar capture fed back into it", name, snap.Queries, arming+1)
 		}
 		for _, e := range snap.Slow {
 			if e.Query != slow.String() {
@@ -293,12 +296,12 @@ func TestGroupedSlowQueryExemplar(t *testing.T) {
 		t.Errorf("%s: the slow grouped query is not in the slow log: %+v", name, snap.Slow)
 	}
 
-	lwl := tsunami.NewWorkloadStats(wopts)
+	lwl := tsunami.NewWorkloadStats(tsunami.WorkloadOptions{})
 	ls := tsunami.NewLiveStore(tsunami.New(table, work, opts), work, tsunami.LiveOptions{Workload: lwl})
 	defer ls.Close()
 	check("LiveStore", lwl, ls.Execute)
 
-	swl := tsunami.NewWorkloadStats(wopts)
+	swl := tsunami.NewWorkloadStats(tsunami.WorkloadOptions{})
 	ss, err := tsunami.NewShardedStore(table, work, opts, tsunami.ShardedOptions{Shards: 2, Workload: swl})
 	if err != nil {
 		t.Fatal(err)

@@ -132,9 +132,6 @@ func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg Eva
 	}
 }
 
-// NumQueries returns the size of the replayed workload.
-func (e *Evaluator) NumQueries() int { return len(e.queries) }
-
 // Cost returns the predicted average query time (ns) for the layout, or
 // +Inf if the layout cannot be built.
 func (e *Evaluator) Cost(l Layout) float64 {
@@ -151,16 +148,6 @@ func (e *Evaluator) Cost(l Layout) float64 {
 		return 0
 	}
 	return total / float64(len(e.queries))
-}
-
-// PredictQuery returns the predicted time (ns) of one query under layout l;
-// Fig 12b compares this against measured time.
-func (e *Evaluator) PredictQuery(l Layout, q query.Query) float64 {
-	g, err := e.buildSampleGrid(l)
-	if err != nil {
-		return inf()
-	}
-	return e.queryCost(g, q)
 }
 
 // buildSampleGrid builds l over the whole sample and binds it to a copy of

@@ -117,13 +117,6 @@ func Optimize(st *colstore.Store, rows []int, queries []query.Query, opt Optimiz
 	return l, ctx.eval.Cost(l)
 }
 
-// NewEvaluatorFor exposes the evaluator used by Optimize so experiments can
-// report predicted costs (Fig 12b).
-func NewEvaluatorFor(st *colstore.Store, rows []int, queries []query.Query, cfg OptimizeConfig) *Evaluator {
-	cfg.fill()
-	return NewEvaluator(st, rows, queries, cfg.Eval)
-}
-
 func newSearchCtx(st *colstore.Store, rows []int, queries []query.Query, cfg OptimizeConfig) *searchCtx {
 	ctx := &searchCtx{
 		st:      st,

@@ -51,11 +51,9 @@ type Config struct {
 	// MergeThreshold is the buffered-row count that triggers a background
 	// merge into a fresh clustered copy (default 4096).
 	MergeThreshold int
-	// Shift tunes the drift detector (see shift.Config). Detection only
-	// runs when the store was opened with the optimized workload.
-	Shift shift.Config
 	// DisableShift turns shift detection off even when a workload is
-	// available.
+	// available. Detection only runs when the store was opened with the
+	// optimized workload.
 	DisableShift bool
 	// SnapshotInterval enables periodic crash-recovery snapshots of the
 	// current epoch — including buffered-but-unmerged rows — to
@@ -327,7 +325,7 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 		}
 	}
 	if len(optimized) > 0 && !cfg.DisableShift {
-		s.detector = shift.NewDetector(idx.Store(), optimized, cfg.Shift)
+		s.detector = shift.NewDetector(idx.Store(), optimized)
 		s.detectorTypes.Store(int64(s.detector.NumTypes()))
 		s.shifted = make(chan struct{}, 1)
 	}
@@ -859,7 +857,7 @@ func (s *Store) runReoptimize() {
 	// Re-fingerprint on the workload we just optimized for, over the new
 	// clustered store, with an empty window: drift is now measured against
 	// the post-shift baseline.
-	det := shift.NewDetector(reopt.Store(), work, s.cfg.Shift)
+	det := shift.NewDetector(reopt.Store(), work)
 	s.detMu.Lock()
 	s.detector = det
 	s.detMu.Unlock()

@@ -18,7 +18,6 @@ import (
 	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/shift"
 	"repro/internal/testutil"
 )
 
@@ -69,7 +68,6 @@ func TestLiveConcurrentReadWriteWithMaintenance(t *testing.T) {
 
 	s := Open(idx, work, Config{
 		MergeThreshold: 500,
-		Shift:          shift.Config{WindowSize: 64},
 	})
 
 	probes := work[:4] // original-type queries, also used for monotonicity
@@ -557,7 +555,6 @@ func TestDetectorObservesDuringMaintenance(t *testing.T) {
 	var park, unpark sync.Once
 	s := Open(core.Build(st, work, smallConfig()), work, Config{
 		MergeThreshold: 100,
-		Shift:          shift.Config{WindowSize: 64},
 		OnEvent: func(ev Event) {
 			switch ev.Kind {
 			case EventMerge:

@@ -10,7 +10,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/shift"
 	"repro/internal/testutil"
 )
 
@@ -66,7 +65,6 @@ func TestCachedStreamStillFiresDetector(t *testing.T) {
 		Shards:       2,
 		Learned:      true,
 		CacheEntries: 64,
-		Live:         live.Config{Shift: shift.Config{WindowSize: 64}},
 		OnEvent: func(ev Event) {
 			if ev.Kind == live.EventReoptimize {
 				reopts.Add(1)

@@ -162,8 +162,10 @@ func (s *Store) save(dir string) error {
 // index — buffered rows included — and serving resumes. A directory left
 // by a crash mid-rebalance is reconciled first (see the protocol above).
 // workload seeds each shard's shift detector (nil disables detection), as
-// in Open. cfg.Partition/Shards/Dim/Learned are ignored: the manifest
-// decides.
+// in Open. cfg.Shards/Dim/Learned are ignored: the manifest decides. A
+// manifest that does not fit the shard files beside it (a shard file
+// missing, a partition dim outside the table, shards of different widths)
+// is an error.
 func Recover(dir string, workload []query.Query, cfg Config) (*Store, error) {
 	if cfg.Live.SnapshotPath != "" {
 		return nil, errors.New("sharded: set Config.SnapshotDir, not Live.SnapshotPath (shards derive their own files)")
@@ -175,6 +177,14 @@ func Recover(dir string, workload []query.Query, cfg Config) (*Store, error) {
 	parts, err := m.Spec.Partitioner()
 	if err != nil {
 		return nil, fmt.Errorf("sharded: recover: %w", err)
+	}
+	// Every named shard file must exist before any per-shard state is
+	// allocated: a manifest naming more shards than the directory holds
+	// fails at the first missing file.
+	for i := 0; i < parts.NumShards(); i++ {
+		if _, err := os.Stat(shardFile(dir, i)); err != nil {
+			return nil, fmt.Errorf("sharded: recover: %w", err)
+		}
 	}
 	gen := m.Generation
 	if gen == 0 {
@@ -205,9 +215,6 @@ func Recover(dir string, workload []query.Query, cfg Config) (*Store, error) {
 		sanitize = []int{p.Src, p.Dst}
 	}
 
-	cfg.Partition = parts
-	cfg.fill()
-
 	idxs := make([]*core.Tsunami, parts.NumShards())
 	err = eachShard(len(idxs), func(i int) error {
 		f, err := os.Open(shardFile(dir, i))
@@ -220,6 +227,17 @@ func Recover(dir string, workload []query.Query, cfg Config) (*Store, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sharded: recover: %w", err)
+	}
+	// The manifest is the one place a partitioner comes from outside the
+	// program: it must route on a dimension every shard has.
+	dims := idxs[0].Store().NumDims()
+	for i, idx := range idxs {
+		if d := idx.Store().NumDims(); d != dims {
+			return nil, fmt.Errorf("sharded: recover: shard %d has %d dims, shard 0 has %d", i, d, dims)
+		}
+	}
+	if m.Spec.Dim < 0 || m.Spec.Dim >= dims {
+		return nil, fmt.Errorf("sharded: recover: manifest partitions on dim %d of %d", m.Spec.Dim, dims)
 	}
 	for _, i := range sanitize {
 		idxs[i], err = keepOwned(idxs[i], parts.(*RangePartitioner), i)

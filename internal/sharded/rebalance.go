@@ -50,15 +50,19 @@ type RebalanceConfig struct {
 	CheckInterval time.Duration
 	// MaxSkew triggers a rebalance when the largest shard holds more than
 	// MaxSkew times the mean shard's rows, counting both clustered and
-	// buffered rows (default 2, minimum 1.1).
+	// buffered rows (default 2, minimum 1.1). The watcher never triggers
+	// below 4096 rows in total.
 	MaxSkew float64
-	// MinRows is the total row count below which the watcher never
-	// triggers (default 4096).
-	MinRows int
-	// SampleSize is how many values the rebalancer samples across shards
-	// to re-learn the equi-depth cuts (default 1<<15).
-	SampleSize int
 }
+
+const (
+	// minRebalanceRows is the total row count below which the watcher
+	// never triggers.
+	minRebalanceRows = 4096
+	// rebalanceSample is how many values the rebalancer samples across
+	// shards to re-learn the equi-depth cuts.
+	rebalanceSample = 1 << 15
+)
 
 func (c *RebalanceConfig) fill() {
 	if c.MaxSkew <= 0 {
@@ -66,12 +70,6 @@ func (c *RebalanceConfig) fill() {
 	}
 	if c.MaxSkew < 1.1 {
 		c.MaxSkew = 1.1
-	}
-	if c.MinRows <= 0 {
-		c.MinRows = 4096
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 1 << 15
 	}
 }
 
@@ -109,7 +107,7 @@ func (s *Store) watchBalance() {
 			return
 		case <-t.C:
 			skew, total := s.Skew()
-			if total < s.rebalCfg.MinRows || skew < s.rebalCfg.MaxSkew {
+			if total < minRebalanceRows || skew < s.rebalCfg.MaxSkew {
 				continue
 			}
 			if err := s.Rebalance(); err != nil && !errors.Is(err, errClosed) {
@@ -223,12 +221,12 @@ func (s *Store) relearnCuts(rp *RangePartitioner) []int64 {
 	if total == 0 {
 		return append([]int64(nil), rp.cuts...)
 	}
-	sample := make([]int64, 0, s.rebalCfg.SampleSize)
+	sample := make([]int64, 0, rebalanceSample)
 	for i, idx := range handles {
 		if counts[i] == 0 {
 			continue
 		}
-		k := s.rebalCfg.SampleSize * counts[i] / total
+		k := rebalanceSample * counts[i] / total
 		if k < 1 {
 			k = 1
 		}

@@ -179,7 +179,6 @@ func TestRebalanceWatcherTriggers(t *testing.T) {
 		Rebalance: RebalanceConfig{
 			CheckInterval: 10 * time.Millisecond,
 			MaxSkew:       1.5,
-			MinRows:       1000,
 		},
 		OnEvent: func(ev Event) {
 			mu.Lock()

@@ -60,16 +60,13 @@ import (
 // Config tunes a sharded store; zero values take defaults.
 type Config struct {
 	// Shards is the shard count (default runtime.NumCPU(), capped at 8).
-	// Ignored when Partition is set.
 	Shards int
-	// Dim is the dimension the default partitioners cut on (default 0).
+	// Dim is the dimension the partitioner cuts on (default 0).
 	Dim int
 	// Learned selects learned range partitioning on Dim (equi-depth cuts
 	// from the data, strong pruning for range filters on Dim) instead of
 	// the default hash partitioning.
 	Learned bool
-	// Partition overrides Shards/Dim/Learned with a custom partitioner.
-	Partition Partitioner
 	// Live is the per-shard serving configuration (merge thresholds,
 	// shift detection, snapshot interval). SnapshotPath must be unset —
 	// shards derive their snapshot files from SnapshotDir.
@@ -84,8 +81,7 @@ type Config struct {
 	// Rebalance tunes the online shard rebalancer, which re-learns the
 	// range partitioner's cuts and migrates rows between neighboring
 	// shards when skewed ingest unbalances them. Requires the learned
-	// range partitioner (Learned, or a Partition that is a
-	// *RangePartitioner); see RebalanceConfig.
+	// range partitioner (Learned); see RebalanceConfig.
 	Rebalance RebalanceConfig
 	// OnEvent, when non-nil, receives every shard's maintenance events
 	// tagged with the shard id. Invocations are serialized across shards.
@@ -151,17 +147,6 @@ func newShardedMetrics(s *Store, r *obs.Registry) *shardedMetrics {
 		return skew
 	})
 	return m
-}
-
-func (c *Config) fill() {
-	if c.Partition != nil {
-		c.Shards = c.Partition.NumShards()
-	} else if c.Shards <= 0 {
-		c.Shards = runtime.NumCPU()
-		if c.Shards > 8 {
-			c.Shards = 8
-		}
-	}
 }
 
 // Event is one shard's maintenance event. Store-level events — rebalances
@@ -259,24 +244,19 @@ type Store struct {
 // configuration; its Parallelism is divided among the concurrent shard
 // builds.
 func Open(table *colstore.Store, workload []query.Query, bcfg core.Config, cfg Config) (*Store, error) {
-	cfg.fill()
 	if cfg.Live.SnapshotPath != "" {
 		return nil, errors.New("sharded: set Config.SnapshotDir, not Live.SnapshotPath (shards derive their own files)")
 	}
-	parts := cfg.Partition
-	if parts == nil {
-		if cfg.Dim < 0 || cfg.Dim >= table.NumDims() {
-			return nil, fmt.Errorf("sharded: partition dim %d out of range (table has %d dims)", cfg.Dim, table.NumDims())
-		}
-		if cfg.Learned {
-			parts = LearnRange(table, cfg.Dim, cfg.Shards)
-		} else {
-			parts = NewHash(cfg.Dim, cfg.Shards)
-		}
+	if cfg.Dim < 0 || cfg.Dim >= table.NumDims() {
+		return nil, fmt.Errorf("sharded: partition dim %d out of range (table has %d dims)", cfg.Dim, table.NumDims())
 	}
-	n := parts.NumShards()
+	n := cfg.Shards
 	if n <= 0 {
-		return nil, fmt.Errorf("sharded: partitioner reports %d shards", n)
+		n = min(runtime.NumCPU(), 8)
+	}
+	var parts Partitioner = NewHash(cfg.Dim, n)
+	if cfg.Learned {
+		parts = LearnRange(table, cfg.Dim, n)
 	}
 
 	// Assign rows, then build per-shard column stores in two passes (the
@@ -288,12 +268,8 @@ func Open(table *colstore.Store, workload []query.Query, bcfg core.Config, cfg C
 	row := make([]int64, d)
 	for i := 0; i < numRows; i++ {
 		table.Row(i, row)
-		s := parts.ShardOf(row)
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("sharded: partitioner sent row %d to shard %d of %d", i, s, n)
-		}
-		assign[i] = s
-		counts[s]++
+		assign[i] = parts.ShardOf(row)
+		counts[assign[i]]++
 	}
 	shardCols := make([][][]int64, n)
 	for s := 0; s < n; s++ {
@@ -750,25 +726,11 @@ func (s *Store) Insert(row []int64) error {
 	// Routing under the ingest gate: a migration publishes its topology
 	// while holding the gate exclusively, so the shard chosen here always
 	// matches the placement the routing layer advertises.
-	id, err := s.shardOf(s.topo.Load().parts, row)
-	if err != nil {
-		return err
-	}
-	if err := s.shards[id].Insert(row); err != nil {
+	if err := s.shards[s.topo.Load().parts.ShardOf(row)].Insert(row); err != nil {
 		return err
 	}
 	s.inserts.Add(1)
 	return nil
-}
-
-// shardOf routes row with parts, or errors if a custom Partitioner names
-// a shard the store does not have.
-func (s *Store) shardOf(parts Partitioner, row []int64) (int, error) {
-	id := parts.ShardOf(row)
-	if id < 0 || id >= len(s.shards) {
-		return 0, fmt.Errorf("sharded: partitioner sent a row to shard %d of %d", id, len(s.shards))
-	}
-	return id, nil
 }
 
 // InsertBatch splits rows by owning shard and ingests the pieces in
@@ -796,16 +758,12 @@ func (s *Store) InsertBatch(rows [][]int64) error {
 	// is the one their placement is published against (a migration cannot
 	// swap topologies mid-batch: it needs the gate exclusively). Shard ids
 	// are dense, so group into a shard-indexed slice (no map hashing on
-	// the ingest hot path). Every row is routed before any shard inserts,
-	// so a batch the partitioner misroutes inserts nothing.
+	// the ingest hot path).
 	parts := s.topo.Load().parts
 	groups := make([][][]int64, len(s.shards))
 	touched := 0
 	for _, row := range rows {
-		id, err := s.shardOf(parts, row)
-		if err != nil {
-			return err
-		}
+		id := parts.ShardOf(row)
 		if groups[id] == nil {
 			touched++
 		}

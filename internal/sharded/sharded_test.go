@@ -204,51 +204,6 @@ func TestShardedMatchesFullScan(t *testing.T) {
 	}
 }
 
-// misroute is a custom Partitioner that sends every row whose first value
-// is at least from to a shard the store does not have.
-type misroute struct {
-	*HashPartitioner
-	from int64
-}
-
-func (p misroute) ShardOf(row []int64) int {
-	if row[0] >= p.from {
-		return p.NumShards()
-	}
-	return p.HashPartitioner.ShardOf(row)
-}
-
-// TestShardedRejectsMisroutedRows pins that a custom Partitioner naming a
-// shard out of range makes a write an error, not a panic, and that a
-// batch holding such a row inserts none of its rows.
-func TestShardedRejectsMisroutedRows(t *testing.T) {
-	st := testutil.SmallTaxi(3000, 85)
-	lo, hi := st.MinMax(0)
-	s, err := Open(st, testutil.RandomQueries(st, 20, 86), smallConfig(),
-		Config{Shards: 3, Partition: misroute{NewHash(1, 3), hi + 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	good, bad := st.Row(0, nil), st.Row(1, nil)
-	good[0], bad[0] = lo, hi+1
-	if err := s.Insert(bad); err == nil {
-		t.Error("Insert of a misrouted row succeeded")
-	}
-	if err := s.InsertBatch([][]int64{good, bad}); err == nil {
-		t.Error("InsertBatch holding a misrouted row succeeded")
-	}
-	if got := s.Execute(query.NewCount()).Count; got != 3000 {
-		t.Errorf("store holds %d rows after the rejected writes, want 3000", got)
-	}
-	if err := s.InsertBatch([][]int64{good}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Execute(query.NewCount()).Count; got != 3001 {
-		t.Errorf("store holds %d rows after one good insert, want 3001", got)
-	}
-}
-
 // TestShardedPruningCounted checks the router actually prunes shards for
 // range queries on the learned partition dimension.
 func TestShardedPruningCounted(t *testing.T) {

@@ -19,21 +19,11 @@ import (
 	"repro/internal/query"
 )
 
-// Config tunes detection sensitivity; zero values take defaults.
-type Config struct {
-	// WindowSize is the number of recent queries compared against the
-	// optimized workload (default 256). Analyze reports nothing until half
-	// a window has been observed.
-	WindowSize int
-}
-
-func (c *Config) fill() {
-	if c.WindowSize <= 0 {
-		c.WindowSize = 256
-	}
-}
-
 const (
+	// windowSize is the number of recent queries compared against the
+	// optimized workload. Analyze reports nothing until half a window has
+	// been observed.
+	windowSize = 256
 	// novelFracThreshold triggers when this fraction of the window matches
 	// no known query type.
 	novelFracThreshold = 0.25
@@ -62,7 +52,6 @@ type observation struct {
 // It keeps a sample of the table's values, not the table. A Detector is
 // not safe for concurrent use.
 type Detector struct {
-	cfg      Config
 	sample   *index.Sample
 	profiles []typeProfile
 	emb      []float64 // Observe's embedding scratch
@@ -77,9 +66,8 @@ type Detector struct {
 // NewDetector fingerprints the workload the index over st was optimized
 // for. Queries are clustered into types exactly as the Grid Tree does
 // (§4.3.1).
-func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detector {
-	cfg.fill()
-	d := &Detector{cfg: cfg, sample: index.NewSample(st, 2000)}
+func NewDetector(st *colstore.Store, optimized []query.Query) *Detector {
+	d := &Detector{sample: index.NewSample(st, 2000)}
 	typed, numTypes := gridtree.ClusterQueryTypes(d.sample, optimized)
 
 	sums := make(map[int][]float64)
@@ -112,7 +100,7 @@ func NewDetector(st *colstore.Store, optimized []query.Query, cfg Config) *Detec
 			baseFreq: float64(n) / float64(len(typed)),
 		})
 	}
-	d.window = make([]observation, cfg.WindowSize)
+	d.window = make([]observation, windowSize)
 	return d
 }
 
@@ -194,7 +182,7 @@ func (d *Detector) Analyze() Report {
 		n = d.pos
 	}
 	var rep Report
-	if n == 0 || d.seen < d.cfg.WindowSize/2 {
+	if n == 0 || d.seen < windowSize/2 {
 		return rep
 	}
 	counts := make([]int, len(d.profiles))

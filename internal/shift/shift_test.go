@@ -28,13 +28,13 @@ func detectorFixture(t *testing.T) (*Detector, []workload.TypeSpec, *datasets.Da
 	ds := datasets.TPCH(20000, 1)
 	types := workload.TPCHTypes()
 	optimized := workload.Generate(ds.Store, types, 40, 2)
-	det := NewDetector(ds.Store, optimized, Config{WindowSize: 100})
+	det := NewDetector(ds.Store, optimized)
 	return det, types, ds
 }
 
 func TestNoShiftOnSameWorkload(t *testing.T) {
 	det, types, ds := detectorFixture(t)
-	live := interleave(workload.Generate(ds.Store, types, 40, 99), len(types))
+	live := interleave(workload.Generate(ds.Store, types, 52, 99), len(types)) // 260 queries, window 256
 	for _, q := range live {
 		det.Observe(q)
 	}
@@ -49,7 +49,7 @@ func TestNoShiftOnSameWorkload(t *testing.T) {
 
 func TestShiftOnNewQueryTypes(t *testing.T) {
 	det, _, ds := detectorFixture(t)
-	live := interleave(workload.Generate(ds.Store, workload.TPCHShiftedTypes(), 40, 100), 5)
+	live := interleave(workload.Generate(ds.Store, workload.TPCHShiftedTypes(), 52, 100), 5)
 	for _, q := range live {
 		det.Observe(q)
 	}
@@ -63,7 +63,7 @@ func TestShiftOnFrequencyChange(t *testing.T) {
 	det, types, ds := detectorFixture(t)
 	// Replay only the first type, over and over: frequencies drift from
 	// 5 balanced types to 1 dominant.
-	one := workload.Generate(ds.Store, types[:1], 200, 101)
+	one := workload.Generate(ds.Store, types[:1], windowSize, 101)
 	for _, q := range one {
 		det.Observe(q)
 	}
@@ -111,7 +111,7 @@ func TestWindowSlides(t *testing.T) {
 	det, types, ds := detectorFixture(t)
 	// Fill the window with shifted queries, then flush it with original
 	// ones: the report must recover.
-	shifted := workload.Generate(ds.Store, workload.TPCHShiftedTypes(), 40, 104)
+	shifted := workload.Generate(ds.Store, workload.TPCHShiftedTypes(), 52, 104)
 	for _, q := range shifted {
 		det.Observe(q)
 	}
@@ -132,10 +132,10 @@ func TestWindowSlides(t *testing.T) {
 // oldest first, before and after the window wraps.
 func TestRecentIsTheWindow(t *testing.T) {
 	det, types, ds := detectorFixture(t)
-	stream := workload.Generate(ds.Store, types, 30, 106) // 150 queries, window 100
+	stream := workload.Generate(ds.Store, types, 60, 106) // 300 queries, window 256
 	for i, q := range stream {
 		det.Observe(q)
-		n := min(i+1, 100)
+		n := min(i+1, windowSize)
 		got := det.Recent()
 		if len(got) != n || !slices.Equal(got[0].Filters, stream[i+1-n].Filters) || !slices.Equal(got[n-1].Filters, stream[i].Filters) {
 			t.Fatalf("after %d observations Recent has %d queries, want the last %d oldest first", i+1, len(got), n)

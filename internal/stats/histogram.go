@@ -138,9 +138,6 @@ func (h *Histogram) AddRange(lo, hi int64, m float64) {
 	}
 }
 
-// AddValue adds mass m to the bin containing v.
-func (h *Histogram) AddValue(v int64, m float64) { h.Mass[h.Bin(v)] += m }
-
 // Total returns the total mass.
 func (h *Histogram) Total() float64 {
 	t := 0.0

@@ -3,17 +3,15 @@
 // volume), wstats describes the workload itself — which query shapes
 // arrive, how skewed their popularity is, what selectivities and filter
 // bounds they observe, whether latency objectives hold, and which concrete
-// queries populate the tail. It is the online replacement for the offline
-// training workload the paper's optimizer consumes: ROADMAP items 4
-// (adaptivity loop) and 5 (query-result caching and admission) both key
-// on exactly these statistics.
+// queries populate the tail. It is the online counterpart of the offline
+// training workload the paper's optimizer consumes.
 //
 // The package follows the same contract as internal/obs: a nil *Collector
 // disables everything with zero hot-path cost, and recording never blocks
 // the query path — the few always-on pieces (SLO counters, the slow-query
 // threshold check) are a handful of atomics, and everything stateful
 // (sketch, histograms, slow-query ring) sits behind one mutex that Record
-// only ever tries, for 1 query in SampleEvery: a sample that finds it
+// only ever tries, for 1 query in 8 (sampleEvery): a sample that finds it
 // held is dropped and counted, never waited on. The Collector is passive
 // — no goroutine, no channel, nothing to close.
 package wstats

@@ -12,7 +12,7 @@ import (
 // schema; see README "Workload observability").
 type Snapshot struct {
 	// Queries counts every Record call; Sampled is how many of them
-	// folded into the heavyweight statistics (1 in SampleEvery); Dropped
+	// folded into the heavyweight statistics (1 in SampleEvery = 8); Dropped
 	// counts sampled or slow queries that found the statistics busy.
 	Queries     uint64 `json:"queries"`
 	Sampled     uint64 `json:"sampled"`
@@ -29,7 +29,7 @@ type Snapshot struct {
 	SLO          []SLOStat         `json:"slo"`
 
 	// SlowThresholdSeconds is the current adaptive slow-query threshold
-	// (0 until MinSamples queries have been sampled); SlowSeen counts
+	// (0 until 64 queries have been sampled); SlowSeen counts
 	// queries that exceeded it; Slow is the exemplar ring, newest first.
 	SlowThresholdSeconds float64     `json:"slow_threshold_seconds"`
 	SlowSeen             uint64      `json:"slow_seen"`
@@ -113,7 +113,7 @@ func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
 		Queries:              c.queries.Load(),
 		Sampled:              c.sampled,
-		SampleEvery:          c.cfg.SampleEvery,
+		SampleEvery:          int(c.sampleEvery),
 		Dropped:              c.dropped.Load(),
 		P50Seconds:           float64(c.lat.quantile(0.50)) / 1e9,
 		P99Seconds:           float64(c.lat.quantile(0.99)) / 1e9,

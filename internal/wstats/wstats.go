@@ -23,49 +23,28 @@ const (
 	topK = 64
 	// slowLogSize bounds the slow-query exemplar ring.
 	slowLogSize = 64
+	// sampleEvery folds every Nth query into the stateful statistics
+	// (sketch, selectivity stats, latency histograms). SLO counters and
+	// the slow-query check are always-on regardless — sampling only thins
+	// the heavyweight statistics. Queries beyond the slow threshold are
+	// always folded.
+	sampleEvery = 8
+	// slowFactor sets the adaptive slow threshold at this multiple of the
+	// sampled p99; the threshold arms after minSamples sampled queries.
+	slowFactor = 1.5
+	minSamples = 64
+	// traceInterval rate-limits exemplar trace captures for slow-log
+	// entries: at most one re-executed trace per interval. Entries
+	// between captures are logged without a trace.
+	traceInterval = 250 * time.Millisecond
 )
 
-// Config tunes a Collector; zero values take defaults.
+// Config configures a Collector; the zero value takes the default
+// objectives.
 type Config struct {
-	// SampleEvery folds every Nth query into the stateful statistics
-	// (sketch, selectivity stats, latency histograms); 1 records
-	// everything (default 8). SLO counters and the slow-query check are
-	// always-on regardless — sampling only thins the heavyweight
-	// statistics. Queries beyond the slow threshold are always folded.
-	SampleEvery int
-	// SlowFactor sets the adaptive slow threshold at this multiple of the
-	// sampled p99 (default 1.5). The threshold arms after MinSamples
-	// sampled queries (default 64).
-	SlowFactor float64
-	MinSamples int
-	// TraceInterval rate-limits exemplar trace captures for slow-log
-	// entries: at most one re-executed trace per interval (default 250ms).
-	// Entries between captures are logged without a trace.
-	TraceInterval time.Duration
 	// Objectives are the latency SLOs tracked with always-on good/bad
 	// counters (default: 1ms@99%, 10ms@99.9%).
 	Objectives []Objective
-}
-
-func (c *Config) fill() {
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 8
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = 1.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 64
-	}
-	if c.TraceInterval <= 0 {
-		c.TraceInterval = 250 * time.Millisecond
-	}
-	if c.Objectives == nil {
-		c.Objectives = []Objective{
-			{Latency: time.Millisecond, Target: 0.99},
-			{Latency: 10 * time.Millisecond, Target: 0.999},
-		}
-	}
 }
 
 // Binding connects a Collector to the store it observes: column names for
@@ -79,7 +58,7 @@ func (c *Config) fill() {
 // router's pipeline under the recording wrapper — so a captured exemplar
 // is a trace of the query as asked (grouped queries included) and never
 // re-records into the collector. It runs inside Record, on the goroutine
-// that served the slow query: at most one re-execution per TraceInterval
+// that served the slow query: at most one re-execution per traceInterval
 // per collector.
 type Binding struct {
 	DimNames           []string
@@ -129,8 +108,7 @@ type item struct {
 // and a sampled or slow query folds into the stateful portion under
 // mu.TryLock — contention drops the sample and counts it.
 type Collector struct {
-	cfg         Config
-	sampleEvery uint64
+	sampleEvery uint64 // the sampleEvery constant; tests set 1 for determinism
 
 	// Hot-path state: plain atomics, no pointers chased beyond c itself.
 	seq       atomic.Uint64
@@ -181,10 +159,14 @@ const (
 
 // New returns a Collector. It owns no goroutine and nothing to release.
 func New(cfg Config) *Collector {
-	cfg.fill()
+	if cfg.Objectives == nil {
+		cfg.Objectives = []Objective{
+			{Latency: time.Millisecond, Target: 0.99},
+			{Latency: 10 * time.Millisecond, Target: 0.999},
+		}
+	}
 	c := &Collector{
-		cfg:         cfg,
-		sampleEvery: uint64(cfg.SampleEvery),
+		sampleEvery: sampleEvery,
 		slo:         make([]sloState, len(cfg.Objectives)),
 		sketch:      newSpaceSaving(topK),
 		dims:        make(map[int]*dimStats),
@@ -261,7 +243,7 @@ func (c *Collector) apply(it item) {
 		c.applyDims(it)
 		// Periodically re-arm the adaptive slow threshold and refresh the
 		// cached row count (both too costly per item, both slow-moving).
-		if c.sampled%32 == 0 || (c.slowThrNs.Load() == 0 && c.sampled == uint64(c.cfg.MinSamples)) {
+		if c.sampled%32 == 0 || (c.slowThrNs.Load() == 0 && c.sampled == minSamples) {
 			c.refreshThreshold()
 			if c.binding.Rows != nil {
 				c.rowsNow = c.binding.Rows()
@@ -274,10 +256,10 @@ func (c *Collector) apply(it item) {
 }
 
 func (c *Collector) refreshThreshold() {
-	if c.lat.total < uint64(c.cfg.MinSamples) {
+	if c.lat.total < minSamples {
 		return
 	}
-	thr := int64(float64(c.lat.quantile(0.99)) * c.cfg.SlowFactor)
+	thr := int64(float64(c.lat.quantile(0.99)) * slowFactor)
 	if thr < 1 {
 		thr = 1
 	}
@@ -391,7 +373,7 @@ func (c *Collector) applySlow(it item) {
 	// trace path; rate-limit so a burst of slow queries costs one capture.
 	if tr := c.binding.Trace; tr != nil {
 		now := time.Now()
-		if c.lastTr.IsZero() || now.Sub(c.lastTr) >= c.cfg.TraceInterval {
+		if c.lastTr.IsZero() || now.Sub(c.lastTr) >= traceInterval {
 			c.lastTr = now
 			if t := tr(it.q); t != nil {
 				e.Trace = t.String()

@@ -20,7 +20,8 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 		t.Fatalf("nil snapshot not zero: %+v", s)
 	}
 	// Close releases nothing, so a closed collector is an open one.
-	c = New(Config{SampleEvery: 1})
+	c = New(Config{})
+	c.sampleEvery = 1
 	c.Close()
 	c.Record(q, time.Millisecond, 1, 1, 8)
 	if s := c.Snapshot(); s.Queries != 1 || s.Sampled != 1 {
@@ -84,12 +85,8 @@ func TestShapeRendering(t *testing.T) {
 // checks the sketch ranking, per-dim stats, SLO counters, and the
 // adaptive slow log with a stub trace function.
 func TestCollectorEndToEnd(t *testing.T) {
-	c := New(Config{
-		SampleEvery: 1, // deterministic: every query is folded in
-		MinSamples:  32,
-		SlowFactor:  1.5,
-		Objectives:  []Objective{{Latency: time.Millisecond, Target: 0.99}},
-	})
+	c := New(Config{Objectives: []Objective{{Latency: time.Millisecond, Target: 0.99}}})
+	c.sampleEvery = 1 // deterministic: every query is folded in
 	var traced []string
 	c.Bind(Binding{
 		DimNames: []string{"zone", "fare"},
@@ -115,7 +112,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Record(warm, 12*time.Microsecond, 250, 300, 2400)
 	}
-	// Past MinSamples the threshold is armed off the ~10-12µs p99; a 5ms
+	// Past minSamples the threshold is armed off the ~10-12µs p99; a 5ms
 	// outlier must land in the slow log (and breach the 1ms SLO).
 	slowQ := query.NewSum(1, query.Filter{Dim: 0, Lo: 0, Hi: 200})
 	c.Record(slowQ, 5*time.Millisecond, 900, 1000, 8000)
@@ -177,10 +174,10 @@ func TestCollectorEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCollectorSampling checks that SampleEvery thins the sampled
+// TestCollectorSampling checks that sampleEvery thins the sampled
 // statistics but never the SLO counters.
 func TestCollectorSampling(t *testing.T) {
-	c := New(Config{SampleEvery: 10, Objectives: []Objective{{Latency: time.Second, Target: 0.5}}})
+	c := New(Config{Objectives: []Objective{{Latency: time.Second, Target: 0.5}}})
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 1, Hi: 1})
 	for i := 0; i < 1000; i++ {
 		c.Record(q, time.Microsecond, 1, 1, 8)
@@ -189,8 +186,8 @@ func TestCollectorSampling(t *testing.T) {
 	if s.Queries != 1000 {
 		t.Fatalf("queries = %d", s.Queries)
 	}
-	if s.Sampled != 100 {
-		t.Fatalf("sampled = %d, want 100 (1 in 10)", s.Sampled)
+	if s.Sampled != 125 || s.SampleEvery != 8 {
+		t.Fatalf("sampled = %d (1 in %d), want 125 (1 in 8)", s.Sampled, s.SampleEvery)
 	}
 	if s.SLO[0].Good != 1000 {
 		t.Fatalf("slo good = %d, want all 1000", s.SLO[0].Good)
@@ -204,7 +201,8 @@ func TestCollectorSampling(t *testing.T) {
 // dropped on contention — nothing lost, nothing double counted, nothing
 // to wait for.
 func TestCollectorConcurrent(t *testing.T) {
-	c := New(Config{SampleEvery: 1})
+	c := New(Config{})
+	c.sampleEvery = 1
 	c.Bind(Binding{Rows: func() uint64 { return 100 }})
 	const goroutines, per = 8, 2000
 	stop, snaps := make(chan struct{}), make(chan struct{})
@@ -251,7 +249,8 @@ func TestCollectorConcurrent(t *testing.T) {
 // held, so the nested Record must find them busy and count itself dropped
 // rather than wait for its own caller.
 func TestTraceMayRecord(t *testing.T) {
-	c := New(Config{SampleEvery: 1, MinSamples: 8})
+	c := New(Config{})
+	c.sampleEvery = 1
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 1, Hi: 1})
 	traces := 0
 	c.Bind(Binding{Trace: func(q query.Query) *obs.QueryTrace {
@@ -259,13 +258,14 @@ func TestTraceMayRecord(t *testing.T) {
 		c.Record(q, time.Microsecond, 1, 1, 8)
 		return new(obs.QueryTrace)
 	}})
-	for i := 0; i < 8; i++ {
+	for i := 0; i < minSamples; i++ {
 		c.Record(q, time.Microsecond, 1, 1, 8)
 	}
 	c.Record(q, time.Second, 1, 1, 8)
 	s := c.Snapshot()
-	if traces != 1 || s.Queries != 10 || s.Sampled != 9 || s.Dropped != 1 {
-		t.Fatalf("traces=%d queries=%d sampled=%d dropped=%d, want 1/10/9/1", traces, s.Queries, s.Sampled, s.Dropped)
+	if traces != 1 || s.Queries != minSamples+2 || s.Sampled != minSamples+1 || s.Dropped != 1 {
+		t.Fatalf("traces=%d queries=%d sampled=%d dropped=%d, want 1/%d/%d/1",
+			traces, s.Queries, s.Sampled, s.Dropped, minSamples+2, minSamples+1)
 	}
 }
 

@@ -146,9 +146,6 @@ func (x *Index) zvalue(row []int64) uint64 {
 // Name implements index.Index.
 func (x *Index) Name() string { return "ZOrder" }
 
-// NumPages returns the page count.
-func (x *Index) NumPages() int { return len(x.pages) }
-
 // BuildStats returns the build timing split.
 func (x *Index) BuildStats() index.BuildStats { return x.stats }
 

@@ -187,7 +187,7 @@ func TestShardedExecutorScatterGather(t *testing.T) {
 func TestShardedStoreIsIndex(t *testing.T) {
 	ds := tsunami.GenerateTaxi(3000, 17)
 	ss, err := tsunami.NewShardedStore(ds.Store, nil, tsunami.Options{OptimizerIters: 1, MaxOptQueries: 16},
-		tsunami.ShardedOptions{Partition: tsunami.NewRangePartitioner(ds.Store, 0, 2)})
+		tsunami.ShardedOptions{Shards: 2, Learned: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,22 +131,11 @@ type ShardedStats = sharded.Stats
 // ShardedEvent is one shard's maintenance event, tagged with the shard id.
 type ShardedEvent = sharded.Event
 
-// Partitioner assigns rows to shards and prunes shards for queries; see
-// NewHashPartitioner and NewRangePartitioner for the built-in choices.
+// Partitioner assigns rows to shards and prunes shards for queries.
+// ShardedOptions chooses between the two built-in ones (Learned selects
+// the range partitioner over the default hash); ShardedStore.Partitioner
+// returns the one a store routes with.
 type Partitioner = sharded.Partitioner
-
-// NewHashPartitioner spreads rows across shards by a mixed hash of one
-// dimension — balanced on any data, but only equality filters on that
-// dimension prune shards.
-func NewHashPartitioner(dim, shards int) Partitioner { return sharded.NewHash(dim, shards) }
-
-// NewRangePartitioner learns an equi-depth range partitioning of dim from
-// the table, so shards start balanced and range filters on dim touch only
-// the shards their interval overlaps. Partition on the dimension your
-// range queries filter most (typically the clustered/time dimension).
-func NewRangePartitioner(table *Table, dim, shards int) Partitioner {
-	return sharded.LearnRange(table, dim, shards)
-}
 
 // NewShardedStore partitions table across shards, builds one Tsunami
 // index per shard for the slice of the workload that shard can see, and

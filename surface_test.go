@@ -50,11 +50,12 @@ func TestExecutionKnobs(t *testing.T) {
 	}{
 		{tsunami.Exec{}, []string{"Trace"}},
 		{tsunami.ExecutorOptions{}, []string{"Workers", "Metrics", "Admission"}},
-		{tsunami.LiveOptions{}, []string{"MergeThreshold", "Shift", "DisableShift", "SnapshotInterval", "SnapshotPath",
+		{tsunami.LiveOptions{}, []string{"MergeThreshold", "DisableShift", "SnapshotInterval", "SnapshotPath",
 			"OnEvent", "Metrics", "Workload", "CacheEntries"}},
-		{tsunami.ShiftConfig{}, []string{"WindowSize"}},
-		{tsunami.ShardedOptions{}, []string{"Shards", "Dim", "Learned", "Partition", "Live", "SnapshotDir", "Rebalance",
+		{tsunami.ShardedOptions{}, []string{"Shards", "Dim", "Learned", "Live", "SnapshotDir", "Rebalance",
 			"OnEvent", "Metrics", "Workload", "CacheEntries"}},
+		{tsunami.WorkloadOptions{}, []string{"Objectives"}},
+		{tsunami.RebalanceOptions{}, []string{"CheckInterval", "MaxSkew"}},
 	} {
 		typ := reflect.TypeOf(c.typ)
 		var got []string

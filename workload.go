@@ -30,14 +30,14 @@ import (
 // cost, the same contract as Metrics.
 
 // WorkloadStats collects per-query workload statistics. The hot path
-// (Record) is a few atomics; a sampled query (1 in SampleEvery) also
+// (Record) is a few atomics; a sampled query (1 in 8) also
 // folds into the sketch and histograms there and then, under a try-lock —
 // contention drops the sample and counts it, so Record never blocks the
 // query path. The collector is passive: it owns no goroutine.
 type WorkloadStats = wstats.Collector
 
-// WorkloadOptions tunes a WorkloadStats collector; the zero value uses
-// the defaults documented on each field.
+// WorkloadOptions configures a WorkloadStats collector: its latency
+// objectives. The zero value tracks 1ms@99% and 10ms@99.9%.
 type WorkloadOptions = wstats.Config
 
 // WorkloadObjective is one latency SLO: the fraction of queries
