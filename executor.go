@@ -182,13 +182,22 @@ type execMetrics struct {
 	admAdmitted *obs.Counter
 	admShed     *obs.Counter
 	admBudget   *obs.Counter
-	admInFlight *obs.Gauge
 }
 
-func newExecMetrics(r *obs.Registry) *execMetrics {
+// newExecMetrics resolves the Executor's instruments, and registers the
+// in-flight gauge over adm's own counter (reading 0 when adm is nil:
+// admission control is off). Like every GaugeFunc it reports one source:
+// the last Executor opened on the registry.
+func newExecMetrics(r *obs.Registry, adm *admission) *execMetrics {
 	if r == nil {
 		return nil
 	}
+	r.GaugeFunc(obs.MAdmissionInFlight, func() float64 {
+		if adm == nil {
+			return 0
+		}
+		return float64(adm.inFlight.Load())
+	})
 	return &execMetrics{
 		queueWait:   r.DurationHistogram(obs.MExecQueueWait),
 		queueDepth:  r.Gauge(obs.MExecQueueDepth),
@@ -198,7 +207,6 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 		admAdmitted: r.Counter(obs.MAdmissionAdmitted),
 		admShed:     r.Counter(obs.MAdmissionShed),
 		admBudget:   r.Counter(obs.MAdmissionBudget),
-		admInFlight: r.Gauge(obs.MAdmissionInFlight),
 	}
 }
 
@@ -239,7 +247,6 @@ func NewExecutor(idx Index, o ExecutorOptions) *Executor {
 	e := &Executor{
 		idx:     idx,
 		workers: workers,
-		metrics: newExecMetrics(o.Metrics),
 		jobs:    make(chan execJob, 2*workers),
 	}
 	if o.Admission.enabled() {
@@ -249,6 +256,7 @@ func NewExecutor(idx Index, o ExecutorOptions) *Executor {
 			maxBytes:    o.Admission.MaxBytes,
 		}
 	}
+	e.metrics = newExecMetrics(o.Metrics, e.adm)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -387,15 +395,7 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 			}
 			return Result{}, fmt.Errorf("%w: %d %s-priority queries in flight (limit %d)", ErrShed, n-1, pri, lim)
 		}
-		if m != nil {
-			m.admInFlight.Add(1)
-		}
-		defer func() {
-			a.inFlight.Add(-1)
-			if m != nil {
-				m.admInFlight.Add(-1)
-			}
-		}()
+		defer a.inFlight.Add(-1)
 		// Yield once between admission and execution. A burst of arrivals
 		// all reach the in-flight counter before any of them starts
 		// scanning, so the watermark sees the burst's true concurrency;

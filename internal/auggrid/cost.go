@@ -7,7 +7,7 @@ import (
 	"repro/internal/query"
 )
 
-// CostWeights are the coefficients of the analytic cost model (§5.3.1):
+// The coefficients of the analytic cost model (§5.3.1):
 //
 //	Time = W0*(#cell ranges) + W1*(#scanned points)*(#filtered dims)
 //	     + W2*(#cells visited)
@@ -20,7 +20,7 @@ import (
 // scale, where the two-term model drives partition counts toward absurd
 // values because scans look free. Values are in nanoseconds.
 //
-// The defaults are hand-anchored constants, not measured at run time.
+// They are hand-anchored constants, not measured at run time.
 // W1 is set to the AVX2 scan rate: the dispatched ScanRange kernels
 // stream a memory-resident column at ~0.4-0.5 ns/row·dim, so W1 is 0.45.
 // W0 and W2 keep their validated ratios to W1 — layout choice minimizes
@@ -28,14 +28,11 @@ import (
 // so every index size) depends on those ratios alone. A machine without
 // AVX2 scans slower, but its layouts are priced with the same constants
 // and come out identical.
-type CostWeights struct {
-	W0 float64
-	W1 float64
-	W2 float64
-}
-
-// DefaultCostWeights returns the built-in calibration.
-func DefaultCostWeights() CostWeights { return CostWeights{W0: 60, W1: 0.45, W2: 3} }
+const (
+	W0 = 60.0
+	W1 = 0.45
+	W2 = 3.0
+)
 
 // Evaluator predicts average query time for candidate layouts by building a
 // miniature Augmented Grid over a row sample and planning the workload on
@@ -59,7 +56,6 @@ type Evaluator struct {
 	ord     *sampleOrder    // nil prices through Build's sorting path (a benchmark's baseline)
 	grid    *colstore.Store // the sample in the last priced candidate's grid order
 	queries []query.Query
-	weights CostWeights
 	scale   float64 // full rows per sample row
 	ctx     *ExecContext
 	phys    []PhysRange // the plan being priced, reused per query
@@ -74,8 +70,6 @@ type EvalConfig struct {
 	SampleSize int
 	// MaxQueries caps the replayed workload (default 100).
 	MaxQueries int
-	// Weights are the cost-model coefficients (default DefaultCostWeights).
-	Weights CostWeights
 	// Seed drives sampling (default 1).
 	Seed int64
 }
@@ -86,9 +80,6 @@ func (c *EvalConfig) fill() {
 	}
 	if c.MaxQueries <= 0 {
 		c.MaxQueries = 100
-	}
-	if c.Weights == (CostWeights{}) {
-		c.Weights = DefaultCostWeights()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -128,7 +119,7 @@ func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg Eva
 	}
 	return &Evaluator{
 		sample: sample, rows: all, ord: newSampleOrder(sample), queries: qs,
-		weights: cfg.Weights, scale: scale, ctx: NewExecContext(),
+		scale: scale, ctx: NewExecContext(),
 	}
 }
 
@@ -181,9 +172,9 @@ func (e *Evaluator) queryCost(g *Grid, q query.Query) float64 {
 	if nf == 0 {
 		nf = 1
 	}
-	return e.weights.W0*float64(st.CellRanges) +
-		e.weights.W1*scanned*nf +
-		e.weights.W2*float64(st.CellsVisited)
+	return W0*float64(st.CellRanges) +
+		W1*scanned*nf +
+		W2*float64(st.CellsVisited)
 }
 
 func inf() float64 { return 1e300 }

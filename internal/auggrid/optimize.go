@@ -21,9 +21,10 @@ type OptimizeConfig struct {
 	MaxCells int
 	// MaxIters bounds AGD's outer loop (default 6).
 	MaxIters int
-	// UseSortDim enables a within-cell sort dimension chosen as the most
+	// NoSortDim turns off the within-cell sort dimension and its
+	// binary-search refinement. By default the sort dim is the most
 	// selective filtered dim (Flood's sort dimension).
-	UseSortDim bool
+	NoSortDim bool
 	// FMErrFrac is the functional-mapping initialization threshold: map X
 	// onto Y when the regression error band is below this fraction of Y's
 	// domain (paper default 0.10, §5.3.2).
@@ -129,7 +130,7 @@ func newSearchCtx(st *colstore.Store, rows []int, queries []query.Query, cfg Opt
 	}
 	ctx.eval = NewEvaluator(st, rows, queries, cfg.Eval)
 	ctx.computeSelectivities()
-	if cfg.UseSortDim {
+	if !cfg.NoSortDim {
 		ctx.sortDim = ctx.pickSortDim()
 	}
 	return ctx

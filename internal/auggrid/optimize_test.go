@@ -55,10 +55,11 @@ func optQueries(st *colstore.Store, n int, seed int64) []query.Query {
 
 func optCfg() OptimizeConfig {
 	return OptimizeConfig{
-		Eval:     EvalConfig{SampleSize: 1024, MaxQueries: 30, Seed: 3},
-		MaxCells: 1 << 10,
-		MaxIters: 3,
-		Seed:     3,
+		Eval:      EvalConfig{SampleSize: 1024, MaxQueries: 30, Seed: 3},
+		MaxCells:  1 << 10,
+		MaxIters:  3,
+		NoSortDim: true,
+		Seed:      3,
 	}
 }
 

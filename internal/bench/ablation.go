@@ -28,7 +28,7 @@ func Ablations(w io.Writer, o Options) {
 		mut  func(*core.Config)
 	}{
 		{"Tsunami (full)", func(c *core.Config) {}},
-		{"no sort-dim refinement", func(c *core.Config) { c.DisableSortDim = true }},
+		{"no sort-dim refinement", func(c *core.Config) { c.Grid.NoSortDim = true }},
 		{"no functional mappings", func(c *core.Config) { c.Grid.FMErrFrac = -1 }},
 		{"no conditional CDFs", func(c *core.Config) { c.Grid.CCDFEmptyFrac = 2 }},
 		{"no FMs, no CCDFs", func(c *core.Config) {

@@ -155,7 +155,6 @@ func Fig12b(w io.Writer, o Options) {
 		fmt.Fprintf(w, "\n%s:\n", dc.ds.Name)
 		rows := allRows(dc.ds.Store.NumRows())
 		cfg := o.tsunamiConfig(core.FullTsunami).Grid
-		cfg.UseSortDim = true
 		t := newTable("optimizer", "predicted", "measured", "skeleton")
 		for _, opt := range optimizers {
 			layout, predicted := auggrid.Optimize(dc.ds.Store, rows, dc.work, opt, cfg)

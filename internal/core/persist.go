@@ -147,8 +147,11 @@ func Load(r io.Reader) (*Tsunami, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Only the variant is saved; everything else takes Build's defaults.
+	cfg := Config{Variant: Variant(s.Variant)}
+	cfg.fill()
 	t := &Tsunami{
-		cfg: Config{Variant: Variant(s.Variant)},
+		cfg: cfg,
 		tree: &gridtree.Tree{
 			Root:     root,
 			Regions:  regions,

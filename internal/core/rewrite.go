@@ -128,11 +128,8 @@ func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami,
 		if reoptimize {
 			r.Queries = queries
 			if len(queries) > 0 && len(rows) > 0 {
-				opt := t.cfg.Optimizer
-				if opt.Name == "" {
-					opt = auggrid.AGD()
-				}
-				layout, _ = auggrid.Optimize(segStore, rows, queries, opt, t.cfg.Grid)
+				opt, gcfg := t.cfg.regionOptimizer()
+				layout, _ = auggrid.Optimize(segStore, rows, queries, opt, gcfg)
 				gridded = true
 			}
 		} else if g := t.grids[id]; g != nil && len(rows) > 0 {

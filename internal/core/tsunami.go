@@ -68,13 +68,36 @@ type Config struct {
 	// a plain scan of a tiny contiguous region beats grid overhead
 	// (default 1024; never reached at the paper's scale).
 	MinRowsForGrid int
-	// DisableSortDim turns off the within-cell sort dimension and its
-	// binary-search refinement (used by the ablation benchmarks).
-	DisableSortDim bool
 	// Parallelism bounds the number of regions optimized concurrently
 	// (§6.1: "optimization and data sorting for index creation are
 	// performed in parallel"). Default runtime.NumCPU(); 1 disables.
 	Parallelism int
+}
+
+// fill sets the defaults every index holds, built (Build) or loaded
+// (Load).
+func (c *Config) fill() {
+	if c.Optimizer.Name == "" {
+		c.Optimizer = auggrid.AGD()
+	}
+	if c.MinRowsForGrid == 0 {
+		c.MinRowsForGrid = 1024
+	}
+}
+
+// regionOptimizer is how the variant lays out a region's grid, at build
+// and at every re-optimization: a Flood-style grid (GridTreeOnly, Flood)
+// keeps the all-Independent skeleton, with the FM and CCDF heuristics off,
+// and descends over partition counts only (GD); the other variants search
+// with the configured optimizer.
+func (c *Config) regionOptimizer() (auggrid.Optimizer, auggrid.OptimizeConfig) {
+	opt, gcfg := c.Optimizer, c.Grid
+	if c.Variant == GridTreeOnly || c.Variant == Flood {
+		opt = auggrid.GD()
+		gcfg.FMErrFrac = -1    // disable FM heuristic
+		gcfg.CCDFEmptyFrac = 2 // disable CCDF heuristic
+	}
+	return opt, gcfg
 }
 
 // Tsunami is a built index. A built Tsunami is immutable on the read path:
@@ -125,13 +148,7 @@ var execCtxPool = sync.Pool{
 // workload, then optimize an Augmented Grid per region on only the points
 // and queries intersecting it, then reorganize the data.
 func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
-	if cfg.Optimizer.Name == "" {
-		cfg.Optimizer = auggrid.AGD()
-	}
-	if cfg.MinRowsForGrid == 0 {
-		cfg.MinRowsForGrid = 1024
-	}
-	cfg.Grid.UseSortDim = !cfg.DisableSortDim
+	cfg.fill()
 	t := &Tsunami{cfg: cfg}
 
 	optStart := time.Now()
@@ -154,6 +171,7 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	opt, gcfg := cfg.regionOptimizer()
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for _, r := range tree.Regions {
@@ -165,14 +183,6 @@ func Build(st *colstore.Store, workload []query.Query, cfg Config) *Tsunami {
 		sem <- struct{}{}
 		go func(r *gridtree.Region) {
 			defer func() { <-sem; wg.Done() }()
-			gcfg := cfg.Grid
-			opt := cfg.Optimizer
-			if cfg.Variant == GridTreeOnly || cfg.Variant == Flood {
-				// Flood's grid: independent skeleton, P-only descent.
-				opt = auggrid.GD()
-				gcfg.FMErrFrac = -1    // disable FM heuristic
-				gcfg.CCDFEmptyFrac = 2 // disable CCDF heuristic
-			}
 			layout, _ := auggrid.Optimize(st, r.Rows, r.Queries, opt, gcfg)
 			g, ord, err := auggrid.Build(st, r.Rows, layout)
 			if err != nil {

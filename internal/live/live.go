@@ -72,10 +72,13 @@ type Config struct {
 	// registry: the shared query-path metrics (tsunami_query_latency_
 	// seconds, rows/bytes scanned) plus ingest latency, merge/reoptimize/
 	// snapshot durations, detector fires, and buffered-rows/epoch gauges
-	// (tsunami_live_*). Shard stores sharing one registry share the
-	// counter and histogram instances, so cross-shard aggregation happens
-	// by construction (see OpenGated for how their gauges stay apart).
-	// Nil disables instrumentation with zero hot-path cost.
+	// (tsunami_live_*). The counts Stats reports — queries, ingested rows,
+	// merges, re-optimizations, snapshots, and the cache's hits, misses
+	// and evictions — are registered as they are (Registry.CounterFunc),
+	// not counted twice. Shard stores sharing one registry add into the
+	// same counter and histogram series, so cross-shard aggregation
+	// happens by construction (see OpenGated for how their gauges stay
+	// apart). Nil disables instrumentation with zero hot-path cost.
 	Metrics *obs.Registry
 	// Workload, when non-nil, records every served query's shape,
 	// latency, and result selectivity into the workload-statistics
@@ -156,16 +159,13 @@ type Event struct {
 var errClosed = errors.New("live: store is closed")
 
 // liveMetrics caches the store's resolved instruments so the query and
-// ingest paths never touch the registry.
+// ingest paths never touch the registry. What Stats already counts is not
+// here: newLiveMetrics registers those counts with the registry.
 type liveMetrics struct {
 	qm            *obs.QueryMetrics
 	ingestLatency *obs.Histogram
-	ingestRows    *obs.Counter
-	merges        *obs.Counter
 	mergeSeconds  *obs.Histogram
-	reopts        *obs.Counter
 	reoptSeconds  *obs.Histogram
-	snaps         *obs.Counter
 	snapSeconds   *obs.Histogram
 	detectorFires *obs.Counter
 	// regimes counts executed grouped queries by the accumulation path
@@ -181,18 +181,21 @@ func newLiveMetrics(s *Store, r *obs.Registry, label string) *liveMetrics {
 	m := &liveMetrics{
 		qm:            obs.NewQueryMetrics(r),
 		ingestLatency: r.DurationHistogram(obs.MLiveIngestLatency),
-		ingestRows:    r.Counter(obs.MLiveIngestRows),
-		merges:        r.Counter(obs.MLiveMerges),
 		mergeSeconds:  r.DurationHistogram(obs.MLiveMergeSeconds),
-		reopts:        r.Counter(obs.MLiveReoptimizes),
 		reoptSeconds:  r.DurationHistogram(obs.MLiveReoptSeconds),
-		snaps:         r.Counter(obs.MLiveSnapshots),
 		snapSeconds:   r.DurationHistogram(obs.MLiveSnapSeconds),
 		detectorFires: r.Counter(obs.MLiveDetectorFires),
 	}
 	for _, g := range []colstore.GroupRegime{colstore.RegimeByteCode, colstore.RegimeDense, colstore.RegimeHash} {
 		m.regimes[g] = r.Counter(obs.MGroupedRegime + `{regime="` + g.String() + `"}`)
 	}
+	// The store's own counts, unlabeled: every store on the registry adds
+	// into one series.
+	r.CounterFunc(obs.MQueries, s.queries.Load)
+	r.CounterFunc(obs.MLiveIngestRows, s.inserts.Load)
+	r.CounterFunc(obs.MLiveMerges, s.merges.Load)
+	r.CounterFunc(obs.MLiveReoptimizes, s.reopts.Load)
+	r.CounterFunc(obs.MLiveSnapshots, s.snapshots.Load)
 	// Level gauges read the current epoch at scrape time instead of being
 	// pushed on every swap; labeled per shard when stores share a registry.
 	r.GaugeFunc(obs.MLiveBufferedRows+label, func() float64 {
@@ -261,13 +264,9 @@ type Store struct {
 
 	metrics *liveMetrics // nil when instrumentation is off
 
-	// cache is the epoch-keyed result cache; nil when disabled. The
-	// counters alongside it are nil-safe obs instruments resolved once at
-	// Open (nil when metrics are off).
-	cache          *qcache.Cache
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
+	// cache is the epoch-keyed result cache; nil when disabled. It keeps
+	// its own hit, miss and eviction counts.
+	cache *qcache.Cache
 
 	queries       atomic.Uint64
 	inserts       atomic.Uint64
@@ -316,9 +315,9 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 	if cfg.CacheEntries > 0 {
 		s.cache = qcache.New(cfg.CacheEntries)
 		if r := cfg.Metrics; r != nil {
-			s.cacheHits = r.Counter(obs.MCacheHits)
-			s.cacheMisses = r.Counter(obs.MCacheMisses)
-			s.cacheEvictions = r.Counter(obs.MCacheEvictions)
+			r.CounterFunc(obs.MCacheHits, func() uint64 { return s.cache.Stats().Hits })
+			r.CounterFunc(obs.MCacheMisses, func() uint64 { return s.cache.Stats().Misses })
+			r.CounterFunc(obs.MCacheEvictions, func() uint64 { return s.cache.Stats().Evictions })
 			r.GaugeFunc(obs.MCacheEntries+label, func() float64 {
 				return float64(s.cache.Len())
 			})
@@ -466,11 +465,6 @@ func (p *plan) Execute() colstore.ScanResult {
 	hit := p.core == nil
 	if p.probed {
 		s.cache.Count(v.epoch, q, hit)
-		if hit {
-			s.cacheHits.Add(1)
-		} else {
-			s.cacheMisses.Add(1)
-		}
 	}
 	var res colstore.ScanResult
 	var rows, bytes uint64
@@ -495,9 +489,7 @@ func (p *plan) Execute() colstore.ScanResult {
 		// v.idx is immutable, so res is exactly epoch v's answer even if a
 		// newer epoch has published since: the entry is then merely
 		// unreachable (its epoch is no longer current), never wrong.
-		if s.cache.Put(v.epoch, q, res) {
-			s.cacheEvictions.Add(1)
-		}
+		s.cache.Put(v.epoch, q, res)
 	}
 	if s.shifted != nil {
 		s.observe(q, n)
@@ -590,7 +582,6 @@ func (s *Store) InsertBatch(rows [][]int64) error {
 	s.inserts.Add(uint64(len(rows)))
 	if m := s.metrics; m != nil {
 		m.ingestLatency.RecordDuration(time.Since(start))
-		m.ingestRows.Add(uint64(len(rows)))
 	}
 	if buffered >= s.cfg.MergeThreshold {
 		select {
@@ -806,7 +797,6 @@ func (s *Store) mergeLocked() error {
 
 	s.merges.Add(1)
 	if m := s.metrics; m != nil {
-		m.merges.Inc()
 		m.mergeSeconds.RecordDuration(time.Since(start))
 	}
 	s.emit(Event{Kind: EventMerge, Epoch: epoch, MergedRows: folded, Seconds: time.Since(start).Seconds()})
@@ -851,7 +841,6 @@ func (s *Store) runReoptimize() {
 
 	s.reopts.Add(1)
 	if m := s.metrics; m != nil {
-		m.reopts.Inc()
 		m.reoptSeconds.RecordDuration(time.Since(start))
 	}
 	// Re-fingerprint on the workload we just optimized for, over the new
@@ -889,7 +878,6 @@ func (s *Store) snapshotLocked() error {
 	}
 	s.snapshots.Add(1)
 	if m := s.metrics; m != nil {
-		m.snaps.Inc()
 		m.snapSeconds.RecordDuration(time.Since(start))
 	}
 	s.emit(Event{Kind: EventSnapshot, Seconds: time.Since(start).Seconds()})

@@ -2,8 +2,9 @@ package obs
 
 // Canonical metric names. Every layer records the query path under the
 // same four unlabeled names, so a sharded store's per-shard live stores
-// all feed one histogram instance and cross-shard aggregation happens by
-// construction rather than by a merge step at scrape time. Layer-specific
+// all feed one series — one shared histogram instance, or one counter
+// summed over every store's registered count (Registry.CounterFunc) — and
+// cross-shard aggregation happens by construction. Layer-specific
 // signals get a layer prefix: tsunami_exec_* (Executor), tsunami_live_*
 // (LiveStore ingest/maintenance), tsunami_sharded_* (router/rebalance).
 // Only per-shard gauges carry a {shard="i"} label — shard-labeled
@@ -40,8 +41,8 @@ const (
 	MLiveSnapSeconds   = "tsunami_live_snapshot_seconds"
 	MLiveDetectorFires = "tsunami_live_detector_fires_total"
 
-	// Result cache (epoch-keyed; recorded by whichever layer owns the
-	// cache — LiveStore or the ShardedStore router).
+	// Result cache (epoch-keyed; each LiveStore, a ShardedStore's shards
+	// included, registers its own cache's counts).
 	MCacheHits      = "tsunami_cache_hits_total"
 	MCacheMisses    = "tsunami_cache_misses_total"
 	MCacheEvictions = "tsunami_cache_evictions_total"

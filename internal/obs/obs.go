@@ -131,15 +131,16 @@ func (g *Gauge) Load() int64 {
 }
 
 // QueryMetrics bundles the conventional query-path instruments every
-// serving layer records — total queries, end-to-end latency, and the rows
-// and bytes its scans touched (riding ScanResult.PointsScanned and
+// serving layer records — end-to-end latency, and the rows and bytes its
+// scans touched (riding ScanResult.PointsScanned and
 // ScanResult.BytesTouched) — under the shared metric names, so the CLI,
 // the /metrics endpoint, and the bench harness read one schema regardless
 // of whether queries ran against a plain index, a LiveStore epoch, or a
 // shard. NewQueryMetrics on a nil registry returns nil, and a nil
-// *QueryMetrics ignores observations, so callers need no branches.
+// *QueryMetrics ignores observations, so callers need no branches. The
+// query count (MQueries) is not here: the store that serves a query
+// already counts it, and registers that count with CounterFunc.
 type QueryMetrics struct {
-	queries *Counter
 	latency *Histogram
 	rows    *Counter
 	bytes   *Counter
@@ -152,7 +153,6 @@ func NewQueryMetrics(r *Registry) *QueryMetrics {
 		return nil
 	}
 	return &QueryMetrics{
-		queries: r.Counter(MQueries),
 		latency: r.DurationHistogram(MQueryLatency),
 		rows:    r.Counter(MScanRows),
 		bytes:   r.Counter(MScanBytes),
@@ -164,7 +164,6 @@ func (m *QueryMetrics) Observe(d time.Duration, rowsScanned, bytesTouched uint64
 	if m == nil {
 		return
 	}
-	m.queries.Inc()
 	m.latency.RecordDuration(d)
 	m.rows.Add(rowsScanned)
 	m.bytes.Add(bytesTouched)

@@ -5,27 +5,32 @@ import "sync"
 // Registry is a named collection of instruments. Get-or-create lookups
 // (Counter, Gauge, Histogram, ...) take a short lock but happen once per
 // component at construction; the instruments they return are then
-// recorded to lock-free. One Registry is typically shared by every layer
-// of a serving stack — Executor, LiveStore or ShardedStore, CLI — so a
-// single /metrics endpoint sees the whole system.
+// recorded to lock-free. A component that already counts something for
+// its own Stats registers that count with CounterFunc or GaugeFunc
+// instead, so the fact is counted once. One Registry is typically shared
+// by every layer of a serving stack — Executor, LiveStore or
+// ShardedStore, CLI — so a single /metrics endpoint sees the whole
+// system.
 //
 // A nil *Registry is valid everywhere and disables instrumentation: all
 // lookup methods return nil, and nil instruments ignore operations.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	gaugeFuncs map[string]func() float64
-	hists      map[string]*Histogram
+	mu           sync.RWMutex
+	counters     map[string]*Counter
+	counterFuncs map[string][]func() uint64
+	gauges       map[string]*Gauge
+	gaugeFuncs   map[string]func() float64
+	hists        map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]func() float64),
-		hists:      make(map[string]*Histogram),
+		counters:     make(map[string]*Counter),
+		counterFuncs: make(map[string][]func() uint64),
+		gauges:       make(map[string]*Gauge),
+		gaugeFuncs:   make(map[string]func() float64),
+		hists:        make(map[string]*Histogram),
 	}
 }
 
@@ -69,11 +74,29 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// CounterFunc registers fn as a source of the named counter, read at
+// snapshot/scrape time: fn returns a monotonic count its component
+// already keeps. Registrations accumulate, and the counter reads the sum
+// of every source registered under the name (plus the Counter of that
+// name, if any), so the shards of a store sharing one registry aggregate
+// into one series. The registry keeps fn, and what it reads, for its own
+// lifetime: a component closed while the registry lives stays in the sum,
+// so the series never goes backwards. fn must be safe to call
+// concurrently with the component it reads.
+func (r *Registry) CounterFunc(name string, fn func() uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.counterFuncs[name] = append(r.counterFuncs[name], fn)
+	r.mu.Unlock()
+}
+
 // GaugeFunc registers fn as the named gauge's value source, evaluated at
 // snapshot/scrape time. Re-registering a name replaces the previous
-// function — components that restart (a shard reopened after rebalance)
-// simply overwrite their stale closure. fn must be safe to call
-// concurrently with the component it reads.
+// function: a store reopened on the same registry (recovered from a
+// snapshot, say) overwrites its predecessor's stale closure. fn must be
+// safe to call concurrently with the component it reads.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil {
 		return
@@ -116,9 +139,9 @@ func (r *Registry) histogram(name string, scale float64) *Histogram {
 }
 
 // Snapshot is a point-in-time copy of every instrument in a registry.
-// Gauge functions are evaluated at capture; histogram snapshots are
-// mergeable and subtractable, which is what the bench harness uses to
-// turn two scrapes into an interval's p99.
+// Counter and gauge functions are evaluated at capture; histogram
+// snapshots are mergeable and subtractable, which is what the bench
+// harness uses to turn two scrapes into an interval's p99.
 type Snapshot struct {
 	Counters map[string]uint64
 	Gauges   map[string]float64
@@ -142,6 +165,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, c := range r.counters {
 		counters[n] = c
 	}
+	counterFuncs := make(map[string][]func() uint64, len(r.counterFuncs))
+	for n, fns := range r.counterFuncs {
+		counterFuncs[n] = fns
+	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for n, g := range r.gauges {
 		gauges[n] = g
@@ -156,10 +183,16 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.RUnlock()
 
-	// Instrument reads happen outside the registry lock: gauge functions
-	// may call back into store internals that must not nest under it.
+	// Instrument reads happen outside the registry lock: counter and gauge
+	// functions may call back into store internals that must not nest
+	// under it.
 	for n, c := range counters {
 		snap.Counters[n] = c.Load()
+	}
+	for n, fns := range counterFuncs {
+		for _, fn := range fns {
+			snap.Counters[n] += fn()
+		}
 	}
 	for n, g := range gauges {
 		snap.Gauges[n] = float64(g.Load())

@@ -221,15 +221,15 @@ func (c *Cache) Count(ver uint64, q query.Query, hit bool) {
 // Put stores q's result computed at version ver. The entry keeps its own
 // deep copy of a grouped result's groups, so the caller's result remains
 // independently usable; a re-Put of a cached key replaces the result and
-// keeps the entry's hit count. Reports whether an existing entry was
-// evicted to make room. Uncacheable queries are dropped.
-func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) (evicted bool) {
+// keeps the entry's hit count. An entry evicted to make room is counted
+// in Stats. Uncacheable queries are dropped.
+func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) {
 	if c == nil {
-		return false
+		return
 	}
 	k, ok := keyOf(ver, q)
 	if !ok {
-		return false
+		return
 	}
 	own := res.Clone()
 	s := &c.shards[k.shard()]
@@ -237,7 +237,7 @@ func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) (evicted
 	if e, exists := s.m[k]; exists {
 		e.res = own
 		s.mu.Unlock()
-		return false
+		return
 	}
 	if len(s.m) >= c.perShard {
 		// Evict: map iteration order is effectively random, so the first
@@ -260,7 +260,7 @@ func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) (evicted
 			}
 		}
 		delete(s.m, victim)
-		evicted = true
+		c.evictions.Add(1)
 	}
 	s.m[k] = &entry{res: own}
 	if s.inserts++; s.inserts >= decayEvery*c.perShard {
@@ -270,10 +270,6 @@ func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) (evicted
 		}
 	}
 	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-	}
-	return evicted
 }
 
 // Stats is a point-in-time view of the cache's counters and size.

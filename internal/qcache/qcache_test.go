@@ -260,7 +260,7 @@ func TestHasAndRePutKeepCount(t *testing.T) {
 	if h := hitsOf(t, c, 1, qa); h != 3 {
 		t.Fatalf("after 3 served lookups and 5 bare Peeks: %d hits", h)
 	}
-	if c.Put(1, qa, res(2, 0)) {
+	if c.Put(1, qa, res(2, 0)); c.Stats().Evictions != 0 {
 		t.Fatal("re-Put evicted")
 	}
 	if h := hitsOf(t, c, 1, qa); h != 3 {

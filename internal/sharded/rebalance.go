@@ -184,9 +184,6 @@ func (s *Store) Rebalance() (err error) {
 		// Stats must agree with the published generation.
 		moved += n
 		s.rowsMigrated.Add(uint64(n))
-		if m := s.metrics; m != nil {
-			m.rowsMigrated.Add(uint64(n))
-		}
 		if err != nil {
 			// The partitioner is at a consistent intermediate state: every
 			// completed move published an exact placement. Report and stop.
@@ -194,9 +191,6 @@ func (s *Store) Rebalance() (err error) {
 		}
 	}
 	s.rebalances.Add(1)
-	if m := s.metrics; m != nil {
-		m.rebalances.Inc()
-	}
 	s.emit(Event{Shard: -1, Event: live.Event{
 		Kind:       live.EventRebalance,
 		Epoch:      s.topo.Load().gen,

@@ -89,10 +89,10 @@ type Config struct {
 	OnEvent func(Event)
 	// Metrics, when non-nil, records router and rebalancer telemetry
 	// (tsunami_sharded_*) and is forwarded to every shard's LiveStore, so
-	// one registry carries the whole store: the shards share the unlabeled
-	// query-path counter/histogram instances (aggregating across shards by
-	// construction) and keep per-shard levels apart via {shard="i"}-labeled
-	// gauges. It overrides Live.Metrics.
+	// one registry carries the whole store: the shards add into the
+	// unlabeled query-path counter and histogram series (aggregating across
+	// shards by construction) and keep per-shard levels apart via
+	// {shard="i"}-labeled gauges. It overrides Live.Metrics.
 	Metrics *obs.Registry
 	// Workload, when non-nil, records every routed query's shape,
 	// end-to-end latency (scatter-gather included), and result selectivity
@@ -114,14 +114,12 @@ type Config struct {
 	CacheEntries int
 }
 
-// shardedMetrics caches the router's resolved instruments.
+// shardedMetrics caches the router's resolved instruments. What Stats
+// already counts is not here: newShardedMetrics registers those counts
+// with the registry.
 type shardedMetrics struct {
 	latency        *obs.Histogram // end-to-end, plan (incl. seqlock retries) to merged answer
 	fanout         *obs.Histogram
-	scanned        *obs.Counter
-	pruned         *obs.Counter
-	rebalances     *obs.Counter
-	rowsMigrated   *obs.Counter
 	prepareSeconds *obs.Histogram
 	commitSeconds  *obs.Histogram
 	persistSeconds *obs.Histogram
@@ -134,14 +132,14 @@ func newShardedMetrics(s *Store, r *obs.Registry) *shardedMetrics {
 	m := &shardedMetrics{
 		latency:        r.DurationHistogram(obs.MShardedQueryLatency),
 		fanout:         r.Histogram(obs.MShardedFanout),
-		scanned:        r.Counter(obs.MShardedShardsScanned),
-		pruned:         r.Counter(obs.MShardedShardsPruned),
-		rebalances:     r.Counter(obs.MShardedRebalances),
-		rowsMigrated:   r.Counter(obs.MShardedRowsMigrated),
 		prepareSeconds: r.DurationHistogram(obs.MShardedPrepareSeconds),
 		commitSeconds:  r.DurationHistogram(obs.MShardedCommitSeconds),
 		persistSeconds: r.DurationHistogram(obs.MShardedPersistSeconds),
 	}
+	r.CounterFunc(obs.MShardedShardsScanned, s.shardsScanned.Load)
+	r.CounterFunc(obs.MShardedShardsPruned, s.shardsPruned.Load)
+	r.CounterFunc(obs.MShardedRebalances, s.rebalances.Load)
+	r.CounterFunc(obs.MShardedRowsMigrated, s.rowsMigrated.Load)
 	r.GaugeFunc(obs.MShardedSkew, func() float64 {
 		skew, _ := s.Skew()
 		return skew
@@ -484,8 +482,6 @@ func (s *Store) countRoute(scanned int) {
 	s.shardsPruned.Add(uint64(len(s.shards) - scanned))
 	if m := s.metrics; m != nil {
 		m.fanout.Record(int64(scanned))
-		m.scanned.Add(uint64(scanned))
-		m.pruned.Add(uint64(len(s.shards) - scanned))
 	}
 }
 

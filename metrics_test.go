@@ -5,6 +5,7 @@
 package tsunami_test
 
 import (
+	"io"
 	"testing"
 
 	tsunami "repro"
@@ -163,4 +164,115 @@ func gaugeNames(s tsunami.MetricsSnapshot) []string {
 		names = append(names, n)
 	}
 	return names
+}
+
+// TestStatsAgreeWithRegistry checks that every count a store's Stats
+// reports is the count its registry exports, after hits, misses,
+// evictions, ingest, a Flush and a Snapshot(w) — and, on a ShardedStore,
+// a Rebalance that migrates rows.
+func TestStatsAgreeWithRegistry(t *testing.T) {
+	ds := tsunami.GenerateTaxi(10_000, 7)
+	work := tsunami.WorkloadFor(ds, 10, 8)
+	// Rows past the end of dim 0, the sharded store's partition dim, so a
+	// rebalance has rows to migrate.
+	_, hi := ds.Store.MinMax(0)
+	rows := make([][]int64, 3000)
+	for i := range rows {
+		rows[i] = make([]int64, ds.Store.NumDims())
+		ds.Store.Row(i, rows[i])
+		rows[i][0] = hi + 1 + int64(i)
+	}
+	// Each query twice: a miss that fills the cache, then a hit; 16 slots
+	// for the workload's distinct queries force evictions.
+	serve := func(ix tsunami.Index) {
+		for _, q := range work {
+			ix.Execute(q)
+			ix.Execute(q)
+		}
+	}
+	agree := func(t *testing.T, m *tsunami.Metrics, want map[string]uint64) {
+		t.Helper()
+		got := m.Snapshot().Counters
+		for name, w := range want {
+			if g, ok := got[name]; !ok || g != w {
+				t.Errorf("%s = %d (exported %v), Stats says %d", name, g, ok, w)
+			}
+		}
+	}
+
+	t.Run("LiveStore", func(t *testing.T) {
+		m := tsunami.NewMetrics()
+		idx := tsunami.New(ds.Store, work, smallOptions())
+		ls := tsunami.NewLiveStore(idx, nil, tsunami.LiveOptions{Metrics: m, CacheEntries: 16, MergeThreshold: 1 << 30})
+		defer ls.Close()
+		serve(ls)
+		if err := ls.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.Snapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		st, c := ls.Stats(), ls.CacheStats()
+		if c.Hits == 0 || c.Misses == 0 || c.Evictions == 0 || st.Merges != 1 || st.Snapshots != 1 {
+			t.Fatalf("the run did not exercise every count: %+v", st)
+		}
+		agree(t, m, map[string]uint64{
+			obs.MQueries:         st.Queries,
+			obs.MLiveIngestRows:  st.Inserts,
+			obs.MLiveMerges:      st.Merges,
+			obs.MLiveReoptimizes: st.Reoptimizations,
+			obs.MLiveSnapshots:   st.Snapshots,
+			obs.MCacheHits:       c.Hits,
+			obs.MCacheMisses:     c.Misses,
+			obs.MCacheEvictions:  c.Evictions,
+		})
+	})
+
+	t.Run("ShardedStore", func(t *testing.T) {
+		m := tsunami.NewMetrics()
+		ss, err := tsunami.NewShardedStore(ds.Store, work, smallOptions(), tsunami.ShardedOptions{
+			Shards: 3, Learned: true, Metrics: m, CacheEntries: 48,
+			Live: tsunami.LiveOptions{MergeThreshold: 1 << 30, DisableShift: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		serve(ss)
+		if err := ss.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+		st := ss.Stats()
+		if st.Cache.Hits == 0 || st.Cache.Evictions == 0 || st.Rebalances != 1 || st.RowsMigrated == 0 {
+			t.Fatalf("the run did not exercise every count: %+v", st)
+		}
+		var queries, inserts uint64
+		for _, sh := range st.PerShard {
+			queries += sh.Queries
+			inserts += sh.Inserts
+		}
+		agree(t, m, map[string]uint64{
+			obs.MQueries:              queries,
+			obs.MLiveIngestRows:       inserts,
+			obs.MLiveMerges:           st.Merges,
+			obs.MLiveReoptimizes:      st.Reoptimizations,
+			obs.MLiveSnapshots:        st.Snapshots,
+			obs.MCacheHits:            st.Cache.Hits,
+			obs.MCacheMisses:          st.Cache.Misses,
+			obs.MCacheEvictions:       st.Cache.Evictions,
+			obs.MShardedShardsScanned: st.ShardsScanned,
+			obs.MShardedShardsPruned:  st.ShardsPruned,
+			obs.MShardedRebalances:    st.Rebalances,
+			obs.MShardedRowsMigrated:  st.RowsMigrated,
+		})
+	})
 }
