@@ -59,6 +59,12 @@ type Grid struct {
 	// math.MaxUint32 rows, which Build enforces.
 	offsets   []uint32
 	nOutliers int
+
+	// fitted is how many rows the boundaries and mappings were fitted
+	// over: the built row count, or a loaded grid's row count. A fold
+	// carries it, so a region that outgrows it by relearnGrowth is built
+	// again (see Fold). It is not persisted.
+	fitted int
 }
 
 // Build computes the grid structures for layout over the given rows of st
@@ -89,6 +95,7 @@ func build(st *colstore.Store, rows []int, layout Layout, o *sampleOrder) (*Grid
 	g := &Grid{
 		layout:     layout.Clone(),
 		n:          len(rows),
+		fitted:     len(rows),
 		bounds:     make([][]int64, d),
 		condBounds: make([][][]int64, d),
 		mappings:   make([]stats.LinReg, d),
@@ -181,8 +188,14 @@ func build(st *colstore.Store, rows []int, layout Layout, o *sampleOrder) (*Grid
 		g.condBounds[j] = condBoundaries(groups, g.layout.P[j])
 	}
 
-	// Phase 3: assign cells to inlier rows, order them (cell-major, sort
-	// dim within cells), count offsets, and append the outlier buffer.
+	return g, g.cluster(st, inlierRows, outlierRows), nil
+}
+
+// cluster is Build's phase 3, run once g's boundaries and mappings are
+// set: it assigns the inlier rows their cells, orders them (cell-major,
+// sort dim within cells, then position), sets the offsets, and returns
+// the rows in grid order with the outlier buffer appended.
+func (g *Grid) cluster(st *colstore.Store, inlierRows, outlierRows []int) []int {
 	cells := make([]int, len(inlierRows))
 	for i, r := range inlierRows {
 		cells[i] = g.cellOfRow(st, r)
@@ -191,9 +204,9 @@ func build(st *colstore.Store, rows []int, layout Layout, o *sampleOrder) (*Grid
 	if g.layout.SortDim >= 0 {
 		sortCol = st.Column(g.layout.SortDim)
 	}
-	orderedRows, offsets := orderCells(inlierRows, cells, sortCol, numCells)
+	orderedRows, offsets := orderCells(inlierRows, cells, sortCol, g.layout.NumCells())
 	g.offsets = offsets
-	return g, append(orderedRows, outlierRows...), nil
+	return append(orderedRows, outlierRows...)
 }
 
 // condBoundaries returns a conditional dim's p+1 boundaries in each base
@@ -541,6 +554,9 @@ func minMaxRows(col []int64, rows []int) (int64, int64) {
 // partIndep returns the partition of value v in independent dim j by binary
 // search over the boundary array, clamped to [0, P[j]-1].
 func (g *Grid) partIndep(j int, v int64) int {
+	if g.layout.P[j] == 1 {
+		return 0
+	}
 	b := g.bounds[j]
 	return clampPart(searchGT(b, 0, len(b), v)-1, g.layout.P[j])
 }
@@ -577,10 +593,14 @@ func clampPart(i, p int) int {
 	return i
 }
 
-// cellOfRow computes the row-major cell id of store row r.
+// cellOfRow computes the row-major cell id of store row r. A dim with one
+// partition puts every row in partition 0, so it is not searched.
 func (g *Grid) cellOfRow(st *colstore.Store, r int) int {
 	cell := 0
 	for k, j := range g.gridDims {
+		if g.layout.P[j] == 1 {
+			continue
+		}
 		var idx int
 		switch g.layout.Skeleton[j].Kind {
 		case Independent:

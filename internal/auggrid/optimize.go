@@ -83,6 +83,10 @@ func BlackBox() Optimizer { return Optimizer{Name: "BlackBox", fn: runBlackBox} 
 // AGDNI is AGD from the naive all-Independent initial skeleton.
 func AGDNI() Optimizer { return Optimizer{Name: "AGD-NI", fn: runAGDNI} }
 
+// Optimizers returns every layout search, AGD first: the ones Fig 12b
+// compares, and the names a saved index may name.
+func Optimizers() []Optimizer { return []Optimizer{AGD(), GD(), BlackBox(), AGDNI()} }
+
 // searchCtx carries everything a search strategy needs.
 type searchCtx struct {
 	st      *colstore.Store

@@ -89,6 +89,7 @@ func gridDiff(a, b *Grid) string {
 		{"condBounds", a.condBounds, b.condBounds}, {"mappings", a.mappings, b.mappings},
 		{"dimLo", a.dimLo, b.dimLo}, {"dimHi", a.dimHi, b.dimHi},
 		{"offsets", a.offsets, b.offsets}, {"nOutliers", a.nOutliers, b.nOutliers},
+		{"fitted", a.fitted, b.fitted},
 	}
 	if n := reflect.TypeOf(Grid{}).NumField(); n != len(fields) {
 		return "a field gridDiff does not compare"

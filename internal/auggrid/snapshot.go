@@ -74,6 +74,7 @@ func FromSnapshot(s GridSnapshot) (*Grid, error) {
 	g := &Grid{
 		layout:    s.Layout.Clone(),
 		n:         s.N,
+		fitted:    s.N,
 		dimLo:     s.DimLo,
 		dimHi:     s.DimHi,
 		nOutliers: s.NOutliers,

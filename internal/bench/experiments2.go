@@ -148,7 +148,6 @@ func Fig12a(w io.Writer, o Options) {
 func Fig12b(w io.Writer, o Options) {
 	o = o.fill()
 	section(w, "Fig 12b", "Optimization method comparison (one Augmented Grid over the full space)")
-	optimizers := []auggrid.Optimizer{auggrid.AGD(), auggrid.GD(), auggrid.BlackBox(), auggrid.AGDNI()}
 	var errSum float64
 	var errN int
 	for _, dc := range paperDatasets(o) {
@@ -156,7 +155,7 @@ func Fig12b(w io.Writer, o Options) {
 		rows := allRows(dc.ds.Store.NumRows())
 		cfg := o.tsunamiConfig(core.FullTsunami).Grid
 		t := newTable("optimizer", "predicted", "measured", "skeleton")
-		for _, opt := range optimizers {
+		for _, opt := range auggrid.Optimizers() {
 			layout, predicted := auggrid.Optimize(dc.ds.Store, rows, dc.work, opt, cfg)
 			g, st, err := buildStandaloneGrid(dc.ds.Store, layout)
 			if err != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/colstore"
 	"repro/internal/gridtree"
 	"repro/internal/query"
@@ -24,12 +22,21 @@ type delta struct {
 // NumBuffered reports how many inserted rows await merging.
 func (t *Tsunami) NumBuffered() int { return t.numBuffered }
 
-// findRegionForPoint walks split nodes to the leaf containing the point.
+// findRegionForPoint walks split nodes to the leaf containing the point:
+// at each node, the child after the last split value at most the point's.
 func findRegionForPoint(nd *gridtree.Node, row []int64) *gridtree.Region {
 	for nd.Region == nil {
-		v := row[nd.SplitDim]
-		i := sort.Search(len(nd.SplitVals), func(i int) bool { return nd.SplitVals[i] > v })
-		nd = nd.Children[i]
+		v, vals := row[nd.SplitDim], nd.SplitVals
+		lo, hi := 0, len(vals)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if vals[m] > v {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		nd = nd.Children[lo]
 	}
 	return nd.Region
 }

@@ -15,10 +15,10 @@ import "fmt"
 // CopyWithInserts returns a copy of t whose delta buffers additionally
 // hold rows, leaving t untouched. The copy shares the clustered column
 // data, Grid Tree, and region grids with t — only the delta containers of
-// the affected regions are replaced — so it is cheap enough to run per
-// ingest batch. The copy retains the row slices themselves (no defensive
-// copy, keeping the serialized ingest path to one allocation per row):
-// the caller must not mutate them afterwards.
+// the regions the batch touches are replaced, one new container each —
+// so it is cheap enough to run per ingest batch. The copy retains the row
+// slices themselves (no defensive copy): the caller must not mutate them
+// afterwards.
 //
 // Concurrency: t may be serving concurrent readers during the call.
 // Callers must serialize all CopyWithInserts calls deriving from the same
@@ -46,15 +46,20 @@ func (t *Tsunami) CopyWithInserts(rows [][]int64) (*Tsunami, error) {
 		nt.deltas[id] = dl
 	}
 	for _, row := range rows {
-		r := findRegionForPoint(t.tree.Root, row)
-		nd := &delta{}
-		if old := nt.deltas[r.ID]; old != nil {
-			nd.rows = old.rows
+		id := findRegionForPoint(t.tree.Root, row).ID
+		nd := nt.deltas[id]
+		if nd == nil || nd == t.deltas[id] {
+			// The first of the batch's rows in this region: the new
+			// container continues the receiver's rows.
+			fresh := &delta{}
+			if nd != nil {
+				fresh.rows = nd.rows
+			}
+			nd, nt.deltas[id] = fresh, fresh
 		}
 		nd.rows = append(nd.rows, row)
-		nt.deltas[r.ID] = nd
-		nt.numBuffered++
 	}
+	nt.numBuffered += len(rows)
 	return nt, nil
 }
 

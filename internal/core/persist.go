@@ -48,6 +48,13 @@ type snapshot struct {
 	// v1 snapshots were always merged before saving, so the field decodes
 	// as empty).
 	Deltas map[int][][]int64
+	// The build settings a re-optimization reuses: the layout search's
+	// config, the grid size floor and the search's name. A file written
+	// before they were saved decodes them as zero, which takes the
+	// defaults.
+	Grid           auggrid.OptimizeConfig
+	MinRowsForGrid int
+	Optimizer      string
 }
 
 const formatVersion = 2
@@ -58,13 +65,16 @@ const formatVersion = 2
 // synchronized with writers, like every read).
 func (t *Tsunami) Save(w io.Writer) error {
 	s := snapshot{
-		FormatVersion: formatVersion,
-		Variant:       int(t.cfg.Variant),
-		Names:         t.store.Names(),
-		NumNodes:      t.tree.NumNodes,
-		Depth:         t.tree.Depth,
-		NumTypes:      t.tree.NumTypes,
-		Bounds:        t.bounds,
+		FormatVersion:  formatVersion,
+		Variant:        int(t.cfg.Variant),
+		Names:          t.store.Names(),
+		NumNodes:       t.tree.NumNodes,
+		Depth:          t.tree.Depth,
+		NumTypes:       t.tree.NumTypes,
+		Bounds:         t.bounds,
+		Grid:           t.cfg.Grid,
+		MinRowsForGrid: t.cfg.MinRowsForGrid,
+		Optimizer:      t.cfg.Optimizer.Name,
 	}
 	s.Cols = make([][]int64, t.store.NumDims())
 	for j := range s.Cols {
@@ -147,8 +157,19 @@ func Load(r io.Reader) (*Tsunami, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only the variant is saved; everything else takes Build's defaults.
-	cfg := Config{Variant: Variant(s.Variant)}
+	// The Grid Tree's settings and the build parallelism are not saved:
+	// they take Build's defaults.
+	cfg := Config{Variant: Variant(s.Variant), Grid: s.Grid, MinRowsForGrid: s.MinRowsForGrid}
+	if s.Optimizer != "" {
+		for _, o := range auggrid.Optimizers() {
+			if o.Name == s.Optimizer {
+				cfg.Optimizer = o
+			}
+		}
+		if cfg.Optimizer.Name == "" {
+			return nil, fmt.Errorf("core: load: unknown optimizer %q", s.Optimizer)
+		}
+	}
 	cfg.fill()
 	t := &Tsunami{
 		cfg: cfg,

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
+	"repro/internal/auggrid"
 	"repro/internal/query"
-
 	"repro/internal/testutil"
 )
 
@@ -113,5 +115,71 @@ func TestLoadedIndexSupportsInserts(t *testing.T) {
 	}
 	if loaded.Store().NumRows() != 5001 {
 		t.Errorf("rows = %d, want 5001", loaded.Store().NumRows())
+	}
+}
+
+// TestLoadKeepsBuildSettings checks that a loaded index re-optimizes with
+// the settings it was built with: an index built with an outlier buffer
+// and the GD search, saved and loaded, lays out every region it
+// re-optimizes with the same outlier fraction. A file without the
+// settings (written before they were saved) loads with the defaults, and
+// one naming an optimizer that does not exist is refused.
+func TestLoadKeepsBuildSettings(t *testing.T) {
+	st := testutil.SmallTaxi(20000, 1)
+	cfg := smallConfig(FullTsunami)
+	cfg.Grid.OutlierFrac = 0.01
+	cfg.Optimizer = auggrid.GD()
+	cfg.MinRowsForGrid = 300
+	idx := Build(st, testutil.SkewedQueries(st, 150, 2), cfg)
+	save := func(idx *Tsunami) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	loaded, err := Load(save(idx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.cfg.Grid != cfg.Grid || loaded.cfg.MinRowsForGrid != 300 || loaded.cfg.Optimizer.Name != "GD" {
+		t.Fatalf("loaded settings %+v, %d, %q; built with %+v, 300, GD", loaded.cfg.Grid, loaded.cfg.MinRowsForGrid, loaded.cfg.Optimizer.Name, cfg.Grid)
+	}
+	re, n, _, err := loaded.ReoptimizeRegionsCopy(testutil.RandomQueries(st, 150, 9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("no region re-optimized")
+	}
+	for id, g := range re.grids {
+		if g != nil && g.Layout().OutlierFrac != 0.01 {
+			t.Errorf("region %d re-optimized with outlier fraction %v, built with 0.01", id, g.Layout().OutlierFrac)
+		}
+	}
+
+	// Without the settings: today's defaults.
+	var s snapshot
+	if err := gob.NewDecoder(save(idx)).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	s.Grid, s.MinRowsForGrid, s.Optimizer = auggrid.OptimizeConfig{}, 0, ""
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&s); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = Load(&old); err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Variant: FullTsunami}
+	want.fill()
+	if loaded.cfg.Grid != want.Grid || loaded.cfg.MinRowsForGrid != want.MinRowsForGrid || loaded.cfg.Optimizer.Name != want.Optimizer.Name {
+		t.Fatalf("a file without settings loads %+v, %d, %q; want the defaults", loaded.cfg.Grid, loaded.cfg.MinRowsForGrid, loaded.cfg.Optimizer.Name)
+	}
+
+	unknown := *idx
+	unknown.cfg.Optimizer = auggrid.Optimizer{Name: "Oracle"}
+	if _, err := Load(save(&unknown)); err == nil || !strings.Contains(err.Error(), "unknown optimizer") {
+		t.Fatalf("a file naming an unknown optimizer loaded (err %v)", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
@@ -11,10 +10,10 @@ import (
 )
 
 // The one maintenance operation (§8): rewrite the clustered table region
-// by region, copying a region verbatim or rebuilding its grid. Merging
-// delta buffers (MergedCopy), carving a key range out (SplitRange) and
-// re-optimizing drifted regions (ReoptimizeRegionsCopy) are this pass with
-// different arguments.
+// by region, copying a region verbatim, folding its buffered rows into its
+// grid, or building its grid again. Merging delta buffers (MergedCopy),
+// carving a key range out (SplitRange) and re-optimizing drifted regions
+// (ReoptimizeRegionsCopy) are this pass with different arguments.
 
 // rangeCut is a split's moving range: rows whose dim value lies in
 // [lo, hi] leave the successor for the moved set.
@@ -24,6 +23,11 @@ type rangeCut struct {
 }
 
 func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
+
+// relearnAll sends every rewritten region with a grid to Build, as if it
+// had outgrown its fit. Only tests set it, to time and check the fold
+// against the build it replaces.
+var relearnAll = false
 
 // rewrite derives a successor index on a fresh column store and never
 // writes its receiver, which can keep serving readers throughout. Every
@@ -38,10 +42,13 @@ func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
 //
 // A region with no buffered rows that neither input touches is
 // bulk-copied and its grid bound to the new store, sharing every table.
-// Any other region is staged (surviving clustered rows, then buffered
-// rows), built once — with the new layout, or its existing one — and
-// emitted in grid order; one that has no grid, or that emptied out, is
-// emitted as plain rows.
+// A region with a grid that is not re-optimized is folded (auggrid.Fold):
+// its leaving rows are skipped and its buffered rows merged into its
+// cells, with nothing re-sorted. A region the fold turns down (it outgrew
+// its fit) or that is re-optimized is staged (surviving clustered rows,
+// then buffered rows), built once — with its existing layout, or the new
+// one — and emitted in grid order. One with no grid, or that emptied out,
+// is emitted as plain rows.
 // What the successor shares with the receiver is immutable: untouched
 // grids' layouts and models, and query sets; the moved set may hold the
 // receiver's buffered row slices themselves. The Grid Tree is copied,
@@ -68,11 +75,20 @@ func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami,
 		if dl := t.deltas[id]; dl != nil {
 			buffered = dl.rows
 		}
-		cutting := cut != nil && r.Lo[cut.dim] <= cut.hi && r.Hi[cut.dim] >= cut.lo &&
-			slices.ContainsFunc(t.store.Column(cut.dim)[b[0]:b[1]], cut.holds)
+		// The clustered rows in the cut leave: their positions relative to
+		// the region's start, and the rows themselves for the moved set.
+		var drop []int
+		if cut != nil && r.Lo[cut.dim] <= cut.hi && r.Hi[cut.dim] >= cut.lo {
+			for i, v := range t.store.Column(cut.dim)[b[0]:b[1]] {
+				if cut.holds(v) {
+					drop = append(drop, i)
+					moved = append(moved, t.store.Row(b[0]+i, nil))
+				}
+			}
+		}
 		queries, reoptimize := reopt[id]
 		start := len(cols[0])
-		if len(buffered) == 0 && !cutting && !reoptimize {
+		if len(buffered) == 0 && len(drop) == 0 && !reoptimize {
 			for j := range cols {
 				cols[j] = append(cols[j], t.store.Column(j)[b[0]:b[1]]...)
 			}
@@ -81,77 +97,94 @@ func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami,
 			continue
 		}
 
-		// Stage the region's surviving rows: the clustered segment, copied
-		// in runs between the rows that leave, then the buffer.
-		seg := make([][]int64, d)
-		for j := range seg {
-			seg[j] = make([]int64, 0, b[1]-b[0]+len(buffered))
+		// The buffered rows in the cut leave too; the others widen the
+		// region's box.
+		add := make([][]int64, d)
+		for j := range add {
+			add[j] = make([]int64, 0, len(buffered))
 		}
-		from := b[0]
-		flush := func(to int) {
-			for j := range seg {
-				seg[j] = append(seg[j], t.store.Column(j)[from:to]...)
-			}
-			from = to + 1
-		}
-		if cutting {
-			for i, v := range t.store.Column(cut.dim)[b[0]:b[1]] {
-				if cut.holds(v) {
-					flush(b[0] + i)
-					moved = append(moved, t.store.Row(b[0]+i, nil))
-				}
-			}
-		}
-		flush(b[1])
 		for _, row := range buffered {
 			if cut != nil && cut.holds(row[cut.dim]) {
 				moved = append(moved, row)
 				continue
 			}
 			for j, v := range row {
-				seg[j] = append(seg[j], v)
+				add[j] = append(add[j], v)
 				r.Lo[j] = min(r.Lo[j], v)
 				r.Hi[j] = max(r.Hi[j], v)
 			}
 		}
+		addStore, err := colstore.FromColumns(add, t.store.Names())
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: rewrite of region %d: %w", id, err)
+		}
+		survivors := b[1] - b[0] - len(drop) + addStore.NumRows()
+
+		g := t.grids[id]
+		if g != nil && !reoptimize && survivors > 0 && !relearnAll {
+			if ng := g.Fold(drop, addStore, cols); ng != nil {
+				nt.grids[id] = ng
+				nt.bounds[id] = [2]int{start, len(cols[0])}
+				continue
+			}
+		}
+
+		// The surviving rows in place: the clustered segment, copied in
+		// runs between the rows that leave, then the buffered rows.
+		survive := func(dst [][]int64) {
+			for j := range dst {
+				src, from := t.store.Column(j)[b[0]:b[1]], 0
+				for _, i := range drop {
+					dst[j] = append(dst[j], src[from:i]...)
+					from = i + 1
+				}
+				dst[j] = append(append(dst[j], src[from:]...), add[j]...)
+			}
+		}
+		gridded := g != nil
+		if reoptimize {
+			r.Queries = queries
+			gridded = len(queries) > 0
+		}
+		if !gridded || survivors == 0 {
+			survive(cols) // no grid: plain rows
+			nt.bounds[id] = [2]int{start, len(cols[0])}
+			continue
+		}
+
+		// Stage the survivors, lay them out (with the new layout, or the
+		// existing one) and emit them in grid order.
+		seg := make([][]int64, d)
+		for j := range seg {
+			seg[j] = make([]int64, 0, survivors)
+		}
+		survive(seg)
 		segStore, err := colstore.FromColumns(seg, t.store.Names())
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: rewrite of region %d: %w", id, err)
 		}
-		rows := make([]int, segStore.NumRows())
+		rows := make([]int, survivors)
 		for i := range rows {
 			rows[i] = i
 		}
-
 		var layout auggrid.Layout
-		gridded := false
 		if reoptimize {
-			r.Queries = queries
-			if len(queries) > 0 && len(rows) > 0 {
-				opt, gcfg := t.cfg.regionOptimizer()
-				layout, _ = auggrid.Optimize(segStore, rows, queries, opt, gcfg)
-				gridded = true
-			}
-		} else if g := t.grids[id]; g != nil && len(rows) > 0 {
-			layout, gridded = g.Layout(), true
-		}
-		if gridded {
-			g, ordered, err := auggrid.Build(segStore, rows, layout)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: rebuild of region %d: %w", id, err)
-			}
-			nt.grids[id] = g
-			for j, src := range seg {
-				c := cols[j]
-				for _, i := range ordered {
-					c = append(c, src[i])
-				}
-				cols[j] = c
-			}
+			opt, gcfg := t.cfg.regionOptimizer()
+			layout, _ = auggrid.Optimize(segStore, rows, queries, opt, gcfg)
 		} else {
-			for j := range cols {
-				cols[j] = append(cols[j], seg[j]...)
+			layout = g.Layout()
+		}
+		ng, ordered, err := auggrid.Build(segStore, rows, layout)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: rebuild of region %d: %w", id, err)
+		}
+		nt.grids[id] = ng
+		for j, src := range seg {
+			c := cols[j]
+			for _, i := range ordered {
+				c = append(c, src[i])
 			}
+			cols[j] = c
 		}
 		nt.bounds[id] = [2]int{start, len(cols[0])}
 	}

@@ -557,11 +557,19 @@ func (s *Store) InsertBatch(rows [][]int64) error {
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	// One defensive copy per row, shared by the index's delta buffers and
-	// the replay log (both treat rows as immutable once ingested).
-	copied := make([][]int64, len(rows))
+	// One defensive copy of the batch, shared by the index's delta buffers
+	// and the replay log (both treat rows as immutable once ingested): the
+	// rows are laid end to end in one backing array, each capped at its
+	// own length.
+	size := 0
+	for _, row := range rows {
+		size += len(row)
+	}
+	flat, copied := make([]int64, 0, size), make([][]int64, len(rows))
 	for i, row := range rows {
-		copied[i] = append([]int64(nil), row...)
+		at := len(flat)
+		flat = append(flat, row...)
+		copied[i] = flat[at:len(flat):len(flat)]
 	}
 	s.mu.Lock()
 	if s.closed {
