@@ -62,8 +62,8 @@ type Grid struct {
 
 	// fitted is how many rows the boundaries and mappings were fitted
 	// over: the built row count, or a loaded grid's row count. A fold
-	// carries it, so a region that outgrows it by relearnGrowth is built
-	// again (see Fold). It is not persisted.
+	// carries it, so a region that grows or shrinks away from it by
+	// relearnGrowth is built again (see Fold). It is not persisted.
 	fitted int
 }
 
@@ -554,9 +554,6 @@ func minMaxRows(col []int64, rows []int) (int64, int64) {
 // partIndep returns the partition of value v in independent dim j by binary
 // search over the boundary array, clamped to [0, P[j]-1].
 func (g *Grid) partIndep(j int, v int64) int {
-	if g.layout.P[j] == 1 {
-		return 0
-	}
 	b := g.bounds[j]
 	return clampPart(searchGT(b, 0, len(b), v)-1, g.layout.P[j])
 }
@@ -593,14 +590,10 @@ func clampPart(i, p int) int {
 	return i
 }
 
-// cellOfRow computes the row-major cell id of store row r. A dim with one
-// partition puts every row in partition 0, so it is not searched.
+// cellOfRow computes the row-major cell id of store row r.
 func (g *Grid) cellOfRow(st *colstore.Store, r int) int {
 	cell := 0
 	for k, j := range g.gridDims {
-		if g.layout.P[j] == 1 {
-			continue
-		}
 		var idx int
 		switch g.layout.Skeleton[j].Kind {
 		case Independent:

@@ -9,16 +9,21 @@ import (
 	"repro/internal/stats"
 )
 
-// relearnGrowth is how far a region may grow past the rows its grid was
-// fitted over before a merge builds the grid again instead of folding
-// into it. A fold keeps the fitted boundaries, so when inserts shift the
-// data's distribution the cells they land in fill up. It was chosen from
-// a sweep (a 200k-row Taxi index grown to 4x in 16 384-row merges; see
-// ARCHITECTURE.md): with rows drawn like the table's a folded grid scans
-// as a rebuilt one does at any growth, and with time-shifted rows 2 kept
-// scanned-per-match at 4.3 (2x growth) and 5.8 (4x) against 5.7 and 9.2
-// never re-learning, for 1.2 s of merging against 0.95 s never
-// re-learning and 2.1 s at 1.25.
+// relearnGrowth is how far a region's row count may move from the rows its
+// grid was fitted over before a merge builds the grid again instead of
+// folding into it: up past relearnGrowth times that many, or down (a range
+// cut) below one relearnGrowth-th. A fold keeps the fitted boundaries, so
+// when inserts shift the data's distribution the cells they land in fill
+// up, and when a cut takes a range away its partitions stand empty. It was
+// chosen from a sweep (a 200k-row Taxi index grown to 4x in 16 384-row
+// merges; see ARCHITECTURE.md): with rows drawn like the table's a folded
+// grid scans as a rebuilt one does at any growth, and with time-shifted
+// rows 2 kept scanned-per-match at 4.3 (2x growth) and 5.8 (4x) against
+// 5.7 and 9.2 never re-learning, for 1.2 s of merging against 0.95 s never
+// re-learning and 2.1 s at 1.25. Cuts of the top half or three quarters
+// of a dim's values from 200k-row Taxi and TPC-H indexes read up to 1.33x
+// the rebuilt grids' scanned-per-match when folded, and within 1.05x with
+// the shrink bound.
 const relearnGrowth = 2
 
 // Fold merges a region's buffered rows into its grid without re-fitting
@@ -41,13 +46,13 @@ const relearnGrowth = 2
 //
 // Fold returns nil and appends nothing when the region is to be built
 // again: when it has grown past relearnGrowth times the rows g was fitted
-// over, or when new outliers would take the buffer past its OutlierFrac
-// share of the rows.
+// over or shrunk below one relearnGrowth-th of them, or when new outliers
+// would take the buffer past its OutlierFrac share of the rows.
 func (g *Grid) Fold(drop []int, add *colstore.Store, cols [][]int64) *Grid {
 	k := add.NumRows()
 	n := g.n - len(drop) + k
-	if n > relearnGrowth*g.fitted || n > math.MaxUint32 {
-		return nil // past its fit, or past what Build allows a grid
+	if n > relearnGrowth*g.fitted || relearnGrowth*n < g.fitted || n > math.MaxUint32 {
+		return nil // away from its fit, or past what Build allows a grid
 	}
 	ng := *g
 	ng.store, ng.start, ng.n = nil, 0, n

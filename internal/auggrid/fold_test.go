@@ -135,7 +135,7 @@ func storeOf(rows [][]int64, d int) *colstore.Store {
 // second fold of the folded grid, on Taxi and TPC-H over hand-made
 // layouts (mapped and conditional dims, with and without a sort dim, with
 // an outlier buffer) and random ones. A fold turned down must be one the
-// growth or outlier rule turns down.
+// growth, shrink or outlier rule turns down.
 func TestFoldMatchesPinnedBuild(t *testing.T) {
 	mixed := IndependentSkeleton(9)
 	mixed[datasets.TaxiFare] = DimStrategy{Kind: Mapped, Other: datasets.TaxiDistance}
@@ -207,7 +207,7 @@ func TestFoldMatchesPinnedBuild(t *testing.T) {
 					if fg == nil {
 						n := len(stage)
 						overCap := l.OutlierFrac > 0 && want.nOutliers > int(l.OutlierFrac*float64(n))
-						if n <= relearnGrowth*cur.fitted && !overCap {
+						if n <= relearnGrowth*cur.fitted && relearnGrowth*n >= cur.fitted && !overCap {
 							t.Fatalf("%s round %d: fold turned down with %d rows fitted over %d and %d outliers", name, round, n, cur.fitted, want.nOutliers)
 						}
 						turnedDown++
@@ -241,5 +241,52 @@ func TestFoldMatchesPinnedBuild(t *testing.T) {
 	t.Logf("%d folds, %d turned down", folded, turnedDown)
 	if folded == 0 || turnedDown > folded/2 {
 		t.Fatalf("%d folds, %d turned down", folded, turnedDown)
+	}
+}
+
+// TestFoldTurnsDownAShrunkRegion checks the shrink half of the re-learn
+// rule: a cut may leave a region with as few as one relearnGrowth-th of
+// the rows its grid was fitted over and still fold, one row fewer and the
+// region is built again, and the count holds across folds: a second cut
+// is measured against the first fit, not the folded size.
+func TestFoldTurnsDownAShrunkRegion(t *testing.T) {
+	ds := datasets.Taxi(6_000, 5)
+	l := NewLayout(IndependentSkeleton(9), []int{1, 4, 6, 1, 3, 1, 3, 5, 4}, datasets.TaxiPickupTime)
+	g, ordered, err := Build(ds.Store, allRowsOf(ds.Store), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ds.Store.Gather(ordered, nil)
+	g = g.Bind(st, 0)
+	none := storeOf(nil, 9)
+	upTo := func(n int) []int {
+		drop := make([]int, n)
+		for i := range drop {
+			drop[i] = i
+		}
+		return drop
+	}
+	keepMin := (g.NumRows() + relearnGrowth - 1) / relearnGrowth
+	if ng := g.Fold(upTo(g.NumRows()-keepMin), none, make([][]int64, 9)); ng == nil {
+		t.Fatalf("a cut to %d of %d fitted rows was turned down", keepMin, g.NumRows())
+	}
+	if ng := g.Fold(upTo(g.NumRows()-keepMin+1), none, make([][]int64, 9)); ng != nil {
+		t.Fatalf("a cut to %d of %d fitted rows was folded", keepMin-1, g.NumRows())
+	}
+
+	// Two cuts of a third each: the first folds, the second leaves a third
+	// of the fit and is turned down.
+	cols := make([][]int64, 9)
+	ng := g.Fold(upTo(g.NumRows()/3), none, cols)
+	if ng == nil {
+		t.Fatalf("a cut of a third was turned down")
+	}
+	cut, err := colstore.FromColumns(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ng = ng.Bind(cut, 0)
+	if again := ng.Fold(upTo(g.NumRows()/3), none, make([][]int64, 9)); again != nil {
+		t.Fatalf("a second cut to a third of the fitted rows was folded (%d of %d)", again.NumRows(), g.NumRows())
 	}
 }

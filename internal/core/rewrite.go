@@ -25,8 +25,8 @@ type rangeCut struct {
 func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
 
 // relearnAll sends every rewritten region with a grid to Build, as if it
-// had outgrown its fit. Only tests set it, to time and check the fold
-// against the build it replaces.
+// had grown or shrunk away from its fit. Only tests set it, to time and
+// check the fold against the build it replaces.
 var relearnAll = false
 
 // rewrite derives a successor index on a fresh column store and never
@@ -44,10 +44,10 @@ var relearnAll = false
 // bulk-copied and its grid bound to the new store, sharing every table.
 // A region with a grid that is not re-optimized is folded (auggrid.Fold):
 // its leaving rows are skipped and its buffered rows merged into its
-// cells, with nothing re-sorted. A region the fold turns down (it outgrew
-// its fit) or that is re-optimized is staged (surviving clustered rows,
-// then buffered rows), built once — with its existing layout, or the new
-// one — and emitted in grid order. One with no grid, or that emptied out,
+// cells, with nothing re-sorted. A region the fold turns down (it grew or
+// shrank away from its fit) or that is re-optimized is staged (surviving
+// clustered rows, then buffered rows), built once — with its existing
+// layout, or the new one — and emitted in grid order. One with no grid, or that emptied out,
 // is emitted as plain rows.
 // What the successor shares with the receiver is immutable: untouched
 // grids' layouts and models, and query sets; the moved set may hold the

@@ -14,10 +14,12 @@ import "fmt"
 // SplitRange returns a copy of t that no longer contains the rows whose
 // dim value lies in [lo, hi] (both inclusive), together with those rows.
 // Buffered rows are folded into the copy's clustered layout as part of
-// the rebuild (in-range buffered rows join the moved set), so the copy
-// starts with empty delta buffers. Affected region grids are rebuilt with
-// their existing layouts; untouched regions are copied verbatim and their
-// grids rebound. t is untouched and can keep serving reads throughout.
+// the rewrite (in-range buffered rows join the moved set), so the copy
+// starts with empty delta buffers. Affected regions keep their grids'
+// layouts: their leaving rows are skipped and their buffered rows folded
+// in, and a region the cut leaves with under half the rows its grid was
+// fitted over is built again; untouched regions are copied verbatim and
+// their grids rebound. t is untouched and can keep serving reads throughout.
 //
 // The returned rows may share backing slices with t's delta buffers;
 // treat them as immutable.
