@@ -82,6 +82,6 @@ func (t *Tsunami) ReoptimizeRegionsCopy(workload []query.Query, maxRegions int) 
 			reopt[rd.id] = newQueries[rd.id]
 		}
 	}
-	nt, _, err := t.rewrite(nil, reopt)
+	nt, _, err := t.rewrite(nil, reopt, nil, nil)
 	return nt, len(reopt), time.Since(start).Seconds(), err
 }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Copy-on-write maintenance (§8 serving): the variants in this file never
 // mutate their receiver, so a published index can keep serving lock-free
@@ -77,7 +80,33 @@ func (t *Tsunami) MergedCopy() (*Tsunami, int, error) {
 	if t.numBuffered == 0 {
 		return t, 0, nil
 	}
-	nt, _, err := t.rewrite(nil, nil)
+	nt, _, err := t.rewrite(nil, nil, nil, nil)
+	return nt, t.numBuffered, err
+}
+
+// MergedCopyReusing is MergedCopy writing the successor's columns into
+// the arrays of spare, one per dim, when each has room for them (into
+// fresh ones otherwise), and giving up with ErrStopped when stop, polled
+// before each region, reports true. A merge writes a whole new copy of
+// the table; into fresh memory that costs a page fault per page first
+// touched, which made one merge take up to twice as long as the next, and
+// a caller that hands a retired successor's arrays to its next merge
+// skips the faults and the zeroing. The caller must own spare outright:
+// nothing may read those arrays again except through the returned index.
+// spare and stop may be nil.
+func (t *Tsunami) MergedCopyReusing(spare [][]int64, stop func() bool) (*Tsunami, int, error) {
+	if t.numBuffered == 0 {
+		return t, 0, nil
+	}
+	d, need := t.store.NumDims(), t.store.NumRows()+t.numBuffered
+	var cols [][]int64
+	if len(spare) == d && !slices.ContainsFunc(spare, func(c []int64) bool { return cap(c) < need }) {
+		cols = make([][]int64, d)
+		for j, c := range spare {
+			cols[j] = c[:0]
+		}
+	}
+	nt, _, err := t.rewrite(nil, nil, cols, stop)
 	return nt, t.numBuffered, err
 }
 

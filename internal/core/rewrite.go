@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/auggrid"
@@ -23,6 +24,10 @@ type rangeCut struct {
 }
 
 func (c *rangeCut) holds(v int64) bool { return v >= c.lo && v <= c.hi }
+
+// ErrStopped reports a rewrite abandoned because its caller's stop
+// function asked for it (see MergedCopyReusing).
+var ErrStopped = errors.New("core: rewrite stopped")
 
 // relearnAll sends every rewritten region with a grid to Build, as if it
 // had grown or shrunk away from its fit. Only tests set it, to time and
@@ -55,7 +60,11 @@ var relearnAll = false
 // because folded rows widen the successor's region boxes (the tree only
 // constrains split dimensions, so an insert may lie outside the recorded
 // min/max of the others, and the exact-scan test relies on sound boxes).
-func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami, [][]int64, error) {
+// The successor's columns are appended to cols, one empty slice per dim
+// (nil: fresh ones, each sized to the receiver's rows and buffer). stop,
+// when not nil, is polled before each region: once it reports true the
+// rewrite is abandoned with ErrStopped.
+func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query, cols [][]int64, stop func() bool) (*Tsunami, [][]int64, error) {
 	d := t.store.NumDims()
 	nt := &Tsunami{
 		cfg:    t.cfg,
@@ -64,12 +73,17 @@ func (t *Tsunami) rewrite(cut *rangeCut, reopt map[int][]query.Query) (*Tsunami,
 		grids:  make([]*auggrid.Grid, len(t.grids)),
 		bounds: make([][2]int, len(t.bounds)),
 	}
-	cols := make([][]int64, d)
-	for j := range cols {
-		cols[j] = make([]int64, 0, t.store.NumRows()+t.numBuffered)
+	if cols == nil {
+		cols = make([][]int64, d)
+		for j := range cols {
+			cols[j] = make([]int64, 0, t.store.NumRows()+t.numBuffered)
+		}
 	}
 	var moved [][]int64
 	for _, r := range nt.tree.Regions {
+		if stop != nil && stop() {
+			return nil, nil, ErrStopped
+		}
 		id, b := r.ID, t.bounds[r.ID]
 		var buffered [][]int64
 		if dl := t.deltas[id]; dl != nil {

@@ -208,12 +208,30 @@ func newLiveMetrics(s *Store, r *obs.Registry, label string) *liveMetrics {
 }
 
 // version is one published epoch: an immutable index plus how much of the
-// store's replay log its delta buffers already reflect.
+// store's replay log its delta buffers already reflect, and the ref of
+// its column store.
 type version struct {
 	idx    *core.Tsunami
 	epoch  uint64
 	logLen int
+	ref    *storeRef
 }
+
+// storeRef counts the readers of one published column store, so that once
+// a merge or re-optimization has replaced it and its last reader is done,
+// its arrays can become the spare the next merge writes into. Versions
+// that ingest derives share their predecessor's store, and its ref. state
+// packs the count of pinned readers (low bits) with the flags below.
+type storeRef struct {
+	store *colstore.Store
+	state atomic.Int64
+}
+
+const (
+	refRetired  = 1 << 40 // no longer current: nobody pins it afresh
+	refEscaped  = 1 << 41 // held outside the store (the opened index, Index()): never recycled
+	refRecycled = 1 << 42 // its arrays went to the spare
+)
 
 // Store is an epoch-based read-write serving layer over a Tsunami index.
 //
@@ -268,9 +286,15 @@ type Store struct {
 	// its own hit, miss and eviction counts.
 	cache *qcache.Cache
 
+	// spare is a retired store's column arrays, which the next merge
+	// writes its successor into (core.MergedCopyReusing); nil when none.
+	spareMu sync.Mutex
+	spare   [][]int64
+
 	queries       atomic.Uint64
 	inserts       atomic.Uint64
 	merges        atomic.Uint64
+	flushes       atomic.Int32 // Flush calls waiting or merging: background merges give way
 	reopts        atomic.Uint64
 	snapshots     atomic.Uint64
 	droppedObs    atomic.Uint64
@@ -310,7 +334,9 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 	// taken mid-stream) seed the replay log, so the first merge accounts
 	// for them exactly like rows ingested through the Store.
 	s.log = idx.BufferedRows()
-	s.cur.Store(&version{idx: idx, epoch: 1, logLen: len(s.log)})
+	ref := &storeRef{store: idx.Store()}
+	ref.state.Store(refEscaped) // the caller holds idx
+	s.cur.Store(&version{idx: idx, epoch: 1, logLen: len(s.log), ref: ref})
 	s.metrics = newLiveMetrics(s, cfg.Metrics, label)
 	if cfg.CacheEntries > 0 {
 		s.cache = qcache.New(cfg.CacheEntries)
@@ -339,7 +365,9 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 		// collector or the detector.
 		trace := func(q query.Query) *obs.QueryTrace {
 			tr := new(obs.QueryTrace)
-			s.cur.Load().idx.ExecuteWith(q, index.Exec{Trace: tr})
+			v := s.acquire()
+			v.idx.ExecuteWith(q, index.Exec{Trace: tr})
+			s.release(v.ref)
 			return tr
 		}
 		cfg.Workload.Bind(wstats.BindingOf(rows, trace, idx.Store()))
@@ -418,7 +446,7 @@ var planPool = sync.Pool{New: func() any { return new(plan) }}
 // debugging.
 func (s *Store) Plan(q query.Query, x index.Exec) index.Plan {
 	p := planPool.Get().(*plan)
-	v := s.cur.Load()
+	v := s.acquire()
 	p.s, p.v, p.q = s, v, q
 	if s.metrics != nil || s.cfg.Workload != nil {
 		p.began = time.Now()
@@ -444,13 +472,16 @@ func (p *plan) Cost() (rows, bytes uint64) {
 	return p.core.Cost()
 }
 
-// Release gives the plan back unexecuted: nothing was counted yet.
+// Release gives the plan back unexecuted: nothing was counted yet. It
+// unpins the plan's epoch.
 func (p *plan) Release() {
 	if p.core != nil {
 		p.core.Release()
 	}
+	s, ref := p.s, p.v.ref
 	*p = plan{}
 	planPool.Put(p)
+	s.release(ref)
 }
 
 // Execute serves the plan: the cached answer, or the index plan's, which
@@ -526,8 +557,14 @@ func (s *Store) SizeBytes() uint64 { return s.cur.Load().idx.SizeBytes() }
 
 // Index returns the latest published epoch's index. The returned index is
 // immutable; it stays valid (and consistent) for as long as the caller
-// holds it, even across later swaps.
-func (s *Store) Index() *core.Tsunami { return s.cur.Load().idx }
+// holds it, even across later swaps: its column arrays are never handed
+// to a later merge.
+func (s *Store) Index() *core.Tsunami {
+	v := s.acquire()
+	v.ref.state.Or(refEscaped)
+	s.release(v.ref)
+	return v.idx
+}
 
 // Epoch returns the current epoch number; it advances by one per
 // published version (ingest batch, merge, or re-optimization).
@@ -600,10 +637,89 @@ func (s *Store) InsertBatch(rows [][]int64) error {
 	return nil
 }
 
-// publishLocked swaps in idx as the next epoch. Callers hold s.mu.
+// publishLocked swaps in idx as the next epoch. Callers hold s.mu. When
+// idx brings a new column store, the replaced one is retired.
 func (s *Store) publishLocked(idx *core.Tsunami, logLen int) {
 	old := s.cur.Load()
-	s.cur.Store(&version{idx: idx, epoch: old.epoch + 1, logLen: logLen})
+	ref := old.ref
+	if idx.Store() != ref.store {
+		ref = &storeRef{store: idx.Store()}
+	}
+	s.cur.Store(&version{idx: idx, epoch: old.epoch + 1, logLen: logLen, ref: ref})
+	if ref != old.ref {
+		s.retire(old.ref)
+	}
+}
+
+// acquire returns the current version with its column store pinned:
+// until release, the store's arrays are not recycled. The pin is taken
+// before the store is checked to still be current, so a store that is
+// retired in between is never read, only pinned and released.
+func (s *Store) acquire() *version {
+	for {
+		v := s.cur.Load()
+		v.ref.state.Add(1)
+		if w := s.cur.Load(); w.ref == v.ref {
+			return w
+		}
+		s.release(v.ref)
+	}
+}
+
+// release unpins r; the last reader of a retired store recycles it.
+func (s *Store) release(r *storeRef) {
+	if r.state.Add(-1) == refRetired {
+		s.recycle(r)
+	}
+}
+
+// retire marks r replaced; with no reader left it is recycled at once.
+func (s *Store) retire(r *storeRef) {
+	if r.state.Add(refRetired) == refRetired {
+		s.recycle(r)
+	}
+}
+
+// recycle makes a retired, unread, never-escaped store's column arrays
+// the spare, keeping the roomier of it and the one already there. Of
+// the callers that see r so, exactly one gets past the swap.
+func (s *Store) recycle(r *storeRef) {
+	if !r.state.CompareAndSwap(refRetired, refRetired|refRecycled) {
+		return
+	}
+	cols := make([][]int64, r.store.NumDims())
+	for j := range cols {
+		cols[j] = r.store.Column(j)
+	}
+	s.putSpare(cols)
+}
+
+// putSpare keeps the roomier of cols and the spare already there.
+func (s *Store) putSpare(cols [][]int64) {
+	s.spareMu.Lock()
+	if len(cols) > 0 && (s.spare == nil || cap(cols[0]) > cap(s.spare[0])) {
+		s.spare = cols
+	}
+	s.spareMu.Unlock()
+}
+
+// takeSpare hands a merge of idx column arrays with room for its rows:
+// the spare when it has the room, else fresh arrays with half as much
+// room again, so that they can take the next merges too once retired.
+func (s *Store) takeSpare(idx *core.Tsunami) [][]int64 {
+	need := idx.Store().NumRows() + idx.NumBuffered()
+	s.spareMu.Lock()
+	spare := s.spare
+	s.spare = nil
+	s.spareMu.Unlock()
+	if len(spare) > 0 && cap(spare[0]) >= need {
+		return spare
+	}
+	spare = make([][]int64, idx.Store().NumDims())
+	for j := range spare {
+		spare[j] = make([]int64, 0, need+need/2)
+	}
+	return spare
 }
 
 // publishSuccessor finishes every maintenance operation: next was derived,
@@ -646,11 +762,17 @@ func (s *Store) publishSuccessor(v *version, next *core.Tsunami, divert func(row
 // Flush synchronously folds every buffered row into a fresh clustered
 // copy and publishes it, like a threshold-triggered background merge.
 // Concurrent inserts remain buffered in the published epoch. Flush on a
-// closed store returns an error.
+// closed store returns an error. A background merge in flight is
+// abandoned before its next region or before it publishes, and Flush
+// folds its rows with the rest: otherwise a Flush right after a write burst waited for one merge
+// and then ran another, or two when the maintainer started a second one
+// while the writer was still inserting, as goroutine timing had it.
 func (s *Store) Flush() error {
+	s.flushes.Add(1)
+	defer s.flushes.Add(-1)
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	return s.mergeLocked()
+	return s.mergeLocked(nil)
 }
 
 // Snapshot writes the current epoch — including buffered-but-unmerged
@@ -769,8 +891,11 @@ func (s *Store) runMerge() {
 		}
 	}
 	s.maintMu.Lock()
-	err := s.mergeLocked()
+	err := s.mergeLocked(func() bool { return s.flushes.Load() > 0 })
 	s.maintMu.Unlock()
+	if errors.Is(err, core.ErrStopped) {
+		return // a Flush took the rows over
+	}
 	// A merge losing the race with Close is a normal shutdown, not an
 	// error worth reporting.
 	if err != nil && !errors.Is(err, errClosed) {
@@ -780,8 +905,10 @@ func (s *Store) runMerge() {
 
 // mergeLocked rebuilds the clustered layout with buffered rows folded in,
 // replays rows ingested while the rebuild ran, and publishes the result.
-// Readers are never blocked; writers only during the short replay.
-func (s *Store) mergeLocked() error {
+// Readers are never blocked; writers only during the short replay. stop
+// (nil: never) abandons the merge, between regions or before it
+// publishes, with core.ErrStopped.
+func (s *Store) mergeLocked(stop func() bool) error {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -793,8 +920,18 @@ func (s *Store) mergeLocked() error {
 		return nil
 	}
 	start := time.Now()
+	spare := s.takeSpare(v.idx)
 	// Long: runs against the immutable epoch.
-	merged, folded, err := v.idx.MergedCopy()
+	merged, folded, err := v.idx.MergedCopyReusing(spare, stop)
+	if err == nil && stop != nil && stop() {
+		// Finished, but a Flush waits to fold these rows and the rest:
+		// publishing first would cost it a replay and one more merge.
+		err = core.ErrStopped
+	}
+	if errors.Is(err, core.ErrStopped) {
+		s.putSpare(spare) // nothing else saw its arrays
+		return err
+	}
 	if err != nil {
 		return fmt.Errorf("live: merge: %w", err)
 	}

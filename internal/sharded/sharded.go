@@ -417,8 +417,8 @@ func openShards(parts Partitioner, idxs []*core.Tsunami, workload []query.Query,
 		rows := func() uint64 {
 			var total uint64
 			for _, sh := range s.shards {
-				idx := sh.Index()
-				total += uint64(idx.Store().NumRows() + idx.NumBuffered())
+				st := sh.Stats()
+				total += uint64(st.ClusteredRows + st.BufferedRows)
 			}
 			return total
 		}

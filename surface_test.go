@@ -74,7 +74,7 @@ func TestExecutionKnobs(t *testing.T) {
 // method is a committed read. An in-place twin (a MergeDeltas beside
 // MergedCopy) fits neither list and fails here.
 func TestMaintenanceSurface(t *testing.T) {
-	maintenance := []string{"CopyWithInserts", "MergedCopy", "Reoptimize", "ReoptimizeRegionsCopy", "SplitRange"}
+	maintenance := []string{"CopyWithInserts", "MergedCopy", "MergedCopyReusing", "Reoptimize", "ReoptimizeRegionsCopy", "SplitRange"}
 	reads := []string{"BufferedRows", "BuildStats", "DebugRegions", "EstimateCost", "Execute", "ExecuteGrouped", "ExecuteWith",
 		"IndexStats", "Name", "NumBuffered", "Plan", "RegionsVisited", "Save", "SizeBytes", "Store"}
 	typ := reflect.TypeOf((*tsunami.TsunamiIndex)(nil))
