@@ -42,21 +42,24 @@ func (g *Grid) PlanRanges(q query.Query, ctx *ExecContext, dst []PhysRange) ([]P
 // planInto computes the ranges a query scans: the cell runs that intersect
 // the query, each refined cell by cell when the query filters the sort dim,
 // then the outlier buffer. The walk emits runs in ascending cell order and
-// refinement keeps it, so the ranges ascend and never overlap.
+// refinement keeps it, so the ranges ascend and never overlap. A sort
+// filter that misses the grid's observed range of the sort dim leaves
+// refinement nothing to emit, so such a grid plans its outliers alone.
 func (g *Grid) planInto(q query.Query, ctx *ExecContext, dst []PhysRange, st *ExecStats) []PhysRange {
 	if g.n == 0 {
 		return dst
 	}
 
 	effLo, effHi, ok := g.effectiveFilters(q, ctx)
-	if !ok {
+	sd := g.layout.SortDim
+	if !ok || (sd >= 0 && (effHi[sd] < g.dimLo[sd] || effLo[sd] > g.dimHi[sd])) {
 		// No INLIER can match, but the outlier buffer lies outside the
 		// mappings' error bounds: scan it regardless.
 		return g.planOutliers(dst, st)
 	}
 
-	runs := mergeRuns(g.enumerate(q, effLo, effHi, ctx))
-	if sd := g.layout.SortDim; sd >= 0 && (effLo[sd] != query.NoLo || effHi[sd] != query.NoHi) {
+	runs := g.enumerate(q, effLo, effHi, ctx)
+	if sd >= 0 && (effLo[sd] != query.NoLo || effHi[sd] != query.NoHi) {
 		dst = g.refine(runs, g.store.Column(sd), effLo[sd], effHi[sd], dst, st)
 		return g.planOutliers(dst, st)
 	}
@@ -183,37 +186,53 @@ func toInt64(f float64) int64 {
 	return int64(f)
 }
 
-// dimRange is one grid position the walk visits: its partition index range
-// plus the endpoint exactness needed to split runs (§5.3.1 counts the
-// resulting ranges). A filtered conditional dim whose base the walk visits
-// has a range that depends on the base's partition, so the walk computes it
-// from that partition's boundaries.
+// dimRange is one position the walk visits: a grid dim with its partition
+// index range, plus the endpoint exactness needed to split runs (§5.3.1
+// counts the resulting ranges). Two kinds of position read per-partition
+// tables the query computed once into its context:
+//   - a filtered conditional dim whose base the walk visits has, for base
+//     partition i, the range ctx.conds[cond+i];
+//   - a base with filtered single-partition conditional dependents keeps
+//     partition i's cells exact only if ctx.exact[exact+i]: such a
+//     dependent has one cell index, so its filter only decides exactness,
+//     and that depends on the base's partition alone.
 type dimRange struct {
 	pos, stride      int // position in gridDims, and its cell-id stride
 	a, b             int
 	exactLo, exactHi bool // endpoint partitions contained in the filter
-	conditional      bool
-	dim, p           int // conditional only: the dim and its partition count
-	basePos          int // conditional only: the base's position in gridDims
-	lo, hi           int64
+	conditional      bool // a, b, exactLo, exactHi come from ctx.conds
+	basePos          int  // conditional only: the base's position in gridDims
+	cond             int  // conditional only: offset of its ranges in ctx.conds
+	partExact        bool // partition i's exactness is also ctx.exact[exact+i]
+	exact            int  // partExact only: offset in ctx.exact
+}
+
+// condRange is a conditional dim's partition range and endpoint
+// exactness in one base partition.
+type condRange struct {
+	a, b       int
+	exLo, exHi bool
 }
 
 // enumerate produces the cell-id runs intersecting the query, in ascending
-// cell order.
+// cell order, adjacent runs of equal exactness merged.
 //
 // Grid dims are walked in stride order (gridDims is topological: bases
-// before dependents). A conditional dim whose base has one partition has
-// one set of boundaries, so its range is computed once, as an independent
-// dim's is. A position with one partition has cell index 0 in every cell,
-// so the walk skips it unless its range depends on a walked base: a filter
-// there can only clear exactness, which is folded into baseExact once.
-// Trailing positions the query leaves unconstrained form a suffix whose
-// cells are contiguous per prefix combination, so the walk stops at the
-// last filtered position e and emits runs of strides[e] cells at a time; a
-// conditional dim comes after its base, so the walk has fixed the base's
-// partition by the time it needs it. This keeps enumeration cost
-// proportional to the number of constrained combinations, not total
-// intersecting cells.
+// before dependents). A position with one partition has cell index 0 in
+// every cell, so the walk skips it: a filter there can only clear
+// exactness. For an independent dim, or a conditional dim whose base has
+// one partition (one set of boundaries), that is folded into baseExact
+// once; for a conditional dim over a partitioned base it depends on the
+// base's partition, so it is worked out per base partition and applied
+// where the walk visits the base. A conditional dim with several
+// partitions over a partitioned base stays a position, with its range
+// worked out once per base partition in the base's range. Trailing
+// positions the query leaves unconstrained form a suffix whose cells are
+// contiguous per prefix combination, so the walk stops at the last
+// filtered position e, or at a base whose partitions decide exactness if
+// that comes later, and emits runs of strides[e] cells at a time. This
+// keeps enumeration cost proportional to the number of constrained
+// combinations, not total intersecting cells.
 func (g *Grid) enumerate(q query.Query, effLo, effHi []int64, ctx *ExecContext) []run {
 	nd := len(g.gridDims)
 	ctx.runs = ctx.runs[:0]
@@ -233,21 +252,44 @@ func (g *Grid) enumerate(q query.Query, effLo, effHi []int64, ctx *ExecContext) 
 		}
 	}
 
-	ranges, idx := ctx.dimScratch(nd)
+	ranges, idx, at := ctx.dimScratch(nd)
+	ctx.conds, ctx.exact = ctx.conds[:0], ctx.exact[:0]
 	e := -1
 	for k, j := range g.gridDims {
 		p := g.layout.P[j]
+		at[k] = -1
 		r := dimRange{pos: k, stride: g.strides[k], b: p - 1, exactLo: true, exactHi: true}
 		if effLo[j] == query.NoLo && effHi[j] == query.NoHi {
 			if p > 1 {
+				at[k] = len(ranges)
 				ranges = append(ranges, r) // walked over its full range
 			}
 			continue
 		}
 		switch strat := g.layout.Skeleton[j]; {
 		case strat.Kind == Conditional && g.layout.P[strat.Other] > 1:
-			r.conditional, r.dim, r.p, r.basePos = true, j, p, g.posOf[strat.Other]
-			r.lo, r.hi = effLo[j], effHi[j]
+			// The base has several partitions, so it is a position.
+			bp := g.posOf[strat.Other]
+			base := &ranges[at[bp]]
+			if p == 1 {
+				if !base.partExact {
+					base.partExact, base.exact = true, len(ctx.exact)-base.a
+					for i := base.a; i <= base.b; i++ {
+						ctx.exact = append(ctx.exact, true)
+					}
+				}
+				for i := base.a; i <= base.b; i++ {
+					_, _, exLo, exHi := boundsRange(g.condBounds[j][i], 1, effLo[j], effHi[j])
+					ctx.exact[base.exact+i] = ctx.exact[base.exact+i] && exLo && exHi
+				}
+				e = max(e, at[bp])
+				continue
+			}
+			r.conditional, r.basePos, r.cond = true, bp, len(ctx.conds)-base.a
+			for i := base.a; i <= base.b; i++ {
+				a, b, exLo, exHi := boundsRange(g.condBounds[j][i], p, effLo[j], effHi[j])
+				ctx.conds = append(ctx.conds, condRange{a: a, b: b, exLo: exLo, exHi: exHi})
+			}
 		case strat.Kind == Conditional:
 			r.a, r.b, r.exactLo, r.exactHi = boundsRange(g.condBounds[j][0], p, effLo[j], effHi[j])
 		default:
@@ -258,6 +300,7 @@ func (g *Grid) enumerate(q query.Query, effLo, effHi []int64, ctx *ExecContext) 
 			continue
 		}
 		e = len(ranges)
+		at[k] = e
 		ranges = append(ranges, r)
 	}
 	if e < 0 {
@@ -277,15 +320,21 @@ func (g *Grid) walk(ctx *ExecContext, ranges []dimRange, idx []int, k, cellBase 
 	r := &ranges[k]
 	a, b, exLo, exHi := r.a, r.b, r.exactLo, r.exactHi
 	if r.conditional {
-		a, b, exLo, exHi = boundsRange(g.condBounds[r.dim][idx[r.basePos]], r.p, r.lo, r.hi)
+		c := &ctx.conds[r.cond+idx[r.basePos]]
+		a, b, exLo, exHi = c.a, c.b, c.exLo, c.exHi
 	}
-	if k == len(ranges)-1 {
+	last := k == len(ranges)-1
+	if last && !r.partExact {
 		ctx.emitRuns(cellBase, r.stride, a, b, exact, exLo, exHi)
 		return
 	}
 	for i := a; i <= b; i++ {
+		ex := exact && (i != a || exLo) && (i != b || exHi) && (!r.partExact || ctx.exact[r.exact+i])
+		if last {
+			ctx.push(cellBase+i*r.stride, cellBase+(i+1)*r.stride-1, ex)
+			continue
+		}
 		idx[r.pos] = i
-		ex := exact && (i != a || exLo) && (i != b || exHi)
 		g.walk(ctx, ranges, idx, k+1, cellBase+i*r.stride, ex)
 	}
 }
@@ -296,7 +345,7 @@ func (g *Grid) walk(ctx *ExecContext, ranges []dimRange, idx []int, k, cellBase 
 // interior cells can use the exact-range scan optimization.
 func (ctx *ExecContext) emitRuns(base, stride, a, b int, exact, exLo, exHi bool) {
 	if !exLo {
-		ctx.runs = append(ctx.runs, run{start: base + a*stride, end: base + (a+1)*stride - 1})
+		ctx.push(base+a*stride, base+(a+1)*stride-1, false)
 		a++
 	}
 	split := !exHi && a <= b
@@ -304,11 +353,22 @@ func (ctx *ExecContext) emitRuns(base, stride, a, b int, exact, exLo, exHi bool)
 		b--
 	}
 	if a <= b {
-		ctx.runs = append(ctx.runs, run{start: base + a*stride, end: base + (b+1)*stride - 1, exact: exact})
+		ctx.push(base+a*stride, base+(b+1)*stride-1, exact)
 	}
 	if split {
-		ctx.runs = append(ctx.runs, run{start: base + (b+1)*stride, end: base + (b+2)*stride - 1})
+		ctx.push(base+(b+1)*stride, base+(b+2)*stride-1, false)
 	}
+}
+
+// push appends the run of cells [start, end], merging it into the last
+// run when the two are adjacent and share exactness, so the runs come out
+// maximal.
+func (ctx *ExecContext) push(start, end int, exact bool) {
+	if n := len(ctx.runs); n > 0 && ctx.runs[n-1].end+1 == start && ctx.runs[n-1].exact == exact {
+		ctx.runs[n-1].end = end
+		return
+	}
+	ctx.runs = append(ctx.runs, run{start: start, end: end, exact: exact})
 }
 
 // boundsRange computes the partition index range [a, b] intersecting value
@@ -327,19 +387,4 @@ func boundsRange(bounds []int64, p int, lo, hi int64) (int, int, bool, bool) {
 		exHi = hi == math.MaxInt64
 	}
 	return a, b, exLo, exHi
-}
-
-// mergeRuns merges ascending runs whose cell ranges are adjacent and share
-// the same exactness.
-func mergeRuns(runs []run) []run {
-	out := runs[:1]
-	for _, r := range runs[1:] {
-		last := &out[len(out)-1]
-		if r.start == last.end+1 && r.exact == last.exact {
-			last.end = r.end
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }

@@ -3,7 +3,8 @@ package auggrid
 // ExecContext holds all per-query scratch a Grid needs to plan a query:
 // the effective-filter bounds produced by functional-mapping transformation,
 // the per-grid-dim partition ranges and indices used by cell enumeration,
-// and the run buffer runs are emitted into.
+// the per-base-partition tables of conditional dims the walk reads, and
+// the run buffer runs are emitted into.
 //
 // A built Grid is immutable, so any number of goroutines may plan against
 // the same Grid as long as each passes its own ExecContext. Contexts are
@@ -13,7 +14,9 @@ package auggrid
 type ExecContext struct {
 	effLo, effHi []int64
 	ranges       []dimRange
-	idx          []int
+	idx, at      []int // per grid dim: walked partition, index in ranges
+	conds        []condRange
+	exact        []bool
 	runs         []run
 }
 
@@ -31,11 +34,12 @@ func (ctx *ExecContext) effBounds(d int) ([]int64, []int64) {
 }
 
 // dimScratch returns the context's range array, empty with room for nd
-// grid dims, and its index array sized for nd grid dims.
-func (ctx *ExecContext) dimScratch(nd int) ([]dimRange, []int) {
+// grid dims, and its index and position arrays sized for nd grid dims.
+func (ctx *ExecContext) dimScratch(nd int) ([]dimRange, []int, []int) {
 	if cap(ctx.ranges) < nd {
 		ctx.ranges = make([]dimRange, nd)
 		ctx.idx = make([]int, nd)
+		ctx.at = make([]int, nd)
 	}
-	return ctx.ranges[:0], ctx.idx[:nd]
+	return ctx.ranges[:0], ctx.idx[:nd], ctx.at[:nd]
 }

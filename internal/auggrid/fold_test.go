@@ -228,7 +228,7 @@ func TestFoldMatchesPinnedBuild(t *testing.T) {
 					}
 					curStore, _ = colstore.FromColumns(cols, nil)
 					cur = fg.Bind(curStore, 0)
-					if _, err := FromSnapshot(cur.Snapshot()); err != nil {
+					if _, err := FromSnapshot(cur.Snapshot(), curStore, 0); err != nil {
 						t.Fatalf("%s round %d: folded grid's snapshot refused: %v", name, round, err)
 					}
 					if err := checkSlabs(cur); err != nil {

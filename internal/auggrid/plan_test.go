@@ -2,6 +2,7 @@ package auggrid
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,8 +24,12 @@ var (
 // planGrids builds, once, grids that between them cover every planner
 // path: every strategy kind; single-partition dims, independent and
 // conditional, filtered or not; conditional dims whose base has one
-// partition or several; a sort dim; an outlier buffer; and a grid whose
-// dims all have one partition.
+// partition or several, among them single-partition ones over a
+// partitioned base that is or is not the last grid dim; a sort dim; an
+// outlier buffer; a grid whose dims all have one partition; and a grid
+// over a band of the sort dim's values, bound after rows outside it, so a
+// sort filter can miss the grid's observed range and still match rows of
+// the store.
 func planGrids(tb testing.TB) []planGrid {
 	planGridsOnce.Do(func() {
 		s := makePlanStore(1500, rand.New(rand.NewSource(29)))
@@ -36,6 +41,12 @@ func planGrids(tb testing.TB) []planGrid {
 		cond[3] = DimStrategy{Kind: Conditional, Other: 0} // one partition itself
 		single := IndependentSkeleton(5)
 		single[4] = DimStrategy{Kind: Conditional, Other: 1} // one partition, and so has its base
+		onePart := IndependentSkeleton(5)
+		onePart[1] = DimStrategy{Kind: Conditional, Other: 0} // several partitions
+		onePart[2] = DimStrategy{Kind: Conditional, Other: 0} // one partition
+		lastBase := IndependentSkeleton(5)
+		lastBase[0] = DimStrategy{Kind: Conditional, Other: 4} // one partition
+		lastBase[2] = DimStrategy{Kind: Conditional, Other: 4} // one partition
 		withOutliers := NewLayout(mapped, []int{6, 1, 5, 1, 1}, 3)
 		withOutliers.OutlierFrac = 0.02
 		layouts := []Layout{
@@ -44,25 +55,42 @@ func planGrids(tb testing.TB) []planGrid {
 			NewLayout(cond, []int{5, 1, 4, 1, 1}, 1),
 			NewLayout(IndependentSkeleton(5), []int{1, 1, 1, 1, 1}, 4),
 			NewLayout(single, []int{1, 1, 7, 2, 1}, 0),
+			NewLayout(onePart, []int{4, 3, 1, 1, 2}, 3),
+			NewLayout(lastBase, []int{1, 1, 1, 3, 5}, 1),
+		}
+		all := make([]int, s.NumRows())
+		for i := range all {
+			all[i] = i
 		}
 		for _, l := range layouts {
-			rows := make([]int, s.NumRows())
-			for i := range rows {
-				rows[i] = i
-			}
-			g, ordered, err := Build(s, rows, l)
-			if err != nil {
-				panic(err)
-			}
-			clone := s.Gather(ordered, nil)
-			g = g.Bind(clone, 0)
-			planGridsAll = append(planGridsAll, planGrid{g: g, st: clone})
+			planGridsAll = append(planGridsAll, buildPlanGrid(s, nil, all, l))
 		}
+		// The band: rows whose sort value (d3) lies in [10000, 40000].
+		var outside, band []int
+		for i, v := range s.Column(3) {
+			if v >= 10000 && v <= 40000 {
+				band = append(band, i)
+			} else {
+				outside = append(outside, i)
+			}
+		}
+		planGridsAll = append(planGridsAll, buildPlanGrid(s, outside, band, layouts[5]))
 	})
 	if planGridsAll[1].g.nOutliers == 0 {
 		tb.Fatal("the outlier layout diverted no rows")
 	}
 	return planGridsAll
+}
+
+// buildPlanGrid builds l over rows of s and binds the grid to a copy of s
+// holding the before rows, then rows in grid order.
+func buildPlanGrid(s *colstore.Store, before, rows []int, l Layout) planGrid {
+	g, ordered, err := Build(s, rows, l)
+	if err != nil {
+		panic(err)
+	}
+	clone := s.Gather(append(slices.Clone(before), ordered...), nil)
+	return planGrid{g: g.Bind(clone, len(before)), st: clone}
 }
 
 // makePlanStore builds a 5-dim store: d0 uniform, d1 linear in d0 with 1%
@@ -116,7 +144,7 @@ func planQuery(pg planGrid, spec []byte) query.Query {
 			// The first and last values of a cell: on the sort dim, the
 			// values refinement decides a cell by.
 			c := int(spec[2]) * pg.g.NumCells() / 256
-			s, e := pg.g.offsets[c], pg.g.offsets[c+1]
+			s, e := pg.g.Start()+int(pg.g.offsets[c]), pg.g.Start()+int(pg.g.offsets[c+1])
 			if s == e {
 				break
 			}
@@ -239,9 +267,14 @@ func FuzzPlanRanges(f *testing.F) {
 	f.Add(uint8(2), []byte{1, 4, 17, 2, 2, 90, 4, 1, 12, 2, 3, 128})
 	f.Add(uint8(3), []byte{4, 12, 60, 4, 20, 61, 0, 5, 0})
 	f.Add(uint8(4), []byte{0, 1, 100, 0, 2, 40, 1, 6, 0, 3, 7, 0})
+	f.Add(uint8(5), []byte{2, 3, 100})
+	f.Add(uint8(6), []byte{0, 3, 60, 2, 2, 200})
+	f.Add(uint8(7), []byte{3, 0, 0, 1, 3, 90})
 	f.Fuzz(func(t *testing.T, which uint8, spec []byte) {
 		pg := grids[int(which)%len(grids)]
-		checkPlan(t, pg, planQuery(pg, spec), NewExecContext())
+		q := planQuery(pg, spec)
+		checkPlan(t, pg, q, NewExecContext())
+		checkMatchesReference(t, pg, q, NewExecContext(), &refPlanner{})
 	})
 }
 
@@ -263,11 +296,24 @@ func TestPlanRangesAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanRanges plans on a grid shaped like the Taxi Fig 7 plans:
-// most dims with one partition (one of them filtered), two partitioned
-// dims and a sort dim the query also filters, so refinement decides
-// thousands of cells per query.
-func BenchmarkPlanRanges(b *testing.B) {
+// planBench is one planner benchmark shape: a grid and a query on it.
+type planBench struct {
+	name string
+	g    *Grid
+	q    query.Query
+}
+
+// planBenchShapes builds the planner benchmark shapes over 60 000 rows of
+// six dims, uniform in [0, 2^20), except that d3 tracks d0 within 2^16:
+//   - fig7: most dims with one partition (one of them filtered), two
+//     partitioned dims and a sort dim the query also filters, so
+//     refinement decides thousands of cells per query, as on Taxi Fig 7;
+//   - sortmiss: 5 000 cells and a sort filter above every sort value of
+//     the grid, as a dropoff-window query meets a region of older trips;
+//   - onecond: 3 120 cells and one filtered grid dim, d3|d0, with one
+//     partition over a two-partition base, as high-pax-trips meets a
+//     region partitioned that way.
+func planBenchShapes(b *testing.B) []planBench {
 	rng := rand.New(rand.NewSource(7))
 	const n, nd = 60000, 6
 	cols := make([][]int64, nd)
@@ -277,6 +323,9 @@ func BenchmarkPlanRanges(b *testing.B) {
 			cols[j][i] = rng.Int63n(1 << 20)
 		}
 	}
+	for i := range cols[3] {
+		cols[3][i] = cols[0][i] + rng.Int63n(1<<16)
+	}
 	s, err := colstore.FromColumns(cols, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -285,23 +334,64 @@ func BenchmarkPlanRanges(b *testing.B) {
 	for i := range rows {
 		rows[i] = i
 	}
-	g, ordered, err := Build(s, rows, NewLayout(IndependentSkeleton(nd), []int{1, 1, 1, 34, 42, 1}, 5))
-	if err != nil {
-		b.Fatal(err)
+	build := func(l Layout) *Grid {
+		g, ordered, err := Build(s, rows, l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g.Bind(s.Gather(ordered, nil), 0)
 	}
-	s = s.Gather(ordered, nil)
-	g = g.Bind(s, 0)
-	q := query.NewCount(
-		query.Filter{Dim: 0, Lo: 1 << 18, Hi: 3 << 18},
-		query.Filter{Dim: 3, Lo: 1 << 18, Hi: 5 << 17},
-		query.Filter{Dim: 4, Lo: 1 << 17, Hi: 1 << 19},
-		query.Filter{Dim: 5, Lo: 1 << 19, Hi: 5 << 17},
-	)
-	ctx := NewExecContext()
-	dst, _ := g.PlanRanges(q, ctx, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = g.PlanRanges(q, ctx, dst[:0])
+	cond := IndependentSkeleton(nd)
+	cond[3] = DimStrategy{Kind: Conditional, Other: 0}
+	return []planBench{
+		{"fig7", build(NewLayout(IndependentSkeleton(nd), []int{1, 1, 1, 34, 42, 1}, 5)), query.NewCount(
+			query.Filter{Dim: 0, Lo: 1 << 18, Hi: 3 << 18},
+			query.Filter{Dim: 3, Lo: 1 << 18, Hi: 5 << 17},
+			query.Filter{Dim: 4, Lo: 1 << 17, Hi: 1 << 19},
+			query.Filter{Dim: 5, Lo: 1 << 19, Hi: 5 << 17},
+		)},
+		{"sortmiss", build(NewLayout(IndependentSkeleton(nd), []int{1, 50, 100, 1, 1, 1}, 5)), query.NewCount(
+			query.Filter{Dim: 1, Lo: 1 << 18, Hi: 3 << 18},
+			query.Filter{Dim: 2, Lo: 1 << 17, Hi: 7 << 17},
+			query.Filter{Dim: 5, Lo: 1 << 20, Hi: 5 << 18},
+		)},
+		{"onecond", build(NewLayout(cond, []int{2, 40, 39, 1, 1, 1}, 5)), query.NewCount(
+			query.Filter{Dim: 3, Lo: 1 << 18, Hi: 3 << 18},
+		)},
 	}
-	b.ReportMetric(float64(len(dst)), "ranges/op")
+}
+
+// BenchmarkPlanRanges plans each planBenchShapes shape.
+func BenchmarkPlanRanges(b *testing.B) {
+	for _, pb := range planBenchShapes(b) {
+		b.Run(pb.name, func(b *testing.B) {
+			ctx := NewExecContext()
+			dst, _ := pb.g.PlanRanges(pb.q, ctx, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, _ = pb.g.PlanRanges(pb.q, ctx, dst[:0])
+			}
+			b.ReportMetric(float64(len(dst)), "ranges/op")
+		})
+	}
+}
+
+// BenchmarkPlanRangesReference plans the shapes the reference planner
+// spends its time on, sortmiss and onecond, with the reference planner;
+// CI holds its ns/op to a multiple of BenchmarkPlanRanges'.
+func BenchmarkPlanRangesReference(b *testing.B) {
+	for _, pb := range planBenchShapes(b) {
+		if pb.name == "fig7" {
+			continue
+		}
+		b.Run(pb.name, func(b *testing.B) {
+			ref := &refPlanner{}
+			dst, _ := ref.plan(pb.g, pb.q, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, _ = ref.plan(pb.g, pb.q, dst[:0])
+			}
+			b.ReportMetric(float64(len(dst)), "ranges/op")
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/colstore"
 	"repro/internal/stats"
 )
 
@@ -58,12 +59,16 @@ func (g *Grid) Snapshot() GridSnapshot {
 	return s
 }
 
-// FromSnapshot reconstructs a Grid. The caller must Bind it to the
-// (already correctly ordered) store at the grid's physical start. A
-// snapshot whose tables a query could not safely walk is an error: a cell
-// table that does not tile the grid's rows in order, boundary tables of
-// the wrong shape or out of order, or per-dim ranges missing a dim.
-func FromSnapshot(s GridSnapshot) (*Grid, error) {
+// FromSnapshot reconstructs a Grid bound to st, its rows starting at
+// physical offset start (see Bind): st must already hold the grid's rows
+// in grid order. A snapshot whose tables a query could not safely walk is
+// an error: a cell table that does not tile the grid's rows in order,
+// boundary tables of the wrong shape or out of order, per-dim ranges
+// missing a dim or inverted, rows outside st, or a sort-dim range that
+// does not hold every cell's first and last sort value (the planner skips
+// a grid whose range a sort filter misses, so a range too narrow would
+// lose matching rows).
+func FromSnapshot(s GridSnapshot, st *colstore.Store, start int) (*Grid, error) {
 	if err := s.Layout.Validate(); err != nil {
 		return nil, err
 	}
@@ -71,8 +76,21 @@ func FromSnapshot(s GridSnapshot) (*Grid, error) {
 		return nil, err
 	}
 	d := len(s.Layout.Skeleton)
+	if st.NumDims() != d || start < 0 || start > st.NumRows()-s.N {
+		return nil, fmt.Errorf("auggrid: snapshot's %d rows of %d dims do not fit at row %d of a %d-row, %d-dim table", s.N, d, start, st.NumRows(), st.NumDims())
+	}
+	if sd := s.Layout.SortDim; sd >= 0 {
+		col := st.Column(sd)[start:]
+		for c := 1; c < len(s.Offsets); c++ {
+			if b, e := s.Offsets[c-1], s.Offsets[c]; b < e && (col[b] < s.DimLo[sd] || col[e-1] > s.DimHi[sd]) {
+				return nil, fmt.Errorf("auggrid: snapshot's sort-dim range [%d, %d] misses cell %d's values [%d, %d]", s.DimLo[sd], s.DimHi[sd], c-1, col[b], col[e-1])
+			}
+		}
+	}
 	g := &Grid{
 		layout:    s.Layout.Clone(),
+		store:     st,
+		start:     start,
 		n:         s.N,
 		fitted:    s.N,
 		dimLo:     s.DimLo,
@@ -98,13 +116,18 @@ func FromSnapshot(s GridSnapshot) (*Grid, error) {
 }
 
 // check verifies what FromSnapshot's grid relies on beyond a valid
-// skeleton: a normalized partition count per dim, per-dim ranges and
-// boundary tables shaped by the layout, and a cell table that runs from 0
-// up to the inlier count, never decreasing.
+// skeleton: a normalized partition count per dim, per-dim ranges with
+// lo <= hi, boundary tables shaped by the layout, and a cell table that
+// runs from 0 up to the inlier count, never decreasing.
 func (s *GridSnapshot) check() error {
 	l, d := &s.Layout, len(s.Layout.Skeleton)
 	if len(s.DimLo) != d || len(s.DimHi) != d {
 		return fmt.Errorf("auggrid: snapshot has %d/%d per-dim ranges for %d dims", len(s.DimLo), len(s.DimHi), d)
+	}
+	for j := range d {
+		if s.DimLo[j] > s.DimHi[j] {
+			return fmt.Errorf("auggrid: snapshot's per-dim range of dim %d is [%d, %d]", j, s.DimLo[j], s.DimHi[j])
+		}
 	}
 	cells := 1
 	for j, p := range l.P {

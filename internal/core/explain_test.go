@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -20,17 +21,28 @@ func traced(idx *Tsunami, q query.Query) (colstore.ScanResult, *obs.QueryTrace) 
 
 // checkSpans asserts the region spans of a traced run account for its
 // answer: per-region scanned and matched sum to the result's
-// PointsScanned and Count.
+// PointsScanned and Count, and the plan stage counts the spans with no
+// range.
 func checkSpans(t *testing.T, q query.Query, res colstore.ScanResult, tr *obs.QueryTrace) {
 	t.Helper()
 	var scanned, matched uint64
+	empty := 0
 	for _, sp := range tr.Regions {
 		scanned += sp.Scanned
 		matched += sp.Matched
+		if sp.Ranges == 0 {
+			empty++
+		}
 	}
 	if scanned != res.PointsScanned || matched != res.Count {
 		t.Errorf("%s: region spans sum to (scanned %d, matched %d), the answer is (%d, %d)",
 			q, scanned, matched, res.PointsScanned, res.Count)
+	}
+	want := fmt.Sprintf(" %d planned no range,", empty)
+	for _, st := range tr.Stages {
+		if st.Name == "plan" && !strings.Contains(st.Detail, want) {
+			t.Errorf("%s: plan stage %q, want it to report %d regions that planned no range", q, st.Detail, empty)
+		}
 	}
 }
 

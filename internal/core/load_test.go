@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 
 	// The edits land on the lowest-numbered grid with a conditional dim
 	// and more than two cells; cond is that dim and indep an independent
-	// dim of the same grid.
+	// dim of the same grid other than its sort dim.
 	orig := decode()
 	gid, cond, indep := -1, -1, -1
 	for id := range len(orig.Regions) {
@@ -54,10 +55,12 @@ func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 			case auggrid.Conditional:
 				cond = j
 			case auggrid.Independent:
-				indep = j
+				if j != gs.Layout.SortDim {
+					indep = j
+				}
 			}
 		}
-		if cond >= 0 && indep >= 0 {
+		if cond >= 0 && indep >= 0 && gs.Layout.SortDim >= 0 {
 			gid = id
 			break
 		}
@@ -118,6 +121,15 @@ func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 		{"per-dim minimum missing a dim", func(s *snapshot, g *auggrid.GridSnapshot) {
 			g.DimLo = g.DimLo[:d-1]
 		}, "per-dim ranges"},
+		{"per-dim range inverted", func(s *snapshot, g *auggrid.GridSnapshot) {
+			g.DimLo[indep] = g.DimHi[indep] + 1
+		}, "per-dim range of dim"},
+		{"sort-dim range narrower than its cells", func(s *snapshot, g *auggrid.GridSnapshot) {
+			// The planner would skip the grid for a sort filter below the
+			// maximum, though cells hold rows it matches.
+			sd := g.Layout.SortDim
+			g.DimLo[sd] = g.DimHi[sd]
+		}, "sort-dim range"},
 		{"grid with a dim the table lacks", func(s *snapshot, g *auggrid.GridSnapshot) {
 			g.Layout.Skeleton = append(g.Layout.Skeleton, auggrid.DimStrategy{Kind: auggrid.Independent, Other: -1})
 			g.Layout.P = append(g.Layout.P, 1)
@@ -174,6 +186,21 @@ func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 	q := query.NewCount()
 	if got, want := loaded.Execute(q).Count, idx.Execute(q).Count; got != want {
 		t.Fatalf("re-encoded snapshot counts %d rows, want %d", got, want)
+	}
+}
+
+// TestLoadRefusesHugeMapCount loads an input FuzzLoadSnapshot mutated from
+// its seed: 3 889 bytes in which one of a grid's dim-keyed tables claims
+// 4 202 827 266 entries. gob sized the map from that count before reading
+// an entry, so Load allocated until the process ran out of memory (past
+// 1.4 GB within seconds); it must refuse the input instead.
+func TestLoadRefusesHugeMapCount(t *testing.T) {
+	data, err := os.ReadFile("testdata/load-huge-map-count.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(data)); err == nil {
+		t.Fatal("Load accepted a snapshot whose map claims more entries than its bytes hold")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -122,7 +123,7 @@ func toSnapNode(nd *gridtree.Node) *snapNode {
 // into one child per split value plus one.
 func Load(r io.Reader) (*Tsunami, error) {
 	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	if err := decodeSnapshot(r, &s); err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	if s.FormatVersion < 1 || s.FormatVersion > formatVersion {
@@ -191,14 +192,14 @@ func Load(r io.Reader) (*Tsunami, error) {
 		if len(gs.Layout.Skeleton) != d {
 			return nil, fmt.Errorf("core: load: region %d grid has %d dims, table has %d", i, len(gs.Layout.Skeleton), d)
 		}
-		g, err := auggrid.FromSnapshot(gs)
+		g, err := auggrid.FromSnapshot(gs, store, s.Bounds[i][0])
 		if err != nil {
 			return nil, fmt.Errorf("core: load: region %d grid: %w", i, err)
 		}
 		if b := s.Bounds[i]; g.NumRows() != b[1]-b[0] {
 			return nil, fmt.Errorf("core: load: region %d grid indexes %d rows, region has %d", i, g.NumRows(), b[1]-b[0])
 		}
-		t.grids[i] = g.Bind(store, s.Bounds[i][0])
+		t.grids[i] = g
 	}
 	for id, rows := range s.Deltas {
 		if id < 0 || id >= len(s.Regions) {
@@ -225,6 +226,26 @@ func Load(r io.Reader) (*Tsunami, error) {
 		t.numBuffered += len(rows)
 	}
 	return t, nil
+}
+
+// decodeSnapshot decodes a snapshot written by Save into s. gob sizes a
+// map from the entry count the stream claims before it reads an entry,
+// so a corrupt count of a few bytes asks for billions of entries (a
+// 4 KB input ran Load out of memory: TestLoadRefusesHugeMapCount).
+// A first pass decodes only FormatVersion: gob then skips every other
+// field, and a skipped map or slice is read entry by entry, so a count
+// the input cannot hold fails at the input's end. Only an input that
+// passes is decoded for real, and its counts are bounded by its length.
+func decodeSnapshot(r io.Reader, s *snapshot) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	var probe struct{ FormatVersion int }
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&probe); err != nil {
+		return err
+	}
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
 }
 
 // fromSnapNode rebuilds the subtree at nd over the loaded regions; d is

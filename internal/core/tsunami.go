@@ -296,8 +296,14 @@ func (t *Tsunami) Plan(q query.Query, x index.Exec) index.Plan {
 		ctx.starts = append(ctx.starts, len(ctx.phys))
 	}
 	if tr := x.Trace; tr != nil {
-		ctx.planned = tr.Stage("plan", began, fmt.Sprintf("%d of %d regions routed, %d ranges planned",
-			len(ctx.regions), len(t.tree.Regions), len(ctx.phys))).Sub(began)
+		empty := 0
+		for i := range ctx.regions {
+			if ctx.starts[i+1] == ctx.starts[i] {
+				empty++
+			}
+		}
+		ctx.planned = tr.Stage("plan", began, fmt.Sprintf("%d of %d regions routed, %d planned no range, %d ranges planned",
+			len(ctx.regions), len(t.tree.Regions), empty, len(ctx.phys))).Sub(began)
 	}
 	return ctx
 }
