@@ -27,19 +27,19 @@ func NewFlood(table *Table, workload []Query, o Options) *FloodIndex {
 // in workload-selectivity order, leaves of at most pageSize points
 // (pageSize <= 0 uses 4096).
 func NewKDTree(table *Table, workload []Query, pageSize int) Index {
-	return kdtree.Build(table, workload, kdtree.Config{PageSize: pageSize})
+	return kdtree.Build(table, workload, pageSize)
 }
 
 // NewHyperoctree builds the hyperoctree baseline: equal 2^d subdivision
 // until leaves hold at most pageSize points.
 func NewHyperoctree(table *Table, pageSize int) Index {
-	return octree.Build(table, octree.Config{PageSize: pageSize})
+	return octree.Build(table, pageSize)
 }
 
 // NewZOrder builds the Z-order baseline: points ordered by bit-interleaved
 // quantized coordinates, grouped into pages with min/max metadata.
 func NewZOrder(table *Table, pageSize int) Index {
-	return zindex.Build(table, zindex.Config{PageSize: pageSize})
+	return zindex.Build(table, pageSize)
 }
 
 // NewSingleDim builds the clustered single-dimensional baseline: data

@@ -80,7 +80,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/obs"
@@ -374,9 +373,8 @@ func main() {
 
 func buildConfig(seed int64) core.Config {
 	return core.Config{
-		GridTree: gridtree.Config{MaxNodes: 64},
 		Grid: auggrid.OptimizeConfig{
-			Eval:     auggrid.EvalConfig{SampleSize: 2048, MaxQueries: 64, Seed: seed},
+			Eval:     auggrid.EvalConfig{SampleSize: 2048, MaxQueries: 64},
 			MaxCells: 1 << 16,
 			MaxIters: 4,
 			Seed:     seed,

@@ -70,8 +70,6 @@ type EvalConfig struct {
 	SampleSize int
 	// MaxQueries caps the replayed workload (default 100).
 	MaxQueries int
-	// Seed drives sampling (default 1).
-	Seed int64
 }
 
 func (c *EvalConfig) fill() {
@@ -81,20 +79,18 @@ func (c *EvalConfig) fill() {
 	if c.MaxQueries <= 0 {
 		c.MaxQueries = 100
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
-// NewEvaluator samples rows of st (restricted to rows) and the workload.
-func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg EvalConfig) *Evaluator {
+// NewEvaluator samples rows of st (restricted to rows) and the workload,
+// within cfg.Eval's bounds and drawn with cfg.Seed.
+func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg OptimizeConfig) *Evaluator {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	n := len(rows)
 	sampleRows := rows
-	if n > cfg.SampleSize {
-		sampleRows = make([]int, cfg.SampleSize)
+	if n > cfg.Eval.SampleSize {
+		sampleRows = make([]int, cfg.Eval.SampleSize)
 		for i := range sampleRows {
 			sampleRows[i] = rows[rng.Intn(n)]
 		}
@@ -106,8 +102,8 @@ func NewEvaluator(st *colstore.Store, rows []int, queries []query.Query, cfg Eva
 	}
 
 	qs := queries
-	if len(qs) > cfg.MaxQueries {
-		qs = make([]query.Query, cfg.MaxQueries)
+	if len(qs) > cfg.Eval.MaxQueries {
+		qs = make([]query.Query, cfg.Eval.MaxQueries)
 		perm := rng.Perm(len(queries))
 		for i := range qs {
 			qs[i] = queries[perm[i]]

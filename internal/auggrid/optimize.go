@@ -38,7 +38,8 @@ type OptimizeConfig struct {
 	// rows, which are diverted to a scanned-always buffer. Zero (the
 	// default) keeps the paper's base design.
 	OutlierFrac float64
-	// Seed drives stochastic pieces (black box); default 1.
+	// Seed drives the evaluator's sampling and the searches' stochastic
+	// pieces (black box); default 1.
 	Seed int64
 }
 
@@ -132,7 +133,7 @@ func newSearchCtx(st *colstore.Store, rows []int, queries []query.Query, cfg Opt
 		d:       st.NumDims(),
 		sortDim: -1,
 	}
-	ctx.eval = NewEvaluator(st, rows, queries, cfg.Eval)
+	ctx.eval = NewEvaluator(st, rows, queries, cfg)
 	ctx.computeSelectivities()
 	if !cfg.NoSortDim {
 		ctx.sortDim = ctx.pickSortDim()

@@ -55,7 +55,7 @@ func optQueries(st *colstore.Store, n int, seed int64) []query.Query {
 
 func optCfg() OptimizeConfig {
 	return OptimizeConfig{
-		Eval:      EvalConfig{SampleSize: 1024, MaxQueries: 30, Seed: 3},
+		Eval:      EvalConfig{SampleSize: 1024, MaxQueries: 30},
 		MaxCells:  1 << 10,
 		MaxIters:  3,
 		NoSortDim: true,
@@ -206,7 +206,7 @@ func TestCostModelPrefersPartitionedOverUnpartitioned(t *testing.T) {
 	}
 	cfg := optCfg()
 	cfg.fill()
-	e := NewEvaluator(st, allRowsOf(st), qs, cfg.Eval)
+	e := NewEvaluator(st, allRowsOf(st), qs, cfg)
 	sk := IndependentSkeleton(4)
 	coarse := NewLayout(sk, []int{1, 1, 1, 1}, -1)
 	fine := NewLayout(sk, []int{1, 1, 1, 16}, -1)
@@ -227,7 +227,7 @@ func TestCostModelMonotoneInScannedWork(t *testing.T) {
 	}
 	cfg := optCfg()
 	cfg.fill()
-	e := NewEvaluator(st, allRowsOf(st), qs, cfg.Eval)
+	e := NewEvaluator(st, allRowsOf(st), qs, cfg)
 	sk := IndependentSkeleton(4)
 	lean := NewLayout(sk, []int{8, 1, 1, 1}, -1)
 	bloated := NewLayout(sk, []int{8, 1, 1, 32}, -1)
@@ -338,7 +338,7 @@ func TestEvaluatorEvalsCounted(t *testing.T) {
 	qs := optQueries(st, 20, 21)
 	cfg := optCfg()
 	cfg.fill()
-	e := NewEvaluator(st, allRowsOf(st), qs, cfg.Eval)
+	e := NewEvaluator(st, allRowsOf(st), qs, cfg)
 	before := e.Evals
 	e.Cost(NewLayout(IndependentSkeleton(4), []int{2, 2, 2, 2}, -1))
 	if e.Evals != before+1 {

@@ -47,7 +47,7 @@ func TestPricingBuildMatchesBuild(t *testing.T) {
 		for _, size := range []int{512, 40} {
 			rng := rand.New(rand.NewSource(int64(size)))
 			work := workload.ForDataset(ds, 20, 5)
-			cfg := OptimizeConfig{Eval: EvalConfig{SampleSize: size, MaxQueries: 10, Seed: 6}, Seed: 7}
+			cfg := OptimizeConfig{Eval: EvalConfig{SampleSize: size, MaxQueries: 10}, Seed: 7}
 			cfg.fill()
 			c := newSearchCtx(ds.Store, allRowsOf(ds.Store), work, cfg)
 			e := c.eval
@@ -124,7 +124,7 @@ func TestEvaluatorCostMatchesSortingPath(t *testing.T) {
 // zone conditional on pick-up zone, pick-up time sorted within cells).
 func pricingCandidates(ds *datasets.Dataset) (*Evaluator, []Layout) {
 	work := workload.Generate(ds.Store, workload.TaxiTypes(), 100, 7)
-	cfg := OptimizeConfig{Eval: EvalConfig{SampleSize: 512, MaxQueries: 20, Seed: 1}, Seed: 1}
+	cfg := OptimizeConfig{Eval: EvalConfig{SampleSize: 512, MaxQueries: 20}, Seed: 1}
 	cfg.fill()
 	c := newSearchCtx(ds.Store, allRowsOf(ds.Store), work, cfg)
 	s := c.heuristicSkeleton()

@@ -15,7 +15,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/kdtree"
 	"repro/internal/octree"
@@ -64,10 +63,9 @@ func (o Options) tsunamiConfig(v core.Variant) core.Config {
 		iters, sample, maxq = 2, 1024, 32
 	}
 	return core.Config{
-		Variant:  v,
-		GridTree: gridtree.Config{MaxNodes: 64},
+		Variant: v,
 		Grid: auggrid.OptimizeConfig{
-			Eval:     auggrid.EvalConfig{SampleSize: sample, MaxQueries: maxq, Seed: o.Seed},
+			Eval:     auggrid.EvalConfig{SampleSize: sample, MaxQueries: maxq},
 			MaxCells: 1 << 16,
 			MaxIters: iters,
 			Seed:     o.Seed,
@@ -152,15 +150,15 @@ func buildTuned(name string, dc datasetCase, o Options, mk func(page int) (index
 func buildSuite(dc datasetCase, o Options) []built {
 	out := []built{buildTsunami(dc, o), buildFlood(dc, o)}
 	out = append(out, buildTuned("KDTree", dc, o, func(p int) (index.Index, index.BuildStats) {
-		x := kdtree.Build(dc.ds.Store, dc.work, kdtree.Config{PageSize: p})
+		x := kdtree.Build(dc.ds.Store, dc.work, p)
 		return x, x.BuildStats()
 	}))
 	out = append(out, buildTuned("ZOrder", dc, o, func(p int) (index.Index, index.BuildStats) {
-		x := zindex.Build(dc.ds.Store, zindex.Config{PageSize: p})
+		x := zindex.Build(dc.ds.Store, p)
 		return x, x.BuildStats()
 	}))
 	out = append(out, buildTuned("Hyperoctree", dc, o, func(p int) (index.Index, index.BuildStats) {
-		x := octree.Build(dc.ds.Store, octree.Config{PageSize: p})
+		x := octree.Build(dc.ds.Store, p)
 		return x, x.BuildStats()
 	}))
 	start := time.Now()

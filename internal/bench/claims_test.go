@@ -69,11 +69,11 @@ func TestClaimLearnedIndexesBeatKDTree(t *testing.T) {
 }
 
 func newKD(dc datasetCase, page int) index.Index {
-	return kdtree.Build(dc.ds.Store, dc.work, kdtree.Config{PageSize: page})
+	return kdtree.Build(dc.ds.Store, dc.work, page)
 }
 
 func newOct(dc datasetCase, page int) index.Index {
-	return octree.Build(dc.ds.Store, octree.Config{PageSize: page})
+	return octree.Build(dc.ds.Store, page)
 }
 
 func TestClaimGridTreeAloneHelpsOnSkew(t *testing.T) {

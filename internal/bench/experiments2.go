@@ -45,7 +45,7 @@ func Fig10(w io.Writer, o Options) {
 			dc := datasetCase{ds: ds, work: work}
 			ts := buildTsunami(dc, o)
 			fl := buildFlood(dc, o)
-			kd := kdtree.Build(ds.Store, work, kdtree.Config{PageSize: 2048})
+			kd := kdtree.Build(ds.Store, work, 2048)
 			for _, idx := range []index.Index{ts.idx, fl.idx, kd} {
 				if err := checkCorrect(idx, ds.Store, work); err != nil {
 					fmt.Fprintf(w, "CORRECTNESS FAILURE: %v\n", err)
@@ -77,7 +77,7 @@ func Fig11a(w io.Writer, o Options) {
 		dc := datasetCase{ds: ds, work: work}
 		ts := buildTsunami(dc, o)
 		fl := buildFlood(dc, o)
-		kd := kdtree.Build(ds.Store, work, kdtree.Config{PageSize: 2048})
+		kd := kdtree.Build(ds.Store, work, 2048)
 		t.add(fmt.Sprintf("%d", ds.Rows()),
 			ms(avgQueryNs(ts.idx, work)),
 			ms(avgQueryNs(fl.idx, work)),
@@ -103,7 +103,7 @@ func Fig11b(w io.Writer, o Options) {
 		dc := datasetCase{ds: ds, work: work}
 		ts := buildTsunami(dc, o)
 		fl := buildFlood(dc, o)
-		kd := kdtree.Build(ds.Store, work, kdtree.Config{PageSize: 2048})
+		kd := kdtree.Build(ds.Store, work, 2048)
 		t.add(fmt.Sprintf("%.3f%%", sel*100),
 			ms(avgQueryNs(ts.idx, work)),
 			ms(avgQueryNs(fl.idx, work)),

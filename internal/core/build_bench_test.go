@@ -33,7 +33,7 @@ func BenchmarkBuild(b *testing.B) {
 // benchConfig is the repository benchmark's optimizer budget: two AGD
 // iterations, a 512-row evaluation sample, 20 replayed queries.
 var benchConfig = Config{Grid: auggrid.OptimizeConfig{
-	Eval:     auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20, Seed: 1},
+	Eval:     auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20},
 	MaxIters: 2,
 	Seed:     1,
 }}

@@ -52,7 +52,7 @@ func TestLayoutFingerprint(t *testing.T) {
 			cfg := Config{
 				Variant: c.v,
 				Grid: auggrid.OptimizeConfig{
-					Eval:        auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20, Seed: 1},
+					Eval:        auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20},
 					MaxIters:    2,
 					OutlierFrac: c.outlierFrac,
 					Seed:        1,

@@ -12,7 +12,7 @@ import (
 // LiveStore (internal/live): CopyWithInserts is the serialized ingest
 // step, MergedCopy, ReoptimizeRegionsCopy and SplitRange — one region
 // rewrite (rewrite.go) with different arguments — are the background
-// rebuild steps, and every result is published with a single atomic
+// maintenance steps, and every result is published with a single atomic
 // pointer swap.
 
 // CopyWithInserts returns a copy of t whose delta buffers additionally
@@ -68,21 +68,17 @@ func (t *Tsunami) CopyWithInserts(rows [][]int64) (*Tsunami, error) {
 
 // MergedCopy returns a new index equal to t with every buffered row
 // folded into the clustered layout, leaving t untouched so it can keep
-// serving reads for the whole — potentially long — rebuild. Each region
-// with buffered rows has its grid rebuilt with its existing layout over
-// the union of its old rows and its buffered rows; the other regions are
-// copied verbatim, their grids rebound rather than rebuilt. The Grid Tree
-// structure and all layouts are unchanged (re-optimization is a separate,
-// heavier operation — see ReoptimizeRegionsCopy and Reoptimize). It
-// returns the copy and how many rows were folded; with nothing buffered
-// the fold count is zero and the returned copy is t itself.
-func (t *Tsunami) MergedCopy() (*Tsunami, int, error) {
-	if t.numBuffered == 0 {
-		return t, 0, nil
-	}
-	nt, _, err := t.rewrite(nil, nil, nil, nil)
-	return nt, t.numBuffered, err
-}
+// serving reads for the whole merge. Each region with buffered rows keeps
+// its fitted grid and has only those rows placed and merge-walked into its
+// cells (auggrid.Fold); a region that has grown or shrunk away from its
+// fit (auggrid's relearnGrowth) has its grid rebuilt with its existing
+// layout instead. The other regions are copied verbatim, their grids
+// rebound. The Grid Tree structure and all layouts are unchanged
+// (re-optimization is a separate, heavier operation — see
+// ReoptimizeRegionsCopy and Reoptimize). It returns the copy and how many
+// rows were folded; with nothing buffered the fold count is zero and the
+// returned copy is t itself.
+func (t *Tsunami) MergedCopy() (*Tsunami, int, error) { return t.MergedCopyReusing(nil, nil) }
 
 // MergedCopyReusing is MergedCopy writing the successor's columns into
 // the arrays of spare, one per dim, when each has room for them (into

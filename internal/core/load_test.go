@@ -23,7 +23,7 @@ import (
 func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 	taxi := datasets.Taxi(20000, 1)
 	cfg := Config{Grid: auggrid.OptimizeConfig{
-		Eval:     auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20, Seed: 1},
+		Eval:     auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20},
 		MaxIters: 2,
 		Seed:     1,
 	}}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/auggrid"
 	"repro/internal/datasets"
-	"repro/internal/gridtree"
 	"repro/internal/testutil"
 	"repro/internal/workload"
 )
@@ -13,9 +12,6 @@ import (
 func smallConfig(v Variant) Config {
 	return Config{
 		Variant: v,
-		GridTree: gridtree.Config{
-			MaxDepth: 4,
-		},
 		Grid: auggrid.OptimizeConfig{
 			Eval:     auggrid.EvalConfig{SampleSize: 1024, MaxQueries: 30},
 			MaxCells: 1 << 12,

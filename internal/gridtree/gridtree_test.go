@@ -84,9 +84,9 @@ func TestTreeUniformSingleTypeStaysTiny(t *testing.T) {
 func TestTreeNodeBudgetRespected(t *testing.T) {
 	st := testutil.SmallTaxi(20000, 5)
 	qs := testutil.RandomQueries(st, 100, 6) // patternless: many noisy types
-	tree := Build(st, qs, Config{MaxNodes: 64})
-	if tree.NumNodes > 64 {
-		t.Errorf("nodes = %d, budget 64", tree.NumNodes)
+	tree := Build(st, qs, Config{})
+	if tree.NumNodes > maxNodes {
+		t.Errorf("nodes = %d, budget %d", tree.NumNodes, maxNodes)
 	}
 }
 
@@ -186,7 +186,7 @@ func TestPlanSplitFindsSkewBoundary(t *testing.T) {
 	st := testutil.SmallTaxi(20000, 16)
 	qs := testutil.SkewedQueries(st, 400, 17)
 	lo, hi := st.MinMax(0)
-	plan := planSplit(st.Column(0), 0, lo, hi, qs, 2, Config{HistBins: 128, MergeFactor: 1.1})
+	plan := planSplit(st.Column(0), 0, lo, hi, qs, 2, 0)
 	if plan.reduction <= 0 {
 		t.Fatal("expected positive skew reduction on skewed dim")
 	}
@@ -209,22 +209,70 @@ func TestPlanSplitFindsSkewBoundary(t *testing.T) {
 
 func TestHighSkewThresholdForbidsSplitting(t *testing.T) {
 	st := testutil.SmallTaxi(5000, 18)
-	qs := testutil.SkewedQueries(st, 100, 19)
-	// Requiring a skew reduction of 1000x the query mass rejects every
-	// split at the root.
-	tree := Build(st, qs, Config{MinSkewReduction: 1000})
+	// Two hundred unfiltered queries carry no skew; twelve narrow ones
+	// over dim 0 carry a little, so a split does reduce skew, but by less
+	// than minSkewReduction of the whole workload's mass.
+	qs := make([]query.Query, 0, 212)
+	for range 200 {
+		qs = append(qs, query.NewCount())
+	}
+	lo, hi := st.MinMax(0)
+	for i := range int64(12) {
+		a := lo + (hi-lo)*(80+i)/100
+		qs = append(qs, query.NewCount(query.Filter{Dim: 0, Lo: a, Hi: a + (hi-lo)/100}))
+	}
+	typed, numTypes := ClusterQueryTypes(index.NewSample(st, 2000), qs)
+	best := 0.0
+	for dim := 0; dim < st.NumDims(); dim++ {
+		lo, hi := st.MinMax(dim)
+		if p := planSplit(st.Column(dim), dim, lo, hi, typed, numTypes, 0.005); len(p.values) > 0 {
+			best = max(best, p.reduction)
+		}
+	}
+	if threshold := minSkewReduction * float64(len(qs)); best <= 0 || best >= threshold {
+		t.Fatalf("best split reduces skew by %.3f; the test needs one in (0, %.3f)", best, threshold)
+	}
+	tree := Build(st, qs, Config{})
 	if len(tree.Regions) != 1 {
-		t.Errorf("regions = %d, want 1 when the skew threshold forbids splitting", len(tree.Regions))
+		t.Errorf("regions = %d, want 1 when every split reduces skew by less than the threshold", len(tree.Regions))
 	}
 }
 
 func TestMinFractionsLimitDepth(t *testing.T) {
-	st := testutil.SmallTaxi(5000, 18)
-	qs := testutil.SkewedQueries(st, 100, 19)
-	// The root always holds 100% of points, so it may split once; its
-	// children fall below 90% and must all become leaves.
-	tree := Build(st, qs, Config{MinPointFrac: 0.9, MinQueryFrac: 0.9})
-	if tree.Depth > 2 {
-		t.Errorf("depth = %d, want <= 2 with 90%% fraction thresholds", tree.Depth)
+	// Each floor binds exactly where it says: a root at the floor is a
+	// leaf, however skewed its workload, and one row or query more splits.
+	for _, rows := range []int{1024, 1025} {
+		st := testutil.SmallTaxi(rows, 20)
+		if n := len(Build(st, testutil.SkewedQueries(st, 200, 21), Config{}).Regions); (n == 1) != (rows == 1024) {
+			t.Errorf("%d regions over %d rows; the points floor is 1024", n, rows)
+		}
 	}
+	st := testutil.SmallTaxi(20000, 3)
+	for _, queries := range []int{minQueriesFloor, minQueriesFloor + 1} {
+		if n := len(Build(st, testutil.SkewedQueries(st, queries, 4), Config{}).Regions); (n == 1) != (queries == minQueriesFloor) {
+			t.Errorf("%d regions with %d queries; the queries floor is %d", n, queries, minQueriesFloor)
+		}
+	}
+	// Above both floors the tree splits, and every node it split held more
+	// rows than max(minPointFrac of the table, MinPointsFloor).
+	tree := Build(st, testutil.SkewedQueries(st, 200, 4), Config{})
+	if len(tree.Regions) < 2 {
+		t.Fatalf("regions = %d, want a split above the floors", len(tree.Regions))
+	}
+	minPoints := max(int(minPointFrac*float64(st.NumRows())), 1024)
+	var rows func(nd *Node) int
+	rows = func(nd *Node) int {
+		if nd.Region != nil {
+			return len(nd.Region.Rows)
+		}
+		total := 0
+		for _, c := range nd.Children {
+			total += rows(c)
+		}
+		if total <= minPoints {
+			t.Errorf("a node of %d rows was split; the floor is %d", total, minPoints)
+		}
+		return total
+	}
+	rows(tree.Root)
 }

@@ -43,11 +43,10 @@ func TestTreePropertiesUnderRandomWorkloads(t *testing.T) {
 			q.Type = i % 3
 			qs = append(qs, q)
 		}
-		cfg := Config{MaxNodes: 48, MinPointsFloor: 64, MinQueriesFloor: 4}
-		tree := Build(st, qs, cfg)
+		tree := Build(st, qs, Config{MinPointsFloor: 64})
 
-		if tree.NumNodes > 48 {
-			t.Logf("seed %d: %d nodes over budget", seed, tree.NumNodes)
+		if tree.NumNodes > maxNodes || tree.Depth > maxDepth {
+			t.Logf("seed %d: %d nodes, depth %d: over budget", seed, tree.NumNodes, tree.Depth)
 			return false
 		}
 		// Partition invariant.

@@ -160,8 +160,8 @@ type splitPlan struct {
 
 // planSplit runs the full §4.3.2 pipeline for one dimension: histogram →
 // skew tree → DP covering set → merge pass → split values and reduction.
-func planSplit(values []int64, dim int, lo, hi int64, queries []query.Query, numTypes int, cfg Config) splitPlan {
-	t := buildTypeHists(values, dim, lo, hi, queries, numTypes, cfg.HistBins)
+func planSplit(values []int64, dim int, lo, hi int64, queries []query.Query, numTypes int, mergeEps float64) splitPlan {
+	t := buildTypeHists(values, dim, lo, hi, queries, numTypes, histBins)
 	nb := t.numBins()
 	plan := splitPlan{dim: dim}
 	if nb == 0 {
@@ -172,15 +172,15 @@ func planSplit(values []int64, dim int, lo, hi int64, queries []query.Query, num
 		return plan
 	}
 	leafBins := 2
-	if nb < cfg.HistBins {
+	if nb < histBins {
 		// One bin per unique value: there is truly no intra-bin skew, so
 		// leaves may cover single bins (§4.3.2).
 		leafBins = 1
 	}
 	root := buildSkewTree(t, 0, nb, leafBins)
 	cover := root.coveringSet(nil)
-	epsMass := cfg.MergeEps * float64(len(queries))
-	cover = mergeCovering(t, cover, cfg.MergeFactor, epsMass)
+	epsMass := mergeEps * float64(len(queries))
+	cover = mergeCovering(t, cover, mergeFactor, epsMass)
 
 	covered := 0.0
 	for _, nd := range cover {

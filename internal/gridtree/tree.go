@@ -9,38 +9,19 @@ import (
 	"repro/internal/query"
 )
 
-// Config holds the Grid Tree optimization parameters; zero values take the
-// paper's defaults (§4.3).
+// Config holds the Grid Tree settings callers vary; zero values take the
+// defaults. The paper's other thresholds (§4.3) are the constants below.
 type Config struct {
-	// HistBins is the skew-histogram resolution (default 128).
-	HistBins int
-	// MergeFactor is the covering-set merge tolerance (default 1.1, i.e.
-	// merge when combined skew is within 10% of the parts' sum).
-	MergeFactor float64
 	// MergeEps is an additive merge tolerance as a fraction of the node's
 	// query mass (default 0.005), letting zero-skew unique-value ranges
 	// merge; see mergeCovering.
 	MergeEps float64
-	// MinSkewReduction rejects splits reducing skew by less than this
-	// fraction of the node's query mass (default 0.05).
-	MinSkewReduction float64
-	// MinPointFrac and MinQueryFrac stop recursion when a node holds fewer
-	// than this fraction of all points / queries (default 0.01 each).
-	MinPointFrac float64
-	MinQueryFrac float64
-	// MinPointsFloor and MinQueriesFloor are absolute lower bounds on the
-	// fraction thresholds (defaults 1024 points, 8 queries). At the paper's
+	// MinPointsFloor is an absolute lower bound on minPointFrac (default
+	// 1024 points); minQueriesFloor is its query-side twin. At the paper's
 	// scale (184M–300M rows, 500+ queries) the 1% fractions dominate and
 	// the floors never bind; at small scale they stop the tree from
 	// shattering into statistically meaningless micro-regions.
-	MinPointsFloor  int
-	MinQueriesFloor int
-	// MaxDepth caps recursion depth (default 8).
-	MaxDepth int
-	// MaxNodes caps the total node count, keeping the tree lightweight as
-	// §4.2.2 intends even on patternless workloads (default 64; the
-	// paper's optimized trees have 35–54 nodes).
-	MaxNodes int
+	MinPointsFloor int
 }
 
 const (
@@ -51,38 +32,34 @@ const (
 	// histSampleValues caps the number of values used to lay out
 	// skew-histogram bins per node and dimension.
 	histSampleValues = 8192
+	// histBins is the skew-histogram resolution.
+	histBins = 128
+	// mergeFactor is the covering-set merge tolerance: merge when the
+	// combined skew is within 10% of the parts' sum.
+	mergeFactor = 1.1
+	// minSkewReduction rejects splits reducing skew by less than this
+	// fraction of the node's query mass.
+	minSkewReduction = 0.05
+	// minPointFrac and minQueryFrac stop recursion when a node holds fewer
+	// than this fraction of all points / queries.
+	minPointFrac = 0.01
+	minQueryFrac = 0.01
+	// minQueriesFloor is the absolute lower bound on minQueryFrac.
+	minQueriesFloor = 8
+	// maxDepth caps recursion depth.
+	maxDepth = 8
+	// maxNodes caps the total node count, keeping the tree lightweight as
+	// §4.2.2 intends even on patternless workloads (the paper's optimized
+	// trees have 35–54 nodes).
+	maxNodes = 64
 )
 
 func (c *Config) fill() {
-	if c.HistBins <= 0 {
-		c.HistBins = 128
-	}
-	if c.MergeFactor == 0 {
-		c.MergeFactor = 1.1
-	}
 	if c.MergeEps == 0 {
 		c.MergeEps = 0.005
 	}
-	if c.MinSkewReduction == 0 {
-		c.MinSkewReduction = 0.05
-	}
-	if c.MinPointFrac == 0 {
-		c.MinPointFrac = 0.01
-	}
-	if c.MinQueryFrac == 0 {
-		c.MinQueryFrac = 0.01
-	}
 	if c.MinPointsFloor == 0 {
 		c.MinPointsFloor = 1024
-	}
-	if c.MinQueriesFloor == 0 {
-		c.MinQueriesFloor = 8
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 8
-	}
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = 64
 	}
 }
 
@@ -119,9 +96,9 @@ type Tree struct {
 	NumNodes int
 	Depth    int
 	NumTypes int
-	cfg      Config
+	mergeEps float64 // Config.MergeEps
 	// committed counts nodes that exist or are promised to pending
-	// recursion, enforcing MaxNodes without DFS-order overshoot.
+	// recursion, enforcing maxNodes without DFS-order overshoot.
 	committed int
 }
 
@@ -144,15 +121,9 @@ func Build(st *colstore.Store, queries []query.Query, cfg Config) *Tree {
 		lo[j], hi[j] = st.MinMax(j)
 	}
 
-	t := &Tree{NumTypes: numTypes, cfg: cfg, committed: 1}
-	minPoints := int(cfg.MinPointFrac * float64(n))
-	if minPoints < cfg.MinPointsFloor {
-		minPoints = cfg.MinPointsFloor
-	}
-	minQueries := int(cfg.MinQueryFrac * float64(len(typed)))
-	if minQueries < cfg.MinQueriesFloor {
-		minQueries = cfg.MinQueriesFloor
-	}
+	t := &Tree{NumTypes: numTypes, mergeEps: cfg.MergeEps, committed: 1}
+	minPoints := max(int(minPointFrac*float64(n)), cfg.MinPointsFloor)
+	minQueries := max(int(minQueryFrac*float64(len(typed))), minQueriesFloor)
 	t.Root = t.build(st, rows, typed, lo, hi, 1, minPoints, minQueries)
 	return t
 }
@@ -174,7 +145,7 @@ func (t *Tree) build(st *colstore.Store, rows []int, queries []query.Query, lo, 
 		return &Node{Region: r}
 	}
 
-	if depth >= t.cfg.MaxDepth || t.committed >= t.cfg.MaxNodes ||
+	if depth >= maxDepth || t.committed >= maxNodes ||
 		len(rows) <= minPoints || len(queries) <= minQueries {
 		return makeLeaf()
 	}
@@ -187,13 +158,13 @@ func (t *Tree) build(st *colstore.Store, rows []int, queries []query.Query, lo, 
 			continue
 		}
 		vals := sampleValues(st.Column(dim), rows, histSampleValues)
-		plan := planSplit(vals, dim, lo[dim], hi[dim], queries, t.NumTypes, t.cfg)
+		plan := planSplit(vals, dim, lo[dim], hi[dim], queries, t.NumTypes, t.mergeEps)
 		if plan.reduction > best.reduction {
 			best = plan
 		}
 	}
 	// Reject when the reduction is below 5% of the node's query mass.
-	threshold := t.cfg.MinSkewReduction * float64(len(queries))
+	threshold := minSkewReduction * float64(len(queries))
 	if len(best.values) == 0 || best.reduction < threshold {
 		return makeLeaf()
 	}
@@ -203,7 +174,7 @@ func (t *Tree) build(st *colstore.Store, rows []int, queries []query.Query, lo, 
 	if len(vals) == 0 {
 		return makeLeaf()
 	}
-	if t.committed+len(vals)+1 > t.cfg.MaxNodes {
+	if t.committed+len(vals)+1 > maxNodes {
 		return makeLeaf()
 	}
 	t.committed += len(vals) + 1

@@ -13,7 +13,6 @@ import (
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/kdtree"
 	"repro/internal/octree"
@@ -67,7 +66,6 @@ func pathologicalStores(n int) map[string]*colstore.Store {
 
 func smallTsunamiConfig() core.Config {
 	return core.Config{
-		GridTree: gridtree.Config{MaxDepth: 4},
 		Grid: auggrid.OptimizeConfig{
 			Eval:     auggrid.EvalConfig{SampleSize: 512, MaxQueries: 16},
 			MaxCells: 1 << 10,
@@ -93,9 +91,9 @@ func TestAllIndexesOnPathologicalData(t *testing.T) {
 			indexes := []index.Index{
 				core.Build(st, work, smallTsunamiConfig()),
 				core.Build(st, work, smallFloodConfig()),
-				kdtree.Build(st, work, kdtree.Config{PageSize: 128}),
-				octree.Build(st, octree.Config{PageSize: 128}),
-				zindex.Build(st, zindex.Config{PageSize: 128}),
+				kdtree.Build(st, work, 128),
+				octree.Build(st, 128),
+				zindex.Build(st, 128),
 				singledim.Build(st, work, -1),
 			}
 			for _, idx := range indexes {
@@ -119,9 +117,9 @@ func TestSingleRowTable(t *testing.T) {
 	indexes := []index.Index{
 		core.Build(st, nil, smallTsunamiConfig()),
 		core.Build(st, nil, smallFloodConfig()),
-		kdtree.Build(st, nil, kdtree.Config{PageSize: 16}),
-		octree.Build(st, octree.Config{PageSize: 16}),
-		zindex.Build(st, zindex.Config{PageSize: 16}),
+		kdtree.Build(st, nil, 16),
+		octree.Build(st, 16),
+		zindex.Build(st, 16),
 		singledim.Build(st, nil, 0),
 	}
 	for _, idx := range indexes {
@@ -155,8 +153,8 @@ func TestQuickRandomTables(t *testing.T) {
 		indexes := []index.Index{
 			core.Build(st, work, smallTsunamiConfig()),
 			core.Build(st, work, smallFloodConfig()),
-			kdtree.Build(st, work, kdtree.Config{PageSize: 64}),
-			zindex.Build(st, zindex.Config{PageSize: 64}),
+			kdtree.Build(st, work, 64),
+			zindex.Build(st, 64),
 		}
 		for _, q := range probe {
 			want := full.Execute(q)

@@ -38,25 +38,15 @@ type node struct {
 	boxLo, boxHi []int64
 }
 
-// Config controls the build.
-type Config struct {
-	// PageSize is the maximum number of points per leaf (default 4096).
-	PageSize int
-	// DimOrder optionally fixes the round-robin dimension order; when nil it
-	// is derived from the workload (most selective first).
-	DimOrder []int
-}
-
-// Build constructs the k-d tree over a reordered copy of s.
-func Build(s *colstore.Store, workload []query.Query, cfg Config) *Index {
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 4096
+// Build constructs the k-d tree over a reordered copy of s, with leaves
+// of at most pageSize points (pageSize <= 0 uses 4096) and dimensions
+// cycled in workload-selectivity order (most selective first).
+func Build(s *colstore.Store, workload []query.Query, pageSize int) *Index {
+	if pageSize <= 0 {
+		pageSize = 4096
 	}
 	optStart := time.Now()
-	order := cfg.DimOrder
-	if order == nil {
-		order = selectivityOrder(s, workload)
-	}
+	order := selectivityOrder(s, workload)
 	opt := time.Since(optStart).Seconds()
 
 	sortStart := time.Now()
@@ -67,7 +57,7 @@ func Build(s *colstore.Store, workload []query.Query, cfg Config) *Index {
 	}
 	// The build reads s through x.store, then the store becomes s's rows
 	// in leaf order.
-	x := &Index{store: s, pageSize: cfg.PageSize, dimOrder: order}
+	x := &Index{store: s, pageSize: pageSize, dimOrder: order}
 	boxLo := make([]int64, s.NumDims())
 	boxHi := make([]int64, s.NumDims())
 	for d := 0; d < s.NumDims(); d++ {

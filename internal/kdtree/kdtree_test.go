@@ -10,20 +10,20 @@ import (
 func TestKDTreeMatchesFullScan(t *testing.T) {
 	st := testutil.SmallTaxi(8000, 1)
 	qs := testutil.RandomQueries(st, 150, 2)
-	idx := Build(st, qs[:50], Config{PageSize: 256})
+	idx := Build(st, qs[:50], 256)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
 }
 
 func TestKDTreeSmallPageSize(t *testing.T) {
 	st := testutil.SmallTaxi(2000, 3)
 	qs := testutil.RandomQueries(st, 80, 4)
-	idx := Build(st, qs[:20], Config{PageSize: 16})
+	idx := Build(st, qs[:20], 16)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
 }
 
 func TestKDTreePageSizeRespected(t *testing.T) {
 	st := testutil.SmallTaxi(4000, 5)
-	idx := Build(st, nil, Config{PageSize: 128})
+	idx := Build(st, nil, 128)
 	var walk func(nd *node) int
 	walk = func(nd *node) int {
 		if nd.leaf {
@@ -41,23 +41,16 @@ func TestKDTreePageSizeRespected(t *testing.T) {
 
 func TestKDTreeUnfilteredQueryScansAll(t *testing.T) {
 	st := testutil.SmallTaxi(1000, 6)
-	idx := Build(st, nil, Config{PageSize: 64})
+	idx := Build(st, nil, 64)
 	res := idx.Execute(query.NewCount())
 	if res.Count != 1000 {
 		t.Errorf("count = %d, want 1000", res.Count)
 	}
 }
 
-func TestKDTreeExplicitDimOrder(t *testing.T) {
-	st := testutil.SmallTaxi(2000, 7)
-	qs := testutil.RandomQueries(st, 60, 8)
-	idx := Build(st, nil, Config{PageSize: 100, DimOrder: []int{4, 0, 2, 1, 3}})
-	testutil.CheckMatchesFullScan(t, idx, st, qs)
-}
-
 func TestKDTreeSizeAndStats(t *testing.T) {
 	st := testutil.SmallTaxi(4000, 9)
-	idx := Build(st, nil, Config{PageSize: 256})
+	idx := Build(st, nil, 256)
 	if idx.SizeBytes() == 0 {
 		t.Error("size should be positive")
 	}
@@ -78,6 +71,6 @@ func TestKDTreeDuplicateHeavyColumn(t *testing.T) {
 		col[i] = 1 // constant
 	}
 	qs := testutil.RandomQueries(st, 50, 11)
-	idx := Build(st, nil, Config{PageSize: 64})
+	idx := Build(st, nil, 64)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
 }

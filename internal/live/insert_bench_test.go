@@ -20,7 +20,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 	ds := datasets.Taxi(500_000, 1)
 	idx := core.Build(ds.Store, workload.Generate(ds.Store, workload.TaxiTypes(), 100, 7), core.Config{
 		Grid: auggrid.OptimizeConfig{
-			Eval:     auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20, Seed: 1},
+			Eval:     auggrid.EvalConfig{SampleSize: 512, MaxQueries: 20},
 			MaxIters: 2,
 			Seed:     1,
 		},

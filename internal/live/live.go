@@ -10,8 +10,10 @@
 // CopyWithInserts shares the clustered data and grids, replacing only the
 // affected delta buffers) and publishes it with one atomic swap. A single
 // background maintenance goroutine keeps the hot path clean: when buffered
-// rows cross a threshold it folds them into a fresh clustered copy
-// (core.MergedCopy), when the served query stream drifts from the optimized
+// rows cross a threshold it folds them into a new clustered copy
+// (core.MergedCopyReusing: each region's fitted grid takes its buffered
+// rows into its cells, and the copy is written into a retired epoch's
+// column arrays when one is free), when the served query stream drifts from the optimized
 // workload it re-optimizes the most-drifted region grids into a copy
 // (core.ReoptimizeRegionsCopy) — closing the §8 adaptivity loop end to end
 // — and it periodically snapshots the current epoch (including
@@ -903,8 +905,9 @@ func (s *Store) runMerge() {
 	}
 }
 
-// mergeLocked rebuilds the clustered layout with buffered rows folded in,
-// replays rows ingested while the rebuild ran, and publishes the result.
+// mergeLocked derives a clustered copy with the buffered rows folded in
+// (core.MergedCopyReusing), replays rows ingested while it ran, and
+// publishes the result.
 // Readers are never blocked; writers only during the short replay. stop
 // (nil: never) abandons the merge, between regions or before it
 // publishes, with core.ErrStopped.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/testutil"
@@ -23,7 +22,6 @@ import (
 
 func smallConfig() core.Config {
 	return core.Config{
-		GridTree: gridtree.Config{MaxDepth: 4},
 		Grid: auggrid.OptimizeConfig{
 			Eval:     auggrid.EvalConfig{SampleSize: 1024, MaxQueries: 30},
 			MaxCells: 1 << 12,

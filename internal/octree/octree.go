@@ -22,7 +22,6 @@ type Index struct {
 	root     *node
 	pageSize int
 	numNodes int
-	maxDepth int
 	stats    index.BuildStats
 }
 
@@ -34,22 +33,14 @@ type node struct {
 	leaf       bool
 }
 
-// Config controls the build.
-type Config struct {
-	// PageSize is the maximum points per leaf (default 4096).
-	PageSize int
-	// MaxDepth bounds recursion; beyond it oversized leaves are accepted
-	// (default 24).
-	MaxDepth int
-}
+// maxDepth bounds recursion; beyond it oversized leaves are accepted.
+const maxDepth = 24
 
-// Build constructs the hyperoctree over a reordered copy of s.
-func Build(s *colstore.Store, cfg Config) *Index {
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 4096
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 24
+// Build constructs the hyperoctree over a reordered copy of s, with leaves
+// of at most pageSize points (pageSize <= 0 uses 4096).
+func Build(s *colstore.Store, pageSize int) *Index {
+	if pageSize <= 0 {
+		pageSize = 4096
 	}
 	if s.NumDims() > 32 {
 		panic("octree: more than 32 dimensions not supported")
@@ -57,7 +48,7 @@ func Build(s *colstore.Store, cfg Config) *Index {
 	sortStart := time.Now()
 	// The build reads s through x.store, then the store becomes s's rows
 	// in leaf order.
-	x := &Index{store: s, pageSize: cfg.PageSize, maxDepth: cfg.MaxDepth}
+	x := &Index{store: s, pageSize: pageSize}
 	n := s.NumRows()
 	rows := make([]int, n)
 	for i := range rows {
@@ -78,7 +69,7 @@ func Build(s *colstore.Store, cfg Config) *Index {
 func (x *Index) build(rows []int, offset, depth int, lo, hi []int64) *node {
 	x.numNodes++
 	nd := &node{lo: append([]int64(nil), lo...), hi: append([]int64(nil), hi...)}
-	if len(rows) <= x.pageSize || depth >= x.maxDepth || !splittable(lo, hi) {
+	if len(rows) <= x.pageSize || depth >= maxDepth || !splittable(lo, hi) {
 		nd.leaf = true
 		nd.start, nd.end = offset, offset+len(rows)
 		return nd

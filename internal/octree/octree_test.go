@@ -3,6 +3,7 @@ package octree
 import (
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -10,20 +11,20 @@ import (
 func TestOctreeMatchesFullScan(t *testing.T) {
 	st := testutil.SmallTaxi(8000, 1)
 	qs := testutil.RandomQueries(st, 150, 2)
-	idx := Build(st, Config{PageSize: 256})
+	idx := Build(st, 256)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
 }
 
 func TestOctreeSmallPages(t *testing.T) {
 	st := testutil.SmallTaxi(2000, 3)
 	qs := testutil.RandomQueries(st, 80, 4)
-	idx := Build(st, Config{PageSize: 32})
+	idx := Build(st, 32)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
 }
 
 func TestOctreeLeavesCoverAllPoints(t *testing.T) {
 	st := testutil.SmallTaxi(4000, 5)
-	idx := Build(st, Config{PageSize: 128})
+	idx := Build(st, 128)
 	total := 0
 	var walk func(nd *node)
 	walk = func(nd *node) {
@@ -43,7 +44,7 @@ func TestOctreeLeavesCoverAllPoints(t *testing.T) {
 
 func TestOctreeUnfiltered(t *testing.T) {
 	st := testutil.SmallTaxi(1000, 6)
-	idx := Build(st, Config{PageSize: 64})
+	idx := Build(st, 64)
 	if res := idx.Execute(query.NewCount()); res.Count != 1000 {
 		t.Errorf("count = %d, want 1000", res.Count)
 	}
@@ -57,7 +58,7 @@ func TestOctreeConstantColumn(t *testing.T) {
 			col[i] = 42 // fully degenerate: a single point value
 		}
 	}
-	idx := Build(st, Config{PageSize: 100})
+	idx := Build(st, 100)
 	res := idx.Execute(query.NewCount(query.Filter{Dim: 0, Lo: 42, Hi: 42}))
 	if res.Count != 2000 {
 		t.Errorf("count = %d, want 2000", res.Count)
@@ -65,8 +66,19 @@ func TestOctreeConstantColumn(t *testing.T) {
 }
 
 func TestOctreeMaxDepthBounds(t *testing.T) {
-	st := testutil.SmallTaxi(4000, 8)
-	idx := Build(st, Config{PageSize: 1, MaxDepth: 3})
+	// Two stacks of duplicates at opposite corners of a 2^40-wide box: with
+	// one-point pages the build would halve the box 40 times around each
+	// stack, so only maxDepth stops it.
+	const n = 100
+	col := make([]int64, 2*n)
+	for i := n; i < 2*n; i++ {
+		col[i] = 1 << 40
+	}
+	st, err := colstore.FromColumns([][]int64{col, append([]int64(nil), col...)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := Build(st, 1)
 	var depth func(nd *node) int
 	depth = func(nd *node) int {
 		if nd.leaf {
@@ -80,7 +92,8 @@ func TestOctreeMaxDepthBounds(t *testing.T) {
 		}
 		return max + 1
 	}
-	if d := depth(idx.root); d > 4 {
-		t.Errorf("depth = %d, want <= 4 with MaxDepth 3", d)
+	if d := depth(idx.root); d != maxDepth+1 {
+		t.Errorf("depth = %d, want %d (maxDepth %d plus the leaf level)", d, maxDepth+1, maxDepth)
 	}
+	testutil.CheckMatchesFullScan(t, idx, st, testutil.RandomQueries(st, 20, 3))
 }

@@ -192,29 +192,6 @@ func (q Query) IntersectsBox(lo, hi []int64) bool {
 	return true
 }
 
-// Clip returns a copy of the query whose filters are intersected with the
-// per-dimension bounds lo/hi (inclusive), e.g. to restrict a query to a Grid
-// Tree region. The boolean is false when the intersection is empty.
-func (q Query) Clip(lo, hi []int64) (Query, bool) {
-	out := q
-	out.Filters = make([]Filter, 0, len(q.Filters))
-	for _, f := range q.Filters {
-		if f.Dim < len(lo) {
-			if l := lo[f.Dim]; l > f.Lo {
-				f.Lo = l
-			}
-			if h := hi[f.Dim]; h < f.Hi {
-				f.Hi = h
-			}
-		}
-		if f.Lo > f.Hi {
-			return Query{}, false
-		}
-		out.Filters = append(out.Filters, f)
-	}
-	return out, true
-}
-
 // String renders the query compactly for logs and tests.
 func (q Query) String() string {
 	var b strings.Builder

@@ -2,7 +2,6 @@ package query
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestFilterMatches(t *testing.T) {
@@ -101,49 +100,6 @@ func TestBoxTests(t *testing.T) {
 	}
 	if all := NewCount(); !all.ContainsBox(nil, nil) || !all.IntersectsBox(nil, nil) {
 		t.Error("an unfiltered query contains and intersects every box")
-	}
-}
-
-func TestClip(t *testing.T) {
-	q := NewCount(Filter{Dim: 0, Lo: 0, Hi: 100}, Filter{Dim: 1, Lo: 50, Hi: 60})
-	clipped, ok := q.Clip([]int64{20, 0}, []int64{80, 100})
-	if !ok {
-		t.Fatal("clip should succeed")
-	}
-	f0, _ := clipped.Filter(0)
-	if f0.Lo != 20 || f0.Hi != 80 {
-		t.Errorf("dim 0 clip = %+v", f0)
-	}
-	f1, _ := clipped.Filter(1)
-	if f1.Lo != 50 || f1.Hi != 60 {
-		t.Errorf("dim 1 should be unchanged, got %+v", f1)
-	}
-	if _, ok := q.Clip([]int64{0, 90}, []int64{100, 100}); ok {
-		t.Error("clip to empty intersection should fail")
-	}
-}
-
-func TestClipPropertyNeverWidens(t *testing.T) {
-	prop := func(lo, hi, clo, chi int16) bool {
-		l, h := int64(lo), int64(hi)
-		if l > h {
-			l, h = h, l
-		}
-		cl, ch := int64(clo), int64(chi)
-		if cl > ch {
-			cl, ch = ch, cl
-		}
-		q := NewCount(Filter{Dim: 0, Lo: l, Hi: h})
-		clipped, ok := q.Clip([]int64{cl}, []int64{ch})
-		if !ok {
-			// Empty intersection is only legal when ranges are disjoint.
-			return h < cl || l > ch
-		}
-		f, _ := clipped.Filter(0)
-		return f.Lo >= l && f.Hi <= h && f.Lo >= cl && f.Hi <= ch && f.Lo <= f.Hi
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -175,11 +175,10 @@ type topology struct {
 // consistent snapshot.
 //
 // The shards' threshold-triggered merges take turns, one at a time
-// (live.OpenGated); Flush merges every shard at once. A merge rewrites its
-// whole shard: two side by side contend for memory bandwidth, and under a
-// write burst across shards, whether a shard folded the burst in one merge
-// or in two would hang on whether its merge goroutine got a CPU before the
-// burst ended.
+// (live.OpenGated); Flush merges every shard at once. A merge folds, but
+// it still writes a whole copy of its shard: two side by side take both
+// CPUs of a small machine from the writer that set them off, and a write
+// burst across shards then ingests fewer rows per unit of time.
 type Store struct {
 	// topo is the current partitioner + generation. Reads load it per
 	// query; migrations publish a successor inside their commit window.
@@ -710,24 +709,7 @@ func (s *Store) SizeBytes() uint64 {
 
 // Insert ingests one row into its shard. It is visible to queries when
 // Insert returns.
-func (s *Store) Insert(row []int64) error {
-	if len(row) != s.dims {
-		return fmt.Errorf("sharded: row has %d values, table has %d dims", len(row), s.dims)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return errClosed
-	}
-	// Routing under the ingest gate: a migration publishes its topology
-	// while holding the gate exclusively, so the shard chosen here always
-	// matches the placement the routing layer advertises.
-	if err := s.shards[s.topo.Load().parts.ShardOf(row)].Insert(row); err != nil {
-		return err
-	}
-	s.inserts.Add(1)
-	return nil
-}
+func (s *Store) Insert(row []int64) error { return s.InsertBatch([][]int64{row}) }
 
 // InsertBatch splits rows by owning shard and ingests the pieces in
 // parallel — one copy-on-write step per touched shard, no cross-shard

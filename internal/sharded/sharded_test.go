@@ -10,7 +10,6 @@ import (
 	"repro/internal/auggrid"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/gridtree"
 	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/query"
@@ -19,7 +18,6 @@ import (
 
 func smallConfig() core.Config {
 	return core.Config{
-		GridTree: gridtree.Config{MaxDepth: 4},
 		Grid: auggrid.OptimizeConfig{
 			Eval:     auggrid.EvalConfig{SampleSize: 1024, MaxQueries: 30},
 			MaxCells: 1 << 12,

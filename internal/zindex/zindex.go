@@ -38,16 +38,11 @@ type page struct {
 	lo, hi     []int64 // per-dim min/max metadata
 }
 
-// Config controls the build.
-type Config struct {
-	// PageSize is the number of points per page (default 4096).
-	PageSize int
-}
-
-// Build constructs the Z-order index over a reordered copy of s.
-func Build(s *colstore.Store, cfg Config) *Index {
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 4096
+// Build constructs the Z-order index over a reordered copy of s, with
+// pageSize points per page (pageSize <= 0 uses 4096).
+func Build(s *colstore.Store, pageSize int) *Index {
+	if pageSize <= 0 {
+		pageSize = 4096
 	}
 	d := s.NumDims()
 	bits := uint(64 / d)
@@ -57,7 +52,7 @@ func Build(s *colstore.Store, cfg Config) *Index {
 	if bits > 16 {
 		bits = 16
 	}
-	x := &Index{pageSize: cfg.PageSize, bits: bits}
+	x := &Index{pageSize: pageSize, bits: bits}
 
 	optStart := time.Now()
 	// Equi-depth quantizer per dimension from a sample CDF.
@@ -88,8 +83,8 @@ func Build(s *colstore.Store, cfg Config) *Index {
 	for i, p := range perm {
 		sortedZ[i] = zvals[p]
 	}
-	for start := 0; start < n; start += cfg.PageSize {
-		end := start + cfg.PageSize
+	for start := 0; start < n; start += pageSize {
+		end := start + pageSize
 		if end > n {
 			end = n
 		}

@@ -10,20 +10,20 @@ import (
 func TestZOrderMatchesFullScan(t *testing.T) {
 	st := testutil.SmallTaxi(8000, 1)
 	qs := testutil.RandomQueries(st, 150, 2)
-	idx := Build(st, Config{PageSize: 256})
+	idx := Build(st, 256)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
 }
 
 func TestZOrderSmallPages(t *testing.T) {
 	st := testutil.SmallTaxi(2000, 3)
 	qs := testutil.RandomQueries(st, 80, 4)
-	idx := Build(st, Config{PageSize: 32})
+	idx := Build(st, 32)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
 }
 
 func TestZOrderPagesSorted(t *testing.T) {
 	st := testutil.SmallTaxi(4000, 5)
-	idx := Build(st, Config{PageSize: 128})
+	idx := Build(st, 128)
 	for i := 1; i < len(idx.pages); i++ {
 		if idx.pages[i].zmin < idx.pages[i-1].zmax {
 			t.Fatalf("page %d z-range overlaps predecessor", i)
@@ -40,7 +40,7 @@ func TestZOrderPagesSorted(t *testing.T) {
 
 func TestZOrderMetadataSound(t *testing.T) {
 	st := testutil.SmallTaxi(4000, 6)
-	idx := Build(st, Config{PageSize: 128})
+	idx := Build(st, 128)
 	for pi, pg := range idx.pages {
 		for j := 0; j < idx.store.NumDims(); j++ {
 			col := idx.store.Column(j)
@@ -55,7 +55,7 @@ func TestZOrderMetadataSound(t *testing.T) {
 
 func TestZOrderUnfiltered(t *testing.T) {
 	st := testutil.SmallTaxi(1000, 7)
-	idx := Build(st, Config{PageSize: 64})
+	idx := Build(st, 64)
 	if res := idx.Execute(query.NewCount()); res.Count != 1000 {
 		t.Errorf("count = %d, want 1000", res.Count)
 	}
@@ -63,7 +63,7 @@ func TestZOrderUnfiltered(t *testing.T) {
 
 func TestZValueMonotoneInCoordinates(t *testing.T) {
 	st := testutil.SmallTaxi(1000, 8)
-	idx := Build(st, Config{PageSize: 64})
+	idx := Build(st, 64)
 	d := st.NumDims()
 	lo := make([]int64, d)
 	hi := make([]int64, d)

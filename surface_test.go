@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	tsunami "repro"
+	"repro/internal/auggrid"
+	"repro/internal/core"
+	"repro/internal/gridtree"
 )
 
 // TestQuerySurface keeps the query entry points from silently regrowing
@@ -57,14 +60,41 @@ func TestExecutionKnobs(t *testing.T) {
 		{tsunami.WorkloadOptions{}, []string{"Objectives"}},
 		{tsunami.RebalanceOptions{}, []string{"CheckInterval", "MaxSkew"}},
 	} {
-		typ := reflect.TypeOf(c.typ)
-		var got []string
-		for i := 0; i < typ.NumField(); i++ {
-			got = append(got, typ.Field(i).Name)
-		}
-		if !slices.Equal(got, c.want) {
-			t.Errorf("%v has fields %v, the committed list is %v", typ, got, c.want)
-		}
+		checkFields(t, c.typ, c.want)
+	}
+}
+
+// TestBuildKnobs is TestExecutionKnobs for the build: the settings a caller
+// can give an index build. The Grid Tree's other §4.3 thresholds, the
+// baselines' recursion guards and one seed for the whole optimizer are
+// constants, so a field coming back changes this list.
+func TestBuildKnobs(t *testing.T) {
+	for _, c := range []struct {
+		typ  any
+		want []string
+	}{
+		{tsunami.Options{}, []string{"OptimizerIters", "SampleSize", "MaxOptQueries", "Seed"}},
+		{core.Config{}, []string{"Variant", "GridTree", "Grid", "Optimizer", "MinRowsForGrid", "Parallelism"}},
+		{gridtree.Config{}, []string{"MergeEps", "MinPointsFloor"}},
+		{auggrid.OptimizeConfig{}, []string{"Eval", "MaxCells", "MaxIters", "NoSortDim", "FMErrFrac",
+			"CCDFEmptyFrac", "OutlierFrac", "Seed"}},
+		{auggrid.EvalConfig{}, []string{"SampleSize", "MaxQueries"}},
+	} {
+		checkFields(t, c.typ, c.want)
+	}
+}
+
+// checkFields fails t unless the struct v has exactly the fields want, in
+// order.
+func checkFields(t *testing.T, v any, want []string) {
+	t.Helper()
+	typ := reflect.TypeOf(v)
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%v has fields %v, the committed list is %v", typ, got, want)
 	}
 }
 

@@ -99,8 +99,6 @@ func NewTableFromRows(rows [][]int64, names []string) (*Table, error) {
 // Options configures a Tsunami build. The zero value uses the paper's
 // defaults and is right for most uses.
 type Options struct {
-	// MaxCells caps each region grid's lookup table (default 1<<20).
-	MaxCells int
 	// OptimizerIters bounds the adaptive-gradient-descent outer loop
 	// (default 6).
 	OptimizerIters int
@@ -120,9 +118,7 @@ func (o Options) coreConfig(v core.Variant) core.Config {
 			Eval: auggrid.EvalConfig{
 				SampleSize: o.SampleSize,
 				MaxQueries: o.MaxOptQueries,
-				Seed:       o.Seed,
 			},
-			MaxCells: o.MaxCells,
 			MaxIters: o.OptimizerIters,
 			Seed:     o.Seed,
 		},
