@@ -102,6 +102,62 @@ func BenchmarkExecutorWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkServeHit is the cost of a result-cache hit served the way a
+// client is served: Executor.Serve with admission over a caching
+// LiveStore, the store and the Executor recording into one registry and
+// the store into a workload collector. Each of 1 or 2 client goroutines
+// serves b.N hits, so ns/op is one hit's latency as a client sees it;
+// where two clients take longer per hit than one, they write something
+// they share.
+//
+//	go test -run '^$' -bench BenchmarkServeHit -count 3 .
+func BenchmarkServeHit(b *testing.B) {
+	ds, idx := smallTaxi()
+	reg := tsunami.NewMetrics()
+	ls := tsunami.NewLiveStore(idx, nil, tsunami.LiveOptions{
+		CacheEntries: 1024,
+		Metrics:      reg,
+		Workload:     tsunami.NewWorkloadStats(tsunami.WorkloadOptions{}),
+	})
+	defer ls.Close()
+	ex := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{
+		Workers:   2,
+		Metrics:   reg,
+		Admission: tsunami.AdmissionConfig{MaxInFlight: 64, MaxRows: uint64(ds.Store.NumRows())},
+	})
+	defer ex.Close()
+	lo, _ := ds.Store.MinMax(0)
+	hot := make([]tsunami.Query, 16)
+	for i := range hot {
+		hot[i] = tsunami.Count(tsunami.Filter{Dim: 0, Lo: lo + int64(i), Hi: lo + 1000})
+		ex.Serve(hot[i], tsunami.PriorityNormal) // the miss that caches it
+	}
+	for _, clients := range []int{1, 2} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			hits := ls.CacheStats().Hits
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						if _, err := ex.Serve(hot[(i+c)%len(hot)], tsunami.PriorityNormal); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			if got := ls.CacheStats().Hits - hits; got != uint64(clients*b.N) {
+				b.Fatalf("%d hits, want %d", got, clients*b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkLiveMixed measures the mixed read/write serving mode: parallel
 // readers execute against a LiveStore while background writers stream
 // inserts fast enough to force repeated copy-on-write merges. Reads

@@ -42,11 +42,12 @@ type ExecutorOptions struct {
 	// Workers is the size of the worker pool ExecuteBatch spreads its
 	// queries over (default runtime.NumCPU()).
 	Workers int
-	// Metrics, when non-nil, records pool telemetry into the registry:
-	// queue wait and depth, per-query execution latency, wave sizes, and
-	// tasks executed (tsunami_exec_* metric names). Nil leaves the hot
-	// path exactly as uninstrumented — submitted tasks are not even
-	// wrapped.
+	// Metrics, when non-nil, records pool telemetry into the registry —
+	// ExecuteBatch's queue wait and depth (tsunami_exec_* metric names) —
+	// and admission outcomes (tsunami_admission_*). A query's latency is
+	// the index's to record: a LiveStore or ShardedStore times each query
+	// it serves, from its plan to its answer. Nil leaves the hot path
+	// exactly as uninstrumented — submitted tasks are not even wrapped.
 	Metrics *obs.Registry
 	// Admission, when any field is set, turns on admission control for
 	// queries served through Serve: bounded in-flight load with
@@ -154,11 +155,7 @@ func (a *admission) limit(pri Priority) int64 {
 }
 
 // admit checks a plan's price against the row and byte budgets.
-func (a *admission) admit(p index.Plan) error {
-	if a.maxRows == 0 && a.maxBytes == 0 {
-		return nil
-	}
-	rows, bytes := p.Cost()
+func (a *admission) admit(rows, bytes uint64) error {
 	if a.maxRows > 0 && rows > a.maxRows {
 		return fmt.Errorf("%w: plan estimates %d rows scanned, budget %d", ErrOverBudget, rows, a.maxRows)
 	}
@@ -171,11 +168,7 @@ func (a *admission) admit(p index.Plan) error {
 // execMetrics caches the Executor's resolved instruments so the record
 // path never touches the registry.
 type execMetrics struct {
-	queueWait  *obs.Histogram
-	queueDepth *obs.Gauge
-	latency    *obs.Histogram
-	waveSize   *obs.Histogram
-	tasks      *obs.Counter
+	queueWait *obs.Histogram
 	// Admission counters are registered eagerly (they appear on /statsz
 	// at 0 even before admission control sees traffic, or when it is
 	// disabled) so dashboards and smoke tests can rely on the fields.
@@ -184,26 +177,24 @@ type execMetrics struct {
 	admBudget   *obs.Counter
 }
 
-// newExecMetrics resolves the Executor's instruments, and registers the
-// in-flight gauge over adm's own counter (reading 0 when adm is nil:
-// admission control is off). Like every GaugeFunc it reports one source:
-// the last Executor opened on the registry.
-func newExecMetrics(r *obs.Registry, adm *admission) *execMetrics {
+// newExecMetrics resolves e's instruments, and registers the queue-depth
+// gauge over e's job queue and the in-flight gauge over its admission
+// counter (reading 0 when admission control is off). Like every
+// GaugeFunc they report one source: the last Executor opened on the
+// registry.
+func newExecMetrics(r *obs.Registry, e *Executor) *execMetrics {
 	if r == nil {
 		return nil
 	}
+	r.GaugeFunc(obs.MExecQueueDepth, func() float64 { return float64(len(e.jobs)) })
 	r.GaugeFunc(obs.MAdmissionInFlight, func() float64 {
-		if adm == nil {
+		if e.adm == nil {
 			return 0
 		}
-		return float64(adm.inFlight.Load())
+		return float64(e.adm.inFlight.Load())
 	})
 	return &execMetrics{
 		queueWait:   r.DurationHistogram(obs.MExecQueueWait),
-		queueDepth:  r.Gauge(obs.MExecQueueDepth),
-		latency:     r.DurationHistogram(obs.MExecLatency),
-		waveSize:    r.Histogram(obs.MExecWaveSize),
-		tasks:       r.Counter(obs.MExecTasks),
 		admAdmitted: r.Counter(obs.MAdmissionAdmitted),
 		admShed:     r.Counter(obs.MAdmissionShed),
 		admBudget:   r.Counter(obs.MAdmissionBudget),
@@ -228,14 +219,15 @@ type Executor struct {
 	adm     *admission   // nil when admission control is off
 
 	// jobs carries ExecuteBatch's queries, one closure each.
-	jobs chan execJob
+	jobs chan func()
 	wg   sync.WaitGroup
 
 	// mu guards sends against Close: senders hold it shared, Close holds
 	// it exclusively while marking closed and closing jobs, so a send on
-	// the closed channel can never happen.
+	// the closed channel can never happen. Execute and Serve only load
+	// closed: they send nothing.
 	mu     sync.RWMutex
-	closed bool
+	closed atomic.Bool
 }
 
 // NewExecutor starts a worker pool over a shared index.
@@ -247,7 +239,7 @@ func NewExecutor(idx Index, o ExecutorOptions) *Executor {
 	e := &Executor{
 		idx:     idx,
 		workers: workers,
-		jobs:    make(chan execJob, 2*workers),
+		jobs:    make(chan func(), 2*workers),
 	}
 	if o.Admission.enabled() {
 		e.adm = &admission{
@@ -256,7 +248,7 @@ func NewExecutor(idx Index, o ExecutorOptions) *Executor {
 			maxBytes:    o.Admission.MaxBytes,
 		}
 	}
-	e.metrics = newExecMetrics(o.Metrics, e.adm)
+	e.metrics = newExecMetrics(o.Metrics, e)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -268,43 +260,21 @@ func NewExecutor(idx Index, o ExecutorOptions) *Executor {
 // adds nothing and is kept for callers that have it.
 func NewExecutorSource(idx Index, o ExecutorOptions) *Executor { return NewExecutor(idx, o) }
 
-// execJob is one unit of pool work. The enqueue timestamp rides in the
-// channel element (set only when metrics are on), so queue-wait
-// instrumentation needs no per-task wrapper closure — the submit path
-// stays allocation-free with metrics enabled.
-type execJob struct {
-	fn       func()
-	enqueued time.Time
-}
-
 func (e *Executor) worker() {
 	defer e.wg.Done()
-	m := e.metrics
-	for job := range e.jobs {
-		if m != nil {
-			m.queueDepth.Add(-1)
-			m.queueWait.RecordDuration(time.Since(job.enqueued))
-			m.tasks.Inc()
-		}
-		job.fn()
+	for task := range e.jobs {
+		task()
 	}
 }
 
 // trySubmit schedules a task on the pool, or reports false after Close.
-// The depth increment happens only after the closed check, so a false
-// return can never leak a depth increment.
 func (e *Executor) trySubmit(task func()) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed {
+	if e.closed.Load() {
 		return false
 	}
-	job := execJob{fn: task}
-	if m := e.metrics; m != nil {
-		job.enqueued = time.Now()
-		m.queueDepth.Add(1)
-	}
-	e.jobs <- job
+	e.jobs <- task
 	return true
 }
 
@@ -315,26 +285,10 @@ func (e *Executor) Workers() int { return e.workers }
 // or Query.By), on the calling goroutine: the pool is for batches. After
 // Close it returns a zero Result.
 func (e *Executor) Execute(q Query) Result {
-	if e.isClosed() {
+	if e.closed.Load() {
 		return Result{}
 	}
-	return e.run(q)
-}
-
-func (e *Executor) isClosed() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.closed
-}
-
-// run answers q against the current index — through its pipeline when it
-// has one — and records its latency.
-func (e *Executor) run(q Query) Result {
-	var start time.Time
-	if e.metrics != nil {
-		start = time.Now()
-	}
-	return e.finish(e.plan(q), start)
+	return e.plan(q).Execute()
 }
 
 // plan plans q on the index's pipeline, or stands in for a baseline's.
@@ -343,15 +297,6 @@ func (e *Executor) plan(q Query) index.Plan {
 		return p.Plan(q, index.Exec{})
 	}
 	return unpipelined{e.idx, q}
-}
-
-// finish executes a plan and records the query's latency since start.
-func (e *Executor) finish(p index.Plan, start time.Time) Result {
-	res := p.Execute()
-	if m := e.metrics; m != nil {
-		m.latency.RecordDuration(time.Since(start))
-	}
-	return res
 }
 
 // Serve answers one query under admission control. The query is planned
@@ -366,20 +311,20 @@ func (e *Executor) finish(p index.Plan, start time.Time) Result {
 // released: it leaves no trace in the stores below, and only the
 // registry counts it (tsunami_admission_*). Without an Admission
 // configuration Serve is Execute. After Close it returns ErrClosed.
+//
+// Serve reads no clock: the index times the query, from its plan to its
+// answer, so the time spent in admission is in the recorded latency.
 func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
-	if e.isClosed() {
+	if e.closed.Load() {
 		return Result{}, ErrClosed
 	}
 	a, m := e.adm, e.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
 	p := e.plan(q)
 	if a == nil {
-		return e.finish(p, start), nil
+		return p.Execute(), nil
 	}
-	if err := a.admit(p); err != nil {
+	rows, bytes := p.Cost()
+	if err := a.admit(rows, bytes); err != nil {
 		p.Release()
 		if m != nil {
 			m.admBudget.Inc()
@@ -396,17 +341,24 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 			return Result{}, fmt.Errorf("%w: %d %s-priority queries in flight (limit %d)", ErrShed, n-1, pri, lim)
 		}
 		defer a.inFlight.Add(-1)
-		// Yield once between admission and execution. A burst of arrivals
-		// all reach the in-flight counter before any of them starts
-		// scanning, so the watermark sees the burst's true concurrency;
-		// without this, on a single P, back-to-back sub-quantum queries
-		// serialize and the cap can never engage.
-		runtime.Gosched()
+		// Yield once between admission and execution, for a plan that
+		// scans. A burst of arrivals all reach the in-flight counter before
+		// any of them starts scanning, so the watermark sees the burst's
+		// true concurrency; without this, on a single P, back-to-back
+		// sub-quantum queries serialize and the cap can never engage. A
+		// plan priced at nothing — an answer the result cache holds — has
+		// no scan to hold its slot through, and yielding would cost it the
+		// scheduler's global run-queue lock; it keeps its slot all the
+		// same, so shedding counts it. A baseline's plan is unpriced, not
+		// free: it yields.
+		if _, baseline := p.(unpipelined); baseline || rows > 0 {
+			runtime.Gosched()
+		}
 	}
 	if m != nil {
 		m.admAdmitted.Inc()
 	}
-	return e.finish(p, start), nil
+	return p.Execute(), nil
 }
 
 // ExecuteBatch answers every query — flat and grouped may mix — fanning
@@ -433,15 +385,16 @@ func (e *Executor) ExecuteBatch(qs []Query) []Result {
 // false if the Executor was closed before the whole wave was scheduled
 // (results for unscheduled queries stay zero).
 func (e *Executor) runWave(qs []Query, out []Result) bool {
-	if m := e.metrics; m != nil {
-		m.waveSize.Record(int64(len(qs)))
+	var asked time.Duration
+	if e.metrics != nil {
+		asked = obs.Mono()
 	}
 	var done sync.WaitGroup
 	ok := true
 	for i, q := range qs {
 		done.Add(1)
 		if !e.trySubmit(func() {
-			out[i] = e.run(q)
+			out[i] = e.runQueued(q, asked)
 			done.Done()
 		}) {
 			done.Done() // never scheduled
@@ -453,13 +406,36 @@ func (e *Executor) runWave(qs []Query, out []Result) bool {
 	return ok
 }
 
+// timed is how a store's plan reports its timing: the obs.Mono reading
+// it was planned at, or 0 when the store times nothing.
+type timed interface{ Began() time.Duration }
+
+// runQueued answers q on a worker and records how long it waited since
+// its wave was asked for (asked). The wait ends where the query's
+// latency starts: at the plan's own clock read when the index times its
+// queries, so one read serves both.
+func (e *Executor) runQueued(q Query, asked time.Duration) Result {
+	p := e.plan(q)
+	if m := e.metrics; m != nil {
+		var start time.Duration
+		if t, ok := p.(timed); ok {
+			start = t.Began()
+		}
+		if start == 0 {
+			start = obs.Mono()
+		}
+		m.queueWait.RecordDuration(start - asked)
+	}
+	return p.Execute()
+}
+
 // Close shuts the pool down and waits for in-flight queries to finish.
 // Safe to call from multiple goroutines; every call blocks until the
 // workers have drained. Execute/ExecuteBatch afterwards are no-ops.
 func (e *Executor) Close() {
 	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
+	if !e.closed.Load() {
+		e.closed.Store(true)
 		close(e.jobs)
 	}
 	e.mu.Unlock()

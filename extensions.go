@@ -3,7 +3,6 @@ package tsunami
 import (
 	"io"
 
-	"repro/internal/catorder"
 	"repro/internal/core"
 	"repro/internal/shift"
 )
@@ -18,8 +17,7 @@ import (
 //     into the clustered layout of a new one (a LiveStore does both for
 //     concurrent writers);
 //   - workload-shift detection (ShiftDetector);
-//   - outlier-robust functional mappings (Options via NewRobust);
-//   - co-access ordering for categorical dimensions (CategoricalRemap).
+//   - outlier-robust functional mappings (Options via NewRobust).
 
 // ShiftDetector watches a live query stream and reports when it has
 // drifted enough from the optimized workload to warrant re-optimization
@@ -36,19 +34,6 @@ type ShiftReport = shift.Report
 // detector's Recent workload.
 func NewShiftDetector(table *Table, optimized []Query) *ShiftDetector {
 	return shift.NewDetector(table, optimized)
-}
-
-// CategoricalRemap is a learned dictionary re-encoding for one categorical
-// dimension that places co-accessed values in adjacent codes (§8), so
-// queries intersect fewer grid partitions.
-type CategoricalRemap = catorder.Remap
-
-// LearnCategoricalOrder learns a co-access-aware code assignment for
-// dimension dim from the table and a typed sample workload. Apply it to
-// the column before building an index (ApplyColumn) and to incoming
-// queries (RewriteQuery).
-func LearnCategoricalOrder(table *Table, workload []Query, dim int) *CategoricalRemap {
-	return catorder.Learn(table.Column(dim), workload, dim)
 }
 
 // Load reconstructs an index previously written with TsunamiIndex.Save

@@ -70,21 +70,3 @@ func TestInsertAndMergeViaPublicAPI(t *testing.T) {
 		t.Fatalf("post-merge count = %d, want 100", got)
 	}
 }
-
-func TestCategoricalRemapViaPublicAPI(t *testing.T) {
-	ds := tsunami.GenerateTaxi(10_000, 8)
-	work := tsunami.WorkloadFor(ds, 20, 9)
-	remap := tsunami.LearnCategoricalOrder(ds.Store, work, 6) // passengers
-	if remap.NumValues() == 0 {
-		t.Fatal("no values learned")
-	}
-	q := tsunami.Count(tsunami.Filter{Dim: 6, Lo: 1, Hi: 1})
-	rq, ok := remap.RewriteQuery(q)
-	if !ok {
-		t.Fatal("equality rewrite must be exact")
-	}
-	f, _ := rq.Filter(6)
-	if f.Lo != remap.Code(1) {
-		t.Error("rewritten filter does not use the new code")
-	}
-}

@@ -293,7 +293,7 @@ type Store struct {
 	spareMu sync.Mutex
 	spare   [][]int64
 
-	queries       atomic.Uint64
+	queries       *obs.Counter // striped: every served query counts here
 	inserts       atomic.Uint64
 	merges        atomic.Uint64
 	flushes       atomic.Int32 // Flush calls waiting or merging: background merges give way
@@ -336,6 +336,7 @@ func OpenGated(idx *core.Tsunami, optimized []query.Query, cfg Config, gate chan
 	// taken mid-stream) seed the replay log, so the first merge accounts
 	// for them exactly like rows ingested through the Store.
 	s.log = idx.BufferedRows()
+	s.queries = obs.NewCounter()
 	ref := &storeRef{store: idx.Store()}
 	ref.state.Store(refEscaped) // the caller holds idx
 	s.cur.Store(&version{idx: idx, epoch: 1, logLen: len(s.log), ref: ref})
@@ -418,49 +419,52 @@ func (s *Store) ExecuteWith(q query.Query, x index.Exec) colstore.ScanResult {
 	return s.Plan(q, x).Execute()
 }
 
-// plan is one query planned against one epoch: the version it pinned,
-// and either the answer the result cache held for it there or the
-// index's own plan.
+// plan is one query planned at one epoch: either the cache's entry for
+// it there, or the index's own plan on the version it pinned.
 type plan struct {
 	s      *Store
-	v      *version
+	v      *version // pinned; nil for a cached answer, which reads no store
 	q      query.Query
-	began  time.Time           // set when metrics or workload stats record the query
-	probed bool                // the cache was looked up: Execute counts the hit or miss
-	cached colstore.ScanResult // the cache's answer when core is nil; its groups are the entry's
+	began  time.Duration // obs.Mono() at Plan, when metrics or workload stats record the query
+	probed bool          // the cache was looked up and missed: Execute counts the miss
+	hit    *qcache.Entry // the cache's answer; core is nil
 	core   index.Plan
 }
 
 var planPool = sync.Pool{New: func() any { return new(plan) }}
 
-// Plan pins the current epoch and plans q against it: an answer the
-// result cache holds at that epoch is the whole plan, priced (0, 0);
-// otherwise the plan is the index's (core.Tsunami.Plan, to which x passes
-// through). Executing the plan adds this layer's concerns, each exactly
-// once — the cache fill, metrics and workload-statistics recording, and
-// the shift detector's observation (inline; dropped, not waited for, when
-// another goroutine holds the detector). Buffered-but-unmerged
-// rows are folded in by the index's delta scan. The epoch is immutable,
-// so a plan executed after later publishes returns exactly the pinned
-// epoch's answer. A traced plan prefixes the trace with the epoch, always
-// executes (it skips the cache lookup), and is accounted exactly like an
-// untraced one, so traced queries do not skew the aggregates they are
-// debugging.
+// Plan plans q at the current epoch: an answer the result cache holds
+// there is the whole plan, priced (0, 0); otherwise the plan is the
+// index's (core.Tsunami.Plan, to which x passes through) on the current
+// version, pinned. A cached answer pins nothing and reads no column
+// store: beyond the cache stripe's lock, a served hit writes only its
+// entry's count and striped counters. Executing the plan adds this
+// layer's concerns, each exactly once — the cache fill, metrics and
+// workload-statistics recording, and the shift detector's observation
+// (inline; dropped, not waited for, when another goroutine holds the
+// detector). Buffered-but-unmerged rows are folded in by the index's
+// delta scan. An epoch is immutable, so a plan executed after later
+// publishes returns exactly its epoch's answer. A traced plan prefixes
+// the trace with the epoch, always executes (it skips the cache lookup),
+// and is accounted exactly like an untraced one, so traced queries do not
+// skew the aggregates they are debugging.
 func (s *Store) Plan(q query.Query, x index.Exec) index.Plan {
 	p := planPool.Get().(*plan)
-	v := s.acquire()
-	p.s, p.v, p.q = s, v, q
+	p.s, p.q = s, q
 	if s.metrics != nil || s.cfg.Workload != nil {
-		p.began = time.Now()
+		p.began = obs.Mono()
 	}
-	if tr := x.Trace; tr != nil {
-		tr.AddStage("epoch", 0, fmt.Sprintf("serving epoch %d (%d buffered rows)", v.epoch, v.idx.NumBuffered()))
-	} else if s.cache != nil {
-		p.probed = true
-		var ok bool
-		if p.cached, ok = s.cache.Peek(v.epoch, q); ok {
+	tr := x.Trace
+	if tr == nil && s.cache != nil {
+		if p.hit = s.cache.Peek(s.cur.Load().epoch, q); p.hit != nil {
 			return p
 		}
+		p.probed = true
+	}
+	v := s.acquire()
+	p.v = v
+	if tr != nil {
+		tr.AddStage("epoch", 0, fmt.Sprintf("serving epoch %d (%d buffered rows)", v.epoch, v.idx.NumBuffered()))
 	}
 	p.core = v.idx.Plan(q, x)
 	return p
@@ -474,16 +478,23 @@ func (p *plan) Cost() (rows, bytes uint64) {
 	return p.core.Cost()
 }
 
+// Began is the obs.Mono reading the plan was made at, where its latency
+// starts, or 0 when the store records nothing: an Executor ends a batch
+// query's queue wait there.
+func (p *plan) Began() time.Duration { return p.began }
+
 // Release gives the plan back unexecuted: nothing was counted yet. It
-// unpins the plan's epoch.
+// unpins the version the plan pinned, if it pinned one.
 func (p *plan) Release() {
 	if p.core != nil {
 		p.core.Release()
 	}
-	s, ref := p.s, p.v.ref
+	s, v := p.s, p.v
 	*p = plan{}
 	planPool.Put(p)
-	s.release(ref)
+	if v != nil {
+		s.release(v.ref)
+	}
 }
 
 // Execute serves the plan: the cached answer, or the index plan's, which
@@ -491,25 +502,26 @@ func (p *plan) Release() {
 // and recorded into metrics and workload stats — a hit with zero rows and
 // bytes scanned, the point of the hit — and observed by the shift
 // detector, so cached traffic cannot blind the adaptivity loop. Recorded
-// latency runs from the plan to the answer.
+// latency runs from the plan to the answer: two clock reads a query.
 func (p *plan) Execute() colstore.ScanResult {
-	s, v, q := p.s, p.v, p.q
-	n := s.queries.Add(1)
-	hit := p.core == nil
-	if p.probed {
-		s.cache.Count(v.epoch, q, hit)
-	}
+	s, q := p.s, p.q
+	n := s.queries.Inc()
 	var res colstore.ScanResult
 	var rows, bytes uint64
+	hit := p.hit != nil
 	if hit {
-		res = p.cached.Clone()
+		s.cache.Hit(p.hit)
+		res = p.hit.Result().Clone()
 	} else {
+		if p.probed {
+			s.cache.Miss()
+		}
 		res = p.core.Execute()
 		p.core = nil
 		rows, bytes = res.PointsScanned, res.BytesTouched
 	}
 	if m, w := s.metrics, s.cfg.Workload; m != nil || w != nil {
-		d := time.Since(p.began)
+		d := obs.Mono() - p.began
 		if m != nil {
 			m.qm.Observe(d, rows, bytes)
 			if !hit {
@@ -522,7 +534,7 @@ func (p *plan) Execute() colstore.ScanResult {
 		// v.idx is immutable, so res is exactly epoch v's answer even if a
 		// newer epoch has published since: the entry is then merely
 		// unreachable (its epoch is no longer current), never wrong.
-		s.cache.Put(v.epoch, q, res)
+		s.cache.Put(p.v.epoch, q, res)
 	}
 	if s.shifted != nil {
 		s.observe(q, n)
@@ -531,8 +543,9 @@ func (p *plan) Execute() colstore.ScanResult {
 	return res
 }
 
-// observe feeds the detector the n-th served query and, on every 16th,
-// analyzes the window: a shift nudges the maintainer, which re-checks it.
+// observe feeds the detector a served query and, when n (the query's
+// stripe sequence from the query counter) is a multiple of 16, analyzes
+// the window: a shift nudges the maintainer, which re-checks it.
 // A query that finds the detector held — by another query's observation,
 // or by the maintainer — is dropped and counted, never waited for.
 func (s *Store) observe(q query.Query, n uint64) {

@@ -215,7 +215,7 @@ func TestConcurrentRecord(t *testing.T) {
 		perG       = 10_000
 	)
 	h := newHistogram(1)
-	c := newCounter()
+	c := NewCounter()
 	done := make(chan int64, goroutines)
 	for g := 0; g < goroutines; g++ {
 		g := g
@@ -250,7 +250,7 @@ func TestConcurrentRecord(t *testing.T) {
 // the stack-probe stripe hash must not force an escape.
 func TestRecordAllocFree(t *testing.T) {
 	h := newHistogram(1)
-	c := newCounter()
+	c := NewCounter()
 	g := newGauge()
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Record(12345)

@@ -21,12 +21,9 @@ const (
 	// {regime="bytecode"|"dense"|"hash"} by the accumulation path chosen.
 	MGroupedRegime = "tsunami_grouped_regime_total"
 
-	// Executor.
+	// Executor (ExecuteBatch's pool; a query's latency is the store's).
 	MExecQueueWait  = "tsunami_exec_queue_wait_seconds"
 	MExecQueueDepth = "tsunami_exec_queue_depth"
-	MExecLatency    = "tsunami_exec_latency_seconds"
-	MExecWaveSize   = "tsunami_exec_wave_size"
-	MExecTasks      = "tsunami_exec_tasks_total"
 
 	// LiveStore ingest and maintenance.
 	MLiveIngestLatency = "tsunami_live_ingest_latency_seconds"

@@ -63,13 +63,16 @@ func stripeFor(mask uint32) uint32 {
 }
 
 // Counter is a monotonically increasing striped counter. The zero value
-// is NOT usable; get one from Registry.Counter.
+// is NOT usable; get one from Registry.Counter, or from NewCounter for a
+// count a component keeps for itself (and may register with
+// Registry.CounterFunc).
 type Counter struct {
 	stripes []cell
 	mask    uint32
 }
 
-func newCounter() *Counter {
+// NewCounter returns a counter outside any registry.
+func NewCounter() *Counter {
 	return &Counter{stripes: make([]cell, numStripes), mask: uint32(numStripes - 1)}
 }
 
@@ -82,8 +85,17 @@ func (c *Counter) Add(n uint64) {
 	c.stripes[stripeFor(c.mask)].v.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+// Inc increments the counter by one and returns the new value of the
+// caller's stripe: a sequence per stripe, so every stripe's n-th
+// increment sees n. A caller that acts on every k-th query (1-in-k
+// sampling) tests that value, and acts on 1 in k of each stripe's
+// increments without a shared sequence. 0 on a nil counter.
+func (c *Counter) Inc() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.stripes[stripeFor(c.mask)].v.Add(1)
+}
 
 // Load sums the stripes. Concurrent adds may or may not be included; the
 // value is always a valid point between the call's start and end.
@@ -97,6 +109,16 @@ func (c *Counter) Load() uint64 {
 	}
 	return total
 }
+
+// processStart anchors Mono: a time.Time that carries a monotonic reading.
+var processStart = time.Now()
+
+// Mono is the monotonic time since the process started, in one clock
+// read: time.Since of a time carrying a monotonic reading reads only the
+// monotonic clock, where time.Now reads the wall clock too. A served
+// query takes its start from Mono and its latency as Mono() - start, so
+// timing it costs two clock reads.
+func Mono() time.Duration { return time.Since(processStart) }
 
 // Gauge is an instantaneous int64 value (queue depth, buffered rows).
 // The zero value is NOT usable; get one from Registry.Gauge.
@@ -159,12 +181,17 @@ func NewQueryMetrics(r *Registry) *QueryMetrics {
 	}
 }
 
-// Observe records one answered query.
+// Observe records one answered query. A query that scanned nothing (a
+// cache hit) adds nothing to the rows and bytes counters.
 func (m *QueryMetrics) Observe(d time.Duration, rowsScanned, bytesTouched uint64) {
 	if m == nil {
 		return
 	}
 	m.latency.RecordDuration(d)
-	m.rows.Add(rowsScanned)
-	m.bytes.Add(bytesTouched)
+	if rowsScanned != 0 {
+		m.rows.Add(rowsScanned)
+	}
+	if bytesTouched != 0 {
+		m.bytes.Add(bytesTouched)
+	}
 }

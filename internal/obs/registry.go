@@ -48,7 +48,7 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = newCounter()
+		c = NewCounter()
 		r.counters[name] = c
 	}
 	return c

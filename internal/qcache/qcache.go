@@ -19,16 +19,25 @@
 // stale entry's key simply never matches again and no sweeper or TTL is
 // needed.
 //
+// A lookup is two steps, because a query is looked up when it is planned
+// and may be refused before it is served. Peek finds the entry and
+// returns a handle on it, counting nothing. Hit records a handle's served
+// hit: one atomic bump of the entry's count and one add to a per-CPU
+// striped hit counter, with no lock and no second key hash. Miss counts a
+// served miss. A handle planned and then refused is simply dropped, so it
+// is neither a use nor a hit. An entry is never written once cached
+// except for its count: a re-Put replaces it with a new entry that keeps
+// the count.
+//
 // Eviction is sampled LFU with decay, because serving traffic is skewed
 // (the paper's premise) and a hot result is worth keeping over a one-off.
-// Every entry carries a saturating hit count that a served hit bumps
-// (Count); a Peek does not (a query planned and then refused is not a
-// use), and a re-Put of a cached key keeps it. A Put into a full stripe samples up to evictScan entries: a
-// provably stale one (its version differs from the one being inserted)
-// is the victim if the sample holds one, else the least-hit entry in the
-// sample. Each stripe halves all its counts every decayEvery x its
-// capacity insertions, so a hot set that traffic stops asking for loses
-// its claim in bounded time instead of pinning the cache forever.
+// Every entry carries a saturating hit count that Hit bumps. A Put into a
+// full stripe samples up to evictScan entries: a provably stale one (its
+// version differs from the one being inserted) is the victim if the
+// sample holds one, else the least-hit entry in the sample. Each stripe
+// halves all its counts every decayEvery x its capacity insertions, so a
+// hot set that traffic stops asking for loses its claim in bounded time
+// instead of pinning the cache forever.
 package qcache
 
 import (
@@ -37,6 +46,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/colstore"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -71,19 +81,24 @@ type key struct {
 	f       [maxFilters]query.Filter
 }
 
-// entry is one cached result and the number of Gets it served (halved
-// by decay). A stored result owns its groups slice.
-type entry struct {
+// Entry is one cached result and the number of hits it served (halved
+// by decay); Peek hands it out. Its result owns its groups slice and is
+// never written once the entry is cached.
+type Entry struct {
 	res  colstore.ScanResult
-	hits uint32
+	hits atomic.Uint32
 }
+
+// Result is the cached answer. A grouped result's groups are the entry's
+// own: Clone before handing them out.
+func (e *Entry) Result() colstore.ScanResult { return e.res }
 
 // lockShard is one stripe of the map. Flat and grouped results are one
 // value type and share it: their keys can never collide because groupBy
 // is part of the key (0 for flat queries, 1+dim for grouped ones).
 type lockShard struct {
 	mu      sync.Mutex
-	m       map[key]*entry
+	m       map[key]*Entry
 	inserts int // new keys since the last decay
 }
 
@@ -92,9 +107,9 @@ type lockShard struct {
 // stack's nil→no-op observability contract.
 type Cache struct {
 	perShard  int
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	hits      *obs.Counter // striped: the serving goroutines count here
+	misses    *obs.Counter
+	evictions atomic.Uint64 // counted by Put, under a stripe lock
 	shards    [nlocks]lockShard
 }
 
@@ -105,9 +120,9 @@ func New(entries int) *Cache {
 		return nil
 	}
 	per := (entries + nlocks - 1) / nlocks
-	c := &Cache{perShard: per}
+	c := &Cache{perShard: per, hits: obs.NewCounter(), misses: obs.NewCounter()}
 	for i := range c.shards {
-		c.shards[i].m = make(map[key]*entry, per)
+		c.shards[i].m = make(map[key]*Entry, per)
 	}
 	return c
 }
@@ -169,53 +184,42 @@ func (k *key) shard() int {
 	return int(h % nlocks)
 }
 
-// lookup is the stripe-locked map probe behind Peek and Count; ok=false
-// for a nil cache, an uncacheable query, or a miss. use counts a hit on
-// the entry found.
-func (c *Cache) lookup(ver uint64, q query.Query, use bool) (res colstore.ScanResult, ok bool) {
+// Peek finds q's entry at version ver, or returns nil (for a miss, an
+// uncacheable query, or a nil cache). It counts nothing, on the cache or
+// on the entry: the query may be refused before it is served. Hit or
+// Miss records the outcome once it is.
+func (c *Cache) Peek(ver uint64, q query.Query) *Entry {
 	if c == nil {
-		return res, false
+		return nil
 	}
 	k, ok := keyOf(ver, q)
 	if !ok {
-		return res, false
+		return nil
 	}
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
-	e, ok := s.m[k]
-	if ok {
-		res = e.res
-		if use && e.hits < math.MaxUint32 {
-			e.hits++
-		}
-	}
+	e := s.m[k]
 	s.mu.Unlock()
-	return res, ok
+	return e
 }
 
-// Peek looks up q's result at version ver without counting a hit or a
-// miss — on the cache or on the entry: a query is looked up when it is
-// planned, and may be refused before it is served. Count records the
-// outcome once it is. A miss (or a nil cache) reports ok=false. A grouped
-// result's groups are the entry's own, never written again (a re-Put
-// replaces them): Clone before handing them out.
-func (c *Cache) Peek(ver uint64, q query.Query) (colstore.ScanResult, bool) {
-	return c.lookup(ver, q, false)
+// Hit records that e, from Peek, served a query: a use on the entry
+// (counted even if it was evicted since, when it no longer matters) and a
+// hit. It takes no lock. The count saturates; a bump that loses a race
+// to another is dropped, which sampled eviction does not notice.
+func (c *Cache) Hit(e *Entry) {
+	if h := e.hits.Load(); h < math.MaxUint32 {
+		e.hits.CompareAndSwap(h, h+1)
+	}
+	c.hits.Inc()
 }
 
-// Count records how a Peek of q at version ver was served: from the cache
-// (hit) — a use on the entry, if it is still cached, and a hit — or by
-// executing the query — a miss. No-op on a nil cache.
-func (c *Cache) Count(ver uint64, q query.Query, hit bool) {
-	if c == nil {
-		return
+// Miss records that a query Peek did not find was served by executing
+// it. No-op on a nil cache.
+func (c *Cache) Miss() {
+	if c != nil {
+		c.misses.Inc()
 	}
-	if !hit {
-		c.misses.Add(1)
-		return
-	}
-	c.lookup(ver, q, true)
-	c.hits.Add(1)
 }
 
 // Put stores q's result computed at version ver. The entry keeps its own
@@ -234,8 +238,10 @@ func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) {
 	own := res.Clone()
 	s := &c.shards[k.shard()]
 	s.mu.Lock()
+	ne := &Entry{res: own}
 	if e, exists := s.m[k]; exists {
-		e.res = own
+		ne.hits.Store(e.hits.Load())
+		s.m[k] = ne
 		s.mu.Unlock()
 		return
 	}
@@ -245,15 +251,15 @@ func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) {
 		// one (not at the version being inserted) goes first, else the
 		// least-hit one sampled.
 		var victim key
-		var least *entry
+		var least uint32
 		n := 0
 		for ek, e := range s.m {
 			if ek.ver != ver {
 				victim = ek
 				break
 			}
-			if least == nil || e.hits < least.hits {
-				victim, least = ek, e
+			if h := e.hits.Load(); n == 0 || h < least {
+				victim, least = ek, h
 			}
 			if n++; n >= evictScan {
 				break
@@ -262,11 +268,11 @@ func (c *Cache) Put(ver uint64, q query.Query, res colstore.ScanResult) {
 		delete(s.m, victim)
 		c.evictions.Add(1)
 	}
-	s.m[k] = &entry{res: own}
+	s.m[k] = ne
 	if s.inserts++; s.inserts >= decayEvery*c.perShard {
 		s.inserts = 0
 		for _, e := range s.m {
-			e.hits >>= 1
+			e.hits.Store(e.hits.Load() >> 1)
 		}
 	}
 	s.mu.Unlock()

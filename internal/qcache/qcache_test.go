@@ -21,15 +21,18 @@ func res(count uint64, sum int64) colstore.ScanResult {
 // get is a served lookup, the way a LiveStore plans and executes one: a
 // Peek, its outcome counted, and the result cloned.
 func get(c *Cache, ver uint64, qq query.Query) (colstore.ScanResult, bool) {
-	r, ok := c.Peek(ver, qq)
-	c.Count(ver, qq, ok)
-	return r.Clone(), ok
+	e := c.Peek(ver, qq)
+	if e == nil {
+		c.Miss()
+		return colstore.ScanResult{}, false
+	}
+	c.Hit(e)
+	return e.Result().Clone(), true
 }
 
 // has is a lookup that is never served: a Peek alone.
 func has(c *Cache, ver uint64, qq query.Query) bool {
-	_, ok := c.Peek(ver, qq)
-	return ok
+	return c.Peek(ver, qq) != nil
 }
 
 func TestPutGetRoundtrip(t *testing.T) {
@@ -189,7 +192,7 @@ func hitsOf(t *testing.T, c *Cache, ver uint64, qq query.Query) uint32 {
 	if !ok {
 		t.Fatal("entry not cached")
 	}
-	return e.hits
+	return e.hits.Load()
 }
 
 func TestEvictionBoundsSizeAndPrefersStale(t *testing.T) {

@@ -508,7 +508,7 @@ type plan struct {
 	q       query.Query
 	x       index.Exec
 	w       *wstats.Collector // records the executed query; nil for a slow-query exemplar
-	began   time.Time         // set when metrics, workload stats or a trace time the query
+	began   time.Duration     // obs.Mono() at plan, when metrics, workload stats or a trace time the query
 	planned time.Duration     // a traced plan's planning time, for the trace's Total
 	ids     []int             // the routed shards
 	shards  []index.Plan      // their plans, aligned with ids
@@ -543,13 +543,13 @@ func (s *Store) plan(q query.Query, x index.Exec, w *wstats.Collector) *plan {
 	p.s, p.q, p.x, p.w = s, q, x, w
 	tr := x.Trace
 	if s.metrics != nil || w != nil || tr != nil {
-		p.began = time.Now()
+		p.began = obs.Mono()
 	}
 	for attempt := 0; ; attempt++ {
 		if g := s.migrating.Load(); g&1 == 0 {
 			if s.planShards(p, g) {
 				if tr != nil {
-					p.planned = time.Since(p.began)
+					p.planned = obs.Mono() - p.began
 				}
 				return p
 			}
@@ -592,6 +592,11 @@ func (s *Store) planShards(p *plan, g uint64) bool {
 	return s.migrating.Load() == g
 }
 
+// Began is the obs.Mono reading the plan was made at, where its latency
+// starts, or 0 when nothing times the query: an Executor ends a batch
+// query's queue wait there.
+func (p *plan) Began() time.Duration { return p.began }
+
 // Cost is the sum of the routed shards' plan prices.
 func (p *plan) Cost() (rows, bytes uint64) {
 	for _, sp := range p.shards {
@@ -622,12 +627,12 @@ func (p *plan) Release() {
 // the p99 a client of the sharded store sees), workload statistics.
 func (p *plan) Execute() colstore.ScanResult {
 	s, q, tr := p.s, p.q, p.x.Trace
-	var began, mark time.Time
+	var start, mark time.Time
 	if tr != nil {
 		// Total counts the planning and this execution, not whatever ran
 		// between them.
 		mark = time.Now()
-		began = mark.Add(-p.planned)
+		start = mark.Add(-p.planned)
 	}
 	var res colstore.ScanResult
 	parts := p.scatter()
@@ -654,16 +659,17 @@ func (p *plan) Execute() colstore.ScanResult {
 	if tr != nil {
 		end := tr.Stage("merge", mark, fmt.Sprintf("%d partials, %d groups", len(parts), len(res.Groups)))
 		tr.Query = q.String()
-		tr.Total = end.Sub(began)
+		tr.Total = end.Sub(start)
 		tr.Rows = res.PointsScanned
 		tr.Bytes = res.BytesTouched
 	}
 	s.countRoute(len(p.ids))
-	if m := s.metrics; m != nil {
-		m.latency.RecordDuration(time.Since(p.began))
-	}
-	if w := p.w; w != nil {
-		w.Record(q, time.Since(p.began), res.Count, res.PointsScanned, res.BytesTouched)
+	if m, w := s.metrics, p.w; m != nil || w != nil {
+		d := obs.Mono() - p.began
+		if m != nil {
+			m.latency.RecordDuration(d)
+		}
+		w.Record(q, d, res.Count, res.PointsScanned, res.BytesTouched)
 	}
 	p.Release()
 	return res

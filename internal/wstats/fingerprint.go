@@ -8,8 +8,10 @@
 //
 // The package follows the same contract as internal/obs: a nil *Collector
 // disables everything with zero hot-path cost, and recording never blocks
-// the query path — the few always-on pieces (SLO counters, the slow-query
-// threshold check) are a handful of atomics, and everything stateful
+// the query path — the few always-on pieces are one striped query count
+// (whose per-stripe sequence also picks the sampled queries), an SLO
+// counter per objective that only slow queries write, and the slow-query
+// threshold check; and everything stateful
 // (sketch, histograms, slow-query ring) sits behind one mutex that Record
 // only ever tries, for 1 query in 8 (sampleEvery): a sample that finds it
 // held is dropped and counted, never waited on. The Collector is passive

@@ -110,6 +110,12 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Each objective's bad count is read before the query count: a query
+	// is counted before it can be bad, so Good = Queries - Bad >= 0.
+	slo := make([]SLOStat, len(c.slo))
+	for i := range c.slo {
+		slo[i].Bad = c.slo[i].bad.Load()
+	}
 	s := Snapshot{
 		Queries:              c.queries.Load(),
 		Sampled:              c.sampled,
@@ -123,7 +129,7 @@ func (c *Collector) Snapshot() Snapshot {
 		// before any query lands — /workloadz consumers see stable types.
 		Fingerprints: []FingerprintStat{},
 		Dims:         []DimStat{},
-		SLO:          []SLOStat{},
+		SLO:          slo,
 		Slow:         []SlowEntry{},
 	}
 	for _, e := range c.sketch.top(0) {
@@ -164,20 +170,17 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Dims = append(s.Dims, ds)
 	}
 	sortDims(s.Dims)
-	for i := range c.slo {
-		st := SLOStat{
-			LatencySeconds: float64(c.slo[i].thrNs) / 1e9,
-			Target:         c.slo[i].target,
-			Good:           c.slo[i].good.Load(),
-			Bad:            c.slo[i].bad.Load(),
-		}
-		if total := st.Good + st.Bad; total > 0 {
+	for i := range s.SLO {
+		st := &s.SLO[i]
+		st.LatencySeconds = float64(c.slo[i].thrNs) / 1e9
+		st.Target = c.slo[i].target
+		st.Good = s.Queries - st.Bad
+		if total := s.Queries; total > 0 {
 			st.BadFrac = float64(st.Bad) / float64(total)
 		}
 		if budget := 1 - st.Target; budget > 0 {
 			st.BurnRate = st.BadFrac / budget
 		}
-		s.SLO = append(s.SLO, st)
 	}
 	// Slow ring, newest first.
 	for i := 0; i < c.slowN; i++ {

@@ -85,11 +85,12 @@ func BindingOf(rows func() uint64, trace func(query.Query) *obs.QueryTrace, stor
 	return b
 }
 
-// sloState is one objective's always-on counters.
+// sloState is one objective's always-on counter: only a query slower
+// than the objective writes it; Snapshot derives the good count from the
+// query count.
 type sloState struct {
 	thrNs  int64
 	target float64
-	good   atomic.Uint64
 	bad    atomic.Uint64
 }
 
@@ -106,13 +107,15 @@ type item struct {
 // nil-registry contract of internal/obs. Record is safe from any number
 // of goroutines and never blocks: the always-on portion is a few atomics,
 // and a sampled or slow query folds into the stateful portion under
-// mu.TryLock — contention drops the sample and counts it.
+// mu.TryLock — contention drops the sample and counts it. The one
+// counter every query writes is striped, so concurrent recorders share
+// no cache line.
 type Collector struct {
 	sampleEvery uint64 // the sampleEvery constant; tests set 1 for determinism
 
-	// Hot-path state: plain atomics, no pointers chased beyond c itself.
-	seq       atomic.Uint64
-	queries   atomic.Uint64
+	// Hot-path state: the query count, and atomics that only slow,
+	// sampled or dropped queries write.
+	queries   *obs.Counter
 	slowSeen  atomic.Uint64
 	dropped   atomic.Uint64
 	slowThrNs atomic.Int64
@@ -167,6 +170,7 @@ func New(cfg Config) *Collector {
 	}
 	c := &Collector{
 		sampleEvery: sampleEvery,
+		queries:     obs.NewCounter(),
 		slo:         make([]sloState, len(cfg.Objectives)),
 		sketch:      newSpaceSaving(topK),
 		dims:        make(map[int]*dimStats),
@@ -203,11 +207,11 @@ func (c *Collector) Record(q query.Query, d time.Duration, matched, scanned, byt
 	if ns < 0 {
 		ns = 0
 	}
-	c.queries.Add(1)
+	// The query counter's stripe sequence picks the sampled queries: 1 in
+	// sampleEvery of each stripe's.
+	sampled := c.queries.Inc()%c.sampleEvery == 0
 	for i := range c.slo {
-		if ns <= c.slo[i].thrNs {
-			c.slo[i].good.Add(1)
-		} else {
+		if ns > c.slo[i].thrNs {
 			c.slo[i].bad.Add(1)
 		}
 	}
@@ -216,7 +220,6 @@ func (c *Collector) Record(q query.Query, d time.Duration, matched, scanned, byt
 		slow = true
 		c.slowSeen.Add(1)
 	}
-	sampled := c.seq.Add(1)%c.sampleEvery == 0
 	if !sampled && !slow {
 		return
 	}

@@ -6,15 +6,16 @@ package tsunami_test
 
 import (
 	"io"
+	"sync"
 	"testing"
 
 	tsunami "repro"
 	"repro/internal/obs"
 )
 
-// TestExecutorMetrics checks the pool records queue, wave, and latency
-// telemetry, and that an uninstrumented Executor still works (nil
-// registry contract).
+// TestExecutorMetrics checks the pool records its queue telemetry, and
+// that an uninstrumented Executor still works (nil registry contract). A
+// query's latency is the store's to record (TestLiveStoreMetrics).
 func TestExecutorMetrics(t *testing.T) {
 	ds := tsunami.GenerateTaxi(10_000, 1)
 	work := tsunami.WorkloadFor(ds, 10, 2)
@@ -36,18 +37,6 @@ func TestExecutorMetrics(t *testing.T) {
 	ex.Execute(work[0])
 
 	snap := m.Snapshot()
-	if n := snap.Counters[obs.MExecTasks]; n != uint64(len(work)) {
-		t.Fatalf("tasks %d want %d", n, len(work))
-	}
-	if h := snap.Hists[obs.MExecLatency]; h.Count() != uint64(len(work))+1 {
-		t.Fatalf("latency observations %d want %d", h.Count(), len(work)+1)
-	}
-	// A wave is 8*Workers=16 queries, so the batch runs in ceil(n/16)
-	// waves of at most 16 queries (quantiles report bucket upper bounds).
-	waves := (len(work) + 15) / 16
-	if h := snap.Hists[obs.MExecWaveSize]; h.Count() != uint64(waves) || h.Quantile(1) < 16 {
-		t.Fatalf("wave size hist %d obs, max %g; want %d waves of <= 16", h.Count(), h.Quantile(1), waves)
-	}
 	if h := snap.Hists[obs.MExecQueueWait]; h.Count() != uint64(len(work)) {
 		t.Fatalf("queue wait observations %d want %d", h.Count(), len(work))
 	}
@@ -275,4 +264,80 @@ func TestStatsAgreeWithRegistry(t *testing.T) {
 			obs.MShardedRowsMigrated:  st.RowsMigrated,
 		})
 	})
+}
+
+// TestCountsAgreeUnderConcurrentClients serves from two clients at once
+// through an Executor with admission over a caching, instrumented
+// LiveStore, and checks that every count of a served query reads the
+// number served: the store's queries, the cache's hits plus misses, the
+// workload collector's queries and each objective's good plus bad, the
+// admitted count and the latency histogram. These counters are striped
+// across cache lines, so a lost or doubled add would show here.
+func TestCountsAgreeUnderConcurrentClients(t *testing.T) {
+	ds := tsunami.GenerateTaxi(10_000, 11)
+	work := tsunami.WorkloadFor(ds, 10, 12)
+	m := tsunami.NewMetrics()
+	ws := tsunami.NewWorkloadStats(tsunami.WorkloadOptions{})
+	ls := tsunami.NewLiveStore(tsunami.New(ds.Store, work, smallOptions()), nil, tsunami.LiveOptions{
+		Metrics: m, Workload: ws, CacheEntries: 32, MergeThreshold: 1 << 30,
+	})
+	defer ls.Close()
+	ex := tsunami.NewExecutor(ls, tsunami.ExecutorOptions{
+		Workers: 2, Metrics: m,
+		Admission: tsunami.AdmissionConfig{MaxInFlight: 64, MaxRows: uint64(ds.Store.NumRows())},
+	})
+	defer ex.Close()
+
+	const clients, each = 2, 3000
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				// Mostly the first few queries (hits), some of the rest
+				// (misses and evictions), as skewed traffic asks.
+				q := work[(i*(c+1))%8]
+				if i%5 == 0 {
+					q = work[(i/5+c)%len(work)]
+				}
+				if _, err := ex.Serve(q, tsunami.PriorityNormal); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	const served = clients * each
+	st, wsnap, snap := ls.Stats(), ws.Snapshot(), m.Snapshot()
+	if st.Cache.Hits == 0 || st.Cache.Misses == 0 {
+		t.Fatalf("the run did not both hit and miss: %+v", st.Cache)
+	}
+	for name, got := range map[string]uint64{
+		"Stats().Queries":          st.Queries,
+		"cache hits + misses":      st.Cache.Hits + st.Cache.Misses,
+		"workload queries":         wsnap.Queries,
+		obs.MQueries:               snap.Counters[obs.MQueries],
+		obs.MAdmissionAdmitted:     snap.Counters[obs.MAdmissionAdmitted],
+		obs.MQueryLatency + " obs": snap.Hists[obs.MQueryLatency].Count(),
+	} {
+		if got != served {
+			t.Errorf("%s = %d, want %d served", name, got, served)
+		}
+	}
+	if len(wsnap.SLO) == 0 {
+		t.Fatal("no objectives")
+	}
+	for _, slo := range wsnap.SLO {
+		if slo.Good+slo.Bad != served {
+			t.Errorf("objective %gs: good %d + bad %d, want %d served", slo.LatencySeconds, slo.Good, slo.Bad, served)
+		}
+	}
 }
