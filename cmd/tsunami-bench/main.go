@@ -1,7 +1,9 @@
 // Command tsunami-bench regenerates the tables and figures of the Tsunami
 // paper's evaluation (§6) on generated datasets, plus the two serving
 // experiments the repository benchmark (benchmark/, BENCHMARK.json) does
-// not cover yet: online rebalancing and the open-loop overload burst.
+// not cover yet — online rebalancing and the open-loop overload burst —
+// and the scan kernels' throughput per tier on int64 and byte-coded
+// columns.
 //
 // Usage:
 //
@@ -10,8 +12,8 @@
 //	tsunami-bench -experiment all -quick
 //
 // Experiments: tab3, tab4, fig7, fig8, fig9a, fig9b, fig10, fig11a,
-// fig11b, fig12a, fig12b, ablation, rebalance, traffic, all. -experiment
-// accepts a comma-separated list.
+// fig11b, fig12a, fig12b, ablation, rebalance, traffic, scan, all.
+// -experiment accepts a comma-separated list.
 package main
 
 import (

@@ -3,6 +3,7 @@ package auggrid
 import (
 	"math"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 )
 
@@ -21,12 +22,10 @@ type run struct {
 }
 
 // PhysRange is one contiguous physical row range [Start, End) a query's
-// execution scans, with the exactness flag colstore.ScanRange consumes.
-// Ranges are absolute positions in the finalized store.
-type PhysRange struct {
-	Start, End int
-	Exact      bool
-}
+// execution scans, with the exactness flag the scan consumes. Ranges are
+// absolute positions in the finalized store; a plan's list of them is
+// what colstore's Scan.ScanRanges answers.
+type PhysRange = colstore.Range
 
 // PlanRanges appends to dst the physical row ranges a query's execution
 // scans for q and returns the extended slice plus the traversal stats.
@@ -91,11 +90,13 @@ func (g *Grid) refine(runs []run, col []int64, lo, hi int64, dst []PhysRange, st
 			if s >= e || col[s] > hi || col[e-1] < lo {
 				continue
 			}
-			if col[s] < lo {
-				s = searchGT(col, s, e, lo-1)
-			}
-			if col[e-1] > hi {
-				e = searchGT(col, s, e, hi)
+			switch cutLo, cutHi := col[s] < lo, col[e-1] > hi; {
+			case cutLo && cutHi:
+				s, e = cutGT2(col, s, e, lo-1, hi)
+			case cutLo:
+				s = cutGT(col, s, e, lo-1)
+			case cutHi:
+				e = cutGT(col, s, e, hi)
 			}
 			if s == e {
 				continue // the filter falls between two of the cell's values
@@ -106,6 +107,55 @@ func (g *Grid) refine(runs []run, col []int64, lo, hi int64, dst []PhysRange, st
 		}
 	}
 	return dst
+}
+
+// cutGT is searchGT for refine's searches of a cell's rows, made
+// branch-free: each probe halves the candidates by a flag (SETcc) instead
+// of a jump. A cell holds a few dozen rows, and on a correlated table
+// which half of it holds the filter's bound changes from cell to cell,
+// so a branching search mispredicted about every other probe. (Where
+// every cell's search takes the same path, as on the uniform table of
+// BenchmarkPlanRanges' fig7 shape, the branches were predicted and this
+// loop's dependent loads cost more.)
+func cutGT(col []int64, s, e int, v int64) int {
+	for n := e - s; n > 1; {
+		half, le := n>>1, 0
+		if col[s+half] <= v {
+			le = 1
+		}
+		s += half & -le
+		n -= half
+	}
+	if col[s] <= v {
+		s++
+	}
+	return s
+}
+
+// cutGT2 is cutGT for v1 and v2 over the same cell (at least one row),
+// the two searches run side by side: their probes are independent, so
+// one's load latency hides the other's.
+func cutGT2(col []int64, s, e int, v1, v2 int64) (int, int) {
+	a, b := s, s
+	for n := e - s; n > 1; {
+		half, le1, le2 := n>>1, 0, 0
+		if col[a+half] <= v1 {
+			le1 = 1
+		}
+		if col[b+half] <= v2 {
+			le2 = 1
+		}
+		a += half & -le1
+		b += half & -le2
+		n -= half
+	}
+	if col[a] <= v1 {
+		a++
+	}
+	if col[b] <= v2 {
+		b++
+	}
+	return a, b
 }
 
 // planOutliers appends the rows diverted by robust functional mappings

@@ -1,6 +1,7 @@
 package auggrid
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -393,5 +394,45 @@ func BenchmarkPlanRangesReference(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(dst)), "ranges/op")
 		})
+	}
+}
+
+// TestCutGTMatchesSearchGT pins refine's branch-free cell searches to the
+// binary search they replaced: on sorted cells of 1-200 rows with runs of
+// equal values and int64 extremes, for bounds inside, between, equal to
+// and outside the cell's values, cutGT and both results of cutGT2 are
+// searchGT's answers.
+func TestCutGTMatchesSearchGT(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	pool := []int64{math.MinInt64, math.MinInt64 + 1, -7, 0, 1, 2, 3, 100, math.MaxInt64 - 1, math.MaxInt64}
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + rng.Intn(200)
+		col := make([]int64, n+4)
+		for i := range col {
+			if rng.Intn(3) == 0 {
+				col[i] = pool[rng.Intn(len(pool))]
+			} else {
+				col[i] = rng.Int63n(50) - 25
+			}
+		}
+		s := rng.Intn(4)
+		slices.Sort(col[s : s+n])
+		e := s + n
+		v1, v2 := col[s+rng.Intn(n)]+rng.Int63n(3)-1, pool[rng.Intn(len(pool))]
+		if rng.Intn(2) == 0 {
+			v2 = col[s+rng.Intn(n)]
+		}
+		if v1 > v2 {
+			v1, v2 = v2, v1
+		}
+		for _, v := range []int64{v1, v2} {
+			if got, want := cutGT(col, s, e, v), searchGT(col, s, e, v); got != want {
+				t.Fatalf("cutGT(%v, %d, %d, %d) = %d, want %d", col, s, e, v, got, want)
+			}
+		}
+		a, b := cutGT2(col, s, e, v1, v2)
+		if wa, wb := searchGT(col, s, e, v1), searchGT(col, s, e, v2); a != wa || b != wb {
+			t.Fatalf("cutGT2(%v, %d, %d, %d, %d) = %d, %d, want %d, %d", col, s, e, v1, v2, a, b, wa, wb)
+		}
 	}
 }

@@ -34,6 +34,7 @@ var kept = []struct {
 	{"ablation", "Ablation", []string{"no functional mappings"}},
 	{"rebalance", "Rebalance", []string{"before skew", "during migration", "exact", "migrated", "post-rebalance spread"}},
 	{"traffic", "Traffic", []string{"cache hit rate", "hot query", "admitted with shedding"}},
+	{"scan", "Scan", []string{"count_2f_plan", "sum_1f", "portable", "scalar", "coded GB/s", "coded vs int64"}},
 }
 
 // headers lists the section headers in out, in order, after checking
@@ -95,7 +96,7 @@ func TestExperiments(t *testing.T) {
 			t.Errorf("all visited %q, want %q", hs, all)
 		}
 	})
-	for _, id := range []string{"scan", "groupby", "concurrency", "sharded", "obs", "fig99", ""} {
+	for _, id := range []string{"groupby", "concurrency", "sharded", "obs", "fig99", ""} {
 		if err := Run(io.Discard, id, tinyOptions()); err == nil {
 			t.Errorf("Run accepted experiment id %q", id)
 		}

@@ -240,6 +240,7 @@ var experiments = []struct {
 	{"ablation", Ablations},
 	{"rebalance", Rebalance},
 	{"traffic", Traffic},
+	{"scan", Scan},
 }
 
 // IDs lists what Run accepts: every experiment in paper order, then "all".

@@ -20,17 +20,17 @@ import (
 type Store struct {
 	cols  [][]int64
 	names []string
-	// groupMeta lazily holds each column's value span — and, for
-	// low-cardinality columns, its byte-coded image — for grouped scans
-	// (grouped_codes.go); slots are invalidated by Reorder.
-	groupMeta []atomic.Pointer[groupMeta]
+	// meta lazily holds each column's value span and, for a column of
+	// at most 256 values, its byte image (codes.go); Gather into a reused
+	// store clears the slots.
+	meta []atomic.Pointer[colMeta]
 }
 
 // New creates a store with the given column names, all empty.
 func New(names ...string) *Store {
 	s := &Store{names: append([]string(nil), names...)}
 	s.cols = make([][]int64, len(names))
-	s.groupMeta = make([]atomic.Pointer[groupMeta], len(names))
+	s.meta = make([]atomic.Pointer[colMeta], len(names))
 	return s
 }
 
@@ -56,9 +56,9 @@ func FromColumns(cols [][]int64, names []string) (*Store, error) {
 		return nil, fmt.Errorf("colstore: %d names for %d columns", len(names), len(cols))
 	}
 	return &Store{
-		cols:      cols,
-		names:     names,
-		groupMeta: make([]atomic.Pointer[groupMeta], len(cols)),
+		cols:  cols,
+		names: names,
+		meta:  make([]atomic.Pointer[colMeta], len(cols)),
 	}, nil
 }
 
@@ -139,15 +139,15 @@ func (s *Store) MinMax(dim int) (int64, int64) {
 // clustered indexes lay out their data. It writes into reuse's columns
 // when reuse is a store of s's width (reuse may be nil), so a caller
 // gathering again and again allocates once; reuse must not be read after
-// the call except through the returned store, and its byte-coded group
-// images, which alias its old rows, are dropped.
+// the call except through the returned store, and its column spans and
+// byte images, which describe its old rows, are dropped.
 func (s *Store) Gather(rows []int, reuse *Store) *Store {
 	out := reuse
 	if out == nil || len(out.cols) != len(s.cols) {
 		out = &Store{
-			names:     s.names,
-			cols:      make([][]int64, len(s.cols)),
-			groupMeta: make([]atomic.Pointer[groupMeta], len(s.cols)),
+			names: s.names,
+			cols:  make([][]int64, len(s.cols)),
+			meta:  make([]atomic.Pointer[colMeta], len(s.cols)),
 		}
 	}
 	for j, c := range s.cols {
@@ -161,8 +161,8 @@ func (s *Store) Gather(rows []int, reuse *Store) *Store {
 		}
 		out.cols[j] = dst
 	}
-	for i := range out.groupMeta {
-		out.groupMeta[i].Store(nil)
+	for i := range out.meta {
+		out.meta[i].Store(nil)
 	}
 	return out
 }
@@ -174,7 +174,7 @@ func (s *Store) Clone() *Store {
 	for j, c := range s.cols {
 		out.cols[j] = append([]int64(nil), c...)
 	}
-	out.groupMeta = make([]atomic.Pointer[groupMeta], len(s.cols))
+	out.meta = make([]atomic.Pointer[colMeta], len(s.cols))
 	return out
 }
 
@@ -192,10 +192,12 @@ type ScanResult struct {
 	// BytesTouched models the column bytes the scan moved: 8 bytes per
 	// row for every filter column plus the aggregate column for SUM (an
 	// exact COUNT range touches no column data at all). It is a planned
-	// figure — deliberately independent of short-circuiting and dead-word
-	// skipping, and therefore identical across the SIMD, portable, and
-	// scalar tiers — so the bench harness can report effective GB/s per
-	// shape and track the gap to STREAM bandwidth across PRs.
+	// figure — deliberately independent of short-circuiting, dead-word
+	// skipping and of the byte images, and therefore identical across the
+	// SIMD, portable, and scalar tiers — so the bench harness can report
+	// effective GB/s per shape and track the gap to STREAM bandwidth
+	// across PRs. A coded scan (Prepare) reads 1 byte per filter value,
+	// not 8, while this figure stays the planned 8.
 	BytesTouched uint64
 
 	// GroupDim, Regime and Groups describe a grouped query's answer: the
@@ -220,17 +222,101 @@ func (r ScanResult) Avg() float64 {
 	return float64(r.Sum) / float64(r.Count)
 }
 
+// Scan is a query prepared against one store (Prepare): the choice,
+// made once per query rather than per range, between the int64 filter
+// kernels and the byte-image ones, with q's filters translated onto the
+// images for the latter. A plan of hundreds of ranges is scanned with
+// one Scan; ScanRange and ScanRangeGrouped on the Store prepare one per
+// call.
+type Scan struct {
+	s    *Store
+	q    query.Query
+	kind scanKind
+	// coded[:n] are q's filters on the byte images (kind scanCoded);
+	// filters covering their column's whole span have dropped out.
+	n     int
+	coded [maxCodedFilters]codedFilter
+}
+
+type scanKind uint8
+
+const (
+	scanWide  scanKind = iota // filters on the int64 columns (or none)
+	scanCoded                 // filters on the byte images, coded[:n]
+	scanEmpty                 // an inverted filter, or one missing its column's span: no row matches
+)
+
+// Prepare decides how q's non-exact ranges on s are scanned. When every
+// filter (at least one, at most maxCodedFilters) is on a column whose
+// values span at most 256, they are translated onto the columns' byte
+// images, built here on first use; otherwise the scan reads the int64
+// columns. Spans are learned once per column and store, and a query with
+// one wide filter builds no image. The choice changes no result and no
+// accounting.
+func (s *Store) Prepare(q query.Query) Scan {
+	sc := Scan{s: s, q: q}
+	// An inverted filter is an empty intersection: the conjunction
+	// matches nothing, and the kernels' unsigned-width compare is exact
+	// only for lo <= hi.
+	for _, f := range q.Filters {
+		if f.Lo > f.Hi {
+			sc.kind = scanEmpty
+			return sc
+		}
+	}
+	if len(q.Filters) == 0 || len(q.Filters) > maxCodedFilters || s.NumRows() == 0 || !useCoded.Load() {
+		return sc
+	}
+	for _, f := range q.Filters {
+		if s.metaFor(f.Dim, false).width > maxCodedWidth {
+			return sc
+		}
+	}
+	sc.kind = scanCoded
+	for _, f := range q.Filters {
+		m := s.metaFor(f.Dim, true)
+		lo, width, all, none := m.code(f)
+		if none {
+			sc.kind = scanEmpty
+			return sc
+		}
+		if !all {
+			sc.coded[sc.n] = codedFilter{m.codes, lo, width}
+			sc.n++
+		}
+	}
+	return sc
+}
+
+// filtered reports whether a non-exact range must be filter-checked:
+// some filter neither drops out nor empties the query.
+func (sc *Scan) filtered() bool {
+	if sc.kind == scanCoded {
+		return sc.n > 0
+	}
+	return sc.kind == scanWide && len(sc.q.Filters) > 0
+}
+
 // ScanRange scans physical rows [start, end) against q and accumulates the
-// aggregation into res.
+// aggregation into res. It is s.Prepare(q).ScanRange.
+func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanResult) {
+	sc := s.Prepare(q)
+	sc.ScanRange(start, end, exact, res)
+}
+
+// ScanRange scans physical rows [start, end) of the prepared store
+// against its query and accumulates the aggregation into res.
 //
 // If exact is true the caller guarantees every row in the range matches every
 // filter, so per-value checks are skipped — the paper's scan-time
 // optimization. For COUNT with exact ranges no column data is touched at all.
 // Filtered (non-exact) ranges run on one branch-free fused kernel for any
 // filter count (kernels.go), which compares every filter in registers and
-// folds each group of rows at once; ScanRangeScalar retains the
-// row-at-a-time loop as the oracle.
-func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanResult) {
+// folds each group of rows at once — on the byte images when Prepare
+// coded the query, else on the int64 columns; ScanRangeScalar retains
+// the row-at-a-time loop as the oracle.
+func (sc *Scan) ScanRange(start, end int, exact bool, res *ScanResult) {
+	s, q := sc.s, sc.q
 	if start < 0 {
 		start = 0
 	}
@@ -257,17 +343,13 @@ func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanRe
 	}
 	res.PointsScanned += n
 	res.BytesTouched += n * 8 * uint64(len(q.Filters)+sumCols(q))
-
-	// An inverted filter is an empty intersection: the conjunction matches
-	// nothing. Checked here because the kernels' unsigned-width compare is
-	// only exact for lo <= hi.
-	for _, f := range q.Filters {
-		if f.Lo > f.Hi {
-			return
-		}
-	}
-
-	if len(q.Filters) > 0 {
+	switch {
+	case sc.kind == scanEmpty:
+		return
+	case sc.kind == scanCoded && sc.n > 0:
+		s.scanCoded(sc.coded[:sc.n], q, start, end, res)
+		return
+	case sc.filtered():
 		s.scanFiltered(q, start, end, res)
 		return
 	}
@@ -280,6 +362,80 @@ func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanRe
 		}
 		res.Sum += sum
 	}
+}
+
+// Range is one physical row range of a plan: rows [Start, End), Exact
+// when every row is known to match every filter (the paper's scan-time
+// optimization). The coded range kernel reads a plan's ranges in place:
+// Start at byte 0, End at 8, Exact at 16, 24 bytes apart.
+type Range struct {
+	Start, End int
+	Exact      bool
+}
+
+// prefetchAhead is how many ranges ahead of the scan ScanRanges
+// prefetches. A plan is mostly short ranges (a median of ~20 rows), each
+// a few lines per column, so scanning them one by one waits out one
+// memory latency per range; issuing the fetches two ranges early
+// overlaps those waits with the scans in between. Exact ranges are not
+// prefetched: their scan reads no filter column.
+const prefetchAhead = 2
+
+// ScanRanges scans a plan's ranges of the prepared store into acc when
+// the query is grouped (acc non-nil), into res otherwise, prefetching
+// the columns of the range prefetchAhead positions on. A coded flat
+// query walks the whole plan in one kernel call (codedRanges), which
+// does the same per range without returning to Go.
+func (sc *Scan) ScanRanges(ranges []Range, res *ScanResult, acc *GroupAccumulator) {
+	if acc == nil && sc.scanRangesCoded(ranges, res) {
+		return
+	}
+	for i, r := range ranges {
+		if j := i + prefetchAhead; j < len(ranges) && !ranges[j].Exact {
+			sc.Prefetch(ranges[j].Start, ranges[j].End)
+		}
+		if acc != nil {
+			sc.ScanRangeGrouped(r.Start, r.End, r.Exact, acc)
+		} else {
+			sc.ScanRange(r.Start, r.End, r.Exact, res)
+		}
+	}
+}
+
+// scanRangesCoded answers a coded flat query's ranges with one call of
+// the range kernel, with ScanRange's accounting. It scans nothing and
+// reports false for any other query, or when a range is empty or not
+// inside the store (ScanRange clamps those).
+func (sc *Scan) scanRangesCoded(ranges []Range, res *ScanResult) bool {
+	if sc.kind != scanCoded || sc.n == 0 || len(ranges) == 0 {
+		return false
+	}
+	s, q, rows := sc.s, sc.q, sc.s.NumRows()
+	var points, bytes uint64
+	for _, r := range ranges {
+		if r.Start < 0 || r.End > rows || r.Start >= r.End {
+			return false
+		}
+		n := uint64(r.End - r.Start)
+		switch {
+		case !r.Exact:
+			points += n
+			bytes += n * 8 * uint64(len(q.Filters)+sumCols(q))
+		case q.Agg == query.Sum:
+			points += n
+			bytes += n * 8
+		}
+	}
+	var agg []int64
+	if q.Agg == query.Sum {
+		agg = s.cols[q.AggDim]
+	}
+	count, sum := codedRanges(sc.coded[:sc.n], ranges, agg)
+	res.Count += count
+	res.Sum += sum
+	res.PointsScanned += points
+	res.BytesTouched += bytes
+	return true
 }
 
 // ScanRangeScalar is the pre-kernel row-at-a-time implementation of

@@ -34,7 +34,7 @@ import (
 // per query from the column's span (GroupRegime):
 //
 //   - Byte-code (COUNT, span <= maxFastGroups): the store lazily
-//     byte-codes the column (grouped_codes.go) and the selection words
+//     byte-codes the column (codes.go) and the selection words
 //     are consumed by the byte-lane count kernels — 32 rows per compare,
 //     one pass over a 1-byte stream. Code c is dense cell c (both are
 //     anchored at the column's min), so the kernels' counts fold into the
@@ -273,11 +273,11 @@ func (a *GroupAccumulator) Reset(q query.Query, s *Store) {
 	a.points, a.bytes = 0, 0
 
 	a.dim = q.GroupDim()
-	gm := s.groupMetaFor(a.dim, q.Agg == query.Count)
+	gm := s.metaFor(a.dim, false)
 	a.base = gm.base
 	n := int(gm.width) + 1
 	switch {
-	case q.Agg == query.Count && gm.codes != nil:
+	case q.Agg == query.Count && gm.width < maxFastGroups && s.NumRows() > 0:
 		a.regime = RegimeByteCode
 	case gm.width < maxDenseSpan:
 		a.regime = RegimeDense
@@ -427,17 +427,27 @@ func (r *ScanResult) total() {
 }
 
 // ScanRangeGrouped scans physical rows [start, end) against q and folds
-// matching rows into acc, grouped by q.GroupDim(). exact has the same
-// meaning as in ScanRange — every row in the range is known to match, so
-// filter columns are not read — but the group column (and the aggregate
-// column for SUM) is always touched: a grouped aggregate cannot skip
-// data the way an exact flat COUNT can. The range is selected (selectWords)
+// matching rows into acc, grouped by q.GroupDim(). It is
+// s.Prepare(q).ScanRangeGrouped.
+func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc *GroupAccumulator) {
+	sc := s.Prepare(q)
+	sc.ScanRangeGrouped(start, end, exact, acc)
+}
+
+// ScanRangeGrouped scans physical rows [start, end) of the prepared
+// store against its query and folds matching rows into acc, grouped by
+// q.GroupDim(). exact has the same meaning as in ScanRange — every row
+// in the range is known to match, so filter columns are not read — but
+// the group column (and the aggregate column for SUM) is always touched:
+// a grouped aggregate cannot skip data the way an exact flat COUNT can.
+// The range is selected (selectWords, or selectCoded on the byte images)
 // and consumed selWords words at a time.
 //
 // Accounting mirrors ScanRange's planned-bytes model with the group
 // column as one extra stream: n*8*(filters + 1 + sumCols) bytes
 // non-exact, n*8*(1 + sumCols) exact.
-func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc *GroupAccumulator) {
+func (sc *Scan) ScanRangeGrouped(start, end int, exact bool, acc *GroupAccumulator) {
+	s, q := sc.s, sc.q
 	if start < 0 {
 		start = 0
 	}
@@ -449,16 +459,15 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 	}
 	n := uint64(end - start)
 	acc.points += n
-	filters := q.Filters
+	nf := len(q.Filters)
 	if exact {
-		filters = nil
+		nf = 0
 	}
-	acc.bytes += n * 8 * uint64(len(filters)+1+sumCols(q))
-	for _, f := range filters {
-		if f.Lo > f.Hi {
-			return
-		}
+	acc.bytes += n * 8 * uint64(nf+1+sumCols(q))
+	if !exact && sc.kind == scanEmpty {
+		return
 	}
+	filtered := !exact && sc.filtered()
 	gcol := s.cols[q.GroupDim()]
 	var aggCol []int64
 	if q.Agg == query.Sum {
@@ -470,22 +479,25 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 	// this store's rows fold through the cells by value.
 	var codes []byte
 	if acc.regime == RegimeByteCode {
-		if gm := s.groupMetaFor(q.GroupDim(), true); gm.codes != nil && gm.base == acc.base && gm.width < uint64(len(acc.cells)) {
-			codes = gm.codes
+		if gm := s.metaFor(q.GroupDim(), false); gm.base == acc.base && gm.width < uint64(len(acc.cells)) {
+			codes = s.metaFor(q.GroupDim(), true).codes
 		}
 	}
 	for r := start; r < end; r += selWords * 64 {
 		re := min(end, r+selWords*64)
 		sel := acc.sel[:(re-r+63)>>6]
-		if len(filters) == 0 {
+		switch {
+		case !filtered:
 			for w := range sel {
 				sel[w] = ^uint64(0)
 			}
 			if tail := (re - r) & 63; tail != 0 {
 				sel[len(sel)-1] = 1<<tail - 1
 			}
-		} else {
-			s.selectWords(filters, r, re, sel)
+		case sc.kind == scanCoded:
+			selectCoded(sc.coded[:sc.n], r, re, sel)
+		default:
+			s.selectWords(q.Filters, r, re, sel)
 		}
 		acc.consume(gcol, aggCol, codes, r, re, sel)
 	}

@@ -38,6 +38,16 @@ import (
 // writes a word per 64 rows compared in registers, the portable tier
 // writes selectWord's words, and a range's partial last word is built the
 // same way, so a 20-row range runs vectorized too.
+//
+// When every filter is on a column of at most 256 values, the filters
+// are compared on the columns' byte images instead (codes.go, Prepare):
+// a filter is a byte range, 32 codes are compared per AVX2 instruction,
+// and each 64-row block becomes one match word — counted, summed under,
+// or stored as a selection word — with the rows past a range's end
+// masked off inside the kernel. The portable tier compares 8 codes per
+// uint64 (codedWord). A coded flat query walks a whole plan's ranges in
+// one call (codedRanges), so a plan of hundreds of short ranges pays no
+// Go call per range.
 
 // BenchShape is one scan shape of the kernel benchmark suite: a query and
 // the physical ranges it scans, every row filter-checked. The canonical
@@ -54,14 +64,15 @@ type BenchShape struct {
 func (sh BenchShape) Rows() int { return rangeRows(sh.Ranges) }
 
 // KernelBenchShapes returns the canonical kernel benchmark shapes over a
-// store of rows rows holding uniform [0, 1e6) values in at least four
+// store of rows rows holding uniform [0, domain) values in at least four
 // columns, with ~50% selectivity per filter — the worst case for a
 // branchy scalar scan, so the kernel speedup these shapes measure is the
 // floor. Most scan one full-table range; the _plan shapes scan a
 // learned-grid plan's list of short ranges (benchPlan), where a kernel's
-// cost per range rather than per row decides.
-func KernelBenchShapes(rows int, seed int64) []BenchShape {
-	f := func(dim int) query.Filter { return query.Filter{Dim: dim, Lo: 250_000, Hi: 750_000} }
+// cost per range rather than per row decides. A domain of at most 256
+// values makes every filter column a coded one (Prepare).
+func KernelBenchShapes(rows int, domain, seed int64) []BenchShape {
+	f := func(dim int) query.Filter { return query.Filter{Dim: dim, Lo: domain / 4, Hi: domain * 3 / 4} }
 	full := [][2]int{{0, rows}}
 	plan := benchPlan(rand.New(rand.NewSource(seed)), rows)
 	return []BenchShape{
@@ -198,4 +209,55 @@ func (s *Store) selectWordsPortable(filters []query.Filter, start, end int, sel 
 		r := start + w<<6
 		sel[w] = s.selectWord(filters, r, min(r+64, end))
 	}
+}
+
+// scanCoded is scanFiltered on the byte images: the non-exact scan of
+// rows [start, end) under fs (at least one coded filter), a plan of one
+// range for codedRanges.
+func (s *Store) scanCoded(fs []codedFilter, q query.Query, start, end int, res *ScanResult) {
+	var agg []int64
+	if q.Agg == query.Sum {
+		agg = s.cols[q.AggDim]
+	}
+	one := [1]Range{{Start: start, End: end}}
+	count, sum := codedRanges(fs, one[:], agg)
+	res.Count += count
+	res.Sum += sum
+}
+
+// selectCoded is selectWords on the byte images.
+func selectCoded(fs []codedFilter, start, end int, sel []uint64) {
+	if simdEnabled() {
+		selectCodedSIMD(fs, start, end, sel)
+		return
+	}
+	selectCodedPortable(fs, start, end, sel)
+}
+
+// codedRanges counts the rows of ranges (each non-empty and inside the
+// store) that match fs (at least one coded filter), and sums agg over
+// them when agg is non-nil: an exact range counts every row, the others
+// are compared on the images.
+func codedRanges(fs []codedFilter, ranges []Range, agg []int64) (uint64, int64) {
+	if simdEnabled() {
+		return codedRangesSIMD(fs, ranges, agg)
+	}
+	return codedRangesPortable(fs, ranges, agg)
+}
+
+func codedRangesPortable(fs []codedFilter, ranges []Range, agg []int64) (count uint64, sum int64) {
+	for _, r := range ranges {
+		if !r.Exact {
+			c, sm := scanCodedPortable(fs, agg, r.Start, r.End)
+			count, sum = count+c, sum+sm
+			continue
+		}
+		count += uint64(r.End - r.Start)
+		if agg != nil {
+			for _, v := range agg[r.Start:r.End] {
+				sum += v
+			}
+		}
+	}
+	return count, sum
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/query"
 )
@@ -24,13 +25,19 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func prefetchT0(p *int64, rows int)
+func prefetchT0(p unsafe.Pointer, bytes int)
 
 //go:noescape
 func rangeCountSumNAVX2(args *filterArg, k int, agg *int64, n int) (count uint64, sum int64)
 
 //go:noescape
 func rangeSelectNAVX2(args *filterArg, k int, sel *uint64, n int)
+
+//go:noescape
+func codedSelectAVX2(fs *codedFilter, k, off int, sel *uint64, n int)
+
+//go:noescape
+func codedRangesAVX2(fs *codedFilter, k int, ranges *Range, nr int, agg *int64) (count uint64, sum int64)
 
 var haveAVX2 = detectAVX2()
 
@@ -88,27 +95,37 @@ func KernelName() string {
 func simdEnabled() bool { return useSIMD.Load() }
 
 // prefetchRows is how much of a range Prefetch asks for: the first 64
-// rows (one 512-byte run of lines) of each column. A planned range is
-// typically a few dozen rows, and a longer one is covered past its head
-// by the kernels' own block prefetch and the hardware streamer.
+// rows (one 512-byte run of lines) of each int64 column, or the lines
+// holding them of each byte image. A planned range is typically a few
+// dozen rows, and a longer one is covered past its head by the kernels'
+// own block prefetch and the hardware streamer.
 const prefetchRows = 64
 
 // Prefetch issues PREFETCHT0 for the head of rows [start, end) of every
-// column a non-exact scan of q reads: its filter columns, and the SUM
-// column. A plan walker calls it for a range a few positions ahead of the
-// one it scans, so the line fills of short ranges overlap instead of
-// stalling one after another. It is a hint: it changes no result, and a
-// non-exact scan of the range reads the same lines.
-func (s *Store) Prefetch(q query.Query, start, end int) {
+// column a non-exact scan of the range reads: the filters' byte images
+// for a coded scan, else their int64 columns, and the SUM column. A plan
+// walker calls it for a range a few positions ahead of the one it scans,
+// so the line fills of short ranges overlap instead of stalling one after
+// another. It is a hint: it changes no result, and a non-exact scan of
+// the range reads the same lines.
+func (sc *Scan) Prefetch(start, end int) {
+	s, q := sc.s, sc.q
 	n := min(end, s.NumRows(), start+prefetchRows) - start
-	if start < 0 || n <= 0 {
+	if start < 0 || n <= 0 || sc.kind == scanEmpty {
 		return
 	}
-	for _, f := range q.Filters {
-		prefetchT0(&s.cols[f.Dim][start], n)
+	if sc.kind == scanCoded {
+		// n+63 bytes: the n codes may straddle a line boundary.
+		for _, f := range sc.coded[:sc.n] {
+			prefetchT0(unsafe.Pointer(&f.codes[start]), n+63)
+		}
+	} else {
+		for _, f := range q.Filters {
+			prefetchT0(unsafe.Pointer(&s.cols[f.Dim][start]), n*8)
+		}
 	}
 	if q.Agg == query.Sum {
-		prefetchT0(&s.cols[q.AggDim][start], n)
+		prefetchT0(unsafe.Pointer(&s.cols[q.AggDim][start]), n*8)
 	}
 }
 
@@ -176,4 +193,21 @@ func (s *Store) selectWordsSIMD(filters []query.Filter, start, end int, sel []ui
 		}
 		sel[w] |= s.selectWord(filters, body, end) << shift
 	}
+}
+
+// selectCodedSIMD is the AVX2 coded selection stage: one word per 64
+// rows, straight from the kernel's masks, the last one partial.
+func selectCodedSIMD(fs []codedFilter, start, end int, sel []uint64) {
+	codedSelectAVX2(&fs[0], len(fs), start, &sel[0], end-start)
+}
+
+// codedRangesSIMD walks a plan's ranges in one AVX2 call: per range, the
+// prefetch of the range prefetchAhead on and its coded count and sum,
+// the range's last block masked inside the kernel.
+func codedRangesSIMD(fs []codedFilter, ranges []Range, agg []int64) (uint64, int64) {
+	var aggp *int64
+	if agg != nil {
+		aggp = &agg[0]
+	}
+	return codedRangesAVX2(&fs[0], len(fs), &ranges[0], len(ranges), aggp)
 }

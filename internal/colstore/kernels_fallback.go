@@ -24,7 +24,7 @@ func simdEnabled() bool { return false }
 
 // Prefetch is a no-op in this build: there is no prefetch instruction to
 // issue, and the hint changes no result.
-func (s *Store) Prefetch(q query.Query, start, end int) {}
+func (sc *Scan) Prefetch(start, end int) {}
 
 func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult) {
 	s.scanFilteredPortable(q, start, end, res)
@@ -32,4 +32,12 @@ func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult)
 
 func (s *Store) selectWordsSIMD(filters []query.Filter, start, end int, sel []uint64) {
 	s.selectWordsPortable(filters, start, end, sel)
+}
+
+func selectCodedSIMD(fs []codedFilter, start, end int, sel []uint64) {
+	selectCodedPortable(fs, start, end, sel)
+}
+
+func codedRangesSIMD(fs []codedFilter, ranges []Range, agg []int64) (uint64, int64) {
+	return codedRangesPortable(fs, ranges, agg)
 }

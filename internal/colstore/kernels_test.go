@@ -9,29 +9,36 @@ import (
 )
 
 // scanTiers runs one ScanRange case through every compiled kernel tier —
-// the dispatched SIMD path (when available), the forced-portable path,
-// and the scalar oracle — and fails unless all agree exactly on the full
+// the dispatched SIMD path (when available) and the forced-portable path,
+// each with the byte-image dispatch on and off, per range and through a
+// prepared plan (ScanRanges, the coded range kernel when it applies) —
+// and fails unless all agree exactly with the scalar oracle on the full
 // ScanResult. It is the contract every kernel rewrite must keep.
 func scanTiers(t *testing.T, s *Store, q query.Query, start, end int, exact bool) ScanResult {
 	t.Helper()
 	var want ScanResult
 	s.ScanRangeScalar(q, start, end, exact, &want)
 
-	prev := SetSIMD(false)
-	var portable ScanResult
-	s.ScanRange(q, start, end, exact, &portable)
-	SetSIMD(true)
-	var dispatched ScanResult
-	s.ScanRange(q, start, end, exact, &dispatched)
-	SetSIMD(prev)
-
-	if !portable.Equal(want) {
-		t.Fatalf("portable %+v != scalar %+v\nq=%s start=%d end=%d exact=%v",
-			portable, want, q, start, end, exact)
-	}
-	if !dispatched.Equal(want) {
-		t.Fatalf("%s %+v != scalar %+v\nq=%s start=%d end=%d exact=%v",
-			KernelName(), dispatched, want, q, start, end, exact)
+	prevSIMD, prevCoded := SetSIMD(false), SetCoded(false)
+	defer func() { SetSIMD(prevSIMD); SetCoded(prevCoded) }()
+	for _, simd := range []bool{false, true} {
+		for _, coded := range []bool{false, true} {
+			SetSIMD(simd)
+			SetCoded(coded)
+			var got, plan ScanResult
+			s.ScanRange(q, start, end, exact, &got)
+			sc := s.Prepare(q)
+			sc.ScanRanges([]Range{{Start: start, End: end, Exact: exact}}, &plan, nil)
+			for _, r := range []struct {
+				how string
+				res ScanResult
+			}{{"ScanRange", got}, {"ScanRanges", plan}} {
+				if !r.res.Equal(want) {
+					t.Fatalf("%s %s (coded %v) %+v != scalar %+v\nq=%s start=%d end=%d exact=%v",
+						KernelName(), r.how, coded, r.res, want, q, start, end, exact)
+				}
+			}
+		}
 	}
 	return want
 }
@@ -77,14 +84,18 @@ func TestScanKernelsMatchScalar(t *testing.T) {
 
 // TestScanKernelsUnalignedRanges sweeps [start, end) windows that land on
 // every interesting boundary class — the SIMD tier's 4- and 16-row groups
-// (every length 0-9 and 15-17), the portable tier's 64-row words, and
-// long ranges with ragged tails — because each tier splits a range into
-// vector body and scalar tail and the split arithmetic is exactly where
-// an off-by-one would hide.
+// (every length 0-9 and 15-17), the coded kernels' 32-byte compares and
+// 64-row blocks, the portable tier's 64-row words, and long ranges with
+// ragged tails — over int64 and coded columns, because each tier splits
+// a range into vector body and tail and the split arithmetic is exactly
+// where an off-by-one would hide.
 func TestScanKernelsUnalignedRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	const n = 3*1024 + 37 // three full blocks plus a ragged tail
-	cols := [][]int64{randColumn(rng, n), randColumn(rng, n), randColumn(rng, n)}
+	cols := [][]int64{randColumn(rng, n), randColumn(rng, n), randColumn(rng, n), make([]int64, n), make([]int64, n)}
+	for i := range n { // two coded columns: 50 values, and 201 around zero
+		cols[3][i], cols[4][i] = rng.Int63n(50), rng.Int63n(201)-100
+	}
 	s, err := FromColumns(cols, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +105,13 @@ func TestScanKernelsUnalignedRanges(t *testing.T) {
 		query.NewSum(2, query.Filter{Dim: 0, Lo: -1 << 30, Hi: 1 << 30}),
 		query.NewCount(query.Filter{Dim: 0, Lo: -1 << 30, Hi: 1 << 30}, query.Filter{Dim: 1, Lo: 0, Hi: 1 << 38}),
 		query.NewSum(2, query.Filter{Dim: 0, Lo: -1 << 30, Hi: 1 << 30}, query.Filter{Dim: 1, Lo: 0, Hi: 1 << 38}),
+		query.NewCount(query.Filter{Dim: 3, Lo: 10, Hi: 30}),
+		query.NewSum(2, query.Filter{Dim: 3, Lo: 10, Hi: 30}, query.Filter{Dim: 4, Lo: -50, Hi: 80}),
+		query.NewCount(query.Filter{Dim: 3, Lo: 7, Hi: 7}, query.Filter{Dim: 4, Lo: -100, Hi: 100}),
+		query.NewSum(4, query.Filter{Dim: 4, Lo: 0, Hi: 0}),
 	}
-	starts := []int{0, 1, 63, 64, 65, 511, 1023, 1024, 1025, 2048 - 1, 2048}
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 1000, 1024, 1025, 2047, 2048, n}
+	starts := []int{0, 1, 31, 32, 33, 63, 64, 65, 511, 1023, 1024, 1025, 2048 - 1, 2048}
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 1000, 1024, 1025, 2047, 2048, n}
 	for _, q := range queries {
 		for _, start := range starts {
 			for _, l := range lengths {
@@ -183,7 +198,9 @@ func TestSelectWordsMatchesScalar(t *testing.T) {
 }
 
 // TestScanKernelsDomainEdges pins the unsigned-compare trick at the int64
-// domain edges, where the wraparound argument has to hold exactly.
+// domain edges, where the wraparound argument has to hold exactly, and
+// the translation of bounds onto the byte images of columns that sit at
+// those edges.
 func TestScanKernelsDomainEdges(t *testing.T) {
 	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
 	col := make([]int64, 0, 256)
@@ -205,6 +222,42 @@ func TestScanKernelsDomainEdges(t *testing.T) {
 				query.NewSum(2, query.Filter{Dim: 0, Lo: lo, Hi: hi}, query.Filter{Dim: 1, Lo: -1, Hi: math.MaxInt64}, query.Filter{Dim: 2, Lo: math.MinInt64, Hi: 1}),
 			} {
 				scanTiers(t, s, q, 0, len(col), false)
+			}
+		}
+	}
+
+	// Coded columns at the domain's edges: 256 values from MinInt64, and up
+	// to MaxInt64, so translating a bound onto the image (and every bound
+	// just outside the span) must not overflow.
+	for _, base := range []int64{math.MinInt64, -128, math.MaxInt64 - 255} {
+		cols := make([][]int64, 3)
+		for j := range cols {
+			cols[j] = make([]int64, 200)
+			for i := range cols[j] {
+				cols[j][i] = base + int64((i*37+j*11)%256)
+			}
+		}
+		s, err := FromColumns(cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+		for _, d := range []int64{-1, 0, 1, 100, 254, 255, 256} {
+			if v := base + d; (d < 0) == (v < base) { // no wrap
+				bounds = append(bounds, v)
+			}
+		}
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				for _, q := range []query.Query{
+					query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: hi}),
+					query.NewSum(2, query.Filter{Dim: 0, Lo: lo, Hi: hi}),
+					query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: hi}, query.Filter{Dim: 1, Lo: base + 10, Hi: math.MaxInt64}),
+					query.NewSum(1, query.Filter{Dim: 0, Lo: lo, Hi: hi}, query.Filter{Dim: 1, Lo: math.MinInt64, Hi: base + 200}, query.Filter{Dim: 2, Lo: hi, Hi: lo}),
+				} {
+					scanTiers(t, s, q, 0, s.NumRows(), false)
+					scanTiers(t, s, q, 3, 37, false)
+				}
 			}
 		}
 	}
@@ -299,9 +352,10 @@ func randFilter(rng *rand.Rand, col []int64, dim int) query.Filter {
 }
 
 // benchStore builds the benchmark dataset and its shapes: 1M rows,
-// uniform values in [0, 1e6) so filter widths translate directly into
-// selectivities.
-func benchStore(b *testing.B) (*Store, []BenchShape) {
+// uniform values in [0, domain) so filter widths translate directly into
+// selectivities. The 1e6 domain of the int64 kernel gates never takes
+// the coded path; a 256-value one always does.
+func benchStore(b *testing.B, domain int64) (*Store, []BenchShape) {
 	b.Helper()
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(7))
@@ -309,7 +363,7 @@ func benchStore(b *testing.B) (*Store, []BenchShape) {
 	for j := range cols {
 		c := make([]int64, n)
 		for i := range c {
-			c[i] = rng.Int63n(1_000_000)
+			c[i] = rng.Int63n(domain)
 		}
 		cols[j] = c
 	}
@@ -317,7 +371,7 @@ func benchStore(b *testing.B) (*Store, []BenchShape) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s, KernelBenchShapes(n, 7)
+	return s, KernelBenchShapes(n, domain, 7)
 }
 
 // benchScan times scan over every range of each shape.
@@ -345,7 +399,7 @@ func benchScan(b *testing.B, shapes []BenchShape, scan func(q query.Query, start
 // ratio gates (benchgate 'BenchmarkScanScalar/BenchmarkScanKernels>=1.5'
 // and 'BenchmarkScanKernelsPortable/BenchmarkScanKernels>=1.5').
 func BenchmarkScanKernels(b *testing.B) {
-	s, shapes := benchStore(b)
+	s, shapes := benchStore(b, 1_000_000)
 	benchScan(b, shapes, s.ScanRange)
 }
 
@@ -353,7 +407,7 @@ func BenchmarkScanKernels(b *testing.B) {
 // forced off, so the SIMD-vs-portable speedup is measurable within one
 // run (benchgate 'BenchmarkScanKernelsPortable/BenchmarkScanKernels>=1.5').
 func BenchmarkScanKernelsPortable(b *testing.B) {
-	s, shapes := benchStore(b)
+	s, shapes := benchStore(b, 1_000_000)
 	prev := SetSIMD(false)
 	defer SetSIMD(prev)
 	benchScan(b, shapes, s.ScanRange)
@@ -363,6 +417,37 @@ func BenchmarkScanKernelsPortable(b *testing.B) {
 // against BenchmarkScanKernels is the kernel speedup CI holds at >=1.5x
 // on every shape.
 func BenchmarkScanScalar(b *testing.B) {
-	s, shapes := benchStore(b)
+	s, shapes := benchStore(b, 1_000_000)
 	benchScan(b, shapes, s.ScanRangeScalar)
+}
+
+// benchPrepared is benchScan with each shape's query prepared once, the
+// way ScanRanges prepares a plan's query for all its ranges.
+func benchPrepared(b *testing.B, s *Store, shapes []BenchShape) {
+	for _, sh := range shapes {
+		sc := s.Prepare(sh.Query)
+		benchScan(b, []BenchShape{sh}, func(_ query.Query, start, end int, exact bool, res *ScanResult) {
+			sc.ScanRange(start, end, exact, res)
+		})
+	}
+}
+
+// BenchmarkScanCoded is the dispatched kernel on the KernelBenchShapes
+// of a store whose filter columns span 256 values, so every shape scans
+// the byte images (Prepare). CI holds it faster than
+// BenchmarkScanCodedWide, the same prepared shapes on the same data with
+// the coded dispatch off (benchgate
+// 'BenchmarkScanCodedWide/BenchmarkScanCoded>=1.5').
+func BenchmarkScanCoded(b *testing.B) {
+	s, shapes := benchStore(b, 256)
+	benchPrepared(b, s, shapes)
+}
+
+// BenchmarkScanCodedWide is BenchmarkScanCoded forced onto the int64
+// kernels: the twin of the coded-dispatch gate.
+func BenchmarkScanCodedWide(b *testing.B) {
+	s, shapes := benchStore(b, 256)
+	prev := SetCoded(false)
+	defer SetCoded(prev)
+	benchPrepared(b, s, shapes)
 }

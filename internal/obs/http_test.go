@@ -16,7 +16,7 @@ import (
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MQueries).Add(7)
-	r.Gauge(MExecQueueDepth).Set(2)
+	r.GaugeFunc(MExecQueueDepth, func() float64 { return 2 })
 	r.DurationHistogram(MQueryLatency).RecordDuration(3 * time.Millisecond)
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()

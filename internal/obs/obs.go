@@ -120,38 +120,6 @@ var processStart = time.Now()
 // timing it costs two clock reads.
 func Mono() time.Duration { return time.Since(processStart) }
 
-// Gauge is an instantaneous int64 value (queue depth, buffered rows).
-// The zero value is NOT usable; get one from Registry.Gauge.
-type Gauge struct {
-	v atomic.Int64
-}
-
-func newGauge() *Gauge { return &Gauge{} }
-
-// Set stores the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta (use +1/-1 around in-flight work).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // QueryMetrics bundles the conventional query-path instruments every
 // serving layer records — end-to-end latency, and the rows and bytes its
 // scans touched (riding ScanResult.PointsScanned and

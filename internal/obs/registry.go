@@ -3,7 +3,7 @@ package obs
 import "sync"
 
 // Registry is a named collection of instruments. Get-or-create lookups
-// (Counter, Gauge, Histogram, ...) take a short lock but happen once per
+// (Counter, Histogram, ...) take a short lock but happen once per
 // component at construction; the instruments they return are then
 // recorded to lock-free. A component that already counts something for
 // its own Stats registers that count with CounterFunc or GaugeFunc
@@ -18,7 +18,6 @@ type Registry struct {
 	mu           sync.RWMutex
 	counters     map[string]*Counter
 	counterFuncs map[string][]func() uint64
-	gauges       map[string]*Gauge
 	gaugeFuncs   map[string]func() float64
 	hists        map[string]*Histogram
 }
@@ -28,7 +27,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:     make(map[string]*Counter),
 		counterFuncs: make(map[string][]func() uint64),
-		gauges:       make(map[string]*Gauge),
 		gaugeFuncs:   make(map[string]func() float64),
 		hists:        make(map[string]*Histogram),
 	}
@@ -52,26 +50,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = newGauge()
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // CounterFunc registers fn as a source of the named counter, read at
@@ -169,10 +147,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, fns := range r.counterFuncs {
 		counterFuncs[n] = fns
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
 	funcs := make(map[string]func() float64, len(r.gaugeFuncs))
 	for n, fn := range r.gaugeFuncs {
 		funcs[n] = fn
@@ -193,9 +167,6 @@ func (r *Registry) Snapshot() Snapshot {
 		for _, fn := range fns {
 			snap.Counters[n] += fn()
 		}
-	}
-	for n, g := range gauges {
-		snap.Gauges[n] = float64(g.Load())
 	}
 	for n, fn := range funcs {
 		snap.Gauges[n] = fn()

@@ -15,9 +15,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Counter("a") != r.Counter("a") {
 		t.Fatal("same counter name returned distinct instances")
 	}
-	if r.Gauge("g") != r.Gauge("g") {
-		t.Fatal("same gauge name returned distinct instances")
-	}
 	if r.Histogram("h") != r.Histogram("h") {
 		t.Fatal("same histogram name returned distinct instances")
 	}
@@ -45,7 +42,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestNilRegistryNoOp(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Add(5)
-	r.Gauge("g").Set(7)
 	r.Histogram("h").Record(9)
 	r.DurationHistogram("d").RecordDuration(time.Second)
 	r.GaugeFunc("f", func() float64 { return 1 })
@@ -62,14 +58,14 @@ func TestNilRegistryNoOp(t *testing.T) {
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	g := r.Gauge("g")
+	g := 3.0
+	r.GaugeFunc("g", func() float64 { return g })
 	h := r.Histogram("h")
 	c.Add(10)
-	g.Set(3)
 	h.Record(100)
 	before := r.Snapshot()
 	c.Add(7)
-	g.Set(99)
+	g = 99
 	h.Record(2000)
 	diff := r.Snapshot().Diff(before)
 	if diff.Counters["c"] != 7 {
@@ -158,8 +154,8 @@ func TestQueryMetricsSharedInstance(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tsunami_queries_total").Add(3)
-	r.Gauge(`tsunami_sharded_skew{shard="0"}`).Set(2)
-	r.Gauge(`tsunami_sharded_skew{shard="1"}`).Set(4)
+	r.GaugeFunc(`tsunami_sharded_skew{shard="0"}`, func() float64 { return 2 })
+	r.GaugeFunc(`tsunami_sharded_skew{shard="1"}`, func() float64 { return 4 })
 	h := r.DurationHistogram("tsunami_query_latency_seconds")
 	h.RecordDuration(time.Millisecond)
 	h.RecordDuration(20 * time.Millisecond)
@@ -211,7 +207,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestStatsz(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(5)
-	r.Gauge("g").Set(-2)
+	r.GaugeFunc("g", func() float64 { return -2 })
 	h := r.Histogram("h")
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i * 1000)
