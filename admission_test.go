@@ -35,6 +35,17 @@ func (b *blockingIndex) Execute(q tsunami.Query) tsunami.Result {
 	<-b.release
 	return tsunami.Result{Count: 1}
 }
+func (b *blockingIndex) Plan(q tsunami.Query, _ tsunami.Exec) tsunami.Plan {
+	return funcPlan(func() tsunami.Result { return b.Execute(q) })
+}
+
+// funcPlan is a fake index's plan: priced at nothing, it runs the
+// function when it executes.
+type funcPlan func() tsunami.Result
+
+func (f funcPlan) Cost() (rows, bytes uint64) { return 0, 0 }
+func (f funcPlan) Execute() tsunami.Result    { return f() }
+func (f funcPlan) Release()                   {}
 
 func TestServeWithoutAdmissionIsExecute(t *testing.T) {
 	bi := newBlockingIndex()
@@ -177,6 +188,29 @@ func TestServePlanTimeBudgets(t *testing.T) {
 	defer atB.Close()
 	if _, err := atB.Serve(fullSum, tsunami.PriorityNormal); err != nil {
 		t.Fatalf("full-table SUM at MaxBytes=%d: %v", byteBudget, err)
+	}
+}
+
+// TestServePricesBaselines: a baseline index plans physical ranges like
+// Tsunami does, so admission prices its queries too — a k-d tree query
+// planning more rows than MaxRows is refused, one within it answers.
+func TestServePricesBaselines(t *testing.T) {
+	const rows = 5000
+	ds := tsunami.GenerateTaxi(rows, 1)
+	kd := tsunami.NewKDTree(ds.Store, tsunami.WorkloadFor(ds, 10, 2), 256)
+	ex := tsunami.NewExecutor(kd, tsunami.ExecutorOptions{
+		Workers:   1,
+		Admission: tsunami.AdmissionConfig{MaxRows: rows / 2},
+	})
+	defer ex.Close()
+	if res, err := ex.Serve(tsunami.Count(), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrOverBudget) {
+		t.Fatalf("a full-table k-d tree query under MaxRows=%d: res=%+v err=%v, want ErrOverBudget", rows/2, res, err)
+	}
+	lo, _ := ds.Store.MinMax(0)
+	narrow := tsunami.Count(tsunami.Filter{Dim: 0, Lo: lo, Hi: lo})
+	res, err := ex.Serve(narrow, tsunami.PriorityNormal)
+	if err != nil || !res.Equal(kd.Execute(narrow)) {
+		t.Fatalf("a one-leaf k-d tree query under MaxRows=%d: res=%+v err=%v, want %+v", rows/2, res, err, kd.Execute(narrow))
 	}
 }
 

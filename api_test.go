@@ -3,6 +3,7 @@
 package tsunami_test
 
 import (
+	"slices"
 	"testing"
 
 	tsunami "repro"
@@ -61,26 +62,73 @@ func TestPublicAPISumQuery(t *testing.T) {
 	}
 }
 
+// TestPublicAPIAllBaselinesAgree holds every index, baselines included, to
+// the full scan: flat counts on the workload, and grouped COUNT and SUM
+// by a low-span and a high-span column — through each index's Execute
+// and through an Executor's Serve — to the row-at-a-time grouped scan,
+// group by group. The accumulation regime may differ; the answer may not.
 func TestPublicAPIAllBaselinesAgree(t *testing.T) {
-	ds := tsunami.GenerateStocks(15_000, 3)
-	work := tsunami.WorkloadFor(ds, 15, 4)
-	full := tsunami.NewFullScan(ds.Store)
-	indexes := []tsunami.Index{
-		tsunami.New(ds.Store, work, smallOptions()),
-		tsunami.NewAugGridOnly(ds.Store, work, smallOptions()),
-		tsunami.NewGridTreeOnly(ds.Store, work, smallOptions()),
-		tsunami.NewFlood(ds.Store, work, smallOptions()),
-		tsunami.NewKDTree(ds.Store, work, 1024),
-		tsunami.NewZOrder(ds.Store, 1024),
-		tsunami.NewHyperoctree(ds.Store, 1024),
-		tsunami.NewSingleDim(ds.Store, work, -1),
-	}
-	for _, q := range work {
-		want := full.Execute(q).Count
-		for _, idx := range indexes {
-			if got := idx.Execute(q).Count; got != want {
-				t.Fatalf("%s on %s: got %d, want %d", idx.Name(), q, got, want)
+	for _, c := range []struct {
+		ds      *tsunami.Dataset
+		seed    int64
+		low, hi int // group-by columns: a narrow span and a wide one
+		agg     int // the SUM column
+	}{
+		{tsunami.GenerateStocks(15_000, 3), 4, 0, 5, 2}, // date (12 096 days: dense cells), volume (by value); close
+		{tsunami.GenerateTaxi(20_000, 1), 2, 6, 0, 3},   // passengers (6 values: byte codes), pickup time (by value); fare
+	} {
+		ds := c.ds
+		work := tsunami.WorkloadFor(ds, 15, c.seed)
+		full := tsunami.NewFullScan(ds.Store)
+		indexes := []tsunami.Index{
+			tsunami.New(ds.Store, work, smallOptions()),
+			tsunami.NewAugGridOnly(ds.Store, work, smallOptions()),
+			tsunami.NewGridTreeOnly(ds.Store, work, smallOptions()),
+			tsunami.NewFlood(ds.Store, work, smallOptions()),
+			tsunami.NewKDTree(ds.Store, work, 1024),
+			tsunami.NewZOrder(ds.Store, 1024),
+			tsunami.NewHyperoctree(ds.Store, 1024),
+			tsunami.NewSingleDim(ds.Store, work, -1),
+			full,
+		}
+		for _, q := range work {
+			want := full.Execute(q).Count
+			for _, idx := range indexes {
+				if got := idx.Execute(q).Count; got != want {
+					t.Fatalf("%s on %s: got %d, want %d", idx.Name(), q, got, want)
+				}
 			}
+		}
+
+		var grouped []tsunami.Query
+		for i, q := range append([]tsunami.Query{tsunami.Count()}, work...) {
+			if i%5 != 0 {
+				continue
+			}
+			for _, dim := range []int{c.low, c.hi} {
+				grouped = append(grouped, tsunami.CountBy(dim, q.Filters...), tsunami.SumBy(c.agg, dim, q.Filters...))
+			}
+		}
+		wants := make([]tsunami.GroupedResult, len(grouped))
+		for i, q := range grouped {
+			ds.Store.ScanRangeGroupedScalar(q, 0, ds.Store.NumRows(), false, &wants[i])
+		}
+		for _, idx := range indexes {
+			ex := tsunami.NewExecutor(idx, tsunami.ExecutorOptions{Workers: 1, Admission: tsunami.AdmissionConfig{MaxRows: 1 << 40}})
+			for i, q := range grouped {
+				want := wants[i]
+				served, err := ex.Serve(q, tsunami.PriorityNormal)
+				if err != nil {
+					t.Fatalf("%s: Serve(%s): %v", idx.Name(), q, err)
+				}
+				for how, got := range map[string]tsunami.GroupedResult{"Execute": idx.Execute(q), "Serve": served} {
+					if got.Count != want.Count || got.Sum != want.Sum || got.GroupDim != q.GroupDim() || !slices.Equal(got.Groups, want.Groups) {
+						t.Fatalf("%s %s(%s) = %d groups (count %d, sum %d, by %d), want %d groups (count %d, sum %d, by %d)",
+							idx.Name(), how, q, len(got.Groups), got.Count, got.Sum, got.GroupDim, len(want.Groups), want.Count, want.Sum, q.GroupDim())
+					}
+				}
+			}
+			ex.Close()
 		}
 	}
 }

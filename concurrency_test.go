@@ -6,6 +6,7 @@ package tsunami_test
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,8 +29,8 @@ func concurrencySetup(t *testing.T, rows int, seed int64) (*tsunami.Dataset, []t
 }
 
 // hammer issues the probe queries from `readers` goroutines against one
-// shared index and checks every answer.
-func hammer(t *testing.T, idx tsunami.Index, probe []tsunami.Query, want []uint64) {
+// shared index and checks every answer: its count, sum and groups.
+func hammer(t *testing.T, idx tsunami.Index, probe []tsunami.Query, want []tsunami.Result) {
 	t.Helper()
 	const readers = 8
 	const passes = 4
@@ -41,7 +42,7 @@ func hammer(t *testing.T, idx tsunami.Index, probe []tsunami.Query, want []uint6
 			defer wg.Done()
 			for pass := 0; pass < passes; pass++ {
 				for i, q := range probe {
-					if got := idx.Execute(q).Count; got != want[i] {
+					if got := idx.Execute(q); got.Count != want[i].Count || got.Sum != want[i].Sum || !slices.Equal(got.Groups, want[i].Groups) {
 						errs <- q.String()
 						return
 					}
@@ -57,10 +58,24 @@ func hammer(t *testing.T, idx tsunami.Index, probe []tsunami.Query, want []uint6
 }
 
 // TestConcurrentExecuteSharedIndexes covers every index in the repository:
-// a single shared instance each, queried by 8 goroutines with no cloning.
+// a single shared instance each, queried by 8 goroutines with no cloning,
+// flat and grouped (COUNT by passengers, SUM of fares by pickup zone).
 func TestConcurrentExecuteSharedIndexes(t *testing.T) {
-	ds, work, probe, want := concurrencySetup(t, 12_000, 11)
+	ds, work, probe, _ := concurrencySetup(t, 12_000, 11)
 	o := smallOptions()
+	for i, q := range probe[:len(probe)/2] {
+		if i%3 == 0 {
+			probe = append(probe, tsunami.CountBy(6, q.Filters...), tsunami.SumBy(3, 7, q.Filters...))
+		}
+	}
+	want := make([]tsunami.Result, len(probe))
+	for i, q := range probe {
+		if q.Grouped() {
+			ds.Store.ScanRangeGroupedScalar(q, 0, ds.Store.NumRows(), false, &want[i])
+		} else {
+			ds.Store.ScanRangeScalar(q, 0, ds.Store.NumRows(), false, &want[i])
+		}
+	}
 
 	indexes := []tsunami.Index{
 		tsunami.New(ds.Store, work, o),

@@ -10,31 +10,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/query"
 )
-
-// pipelined is the one capability the Executor looks for in an index:
-// the execution pipeline TsunamiIndex, LiveStore and ShardedStore
-// implement. Plan routes and plans a query, flat or grouped, and pins
-// the epoch(s) it answers from, without scanning; the plan's Cost is
-// what the admission budgets check, and the same plan then executes or
-// is released. A plan executes on the goroutine that runs it. Baseline
-// indexes have no pipeline: they answer flat queries through
-// Index.Execute only, unbudgeted.
-type pipelined interface {
-	Plan(q query.Query, x index.Exec) index.Plan
-}
-
-// unpipelined is a baseline index's stand-in plan: nothing to price, and
-// Index.Execute to run.
-type unpipelined struct {
-	idx Index
-	q   Query
-}
-
-func (u unpipelined) Cost() (rows, bytes uint64) { return 0, 0 }
-func (u unpipelined) Execute() Result            { return u.idx.Execute(u.q) }
-func (u unpipelined) Release()                   {}
 
 // ExecutorOptions configures an Executor. The zero value uses one worker
 // per CPU.
@@ -288,15 +264,7 @@ func (e *Executor) Execute(q Query) Result {
 	if e.closed.Load() {
 		return Result{}
 	}
-	return e.plan(q).Execute()
-}
-
-// plan plans q on the index's pipeline, or stands in for a baseline's.
-func (e *Executor) plan(q Query) index.Plan {
-	if p, ok := e.idx.(pipelined); ok {
-		return p.Plan(q, index.Exec{})
-	}
-	return unpipelined{e.idx, q}
+	return e.idx.Plan(q, index.Exec{}).Execute()
 }
 
 // Serve answers one query under admission control. The query is planned
@@ -319,7 +287,7 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 		return Result{}, ErrClosed
 	}
 	a, m := e.adm, e.metrics
-	p := e.plan(q)
+	p := e.idx.Plan(q, index.Exec{})
 	if a == nil {
 		return p.Execute(), nil
 	}
@@ -349,9 +317,8 @@ func (e *Executor) Serve(q Query, pri Priority) (Result, error) {
 		// plan priced at nothing — an answer the result cache holds — has
 		// no scan to hold its slot through, and yielding would cost it the
 		// scheduler's global run-queue lock; it keeps its slot all the
-		// same, so shedding counts it. A baseline's plan is unpriced, not
-		// free: it yields.
-		if _, baseline := p.(unpipelined); baseline || rows > 0 {
+		// same, so shedding counts it.
+		if rows > 0 {
 			runtime.Gosched()
 		}
 	}
@@ -415,7 +382,7 @@ type timed interface{ Began() time.Duration }
 // latency starts: at the plan's own clock read when the index times its
 // queries, so one read serves both.
 func (e *Executor) runQueued(q Query, asked time.Duration) Result {
-	p := e.plan(q)
+	p := e.idx.Plan(q, index.Exec{})
 	if m := e.metrics; m != nil {
 		var start time.Duration
 		if t, ok := p.(timed); ok {

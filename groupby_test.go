@@ -314,8 +314,8 @@ func TestGroupedSlowQueryExemplar(t *testing.T) {
 // points answer a grouped query with its groups — a mixed flat+grouped
 // ExecuteBatch equals sequential Execute and the oracle through a
 // caching LiveStore, and the flat answers do not evict or overwrite the
-// grouped ones cached under the same filters — while an index that
-// cannot group never passes a flat answer off as grouped.
+// grouped ones cached under the same filters — and that a baseline
+// index answers grouped queries with their groups too.
 func TestExecutorAnswersGroupedQueries(t *testing.T) {
 	table := testutil.SmallTaxi(3000, 51)
 	work := testutil.RandomQueries(table, 20, 52)
@@ -376,9 +376,14 @@ func TestExecutorAnswersGroupedQueries(t *testing.T) {
 	if got, want := kd.Execute(work[0]), baseline.Execute(work[0]); !got.Equal(want) {
 		t.Errorf("Execute on a baseline index = %+v, want %+v", got, want)
 	}
-	if res, err := kd.ServeGrouped(tsunami.CountBy(4), tsunami.PriorityNormal); !errors.Is(err, tsunami.ErrNotGrouped) || !res.Equal(tsunami.Result{}) {
-		t.Errorf("ServeGrouped on a baseline index = %+v, %v; want a zero result and ErrNotGrouped", res, err)
-	}
+	testutil.CheckGroupedMatchesFullScan(t, "ServeGrouped on a baseline index",
+		func(q tsunami.Query) tsunami.GroupedResult {
+			res, err := kd.ServeGrouped(q, tsunami.PriorityNormal)
+			if err != nil {
+				t.Fatalf("ServeGrouped(%s) on a baseline index: %v", q, err)
+			}
+			return res
+		}, table, []tsunami.Query{tsunami.CountBy(4), work[0].By(4)})
 }
 
 // answerIndex presents a function from queries to answers as an Index.
@@ -387,6 +392,9 @@ type answerIndex func(tsunami.Query) tsunami.Result
 func (f answerIndex) Name() string                           { return "ExecuteBatch" }
 func (f answerIndex) Execute(q tsunami.Query) tsunami.Result { return f(q) }
 func (f answerIndex) SizeBytes() uint64                      { return 0 }
+func (f answerIndex) Plan(q tsunami.Query, _ tsunami.Exec) tsunami.Plan {
+	return funcPlan(func() tsunami.Result { return f(q) })
+}
 
 // everyOther returns qs[from], qs[from+2], ...
 func everyOther(qs []tsunami.Query, from int) []tsunami.Query {

@@ -29,28 +29,17 @@ func SumBy(aggDim, dim int, filters ...Filter) Query {
 	return query.NewSum(aggDim, filters...).By(dim)
 }
 
-// ErrNotGrouped reports a grouped query sent to an index that cannot
-// answer grouped aggregates (a baseline index), or a flat query sent to
-// ServeGrouped.
-var ErrNotGrouped = fmt.Errorf("tsunami: index does not support grouped aggregates")
+// ErrNotGrouped reports a flat query sent to ServeGrouped: every index
+// answers grouped queries, so the refusal is the query's, not the
+// index's.
+var ErrNotGrouped = fmt.Errorf("tsunami: query is not grouped")
 
 // ServeGrouped is Serve for callers that want a grouped answer or an
 // error, never a flat answer dressed as grouped: a query with no GROUP
-// BY, or an index that cannot group (a baseline), yields ErrNotGrouped.
+// BY yields ErrNotGrouped.
 func (e *Executor) ServeGrouped(q Query, pri Priority) (GroupedResult, error) {
-	if err := e.groups(q); err != nil {
-		return GroupedResult{}, err
+	if !q.Grouped() {
+		return GroupedResult{}, fmt.Errorf("%w: query %s has no GROUP BY; use Execute", ErrNotGrouped, q)
 	}
 	return e.Serve(q, pri)
-}
-
-// groups reports why q cannot be answered grouped here, or nil.
-func (e *Executor) groups(q Query) error {
-	if !q.Grouped() {
-		return fmt.Errorf("%w: query %s has no GROUP BY; use Execute", ErrNotGrouped, q)
-	}
-	if _, ok := e.idx.(pipelined); !ok {
-		return fmt.Errorf("%w: %s", ErrNotGrouped, e.idx.Name())
-	}
-	return nil
 }

@@ -24,15 +24,15 @@ type run struct {
 // PhysRange is one contiguous physical row range [Start, End) a query's
 // execution scans, with the exactness flag the scan consumes. Ranges are
 // absolute positions in the finalized store; a plan's list of them is
-// what colstore's Scan.ScanRanges answers.
+// what colstore.Store.ScanRanges answers.
 type PhysRange = colstore.Range
 
 // PlanRanges appends to dst the physical row ranges a query's execution
 // scans for q and returns the extended slice plus the traversal stats.
-// Scanning the returned ranges with ScanRanges answers q. A built Grid is
-// immutable; all per-query state lives in ctx, so any number of goroutines
-// may plan concurrently against the same Grid as long as each uses its
-// own ExecContext.
+// Scanning the returned ranges with the store's ScanRanges answers q. A
+// built Grid is immutable; all per-query state lives in ctx, so any
+// number of goroutines may plan concurrently against the same Grid as
+// long as each uses its own ExecContext.
 func (g *Grid) PlanRanges(q query.Query, ctx *ExecContext, dst []PhysRange) ([]PhysRange, ExecStats) {
 	var st ExecStats
 	return g.planInto(q, ctx, dst, &st), st

@@ -10,11 +10,11 @@ import (
 )
 
 // execute answers q on g the way core answers one region: plan the
-// ranges, then scan them with ScanRanges.
+// ranges, then scan them with the store's ScanRanges.
 func execute(g *Grid, q query.Query) (colstore.ScanResult, ExecStats) {
 	ranges, st := g.PlanRanges(q, NewExecContext(), nil)
 	var res colstore.ScanResult
-	ScanRanges(g.store, q, ranges, &res, nil)
+	g.store.ScanRanges(q, ranges, &res, nil)
 	return res, st
 }
 

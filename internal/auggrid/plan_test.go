@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/datasets"
 	"repro/internal/query"
+	"repro/internal/workload"
 )
 
 // planGrid is a built grid over its own reordered store.
@@ -297,11 +299,12 @@ func TestPlanRangesAllocs(t *testing.T) {
 	}
 }
 
-// planBench is one planner benchmark shape: a grid and a query on it.
+// planBench is one planner benchmark shape: a grid and the queries one
+// op plans on it.
 type planBench struct {
 	name string
 	g    *Grid
-	q    query.Query
+	qs   []query.Query
 }
 
 // planBenchShapes builds the planner benchmark shapes over 60 000 rows of
@@ -345,34 +348,59 @@ func planBenchShapes(b *testing.B) []planBench {
 	cond := IndependentSkeleton(nd)
 	cond[3] = DimStrategy{Kind: Conditional, Other: 0}
 	return []planBench{
-		{"fig7", build(NewLayout(IndependentSkeleton(nd), []int{1, 1, 1, 34, 42, 1}, 5)), query.NewCount(
+		{"fig7", build(NewLayout(IndependentSkeleton(nd), []int{1, 1, 1, 34, 42, 1}, 5)), []query.Query{query.NewCount(
 			query.Filter{Dim: 0, Lo: 1 << 18, Hi: 3 << 18},
 			query.Filter{Dim: 3, Lo: 1 << 18, Hi: 5 << 17},
 			query.Filter{Dim: 4, Lo: 1 << 17, Hi: 1 << 19},
 			query.Filter{Dim: 5, Lo: 1 << 19, Hi: 5 << 17},
-		)},
-		{"sortmiss", build(NewLayout(IndependentSkeleton(nd), []int{1, 50, 100, 1, 1, 1}, 5)), query.NewCount(
+		)}},
+		{"sortmiss", build(NewLayout(IndependentSkeleton(nd), []int{1, 50, 100, 1, 1, 1}, 5)), []query.Query{query.NewCount(
 			query.Filter{Dim: 1, Lo: 1 << 18, Hi: 3 << 18},
 			query.Filter{Dim: 2, Lo: 1 << 17, Hi: 7 << 17},
 			query.Filter{Dim: 5, Lo: 1 << 20, Hi: 5 << 18},
-		)},
-		{"onecond", build(NewLayout(cond, []int{2, 40, 39, 1, 1, 1}, 5)), query.NewCount(
+		)}},
+		{"onecond", build(NewLayout(cond, []int{2, 40, 39, 1, 1, 1}, 5)), []query.Query{query.NewCount(
 			query.Filter{Dim: 3, Lo: 1 << 18, Hi: 3 << 18},
-		)},
+		)}},
 	}
 }
 
-// BenchmarkPlanRanges plans each planBenchShapes shape.
+// taxiPlanBench is the planner benchmark shape cut from a real layout:
+// the grid Optimize fits on 60 000 generated Taxi rows and their
+// workload, and one query of every Taxi type drawn apart from the
+// training queries. Its cells hold skewed, correlated data, so the
+// sort-dim searches of refinement take data-dependent paths that the
+// uniform fig7 shape lets the branch predictor learn.
+func taxiPlanBench(b *testing.B) planBench {
+	ds := datasets.Taxi(60_000, 1)
+	rows := allRowsOf(ds.Store)
+	layout, _ := Optimize(ds.Store, rows, workload.ForDataset(ds, 20, 2), AGD(), OptimizeConfig{Seed: 1})
+	g, ordered, err := Build(ds.Store, rows, layout)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return planBench{"taxi", g.Bind(ds.Store.Gather(ordered, nil), 0), workload.ForDataset(ds, 1, 3)}
+}
+
+// BenchmarkPlanRanges plans each planBenchShapes shape, and the taxi
+// shape.
 func BenchmarkPlanRanges(b *testing.B) {
-	for _, pb := range planBenchShapes(b) {
+	for _, pb := range append(planBenchShapes(b), taxiPlanBench(b)) {
 		b.Run(pb.name, func(b *testing.B) {
 			ctx := NewExecContext()
-			dst, _ := pb.g.PlanRanges(pb.q, ctx, nil)
+			var dst []PhysRange
+			ranges := 0
+			for _, q := range pb.qs {
+				dst, _ = pb.g.PlanRanges(q, ctx, dst[:0])
+				ranges += len(dst)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst, _ = pb.g.PlanRanges(pb.q, ctx, dst[:0])
+				for _, q := range pb.qs {
+					dst, _ = pb.g.PlanRanges(q, ctx, dst[:0])
+				}
 			}
-			b.ReportMetric(float64(len(dst)), "ranges/op")
+			b.ReportMetric(float64(ranges), "ranges/op")
 		})
 	}
 }
@@ -387,12 +415,19 @@ func BenchmarkPlanRangesReference(b *testing.B) {
 		}
 		b.Run(pb.name, func(b *testing.B) {
 			ref := &refPlanner{}
-			dst, _ := ref.plan(pb.g, pb.q, nil)
+			var dst []PhysRange
+			ranges := 0
+			for _, q := range pb.qs {
+				dst, _ = ref.plan(pb.g, q, dst[:0])
+				ranges += len(dst)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst, _ = ref.plan(pb.g, pb.q, dst[:0])
+				for _, q := range pb.qs {
+					dst, _ = ref.plan(pb.g, q, dst[:0])
+				}
 			}
-			b.ReportMetric(float64(len(dst)), "ranges/op")
+			b.ReportMetric(float64(ranges), "ranges/op")
 		})
 	}
 }

@@ -213,10 +213,12 @@ type gridIndex struct {
 
 func (x *gridIndex) Name() string { return x.name }
 func (x *gridIndex) Execute(q query.Query) colstore.ScanResult {
-	ranges, _ := x.g.PlanRanges(q, auggrid.NewExecContext(), nil)
-	var res colstore.ScanResult
-	auggrid.ScanRanges(x.st, q, ranges, &res, nil)
-	return res
+	return x.Plan(q, index.Exec{}).Execute()
+}
+func (x *gridIndex) Plan(q query.Query, _ index.Exec) index.Plan {
+	p := index.NewRangePlan(x.st, q)
+	p.Ranges, _ = x.g.PlanRanges(q, auggrid.NewExecContext(), p.Ranges)
+	return p
 }
 func (x *gridIndex) SizeBytes() uint64 { return x.g.SizeBytes() }
 

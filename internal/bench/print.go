@@ -53,13 +53,6 @@ func (t *table) print(w io.Writer) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // human formats byte counts.
 func human(b uint64) string {
 	switch {

@@ -101,8 +101,7 @@ func planOf(sh colstore.BenchShape) []colstore.Range {
 
 func scanPrepared(st *colstore.Store, q query.Query, plan []colstore.Range) colstore.ScanResult {
 	var res colstore.ScanResult
-	sc := st.Prepare(q)
-	sc.ScanRanges(plan, &res, nil)
+	st.ScanRanges(q, plan, &res, nil)
 	return res
 }
 

@@ -19,7 +19,7 @@ import (
 // it first asks. Two scans can:
 //
 //   - A query whose every filter is on a column spanning at most 256
-//     values (Prepare). Each filter becomes a byte range on its column's
+//     values (prepare). Each filter becomes a byte range on its column's
 //     image, and the filter kernels compare 32 codes per AVX2 instruction
 //     instead of 4 int64 values (kernels_avx2_amd64.s): the scan was
 //     compute-bound on the int64 compares, not memory-bound.

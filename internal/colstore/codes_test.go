@@ -59,7 +59,7 @@ func TestPrepareChoosesCoded(t *testing.T) {
 	prev := SetCoded(true)
 	defer SetCoded(prev)
 
-	mixed := s.Prepare(query.NewCount(query.Filter{Dim: 0, Lo: 120, Hi: 200}, query.Filter{Dim: 2, Lo: 0, Hi: 5000}))
+	mixed := s.prepare(query.NewCount(query.Filter{Dim: 0, Lo: 120, Hi: 200}, query.Filter{Dim: 2, Lo: 0, Hi: 5000}))
 	if mixed.kind != scanWide {
 		t.Fatalf("a query with a wide filter prepared as %d, want the int64 kernels", mixed.kind)
 	}
@@ -82,7 +82,7 @@ func TestPrepareChoosesCoded(t *testing.T) {
 		{query.NewCount(query.Filter{Dim: 2, Lo: 3, Hi: 1}), scanEmpty, 0, []int{0, 1}},
 		{query.NewCount(), scanWide, 0, []int{0, 1}},
 	} {
-		sc := s.Prepare(c.q)
+		sc := s.prepare(c.q)
 		if sc.kind != c.kind || sc.n != c.n {
 			t.Errorf("%s: prepared kind %d with %d coded filters, want %d with %d", c.q, sc.kind, sc.n, c.kind, c.n)
 		}
@@ -93,7 +93,7 @@ func TestPrepareChoosesCoded(t *testing.T) {
 			}
 		}
 		var got ScanResult
-		sc.ScanRange(0, n, false, &got)
+		sc.scanRange(0, n, false, &got)
 		if want := scanTiers(t, s, c.q, 0, n, false); !got.Equal(want) {
 			t.Errorf("%s: %+v, want %+v", c.q, got, want)
 		}
@@ -157,13 +157,12 @@ func TestCodedImagesConcurrentFirstUse(t *testing.T) {
 					var got, want ScanResult
 					if q.Grouped() {
 						acc := NewGroupAccumulator(q, s)
-						s.ScanRangeGrouped(q, 5, n-3, false, acc)
+						scanGrouped(s, q, 5, n-3, false, acc)
 						got = acc.Result()
 						s.ScanRangeGroupedScalar(q, 5, n-3, false, &want)
 						got.Regime, want.Regime = RegimeNone, RegimeNone
 					} else {
-						sc := s.Prepare(q)
-						sc.ScanRanges([]Range{{Start: 5, End: 700}, {Start: 700, End: n - 3}}, &got, nil)
+						s.ScanRanges(q, []Range{{Start: 5, End: 700}, {Start: 700, End: n - 3}}, &got, nil)
 						s.ScanRangeScalar(q, 5, 700, false, &want)
 						s.ScanRangeScalar(q, 700, n-3, false, &want)
 					}
@@ -191,8 +190,7 @@ func groupedTiers(t *testing.T, s *Store, q query.Query, start, end int, exact b
 			SetSIMD(simd)
 			SetCoded(coded)
 			acc := NewGroupAccumulator(q, s)
-			sc := s.Prepare(q)
-			sc.ScanRanges([]Range{{Start: start, End: end, Exact: exact}}, nil, acc)
+			s.ScanRanges(q, []Range{{Start: start, End: end, Exact: exact}}, nil, acc)
 			got := acc.Result()
 			if got.Count != want.Count || got.Sum != want.Sum || !slices.Equal(got.Groups, want.Groups) ||
 				got.PointsScanned != want.PointsScanned || got.BytesTouched != want.BytesTouched {

@@ -196,7 +196,7 @@ type ScanResult struct {
 	// skipping and of the byte images, and therefore identical across the
 	// SIMD, portable, and scalar tiers — so the bench harness can report
 	// effective GB/s per shape and track the gap to STREAM bandwidth
-	// across PRs. A coded scan (Prepare) reads 1 byte per filter value,
+	// across PRs. A coded scan (prepare) reads 1 byte per filter value,
 	// not 8, while this figure stays the planned 8.
 	BytesTouched uint64
 
@@ -222,13 +222,12 @@ func (r ScanResult) Avg() float64 {
 	return float64(r.Sum) / float64(r.Count)
 }
 
-// Scan is a query prepared against one store (Prepare): the choice,
+// prepared is a query prepared against one store (prepare): the choice,
 // made once per query rather than per range, between the int64 filter
 // kernels and the byte-image ones, with q's filters translated onto the
-// images for the latter. A plan of hundreds of ranges is scanned with
-// one Scan; ScanRange and ScanRangeGrouped on the Store prepare one per
-// call.
-type Scan struct {
+// images for the latter. ScanRanges prepares once for a whole plan;
+// ScanRange prepares once for its one range.
+type prepared struct {
 	s    *Store
 	q    query.Query
 	kind scanKind
@@ -246,15 +245,15 @@ const (
 	scanEmpty                 // an inverted filter, or one missing its column's span: no row matches
 )
 
-// Prepare decides how q's non-exact ranges on s are scanned. When every
+// prepare decides how q's non-exact ranges on s are scanned. When every
 // filter (at least one, at most maxCodedFilters) is on a column whose
 // values span at most 256, they are translated onto the columns' byte
 // images, built here on first use; otherwise the scan reads the int64
 // columns. Spans are learned once per column and store, and a query with
 // one wide filter builds no image. The choice changes no result and no
 // accounting.
-func (s *Store) Prepare(q query.Query) Scan {
-	sc := Scan{s: s, q: q}
+func (s *Store) prepare(q query.Query) prepared {
+	sc := prepared{s: s, q: q}
 	// An inverted filter is an empty intersection: the conjunction
 	// matches nothing, and the kernels' unsigned-width compare is exact
 	// only for lo <= hi.
@@ -290,7 +289,7 @@ func (s *Store) Prepare(q query.Query) Scan {
 
 // filtered reports whether a non-exact range must be filter-checked:
 // some filter neither drops out nor empties the query.
-func (sc *Scan) filtered() bool {
+func (sc *prepared) filtered() bool {
 	if sc.kind == scanCoded {
 		return sc.n > 0
 	}
@@ -298,13 +297,13 @@ func (sc *Scan) filtered() bool {
 }
 
 // ScanRange scans physical rows [start, end) against q and accumulates the
-// aggregation into res. It is s.Prepare(q).ScanRange.
+// aggregation into res: ScanRanges of the one range, without the plan.
 func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanResult) {
-	sc := s.Prepare(q)
-	sc.ScanRange(start, end, exact, res)
+	sc := s.prepare(q)
+	sc.scanRange(start, end, exact, res)
 }
 
-// ScanRange scans physical rows [start, end) of the prepared store
+// scanRange scans physical rows [start, end) of the prepared store
 // against its query and accumulates the aggregation into res.
 //
 // If exact is true the caller guarantees every row in the range matches every
@@ -312,10 +311,10 @@ func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanRe
 // optimization. For COUNT with exact ranges no column data is touched at all.
 // Filtered (non-exact) ranges run on one branch-free fused kernel for any
 // filter count (kernels.go), which compares every filter in registers and
-// folds each group of rows at once — on the byte images when Prepare
+// folds each group of rows at once — on the byte images when prepare
 // coded the query, else on the int64 columns; ScanRangeScalar retains
 // the row-at-a-time loop as the oracle.
-func (sc *Scan) ScanRange(start, end int, exact bool, res *ScanResult) {
+func (sc *prepared) scanRange(start, end int, exact bool, res *ScanResult) {
 	s, q := sc.s, sc.q
 	if start < 0 {
 		start = 0
@@ -373,7 +372,7 @@ type Range struct {
 	Exact      bool
 }
 
-// prefetchAhead is how many ranges ahead of the scan ScanRanges
+// prefetchAhead is how many ranges ahead of the scan a plan scan
 // prefetches. A plan is mostly short ranges (a median of ~20 rows), each
 // a few lines per column, so scanning them one by one waits out one
 // memory latency per range; issuing the fetches two ranges early
@@ -381,32 +380,37 @@ type Range struct {
 // prefetched: their scan reads no filter column.
 const prefetchAhead = 2
 
-// ScanRanges scans a plan's ranges of the prepared store into acc when
-// the query is grouped (acc non-nil), into res otherwise, prefetching
-// the columns of the range prefetchAhead positions on. A coded flat
-// query walks the whole plan in one kernel call (codedRanges), which
-// does the same per range without returning to Go.
-func (sc *Scan) ScanRanges(ranges []Range, res *ScanResult, acc *GroupAccumulator) {
+// ScanRanges is the one way a plan is scanned: every index turns a query
+// into physical ranges, and this scans them against q into acc when the
+// query is grouped (acc non-nil), into res otherwise. The query is
+// prepared once for all its ranges: whether its filters are compared on
+// the columns' byte images or on their int64 values is one decision per
+// query, not per range. The columns of the range prefetchAhead positions
+// on are prefetched, and a coded flat query walks the whole plan in one
+// kernel call (codedRanges), which does the same per range without
+// returning to Go.
+func (s *Store) ScanRanges(q query.Query, ranges []Range, res *ScanResult, acc *GroupAccumulator) {
+	sc := s.prepare(q)
 	if acc == nil && sc.scanRangesCoded(ranges, res) {
 		return
 	}
 	for i, r := range ranges {
 		if j := i + prefetchAhead; j < len(ranges) && !ranges[j].Exact {
-			sc.Prefetch(ranges[j].Start, ranges[j].End)
+			sc.prefetch(ranges[j].Start, ranges[j].End)
 		}
 		if acc != nil {
-			sc.ScanRangeGrouped(r.Start, r.End, r.Exact, acc)
+			sc.scanRangeGrouped(r.Start, r.End, r.Exact, acc)
 		} else {
-			sc.ScanRange(r.Start, r.End, r.Exact, res)
+			sc.scanRange(r.Start, r.End, r.Exact, res)
 		}
 	}
 }
 
 // scanRangesCoded answers a coded flat query's ranges with one call of
-// the range kernel, with ScanRange's accounting. It scans nothing and
+// the range kernel, with scanRange's accounting. It scans nothing and
 // reports false for any other query, or when a range is empty or not
-// inside the store (ScanRange clamps those).
-func (sc *Scan) scanRangesCoded(ranges []Range, res *ScanResult) bool {
+// inside the store (scanRange clamps those).
+func (sc *prepared) scanRangesCoded(ranges []Range, res *ScanResult) bool {
 	if sc.kind != scanCoded || sc.n == 0 || len(ranges) == 0 {
 		return false
 	}

@@ -212,7 +212,7 @@ type groupCell struct {
 }
 
 // GroupAccumulator accumulates grouped (count, sum) pairs across any
-// number of ScanRangeGrouped calls (regions, chunks) plus individually
+// number of grouped scans (ScanRanges: regions, chunks) plus individually
 // added rows (delta buffers), then emits one grouped ScanResult. Reset
 // arms it for a query and a store; it is built to be pooled and reset,
 // never reallocated, and holds no reference to the store's data. It is
@@ -426,15 +426,7 @@ func (r *ScanResult) total() {
 	}
 }
 
-// ScanRangeGrouped scans physical rows [start, end) against q and folds
-// matching rows into acc, grouped by q.GroupDim(). It is
-// s.Prepare(q).ScanRangeGrouped.
-func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc *GroupAccumulator) {
-	sc := s.Prepare(q)
-	sc.ScanRangeGrouped(start, end, exact, acc)
-}
-
-// ScanRangeGrouped scans physical rows [start, end) of the prepared
+// scanRangeGrouped scans physical rows [start, end) of the prepared
 // store against its query and folds matching rows into acc, grouped by
 // q.GroupDim(). exact has the same meaning as in ScanRange — every row
 // in the range is known to match, so filter columns are not read — but
@@ -446,7 +438,7 @@ func (s *Store) ScanRangeGrouped(q query.Query, start, end int, exact bool, acc 
 // Accounting mirrors ScanRange's planned-bytes model with the group
 // column as one extra stream: n*8*(filters + 1 + sumCols) bytes
 // non-exact, n*8*(1 + sumCols) exact.
-func (sc *Scan) ScanRangeGrouped(start, end int, exact bool, acc *GroupAccumulator) {
+func (sc *prepared) scanRangeGrouped(start, end int, exact bool, acc *GroupAccumulator) {
 	s, q := sc.s, sc.q
 	if start < 0 {
 		start = 0
@@ -504,7 +496,7 @@ func (sc *Scan) ScanRangeGrouped(start, end int, exact bool, acc *GroupAccumulat
 }
 
 // ScanRangeGroupedScalar is the row-at-a-time grouped scan, retained as
-// the oracle ScanRangeGrouped is property-tested and benchmarked
+// the oracle the grouped ScanRanges is property-tested and benchmarked
 // against. It merges its groups into res with identical accounting.
 func (s *Store) ScanRangeGroupedScalar(q query.Query, start, end int, exact bool, res *ScanResult) {
 	if start < 0 {

@@ -23,7 +23,7 @@ func BenchmarkScanGrouped(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				acc.Reset(sh.Query, s)
 				for _, r := range sh.Ranges {
-					s.ScanRangeGrouped(sh.Query, r[0], r[1], false, &acc)
+					scanGrouped(s, sh.Query, r[0], r[1], false, &acc)
 				}
 				res = acc.Result()
 			}

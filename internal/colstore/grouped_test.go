@@ -129,7 +129,7 @@ func TestScanRangeGroupedMatchesOracle(t *testing.T) {
 		want := groupedOracle(s, q, start, end, exact)
 
 		acc := NewGroupAccumulator(q, s)
-		s.ScanRangeGrouped(q, start, end, exact, acc)
+		scanGrouped(s, q, start, end, exact, acc)
 		got := acc.Result()
 		if !reflect.DeepEqual(got.Groups, want) && !(len(got.Groups) == 0 && len(want) == 0) {
 			t.Fatalf("kernel mismatch for %v rows [%d,%d) exact=%v:\n got %v\nwant %v",
@@ -189,13 +189,13 @@ func TestGroupedResultMerge(t *testing.T) {
 		cut2 := cut1 + rng.Intn(s.NumRows()-cut1)
 
 		whole := NewGroupAccumulator(q, s)
-		s.ScanRangeGrouped(q, 0, s.NumRows(), false, whole)
+		scanGrouped(s, q, 0, s.NumRows(), false, whole)
 		want := whole.Result()
 
 		var merged GroupedResult
 		for _, span := range [][2]int{{0, cut1}, {cut1, cut2}, {cut2, s.NumRows()}} {
 			part := NewGroupAccumulator(q, s)
-			s.ScanRangeGrouped(q, span[0], span[1], false, part)
+			scanGrouped(s, q, span[0], span[1], false, part)
 			merged.Merge(part.Result())
 		}
 		if !reflect.DeepEqual(merged.Groups, want.Groups) && !(len(merged.Groups) == 0 && len(want.Groups) == 0) {
@@ -232,7 +232,7 @@ func TestGroupCodesReorderInvalidation(t *testing.T) {
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 100, Hi: 800}).By(3)
 
 	acc := NewGroupAccumulator(q, s)
-	s.ScanRangeGrouped(q, 0, s.NumRows(), false, acc)
+	scanGrouped(s, q, 0, s.NumRows(), false, acc)
 	if got, want := acc.Result().Groups, groupedOracle(s, q, 0, s.NumRows(), false); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pre-reorder mismatch:\n got %v\nwant %v", got, want)
 	}
@@ -241,7 +241,7 @@ func TestGroupCodesReorderInvalidation(t *testing.T) {
 		t.Fatal("the gather did not reuse the coded store")
 	}
 	acc = NewGroupAccumulator(q, s)
-	s.ScanRangeGrouped(q, 0, s.NumRows(), false, acc)
+	scanGrouped(s, q, 0, s.NumRows(), false, acc)
 	if got, want := acc.Result().Groups, groupedOracle(s, q, 0, s.NumRows(), false); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-reorder mismatch:\n got %v\nwant %v", got, want)
 	}
@@ -271,8 +271,8 @@ func TestGroupCodesCrossStoreMerge(t *testing.T) {
 	q := query.NewCount(query.Filter{Dim: 0, Lo: 200, Hi: 900}).By(1)
 
 	acc := NewGroupAccumulator(q, a)
-	a.ScanRangeGrouped(q, 0, rows, false, acc)
-	b.ScanRangeGrouped(q, 0, rows, false, acc)
+	scanGrouped(a, q, 0, rows, false, acc)
+	scanGrouped(b, q, 0, rows, false, acc)
 	got := acc.Result()
 
 	var want GroupedResult
@@ -384,7 +384,7 @@ func TestScanRangeGroupedPlanShapes(t *testing.T) {
 					acc.Reset(q, fx.s)
 					var want GroupedResult
 					for i, r := range ranges {
-						fx.s.ScanRangeGrouped(q, r[0], r[1], exact[i], &acc)
+						scanGrouped(fx.s, q, r[0], r[1], exact[i], &acc)
 						fx.s.ScanRangeGroupedScalar(q, r[0], r[1], exact[i], &want)
 					}
 					got := acc.Result()
@@ -462,7 +462,7 @@ func TestScanRangeGroupedUnalignedRanges(t *testing.T) {
 						for _, l := range lengths {
 							end := min(start+l, rows)
 							acc.Reset(q, s)
-							s.ScanRangeGrouped(q, start, end, false, &acc)
+							scanGrouped(s, q, start, end, false, &acc)
 							got := acc.Result()
 							var want GroupedResult
 							s.ScanRangeGroupedScalar(q, start, end, false, &want)
@@ -506,8 +506,8 @@ func TestScanRangeGroupedAllocs(t *testing.T) {
 				var acc GroupAccumulator
 				if n := testing.AllocsPerRun(20, func() {
 					acc.Reset(q, s)
-					s.ScanRangeGrouped(q, 5, 2990, false, &acc)
-					s.ScanRangeGrouped(q, 3, 20, false, &acc)
+					scanGrouped(s, q, 5, 2990, false, &acc)
+					scanGrouped(s, q, 3, 20, false, &acc)
 				}); n != 0 {
 					t.Errorf("%s on %s: %v allocations per scan, want 0", q, KernelName(), n)
 				}
@@ -525,7 +525,7 @@ func TestGroupAccumulatorRowsOutsideWindow(t *testing.T) {
 	s := spanStore(t, rng, 500, func() int64 { return 100 + rng.Int63n(50) }, 100, 149)
 	q := query.NewSum(2).By(3)
 	acc := NewGroupAccumulator(q, s)
-	s.ScanRangeGrouped(q, 0, s.NumRows(), true, acc)
+	scanGrouped(s, q, 0, s.NumRows(), true, acc)
 	var want GroupedResult
 	s.ScanRangeGroupedScalar(q, 0, s.NumRows(), true, &want)
 	for _, k := range []int64{5000, -9, 150, 99, -9, 1 << 62} {
@@ -577,4 +577,11 @@ func TestGroupedResultMergeDimMismatch(t *testing.T) {
 	if !empty.Merge(other) || empty.GroupDim != 2 || len(empty.Groups) != 1 {
 		t.Fatalf("Merge into an empty result should adopt the partial: %+v", empty)
 	}
+}
+
+// scanGrouped folds rows [start, end) of s into acc, grouped: the grouped
+// scan of one range, with q prepared for it alone.
+func scanGrouped(s *Store, q query.Query, start, end int, exact bool, acc *GroupAccumulator) {
+	sc := s.prepare(q)
+	sc.scanRangeGrouped(start, end, exact, acc)
 }

@@ -40,7 +40,7 @@ import (
 // same way, so a 20-row range runs vectorized too.
 //
 // When every filter is on a column of at most 256 values, the filters
-// are compared on the columns' byte images instead (codes.go, Prepare):
+// are compared on the columns' byte images instead (codes.go, prepare):
 // a filter is a byte range, 32 codes are compared per AVX2 instruction,
 // and each 64-row block becomes one match word — counted, summed under,
 // or stored as a selection word — with the rows past a range's end
@@ -70,7 +70,7 @@ func (sh BenchShape) Rows() int { return rangeRows(sh.Ranges) }
 // floor. Most scan one full-table range; the _plan shapes scan a
 // learned-grid plan's list of short ranges (benchPlan), where a kernel's
 // cost per range rather than per row decides. A domain of at most 256
-// values makes every filter column a coded one (Prepare).
+// values makes every filter column a coded one (prepare).
 func KernelBenchShapes(rows int, domain, seed int64) []BenchShape {
 	f := func(dim int) query.Filter { return query.Filter{Dim: dim, Lo: domain / 4, Hi: domain * 3 / 4} }
 	full := [][2]int{{0, rows}}

@@ -94,21 +94,21 @@ func KernelName() string {
 
 func simdEnabled() bool { return useSIMD.Load() }
 
-// prefetchRows is how much of a range Prefetch asks for: the first 64
+// prefetchRows is how much of a range prefetch asks for: the first 64
 // rows (one 512-byte run of lines) of each int64 column, or the lines
 // holding them of each byte image. A planned range is typically a few
 // dozen rows, and a longer one is covered past its head by the kernels'
 // own block prefetch and the hardware streamer.
 const prefetchRows = 64
 
-// Prefetch issues PREFETCHT0 for the head of rows [start, end) of every
+// prefetch issues PREFETCHT0 for the head of rows [start, end) of every
 // column a non-exact scan of the range reads: the filters' byte images
 // for a coded scan, else their int64 columns, and the SUM column. A plan
 // walker calls it for a range a few positions ahead of the one it scans,
 // so the line fills of short ranges overlap instead of stalling one after
 // another. It is a hint: it changes no result, and a non-exact scan of
 // the range reads the same lines.
-func (sc *Scan) Prefetch(start, end int) {
+func (sc *prepared) prefetch(start, end int) {
 	s, q := sc.s, sc.q
 	n := min(end, s.NumRows(), start+prefetchRows) - start
 	if start < 0 || n <= 0 || sc.kind == scanEmpty {

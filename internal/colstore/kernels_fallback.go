@@ -22,9 +22,9 @@ func KernelName() string { return "portable" }
 
 func simdEnabled() bool { return false }
 
-// Prefetch is a no-op in this build: there is no prefetch instruction to
+// prefetch is a no-op in this build: there is no prefetch instruction to
 // issue, and the hint changes no result.
-func (sc *Scan) Prefetch(start, end int) {}
+func (sc *prepared) prefetch(start, end int) {}
 
 func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult) {
 	s.scanFilteredPortable(q, start, end, res)

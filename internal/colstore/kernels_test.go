@@ -27,8 +27,7 @@ func scanTiers(t *testing.T, s *Store, q query.Query, start, end int, exact bool
 			SetCoded(coded)
 			var got, plan ScanResult
 			s.ScanRange(q, start, end, exact, &got)
-			sc := s.Prepare(q)
-			sc.ScanRanges([]Range{{Start: start, End: end, Exact: exact}}, &plan, nil)
+			s.ScanRanges(q, []Range{{Start: start, End: end, Exact: exact}}, &plan, nil)
 			for _, r := range []struct {
 				how string
 				res ScanResult
@@ -425,16 +424,16 @@ func BenchmarkScanScalar(b *testing.B) {
 // way ScanRanges prepares a plan's query for all its ranges.
 func benchPrepared(b *testing.B, s *Store, shapes []BenchShape) {
 	for _, sh := range shapes {
-		sc := s.Prepare(sh.Query)
+		sc := s.prepare(sh.Query)
 		benchScan(b, []BenchShape{sh}, func(_ query.Query, start, end int, exact bool, res *ScanResult) {
-			sc.ScanRange(start, end, exact, res)
+			sc.scanRange(start, end, exact, res)
 		})
 	}
 }
 
 // BenchmarkScanCoded is the dispatched kernel on the KernelBenchShapes
 // of a store whose filter columns span 256 values, so every shape scans
-// the byte images (Prepare). CI holds it faster than
+// the byte images (prepare). CI holds it faster than
 // BenchmarkScanCodedWide, the same prepared shapes on the same data with
 // the coded dispatch off (benchgate
 // 'BenchmarkScanCodedWide/BenchmarkScanCoded>=1.5').

@@ -308,30 +308,17 @@ func (t *Tsunami) Plan(q query.Query, x index.Exec) index.Plan {
 	return ctx
 }
 
-// Cost prices the plan (see index.Plan): every planned row, plus the
-// buffered delta rows of the routed regions (the ones Execute folds in),
-// times 8 bytes per column read — each filter column, the SUM column, and
-// a grouped query's key column as one extra stream: ScanResult's
-// PointsScanned and BytesTouched as bounds, since an exact range reads
-// fewer columns.
+// Cost prices the plan (see index.Plan) by index.Price: every planned
+// row, plus the buffered delta rows of the routed regions (the ones
+// Execute folds in).
 func (ctx *execContext) Cost() (rows, bytes uint64) {
-	for _, pr := range ctx.phys {
-		rows += uint64(pr.End - pr.Start)
-	}
+	var buffered uint64
 	for _, r := range ctx.regions {
 		if d := ctx.t.deltas[r.ID]; d != nil {
-			rows += uint64(len(d.rows))
+			buffered += uint64(len(d.rows))
 		}
 	}
-	q := ctx.q
-	cols := uint64(len(q.Filters))
-	if q.Agg == query.Sum {
-		cols++
-	}
-	if q.Grouped() {
-		cols++
-	}
-	return rows, rows * 8 * cols
+	return index.Price(ctx.q, ctx.phys, buffered)
 }
 
 // Release returns the context to the pool without executing it.
@@ -364,7 +351,7 @@ func (ctx *execContext) Execute() colstore.ScanResult {
 	}
 	var first int // the first of this run's spans in tr.Regions
 	if tr == nil {
-		auggrid.ScanRanges(t.store, q, ctx.phys, &res, acc)
+		t.store.ScanRanges(q, ctx.phys, &res, acc)
 	} else {
 		first = len(tr.Regions)
 		for i, r := range ctx.regions {
@@ -375,7 +362,7 @@ func (ctx *execContext) Execute() colstore.ScanResult {
 			tr.Regions = append(tr.Regions, sp)
 		}
 		ctx.traceRegions(tr.Regions[first:], &res, acc, func(i int) {
-			auggrid.ScanRanges(t.store, q, ctx.phys[ctx.starts[i]:ctx.starts[i+1]], &res, acc)
+			t.store.ScanRanges(q, ctx.phys[ctx.starts[i]:ctx.starts[i+1]], &res, acc)
 		})
 		name, detail := "scan", ""
 		if acc != nil {

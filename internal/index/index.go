@@ -4,11 +4,13 @@
 //
 // All indexes are *clustered* (§2): building one physically reorders the
 // column store, and queries resolve to contiguous physical ranges that the
-// store scans.
+// store scans. Every index answers through a Plan: the ranges first,
+// then one colstore.Store.ScanRanges call over them.
 package index
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/obs"
@@ -28,6 +30,11 @@ type Index interface {
 	// Inserts, merges and re-optimization never write a built index: they
 	// derive a successor, and the serving stores publish it.
 	Execute(q query.Query) colstore.ScanResult
+	// Plan plans q without scanning it; Execute(q) is
+	// Plan(q, Exec{}).Execute(). A plan is what admission prices. An
+	// index that keeps no trace of its own (the baselines) leaves
+	// x.Trace unfilled.
+	Plan(q query.Query, x Exec) Plan
 	// SizeBytes reports the index structure's memory footprint, excluding
 	// the column data itself (the paper's "index size" metric, Fig 8).
 	SizeBytes() uint64
@@ -46,11 +53,11 @@ type Exec struct {
 	Trace *obs.QueryTrace
 }
 
-// Plan is one query planned through an execution pipeline (core.Tsunami,
-// live.Store and sharded.Store each return one from Plan(q, Exec)): the
-// routing and range planning are done, the epoch(s) it answers from are
-// pinned, and nothing is scanned or recorded yet. Admission prices it,
-// then either executes it or releases it; ExecuteWith(q, x) is exactly
+// Plan is one query planned by an Index (Index.Plan): the routing and
+// range planning are done, the epoch(s) it answers from are pinned, and
+// nothing is scanned or recorded yet. Admission prices it, then either
+// executes it or releases it; Execute(q) is exactly
+// Plan(q, Exec{}).Execute(), and a pipeline's ExecuteWith(q, x) is
 // Plan(q, x).Execute(). A plan is not safe for concurrent use, and
 // exactly one of Execute and Release is called on it, once.
 type Plan interface {
@@ -75,6 +82,79 @@ type BuildStats struct {
 	OptimizeSeconds float64
 }
 
+// RangePlan is the plan of an index over one store: the physical ranges
+// a query reads, which Execute scans with one colstore.Store.ScanRanges
+// call, flat or grouped into the plan's pooled accumulator. The
+// baselines fill Ranges as they walk their structure; core.Tsunami plans
+// its own ranges and prices them with the same Price.
+type RangePlan struct {
+	store  *colstore.Store
+	q      query.Query
+	Ranges []colstore.Range
+	acc    colstore.GroupAccumulator
+}
+
+var rangePlans = sync.Pool{New: func() any { return new(RangePlan) }}
+
+// NewRangePlan returns an empty plan of q over s, from a pool.
+func NewRangePlan(s *colstore.Store, q query.Query) *RangePlan {
+	p := rangePlans.Get().(*RangePlan)
+	p.store, p.q, p.Ranges = s, q, p.Ranges[:0]
+	return p
+}
+
+// Add plans rows [start, end), exact when every row is known to match
+// every filter (the paper's scan-time optimization). An empty range is
+// not planned.
+func (p *RangePlan) Add(start, end int, exact bool) {
+	if start < end {
+		p.Ranges = append(p.Ranges, colstore.Range{Start: start, End: end, Exact: exact})
+	}
+}
+
+// Cost implements Plan: Price of the planned ranges.
+func (p *RangePlan) Cost() (rows, bytes uint64) { return Price(p.q, p.Ranges, 0) }
+
+// Execute implements Plan: it scans the ranges and releases the plan.
+func (p *RangePlan) Execute() colstore.ScanResult {
+	defer p.Release()
+	var res colstore.ScanResult
+	if !p.q.Grouped() {
+		p.store.ScanRanges(p.q, p.Ranges, &res, nil)
+		return res
+	}
+	p.acc.Reset(p.q, p.store)
+	p.store.ScanRanges(p.q, p.Ranges, nil, &p.acc)
+	return p.acc.Result()
+}
+
+// Release implements Plan: the plan goes back to the pool.
+func (p *RangePlan) Release() {
+	p.store, p.q = nil, query.Query{}
+	rangePlans.Put(p)
+}
+
+// Price is the one cost formula of every plan (see Plan.Cost): the rows
+// of ranges plus extra rows scanned beside them (a Tsunami plan's
+// buffered inserts), times 8 bytes per column read — each filter column,
+// the SUM column, and a grouped query's key column as one extra stream:
+// ScanResult's PointsScanned and BytesTouched as bounds, since an exact
+// range reads fewer columns.
+func Price(q query.Query, ranges []colstore.Range, extra uint64) (rows, bytes uint64) {
+	rows = extra
+	for _, r := range ranges {
+		rows += uint64(r.End - r.Start)
+	}
+	cols := uint64(len(q.Filters))
+	if q.Agg == query.Sum {
+		cols++
+	}
+	if q.Grouped() {
+		cols++
+	}
+	return rows, rows * 8 * cols
+}
+
 // FullScan answers queries by scanning the entire table. It is the ground
 // truth every other index is validated against, and the degenerate index
 // with zero size.
@@ -91,9 +171,14 @@ func (f *FullScan) Name() string { return "FullScan" }
 // Execute implements Index by scanning every row. Stateless, so safe for
 // concurrent callers.
 func (f *FullScan) Execute(q query.Query) colstore.ScanResult {
-	var res colstore.ScanResult
-	f.store.ScanRange(q, 0, f.store.NumRows(), false, &res)
-	return res
+	return f.Plan(q, Exec{}).Execute()
+}
+
+// Plan implements Index: one range, the whole table.
+func (f *FullScan) Plan(q query.Query, _ Exec) Plan {
+	p := NewRangePlan(f.store, q)
+	p.Add(0, f.store.NumRows(), false)
+	return p
 }
 
 // SizeBytes implements Index; a full scan needs no structure.

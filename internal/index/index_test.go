@@ -41,6 +41,33 @@ func TestFullScanSum(t *testing.T) {
 	}
 }
 
+// TestRangePlan pins the shared plan: an empty range is not planned, Cost
+// is Price of the planned rows (8 bytes a row for each filter, SUM and
+// group-key column), and Execute scans the ranges flat or grouped.
+func TestRangePlan(t *testing.T) {
+	s := store(t)
+	q := query.NewSum(1, query.Filter{Dim: 0, Lo: 2, Hi: 4}).By(0)
+	p := NewRangePlan(s, q)
+	p.Add(0, 2, false)
+	p.Add(3, 3, true)
+	p.Add(4, 2, false)
+	p.Add(2, 4, true)
+	if len(p.Ranges) != 2 {
+		t.Fatalf("planned %v, want the two non-empty ranges", p.Ranges)
+	}
+	if rows, bytes := p.Cost(); rows != 4 || bytes != 4*8*3 {
+		t.Errorf("Cost = (%d, %d), want (4, 96): one filter, the SUM and the key column", rows, bytes)
+	}
+	got := p.Execute()
+	want := []colstore.GroupAgg{{Key: 2, Count: 1, Sum: 6}, {Key: 3, Count: 1, Sum: 7}, {Key: 4, Count: 1, Sum: 8}}
+	if !slices.Equal(got.Groups, want) || got.Count != 3 || got.Sum != 21 {
+		t.Errorf("grouped Execute = %+v, want groups %v", got, want)
+	}
+	if res := NewFullScan(s).Execute(query.NewCount().By(1)); len(res.Groups) != 5 || res.Count != 5 {
+		t.Errorf("FullScan grouped by a key column = %+v, want 5 groups of one", res)
+	}
+}
+
 func TestSelectivity(t *testing.T) {
 	s := store(t)
 	sel := Selectivity(s, query.NewCount(query.Filter{Dim: 0, Lo: 1, Hi: 2}))

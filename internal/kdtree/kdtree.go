@@ -158,35 +158,39 @@ func (x *Index) NumNodes() int { return x.numNodes }
 // BuildStats returns the build timing split.
 func (x *Index) BuildStats() index.BuildStats { return x.stats }
 
-// Execute implements index.Index: traverse to intersecting leaves and scan
-// their physical ranges, skipping per-value checks when a leaf's box is
-// contained in the query rectangle; partially-covered leaves filter on the
-// store's branch-free scan kernel. The tree is immutable after Build and
-// traversal state is on the stack, so Execute is safe for concurrent
-// callers sharing one index.
+// Execute implements index.Index: Plan, then scan the plan.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {
-	var res colstore.ScanResult
-	x.visit(x.root, q, &res)
-	return res
+	return x.Plan(q, index.Exec{}).Execute()
 }
 
-func (x *Index) visit(nd *node, q query.Query, res *colstore.ScanResult) {
+// Plan implements index.Index: traverse to intersecting leaves and plan
+// their physical ranges, exact when a leaf's box is contained in the
+// query rectangle; partially-covered leaves filter on the store's
+// branch-free scan kernel. The tree is immutable after Build and
+// traversal state is on the stack, so Plan is safe for concurrent
+// callers sharing one index.
+func (x *Index) Plan(q query.Query, _ index.Exec) index.Plan {
+	p := index.NewRangePlan(x.store, q)
+	x.visit(x.root, q, p)
+	return p
+}
+
+func (x *Index) visit(nd *node, q query.Query, p *index.RangePlan) {
 	if nd.leaf {
-		exact := q.ContainsBox(nd.boxLo, nd.boxHi)
-		x.store.ScanRange(q, nd.start, nd.end, exact, res)
+		p.Add(nd.start, nd.end, q.ContainsBox(nd.boxLo, nd.boxHi))
 		return
 	}
 	f, ok := q.Filter(nd.splitDim)
 	if !ok {
-		x.visit(nd.left, q, res)
-		x.visit(nd.right, q, res)
+		x.visit(nd.left, q, p)
+		x.visit(nd.right, q, p)
 		return
 	}
 	if f.Lo < nd.splitVal {
-		x.visit(nd.left, q, res)
+		x.visit(nd.left, q, p)
 	}
 	if f.Hi >= nd.splitVal {
-		x.visit(nd.right, q, res)
+		x.visit(nd.right, q, p)
 	}
 }
 

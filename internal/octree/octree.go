@@ -153,28 +153,32 @@ func (x *Index) NumNodes() int { return x.numNodes }
 // BuildStats returns the build timing split.
 func (x *Index) BuildStats() index.BuildStats { return x.stats }
 
-// Execute implements index.Index: intersecting leaves scan their physical
-// ranges, with partially-covered octants filtered on the store's
-// branch-free scan kernel. The tree is immutable after Build and
-// traversal state is on the stack, so Execute is safe for concurrent
-// callers sharing one index.
+// Execute implements index.Index: Plan, then scan the plan.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {
-	var res colstore.ScanResult
-	x.visit(x.root, q, &res)
-	return res
+	return x.Plan(q, index.Exec{}).Execute()
 }
 
-func (x *Index) visit(nd *node, q query.Query, res *colstore.ScanResult) {
+// Plan implements index.Index: intersecting leaves plan their physical
+// ranges, with partially-covered octants filtered on the store's
+// branch-free scan kernel. The tree is immutable after Build and
+// traversal state is on the stack, so Plan is safe for concurrent
+// callers sharing one index.
+func (x *Index) Plan(q query.Query, _ index.Exec) index.Plan {
+	p := index.NewRangePlan(x.store, q)
+	x.visit(x.root, q, p)
+	return p
+}
+
+func (x *Index) visit(nd *node, q query.Query, p *index.RangePlan) {
 	if !q.IntersectsBox(nd.lo, nd.hi) {
 		return
 	}
 	if nd.leaf {
-		exact := q.ContainsBox(nd.lo, nd.hi)
-		x.store.ScanRange(q, nd.start, nd.end, exact, res)
+		p.Add(nd.start, nd.end, q.ContainsBox(nd.lo, nd.hi))
 		return
 	}
 	for _, c := range nd.children {
-		x.visit(c, q, res)
+		x.visit(c, q, p)
 	}
 }
 

@@ -82,26 +82,30 @@ func (x *Index) SortDim() int { return x.sortDim }
 // BuildStats returns the build timing split.
 func (x *Index) BuildStats() index.BuildStats { return x.stats }
 
-// Execute implements index.Index. Queries filtering the sort dimension
-// binary-search their physical range; others scan the whole table on the
-// store's branch-free scan kernel, which is what keeps this baseline's
-// fallback path honest at scale. The sorted store is immutable after
-// Build, so Execute is safe for concurrent callers sharing one index.
+// Execute implements index.Index: Plan, then scan the plan.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {
-	var res colstore.ScanResult
+	return x.Plan(q, index.Exec{}).Execute()
+}
+
+// Plan implements index.Index. Queries filtering the sort dimension
+// binary-search their physical range; others plan the whole table, scanned
+// on the store's branch-free scan kernel, which is what keeps this
+// baseline's fallback path honest at scale. The sorted store is immutable
+// after Build, so Plan is safe for concurrent callers sharing one index.
+func (x *Index) Plan(q query.Query, _ index.Exec) index.Plan {
+	p := index.NewRangePlan(x.store, q)
 	n := x.store.NumRows()
 	f, ok := q.Filter(x.sortDim)
 	if !ok {
-		x.store.ScanRange(q, 0, n, false, &res)
-		return res
+		p.Add(0, n, false)
+		return p
 	}
 	col := x.store.Column(x.sortDim)
 	start := sort.Search(n, func(i int) bool { return col[i] >= f.Lo })
 	end := sort.Search(n, func(i int) bool { return col[i] > f.Hi })
 	// If the sort dimension is the only filter, the range is exact.
-	exact := len(q.Filters) == 1
-	x.store.ScanRange(q, start, end, exact, &res)
-	return res
+	p.Add(start, end, len(q.Filters) == 1)
+	return p
 }
 
 // SizeBytes implements index.Index: one int for the sort dimension; the

@@ -88,18 +88,6 @@ func NumClusters(labels []int) int {
 	return max + 1
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using nearest-rank
 // on a sorted copy. It returns NaN for empty input.
 func Percentile(xs []float64, p float64) float64 {

@@ -191,62 +191,6 @@ func TestSkewSplitReducesSkew(t *testing.T) {
 	}
 }
 
-func TestEMDIdentity(t *testing.T) {
-	p := []float64{1, 2, 3}
-	if d := EMD(p, p); d != 0 {
-		t.Errorf("EMD(p,p) = %f, want 0", d)
-	}
-}
-
-func TestEMDKnownValue(t *testing.T) {
-	// Moving one unit of mass one bin over costs 1.
-	if d := EMD([]float64{1, 0}, []float64{0, 1}); d != 1 {
-		t.Errorf("EMD = %f, want 1", d)
-	}
-	// Two bins over costs 2.
-	if d := EMD([]float64{1, 0, 0}, []float64{0, 0, 1}); d != 2 {
-		t.Errorf("EMD = %f, want 2", d)
-	}
-}
-
-func TestEMDMetricProperties(t *testing.T) {
-	gen := func(rng *rand.Rand) []float64 {
-		out := make([]float64, 8)
-		total := 0.0
-		for i := range out {
-			out[i] = rng.Float64()
-			total += out[i]
-		}
-		for i := range out {
-			out[i] /= total // normalize so totals match
-		}
-		return out
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		a, b, c := gen(rng), gen(rng), gen(rng)
-		dab, dba := EMD(a, b), EMD(b, a)
-		if math.Abs(dab-dba) > 1e-9 {
-			t.Fatalf("not symmetric: %f vs %f", dab, dba)
-		}
-		if dab < 0 {
-			t.Fatalf("negative EMD %f", dab)
-		}
-		if EMD(a, b) > EMD(a, c)+EMD(c, b)+1e-9 {
-			t.Fatalf("triangle inequality violated")
-		}
-	}
-}
-
-func TestUniformVector(t *testing.T) {
-	u := Uniform(4, 8)
-	for _, v := range u {
-		if v != 2 {
-			t.Errorf("uniform bin = %f, want 2", v)
-		}
-	}
-}
-
 func TestLinRegExactLine(t *testing.T) {
 	x := []int64{1, 2, 3, 4, 5}
 	y := []int64{3, 5, 7, 9, 11} // y = 2x + 1
@@ -377,14 +321,5 @@ func TestPercentile(t *testing.T) {
 	}
 	if !math.IsNaN(Percentile(nil, 50)) {
 		t.Error("empty percentile should be NaN")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("mean = %f, want 2", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("empty mean = %f, want 0", m)
 	}
 }

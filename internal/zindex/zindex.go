@@ -144,12 +144,18 @@ func (x *Index) Name() string { return "ZOrder" }
 // BuildStats returns the build timing split.
 func (x *Index) BuildStats() index.BuildStats { return x.stats }
 
-// Execute implements index.Index: restrict to pages whose Z-range overlaps
-// the query rectangle's Z-range, then use per-page min/max metadata to skip.
-// Pages and quantizer are immutable after Build and the corner buffers are
-// per-call, so Execute is safe for concurrent callers sharing one index.
+// Execute implements index.Index: Plan, then scan the plan.
 func (x *Index) Execute(q query.Query) colstore.ScanResult {
-	var res colstore.ScanResult
+	return x.Plan(q, index.Exec{}).Execute()
+}
+
+// Plan implements index.Index: restrict to pages whose Z-range overlaps
+// the query rectangle's Z-range, then use per-page min/max metadata to
+// skip. Pages and quantizer are immutable after Build and the corner
+// buffers are per-call, so Plan is safe for concurrent callers sharing
+// one index.
+func (x *Index) Plan(q query.Query, _ index.Exec) index.Plan {
+	p := index.NewRangePlan(x.store, q)
 	d := x.store.NumDims()
 	loCorner := make([]int64, d)
 	hiCorner := make([]int64, d)
@@ -176,10 +182,9 @@ func (x *Index) Execute(q query.Query) colstore.ScanResult {
 		if !q.IntersectsBox(pg.lo, pg.hi) {
 			continue
 		}
-		exact := q.ContainsBox(pg.lo, pg.hi)
-		x.store.ScanRange(q, pg.start, pg.end, exact, &res)
+		p.Add(pg.start, pg.end, q.ContainsBox(pg.lo, pg.hi))
 	}
-	return res
+	return p
 }
 
 // SizeBytes implements index.Index: quantizer boundaries plus per-page

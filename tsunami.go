@@ -68,10 +68,10 @@ type Result = colstore.ScanResult
 // from the same run. Execute(q) is ExecuteWith(q, Exec{}).
 type Exec = index.Exec
 
-// Plan is one query planned by Plan(q, x) on a TsunamiIndex, LiveStore
-// or ShardedStore, not yet scanned: Cost prices it, and then exactly one
-// of Execute or Release is called. ExecuteWith(q, x) is
-// Plan(q, x).Execute(); Executor.Serve admits on the plan's Cost.
+// Plan is one query planned by Plan(q, x) on any Index, not yet
+// scanned: Cost prices it, and then exactly one of Execute or Release is
+// called. ExecuteWith(q, x) is Plan(q, x).Execute(); Executor.Serve
+// admits on the plan's Cost.
 type Plan = index.Plan
 
 // Table is the in-memory column store indexes are clustered over.
