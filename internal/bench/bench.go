@@ -9,6 +9,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/auggrid"
@@ -167,26 +168,31 @@ func buildSuite(dc datasetCase, o Options) []built {
 	return out
 }
 
-// avgQueryNs measures the average per-query latency in nanoseconds by
-// replaying the workload (at least twice, with a warm-up pass).
+// avgQueryNs measures the per-query latency in nanoseconds by replaying
+// the workload after a warm-up pass: the median over seven windows of at
+// least 3 ms (and one pass) each of the window's mean, so one GC pause or
+// preemption moves one window, not the figure.
 func avgQueryNs(idx index.Index, qs []query.Query) float64 {
 	if len(qs) == 0 {
 		return 0
 	}
-	// Warm-up.
 	for _, q := range qs {
 		idx.Execute(q)
 	}
-	const minDuration = 20 * time.Millisecond
-	passes := 0
-	start := time.Now()
-	for time.Since(start) < minDuration || passes < 1 {
-		for _, q := range qs {
-			idx.Execute(q)
+	const windows, minWindow = 7, 3 * time.Millisecond
+	var means [windows]float64
+	for w := range means {
+		passes, start := 0, time.Now()
+		for passes == 0 || time.Since(start) < minWindow {
+			for _, q := range qs {
+				idx.Execute(q)
+			}
+			passes++
 		}
-		passes++
+		means[w] = float64(time.Since(start).Nanoseconds()) / float64(passes*len(qs))
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(passes*len(qs))
+	slices.Sort(means[:])
+	return means[windows/2]
 }
 
 // throughput converts average latency to queries/second.

@@ -34,7 +34,7 @@ var kept = []struct {
 	{"ablation", "Ablation", []string{"no functional mappings"}},
 	{"rebalance", "Rebalance", []string{"before skew", "during migration", "exact", "migrated", "post-rebalance spread"}},
 	{"traffic", "Traffic", []string{"cache hit rate", "hot query", "admitted with shedding"}},
-	{"scan", "Scan", []string{"count_2f_plan", "sum_1f", "portable", "scalar", "coded GB/s", "coded vs int64"}},
+	{"scan", "Scan", []string{"count_2f_plan", "sum_1f", "portable", "scalar", "2-byte Mrows/s", "vs 8-byte", "images MiB"}},
 }
 
 // headers lists the section headers in out, in order, after checking

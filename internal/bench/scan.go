@@ -4,72 +4,118 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/datasets"
 	"repro/internal/query"
+	"repro/internal/workload"
 )
 
-// Scan prints the scan kernels' single-thread throughput on the canonical
-// colstore.KernelBenchShapes: the three tiers (dispatched, portable and
-// the scalar oracle) on int64 columns spanning 1e6 values, and the
-// dispatched kernel on columns spanning 256 values, which it reads
-// through their byte images — with the physical bandwidth that implies
-// (1 byte per filter value, 8 per SUM value) and its speedup over the
-// int64 kernel on the same data. Each shape's query is prepared once and
-// its ranges scanned as one plan, the way an index scans; every tier is
-// checked against the scalar oracle.
+// Scan prints the plan kernel's single-thread throughput on the
+// canonical colstore.KernelBenchShapes. The first table is the three
+// tiers (dispatched, portable and the scalar oracle) on columns spanning
+// 2^40 values, whose filters read the int64 column; the second is the
+// dispatched kernel on columns spanning 256, 65 536 and 1e6 values, whose
+// filters read 1-, 2- and 4-byte lanes, each with its speedup over the
+// same store's 8-byte lane (the narrow lanes off). Each shape's query is
+// prepared once and its ranges scanned as one plan, the way an index
+// scans, and every cell is checked against the scalar oracle. Last, the
+// memory the lane images take on 500k-row Taxi and TPC-H stores.
 func Scan(w io.Writer, o Options) {
 	o = o.fill()
-	section(w, "Scan", "Scan kernels per tier, int64 and byte-coded columns")
+	section(w, "Scan", "Scan kernels per tier and per lane")
 	budget := 200 * time.Millisecond
 	if o.Quick {
 		budget = 20 * time.Millisecond
 	}
-	wide, shapes := scanStore(o.Rows, 1_000_000, o.Seed)
-	coded, codedShapes := scanStore(o.Rows, 256, o.Seed)
+	check := func(what string, got, want colstore.ScanResult) {
+		if !got.Equal(want) {
+			fmt.Fprintf(w, "CORRECTNESS FAILURE: %s: %+v, want %+v\n", what, got, want)
+		}
+	}
+	wide, shapes := scanStore(o.Rows, 1<<40, o.Seed)
 	fmt.Fprintf(w, "%d rows, best of 3 timings per cell; dispatched kernel: %s\n", o.Rows, colstore.KernelName())
-	t := newTable("shape", "dispatched Mrows/s", "portable", "scalar", "coded Mrows/s", "coded GB/s", "coded vs int64")
-	for i, sh := range shapes {
-		csh, plan := codedShapes[i], planOf(sh)
-		var want, cwant colstore.ScanResult
+	t := newTable("shape", "int64 dispatched Mrows/s", "portable", "scalar")
+	for _, sh := range shapes {
+		plan := planOf(sh)
+		var want, got, port colstore.ScanResult
 		scalar := timePass(budget, func() { want = scanScalar(wide, sh) })
-		cwant = scanScalar(coded, csh)
-		var got colstore.ScanResult
 		dispatched := timePass(budget, func() { got = scanPrepared(wide, sh.Query, plan) })
 		prev := colstore.SetSIMD(false)
-		var port colstore.ScanResult
 		portable := timePass(budget, func() { port = scanPrepared(wide, sh.Query, plan) })
 		colstore.SetSIMD(prev)
-		var cgot, cwide colstore.ScanResult
-		codedNs := timePass(budget, func() { cgot = scanPrepared(coded, csh.Query, plan) })
-		prevCoded := colstore.SetCoded(false)
-		wideNs := timePass(budget, func() { cwide = scanPrepared(coded, csh.Query, plan) })
-		colstore.SetCoded(prevCoded)
-		for _, r := range []colstore.ScanResult{got, port} {
-			if !r.Equal(want) {
-				fmt.Fprintf(w, "CORRECTNESS FAILURE: %s: %+v, want %+v\n", sh.Name, r, want)
-			}
-		}
-		for _, r := range []colstore.ScanResult{cgot, cwide} {
-			if !r.Equal(cwant) {
-				fmt.Fprintf(w, "CORRECTNESS FAILURE: coded %s: %+v, want %+v\n", sh.Name, r, cwant)
-			}
-		}
+		check(sh.Name, got, want)
+		check(sh.Name+" portable", port, want)
 		rows := float64(sh.Rows())
-		perRow := float64(len(csh.Query.Filters))
-		if csh.Query.Agg == query.Sum {
-			perRow += 8
-		}
-		t.add(sh.Name,
-			fmt.Sprintf("%.0f", rows/dispatched*1e3),
-			fmt.Sprintf("%.0f", rows/portable*1e3),
-			fmt.Sprintf("%.0f", rows/scalar*1e3),
-			fmt.Sprintf("%.0f", float64(csh.Rows())/codedNs*1e3),
-			fmt.Sprintf("%.1f", float64(csh.Rows())*perRow/codedNs),
-			fmt.Sprintf("%.1fx", wideNs/codedNs))
+		t.add(sh.Name, fmt.Sprintf("%.0f", rows/dispatched*1e3), fmt.Sprintf("%.0f", rows/portable*1e3), fmt.Sprintf("%.0f", rows/scalar*1e3))
 	}
 	t.print(w)
+
+	lanes := []struct {
+		name   string
+		domain int64
+	}{{"1-byte", 256}, {"2-byte", 1 << 16}, {"4-byte", 1_000_000}}
+	header := []string{"shape"}
+	stores := make([]*colstore.Store, len(lanes))
+	laneShapes := make([][]colstore.BenchShape, len(lanes))
+	for i, l := range lanes {
+		header = append(header, l.name+" Mrows/s", "vs 8-byte")
+		stores[i], laneShapes[i] = scanStore(o.Rows, l.domain, o.Seed)
+	}
+	lt := newTable(header...)
+	for i, sh := range shapes {
+		row := []string{sh.Name}
+		for j, l := range lanes {
+			st, lsh := stores[j], laneShapes[j][i]
+			plan, want := planOf(lsh), scanScalar(st, lsh)
+			var narrow, wide colstore.ScanResult
+			narrowNs := timePass(budget, func() { narrow = scanPrepared(st, lsh.Query, plan) })
+			prev := colstore.SetCoded(false)
+			wideNs := timePass(budget, func() { wide = scanPrepared(st, lsh.Query, plan) })
+			colstore.SetCoded(prev)
+			check(l.name+" "+sh.Name, narrow, want)
+			check(l.name+" "+sh.Name+" on its int64 column", wide, want)
+			row = append(row, fmt.Sprintf("%.0f", float64(lsh.Rows())/narrowNs*1e3), fmt.Sprintf("%.1fx", wideNs/narrowNs))
+		}
+		lt.add(row...)
+	}
+	lt.print(w)
+	imageBytes(w, o.Seed)
+}
+
+// imageBytes prints the heap the lane images take on 500k-row Taxi and
+// TPC-H stores: HeapAlloc after one whole-store scan of each of the
+// dataset's Fig 7 workload queries (which builds the images of the
+// columns they filter), minus before.
+func imageBytes(w io.Writer, seed int64) {
+	const rows = 500_000
+	t := newTable("dataset", "rows", "images MiB", "bytes/row")
+	for _, c := range []struct {
+		name  string
+		data  func(int, int64) *datasets.Dataset
+		types func() []workload.TypeSpec
+	}{{"Taxi", datasets.Taxi, workload.TaxiTypes}, {"TPC-H", datasets.TPCH, workload.TPCHTypes}} {
+		st := c.data(rows, seed).Store
+		qs := workload.Generate(st, c.types(), 10, seed)
+		before := heapAlloc()
+		for _, q := range qs {
+			scanPrepared(st, q, []colstore.Range{{Start: 0, End: rows}})
+		}
+		grown := float64(heapAlloc()) - float64(before)
+		runtime.KeepAlive(st)
+		t.add(c.name, fmt.Sprint(rows), fmt.Sprintf("%.1f", grown/(1<<20)), fmt.Sprintf("%.1f", grown/rows))
+	}
+	t.print(w)
+}
+
+// heapAlloc is the live heap after a collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // scanStore builds four columns of rows uniform [0, domain) values and

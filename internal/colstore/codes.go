@@ -2,109 +2,161 @@ package colstore
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/query"
 )
 
-// Column spans and byte images.
+// Column spans and lanes.
 //
 // A scan asks two things of a column that the int64 values answer only
-// by a pass: how wide its value span is, and — when the span fits a
-// byte — which rows hold which code. The store answers both from a
-// per-column cache filled on first use, never at build time: the span by
-// one O(n) MinMax pass, at most once per column and store; the image
-// codes[i] = value[i] - min, one byte per row, when a scan that can read
-// it first asks. Two scans can:
+// by a pass: how wide its value span is, and which narrow integers hold
+// its values. The store answers both from a per-column cache filled on
+// first use, never at build time: the span by one O(n) MinMax pass, at
+// most once per column and store; the column's image when a scan that
+// reads it first asks.
 //
-//   - A query whose every filter is on a column spanning at most 256
-//     values (prepare). Each filter becomes a byte range on its column's
-//     image, and the filter kernels compare 32 codes per AVX2 instruction
-//     instead of 4 int64 values (kernels_avx2_amd64.s): the scan was
-//     compute-bound on the int64 compares, not memory-bound.
-//   - A grouped COUNT over a column of at most maxFastGroups values: the
-//     count kernels compare 32 group codes against splatted key codes
-//     (grouped_avx2_amd64.s).
+// Every filter column has a lane: the narrowest of 1, 2 or 4 bytes that
+// holds value-min over the column's span, or the int64 column itself (8
+// bytes) when the span is wider than 32 bits. A 1-, 2- or 4-byte lane is
+// read from the column's image, img[i] = value[i] - min, little-endian
+// and padded by codePad bytes. prepare translates each filter onto its
+// column's lane, and one kernel compares every filter of a block of 64
+// rows on its own lane — 32, 16, 8 or 4 values per AVX2 instruction
+// (kernels_avx2_amd64.s) — so a filter moves as few bytes a row as its
+// column's span allows. A grouped COUNT over a column of at most
+// maxFastGroups values also reads its 1-byte image: the count kernels
+// compare 32 group codes against splatted key codes
+// (grouped_avx2_amd64.s).
 //
-// A query with one filter on a wider column keeps the int64 kernels and
-// builds no image. The image changes no stored format and no result; it
-// costs one byte per row of every coded column, and BytesTouched stays
+// The images change no stored format and no result; they cost 1, 2 or 4
+// bytes a row of every column a scan filtered on, and BytesTouched stays
 // the planned int64 figure. Both span and image are dropped by a Gather
 // into a reused store (the only write to a store's columns); every other
-// store starts with empty slots. Codes never feed results directly — a
-// filter is translated onto them (colMeta.code) and a grouped count's
-// code c back to key base+c — and the scalar oracle never uses them, so
-// the differential tests exercise these paths end to end.
+// store starts with empty slots. Lane values never feed results directly
+// — a filter is translated onto them (Store.lane) and a grouped
+// count's code c back to key base+c — and the scalar oracle never uses
+// them, so the differential tests exercise these paths end to end.
 
 const (
-	// maxCodedWidth bounds the byte image: a column whose max-min is at
-	// most this (256 values) gets one.
-	maxCodedWidth = 255
-	// codePad is the image's padding past its last row: the kernels read
-	// a range's last 64-row block whole and mask off the rows past it.
+	// codePad is an image's padding in bytes past its last row: the
+	// kernels read a block's last vector whole, and the portable 1-byte
+	// step and the grouped count kernels read a block's 64 codes whole.
 	codePad = 64
-	// maxCodedFilters is how many filters a coded scan carries; a query
-	// with more scans its int64 columns.
-	maxCodedFilters = 8
+	// wideShift is the lane of a column spanning more than 2^32 values:
+	// its int64 column, 1<<3 bytes a value.
+	wideShift = 3
+	// signBit biases the 8-byte lane's bounds for the AVX2 kernel's
+	// signed compare (kernels_avx2_amd64.s).
+	signBit = 1 << 63
 )
 
-// useCoded gates the coded dispatch; atomic so tests and benchmarks can
+// useCoded gates the narrow lanes; atomic so tests and benchmarks can
 // toggle it while concurrent readers scan.
 var useCoded atomic.Bool
 
 func init() { useCoded.Store(true) }
 
-// SetCoded enables or disables the byte-image filter kernels and returns
-// the previous setting. Disabled, every query scans its int64 columns:
-// the benchmarks and the bench harness measure the coded kernels against
-// the int64 ones on the same data this way.
+// SetCoded enables or disables the 1-, 2- and 4-byte lanes and returns
+// the previous setting. Disabled, every filter reads its 8-byte lane, the
+// int64 column: the benchmarks and the bench harness measure the narrow
+// lanes against it on the same data this way.
 func SetCoded(on bool) bool { return useCoded.Swap(on) }
 
 // colMeta describes one column: its minimum, the unsigned width max-min,
-// and — once a scan that can read it asked, if width <= maxCodedWidth —
-// codes[i] = col[i] - base, padded by codePad bytes.
+// its lane (shift, log2 of the lane's bytes) and — once a scan that reads
+// it asked, for a lane narrower than 8 bytes — its image.
 type colMeta struct {
 	base  int64
 	width uint64
-	codes []byte
+	shift uint8
+	img   []byte
+}
+
+// laneShift is the lane of a column whose values span width+1.
+func laneShift(width uint64) uint8 {
+	switch {
+	case width <= math.MaxUint8:
+		return 0
+	case width <= math.MaxUint16:
+		return 1
+	case width <= math.MaxUint32:
+		return 2
+	}
+	return wideShift
 }
 
 // metaFor returns the cached metadata of dimension dim, computing it on
-// first use and adding the byte image when wantCodes is set and the
-// column's span fits. The per-dimension slot is atomic: concurrent
-// builders race idempotently (both compute the same values).
-func (s *Store) metaFor(dim int, wantCodes bool) *colMeta {
+// first use and adding the image when wantImg is set and the column's
+// lane is narrower than 8 bytes. The per-dimension slot is atomic:
+// concurrent builders race idempotently (both compute the same values).
+func (s *Store) metaFor(dim int, wantImg bool) *colMeta {
 	slot := &s.meta[dim]
 	m := slot.Load()
 	if m == nil {
 		lo, hi := s.MinMax(dim)
 		// uint64(hi-lo) is the exact unsigned width even when the int64
 		// subtraction wraps (hi >= lo, and the true width is < 2^64).
-		m = &colMeta{base: lo, width: uint64(hi - lo)}
+		w := uint64(hi - lo)
+		m = &colMeta{base: lo, width: w, shift: laneShift(w)}
 		slot.Store(m)
 	}
-	if wantCodes && m.codes == nil && m.width <= maxCodedWidth && s.NumRows() > 0 {
-		col := s.cols[dim]
-		codes := make([]byte, len(col), len(col)+codePad)
-		for i, v := range col {
-			codes[i] = byte(v - m.base)
-		}
-		m = &colMeta{base: m.base, width: m.width, codes: codes}
+	if wantImg && m.img == nil && m.shift < wideShift && s.NumRows() > 0 {
+		m = &colMeta{base: m.base, width: m.width, shift: m.shift, img: m.image(s.cols[dim])}
 		slot.Store(m)
 	}
 	return m
 }
 
-// code translates filter f onto the column's image: codes c with
-// uint8(c-lo) <= width match. all reports that f covers the whole span
-// (it drops out), none that it misses it or is inverted (the query
-// matches nothing on this store). Bounds are compared before anything is
+// image is the column's lane image: value-base in 1<<shift bytes per row,
+// little-endian, padded by codePad bytes.
+func (m *colMeta) image(col []int64) []byte {
+	n := len(col) << m.shift
+	img := make([]byte, n, n+codePad)
+	switch m.shift {
+	case 0:
+		for i, v := range col {
+			img[i] = byte(v - m.base)
+		}
+	case 1:
+		for i, v := range col {
+			binary.LittleEndian.PutUint16(img[2*i:], uint16(v-m.base))
+		}
+	default:
+		for i, v := range col {
+			binary.LittleEndian.PutUint32(img[4*i:], uint32(v-m.base))
+		}
+	}
+	return img
+}
+
+// laneFilter is one filter as the plan kernel reads it: vals holds its
+// column's lane from row 0 (the image, or the int64 column's bytes),
+// shift is the lane, and lo and width are the lane values that match as
+// the kernels compare them: v matches iff v-lo <= width in the lane's
+// unsigned arithmetic — with both biased by 2^63 on the 8-byte lane,
+// whose AVX2 compare is signed. The AVX2 kernel reads vals' pointer at
+// offset 0, lo at 24, width at 32 and shift at 40, 48 bytes apart.
+type laneFilter struct {
+	vals      []byte
+	lo, width uint64
+	shift     uint8
+}
+
+// lane translates filter f (not inverted) onto its column's lane, or
+// onto the 8-byte lane when wide is set, building the column's image on
+// first use. all reports that f covers the whole span (it drops out),
+// none that it misses it (the query matches nothing on this store);
+// neither builds an image. Bounds are compared before anything is
 // subtracted, so int64 extremes cannot overflow.
-func (m *colMeta) code(f query.Filter) (lo, width uint8, all, none bool) {
+func (s *Store) lane(f query.Filter, wide bool) (lf laneFilter, all, none bool) {
+	m := s.metaFor(f.Dim, false)
 	top := m.base + int64(m.width) // the column's max
-	if f.Lo > f.Hi || f.Hi < m.base || f.Lo > top {
-		return 0, 0, false, true
+	if f.Hi < m.base || f.Lo > top {
+		return lf, false, true
 	}
 	clo, chi := uint64(0), m.width
 	if f.Lo > m.base {
@@ -113,25 +165,65 @@ func (m *colMeta) code(f query.Filter) (lo, width uint8, all, none bool) {
 	if f.Hi < top {
 		chi = uint64(f.Hi - m.base)
 	}
-	return uint8(clo), uint8(chi - clo), clo == 0 && chi == m.width, false
+	switch {
+	case clo == 0 && chi == m.width:
+		return lf, true, false
+	case wide || m.shift == wideShift:
+		col := s.cols[f.Dim]
+		vals := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(col))), len(col)*8)
+		return laneFilter{vals, (uint64(m.base) + clo) ^ signBit, (chi - clo) ^ signBit, wideShift}, false, false
+	}
+	return laneFilter{s.metaFor(f.Dim, true).img, clo, chi - clo, m.shift}, false, false
 }
 
-// codedFilter is one filter as the coded kernels read it: its column's
-// image (row 0 at codes[0]) and the byte range [lo, lo+width] of codes
-// that match. The AVX2 kernels read the image pointer at offset 0 and lo
-// and width at 24 and 25.
-type codedFilter struct {
-	codes     []byte
-	lo, width uint8
+// word is the portable lane step: the match word of the at most 64 rows
+// [start, end) on f's lane, bit k for row start+k. On the 1-byte lane it
+// compares 8 codes per uint64 and reads the block's 64 codes whole, so
+// its bits past end are unspecified; the wider lanes compare one value at
+// a time and leave them clear.
+func (f *laneFilter) word(start, end int) uint64 {
+	var w uint64
+	switch f.shift {
+	case 0:
+		lo, width := f.lo*lanes1, f.width*lanes1
+		c := f.vals[start : start+64]
+		for k := 0; k < 64; k += 8 {
+			h := codedMask8(binary.LittleEndian.Uint64(c[k:]), lo, width)
+			// Gather the 8 high bits into one byte: bit 8i+7 lands on 56+i.
+			w |= ((h >> 7) * 0x0102040810204080 >> 56) << k
+		}
+	case 1:
+		v := f.vals[2*start : 2*end]
+		for k := 0; k < end-start; k++ {
+			w |= inLane(uint64(binary.LittleEndian.Uint16(v[2*k:])-uint16(f.lo)), f.width) << (k & 63)
+		}
+	case 2:
+		v := f.vals[4*start : 4*end]
+		for k := 0; k < end-start; k++ {
+			w |= inLane(uint64(binary.LittleEndian.Uint32(v[4*k:])-uint32(f.lo)), f.width) << (k & 63)
+		}
+	default:
+		v, lo, width := f.vals[8*start:8*end], f.lo^signBit, f.width^signBit
+		for k := 0; k < end-start; k++ {
+			w |= inLane(binary.NativeEndian.Uint64(v[8*k:])-lo, width) << (k & 63)
+		}
+	}
+	return w
 }
 
-// Bytes-per-lane constants of the portable coded kernel.
+// inLane is 1 when d <= width, else 0, without a branch.
+func inLane(d, width uint64) uint64 {
+	_, borrow := bits.Sub64(width, d, 0)
+	return borrow ^ 1
+}
+
+// Bytes-per-lane constants of the portable 1-byte step.
 const (
 	lanes1 = 0x0101010101010101
 	lanesH = 0x8080808080808080
 )
 
-// codedMask8 is the portable coded compare of 8 codes at once (SWAR):
+// codedMask8 is the portable 1-byte compare of 8 codes at once (SWAR):
 // the high bit of byte k of the result is set iff byte k of x matches
 // the splatted range [lo, lo+width] (lo and width times lanes1); the
 // other bits are clear. Per byte, d = x-lo and the borrow out of
@@ -141,51 +233,6 @@ func codedMask8(x, lo, width uint64) uint64 {
 	d := ((x | lanesH) - (lo &^ lanesH)) ^ ((x ^ ^lo) & lanesH)
 	r := ((width | lanesH) - (d &^ lanesH)) ^ ((width ^ ^d) & lanesH)
 	return ^((^width & d) | (^(width ^ d) & r)) & lanesH
-}
-
-// codedWord is the portable coded kernel's step: the selection word of
-// the at most 64 rows [start, end) under fs (at least one filter), bit k
-// for row start+k. The images are padded, so it reads 64 codes whole
-// and masks off the rows past end.
-func codedWord(fs []codedFilter, start, end int) uint64 {
-	m := ^uint64(0) >> (64 - (end - start))
-	for _, f := range fs {
-		lo, width := uint64(f.lo)*lanes1, uint64(f.width)*lanes1
-		c := f.codes[start : start+64]
-		var w uint64
-		for k := 0; k < 64; k += 8 {
-			h := codedMask8(binary.LittleEndian.Uint64(c[k:]), lo, width)
-			// Gather the 8 high bits into one byte: bit 8i+7 lands on 56+i.
-			w |= ((h >> 7) * 0x0102040810204080 >> 56) << k
-		}
-		if m &= w; m == 0 {
-			break
-		}
-	}
-	return m
-}
-
-// scanCodedPortable is the portable coded count/sum of rows [start,
-// end): each 64-row word is selected on the images and folded at once.
-func scanCodedPortable(fs []codedFilter, agg []int64, start, end int) (count uint64, sum int64) {
-	for w := start; w < end; w += 64 {
-		we := min(w+64, end)
-		m := codedWord(fs, w, we)
-		count += uint64(bits.OnesCount64(m))
-		if agg != nil && m != 0 {
-			sum += maskedSum(agg[w:we], m)
-		}
-	}
-	return count, sum
-}
-
-// selectCodedPortable writes codedWord's word for every 64 rows of the
-// range, and for its partial last word.
-func selectCodedPortable(fs []codedFilter, start, end int, sel []uint64) {
-	for w := 0; start+w<<6 < end; w++ {
-		r := start + w<<6
-		sel[w] = codedWord(fs, r, min(r+64, end))
-	}
 }
 
 // codeSplat is the grouped byte-code kernels' key operand: code c as a

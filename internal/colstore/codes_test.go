@@ -40,105 +40,176 @@ func TestCodedMask8Exhaustive(t *testing.T) {
 	}
 }
 
-// TestPrepareChoosesCoded pins when a query reads the byte images: only
-// when every filter is on a column of at most 256 values, with a filter
-// over a whole span dropped and one missing a span emptying the query,
-// and an image is built only for a query that reads it.
+// TestPrepareChoosesCoded pins how a query's filters reach the lanes:
+// every filter reads its column's narrowest lane, mixed widths in one
+// query, with a filter over a whole span dropped, one missing a span or
+// inverted emptying the query, and an image built only for a column a
+// query filters on; with the narrow lanes off every filter reads its
+// int64 column and no image is built.
 func TestPrepareChoosesCoded(t *testing.T) {
 	const n = 1000
-	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)}
 	for i := range n {
-		cols[0][i] = 100 + int64(i%256) // 256 values: coded
-		cols[1][i] = int64(i % 7)       // 7 values: coded
-		cols[2][i] = int64(i * 1000)    // wide
+		cols[0][i] = 100 + int64(i%256) // 256 values: 1 byte
+		cols[1][i] = int64(i % 7)       // 7 values: 1 byte
+		cols[2][i] = int64(i * 1000)    // ~1e6 values: 4 bytes
+		cols[3][i] = int64(i) << 40     // wider than 32 bits: the int64 column
 	}
+	hasImage := func(s *Store, d int) bool { m := s.meta[d].Load(); return m != nil && m.img != nil }
+	shifts := func(sc prepared) (out []uint8) {
+		for _, f := range sc.lanes() {
+			out = append(out, f.shift)
+		}
+		return out
+	}
+
+	off, err := FromColumns(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := SetCoded(false)
+	mixed := query.NewCount(query.Filter{Dim: 0, Lo: 120, Hi: 200}, query.Filter{Dim: 2, Lo: 0, Hi: 5000}, query.Filter{Dim: 3, Lo: 1 << 41, Hi: 1 << 45})
+	if got := shifts(off.prepare(mixed)); !slices.Equal(got, []uint8{3, 3, 3}) {
+		t.Errorf("narrow lanes off: prepared lanes %v, want every filter on its int64 column", got)
+	}
+	SetCoded(true)
+	defer SetCoded(prev)
+	for d := range cols {
+		if hasImage(off, d) {
+			t.Fatalf("with the narrow lanes off, column %d got an image", d)
+		}
+	}
+
 	s, err := FromColumns(cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetCoded(true)
-	defer SetCoded(prev)
-
-	mixed := s.prepare(query.NewCount(query.Filter{Dim: 0, Lo: 120, Hi: 200}, query.Filter{Dim: 2, Lo: 0, Hi: 5000}))
-	if mixed.kind != scanWide {
-		t.Fatalf("a query with a wide filter prepared as %d, want the int64 kernels", mixed.kind)
-	}
-	for d := range cols {
-		if m := s.meta[d].Load(); m != nil && m.codes != nil {
-			t.Fatalf("the mixed query built column %d's image", d)
-		}
-	}
-
 	for _, c := range []struct {
-		q     query.Query
-		kind  scanKind
-		n     int
-		codes []int // columns with an image afterwards
+		q      query.Query
+		empty  bool
+		shifts []uint8
+		images []int // columns with an image afterwards
 	}{
-		{query.NewCount(query.Filter{Dim: 0, Lo: 120, Hi: 200}), scanCoded, 1, []int{0}},
-		{query.NewCount(query.Filter{Dim: 0, Lo: math.MinInt64, Hi: math.MaxInt64}, query.Filter{Dim: 1, Lo: 2, Hi: 2}), scanCoded, 1, []int{0, 1}},
-		{query.NewCount(query.Filter{Dim: 1, Lo: -5, Hi: 6}), scanCoded, 0, []int{0, 1}},
-		{query.NewCount(query.Filter{Dim: 1, Lo: 7, Hi: math.MaxInt64}), scanEmpty, 0, []int{0, 1}},
-		{query.NewCount(query.Filter{Dim: 2, Lo: 3, Hi: 1}), scanEmpty, 0, []int{0, 1}},
-		{query.NewCount(), scanWide, 0, []int{0, 1}},
+		{mixed, false, []uint8{0, 2, 3}, []int{0, 2}},
+		{query.NewCount(query.Filter{Dim: 0, Lo: math.MinInt64, Hi: math.MaxInt64}, query.Filter{Dim: 1, Lo: 2, Hi: 2}), false, []uint8{0}, []int{0, 1, 2}},
+		{query.NewCount(query.Filter{Dim: 1, Lo: -5, Hi: 6}), false, nil, []int{0, 1, 2}},
+		{query.NewCount(query.Filter{Dim: 1, Lo: 7, Hi: math.MaxInt64}), true, nil, []int{0, 1, 2}},
+		{query.NewCount(query.Filter{Dim: 3, Lo: 3, Hi: 1}), true, nil, []int{0, 1, 2}},
+		{query.NewCount(), false, nil, []int{0, 1, 2}},
 	} {
 		sc := s.prepare(c.q)
-		if sc.kind != c.kind || sc.n != c.n {
-			t.Errorf("%s: prepared kind %d with %d coded filters, want %d with %d", c.q, sc.kind, sc.n, c.kind, c.n)
+		if got := shifts(sc); sc.empty != c.empty || !slices.Equal(got, c.shifts) {
+			t.Errorf("%s: prepared empty %v with lanes %v, want %v with %v", c.q, sc.empty, got, c.empty, c.shifts)
 		}
 		for d := range cols {
-			m := s.meta[d].Load()
-			if has := m != nil && m.codes != nil; has != slices.Contains(c.codes, d) {
+			if has := hasImage(s, d); has != slices.Contains(c.images, d) {
 				t.Errorf("after %s: column %d has an image: %v", c.q, d, has)
 			}
 		}
-		var got ScanResult
-		sc.scanRange(0, n, false, &got)
-		if want := scanTiers(t, s, c.q, 0, n, false); !got.Equal(want) {
-			t.Errorf("%s: %+v, want %+v", c.q, got, want)
+		if want := scanTiers(t, s, c.q, 0, n, false); c.empty && want.Count != 0 {
+			t.Errorf("%s: an empty query matched %d rows", c.q, want.Count)
 		}
 	}
 }
 
-// TestCodedImagesFollowGather pins the byte images' invalidation: a coded
-// query that built the images must answer from the new rows after a
+// TestPrepareChoosesLane pins the lane thresholds: a column spanning 256
+// values reads 1 byte a value and one of 257 reads 2, 65 536 and 65 537
+// split 2 from 4 bytes, 2^32 and 2^32+1 split 4 from the int64 column,
+// and the whole int64 domain reads the int64 column; every tier answers
+// on each lane, with filters at its ends.
+func TestPrepareChoosesLane(t *testing.T) {
+	for _, c := range []struct {
+		base, width uint64 // the column spans width+1 values from base
+		shift       uint8
+	}{
+		{0, 255, 0}, {1 << 60, 256, 1},
+		{5, 65535, 1}, {0, 65536, 2},
+		{1 << 62, 1<<32 - 1, 2}, {0, 1 << 32, 3},
+		{1 << 63, math.MaxUint64, 3},
+	} {
+		const n = 300
+		rng := rand.New(rand.NewSource(int64(c.width)))
+		col := make([]int64, n)
+		for i := range col {
+			v := rng.Uint64()
+			if c.width < math.MaxUint64 {
+				v %= c.width + 1
+			}
+			col[i] = int64(c.base + v)
+		}
+		lo, hi := int64(c.base), int64(c.base+c.width)
+		col[17], col[250] = lo, hi
+		s, err := FromColumns([][]int64{col, append([]int64(nil), col...)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := int64(c.base + c.width/3)
+		q := query.NewSum(1, query.Filter{Dim: 0, Lo: lo + 1, Hi: mid})
+		sc := s.prepare(q)
+		if fs := sc.lanes(); len(fs) != 1 || fs[0].shift != c.shift {
+			t.Fatalf("span %d+1 from %d: prepared %+v, want one filter on lane %d", c.width, lo, fs, c.shift)
+		}
+		for _, f := range []query.Filter{{Dim: 0, Lo: lo, Hi: lo}, {Dim: 0, Lo: hi, Hi: hi}, {Dim: 0, Lo: mid, Hi: hi}, {Dim: 0, Lo: lo + 1, Hi: mid}} {
+			for _, q := range []query.Query{query.NewCount(f), query.NewSum(1, f)} {
+				scanTiers(t, s, q, 0, n, false)
+				scanTiers(t, s, q, 13, 94, false)
+				groupedTiers(t, s, q.By(0), 13, 94, false)
+			}
+		}
+	}
+}
+
+// TestCodedImagesFollowGather pins the images' invalidation: a query that
+// built 1-, 2- and 4-byte images must answer from the new rows after a
 // permuting Gather rewrote the store's columns in place.
 func TestCodedImagesFollowGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const n = 3000
-	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)}
 	for i := range n {
 		cols[0][i], cols[1][i], cols[2][i] = rng.Int63n(40), rng.Int63n(200), rng.Int63n(1e6)
+		cols[3][i], cols[4][i] = rng.Int63n(30000)-15000, rng.Int63n(3e9)
 	}
 	src, err := FromColumns(cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := src.Gather(rng.Perm(n), nil)
-	q := query.NewSum(2, query.Filter{Dim: 0, Lo: 5, Hi: 20}, query.Filter{Dim: 1, Lo: 50, Hi: 150})
-	scanTiers(t, s, q, 0, n, false)
+	queries := []query.Query{
+		query.NewSum(2, query.Filter{Dim: 0, Lo: 5, Hi: 20}, query.Filter{Dim: 1, Lo: 50, Hi: 150}),
+		query.NewSum(2, query.Filter{Dim: 3, Lo: -9000, Hi: 4000}, query.Filter{Dim: 4, Lo: 5e8, Hi: 2e9}),
+	}
+	for _, q := range queries {
+		scanTiers(t, s, q, 0, n, false)
+	}
 	if g := src.Gather(rng.Perm(n), s); g != s {
 		t.Fatal("the gather did not reuse the coded store")
 	}
-	scanTiers(t, s, q, 0, n, false)
-	scanTiers(t, s, q, 17, 2049, false)
+	for _, q := range queries {
+		scanTiers(t, s, q, 0, n, false)
+		scanTiers(t, s, q, 17, 2049, false)
+	}
 }
 
 // TestCodedImagesConcurrentFirstUse has readers race to build one fresh
-// store's spans and images (flat and grouped, coded and mixed queries)
+// store's spans and 1-, 2- and 4-byte images (flat and grouped, one lane
+// and mixed lanes)
 // and checks every answer against the scalar oracle: the per-column
 // slots are published atomically and concurrent builders agree.
 func TestCodedImagesConcurrentFirstUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 4000
-	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)}
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)}
 	for i := range n {
 		cols[0][i], cols[1][i], cols[2][i], cols[3][i] = rng.Int63n(30), rng.Int63n(250)-125, rng.Int63n(1e9), rng.Int63n(12)
+		cols[4][i] = rng.Int63n(40000)
 	}
 	queries := []query.Query{
 		query.NewCount(query.Filter{Dim: 0, Lo: 3, Hi: 17}),
 		query.NewSum(2, query.Filter{Dim: 0, Lo: 3, Hi: 17}, query.Filter{Dim: 1, Lo: -40, Hi: 90}),
 		query.NewCount(query.Filter{Dim: 1, Lo: 0, Hi: 0}, query.Filter{Dim: 2, Lo: 0, Hi: 5e8}),
+		query.NewSum(3, query.Filter{Dim: 4, Lo: 1000, Hi: 30000}, query.Filter{Dim: 2, Lo: 1e8, Hi: 9e8}),
+		query.NewCount(query.Filter{Dim: 4, Lo: 100, Hi: 20000}).By(3),
 		query.NewCount(query.Filter{Dim: 1, Lo: -40, Hi: 90}).By(3),
 		query.NewSum(2, query.Filter{Dim: 0, Lo: 1, Hi: 28}).By(0),
 	}
@@ -201,13 +272,15 @@ func groupedTiers(t *testing.T, s *Store, q query.Query, start, end int, exact b
 	}
 }
 
-// FuzzScanTiers drives random stores — two coded columns anchored
-// anywhere in the int64 domain, a wide column, an aggregate and a group
-// column — through every kernel tier, with the coded dispatch on and off,
-// against the scalar oracles: flat COUNT and SUM, coded-only and mixed
-// filters, and grouped COUNT and SUM. The fuzzer picks one filter's
-// bounds outright (out of span, equal, inverted, int64 extremes) and the
-// range, down to a few rows from any start.
+// FuzzScanTiers drives random stores — a column on each lane (two of 1
+// byte, one of 2 and one of 4, anchored anywhere in the int64 domain,
+// and a wide column on the int64 lane), an aggregate and a group column
+// — through every kernel tier, with the narrow lanes on and off, against
+// the scalar oracles: flat COUNT and SUM, one lane and every lane in one
+// query, and grouped COUNT and SUM. The fuzzer picks one filter's bounds
+// outright (out of span, equal, inverted, int64 extremes), set on a
+// 1-, a 2- and a 4-byte column in turn, and the range, down to a few
+// rows from any start.
 func FuzzScanTiers(f *testing.F) {
 	f.Add(int64(1), int64(10), int64(20), uint16(0), uint16(100))
 	f.Add(int64(2), int64(math.MinInt64), int64(math.MaxInt64), uint16(3), uint16(2))
@@ -218,17 +291,28 @@ func FuzzScanTiers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, lo, hi int64, start, length uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(700)
-		bases := []int64{0, -100, math.MinInt64, math.MaxInt64 - 255, rng.Int63() - 1<<62}
-		base0, base1 := bases[rng.Intn(len(bases))], bases[rng.Intn(len(bases))]
-		span0, span1 := 1+rng.Int63n(256), 1+rng.Int63n(256)
+		// Each lane column spans 1..max values from a base anywhere,
+		// at an extreme or near zero.
+		laneCol := func(max uint64) (base int64, span uint64, col []int64) {
+			span = 1 + rng.Uint64()%max
+			base = []int64{0, -100, math.MinInt64, int64(math.MaxInt64 - (span - 1)), rng.Int63() - 1<<62}[rng.Intn(5)]
+			col = make([]int64, n)
+			for i := range col {
+				col[i] = base + int64(rng.Uint64()%span)
+			}
+			return base, span, col
+		}
 		groupSpan := []int64{1, 8, 32, 33, 256, 5000}[rng.Intn(6)]
-		cols := make([][]int64, 5)
-		for j := range cols {
+		cols := make([][]int64, 7)
+		_, _, cols[0] = laneCol(256)
+		base1, span1, c1 := laneCol(256)
+		cols[1] = c1
+		_, _, cols[5] = laneCol(1 << 16)
+		_, _, cols[6] = laneCol(1 << 32)
+		for j := 2; j <= 4; j++ {
 			cols[j] = make([]int64, n)
 		}
 		for i := range n {
-			cols[0][i] = base0 + rng.Int63n(span0)
-			cols[1][i] = base1 + rng.Int63n(span1)
 			cols[2][i] = int64(rng.Uint64())
 			cols[3][i] = rng.Int63n(2001) - 1000
 			cols[4][i] = rng.Int63n(groupSpan)
@@ -237,21 +321,28 @@ func FuzzScanTiers(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f0 := query.Filter{Dim: 0, Lo: lo, Hi: hi}
-		a, b := base1+rng.Int63n(span1), base1+rng.Int63n(span1)
+		a, b := base1+int64(rng.Uint64()%span1), base1+int64(rng.Uint64()%span1)
 		if a > b && rng.Intn(4) != 0 {
 			a, b = b, a
 		}
 		f1 := query.Filter{Dim: 1, Lo: a, Hi: b}
+		pick := func(dim int) query.Filter {
+			c := cols[dim]
+			x, y := c[rng.Intn(n)], c[rng.Intn(n)]
+			return query.Filter{Dim: dim, Lo: min(x, y), Hi: max(x, y)}
+		}
 		wide := query.Filter{Dim: 2, Lo: int64(rng.Uint64()) / 2, Hi: math.MaxInt64}
 		s0 := int(start) % (n + 1)
 		e0 := s0 + int(length)%(n+1-s0)
 		exact := rng.Intn(8) == 0
 		for _, q := range []query.Query{
-			query.NewCount(f0),
-			query.NewCount(f0, f1),
-			query.NewSum(3, f0, f1),
+			query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: hi}),
+			query.NewCount(query.Filter{Dim: 0, Lo: lo, Hi: hi}, f1),
+			query.NewSum(3, query.Filter{Dim: 0, Lo: lo, Hi: hi}, f1),
 			query.NewSum(3, f1, wide),
+			query.NewCount(query.Filter{Dim: 5, Lo: lo, Hi: hi}, pick(6)),
+			query.NewSum(3, pick(5), query.Filter{Dim: 6, Lo: lo, Hi: hi}),
+			query.NewSum(3, f1, pick(5), pick(6), wide),
 		} {
 			scanTiers(t, s, q, s0, e0, exact)
 			groupedTiers(t, s, q.By(4), s0, e0, exact)

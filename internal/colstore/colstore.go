@@ -20,9 +20,8 @@ import (
 type Store struct {
 	cols  [][]int64
 	names []string
-	// meta lazily holds each column's value span and, for a column of
-	// at most 256 values, its byte image (codes.go); Gather into a reused
-	// store clears the slots.
+	// meta lazily holds each column's value span, lane and image
+	// (codes.go); Gather into a reused store clears the slots.
 	meta []atomic.Pointer[colMeta]
 }
 
@@ -140,7 +139,7 @@ func (s *Store) MinMax(dim int) (int64, int64) {
 // when reuse is a store of s's width (reuse may be nil), so a caller
 // gathering again and again allocates once; reuse must not be read after
 // the call except through the returned store, and its column spans and
-// byte images, which describe its old rows, are dropped.
+// images, which describe its old rows, are dropped.
 func (s *Store) Gather(rows []int, reuse *Store) *Store {
 	out := reuse
 	if out == nil || len(out.cols) != len(s.cols) {
@@ -193,11 +192,11 @@ type ScanResult struct {
 	// row for every filter column plus the aggregate column for SUM (an
 	// exact COUNT range touches no column data at all). It is a planned
 	// figure — deliberately independent of short-circuiting, dead-word
-	// skipping and of the byte images, and therefore identical across the
-	// SIMD, portable, and scalar tiers — so the bench harness can report
+	// skipping and of the lanes, and therefore identical across the SIMD,
+	// portable, and scalar tiers — so the bench harness can report
 	// effective GB/s per shape and track the gap to STREAM bandwidth
-	// across PRs. A coded scan (prepare) reads 1 byte per filter value,
-	// not 8, while this figure stays the planned 8.
+	// across PRs. A filter on a 1-, 2- or 4-byte lane (prepare) reads that
+	// many bytes per value, not 8, while this figure stays the planned 8.
 	BytesTouched uint64
 
 	// GroupDim, Regime and Groups describe a grouped query's answer: the
@@ -222,35 +221,40 @@ func (r ScanResult) Avg() float64 {
 	return float64(r.Sum) / float64(r.Count)
 }
 
-// prepared is a query prepared against one store (prepare): the choice,
-// made once per query rather than per range, between the int64 filter
-// kernels and the byte-image ones, with q's filters translated onto the
-// images for the latter. ScanRanges prepares once for a whole plan;
-// ScanRange prepares once for its one range.
+// prepared is a query prepared against one store (prepare): its filters
+// translated onto their columns' lanes once per query rather than per
+// range. ScanRanges prepares once for a whole plan; ScanRange prepares
+// once for its one range.
 type prepared struct {
-	s    *Store
-	q    query.Query
-	kind scanKind
-	// coded[:n] are q's filters on the byte images (kind scanCoded);
-	// filters covering their column's whole span have dropped out.
+	s *Store
+	q query.Query
+	// empty: an inverted filter, or one missing its column's span, so a
+	// non-exact range matches no row.
+	empty bool
+	// lanes() are q's filters on their lanes, in fixed[:n] or, for a
+	// query with more than maxLanes filters, in more; filters covering
+	// their column's whole span have dropped out.
 	n     int
-	coded [maxCodedFilters]codedFilter
+	fixed [maxLanes]laneFilter
+	more  []laneFilter
 }
 
-type scanKind uint8
+// maxLanes is how many filters a prepared query holds without
+// allocating.
+const maxLanes = 16
 
-const (
-	scanWide  scanKind = iota // filters on the int64 columns (or none)
-	scanCoded                 // filters on the byte images, coded[:n]
-	scanEmpty                 // an inverted filter, or one missing its column's span: no row matches
-)
+func (sc *prepared) lanes() []laneFilter {
+	if sc.more != nil {
+		return sc.more
+	}
+	return sc.fixed[:sc.n]
+}
 
-// prepare decides how q's non-exact ranges on s are scanned. When every
-// filter (at least one, at most maxCodedFilters) is on a column whose
-// values span at most 256, they are translated onto the columns' byte
-// images, built here on first use; otherwise the scan reads the int64
-// columns. Spans are learned once per column and store, and a query with
-// one wide filter builds no image. The choice changes no result and no
+// prepare translates q's filters onto s's lanes: each filter reads the
+// narrowest lane its column's span allows (codes.go), or its int64
+// column with the narrow lanes off (SetCoded), and an image is built the
+// first time a filter that does not drop out reads it. Spans are learned
+// once per column and store. The translation changes no result and no
 // accounting.
 func (s *Store) prepare(q query.Query) prepared {
 	sc := prepared{s: s, q: q}
@@ -259,114 +263,46 @@ func (s *Store) prepare(q query.Query) prepared {
 	// only for lo <= hi.
 	for _, f := range q.Filters {
 		if f.Lo > f.Hi {
-			sc.kind = scanEmpty
+			sc.empty = true
 			return sc
 		}
 	}
-	if len(q.Filters) == 0 || len(q.Filters) > maxCodedFilters || s.NumRows() == 0 || !useCoded.Load() {
+	if s.NumRows() == 0 {
 		return sc
 	}
-	for _, f := range q.Filters {
-		if s.metaFor(f.Dim, false).width > maxCodedWidth {
-			return sc
-		}
+	if len(q.Filters) > maxLanes {
+		sc.more = make([]laneFilter, 0, len(q.Filters))
 	}
-	sc.kind = scanCoded
+	wide := !useCoded.Load()
 	for _, f := range q.Filters {
-		m := s.metaFor(f.Dim, true)
-		lo, width, all, none := m.code(f)
-		if none {
-			sc.kind = scanEmpty
+		lf, all, none := s.lane(f, wide)
+		switch {
+		case none:
+			sc.empty = true
 			return sc
-		}
-		if !all {
-			sc.coded[sc.n] = codedFilter{m.codes, lo, width}
+		case all:
+		case sc.more != nil:
+			sc.more = append(sc.more, lf)
+		default:
+			sc.fixed[sc.n] = lf
 			sc.n++
 		}
 	}
 	return sc
 }
 
-// filtered reports whether a non-exact range must be filter-checked:
-// some filter neither drops out nor empties the query.
-func (sc *prepared) filtered() bool {
-	if sc.kind == scanCoded {
-		return sc.n > 0
-	}
-	return sc.kind == scanWide && len(sc.q.Filters) > 0
-}
-
 // ScanRange scans physical rows [start, end) against q and accumulates the
-// aggregation into res: ScanRanges of the one range, without the plan.
+// aggregation into res: ScanRanges of the one range.
 func (s *Store) ScanRange(q query.Query, start, end int, exact bool, res *ScanResult) {
 	sc := s.prepare(q)
-	sc.scanRange(start, end, exact, res)
-}
-
-// scanRange scans physical rows [start, end) of the prepared store
-// against its query and accumulates the aggregation into res.
-//
-// If exact is true the caller guarantees every row in the range matches every
-// filter, so per-value checks are skipped — the paper's scan-time
-// optimization. For COUNT with exact ranges no column data is touched at all.
-// Filtered (non-exact) ranges run on one branch-free fused kernel for any
-// filter count (kernels.go), which compares every filter in registers and
-// folds each group of rows at once — on the byte images when prepare
-// coded the query, else on the int64 columns; ScanRangeScalar retains
-// the row-at-a-time loop as the oracle.
-func (sc *prepared) scanRange(start, end int, exact bool, res *ScanResult) {
-	s, q := sc.s, sc.q
-	if start < 0 {
-		start = 0
-	}
-	if end > s.NumRows() {
-		end = s.NumRows()
-	}
-	if start >= end {
-		return
-	}
-	n := uint64(end - start)
-	if exact {
-		res.Count += n
-		if q.Agg == query.Sum {
-			col := s.cols[q.AggDim][start:end]
-			var sum int64
-			for _, v := range col {
-				sum += v
-			}
-			res.Sum += sum
-			res.PointsScanned += n
-			res.BytesTouched += n * 8
-		}
-		return
-	}
-	res.PointsScanned += n
-	res.BytesTouched += n * 8 * uint64(len(q.Filters)+sumCols(q))
-	switch {
-	case sc.kind == scanEmpty:
-		return
-	case sc.kind == scanCoded && sc.n > 0:
-		s.scanCoded(sc.coded[:sc.n], q, start, end, res)
-		return
-	case sc.filtered():
-		s.scanFiltered(q, start, end, res)
-		return
-	}
-	res.Count += n
-	if q.Agg == query.Sum {
-		col := s.cols[q.AggDim][start:end]
-		var sum int64
-		for _, v := range col {
-			sum += v
-		}
-		res.Sum += sum
-	}
+	one := [1]Range{{Start: start, End: end, Exact: exact}}
+	sc.scanRanges(one[:], res)
 }
 
 // Range is one physical row range of a plan: rows [Start, End), Exact
 // when every row is known to match every filter (the paper's scan-time
-// optimization). The coded range kernel reads a plan's ranges in place:
-// Start at byte 0, End at 8, Exact at 16, 24 bytes apart.
+// optimization). The plan kernel reads a plan's ranges in place: Start
+// at byte 0, End at 8, Exact at 16, 24 bytes apart.
 type Range struct {
 	Start, End int
 	Exact      bool
@@ -383,63 +319,68 @@ const prefetchAhead = 2
 // ScanRanges is the one way a plan is scanned: every index turns a query
 // into physical ranges, and this scans them against q into acc when the
 // query is grouped (acc non-nil), into res otherwise. The query is
-// prepared once for all its ranges: whether its filters are compared on
-// the columns' byte images or on their int64 values is one decision per
-// query, not per range. The columns of the range prefetchAhead positions
-// on are prefetched, and a coded flat query walks the whole plan in one
-// kernel call (codedRanges), which does the same per range without
-// returning to Go.
+// prepared once for all its ranges. A flat plan is one call of the plan
+// kernel (laneRanges), which prefetches the range prefetchAhead
+// positions on before each range; a grouped plan walks its ranges here,
+// with the same prefetch.
 func (s *Store) ScanRanges(q query.Query, ranges []Range, res *ScanResult, acc *GroupAccumulator) {
 	sc := s.prepare(q)
-	if acc == nil && sc.scanRangesCoded(ranges, res) {
+	if acc == nil {
+		sc.scanRanges(ranges, res)
 		return
 	}
 	for i, r := range ranges {
 		if j := i + prefetchAhead; j < len(ranges) && !ranges[j].Exact {
 			sc.prefetch(ranges[j].Start, ranges[j].End)
 		}
-		if acc != nil {
-			sc.scanRangeGrouped(r.Start, r.End, r.Exact, acc)
-		} else {
-			sc.scanRange(r.Start, r.End, r.Exact, res)
-		}
+		sc.scanRangeGrouped(r.Start, r.End, r.Exact, acc)
 	}
 }
 
-// scanRangesCoded answers a coded flat query's ranges with one call of
-// the range kernel, with scanRange's accounting. It scans nothing and
-// reports false for any other query, or when a range is empty or not
-// inside the store (scanRange clamps those).
-func (sc *prepared) scanRangesCoded(ranges []Range, res *ScanResult) bool {
-	if sc.kind != scanCoded || sc.n == 0 || len(ranges) == 0 {
-		return false
-	}
+// scanRanges scans a flat plan's ranges, each clamped to the store, and
+// accumulates into res.
+//
+// If a range is exact the caller guarantees every row in it matches every
+// filter, so per-value checks are skipped — the paper's scan-time
+// optimization. For COUNT with exact ranges no column data is touched at
+// all. The other ranges are compared on the filters' lanes by the plan
+// kernel (kernels.go); ScanRangeScalar retains the row-at-a-time loop as
+// the oracle.
+func (sc *prepared) scanRanges(ranges []Range, res *ScanResult) {
 	s, q, rows := sc.s, sc.q, sc.s.NumRows()
+	per := 8 * uint64(len(q.Filters)+sumCols(q))
 	var points, bytes uint64
 	for _, r := range ranges {
-		if r.Start < 0 || r.End > rows || r.Start >= r.End {
-			return false
-		}
-		n := uint64(r.End - r.Start)
+		n := uint64(max(min(r.End, rows)-max(r.Start, 0), 0))
 		switch {
 		case !r.Exact:
 			points += n
-			bytes += n * 8 * uint64(len(q.Filters)+sumCols(q))
+			bytes += n * per
 		case q.Agg == query.Sum:
 			points += n
 			bytes += n * 8
 		}
 	}
+	res.PointsScanned += points
+	res.BytesTouched += bytes
 	var agg []int64
 	if q.Agg == query.Sum {
 		agg = s.cols[q.AggDim]
 	}
-	count, sum := codedRanges(sc.coded[:sc.n], ranges, agg)
-	res.Count += count
-	res.Sum += sum
-	res.PointsScanned += points
-	res.BytesTouched += bytes
-	return true
+	if !sc.empty {
+		count, sum := laneRanges(sc.lanes(), ranges, rows, agg)
+		res.Count += count
+		res.Sum += sum
+		return
+	}
+	// No row of a non-exact range matches; an exact one's all do.
+	for i := range ranges {
+		if ranges[i].Exact {
+			count, sum := laneRanges(nil, ranges[i:i+1], rows, agg)
+			res.Count += count
+			res.Sum += sum
+		}
+	}
 }
 
 // ScanRangeScalar is the pre-kernel row-at-a-time implementation of

@@ -13,7 +13,7 @@ import (
 //
 // The flat kernels in kernels.go fuse filter evaluation and aggregation
 // and never materialize which rows matched. GROUP BY needs that
-// intermediate: the selection stage (selectWords, the flat kernel writing
+// intermediate: the selection stage (selectLanes, the plan kernel writing
 // a word where it would fold) produces selection words (bit k of word w
 // set iff row start+w*64+k matches every filter), and the grouping
 // operator consumes them column-at-a-time, folding each selected row's
@@ -432,7 +432,7 @@ func (r *ScanResult) total() {
 // in the range is known to match, so filter columns are not read — but
 // the group column (and the aggregate column for SUM) is always touched:
 // a grouped aggregate cannot skip data the way an exact flat COUNT can.
-// The range is selected (selectWords, or selectCoded on the byte images)
+// The range is selected (selectLanes, the plan kernel storing its words)
 // and consumed selWords words at a time.
 //
 // Accounting mirrors ScanRange's planned-bytes model with the group
@@ -456,10 +456,13 @@ func (sc *prepared) scanRangeGrouped(start, end int, exact bool, acc *GroupAccum
 		nf = 0
 	}
 	acc.bytes += n * 8 * uint64(nf+1+sumCols(q))
-	if !exact && sc.kind == scanEmpty {
+	if !exact && sc.empty {
 		return
 	}
-	filtered := !exact && sc.filtered()
+	fs := sc.lanes()
+	if exact {
+		fs = nil
+	}
 	gcol := s.cols[q.GroupDim()]
 	var aggCol []int64
 	if q.Agg == query.Sum {
@@ -472,25 +475,13 @@ func (sc *prepared) scanRangeGrouped(start, end int, exact bool, acc *GroupAccum
 	var codes []byte
 	if acc.regime == RegimeByteCode {
 		if gm := s.metaFor(q.GroupDim(), false); gm.base == acc.base && gm.width < uint64(len(acc.cells)) {
-			codes = s.metaFor(q.GroupDim(), true).codes
+			codes = s.metaFor(q.GroupDim(), true).img
 		}
 	}
 	for r := start; r < end; r += selWords * 64 {
 		re := min(end, r+selWords*64)
 		sel := acc.sel[:(re-r+63)>>6]
-		switch {
-		case !filtered:
-			for w := range sel {
-				sel[w] = ^uint64(0)
-			}
-			if tail := (re - r) & 63; tail != 0 {
-				sel[len(sel)-1] = 1<<tail - 1
-			}
-		case sc.kind == scanCoded:
-			selectCoded(sc.coded[:sc.n], r, re, sel)
-		default:
-			s.selectWords(q.Filters, r, re, sel)
-		}
+		selectLanes(fs, r, re, sel)
 		acc.consume(gcol, aggCol, codes, r, re, sel)
 	}
 }

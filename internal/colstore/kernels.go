@@ -7,47 +7,32 @@ import (
 	"repro/internal/query"
 )
 
-// Branch-free fused scan kernels.
+// The plan kernel.
 //
-// The non-exact ScanRange path runs one kernel for any number of filters:
-// a group of rows is compared against every filter, the per-filter
-// results are ANDed while still in registers, and the group is folded at
-// once — COUNT by counting the surviving rows, SUM by adding the
-// aggregate under the same selection. No selection mask is written to
-// memory. The per-value compare is the unsigned-subtract trick: for
-// lo <= hi, v is in [lo, hi] iff uint64(v-lo) <= uint64(hi-lo)
-// (two's-complement wraparound makes both sides the true differences mod
-// 2^64, and an out-of-range v always lands above the width). bits.Sub64
-// turns the comparison into a borrow flag, so the selection compiles to
-// straight-line sub/sbb/shift/and with no data-dependent branches.
+// A flat plan is scanned by one kernel call, whatever its filters: for
+// each 64-row block of each non-exact range, every filter produces a
+// match word from its own lane (codes.go) — the range of lane values it
+// matches, compared by the unsigned-subtract trick (v matches [lo,
+// lo+width] iff v-lo <= width in the lane's unsigned arithmetic, so an
+// out-of-range v always lands above the width) — and the words are
+// ANDed. The block is then folded: COUNT by the word's popcount, SUM by
+// adding the aggregate under it, and the rows past a range's end are
+// masked off in the word. An exact range counts its rows and, for SUM,
+// adds the aggregate under all-ones words. The grouped scan's selection
+// stage is the same kernel with "store the word" in place of "fold it"
+// (selectLanes), over one range.
 //
 // On amd64 with AVX2 (detected once at startup, see kernels_avx2.go) the
-// kernel is hand-written assembly comparing 16 rows (4 YMM) at a time,
-// then 4, so a range's vector body ends within 3 rows of its end and
-// short ranges vectorize without reading past them. The portable kernel
-// in this file is the universal fallback (`purego` build tag,
-// non-amd64, old CPUs, or TSUNAMI_PUREGO=1): it selects 64-row mask
-// words, the last one partial, and folds each by popcount and masked
-// sum. The AVX2 kernel leaves its last 0-3 rows to that same word step,
-// and both are the middle tier of the three-way differential test
-// SIMD == portable == scalar, whose oracle is ScanRangeScalar's original
-// row-at-a-time loop.
-//
-// The grouped scan's selection stage (selectWords) is the same kernel
-// with "write the selection word" in place of "fold it": the AVX2 tier
-// writes a word per 64 rows compared in registers, the portable tier
-// writes selectWord's words, and a range's partial last word is built the
-// same way, so a 20-row range runs vectorized too.
-//
-// When every filter is on a column of at most 256 values, the filters
-// are compared on the columns' byte images instead (codes.go, prepare):
-// a filter is a byte range, 32 codes are compared per AVX2 instruction,
-// and each 64-row block becomes one match word — counted, summed under,
-// or stored as a selection word — with the rows past a range's end
-// masked off inside the kernel. The portable tier compares 8 codes per
-// uint64 (codedWord). A coded flat query walks a whole plan's ranges in
-// one call (codedRanges), so a plan of hundreds of short ranges pays no
-// Go call per range.
+// kernel is hand-written assembly that walks the whole plan in one call
+// and prefetches each range's head two ranges ahead: 32, 16, 8 or 4
+// values per instruction on the 1-, 2-, 4- and 8-byte lanes, loading only
+// the vectors that hold a block's rows. The portable kernel in this file
+// is the universal fallback (`purego` build tag, non-amd64, old CPUs, or
+// TSUNAMI_PUREGO=1): one word step per lane (laneFilter.word: SWAR on 8
+// codes per uint64 for the 1-byte lane, a branch-free compare loop for
+// the others). Both are the middle tier of the three-way differential
+// test SIMD == portable == scalar, whose oracle is ScanRangeScalar's
+// original row-at-a-time loop.
 
 // BenchShape is one scan shape of the kernel benchmark suite: a query and
 // the physical ranges it scans, every row filter-checked. The canonical
@@ -69,8 +54,9 @@ func (sh BenchShape) Rows() int { return rangeRows(sh.Ranges) }
 // branchy scalar scan, so the kernel speedup these shapes measure is the
 // floor. Most scan one full-table range; the _plan shapes scan a
 // learned-grid plan's list of short ranges (benchPlan), where a kernel's
-// cost per range rather than per row decides. A domain of at most 256
-// values makes every filter column a coded one (prepare).
+// cost per range rather than per row decides. The domain picks the
+// filter columns' lane (prepare): up to 256 values read 1 byte a value,
+// 65 536 2 bytes, 2^32 4 bytes, and a wider one the int64 column.
 func KernelBenchShapes(rows int, domain, seed int64) []BenchShape {
 	f := func(dim int) query.Filter { return query.Filter{Dim: dim, Lo: domain / 4, Hi: domain * 3 / 4} }
 	full := [][2]int{{0, rows}}
@@ -112,19 +98,6 @@ func rangeRows(ranges [][2]int) int {
 	return n
 }
 
-// maskWord evaluates the range predicate [lo, lo+width] over at most 64
-// values and returns the selection bitmask (bit k set iff vals[k] matches).
-// width is uint64(hi-lo); see the package comment for why the unsigned
-// compare is exact over the full int64 domain.
-func maskWord(vals []int64, lo int64, width uint64) uint64 {
-	var m uint64
-	for k, v := range vals {
-		_, borrow := bits.Sub64(width, uint64(v-lo), 0)
-		m |= (borrow ^ 1) << (k & 63)
-	}
-	return m
-}
-
 // maskedSum accumulates vals[k] for every set bit k without branching:
 // a cleared bit contributes vals[k] & 0.
 func maskedSum(vals []int64, m uint64) int64 {
@@ -135,129 +108,61 @@ func maskedSum(vals []int64, m uint64) int64 {
 	return sum
 }
 
-// selectWord is the portable kernel's step: the selection word of the at
-// most 64 rows [start, end), the AND of every filter's maskWord (a dead
-// word stops early). Bit k is row start+k.
-func (s *Store) selectWord(filters []query.Filter, start, end int) uint64 {
-	m := ^uint64(0)
-	for _, f := range filters {
-		if m &= maskWord(s.cols[f.Dim][start:end], f.Lo, uint64(f.Hi-f.Lo)); m == 0 {
-			break
-		}
+// laneWord is the portable kernel's word step: the selection word of the
+// at most 64 rows [start, end) under fs, bit k for row start+k, the bits
+// past end clear; a dead word stops early.
+func laneWord(fs []laneFilter, start, end int) uint64 {
+	m := ^uint64(0) >> (64 - (end - start))
+	for i := 0; i < len(fs) && m != 0; i++ {
+		m &= fs[i].word(start, end)
 	}
 	return m
 }
 
-// foldWord folds the at most 64 rows [start, end) under filters: COUNT by
-// popcount of their selection word, SUM (agg non-nil) by masked sum.
-func (s *Store) foldWord(filters []query.Filter, agg []int64, start, end int) (count uint64, sum int64) {
-	m := s.selectWord(filters, start, end)
-	if agg != nil && m != 0 {
-		sum = maskedSum(agg[start:end], m)
-	}
-	return uint64(bits.OnesCount64(m)), sum
-}
-
-// scanFiltered is the non-exact scan of rows [start, end) under q's
-// filters (at least one, none inverted), dispatched to the AVX2 or
-// portable tier (one-time CPU detection, runtime-togglable for tests).
-func (s *Store) scanFiltered(q query.Query, start, end int, res *ScanResult) {
-	if simdEnabled() {
-		s.scanFilteredSIMD(q, start, end, res)
-		return
-	}
-	s.scanFilteredPortable(q, start, end, res)
-}
-
-// scanFilteredPortable is the fused kernel in Go: each 64-row word, and
-// the last partial one, is selected and folded at once, so no mask
-// buffer is needed.
-func (s *Store) scanFilteredPortable(q query.Query, start, end int, res *ScanResult) {
-	var agg []int64
-	if q.Agg == query.Sum {
-		agg = s.cols[q.AggDim]
-	}
-	var count uint64
-	var sum int64
-	for w := start; w < end; w += 64 {
-		c, sm := s.foldWord(q.Filters, agg, w, min(w+64, end))
-		count += c
-		sum += sm
-	}
-	res.Count += count
-	res.Sum += sum
-}
-
-// selectWords is the grouped scan's selection stage: it writes the
-// selection of rows [start, end) under filters (at least one, none
-// inverted) to sel, bit j of sel[w] for row start+64w+j, with the bits of
-// the last word past end clear. sel holds at least ceil((end-start)/64)
-// words. Like scanFiltered it is one kernel for any filter count,
-// dispatched to the AVX2 or portable tier.
-func (s *Store) selectWords(filters []query.Filter, start, end int, sel []uint64) {
-	if simdEnabled() {
-		s.selectWordsSIMD(filters, start, end, sel)
-		return
-	}
-	s.selectWordsPortable(filters, start, end, sel)
-}
-
-// selectWordsPortable writes selectWord's word for every 64 rows of the
-// range, and for its partial last word.
-func (s *Store) selectWordsPortable(filters []query.Filter, start, end int, sel []uint64) {
-	for w := 0; start+w<<6 < end; w++ {
-		r := start + w<<6
-		sel[w] = s.selectWord(filters, r, min(r+64, end))
-	}
-}
-
-// scanCoded is scanFiltered on the byte images: the non-exact scan of
-// rows [start, end) under fs (at least one coded filter), a plan of one
-// range for codedRanges.
-func (s *Store) scanCoded(fs []codedFilter, q query.Query, start, end int, res *ScanResult) {
-	var agg []int64
-	if q.Agg == query.Sum {
-		agg = s.cols[q.AggDim]
-	}
-	one := [1]Range{{Start: start, End: end}}
-	count, sum := codedRanges(fs, one[:], agg)
-	res.Count += count
-	res.Sum += sum
-}
-
-// selectCoded is selectWords on the byte images.
-func selectCoded(fs []codedFilter, start, end int, sel []uint64) {
-	if simdEnabled() {
-		selectCodedSIMD(fs, start, end, sel)
-		return
-	}
-	selectCodedPortable(fs, start, end, sel)
-}
-
-// codedRanges counts the rows of ranges (each non-empty and inside the
-// store) that match fs (at least one coded filter), and sums agg over
+// laneRanges counts the rows of ranges that match fs, and sums agg over
 // them when agg is non-nil: an exact range counts every row, the others
-// are compared on the images.
-func codedRanges(fs []codedFilter, ranges []Range, agg []int64) (uint64, int64) {
+// are compared on the filters' lanes. A range is clamped to the store's
+// rows first, and an empty one scans nothing.
+func laneRanges(fs []laneFilter, ranges []Range, rows int, agg []int64) (uint64, int64) {
 	if simdEnabled() {
-		return codedRangesSIMD(fs, ranges, agg)
+		return laneRangesSIMD(fs, ranges, rows, agg)
 	}
-	return codedRangesPortable(fs, ranges, agg)
+	return laneRangesPortable(fs, ranges, rows, agg)
 }
 
-func codedRangesPortable(fs []codedFilter, ranges []Range, agg []int64) (count uint64, sum int64) {
+func laneRangesPortable(fs []laneFilter, ranges []Range, rows int, agg []int64) (count uint64, sum int64) {
 	for _, r := range ranges {
-		if !r.Exact {
-			c, sm := scanCodedPortable(fs, agg, r.Start, r.End)
-			count, sum = count+c, sum+sm
-			continue
+		rfs := fs
+		if r.Exact {
+			rfs = nil
 		}
-		count += uint64(r.End - r.Start)
-		if agg != nil {
-			for _, v := range agg[r.Start:r.End] {
-				sum += v
+		for w, end := max(r.Start, 0), min(r.End, rows); w < end; w += 64 {
+			we := min(w+64, end)
+			m := laneWord(rfs, w, we)
+			count += uint64(bits.OnesCount64(m))
+			if agg != nil && m != 0 {
+				sum += maskedSum(agg[w:we], m)
 			}
 		}
 	}
 	return count, sum
+}
+
+// selectLanes is the grouped scan's selection stage: it writes the
+// selection of rows [start, end) (inside the store) under fs to sel, bit j of sel[w] for row start+64w+j, with the bits
+// of the last word past end clear. sel holds at least
+// ceil((end-start)/64) words.
+func selectLanes(fs []laneFilter, start, end int, sel []uint64) {
+	if simdEnabled() {
+		selectLanesSIMD(fs, start, end, sel)
+		return
+	}
+	selectLanesPortable(fs, start, end, sel)
+}
+
+func selectLanesPortable(fs []laneFilter, start, end int, sel []uint64) {
+	for w := 0; start+w<<6 < end; w++ {
+		r := start + w<<6
+		sel[w] = laneWord(fs, r, min(r+64, end))
+	}
 }

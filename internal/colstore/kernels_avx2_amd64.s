@@ -2,24 +2,8 @@
 
 #include "textflag.h"
 
-// AVX2 scan kernels: 4x int64 lanes per instruction, exact semantics of
-// the portable branch-free kernels in kernels.go. rangeCountSumNAVX2 is
-// the flat scan, rangeSelectNAVX2 the grouped scan's selection stage.
-//
-// The range predicate uint64(v-lo) <= width is evaluated with the signed
-// compare VPCMPGTQ via the bias trick: adding 2^63 (mod 2^64) to both
-// sides of an unsigned compare turns it into the signed compare of the
-// biased values. Because 2^63 is only the sign bit, v - lo + 2^63 folds
-// into a single VPSUBQ by the precomputed scalar lo' = lo - 2^63, and
-// width' = width + 2^63 is precomputed too. VPCMPGTQ(u, width') then
-// yields all-ones exactly on the NON-matching lanes, which COUNT
-// (accumulate -1 per non-match) and SUM (VPANDN clears non-matching
-// lanes) consume without a NOT.
-//
-// Every 16-row loop software-prefetches ~1KiB ahead of each load stream:
-// scans are memory-bound past ~1 GB/s/core, and the explicit PREFETCHT0
-// keeps the line fills ahead of the consume rate where the hardware
-// streamer has to restart.
+// The AVX2 plan kernel, exact semantics of the portable kernel in
+// kernels.go: laneRangesAVX2 below. Helpers first.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -55,283 +39,41 @@ pf_loop:
 pf_done:
 	RET
 
-// func rangeCountSumNAVX2(args *filterArg, k int, agg *int64, n int) (count uint64, sum int64)
-// The fused scan kernel: counts the rows among the n that match all k
-// filters (k >= 1) and, when agg is non-nil, sums agg over them. args[j]
-// is {col at the range's first row, lo', width'}; n must be a multiple of 4.
+// The plan kernel: for each 64-row block of each range, every filter
+// produces a match word from its own lane (codes.go), and the words are
+// ANDed in a general register. A filter's lane is a byte range
+// [lo, lo+width] of lane values; a value v matches iff v-lo <= width in
+// the lane's unsigned arithmetic:
 //
-// Per group of rows the first filter writes one non-match mask per YMM
-// and every later filter ORs into it; the group then folds the masks:
-// COUNT adds them (-1 per non-match lane, so count = n + lanes), SUM adds
-// agg with those lanes cleared.
+//   - 1 byte:  VPSUBB lo, VPMINUB width, VPCMPEQB of the two (all-ones
+//     where the minimum is the difference itself), VPMOVMSKB: 32 rows a
+//     vector;
+//   - 2 bytes: the same with VPSUBW/VPMINUW/VPCMPEQW, the 16 word masks
+//     packed to bytes (VPACKSSWB) before VPMOVMSKB;
+//   - 4 bytes: VPSUBD/VPMINUD/VPCMPEQD, then VMOVMSKPS: 8 rows a vector;
+//   - 8 bytes, the int64 column itself: the signed VPCMPGTQ by the bias
+//     trick. Adding 2^63 (mod 2^64) to both sides of an unsigned compare
+//     turns it into the signed compare of the biased values, and as 2^63
+//     is only the sign bit, v - lo + 2^63 is one VPSUBQ by lo' = lo^2^63;
+//     VPCMPGTQ against width' = width^2^63 is all-ones exactly on the
+//     NON-matching rows, whose VMOVMSKPD bits are complemented once per
+//     block. 4 rows a vector.
 //
-// Registers: DI args, R8 k, DX agg, CX rows left, BX byte offset of the
-// group, R9/R10 the filter cursor and filters left, SI the filter's
-// column. Y0/Y1 lo'/width', Y2-Y5 a later filter's masks, Y6-Y9 the
-// group's masks, Y10-Y13 the count and Y14/Y15 the sum accumulators.
-
-// FILTER loads the filter at R9: its column into SI, lo' and width' into
-// Y0 and Y1.
-#define FILTER \
-	MOVQ (R9), SI; \
-	VPBROADCASTQ 8(R9), Y0; \
-	VPBROADCASTQ 16(R9), Y1
-
-// COMPARE16 sets r0-r3 to the non-match masks of the 16 rows at SI+BX
-// (all-ones where u = v - lo' > width') and prefetches 1 KiB ahead.
-#define COMPARE16(r0, r1, r2, r3) \
-	VMOVDQU (SI)(BX*1), r0; \
-	VMOVDQU 32(SI)(BX*1), r1; \
-	VMOVDQU 64(SI)(BX*1), r2; \
-	VMOVDQU 96(SI)(BX*1), r3; \
-	PREFETCHT0 1024(SI)(BX*1); \
-	PREFETCHT0 1088(SI)(BX*1); \
-	VPSUBQ Y0, r0, r0; \
-	VPSUBQ Y0, r1, r1; \
-	VPSUBQ Y0, r2, r2; \
-	VPSUBQ Y0, r3, r3; \
-	VPCMPGTQ Y1, r0, r0; \
-	VPCMPGTQ Y1, r1, r1; \
-	VPCMPGTQ Y1, r2, r2; \
-	VPCMPGTQ Y1, r3, r3
-
-// COMPARE4 is COMPARE16 for the 4 rows at SI+BX, without prefetch.
-#define COMPARE4(r0) \
-	VMOVDQU (SI)(BX*1), r0; \
-	VPSUBQ Y0, r0, r0; \
-	VPCMPGTQ Y1, r0, r0
-
-TEXT ·rangeCountSumNAVX2(SB), NOSPLIT, $0-48
-	MOVQ args+0(FP), DI
-	MOVQ k+8(FP), R8
-	MOVQ agg+16(FP), DX
-	MOVQ n+24(FP), CX
-	MOVQ CX, R11                // saved n
-	XORQ BX, BX
-	VPXOR Y10, Y10, Y10
-	VPXOR Y11, Y11, Y11
-	VPXOR Y12, Y12, Y12
-	VPXOR Y13, Y13, Y13
-	VPXOR Y14, Y14, Y14
-	VPXOR Y15, Y15, Y15
-	SUBQ $16, CX
-	JL   rcn_tail16
-
-rcn_loop16:
-	MOVQ DI, R9
-	MOVQ R8, R10
-	FILTER
-	COMPARE16(Y6, Y7, Y8, Y9)
-	JMP  rcn_next16
-rcn_filter16:
-	FILTER
-	COMPARE16(Y2, Y3, Y4, Y5)
-	VPOR Y2, Y6, Y6
-	VPOR Y3, Y7, Y7
-	VPOR Y4, Y8, Y8
-	VPOR Y5, Y9, Y9
-rcn_next16:
-	ADDQ $24, R9
-	DECQ R10
-	JNZ  rcn_filter16
-
-	TESTQ DX, DX
-	JZ   rcn_count16
-	LEAQ (DX)(BX*1), AX
-	VPANDN (AX), Y6, Y2         // agg where every filter matched, 0 elsewhere
-	VPANDN 32(AX), Y7, Y3
-	VPANDN 64(AX), Y8, Y4
-	VPANDN 96(AX), Y9, Y5
-	PREFETCHT0 1024(AX)
-	PREFETCHT0 1088(AX)
-	VPADDQ Y3, Y2, Y2
-	VPADDQ Y5, Y4, Y4
-	VPADDQ Y2, Y14, Y14
-	VPADDQ Y4, Y15, Y15
-rcn_count16:
-	VPADDQ Y6, Y10, Y10
-	VPADDQ Y7, Y11, Y11
-	VPADDQ Y8, Y12, Y12
-	VPADDQ Y9, Y13, Y13
-	ADDQ $128, BX
-	SUBQ $16, CX
-	JGE  rcn_loop16
-
-rcn_tail16:
-	ADDQ $16, CX                // 0-15 rows left, a multiple of 4
-	JZ   rcn_done
-
-rcn_loop4:
-	MOVQ DI, R9
-	MOVQ R8, R10
-	FILTER
-	COMPARE4(Y6)
-	JMP  rcn_next4
-rcn_filter4:
-	FILTER
-	COMPARE4(Y2)
-	VPOR Y2, Y6, Y6
-rcn_next4:
-	ADDQ $24, R9
-	DECQ R10
-	JNZ  rcn_filter4
-
-	TESTQ DX, DX
-	JZ   rcn_count4
-	VPANDN (DX)(BX*1), Y6, Y2
-	VPADDQ Y2, Y14, Y14
-rcn_count4:
-	VPADDQ Y6, Y10, Y10
-	ADDQ $32, BX
-	SUBQ $4, CX
-	JNZ  rcn_loop4
-
-rcn_done:
-	VPADDQ Y11, Y10, Y10
-	VPADDQ Y13, Y12, Y12
-	VPADDQ Y12, Y10, Y10
-	VEXTRACTI128 $1, Y10, X3
-	VPADDQ X3, X10, X10
-	VPSRLDQ $8, X10, X3
-	VPADDQ X3, X10, X10
-	VPADDQ Y15, Y14, Y14
-	VEXTRACTI128 $1, Y14, X4
-	VPADDQ X4, X14, X14
-	VPSRLDQ $8, X14, X4
-	VPADDQ X4, X14, X14
-	VZEROUPPER
-	MOVQ X10, AX
-	ADDQ R11, AX                // n - non-matches
-	MOVQ AX, count+32(FP)
-	MOVQ X14, AX
-	MOVQ AX, sum+40(FP)
-	RET
-
-// func rangeSelectNAVX2(args *filterArg, k int, sel *uint64, n int)
-// The selection kernel: the fused scan above with "write a selection word"
-// in place of "fold": bit j of sel[w] is set iff row 64w+j of the n
-// matches all k filters (k >= 1), and the bits of the last word past n
-// are clear. args is as for rangeCountSumNAVX2; n must be a multiple of 4.
+// A block's word starts as its rows (the low bits of a range's last,
+// partial block), and a filter loads only the vectors that hold them,
+// the 2- and 4-byte lanes' in pairs: a 20-row range reads 2 vectors of
+// a 1- or 2-byte lane, 4 of a 4-byte one and 5 of the int64 column. The
+// images are padded, so their last vector is read whole; the int64
+// column is not, and its last 1-3 rows are read by VPMASKMOVQ, which
+// loads only the lanes its mask selects (and cannot fault on the
+// others). COUNT adds the word's POPCNT, SUM adds the aggregate under
+// it, and the selection stage stores it. No branch depends on the
+// values: a word is never tested for being dead, so short ranges cost
+// no mispredictions.
 //
-// The open word is built in R11 from the top down, out of non-match bits:
-// each group shifts it right and puts its bits in the top 16 (or 4), so
-// after 64 rows it holds them in row order and is stored complemented;
-// a word the rows end inside is shifted down to bit 0 before its store.
-// The shift counts are immediates, and only that last store shifts by CL.
-//
-// Registers: as rangeCountSumNAVX2, with DX the next word to store, R11
-// the open word and AX/R12 scratch for the mask bits.
-TEXT ·rangeSelectNAVX2(SB), NOSPLIT, $0-32
-	MOVQ args+0(FP), DI
-	MOVQ k+8(FP), R8
-	MOVQ sel+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ BX, BX
-	XORQ R11, R11
-	SUBQ $16, CX
-	JL   rsn_tail16
-
-rsn_loop16:
-	MOVQ DI, R9
-	MOVQ R8, R10
-	FILTER
-	COMPARE16(Y6, Y7, Y8, Y9)
-	JMP  rsn_next16
-rsn_filter16:
-	FILTER
-	COMPARE16(Y2, Y3, Y4, Y5)
-	VPOR Y2, Y6, Y6
-	VPOR Y3, Y7, Y7
-	VPOR Y4, Y8, Y8
-	VPOR Y5, Y9, Y9
-rsn_next16:
-	ADDQ $24, R9
-	DECQ R10
-	JNZ  rsn_filter16
-
-	VMOVMSKPD Y6, AX            // non-match bits of rows 0-3
-	VMOVMSKPD Y7, R12
-	SHLQ $4, R12
-	ORQ  R12, AX
-	VMOVMSKPD Y8, R12
-	SHLQ $8, R12
-	ORQ  R12, AX
-	VMOVMSKPD Y9, R12
-	SHLQ $12, R12
-	ORQ  R12, AX
-	SHRQ $16, R11
-	SHLQ $48, AX
-	ORQ  AX, R11
-	ADDQ $128, BX
-	TESTQ $511, BX              // 64 rows since the last store?
-	JNZ  rsn_more16
-	NOTQ R11
-	MOVQ R11, (DX)
-	ADDQ $8, DX
-rsn_more16:
-	SUBQ $16, CX
-	JGE  rsn_loop16
-
-rsn_tail16:
-	ADDQ $16, CX                // 0-12 rows left: they cannot close a word
-	JZ   rsn_done
-
-rsn_loop4:
-	MOVQ DI, R9
-	MOVQ R8, R10
-	FILTER
-	COMPARE4(Y6)
-	JMP  rsn_next4
-rsn_filter4:
-	FILTER
-	COMPARE4(Y2)
-	VPOR Y2, Y6, Y6
-rsn_next4:
-	ADDQ $24, R9
-	DECQ R10
-	JNZ  rsn_filter4
-
-	VMOVMSKPD Y6, AX
-	SHRQ $4, R11
-	SHLQ $60, AX
-	ORQ  AX, R11
-	ADDQ $32, BX
-	SUBQ $4, CX
-	JNZ  rsn_loop4
-
-rsn_done:
-	MOVQ BX, CX
-	ANDQ $511, CX               // bytes of the open word's rows
-	JZ   rsn_ret
-	SHRQ $3, CX
-	NEGQ CX
-	ADDQ $64, CX                // its unused bits, at the bottom
-	NOTQ R11
-	SHRQ CX, R11
-	MOVQ R11, (DX)
-rsn_ret:
-	VZEROUPPER
-	RET
-
-// Coded kernels: the fused scan and the selection stage above, on the
-// byte images of low-span columns (codes.go). A filter is a byte range
-// [lo, lo+width] on its column's codes; a code c matches iff
-// uint8(c-lo) <= width, which per 32 codes is VPSUBB lo, VPMINUB width
-// and VPCMPEQB of the two (0xFF where the minimum is the difference
-// itself). Filters AND in registers, and VPMOVMSKB turns each block of 64
-// rows into one match word in a general register: COUNT is its POPCNT,
-// the selection stage stores it, and SUM adds the aggregate column under
-// it. The images are padded, so a range's last block is read whole and
-// its rows past the range are masked off in the word; the aggregate
-// column is not padded, and is read by VPMASKMOVQ, which loads only
-// matching lanes (and cannot fault on the others): VPSLLVQ moves each
-// row's bit of the word to its lane's sign bit, the mask VPMASKMOVQ
-// reads.
-//
-// Registers: DI filters, R8 k, BX the block's first row, CX rows left,
-// R9/R10 the filter cursor and filters left, SI the filter's image, AX
-// the block's match word, R12/R13 scratch. Y0/Y1 lo/width splats, Y2-Y5
-// scratch, Y6/Y7 the block's match masks.
+// The aggregate column is not padded either, and is read by VPMASKMOVQ
+// under the word: VPSLLVQ moves each row's bit of the word to its lane's
+// sign bit, the mask VPMASKMOVQ reads.
 
 // codedShift holds, for each row j of a 64-row block, the left shift
 // that moves bit j of the block's match word to the sign bit: lane l of
@@ -403,48 +145,13 @@ DATA codedShift<>+496(SB)/8, $1
 DATA codedShift<>+504(SB)/8, $0
 GLOBL codedShift<>(SB), RODATA|NOPTR, $512
 
-// CODED64 sets AX to the match word of the 64 rows at BX: bit j set iff
-// row BX+j matches all k filters. One filter per trip of loop: 2 loads,
-// 2 VPSUBB, 2 VPMINUB, 2 VPCMPEQB, 2 VPAND. Each use passes its own
-// label.
-#define CODED64(loop) \
-	MOVQ DI, R9; \
-	MOVQ R8, R10; \
-	VPCMPEQB Y6, Y6, Y6; \
-	VPCMPEQB Y7, Y7, Y7; \
-loop: \
-	MOVQ (R9), SI; \
-	VPBROADCASTB 24(R9), Y0; \
-	VPBROADCASTB 25(R9), Y1; \
-	VMOVDQU (SI)(BX*1), Y2; \
-	VMOVDQU 32(SI)(BX*1), Y3; \
-	PREFETCHT0 512(SI)(BX*1); \
-	VPSUBB Y0, Y2, Y2; \
-	VPSUBB Y0, Y3, Y3; \
-	VPMINUB Y1, Y2, Y4; \
-	VPMINUB Y1, Y3, Y5; \
-	VPCMPEQB Y4, Y2, Y2; \
-	VPCMPEQB Y5, Y3, Y3; \
-	VPAND Y2, Y6, Y6; \
-	VPAND Y3, Y7, Y7; \
-	ADDQ $32, R9; \
-	DECQ R10; \
-	JNZ  loop; \
-	VPMOVMSKB Y6, AX; \
-	VPMOVMSKB Y7, R12; \
-	SHLQ $32, R12; \
-	ORQ  R12, AX
-
-// TAIL clears the bits of AX for the rows past the range when fewer than
-// 64 are left (CX).
-#define TAIL(whole) \
-	CMPQ CX, $64; \
-	JAE  whole; \
-	MOVQ $-1, R12; \
-	SHLQ CX, R12; \
-	NOTQ R12; \
-	ANDQ R12, AX; \
-whole:
+// laneIota is lane l = l: compared against the broadcast count of rows
+// left, it is the VPMASKMOVQ mask of the int64 column's last vector.
+DATA laneIota<>+0(SB)/8, $0
+DATA laneIota<>+8(SB)/8, $1
+DATA laneIota<>+16(SB)/8, $2
+DATA laneIota<>+24(SB)/8, $3
+GLOBL laneIota<>(SB), RODATA|NOPTR, $32
 
 // SUM4 adds the aggregate rows 4g..4g+3 of the block at R13 whose bits
 // are set in Y8's broadcast match word into acc.
@@ -458,11 +165,11 @@ whole:
 // prefetches the aggregate column 2 KiB ahead; a half-block with no bit
 // set is skipped.
 #define SUM64(near, high, done) \
-	MOVQ agg+32(FP), R13; \
+	MOVQ agg+40(FP), R13; \
 	TESTQ AX, AX; \
 	JZ   done; \
 	LEAQ (R13)(BX*8), R13; \
-	CMPQ CX, $320; \
+	CMPQ R10, $320; \
 	JL   near; \
 	PREFETCHT0 2048(R13); \
 	PREFETCHT0 2112(R13); \
@@ -498,92 +205,534 @@ high: \
 	SUM4(15, Y15); \
 done:
 
-// func codedRangesAVX2(fs *codedFilter, k int, ranges *Range, nr int, agg *int64) (count uint64, sum int64)
-// The coded fused scan over a plan's nr >= 1 ranges, each non-empty and
-// inside the store, in one call: it counts the rows that match all k
-// filters (k >= 1) and, when agg (row 0 of the SUM column) is non-nil,
-// sums agg over them. An exact range counts its length, and reads agg
-// whole under all-ones words for a SUM. Before each range it prefetches
-// the head of every image for the range two on (prefetchAhead), unless
-// that one is exact. fs[j] is a codedFilter: image at 0(fs), lo at 24,
-// width at 25, 32 bytes apart; ranges[i] is a Range: Start at 0, End at
-// 8, Exact at 16, 24 bytes apart.
+// LANE1 sets R13 to the match bits of the 32 1-byte values at off(SI).
+#define LANE1(off) \
+	VMOVDQU off(SI), Y2; \
+	VPSUBB Y0, Y2, Y2; \
+	VPMINUB Y1, Y2, Y3; \
+	VPCMPEQB Y3, Y2, Y2; \
+	VPMOVMSKB Y2, R13
+
+// BLOCK1 ANDs the match word of the 64 1-byte values at off(SI) into the
+// chunk's word at w(CX).
+#define BLOCK1(off, w) \
+	VMOVDQU off(SI), Y2; \
+	VMOVDQU (off+32)(SI), Y3; \
+	VPSUBB Y0, Y2, Y2; \
+	VPSUBB Y0, Y3, Y3; \
+	VPMINUB Y1, Y2, Y4; \
+	VPMINUB Y1, Y3, Y5; \
+	VPCMPEQB Y4, Y2, Y2; \
+	VPCMPEQB Y5, Y3, Y3; \
+	VPMOVMSKB Y2, R12; \
+	VPMOVMSKB Y3, R13; \
+	SHLQ $32, R13; \
+	ORQ  R13, R12; \
+	ANDQ R12, w(CX)
+
+// LANE2 sets R13 to the match bits of the 16 2-byte values at off(SI).
+#define LANE2(off) \
+	VMOVDQU off(SI), Y2; \
+	VPSUBW Y0, Y2, Y2; \
+	VPMINUW Y1, Y2, Y3; \
+	VPCMPEQW Y3, Y2, Y2; \
+	VEXTRACTI128 $1, Y2, X3; \
+	VPACKSSWB X3, X2, X2; \
+	VPMOVMSKB X2, R13
+
+// LANE2x2 sets R13 to the match bits of the 32 2-byte values at off(SI):
+// VPACKSSWB packs the two vectors' word masks to bytes within each
+// 128-bit half, and VPERMQ puts the halves in row order.
+#define LANE2x2(off) \
+	VMOVDQU off(SI), Y2; \
+	VMOVDQU (off+32)(SI), Y3; \
+	VPSUBW Y0, Y2, Y2; \
+	VPSUBW Y0, Y3, Y3; \
+	VPMINUW Y1, Y2, Y4; \
+	VPMINUW Y1, Y3, Y5; \
+	VPCMPEQW Y4, Y2, Y2; \
+	VPCMPEQW Y5, Y3, Y3; \
+	VPACKSSWB Y3, Y2, Y2; \
+	VPERMQ $0xD8, Y2, Y2; \
+	VPMOVMSKB Y2, R13
+
+// LANE4 sets R13 to the match bits of the 8 4-byte values at off(SI).
+#define LANE4(off) \
+	VMOVDQU off(SI), Y2; \
+	VPSUBD Y0, Y2, Y2; \
+	VPMINUD Y1, Y2, Y3; \
+	VPCMPEQD Y3, Y2, Y2; \
+	VMOVMSKPS Y2, R13
+
+// LANE8 sets R13 to the NON-match bits of the 4 int64 values at off(SI).
+#define LANE8(off) \
+	VMOVDQU off(SI), Y2; \
+	VPSUBQ Y0, Y2, Y2; \
+	VPCMPGTQ Y1, Y2, Y2; \
+	VMOVMSKPD Y2, R13
+
+// OR sets R13's bits at row sh of the filter's word R12.
+#define OR(sh) \
+	SHLQ $sh, R13; \
+	ORQ  R13, R12
+
+// PFSPAN issues PREFETCHT0 for the AX bytes at SI (AX >= 1): their first
+// two lines and the line of their last byte, which is all of them for a
+// head of up to 129 bytes, without a branch.
+#define PFSPAN \
+	PREFETCHT0 (SI); \
+	PREFETCHT0 64(SI); \
+	PREFETCHT0 -1(SI)(AX*1)
+
+// func laneRangesAVX2(fs *laneFilter, k int, ranges *Range, nr, rows int, agg *int64, sel *uint64) (count uint64, sum int64)
+// The plan kernel over nr >= 1 ranges, each clamped to [0, rows) first
+// (an empty one scans nothing): it counts the rows that match all k >= 0
+// filters and, when agg (row 0 of the SUM column) is non-nil, sums agg
+// over them. An exact range counts its length, and reads agg under
+// all-ones words for a SUM. Before each range it prefetches the head of
+// every filter's lane, and of agg, for the range two on (prefetchAhead),
+// unless that one is exact. With sel non-nil it is the selection stage
+// instead: it stores the words of its one non-exact range at sel, one
+// after another, and counts and sums nothing. fs[j] is a laneFilter:
+// vals at 0, lo at 24, width at 32, shift at 40, 48 bytes apart;
+// ranges[i] is a Range: Start at 0, End at 8, Exact at 16, 24 bytes
+// apart.
 //
-// Registers: as above, with R14 the range cursor, DX the end of the
-// ranges, R11 the count, R13 the prefetched range's start or the block's
-// aggregate rows, and Y14/Y15 the sum.
-TEXT ·codedRangesAVX2(SB), NOSPLIT, $0-56
+// A range of 512 rows or more has its whole 64-row blocks scanned in
+// chunks of up to 16 (their words on the stack, or in sel): the words
+// start all-ones, each filter in turn ANDs its words of the chunk into
+// them — its splats loaded and its lane chosen once a chunk, its
+// prefetch 1-2 KiB ahead in its own stream — and then they are folded.
+// The rest, which is all of most planned ranges, goes block by block,
+// each block's word in a register: it starts as the block's rows, each
+// filter ANDs its word into it, and it is folded at once. Such a block
+// reads a 1-byte lane's 2 vectors whole, a 2- or 4-byte lane's in pairs
+// (64 bytes), and the int64 column's one by one up to a masked last.
+//
+// Registers: DI the filters, R8 their end, R14 the range cursor, R11 the
+// count (unused with sel), BX the first row of the chunk or block, R10
+// the range's rows left from it, DX the chunk's words (the next one in
+// sel), R9 the filter cursor, SI its lane, CX the word, AX the filter's
+// rows left in a chunk or the block's word, R12 a filter's word, R13
+// scratch. Y0/Y1 the lo/width splats, Y2-Y5 scratch, Y6 all-ones, Y8/Y9
+// the SUM masks and Y14/Y15 the sum. Stack: the words at 0, the ranges'
+// end at 128, the chunk's rows at 136.
+TEXT ·laneRangesAVX2(SB), NOSPLIT, $144-72
 	MOVQ fs+0(FP), DI
 	MOVQ k+8(FP), R8
+	IMUL3Q $48, R8, R8
+	ADDQ DI, R8
 	MOVQ ranges+16(FP), R14
-	MOVQ nr+24(FP), DX
-	IMUL3Q $24, DX, DX
-	ADDQ R14, DX
+	MOVQ nr+24(FP), AX
+	IMUL3Q $24, AX, AX
+	ADDQ R14, AX
+	MOVQ AX, 128(SP)
 	XORQ R11, R11
+	VPCMPEQB Y6, Y6, Y6
 	VPXOR Y14, Y14, Y14
 	VPXOR Y15, Y15, Y15
 
-cr_range:
+lr_range:                       // prefetch the head of the range two on
 	LEAQ 48(R14), R13
-	CMPQ R13, DX
-	JAE  cr_scan
+	CMPQ R13, 128(SP)
+	JAE  lr_scan
 	CMPB 16(R13), $0
-	JNE  cr_scan
-	MOVQ (R13), R13
+	JNE  lr_scan
+	MOVQ (R13), BX
+	MOVQ 8(R13), R10
+	SUBQ BX, R10
+	MOVQ $64, AX
+	CMPQ R10, AX
+	CMOVQHI AX, R10             // at most 64 rows (an inverted range wraps here too)
 	MOVQ DI, R9
-	MOVQ R8, R10
-cr_prefetch:
-	MOVQ (R9), SI
-	PREFETCHT0 (SI)(R13*1)
-	PREFETCHT0 63(SI)(R13*1)    // the line after, if the codes straddle
-	ADDQ $32, R9
-	DECQ R10
-	JNZ  cr_prefetch
+lr_pffilter:
+	CMPQ R9, R8
+	JAE  lr_pfagg
+	MOVBLZX 40(R9), CX
+	MOVQ BX, SI
+	SHLQ CX, SI
+	ADDQ (R9), SI
+	MOVQ R10, AX
+	SHLQ CX, AX
+	PFSPAN
+	ADDQ $48, R9
+	JMP  lr_pffilter
+lr_pfagg:
+	MOVQ agg+40(FP), SI
+	TESTQ SI, SI
+	JZ   lr_scan
+	LEAQ (SI)(BX*8), SI
+	MOVQ R10, AX
+	SHLQ $3, AX
+	PFSPAN
 
-cr_scan:
+lr_scan:                        // clamp the range to [0, rows)
 	MOVQ (R14), BX
-	MOVQ 8(R14), CX
-	SUBQ BX, CX                 // rows
+	MOVQ 8(R14), R10
+	XORQ AX, AX
+	CMPQ BX, AX
+	CMOVQLT AX, BX
+	MOVQ rows+32(FP), AX
+	CMPQ R10, AX
+	CMOVQGT AX, R10
+	SUBQ BX, R10                // rows
+	JLE  lr_next
 	CMPB 16(R14), $0
-	JNE  cr_exact
-	CMPQ agg+32(FP), $0
-	JNE  cr_sumblock
-cr_block:                       // COUNT: the match words' popcounts
-	CODED64(cr_filter)
-	TAIL(cr_whole)
-	POPCNTQ AX, R12
-	ADDQ R12, R11
-	ADDQ $64, BX
-	SUBQ $64, CX
-	JG   cr_block
-	JMP  cr_next
-cr_sumblock:                    // SUM: and the aggregate under them
-	CODED64(cr_sfilter)
-	TAIL(cr_swhole)
-	POPCNTQ AX, R12
-	ADDQ R12, R11
-	SUM64(cr_near, cr_high, cr_done)
-	ADDQ $64, BX
-	SUBQ $64, CX
-	JG   cr_sumblock
-	JMP  cr_next
+	JNE  lr_exact
+	MOVQ sel+48(FP), DX
+	TESTQ DX, DX
+	JNZ  lr_whole
+lr_words:
+	LEAQ 0(SP), DX
+lr_whole:                       // up to 16 whole blocks from BX, their words at DX
+	TESTQ R10, R10
+	JLE  lr_next
+	CMPQ R10, $512
+	JB   lr_block               // fewer than 8 whole blocks: block by block
+	MOVQ R10, AX
+	ANDQ $-64, AX
+	CMPQ AX, $1024
+	JBE  lr_chunk
+	MOVQ $1024, AX
+lr_chunk:                       // the words start all-ones (Y6)
+	MOVQ AX, 136(SP)
+	CMPQ sel+48(FP), $0
+	JNE  lr_initsel
+	VMOVDQU Y6, (DX)
+	VMOVDQU Y6, 32(DX)
+	VMOVDQU Y6, 64(DX)
+	VMOVDQU Y6, 96(DX)
+	JMP  lr_inited
+lr_initsel:                     // only the chunk's words of sel
+	MOVQ DX, CX
+lr_initword:
+	MOVQ $-1, (CX)
+	ADDQ $8, CX
+	SUBQ $64, AX
+	JG   lr_initword
+lr_inited:
+	MOVQ DI, R9
+lr_filter:
+	CMPQ R9, R8
+	JAE  lr_fold
+	MOVQ (R9), SI
+	MOVQ 136(SP), AX
+	MOVQ DX, CX
+	MOVBLZX 40(R9), R13
+	CMPL R13, $1
+	JE   lr_lane2
+	JA   lr_lanewide
 
-cr_exact:
-	ADDQ CX, R11
-	CMPQ agg+32(FP), $0
-	JEQ  cr_next
-cr_exactblock:
+	// 1 byte: 32 rows a vector.
+	VPBROADCASTB 24(R9), Y0
+	VPBROADCASTB 32(R9), Y1
+	ADDQ BX, SI
+	SUBQ $128, AX
+	JL   lr_lane1one
+lr_lane1pair:                   // two blocks a trip
+	BLOCK1(0, 0)
+	BLOCK1(64, 8)
+	PREFETCHT0 1024(SI)
+	PREFETCHT0 1088(SI)
+	ADDQ $128, SI
+	ADDQ $16, CX
+	SUBQ $128, AX
+	JGE  lr_lane1pair
+lr_lane1one:
+	ADDQ $128, AX               // 0 or 64 rows left
+	JZ   lr_nextfilter
+	BLOCK1(0, 0)
+lr_nextfilter:
+	ADDQ $48, R9
+	JMP  lr_filter
+
+lr_fold:                        // fold the chunk's words, or leave them in sel
+	MOVQ 136(SP), AX
+	SHRQ $3, AX
+	LEAQ (DX)(AX*1), R12        // the words' end
+	CMPQ sel+48(FP), $0
+	JNE  lr_selnext
+	CMPQ agg+40(FP), $0
+	JNE  lr_foldsum
+lr_foldcount:
+	POPCNTQ (DX), R13
+	ADDQ R13, R11
+	ADDQ $8, DX
+	CMPQ DX, R12
+	JB   lr_foldcount
+	MOVQ 136(SP), AX
+	ADDQ AX, BX
+	SUBQ AX, R10
+	JMP  lr_words
+lr_foldsum:
+	MOVQ (DX), AX
+	POPCNTQ AX, R13
+	ADDQ R13, R11
+	SUM64(lr_near, lr_high, lr_summed)
+	ADDQ $64, BX
+	SUBQ $64, R10
+	ADDQ $8, DX
+	CMPQ DX, R12
+	JB   lr_foldsum
+	JMP  lr_words
+lr_selnext:
+	MOVQ R12, DX
+	MOVQ 136(SP), AX
+	ADDQ AX, BX
+	SUBQ AX, R10
+	JMP  lr_whole
+
+lr_lane2:                       // 2 bytes: 16 rows a vector
+	VPBROADCASTW 24(R9), Y0
+	VPBROADCASTW 32(R9), Y1
+	LEAQ (SI)(BX*2), SI
+lr_lane2block:
+	LANE2x2(0)
+	MOVQ R13, R12
+	LANE2x2(64)
+	OR(32)
+	PREFETCHT0 2048(SI)
+	PREFETCHT0 2112(SI)
+	ANDQ R12, (CX)
+	ADDQ $128, SI
+	ADDQ $8, CX
+	SUBQ $64, AX
+	JG   lr_lane2block
+	JMP  lr_nextfilter
+
+lr_lanewide:                    // 4 bytes: 8 rows a vector
+	CMPL R13, $2
+	JA   lr_lane8
+	VPBROADCASTD 24(R9), Y0
+	VPBROADCASTD 32(R9), Y1
+	LEAQ (SI)(BX*4), SI
+lr_lane4block:
+	LANE4(0)
+	MOVQ R13, R12
+	LANE4(32)
+	OR(8)
+	LANE4(64)
+	OR(16)
+	LANE4(96)
+	OR(24)
+	LANE4(128)
+	OR(32)
+	LANE4(160)
+	OR(40)
+	LANE4(192)
+	OR(48)
+	LANE4(224)
+	OR(56)
+	PREFETCHT0 2048(SI)
+	PREFETCHT0 2112(SI)
+	PREFETCHT0 2176(SI)
+	PREFETCHT0 2240(SI)
+	ANDQ R12, (CX)
+	ADDQ $256, SI
+	ADDQ $8, CX
+	SUBQ $64, AX
+	JG   lr_lane4block
+	JMP  lr_nextfilter
+
+lr_lane8:                       // 8 bytes, the int64 column: R12 gathers non-match bits
+	VPBROADCASTQ 24(R9), Y0
+	VPBROADCASTQ 32(R9), Y1
+	LEAQ (SI)(BX*8), SI
+lr_lane8block:
+	LANE8(0)
+	MOVQ R13, R12
+	LANE8(32)
+	OR(4)
+	PREFETCHT0 2048(SI)
+	LANE8(64)
+	OR(8)
+	LANE8(96)
+	OR(12)
+	PREFETCHT0 2112(SI)
+	LANE8(128)
+	OR(16)
+	LANE8(160)
+	OR(20)
+	PREFETCHT0 2176(SI)
+	LANE8(192)
+	OR(24)
+	LANE8(224)
+	OR(28)
+	PREFETCHT0 2240(SI)
+	LANE8(256)
+	OR(32)
+	LANE8(288)
+	OR(36)
+	PREFETCHT0 2304(SI)
+	LANE8(320)
+	OR(40)
+	LANE8(352)
+	OR(44)
+	PREFETCHT0 2368(SI)
+	LANE8(384)
+	OR(48)
+	LANE8(416)
+	OR(52)
+	PREFETCHT0 2432(SI)
+	LANE8(448)
+	OR(56)
+	LANE8(480)
+	OR(60)
+	PREFETCHT0 2496(SI)
+	NOTQ R12
+	ANDQ R12, (CX)
+	ADDQ $512, SI
+	ADDQ $8, CX
+	SUBQ $64, AX
+	JG   lr_lane8block
+	JMP  lr_nextfilter
+
+lr_block:                       // min(R10, 64) rows at BX, their word in AX
 	MOVQ $-1, AX
-	TAIL(cr_exactwhole)
-	SUM64(cr_exactnear, cr_exacthigh, cr_exactdone)
-	ADDQ $64, BX
-	SUBQ $64, CX
-	JG   cr_exactblock
+	CMPQ R10, $64
+	JAE  lr_blockrows
+	MOVQ R10, CX
+	SHLQ CX, AX
+	NOTQ AX
+lr_blockrows:
+	MOVQ DI, R9
+	CMPQ R9, R8
+	JAE  lr_blockword
+lr_blockfilter:
+	MOVQ (R9), SI
+	MOVBLZX 40(R9), R13
+	CMPL R13, $1
+	JE   lr_block2
+	JA   lr_blockwide
 
-cr_next:
+	// 1 byte: both vectors, whatever the rows.
+	VPBROADCASTB 24(R9), Y0
+	VPBROADCASTB 32(R9), Y1
+	ADDQ BX, SI
+	LANE1(0)
+	MOVQ R13, R12
+	LANE1(32)
+	OR(32)
+	PREFETCHT0 512(SI)
+lr_blockand:
+	ANDQ R12, AX
+	ADDQ $48, R9
+	CMPQ R9, R8
+	JB   lr_blockfilter
+lr_blockword:
+	CMPQ sel+48(FP), $0
+	JNE  lr_blockstore
+	POPCNTQ AX, R12
+	ADDQ R12, R11
+	CMPQ agg+40(FP), $0
+	JEQ  lr_blocknext
+	SUM64(lr_blocknear, lr_blockhigh, lr_blocksummed)
+lr_blocknext:
+	ADDQ $64, BX
+	SUBQ $64, R10
+	JG   lr_block
+	JMP  lr_next
+lr_blockstore:
+	MOVQ AX, (DX)
+	ADDQ $8, DX
+	JMP  lr_blocknext
+
+lr_block2:                      // 2 bytes: 32 rows a pair of vectors
+	VPBROADCASTW 24(R9), Y0
+	VPBROADCASTW 32(R9), Y1
+	LEAQ (SI)(BX*2), SI
+	LANE2x2(0)
+	MOVQ R13, R12
+	CMPQ R10, $32
+	JBE  lr_blockand
+	LANE2x2(64)
+	OR(32)
+	JMP  lr_blockand
+
+lr_blockwide:                   // 4 bytes: 16 rows a pair of vectors
+	CMPL R13, $2
+	JA   lr_block8
+	VPBROADCASTD 24(R9), Y0
+	VPBROADCASTD 32(R9), Y1
+	LEAQ (SI)(BX*4), SI
+	LANE4(0)
+	MOVQ R13, R12
+	LANE4(32)
+	OR(8)
+	CMPQ R10, $16
+	JBE  lr_blockand
+	LANE4(64)
+	OR(16)
+	LANE4(96)
+	OR(24)
+	CMPQ R10, $32
+	JBE  lr_blockand
+	LANE4(128)
+	OR(32)
+	LANE4(160)
+	OR(40)
+	CMPQ R10, $48
+	JBE  lr_blockand
+	LANE4(192)
+	OR(48)
+	LANE4(224)
+	OR(56)
+	JMP  lr_blockand
+
+lr_block8:                      // 8 bytes: whole vectors, then a masked one
+	VPBROADCASTQ 24(R9), Y0
+	VPBROADCASTQ 32(R9), Y1
+	LEAQ (SI)(BX*8), SI
+	XORQ R12, R12
+	XORQ CX, CX                 // the vector's first row
+lr_block8vec:
+	MOVQ R10, R13
+	SUBQ CX, R13                // rows left from it
+	CMPQ R13, $4
+	JB   lr_block8mask
+	VMOVDQU (SI)(CX*8), Y2
+lr_block8cmp:
+	VPSUBQ Y0, Y2, Y2
+	VPCMPGTQ Y1, Y2, Y2
+	VMOVMSKPD Y2, R13
+	SHLQ CX, R13
+	ORQ  R13, R12
+	ADDQ $4, CX
+	CMPQ CX, R10
+	JAE  lr_block8done
+	CMPQ CX, $64
+	JB   lr_block8vec
+lr_block8done:
+	NOTQ R12
+	JMP  lr_blockand
+lr_block8mask:                   // 1-3 rows: load only those
+	VMOVQ R13, X3
+	VPBROADCASTQ X3, Y3
+	VPCMPGTQ laneIota<>(SB), Y3, Y3
+	VPMASKMOVQ (SI)(CX*8), Y3, Y2
+	JMP  lr_block8cmp
+
+lr_exact:
+	ADDQ R10, R11
+	CMPQ agg+40(FP), $0
+	JEQ  lr_next
+lr_exactblock:
+	MOVQ $-1, AX
+	CMPQ R10, $64
+	JAE  lr_exactrows
+	MOVQ R10, CX
+	SHLQ CX, AX
+	NOTQ AX
+lr_exactrows:
+	SUM64(lr_exactnear, lr_exacthigh, lr_exactsummed)
+	ADDQ $64, BX
+	SUBQ $64, R10
+	JG   lr_exactblock
+
+lr_next:
 	ADDQ $24, R14
-	CMPQ R14, DX
-	JB   cr_range
+	CMPQ R14, 128(SP)
+	JB   lr_range
 
 	VPADDQ Y15, Y14, Y14
 	VEXTRACTI128 $1, Y14, X0
@@ -592,28 +741,6 @@ cr_next:
 	VPADDQ X0, X14, X14
 	VMOVQ X14, AX
 	VZEROUPPER
-	MOVQ R11, count+40(FP)
-	MOVQ AX, sum+48(FP)
-	RET
-
-// func codedSelectAVX2(fs *codedFilter, k, off int, sel *uint64, n int)
-// The coded selection stage: bit j of sel[w] is set iff row off+64w+j
-// of the n (n >= 1) matches all k filters (k >= 1); the bits of the last
-// word past n are clear. fs is as for codedRangesAVX2.
-TEXT ·codedSelectAVX2(SB), NOSPLIT, $0-40
-	MOVQ fs+0(FP), DI
-	MOVQ k+8(FP), R8
-	MOVQ off+16(FP), BX
-	MOVQ sel+24(FP), DX
-	MOVQ n+32(FP), CX
-
-csl_block:
-	CODED64(csl_filter)
-	TAIL(csl_whole)
-	MOVQ AX, (DX)
-	ADDQ $8, DX
-	ADDQ $64, BX
-	SUBQ $64, CX
-	JG   csl_block
-	VZEROUPPER
+	MOVQ R11, count+56(FP)
+	MOVQ AX, sum+64(FP)
 	RET

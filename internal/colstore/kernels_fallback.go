@@ -2,8 +2,6 @@
 
 package colstore
 
-import "repro/internal/query"
-
 // Portable build: no SIMD kernels are compiled in (non-amd64 targets, or
 // the `purego` build tag used by CI to keep the fallback path covered on
 // AVX2 machines). ScanRange always dispatches to the branch-free portable
@@ -26,18 +24,10 @@ func simdEnabled() bool { return false }
 // issue, and the hint changes no result.
 func (sc *prepared) prefetch(start, end int) {}
 
-func (s *Store) scanFilteredSIMD(q query.Query, start, end int, res *ScanResult) {
-	s.scanFilteredPortable(q, start, end, res)
+func laneRangesSIMD(fs []laneFilter, ranges []Range, rows int, agg []int64) (uint64, int64) {
+	return laneRangesPortable(fs, ranges, rows, agg)
 }
 
-func (s *Store) selectWordsSIMD(filters []query.Filter, start, end int, sel []uint64) {
-	s.selectWordsPortable(filters, start, end, sel)
-}
-
-func selectCodedSIMD(fs []codedFilter, start, end int, sel []uint64) {
-	selectCodedPortable(fs, start, end, sel)
-}
-
-func codedRangesSIMD(fs []codedFilter, ranges []Range, agg []int64) (uint64, int64) {
-	return codedRangesPortable(fs, ranges, agg)
+func selectLanesSIMD(fs []laneFilter, start, end int, sel []uint64) {
+	selectLanesPortable(fs, start, end, sel)
 }

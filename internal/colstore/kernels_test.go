@@ -125,17 +125,17 @@ func TestScanKernelsUnalignedRanges(t *testing.T) {
 }
 
 // TestSelectWordsMatchesScalar pins the grouped scan's selection stage
-// bit for bit: on every tier, for 1-12 filters and every range length
-// 1-17 plus the word and buffer boundaries around them, from unaligned
-// starts, bit j of word w is set iff row start+64w+j matches every
-// filter; the last word's bits past the range are clear; and no word
-// past the range's last is written.
+// bit for bit: on every tier and every lane width, for 1-12 filters and
+// every range length 1-17 plus the word and buffer boundaries around
+// them, from unaligned starts, bit j of word w is set iff row
+// start+64w+j matches every filter; the last word's bits past the range
+// are clear; and no word past the range's last is written.
 func TestSelectWordsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261016))
 	const n = 2*1024 + 77
 	cols := make([][]int64, 12)
 	for j := range cols {
-		cols[j] = randColumn(rng, n)
+		cols[j] = laneColumn(rng, n, j)
 	}
 	s, err := FromColumns(cols, nil)
 	if err != nil {
@@ -152,36 +152,44 @@ func TestSelectWordsMatchesScalar(t *testing.T) {
 					fs[j].Lo, fs[j].Hi = fs[j].Hi, fs[j].Lo
 				}
 			}
-			for _, l := range lengths {
-				start := rng.Intn(n - l + 1)
-				end := start + l
-				words := (l + 63) / 64
-				sel := make([]uint64, words+1)
-				for w := range sel {
-					sel[w] = sentinel
+			for _, coded := range []bool{false, true} {
+				SetCoded(coded)
+				sc := s.prepare(query.NewCount(fs...))
+				if sc.empty || len(sc.lanes()) == 0 { // the stage runs on filtered ranges only
+					continue
 				}
-				s.selectWords(fs, start, end, sel)
-				for w := 0; w < words; w++ {
-					var want uint64
-					for j := 0; j < 64 && start+w*64+j < end; j++ {
-						row, ok := start+w*64+j, uint64(1)
-						for _, f := range fs {
-							if v := cols[f.Dim][row]; v < f.Lo || v > f.Hi {
-								ok = 0
+				for _, l := range lengths {
+					start := rng.Intn(n - l + 1)
+					end := start + l
+					words := (l + 63) / 64
+					sel := make([]uint64, words+1)
+					for w := range sel {
+						sel[w] = sentinel
+					}
+					selectLanes(sc.lanes(), start, end, sel)
+					for w := 0; w < words; w++ {
+						var want uint64
+						for j := 0; j < 64 && start+w*64+j < end; j++ {
+							row, ok := start+w*64+j, uint64(1)
+							for _, f := range fs {
+								if v := cols[f.Dim][row]; v < f.Lo || v > f.Hi {
+									ok = 0
+								}
 							}
+							want |= ok << j
 						}
-						want |= ok << j
+						if sel[w] != want {
+							t.Fatalf("%s (coded %v) %d filters rows [%d,%d) word %d: %064b, want %064b", KernelName(), coded, len(fs), start, end, w, sel[w], want)
+						}
 					}
-					if sel[w] != want {
-						t.Fatalf("%s %d filters rows [%d,%d) word %d: %064b, want %064b", KernelName(), len(fs), start, end, w, sel[w], want)
+					if sel[words] != sentinel {
+						t.Fatalf("%s rows [%d,%d): word %d past the range was written", KernelName(), start, end, words)
 					}
-				}
-				if sel[words] != sentinel {
-					t.Fatalf("%s rows [%d,%d): word %d past the range was written", KernelName(), start, end, words)
 				}
 			}
 		}
 	}
+	defer SetCoded(SetCoded(true))
 	if SIMDAvailable() {
 		t.Run("simd", func(t *testing.T) {
 			prev := SetSIMD(true)
@@ -194,6 +202,22 @@ func TestSelectWordsMatchesScalar(t *testing.T) {
 		defer SetSIMD(prev)
 		run(t)
 	})
+}
+
+// laneColumn is column j of a store whose columns take every lane in
+// turn: randColumn's mix (1-byte and 8-byte), a 1 000-value span around
+// zero (2 bytes), a 3e9-value one (4 bytes) and 300 values (2 bytes, just
+// past one).
+func laneColumn(rng *rand.Rand, n, j int) []int64 {
+	if j%4 == 0 {
+		return randColumn(rng, n)
+	}
+	span := []int64{1000, 3e9, 300}[j%4-1]
+	col := make([]int64, n)
+	for i := range col {
+		col[i] = rng.Int63n(span) - span/2
+	}
+	return col
 }
 
 // TestScanKernelsDomainEdges pins the unsigned-compare trick at the int64
@@ -262,14 +286,14 @@ func TestScanKernelsDomainEdges(t *testing.T) {
 	}
 }
 
-// TestScanRangeAllocs pins the fused kernel's allocation budget: with up
-// to 8 filters the SIMD wrapper's arguments fit its stack array, so a
-// scan allocates nothing on either tier.
+// TestScanRangeAllocs pins the plan kernel's allocation budget: a query
+// of up to maxLanes filters fits the prepared query's array, so a scan
+// allocates nothing on either tier.
 func TestScanRangeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261015))
 	cols := make([][]int64, 9)
 	for j := range cols {
-		cols[j] = randColumn(rng, 1000)
+		cols[j] = laneColumn(rng, 1000, j)
 	}
 	s, err := FromColumns(cols, nil)
 	if err != nil {
@@ -277,10 +301,10 @@ func TestScanRangeAllocs(t *testing.T) {
 	}
 	prev := SetSIMD(true)
 	defer SetSIMD(prev)
-	for k := 1; k <= 8; k++ {
+	for k := 1; k <= maxLanes; k++ {
 		fs := make([]query.Filter, k)
 		for j := range fs {
-			fs[j] = query.Filter{Dim: j, Lo: query.NoLo, Hi: query.NoHi}
+			fs[j] = query.Filter{Dim: j % 8, Lo: -1 << 20, Hi: query.NoHi}
 		}
 		for _, q := range []query.Query{query.NewCount(fs...), query.NewSum(8, fs...)} {
 			var res ScanResult
@@ -352,8 +376,9 @@ func randFilter(rng *rand.Rand, col []int64, dim int) query.Filter {
 
 // benchStore builds the benchmark dataset and its shapes: 1M rows,
 // uniform values in [0, domain) so filter widths translate directly into
-// selectivities. The 1e6 domain of the int64 kernel gates never takes
-// the coded path; a 256-value one always does.
+// selectivities. The domain picks the filter columns' lane: 256 values
+// read 1 byte a value, 1e6 (the flat-scan gates' stores) 4 bytes, and
+// 2^40 the int64 column.
 func benchStore(b *testing.B, domain int64) (*Store, []BenchShape) {
 	b.Helper()
 	const n = 1 << 20
@@ -394,9 +419,10 @@ func benchScan(b *testing.B, shapes []BenchShape, scan func(q query.Query, start
 
 // BenchmarkScanKernels measures single-thread throughput of the
 // dispatched kernel (AVX2 where available) on the canonical
-// KernelBenchShapes. Every shape is the denominator of CI's two same-run
-// ratio gates (benchgate 'BenchmarkScanScalar/BenchmarkScanKernels>=1.5'
-// and 'BenchmarkScanKernelsPortable/BenchmarkScanKernels>=1.5').
+// KernelBenchShapes, whose 1e6-value columns read 4-byte lanes. Every
+// shape is the denominator of CI's two same-run ratio gates (benchgate
+// 'BenchmarkScanScalar/BenchmarkScanKernels>=1.5' and
+// 'BenchmarkScanKernelsPortable/BenchmarkScanKernels>=1.5').
 func BenchmarkScanKernels(b *testing.B) {
 	s, shapes := benchStore(b, 1_000_000)
 	benchScan(b, shapes, s.ScanRange)
@@ -420,33 +446,81 @@ func BenchmarkScanScalar(b *testing.B) {
 	benchScan(b, shapes, s.ScanRangeScalar)
 }
 
+// BenchmarkScanInt64Kernels, BenchmarkScanInt64KernelsPortable and
+// BenchmarkScanInt64Scalar are the three families above on columns
+// spanning 2^40 values, whose filters read the int64 column (the 8-byte
+// lane), so CI's two flat-scan bounds hold on that lane too.
+func BenchmarkScanInt64Kernels(b *testing.B) {
+	s, shapes := benchStore(b, 1<<40)
+	benchScan(b, shapes, s.ScanRange)
+}
+
+func BenchmarkScanInt64KernelsPortable(b *testing.B) {
+	s, shapes := benchStore(b, 1<<40)
+	prev := SetSIMD(false)
+	defer SetSIMD(prev)
+	benchScan(b, shapes, s.ScanRange)
+}
+
+func BenchmarkScanInt64Scalar(b *testing.B) {
+	s, shapes := benchStore(b, 1<<40)
+	benchScan(b, shapes, s.ScanRangeScalar)
+}
+
 // benchPrepared is benchScan with each shape's query prepared once, the
 // way ScanRanges prepares a plan's query for all its ranges.
 func benchPrepared(b *testing.B, s *Store, shapes []BenchShape) {
 	for _, sh := range shapes {
 		sc := s.prepare(sh.Query)
 		benchScan(b, []BenchShape{sh}, func(_ query.Query, start, end int, exact bool, res *ScanResult) {
-			sc.scanRange(start, end, exact, res)
+			one := [1]Range{{Start: start, End: end, Exact: exact}}
+			sc.scanRanges(one[:], res)
 		})
 	}
 }
 
 // BenchmarkScanCoded is the dispatched kernel on the KernelBenchShapes
-// of a store whose filter columns span 256 values, so every shape scans
-// the byte images (prepare). CI holds it faster than
-// BenchmarkScanCodedWide, the same prepared shapes on the same data with
-// the coded dispatch off (benchgate
+// of a store whose filter columns span 256 values, so every shape reads
+// 1-byte lanes. CI holds it faster than BenchmarkScanCodedWide, the same
+// prepared shapes on the same data with the narrow lanes off (benchgate
 // 'BenchmarkScanCodedWide/BenchmarkScanCoded>=1.5').
 func BenchmarkScanCoded(b *testing.B) {
 	s, shapes := benchStore(b, 256)
 	benchPrepared(b, s, shapes)
 }
 
-// BenchmarkScanCodedWide is BenchmarkScanCoded forced onto the int64
-// kernels: the twin of the coded-dispatch gate.
+// BenchmarkScanCodedWide is BenchmarkScanCoded with every filter on its
+// int64 column: the twin of the 1-byte lane gate.
 func BenchmarkScanCodedWide(b *testing.B) {
 	s, shapes := benchStore(b, 256)
 	prev := SetCoded(false)
 	defer SetCoded(prev)
 	benchPrepared(b, s, shapes)
+}
+
+// BenchmarkScanLanes is the dispatched kernel on the KernelBenchShapes of
+// a store spanning 65 536 values (2-byte lanes, sub-benchmarks b2/) and
+// one spanning 1e6 (4-byte lanes, b4/). CI holds it faster than
+// BenchmarkScanLanesWide, the same shapes with every filter on its int64
+// column (benchgate 'BenchmarkScanLanesWide/BenchmarkScanLanes>=1.1').
+func BenchmarkScanLanes(b *testing.B) { benchLanes(b) }
+
+// BenchmarkScanLanesWide is BenchmarkScanLanes with the narrow lanes off:
+// the twin of the 2- and 4-byte lane gate.
+func BenchmarkScanLanesWide(b *testing.B) {
+	prev := SetCoded(false)
+	defer SetCoded(prev)
+	benchLanes(b)
+}
+
+func benchLanes(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		domain int64
+	}{{"b2", 1 << 16}, {"b4", 1_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, shapes := benchStore(b, c.domain)
+			benchPrepared(b, s, shapes)
+		})
+	}
 }

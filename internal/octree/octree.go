@@ -26,8 +26,10 @@ type Index struct {
 }
 
 type node struct {
-	lo, hi   []int64 // inclusive region bounds
-	children map[uint32]*node
+	lo, hi []int64 // inclusive region bounds
+	// children in ascending octant key, which is their physical order:
+	// a plan lists its leaves' ranges ascending.
+	children []*node
 	// Leaf range [start, end) in physical storage.
 	start, end int
 	leaf       bool
@@ -97,12 +99,12 @@ func (x *Index) build(rows []int, offset, depth int, lo, hi []int64) *node {
 		for key, b := range buckets {
 			clo, chi := octantBounds(lo, hi, mid, key)
 			copy(rows, b)
-			nd.children = map[uint32]*node{key: x.build(rows, offset, depth+1, clo, chi)}
+			nd.children = []*node{x.build(rows, offset, depth+1, clo, chi)}
 		}
 		return nd
 	}
-	nd.children = make(map[uint32]*node, len(buckets))
-	// Deterministic order: ascending key.
+	nd.children = make([]*node, 0, len(buckets))
+	// Ascending key, the order the children's rows are laid out in.
 	keys := make([]uint32, 0, len(buckets))
 	for key := range buckets {
 		keys = append(keys, key)
@@ -114,7 +116,7 @@ func (x *Index) build(rows []int, offset, depth int, lo, hi []int64) *node {
 		b := buckets[key]
 		clo, chi := octantBounds(lo, hi, mid, key)
 		copy(rows[pos:pos+len(b)], b)
-		nd.children[key] = x.build(rows[pos:pos+len(b)], cur, depth+1, clo, chi)
+		nd.children = append(nd.children, x.build(rows[pos:pos+len(b)], cur, depth+1, clo, chi))
 		cur += len(b)
 		pos += len(b)
 	}
@@ -182,7 +184,7 @@ func (x *Index) visit(nd *node, q query.Query, p *index.RangePlan) {
 	}
 }
 
-// SizeBytes implements index.Index: per-node bounds plus child map entries.
+// SizeBytes implements index.Index: per-node bounds plus child entries.
 func (x *Index) SizeBytes() uint64 {
 	d := uint64(x.store.NumDims())
 	return uint64(x.numNodes) * (48 + 16*d)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -20,6 +21,23 @@ func TestOctreeSmallPages(t *testing.T) {
 	qs := testutil.RandomQueries(st, 80, 4)
 	idx := Build(st, 32)
 	testutil.CheckMatchesFullScan(t, idx, st, qs)
+}
+
+// TestOctreePlansAscend pins the order of a plan's ranges on Taxi: every
+// plan lists its leaves' ranges ascending and non-overlapping, the
+// store's physical order, so a scan walks the table forward.
+func TestOctreePlansAscend(t *testing.T) {
+	st := testutil.SmallTaxi(20000, 9)
+	idx := Build(st, 256)
+	for _, q := range testutil.RandomQueries(st, 100, 10) {
+		p := idx.Plan(q, index.Exec{}).(*index.RangePlan)
+		for i := 1; i < len(p.Ranges); i++ {
+			if p.Ranges[i-1].End > p.Ranges[i].Start {
+				t.Fatalf("%s: range %d %+v after %+v", q, i, p.Ranges[i], p.Ranges[i-1])
+			}
+		}
+		p.Release()
+	}
 }
 
 func TestOctreeLeavesCoverAllPoints(t *testing.T) {
